@@ -6,6 +6,7 @@
 #include "estimators/active_sampling.hh"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "linalg/error.hh"
@@ -79,18 +80,22 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
     }
 
     const LeoEstimator estimator(options_.estimator);
-    // One workspace and one previous fit serve every guidance round:
-    // refits reuse the arena's buffers and (when enabled) warm-start
-    // EM from the previous round's parameters.
+    // One prior basis, one workspace and one previous fit serve every
+    // guidance round: refits skip the prior-invariant work, reuse the
+    // arena's buffers and (when enabled) warm-start EM from the
+    // previous round's parameters.
+    std::optional<PriorBasis> basis;
     linalg::Workspace ws;
     LeoFit fit;
     bool have_fit = false;
     while (obs.size() < budget) {
         samplingObs().rounds.add(1);
+        if (!basis)
+            basis.emplace(prior);
         const LeoFit *warm =
             (options_.warmStartRefits && have_fit) ? &fit : nullptr;
-        fit = estimator.fitMetric(prior, obs.indices,
-                                  obs.performance, &ws, warm);
+        fit = estimator.fitMetric(*basis, obs.indices, obs.performance,
+                                  &ws, warm);
         have_fit = true;
 
         // Rank unobserved configurations by predictive variance. A

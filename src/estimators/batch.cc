@@ -16,22 +16,28 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
     std::vector<EstimateRequest> requests = std::move(requests_);
     requests_.clear();
     std::vector<MetricEstimate> results(requests.size());
-    // Warm-start/fit-out plumbing only exists on LeoEstimator; other
-    // estimators silently take the plain interface.
+    // Shared bases, warm starts, fit-out and representation plumbing
+    // only exist on LeoEstimator; other estimators silently take the
+    // plain interface.
     const auto *as_leo = dynamic_cast<const LeoEstimator *>(&estimator_);
     parallel::parallelFor(pool_, requests.size(), [&](std::size_t i) {
         const EstimateRequest &r = requests[i];
-        if (as_leo &&
-            (r.warmStart || r.fitOut || r.representation)) {
-            results[i] = as_leo->estimateMetric(
-                space, r.prior, r.obsIndices, r.obsValues,
-                /*ws=*/nullptr, r.warmStart, r.fitOut,
-                r.representation.value_or(
-                    as_leo->options().representation));
-        } else {
+        if (as_leo == nullptr) {
             results[i] = estimator_.estimateMetric(
                 space, r.prior, r.obsIndices, r.obsValues);
+            return;
         }
+        const CovarianceRep rep =
+            r.representation.value_or(as_leo->options().representation);
+        results[i] =
+            r.priorBasis
+                ? as_leo->estimateMetric(space, *r.priorBasis,
+                                         r.obsIndices, r.obsValues,
+                                         /*ws=*/nullptr, r.warmStart,
+                                         r.fitOut, rep)
+                : as_leo->estimateMetric(space, r.prior, r.obsIndices,
+                                         r.obsValues, /*ws=*/nullptr,
+                                         r.warmStart, r.fitOut, rep);
     });
     return results;
 }

@@ -29,8 +29,15 @@ namespace leo::estimators
 /** One batch entry: the online inputs of a single target app. */
 struct EstimateRequest
 {
-    /** Offline prior vectors for this target (e.g. leave-one-out). */
+    /** Offline prior vectors for this target (e.g. leave-one-out);
+     *  unused when priorBasis is set. */
     std::vector<linalg::Vector> prior;
+    /**
+     * Shared basis of this target's prior (LEO estimators only). When
+     * set, the fit reads it instead of building one from `prior`,
+     * bitwise identically. The pointed-to basis must outlive run().
+     */
+    const PriorBasis *priorBasis = nullptr;
     /** Observed configuration indices Omega. */
     std::vector<std::size_t> obsIndices;
     /** Observed values at those indices. */

@@ -25,7 +25,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -89,6 +92,216 @@ emObs()
 }
 
 /**
+ * A unit whose Schur pivot — its squared residual against the prior
+ * block and the units kept before it — is at most this lies in the
+ * span already and is dropped, as LowRankBasis::appendUnit drops it.
+ * The pivot is evaluated as 1 - |p|^2 - sum l^2, so it carries a
+ * cancellation error of order q eps: a residual norm below 1e-6 is
+ * indistinguishable from that noise (appendUnit's 1e-10 threshold
+ * measures the residual directly, which s dimensions cannot).
+ */
+constexpr double kPivotTol = 1e-12;
+
+/**
+ * The observed half of one fit's basis, built in s dimensions.
+ *
+ * W = P_p' holds the prior-block coordinates of the distinct observed
+ * unit vectors (row a = Q_p e_{units[a]}). Their residuals against
+ * Q_p have Gram matrix G = I - W W', and an in-order Cholesky
+ * G = L L' gives each unit's coordinates on the new directions (row
+ * of L) without touching n. The rows themselves,
+ * Q_o = L^-1 (E_Omega' - W Q_p), are formed once, only because
+ * LeoFit::basisT carries them (observedRowsInto).
+ */
+struct ObservedBlock
+{
+    /** Distinct observed indices, first-occurrence order. */
+    std::vector<std::size_t> units;
+    /** slot[j]: position of observation j's index in `units`. */
+    std::vector<std::size_t> slot;
+    /** kept[c]: the position in `units` that seeded direction c. */
+    std::vector<std::size_t> kept;
+    /** W (units x r), in the fit's arena. */
+    linalg::Matrix *w = nullptr;
+    /** L (units x units, lower trapezoidal; column c belongs to
+     *  direction kept[c]), in the fit's arena. */
+    linalg::Matrix *l = nullptr;
+};
+
+/** Deduplicate the observed units and factor their block. */
+ObservedBlock
+observeUnits(const PriorBasis &prior,
+             const std::vector<std::size_t> &obs_idx,
+             linalg::Workspace &arena)
+{
+    ObservedBlock ob;
+    // Exact duplicates share one direction. Merging them here is
+    // exact; left to the factorization, their Schur pivot would land
+    // near q eps rather than at zero, and only the tolerance would
+    // drop them.
+    ob.slot.resize(obs_idx.size());
+    ob.units.reserve(obs_idx.size());
+    for (std::size_t j = 0; j < obs_idx.size(); ++j) {
+        std::size_t a = 0;
+        while (a < ob.units.size() && ob.units[a] != obs_idx[j])
+            ++a;
+        if (a == ob.units.size())
+            ob.units.push_back(obs_idx[j]);
+        ob.slot[j] = a;
+    }
+    const std::size_t t = ob.units.size();
+    const std::size_t r = prior.rank();
+    const linalg::Matrix &qp = prior.rows();
+    linalg::Matrix &w = arena.matrix("lr.w", t, r);
+    for (std::size_t a = 0; a < t; ++a)
+        for (std::size_t k = 0; k < r; ++k)
+            w.at(a, k) = qp.at(k, ob.units[a]);
+    linalg::Matrix &wwt = arena.matrix("lr.wwt", t, t);
+    linalg::abtInto(wwt, w, w);
+
+    linalg::Matrix &l = arena.matrix("lr.l", t, t);
+    l.fill(0.0);
+    ob.kept.reserve(t);
+    for (std::size_t a = 0; a < t; ++a) {
+        const std::size_t kept = ob.kept.size();
+        for (std::size_t c = 0; c < kept; ++c) {
+            const std::size_t b = ob.kept[c];
+            double v = -wwt.at(a, b); // G[a][b]; distinct units
+            for (std::size_t c2 = 0; c2 < c; ++c2)
+                v -= l.at(a, c2) * l.at(b, c2);
+            l.at(a, c) = v / l.at(b, c);
+        }
+        double pivot = 1.0 - wwt.at(a, a);
+        for (std::size_t c = 0; c < kept; ++c)
+            pivot -= l.at(a, c) * l.at(a, c);
+        if (pivot > kPivotTol) {
+            l.at(a, kept) = std::sqrt(pivot);
+            ob.kept.push_back(a);
+        }
+    }
+    ob.w = &w;
+    ob.l = &l;
+    return ob;
+}
+
+/**
+ * Apply L_k^-1 (L restricted to the kept units' rows) in place to
+ * `kept` rows of length `len`, row c at rows + c * len: subtract the
+ * earlier rows, then scale by the pivot. The Q_o construction and the
+ * warm rotation share this forward substitution.
+ */
+void
+solveKeptRows(double *rows, std::size_t len, const ObservedBlock &ob)
+{
+    const linalg::Matrix &l = *ob.l;
+    for (std::size_t c = 0; c < ob.kept.size(); ++c) {
+        const std::size_t a = ob.kept[c];
+        double *row = rows + c * len;
+        for (std::size_t c2 = 0; c2 < c; ++c2)
+            linalg::axpyN(row, rows + c2 * len, -l.at(a, c2), len);
+        const double inv = 1.0 / l.at(a, c);
+        for (std::size_t j = 0; j < len; ++j)
+            row[j] *= inv;
+    }
+}
+
+/**
+ * Write Q_o = L_k^-1 (E_k' - W_k Q_p) into rows [r, r + kept) of
+ * qmat: one GEMM for the projections, then one forward substitution.
+ */
+void
+observedRowsInto(linalg::Matrix &qmat, const PriorBasis &prior,
+                 const ObservedBlock &ob, linalg::Workspace &arena)
+{
+    const std::size_t r = prior.rank();
+    const std::size_t n = prior.dim();
+    const std::size_t kept = ob.kept.size();
+    if (kept == 0)
+        return;
+    linalg::Matrix &wk = arena.matrix("lr.wk", kept, r);
+    for (std::size_t c = 0; c < kept; ++c)
+        for (std::size_t k = 0; k < r; ++k)
+            wk.at(c, k) = ob.w->at(ob.kept[c], k);
+    linalg::Matrix &proj = arena.matrix("lr.proj", kept, n);
+    linalg::Matrix::multiplyInto(proj, wk, prior.rows());
+    double *rows = qmat.data() + r * n;
+    for (std::size_t c = 0; c < kept; ++c) {
+        double *row = rows + c * n;
+        const double *pr = proj.data() + c * n;
+        for (std::size_t j = 0; j < n; ++j)
+            row[j] = -pr[j];
+        row[ob.units[ob.kept[c]]] += 1.0;
+    }
+    solveKeptRows(rows, n, ob);
+}
+
+/**
+ * C0 = R C_w R' for a warm fit whose basis leads with this fit's
+ * prior block. Both observed blocks are orthogonal to Q_p, so
+ * R = Q Q_w' = blockdiag(I_r, R_o) with
+ * R_o = Q_o Q_ow' = L_k^-1 (E_k' - W_k Q_p) Q_ow' = L_k^-1 E_k' Q_ow':
+ * a gather of the warm observed rows at this fit's kept units and one
+ * forward substitution, with no n-length product. The prior block of
+ * C_w carries over; only the observed rows and columns rotate.
+ */
+void
+rotateSharedPriorBlock(linalg::Matrix &cmat, const LeoFit &warm,
+                       std::size_t rp, const ObservedBlock &ob,
+                       linalg::Workspace &arena)
+{
+    const std::size_t kept = ob.kept.size();
+    const std::size_t q = rp + kept;
+    const std::size_t qw = warm.basisT.rows();
+    const std::size_t sw = qw - rp;
+    const linalg::Matrix &cw = warm.coeff;
+
+    linalg::Matrix &ro = arena.matrix("lr.ro", kept, sw);
+    for (std::size_t c = 0; c < kept; ++c)
+        for (std::size_t c2 = 0; c2 < sw; ++c2)
+            ro.at(c, c2) =
+                warm.basisT.at(rp + c2, ob.units[ob.kept[c]]);
+    solveKeptRows(ro.data(), sw, ob);
+
+    // rc = R C_w (q x qw): prior rows copied, observed rows rotated.
+    linalg::Matrix &rc = arena.matrix("lr.rotc", q, qw);
+    rc.fill(0.0);
+    for (std::size_t i = 0; i < rp; ++i)
+        for (std::size_t k = 0; k < qw; ++k)
+            rc.at(i, k) = cw.at(i, k);
+    for (std::size_t c = 0; c < kept; ++c)
+        for (std::size_t c2 = 0; c2 < sw; ++c2)
+            linalg::axpyN(rc.data() + (rp + c) * qw,
+                          cw.data() + (rp + c2) * qw, ro.at(c, c2), qw);
+
+    // cmat = rc R' (q x q).
+    cmat.resize(q, q);
+    for (std::size_t i = 0; i < q; ++i) {
+        const double *rci = rc.data() + i * qw;
+        for (std::size_t k = 0; k < rp; ++k)
+            cmat.at(i, k) = rci[k];
+        for (std::size_t c = 0; c < kept; ++c)
+            cmat.at(i, rp + c) =
+                linalg::dotN(rci + rp, ro.data() + c * sw, sw);
+    }
+}
+
+/**
+ * True iff the warm fit's basis leads with exactly this prior block.
+ * Compared bit for bit, never by object identity, so a live fit, one
+ * restored by loadFit and a replay all take the same warm branch.
+ */
+bool
+sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
+{
+    const std::size_t r = prior.rank();
+    const std::size_t n = prior.dim();
+    return warm.basisT.rows() >= r && warm.basisT.cols() == n &&
+           (r == 0 ||
+            std::memcmp(warm.basisT.data(), prior.rows().data(),
+                        r * n * sizeof(double)) == 0);
+}
+
+/**
  * The low-rank EM path (CovarianceRep::LowRank).
  *
  * Every vector the EM ever produces — shapes, mu, posterior means —
@@ -110,6 +323,11 @@ emObs()
  * no re-densification ever happens. Full derivation: DESIGN.md
  * section 7.2.
  *
+ * Q = [Q_p; Q_o]: the prior block comes shared and ready in `prior`,
+ * and the observed block is factored in s dimensions
+ * (observeUnits), so the EM runs on P = [P_p' | L] and prior
+ * coordinates [R | 0] without an n-length sweep before the loop.
+ *
  * The result is tolerance-equivalent (not bitwise-equal) to the dense
  * path: the algebra is identical but evaluated in a rotated
  * parameterization, so roundings differ at the 1e-14 level per
@@ -117,8 +335,7 @@ emObs()
  * agreement bounds.
  */
 LeoFit
-fitLowRank(const LeoOptions &opt,
-           const std::vector<linalg::Vector> &shapes,
+fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
            const std::vector<std::size_t> &obs_idx,
            const linalg::Vector &x_obs, double scale,
            linalg::Workspace *ws, const LeoFit *warm,
@@ -127,8 +344,9 @@ fitLowRank(const LeoOptions &opt,
     using linalg::Matrix;
     using linalg::Vector;
 
-    const std::size_t n = shapes.front().size();
-    const std::size_t m_prior = shapes.size();
+    const std::size_t n = prior.dim();
+    const std::size_t m_prior = prior.apps();
+    const std::size_t rp = prior.rank();
     const std::size_t s = obs_idx.size();
     const bool have_obs = s > 0;
     const double mp = static_cast<double>(m_prior);
@@ -138,37 +356,42 @@ fitLowRank(const LeoOptions &opt,
     linalg::Workspace &arena = ws ? *ws : local_ws;
 
     // ---- Basis ----------------------------------------------------
-    // Orthonormalize the prior shapes, then the observed coordinate
-    // directions. Near-duplicates (rank-deficient priors, repeated
-    // observation indices) are dropped by the basis, shrinking q.
-    linalg::LowRankBasis basis;
-    basis.reset(n, m_prior + s);
-    for (const Vector &x : shapes)
-        basis.appendVector(x);
-    for (std::size_t j = 0; j < s; ++j)
-        basis.appendUnit(obs_idx[j]);
-    const std::size_t q = basis.size();
+    // The prior block is shared; only the observed coordinate
+    // directions are new. Units already in the span (repeated
+    // indices, a prior that spans e_j) add no direction, shrinking q.
+    const ObservedBlock ob = observeUnits(prior, obs_idx, arena);
+    const Matrix &pp = *ob.w;
+    const Matrix &lfac = *ob.l;
+    const std::size_t kept = ob.kept.size();
+    const std::size_t q = rp + kept;
     require(q >= 1, "LeoEstimator: empty low-rank basis");
 
-    Matrix &qmat = arena.matrix("lr.q", q, n);
-    basis.rowsInto(qmat);
+    // Q = [Q_p; Q_o] (q x n), kept for the warm re-expression, the
+    // expansions after the loop and LeoFit::basisT.
+    Matrix qmat(q, n);
+    std::copy(prior.rows().data(), prior.rows().data() + rp * n,
+              qmat.data());
+    observedRowsInto(qmat, prior, ob, arena);
 
-    // P (s x q): the basis columns at the observed indices, so row j
-    // of P holds the coordinates of e_{obs_j} in the basis.
+    // P (s x q): row j holds the coordinates of e_{obs_j} in the
+    // basis, [P_p' | L] at its unit.
     Matrix &p = arena.matrix("lr.p", s, q);
-    for (std::size_t j = 0; j < s; ++j)
-        for (std::size_t k = 0; k < q; ++k)
-            p.at(j, k) = basis.entry(k, obs_idx[j]);
+    for (std::size_t j = 0; j < s; ++j) {
+        const std::size_t a = ob.slot[j];
+        for (std::size_t k = 0; k < rp; ++k)
+            p.at(j, k) = pp.at(a, k);
+        for (std::size_t c = 0; c < kept; ++c)
+            p.at(j, rp + c) = lfac.at(a, c);
+    }
 
-    // Coordinates of the prior shapes: row i = Q x_i.
+    // Coordinates of the prior shapes, [R | 0]: the shapes lie in
+    // span(Q_p).
     Matrix &coords = arena.matrix("lr.coords", m_prior, q);
-    {
-        Vector ci(q);
-        for (std::size_t i = 0; i < m_prior; ++i) {
-            basis.coordsInto(ci, shapes[i]);
-            for (std::size_t k = 0; k < q; ++k)
-                coords.at(i, k) = ci[k];
-        }
+    for (std::size_t i = 0; i < m_prior; ++i) {
+        for (std::size_t k = 0; k < rp; ++k)
+            coords.at(i, k) = prior.coords().at(i, k);
+        for (std::size_t k = rp; k < q; ++k)
+            coords.at(i, k) = 0.0;
     }
 
     // ---- Initialization -------------------------------------------
@@ -194,30 +417,38 @@ fitLowRank(const LeoOptions &opt,
         // C0 = R C_w R' with R = Q Q_w'. Old directions missing from
         // the new span project away; since EM re-estimates from the
         // init, the loss only perturbs the starting point.
-        basis.coordsInto(g, warm->mu);
-        Matrix &rmat = arena.matrix("lr.rot", q, warm->basisT.rows());
-        Matrix &rc = arena.matrix("lr.rotc", q, warm->basisT.rows());
-        linalg::abtInto(rmat, qmat, warm->basisT);
-        Matrix::multiplyInto(rc, rmat, warm->coeff);
-        linalg::abtInto(cmat, rc, rmat);
+        linalg::gemvInto(g, qmat, warm->mu);
+        if (sharesPriorBlock(*warm, prior)) {
+            rotateSharedPriorBlock(cmat, *warm, rp, ob, arena);
+        } else {
+            const std::size_t qw = warm->basisT.rows();
+            Matrix &rmat = arena.matrix("lr.rot", q, qw);
+            Matrix &rc = arena.matrix("lr.rotc", q, qw);
+            linalg::abtInto(rmat, qmat, warm->basisT);
+            Matrix::multiplyInto(rc, rmat, warm->coeff);
+            linalg::abtInto(cmat, rc, rmat);
+        }
         alpha = warm->alphaDiag;
         sigma2 = warm->sigma2;
     } else {
         // Cold init, exactly the dense init in coordinates: the mean
         // of the shape coordinates is the coordinates of the mean
         // shape, the residual Gram matrix is the projected dense one,
-        // and the isotropic Psi lands in alpha.
+        // and the isotropic Psi lands in alpha. The prior-only parts
+        // live in the PriorBasis; the observed block starts at zero.
+        cmat.fill(0.0);
+        const Matrix *gram0 = &prior.residualGram();
         if (opt.init == EmInit::Offline) {
-            for (std::size_t i = 0; i < m_prior; ++i)
-                for (std::size_t k = 0; k < q; ++k)
-                    g[k] += coords.at(i, k);
-            g /= mp;
+            for (std::size_t k = 0; k < rp; ++k)
+                g[k] = prior.meanCoords()[k];
+        } else {
+            Matrix &gram_r = arena.matrix("lr.gram0", rp, rp);
+            Matrix::gramInto(gram_r, prior.coords());
+            gram0 = &gram_r;
         }
-        Matrix &resid0 = arena.matrix("lr.resid", m_prior, q);
-        for (std::size_t i = 0; i < m_prior; ++i)
-            for (std::size_t k = 0; k < q; ++k)
-                resid0.at(i, k) = coords.at(i, k) - g[k];
-        Matrix::gramInto(cmat, resid0);
+        for (std::size_t k = 0; k < rp; ++k)
+            for (std::size_t k2 = 0; k2 < rp; ++k2)
+                cmat.at(k, k2) = gram0->at(k, k2);
         cmat.outerAddInto(opt.hyperPi, g, g);
         cmat /= m_total + 1.0;
         alpha = opt.hyperPsiScale / (m_total + 1.0);
@@ -230,10 +461,6 @@ fitLowRank(const LeoOptions &opt,
     fit.logLikelihoodTrace.reserve(opt.maxIterations);
 
     EmObs &eo = emObs();
-    obs::Span fit_span(obs::names::kEmFitSpan, "em");
-    fit_span.arg("apps", mp);
-    fit_span.arg("configs", static_cast<double>(n));
-    fit_span.arg("rank", static_cast<double>(q));
 
     // Loop buffers: everything is q- or s-dimensional, so the whole
     // working set is a few hundred kilobytes even at n = 16384.
@@ -473,8 +700,6 @@ fitLowRank(const LeoOptions &opt,
         eo.warm.add(1);
     eo.iters.add(fit.iterations);
     eo.basis_cols.set(static_cast<double>(q));
-    fit_span.arg("iters", static_cast<double>(fit.iterations));
-    fit_span.arg("converged", fit.converged ? 1.0 : 0.0);
 
     // ---- Prediction -----------------------------------------------
     // Final E-step for the target under the fitted theta, then expand
@@ -515,7 +740,7 @@ fitLowRank(const LeoOptions &opt,
     }
 
     Vector pred_full(n);
-    basis.expandInto(pred_full, tc);
+    linalg::gemvTransInto(pred_full, qmat, tc);
     fit.prediction = Vector(n);
     for (std::size_t j = 0; j < n; ++j)
         fit.prediction[j] = std::max(pred_full[j] * scale, 0.0);
@@ -540,16 +765,60 @@ fitLowRank(const LeoOptions &opt,
             fit.predictionVariance[j] =
                 (alpha + cov_diag[j] + sigma2) * scale * scale;
     }
-    basis.expandInto(fit.mu, g);
+    linalg::gemvTransInto(fit.mu, qmat, g);
     // fit.sigma stays empty: at large n the dense matrix is exactly
     // what this path exists to avoid materializing.
     fit.sigma2 = sigma2;
     fit.lowRank = true;
-    fit.basisT = qmat;
+    fit.basisT = std::move(qmat);
     fit.coeff = cmat;
     fit.alphaDiag = alpha;
     fit.varCore = ct;
     return fit;
+}
+
+/**
+ * Order observations by configuration index, stably, so repeated
+ * indices keep their relative order. The fit is order-dependent at
+ * the rounding level; ordering makes every permutation of one sample
+ * set fit to the same bits. Returns false and leaves the outputs
+ * untouched when the input is already ordered.
+ */
+bool
+orderByIndex(const std::vector<std::size_t> &idx,
+             const linalg::Vector &vals, std::vector<std::size_t> &idx_out,
+             linalg::Vector &vals_out)
+{
+    if (std::is_sorted(idx.begin(), idx.end()))
+        return false;
+    std::vector<std::size_t> perm(idx.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    // Ties broken by position: a stable order without the temporary
+    // buffer std::stable_sort would allocate.
+    std::sort(perm.begin(), perm.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return idx[a] != idx[b] ? idx[a] < idx[b] : a < b;
+              });
+    idx_out.resize(idx.size());
+    vals_out = linalg::Vector(idx.size());
+    for (std::size_t k = 0; k < perm.size(); ++k) {
+        idx_out[k] = idx[perm[k]];
+        vals_out[k] = vals[perm[k]];
+    }
+    return true;
+}
+
+/** Annotate a whole-fit span with the fit's shape and outcome. */
+void
+traceFit(obs::Span &span, const PriorBasis &prior, const LeoFit &fit)
+{
+    span.arg("apps", static_cast<double>(prior.apps()));
+    span.arg("configs", static_cast<double>(prior.dim()));
+    if (fit.lowRank)
+        span.arg("rank", static_cast<double>(fit.basisT.rows()));
+    span.arg("iters", static_cast<double>(fit.iterations));
+    if (!fit.lowRank)
+        span.arg("converged", fit.converged ? 1.0 : 0.0);
 }
 
 } // namespace
@@ -655,10 +924,10 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              linalg::Workspace *ws, const LeoFit *warm,
                              LeoFit *fit_out, CovarianceRep rep) const
 {
-    MetricEstimate est;
     if (prior.empty()) {
         // No offline knowledge at all: degenerate to a flat guess at
         // the observed mean (flagged unreliable).
+        MetricEstimate est;
         double flat = 0.0;
         for (double v : obs_vals)
             if (std::isfinite(v) && v > 0.0)
@@ -669,35 +938,91 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
     }
     require(prior.front().size() == space.size(),
             "LeoEstimator: prior/space size mismatch");
+    return estimateMetric(space, nullptr, prior, obs_idx, obs_vals, ws,
+                          warm, fit_out, rep);
+}
+
+MetricEstimate
+LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
+                             const PriorBasis &prior,
+                             const std::vector<std::size_t> &obs_idx,
+                             const linalg::Vector &obs_vals,
+                             linalg::Workspace *ws, const LeoFit *warm,
+                             LeoFit *fit_out, CovarianceRep rep) const
+{
+    require(prior.dim() == space.size(),
+            "LeoEstimator: prior/space size mismatch");
+    return estimateMetric(space, &prior, {}, obs_idx, obs_vals, ws, warm,
+                          fit_out, rep);
+}
+
+MetricEstimate
+LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
+                             const PriorBasis *shared,
+                             const std::vector<linalg::Vector> &raw,
+                             const std::vector<std::size_t> &obs_idx,
+                             const linalg::Vector &obs_vals,
+                             linalg::Workspace *ws, const LeoFit *warm,
+                             LeoFit *fit_out, CovarianceRep rep) const
+{
+    obs::Span span(obs::names::kEmFitSpan, "em");
+    MetricEstimate est;
 
     // Sanitize the online observations so a faulted reading degrades
     // the fit instead of crashing it (clean sets pass through with
-    // zero copies, keeping the fault-free path bitwise identical).
+    // zero copies, keeping the fault-free path bitwise identical),
+    // then order them by configuration index: the fit cache keys on
+    // the order-free Observations::contentHash, so neither the fit
+    // nor the fallbacks below may depend on sample order.
     const SanitizedObservations clean =
         sanitizeObservations(obs_idx, obs_vals, space.size());
-    const std::vector<std::size_t> &idx =
-        clean.modified ? clean.indices : obs_idx;
-    const linalg::Vector &vals = clean.modified ? clean.values : obs_vals;
     est.samplesRejected = clean.rejected;
+    const std::vector<std::size_t> &clean_idx =
+        clean.modified ? clean.indices : obs_idx;
+    const linalg::Vector &clean_vals =
+        clean.modified ? clean.values : obs_vals;
+    std::vector<std::size_t> ordered_idx;
+    linalg::Vector ordered_vals;
+    const bool reordered =
+        orderByIndex(clean_idx, clean_vals, ordered_idx, ordered_vals);
+    const std::vector<std::size_t> &idx =
+        reordered ? ordered_idx : clean_idx;
+    const linalg::Vector &vals = reordered ? ordered_vals : clean_vals;
 
-    try {
-        LeoFit fit = fitMetric(prior, idx, vals, ws, warm, rep);
-        if (fit.prediction.allFinite()) {
-            est.iterations = fit.iterations;
-            // Unreliable only when observations existed but none
-            // survived sanitization: the fit is then the bare prior
-            // shape with no anchoring to the target.
-            est.reliable = obs_idx.empty() || !idx.empty();
-            if (fit_out) {
-                *fit_out = std::move(fit);
-                est.values = fit_out->prediction;
-            } else {
-                est.values = std::move(fit.prediction);
-            }
-            return est;
+    // A prior the basis cannot be built from (a non-positive mean,
+    // ragged vectors) leaves no fit to run: it goes straight to the
+    // degradation path below.
+    std::optional<PriorBasis> own;
+    const PriorBasis *basis = shared;
+    if (basis == nullptr) {
+        try {
+            basis = &own.emplace(raw);
+        } catch (const Error &) {
+            // No basis: degrade below.
         }
-    } catch (const Error &) {
-        // Fall through to the ridge retry.
+    }
+
+    if (basis != nullptr) {
+        try {
+            LeoFit fit = fitWith(*basis, idx, vals, ws, warm, rep);
+            traceFit(span, *basis, fit);
+            if (fit.prediction.allFinite()) {
+                est.iterations = fit.iterations;
+                // Unreliable only when observations existed but none
+                // survived sanitization: the fit is then the bare
+                // prior shape with no anchoring to the target.
+                est.reliable = obs_idx.empty() || !idx.empty();
+                if (fit_out) {
+                    *fit_out = std::move(fit);
+                    est.values = fit_out->prediction;
+                } else {
+                    est.values = std::move(fit.prediction);
+                }
+                return est;
+            }
+        } catch (const Error &) {
+            // Fall through to the ridge retry.
+        }
     }
 
     // The EM fit failed (singular covariance even after the Cholesky
@@ -706,35 +1031,40 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
     // statistical efficiency for existence (DESIGN.md "Failure model
     // and degradation policy").
     emObs().ridge.add(1);
-    try {
-        LeoOptions ridge = options_;
-        ridge.hyperPsiScale =
-            std::max(options_.hyperPsiScale * 100.0, 1.0);
-        ridge.initSigma2 = std::max(options_.initSigma2, 1e-2);
-        ridge.threads = 1;
-        ridge.representation = rep;
-        const LeoEstimator heavy(ridge);
-        LeoFit fit = heavy.fitMetric(prior, idx, vals, nullptr, nullptr);
-        if (fit.prediction.allFinite()) {
-            est.iterations = fit.iterations;
-            est.reliable = false;
-            if (fit_out) {
-                *fit_out = std::move(fit);
-                est.values = fit_out->prediction;
-            } else {
-                est.values = std::move(fit.prediction);
+    if (basis != nullptr) {
+        try {
+            LeoOptions ridge = options_;
+            ridge.hyperPsiScale =
+                std::max(options_.hyperPsiScale * 100.0, 1.0);
+            ridge.initSigma2 = std::max(options_.initSigma2, 1e-2);
+            ridge.threads = 1;
+            ridge.representation = rep;
+            const LeoEstimator heavy(ridge);
+            LeoFit fit =
+                heavy.fitWith(*basis, idx, vals, nullptr, nullptr, rep);
+            if (fit.prediction.allFinite()) {
+                est.iterations = fit.iterations;
+                est.reliable = false;
+                if (fit_out) {
+                    *fit_out = std::move(fit);
+                    est.values = fit_out->prediction;
+                } else {
+                    est.values = std::move(fit.prediction);
+                }
+                return est;
             }
-            return est;
+        } catch (const Error &) {
+            // Fall through to the prior-mean fallback.
         }
-    } catch (const Error &) {
-        // Fall through to the prior-mean fallback.
     }
 
     // Last resort: the prior mean shape, anchored to the observed
     // scale when any observation survived. Always finite; never
     // updates fit_out (the caller's warm state stays intact).
     try {
-        linalg::Vector shape = OfflineEstimator::meanShape(prior);
+        linalg::Vector shape = basis != nullptr
+                                   ? averageShape(basis->shapes())
+                                   : OfflineEstimator::meanShape(raw);
         if (!idx.empty()) {
             const double at_obs = shape.gather(idx).mean();
             if (at_obs > 0.0)
@@ -763,29 +1093,52 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
                         const linalg::Vector &obs_vals,
                         linalg::Workspace *ws, const LeoFit *warm) const
 {
-    return fitMetric(prior, obs_idx, obs_vals, ws, warm,
-                     options_.representation);
+    obs::Span span(obs::names::kEmFitSpan, "em");
+    const PriorBasis basis(prior);
+    LeoFit fit = fitWith(basis, obs_idx, obs_vals, ws, warm,
+                         options_.representation);
+    traceFit(span, basis, fit);
+    return fit;
 }
 
 LeoFit
-LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
+LeoEstimator::fitMetric(const PriorBasis &prior,
                         const std::vector<std::size_t> &obs_idx,
                         const linalg::Vector &obs_vals,
-                        linalg::Workspace *ws, const LeoFit *warm,
-                        CovarianceRep rep) const
+                        linalg::Workspace *ws, const LeoFit *warm) const
 {
-    require(!prior.empty(), "LeoEstimator: no prior applications");
-    require(obs_idx.size() == obs_vals.size(),
+    obs::Span span(obs::names::kEmFitSpan, "em");
+    LeoFit fit = fitWith(prior, obs_idx, obs_vals, ws, warm,
+                         options_.representation);
+    traceFit(span, prior, fit);
+    return fit;
+}
+
+LeoFit
+LeoEstimator::fitWith(const PriorBasis &prior,
+                      const std::vector<std::size_t> &obs_idx_in,
+                      const linalg::Vector &obs_vals_in,
+                      linalg::Workspace *ws, const LeoFit *warm,
+                      CovarianceRep rep) const
+{
+    require(obs_idx_in.size() == obs_vals_in.size(),
             "LeoEstimator: observation index/value mismatch");
-    const std::size_t n = prior.front().size();
-    for (const linalg::Vector &y : prior)
-        require(y.size() == n, "LeoEstimator: ragged prior vectors");
-    for (std::size_t idx : obs_idx)
+    const std::size_t n = prior.dim();
+    for (std::size_t idx : obs_idx_in)
         require(idx < n, "LeoEstimator: observation index out of range");
+    std::vector<std::size_t> ordered_idx;
+    linalg::Vector ordered_vals;
+    const bool reordered =
+        orderByIndex(obs_idx_in, obs_vals_in, ordered_idx, ordered_vals);
+    const std::vector<std::size_t> &obs_idx =
+        reordered ? ordered_idx : obs_idx_in;
+    const linalg::Vector &obs_vals =
+        reordered ? ordered_vals : obs_vals_in;
 
     // ---- Normalization --------------------------------------------
-    // Estimation happens on unit-mean shapes (see normalization.hh).
-    const std::vector<linalg::Vector> shapes = normalizeShapes(prior);
+    // Estimation happens on unit-mean shapes (see normalization.hh),
+    // normalized once per prior by the PriorBasis.
+    const std::vector<linalg::Vector> &shapes = prior.shapes();
     const std::size_t m_prior = shapes.size();
     const std::size_t s = obs_idx.size();
     const bool have_obs = s > 0;
@@ -809,7 +1162,7 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
          (rep == CovarianceRep::Auto &&
           4 * (m_prior + s + 1) <= n));
     if (low_rank)
-        return fitLowRank(options_, shapes, obs_idx, x_obs, scale, ws,
+        return fitLowRank(options_, prior, obs_idx, x_obs, scale, ws,
                           warm, alloc_counter);
 
     // ---- Initialization -------------------------------------------
@@ -1049,13 +1402,11 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
     // the end of the loop the only heap traffic is inside
     // ThreadPool::post when fanning to workers (serial fits are
     // strictly allocation-free, which the estimator tests assert).
-    // Observability: the reference path above stays uninstrumented —
-    // it is the executable specification the 0-ULP obs test compares
-    // this instrumented path against.
+    // Observability: the reference loop above stays uninstrumented
+    // (no iteration spans or counters) — it is the executable
+    // specification the 0-ULP obs test compares this instrumented
+    // path against.
     EmObs &eo = emObs();
-    obs::Span fit_span(obs::names::kEmFitSpan, "em");
-    fit_span.arg("apps", static_cast<double>(m_prior));
-    fit_span.arg("configs", static_cast<double>(n));
     linalg::Workspace local_ws;
     linalg::Workspace &arena = ws ? *ws : local_ws;
 
@@ -1257,8 +1608,6 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
     if (warm_ok)
         eo.warm.add(1);
     eo.iters.add(fit.iterations);
-    fit_span.arg("iters", static_cast<double>(fit.iterations));
-    fit_span.arg("converged", fit.converged ? 1.0 : 0.0);
 
     // ---- Prediction ------------------------------------------------
     // Final E-step for the target under the fitted parameters; the

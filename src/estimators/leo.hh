@@ -25,6 +25,10 @@
  *    (normalization.hh).
  *  - Following Section 5.5, mu is initialized from the Offline
  *    estimate, and convergence typically takes 3-4 iterations.
+ *  - The prior-invariant half of a fit (normalized shapes, their
+ *    orthonormal basis and coordinates) is a PriorBasis, built once
+ *    per prior and shared by every fit against it
+ *    (prior_basis.hh).
  */
 
 #ifndef LEO_ESTIMATORS_LEO_HH
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "estimators/estimator.hh"
+#include "estimators/prior_basis.hh"
 #include "linalg/matrix.hh"
 #include "linalg/workspace.hh"
 #include "parallel/thread_pool.hh"
@@ -262,6 +267,9 @@ class LeoEstimator : public Estimator
      * resolutions through a single estimator); passing
      * options().representation is bitwise identical to the 7-argument
      * overload. The ridge-retry fallback keeps the same override.
+     *
+     * Builds a PriorBasis from `prior` and runs the shared-basis
+     * overload below, so both produce the same bits.
      */
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,
@@ -271,8 +279,21 @@ class LeoEstimator : public Estimator
         const LeoFit *warm, LeoFit *fit_out, CovarianceRep rep) const;
 
     /**
+     * Shared-basis variant: the representation-override overload
+     * with the prior-invariant work already done. `prior` is only
+     * read, so one basis may serve concurrent fits.
+     */
+    MetricEstimate estimateMetric(
+        const platform::ConfigSpace &space, const PriorBasis &prior,
+        const std::vector<std::size_t> &obs_idx,
+        const linalg::Vector &obs_vals, linalg::Workspace *ws,
+        const LeoFit *warm, LeoFit *fit_out, CovarianceRep rep) const;
+
+    /**
      * Run the full EM fit for one metric and return everything
-     * (prediction, fitted parameters, diagnostics).
+     * (prediction, fitted parameters, diagnostics). Observations are
+     * fitted in configuration-index order whatever order they arrive
+     * in, so a permuted set fits to the same bits.
      *
      * @param prior    Fully observed prior vectors (>= 1).
      * @param obs_idx  Observed target indices (may be empty, in which
@@ -305,13 +326,34 @@ class LeoEstimator : public Estimator
                      const linalg::Vector &obs_vals,
                      linalg::Workspace *ws, const LeoFit *warm) const;
 
-  private:
-    /** fitMetric with the representation dispatched from `rep`. */
-    LeoFit fitMetric(const std::vector<linalg::Vector> &prior,
+    /** Shared-basis variant of the workspace-and-warm-start
+     *  fitMetric; bitwise equal to it for the same prior. */
+    LeoFit fitMetric(const PriorBasis &prior,
                      const std::vector<std::size_t> &obs_idx,
                      const linalg::Vector &obs_vals,
-                     linalg::Workspace *ws, const LeoFit *warm,
-                     CovarianceRep rep) const;
+                     linalg::Workspace *ws, const LeoFit *warm) const;
+
+  private:
+    /**
+     * The one estimate path behind the public overloads, traced as a
+     * whole by the leo.em.fit span: sanitize and order the
+     * observations, build a basis from `raw` unless `shared` is
+     * given, fit, and degrade along DESIGN.md section 8 on failure.
+     */
+    MetricEstimate estimateMetric(
+        const platform::ConfigSpace &space, const PriorBasis *shared,
+        const std::vector<linalg::Vector> &raw,
+        const std::vector<std::size_t> &obs_idx,
+        const linalg::Vector &obs_vals, linalg::Workspace *ws,
+        const LeoFit *warm, LeoFit *fit_out, CovarianceRep rep) const;
+
+    /** The fit itself (validate, order, dispatch dense/low-rank on
+     *  `rep`), without the span. */
+    LeoFit fitWith(const PriorBasis &prior,
+                   const std::vector<std::size_t> &obs_idx,
+                   const linalg::Vector &obs_vals,
+                   linalg::Workspace *ws, const LeoFit *warm,
+                   CovarianceRep rep) const;
 
     /** The pool the fit fans across, per options_.threads. */
     parallel::ThreadPool &pool() const;

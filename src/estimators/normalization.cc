@@ -24,6 +24,17 @@ normalizeShapes(const std::vector<linalg::Vector> &prior)
     return shapes;
 }
 
+linalg::Vector
+averageShape(const std::vector<linalg::Vector> &shapes)
+{
+    require(!shapes.empty(), "averageShape: no shapes");
+    linalg::Vector mean(shapes.front().size(), 0.0);
+    for (const linalg::Vector &s : shapes)
+        mean += s;
+    mean /= static_cast<double>(shapes.size());
+    return mean;
+}
+
 double
 observedScale(const linalg::Vector &obs_vals)
 {

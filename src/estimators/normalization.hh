@@ -36,6 +36,14 @@ std::vector<linalg::Vector> normalizeShapes(
     const std::vector<linalg::Vector> &prior);
 
 /**
+ * Average of unit-mean shapes, accumulated in order: the Offline
+ * estimator's prediction and LEO's last-resort fallback.
+ *
+ * @param shapes normalizeShapes() output (>= 1 vector).
+ */
+linalg::Vector averageShape(const std::vector<linalg::Vector> &shapes);
+
+/**
  * The target's scale anchor: the mean of its observed values.
  *
  * @param obs_vals Observed values (must be non-empty and positive

@@ -16,12 +16,7 @@ linalg::Vector
 OfflineEstimator::meanShape(const std::vector<linalg::Vector> &prior)
 {
     require(!prior.empty(), "OfflineEstimator: no prior applications");
-    const std::vector<linalg::Vector> shapes = normalizeShapes(prior);
-    linalg::Vector mean(shapes.front().size(), 0.0);
-    for (const linalg::Vector &s : shapes)
-        mean += s;
-    mean /= static_cast<double>(shapes.size());
-    return mean;
+    return averageShape(normalizeShapes(prior));
 }
 
 MetricEstimate

@@ -21,9 +21,13 @@
  *     average is computed order-independently — values are summed in
  *     ascending order, and a set of bit-identical readings (trace
  *     replays repeat rows verbatim) merges to exactly that reading —
- *     so any permutation of the same duplicate set sanitizes to
- *     bitwise-identical values, matching the permutation-invariant
- *     Observations::contentHash the service's fit cache keys on.
+ *     so any permutation of the same duplicate set merges to
+ *     bitwise-identical values. The output keeps first-occurrence
+ *     order, so it still depends on sample order; it is the fit
+ *     (LeoEstimator::estimateMetric orders the sanitized set by
+ *     configuration index) that makes the result a function of the
+ *     order-free Observations::contentHash the service's fit cache
+ *     keys on.
  *
  * A clean observation set passes through untouched — `modified` is
  * false and the caller keeps using its own buffers — so sanitization

@@ -23,7 +23,8 @@ namespace
  */
 constexpr double kDropTol = 1e-10;
 
-/** Contiguous dot with four independent partial sums. */
+} // namespace
+
 double
 dotN(const double *__restrict a, const double *__restrict b,
      std::size_t n)
@@ -42,7 +43,6 @@ dotN(const double *__restrict a, const double *__restrict b,
     return ((s0 + s1) + (s2 + s3)) + tail;
 }
 
-/** y += s * x over contiguous storage. */
 void
 axpyN(double *__restrict y, const double *__restrict x, double s,
       std::size_t n)
@@ -50,8 +50,6 @@ axpyN(double *__restrict y, const double *__restrict x, double s,
     for (std::size_t i = 0; i < n; ++i)
         y[i] += s * x[i];
 }
-
-} // namespace
 
 void
 LowRankBasis::reset(std::size_t n, std::size_t max_rank)

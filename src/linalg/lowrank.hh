@@ -69,9 +69,13 @@ class LowRankBasis
 
     /**
      * Append the coordinate direction e_j. Identical contract to
-     * appendVector, but the projection coefficients are plain column
-     * reads so the sweep costs O(q n) instead of O(q n) with an extra
-     * O(n) staging copy.
+     * appendVector (drop tolerance 1e-10 on the residual norm), and
+     * the same cost: e_j is staged as a dense n-vector and both MGS
+     * sweeps run full dot products against every row, so an append
+     * costs O(q n). The estimator no longer calls this — a fit
+     * extends the shared prior block by its observed directions in
+     * s dimensions instead (estimators/prior_basis.hh) — but the
+     * per-append timing remains a useful reference point.
      */
     bool appendUnit(std::size_t j);
 
@@ -96,6 +100,12 @@ class LowRankBasis
     std::size_t n_ = 0;
     std::size_t q_ = 0;
 };
+
+/** Dot product of two contiguous length-n rows (four partial sums). */
+double dotN(const double *a, const double *b, std::size_t n);
+
+/** y += s x over contiguous length-n rows (y must not alias x). */
+void axpyN(double *y, const double *x, double s, std::size_t n);
 
 /**
  * out = a b' with both operands streamed along rows (a: r x k,

@@ -35,6 +35,9 @@ inline constexpr const char *kEmFitSpan = "leo.em.fit";
 inline constexpr const char *kEmIterSpan = "leo.em.iter";
 inline constexpr const char *kEmLowRankFits = "leo.em.lowrank.fits";
 inline constexpr const char *kEmBasisColumns = "leo.em.basis.columns";
+inline constexpr const char *kEmPriorBasisSpan = "leo.em.prior_basis";
+inline constexpr const char *kEmPriorBasisBuilt =
+    "leo.em.prior_basis.built";
 
 // ---- refit: the incremental per-window refitter ----------------- //
 inline constexpr const char *kRefitSamplesApplied =

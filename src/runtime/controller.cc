@@ -459,17 +459,36 @@ EnergyController::fitUnguarded()
     const auto *as_leo =
         dynamic_cast<const estimators::LeoEstimator *>(estimator_);
     if (as_leo) {
+        // The prior never changes under a controller, so its bases
+        // are built once, here inside the fit guard, and every refit
+        // reuses them. A prior they cannot be built from keeps the
+        // raw-vector path, which degrades inside the estimator.
+        if (!perf_basis_)
+            perf_basis_ = estimators::PriorBasis::tryBuild(
+                priorVectors(prior_, estimators::Metric::Performance));
+        if (!power_basis_)
+            power_basis_ = estimators::PriorBasis::tryBuild(
+                priorVectors(prior_, estimators::Metric::Power));
         const estimators::CovarianceRep rep = fitRepresentation();
-        estimators::MetricEstimate perf = as_leo->estimateMetric(
-            space_,
-            priorVectors(prior_, estimators::Metric::Performance),
-            observations_.indices, observations_.performance,
-            &fit_ws_, have_fits_ ? &perf_fit_ : nullptr, &perf_fit_,
-            rep);
-        estimators::MetricEstimate power = as_leo->estimateMetric(
-            space_, priorVectors(prior_, estimators::Metric::Power),
-            observations_.indices, observations_.power, &fit_ws_,
-            have_fits_ ? &power_fit_ : nullptr, &power_fit_, rep);
+        const auto fitOne = [&](const estimators::PriorBasis *basis,
+                                estimators::Metric metric,
+                                const linalg::Vector &vals,
+                                estimators::LeoFit &fit) {
+            const estimators::LeoFit *warm = have_fits_ ? &fit : nullptr;
+            return basis ? as_leo->estimateMetric(
+                               space_, *basis, observations_.indices,
+                               vals, &fit_ws_, warm, &fit, rep)
+                         : as_leo->estimateMetric(
+                               space_, priorVectors(prior_, metric),
+                               observations_.indices, vals, &fit_ws_,
+                               warm, &fit, rep);
+        };
+        estimators::MetricEstimate perf =
+            fitOne(perf_basis_.get(), estimators::Metric::Performance,
+                   observations_.performance, perf_fit_);
+        estimators::MetricEstimate power =
+            fitOne(power_basis_.get(), estimators::Metric::Power,
+                   observations_.power, power_fit_);
         have_fits_ = true;
         samples_rejected_.add(perf.samplesRejected +
                               power.samplesRejected);

@@ -17,6 +17,7 @@
 #define LEO_RUNTIME_CONTROLLER_HH
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -356,6 +357,11 @@ class EnergyController
     linalg::Vector power_;
     /** Scratch arena reused across LEO (re)fits. */
     linalg::Workspace fit_ws_; // leo-lint: allow(snapshot-completeness) fit scratch workspace
+    /** Prior bases of the LEO fits: built inside the first fit (so
+     *  construction stays cheap) and reused by every refit; null
+     *  until then, and while the prior cannot be built. */
+    std::shared_ptr<const estimators::PriorBasis> perf_basis_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, rebuilt by the next fit
+    std::shared_ptr<const estimators::PriorBasis> power_basis_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, rebuilt by the next fit
     /** Previous LEO fits: drift-triggered re-estimations warm-start
      *  EM from these instead of the cold init. */
     estimators::LeoFit perf_fit_;

@@ -25,6 +25,18 @@ namespace
  *  v2 added TenantConfig::deadlineSeconds. */
 constexpr std::uint32_t kSnapshotVersion = 2;
 
+/** Build one prior version's bases (never throws on a bad prior). */
+std::shared_ptr<const PriorBases>
+buildBases(const telemetry::ProfileStore &prior)
+{
+    auto bases = std::make_shared<PriorBases>();
+    bases->perf = estimators::PriorBasis::tryBuild(
+        estimators::priorVectors(prior, estimators::Metric::Performance));
+    bases->power = estimators::PriorBasis::tryBuild(
+        estimators::priorVectors(prior, estimators::Metric::Power));
+    return bases;
+}
+
 } // namespace
 
 Service::Service(const platform::ConfigSpace &space,
@@ -45,6 +57,7 @@ Service::Service(const platform::ConfigSpace &space,
     require(prior_->spaceSize() == space_.size() ||
                 prior_->numApplications() == 0,
             "Service: prior/space size mismatch");
+    bases_ = buildBases(*prior_);
     queues_.reserve(options_.shards);
     for (std::size_t s = 0; s < options_.shards; ++s)
         queues_.push_back(
@@ -78,6 +91,7 @@ Service::admit(const TenantConfig &config)
     auto sess = std::make_unique<Session>(id, config);
     sess->prior = prior_;
     sess->priorVersion = prior_version_;
+    sess->bases = bases_;
     sess->controller = makeController(sess->config, *sess->prior);
     sessions_[id] = std::move(sess);
     tenants_admitted_.add(1);
@@ -144,7 +158,9 @@ Service::tick()
         const std::lock_guard<std::mutex> lock(pending_prior_mutex_);
         if (pending_prior_ != nullptr) {
             prior_ = std::move(pending_prior_);
+            bases_ = std::move(pending_bases_);
             pending_prior_.reset();
+            pending_bases_.reset();
             ++prior_version_;
             prior_refreshes_.add(1);
         }
@@ -319,7 +335,9 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     // EM work shares a single parallel region instead of N tiny
     // ones. Requests mirror the controller's inline fit inputs
     // exactly (observations, warm fits, representation), so
-    // applyExternalFit reproduces the inline schedule bit for bit.
+    // applyExternalFit reproduces the inline schedule bit for bit;
+    // the pinned bases stand in for the prior vectors, which a fit
+    // through a basis reproduces bitwise.
     estimators::EstimatorBatch batch(estimator_, pool_);
     std::vector<estimators::LeoFit> perf_fits(jobs.size());
     std::vector<estimators::LeoFit> power_fits(jobs.size());
@@ -329,8 +347,10 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         const auto rep = ctl.fitRepresentation();
 
         estimators::EstimateRequest perf_req;
-        perf_req.prior = estimators::priorVectors(
-            *sess.prior, estimators::Metric::Performance);
+        perf_req.priorBasis = sess.bases->perf.get();
+        if (perf_req.priorBasis == nullptr)
+            perf_req.prior = estimators::priorVectors(
+                *sess.prior, estimators::Metric::Performance);
         perf_req.obsIndices = ctl.observations().indices;
         perf_req.obsValues = ctl.observations().performance;
         perf_req.warmStart = ctl.warmPerfFit();
@@ -339,8 +359,10 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         batch.add(std::move(perf_req));
 
         estimators::EstimateRequest power_req;
-        power_req.prior = estimators::priorVectors(
-            *sess.prior, estimators::Metric::Power);
+        power_req.priorBasis = sess.bases->power.get();
+        if (power_req.priorBasis == nullptr)
+            power_req.prior = estimators::priorVectors(
+                *sess.prior, estimators::Metric::Power);
         power_req.obsIndices = ctl.observations().indices;
         power_req.obsValues = ctl.observations().power;
         power_req.warmStart = ctl.warmPowerFit();
@@ -407,8 +429,10 @@ Service::refreshPrior(
     require(prior->spaceSize() == space_.size() ||
                 prior->numApplications() == 0,
             "Service: refreshed prior/space size mismatch");
+    std::shared_ptr<const PriorBases> bases = buildBases(*prior);
     const std::lock_guard<std::mutex> lock(pending_prior_mutex_);
     pending_prior_ = std::move(prior);
+    pending_bases_ = std::move(bases);
 }
 
 void
@@ -509,6 +533,7 @@ Service::restoreSnapshot(linalg::ByteReader &r)
         // restore contract requires it to match the saved service's
         // (the blob carries runtime state, not the profile store).
         sess->prior = prior_;
+        sess->bases = bases_;
         sess->controller = makeController(sess->config, *sess->prior);
         if (!sess->controller->restoreState(r))
             break;

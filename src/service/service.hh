@@ -27,7 +27,10 @@
  *    shared immutable snapshot; refreshPrior() stages a new one from
  *    any thread and tick() installs it at the next boundary (running
  *    sessions keep the prior they started with — a fit must never
- *    change under a tenant mid-run).
+ *    change under a tenant mid-run). Each prior version gets one
+ *    estimators::PriorBasis per metric, built in the constructor or
+ *    in refreshPrior() and pinned by every session with its prior,
+ *    so a batched fit only adds its own observed directions.
  *  - **Global co-scheduling.** With ServiceOptions::globalPlanning
  *    on, every tick() ends by co-scheduling all tenants that have
  *    estimates onto the one machine through the interval LP of
@@ -76,6 +79,18 @@
 
 namespace leo::service
 {
+
+/**
+ * The prior-invariant fit state of one prior version, shared by all
+ * sessions pinned to it: one basis per metric, each null when that
+ * metric's prior is empty or cannot be built (those fits take the
+ * raw-vector path and degrade as DESIGN.md section 8 describes).
+ */
+struct PriorBases
+{
+    std::shared_ptr<const estimators::PriorBasis> perf;
+    std::shared_ptr<const estimators::PriorBasis> power;
+};
 
 /** Tunables of the serving core. */
 struct ServiceOptions
@@ -202,7 +217,8 @@ class Service
      * Stage a refreshed offline prior (built in the background by
      * the caller); tick() installs it at the next boundary. New
      * admissions then use it — existing sessions keep the prior they
-     * started with.
+     * started with. Builds the new prior's bases here, on the
+     * caller's thread, so tick() only swaps pointers.
      */
     void refreshPrior(
         std::shared_ptr<const telemetry::ProfileStore> prior);
@@ -262,6 +278,9 @@ class Service
         std::shared_ptr<const telemetry::ProfileStore> prior;
         /** Version of the pinned prior (fit-cache key component). */
         std::uint64_t priorVersion = 0;
+        /** Bases of the pinned prior, shared with every session on
+         *  the same version. */
+        std::shared_ptr<const PriorBases> bases;
         /** Per-tenant submission sequence (drain sort key). */
         std::atomic<std::uint64_t> submitSeq{0};
         /** Windows applied so far. */
@@ -293,9 +312,12 @@ class Service
     /** Live prior + version, swapped only at tick boundaries. */
     std::shared_ptr<const telemetry::ProfileStore> prior_;
     std::uint64_t prior_version_ = 0;
+    /** Bases of the live prior (built with it, never in tick()). */
+    std::shared_ptr<const PriorBases> bases_; // leo-lint: allow(snapshot-completeness) derived from the prior, rebuilt on construction
     /** Staged prior from refreshPrior() (any thread). */
     std::mutex pending_prior_mutex_; // leo-lint: allow(snapshot-completeness) synchronization primitive
     std::shared_ptr<const telemetry::ProfileStore> pending_prior_; // leo-lint: allow(snapshot-completeness) in-flight update, intentionally dropped
+    std::shared_ptr<const PriorBases> pending_bases_; // leo-lint: allow(snapshot-completeness) in-flight update, intentionally dropped
 
     std::uint64_t next_id_ = 0;
     /** Sessions ordered by id (determinism: iteration order is the

@@ -23,6 +23,7 @@
  * macroscopic (but meaningless) discrepancy.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -34,9 +35,16 @@
 
 #include <gtest/gtest.h>
 
+#include "estimators/fit_io.hh"
 #include "estimators/leo.hh"
+#include "estimators/normalization.hh"
+#include "estimators/prior_basis.hh"
+#include "linalg/error.hh"
 #include "linalg/lowrank.hh"
+#include "linalg/serialize.hh"
 #include "linalg/workspace.hh"
+#include "obs/obs.hh"
+#include "platform/config_space.hh"
 #include "stats/rng.hh"
 
 /** Heap-allocation audit hook (same pattern as estimators_test.cc). */
@@ -479,4 +487,320 @@ TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
         EXPECT_EQ(full.prediction[c], factored.prediction[c]);
     EXPECT_EQ(full.sigma2, factored.sigma2);
     EXPECT_EQ(full.alphaDiag, factored.alphaDiag);
+}
+
+// ------------------------------------------------ shared prior basis
+
+namespace
+{
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
+void
+expectSameBits(const Vector &a, const Vector &b, const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t j = 0; j < a.size(); ++j)
+        ASSERT_EQ(bitsOf(a[j]), bitsOf(b[j])) << what << "[" << j << "]";
+}
+
+void
+expectSameBits(const Matrix &a, const Matrix &b, const std::string &what)
+{
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            ASSERT_EQ(bitsOf(a.at(r, c)), bitsOf(b.at(r, c)))
+                << what << "(" << r << "," << c << ")";
+}
+
+/** Every model field of two fits, at 0 ULP. */
+void
+expectFitsBitwise(const LeoFit &a, const LeoFit &b)
+{
+    expectSameBits(a.prediction, b.prediction, "prediction");
+    expectSameBits(a.predictionVariance, b.predictionVariance,
+                   "predictionVariance");
+    expectSameBits(a.mu, b.mu, "mu");
+    expectSameBits(a.sigma, b.sigma, "sigma");
+    EXPECT_EQ(bitsOf(a.sigma2), bitsOf(b.sigma2));
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.converged, b.converged);
+    ASSERT_EQ(a.logLikelihoodTrace.size(), b.logLikelihoodTrace.size());
+    for (std::size_t i = 0; i < a.logLikelihoodTrace.size(); ++i)
+        EXPECT_EQ(bitsOf(a.logLikelihoodTrace[i]),
+                  bitsOf(b.logLikelihoodTrace[i]));
+    EXPECT_EQ(bitsOf(a.scale), bitsOf(b.scale));
+    EXPECT_EQ(a.warmStarted, b.warmStarted);
+    EXPECT_EQ(a.lowRank, b.lowRank);
+    expectSameBits(a.basisT, b.basisT, "basisT");
+    expectSameBits(a.coeff, b.coeff, "coeff");
+    EXPECT_EQ(bitsOf(a.alphaDiag), bitsOf(b.alphaDiag));
+    expectSameBits(a.varCore, b.varCore, "varCore");
+}
+
+/** Builds of PriorBasis counted by the global registry so far. */
+std::uint64_t
+basesBuilt()
+{
+    return obs::Registry::global()
+        .counter(obs::names::kEmPriorBasisBuilt)
+        .value();
+}
+
+/** Max |Q Q' - I| over the rows of a fit's basis. */
+double
+orthonormalityError(const Matrix &q)
+{
+    double worst = 0.0;
+    for (std::size_t a = 0; a < q.rows(); ++a)
+        for (std::size_t b = 0; b <= a; ++b) {
+            double d = 0.0;
+            for (std::size_t j = 0; j < q.cols(); ++j)
+                d += q.at(a, j) * q.at(b, j);
+            worst = std::max(worst, std::abs(d - (a == b ? 1.0 : 0.0)));
+        }
+    return worst;
+}
+
+/** 256 configurations: the reduced factorial space at strides 2. */
+platform::ConfigSpace
+space256()
+{
+    const platform::Machine machine;
+    return platform::ConfigSpace::reducedFactorial(machine, 2, 2);
+}
+
+} // namespace
+
+TEST(PriorBasis, HoldsNormalizedShapesAndOneBuild)
+{
+    auto prior = makePrior(9, 256, 9, 301);
+    const std::uint64_t before = basesBuilt();
+    const estimators::PriorBasis basis(prior);
+    EXPECT_EQ(basesBuilt() - before, 1u);
+
+    const auto shapes = estimators::normalizeShapes(prior);
+    ASSERT_EQ(basis.shapes().size(), shapes.size());
+    for (std::size_t i = 0; i < shapes.size(); ++i)
+        expectSameBits(basis.shapes()[i], shapes[i], "shape");
+    EXPECT_EQ(basis.dim(), 256u);
+    EXPECT_EQ(basis.apps(), 9u);
+    EXPECT_EQ(basis.rank(), 9u);
+    EXPECT_LT(orthonormalityError(basis.rows()), 1e-12);
+    // The coordinates reproduce the shapes.
+    for (std::size_t i = 0; i < 9; ++i) {
+        Vector back(256, 0.0);
+        for (std::size_t k = 0; k < basis.rank(); ++k)
+            for (std::size_t j = 0; j < 256; ++j)
+                back[j] += basis.coords().at(i, k) * basis.rows().at(k, j);
+        EXPECT_LT(relL2(shapes[i], back), 1e-12);
+    }
+
+    EXPECT_EQ(estimators::PriorBasis::tryBuild({}), nullptr);
+    EXPECT_EQ(estimators::PriorBasis::tryBuild({Vector{-1.0, 1.0}}),
+              nullptr);
+    EXPECT_THROW(estimators::PriorBasis({Vector(3, 1.0), Vector(2, 1.0)}),
+                 FatalError);
+}
+
+/**
+ * The one-fit-path guarantee: a fit through a shared basis is the
+ * fit from the raw prior vectors, bit for bit — cold and warm, on the
+ * low-rank path and where Auto resolves to Dense.
+ */
+TEST(PriorBasis, SharedBasisFitMatchesRawVectorsBitwise)
+{
+    const platform::ConfigSpace space = space256();
+    for (const std::size_t m : {std::size_t{12}, std::size_t{70}}) {
+        // m = 12: 4 (m + s + 1) <= 256, Auto runs low-rank;
+        // m = 70: it does not, Auto runs dense.
+        SCOPED_TRACE("m = " + std::to_string(m));
+        auto prior = makePrior(m, 256, m, 311 + m);
+        std::vector<std::size_t> idx;
+        Vector vals;
+        makeObservations(prior, 10, 313, idx, vals);
+        const LeoEstimator est(gridOptions(CovarianceRep::Auto));
+        const estimators::PriorBasis basis(prior);
+
+        LeoFit raw_cold, shared_cold;
+        const auto raw_est = est.estimateMetric(
+            space, prior, idx, vals, nullptr, nullptr, &raw_cold,
+            CovarianceRep::Auto);
+        const auto shared_est = est.estimateMetric(
+            space, basis, idx, vals, nullptr, nullptr, &shared_cold,
+            CovarianceRep::Auto);
+        EXPECT_EQ(raw_cold.lowRank, m == 12);
+        expectSameBits(raw_est.values, shared_est.values, "cold values");
+        expectFitsBitwise(raw_cold, shared_cold);
+
+        // Warm refit with one more observation.
+        idx.push_back((idx.back() + 77) % 256);
+        vals.push_back(40.0 * prior.front()[idx.back()]);
+        LeoFit raw_warm, shared_warm;
+        linalg::Workspace ws;
+        est.estimateMetric(space, prior, idx, vals, &ws, &raw_cold,
+                           &raw_warm, CovarianceRep::Auto);
+        est.estimateMetric(space, basis, idx, vals, nullptr,
+                           &shared_cold, &shared_warm,
+                           CovarianceRep::Auto);
+        EXPECT_TRUE(raw_warm.warmStarted);
+        expectFitsBitwise(raw_warm, shared_warm);
+
+        // fitMetric takes the same path.
+        expectFitsBitwise(est.fitMetric(prior, idx, vals, nullptr,
+                                        &raw_cold),
+                          est.fitMetric(basis, idx, vals, &ws,
+                                        &shared_cold));
+    }
+}
+
+/**
+ * The warm branch is chosen by content: a fit restored by
+ * saveFit/loadFit warm-starts to the same bits as the live fit.
+ */
+TEST(PriorBasis, WarmStartFromRestoredFitMatchesLiveFit)
+{
+    auto prior = makePrior(10, 512, 10, 321);
+    std::vector<std::size_t> idx;
+    Vector vals;
+    makeObservations(prior, 12, 323, idx, vals);
+    const LeoEstimator est(gridOptions(CovarianceRep::LowRank));
+    const estimators::PriorBasis basis(prior);
+    const LeoFit cold = est.fitMetric(basis, idx, vals, nullptr, nullptr);
+    ASSERT_TRUE(cold.lowRank);
+    // The fit's basis leads with the shared prior block.
+    ASSERT_GE(cold.basisT.rows(), basis.rank());
+    for (std::size_t k = 0; k < basis.rank(); ++k)
+        for (std::size_t j = 0; j < 512; ++j)
+            ASSERT_EQ(bitsOf(cold.basisT.at(k, j)),
+                      bitsOf(basis.rows().at(k, j)));
+
+    linalg::ByteWriter wr;
+    estimators::saveFit(wr, cold);
+    const std::string blob = wr.take();
+    linalg::ByteReader rd(blob);
+    const LeoFit loaded = estimators::loadFit(rd);
+    ASSERT_TRUE(rd.ok());
+
+    std::vector<std::size_t> idx2 = idx;
+    Vector vals2 = vals;
+    idx2.push_back((idx.front() + 201) % 512);
+    vals2.push_back(40.0 * prior.front()[idx2.back()]);
+    const LeoFit from_live =
+        est.fitMetric(basis, idx2, vals2, nullptr, &cold);
+    const LeoFit from_loaded =
+        est.fitMetric(prior, idx2, vals2, nullptr, &loaded);
+    EXPECT_TRUE(from_live.warmStarted);
+    expectFitsBitwise(from_live, from_loaded);
+
+    // And a warm start stays close to the cold refit it shortcuts.
+    const LeoFit cold2 = est.fitMetric(prior, idx2, vals2);
+    EXPECT_LT(relL2(cold2.prediction, from_live.prediction), 5e-3);
+}
+
+/**
+ * The drop rule: a unit vector already in the prior span adds no
+ * direction, and exact duplicate indices share one.
+ */
+TEST(PriorBasis, UnitInsidePriorSpanAddsNoDirection)
+{
+    const std::size_t n = 128;
+    auto prior = makePrior(6, n, 6, 331);
+    // ones and ones + 3 e_17 put e_17 inside the prior span.
+    Vector spike(n, 1.0);
+    spike[17] += 3.0;
+    prior.push_back(Vector(n, 1.0));
+    prior.push_back(spike);
+    const estimators::PriorBasis basis(prior);
+    ASSERT_EQ(basis.rank(), 8u);
+
+    const std::vector<std::size_t> idx{17, 40, 90};
+    const Vector vals{30.0, 31.0, 29.0};
+    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
+    const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
+    ASSERT_TRUE(fl.lowRank);
+    EXPECT_EQ(fl.basisT.rows(), 10u); // e_17 dropped
+    EXPECT_LT(orthonormalityError(fl.basisT), 1e-12);
+    ASSERT_TRUE(fl.prediction.allFinite());
+    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
+    EXPECT_LT(relL2(dense.fitMetric(prior, idx, vals).prediction,
+                    fl.prediction),
+              1e-6);
+
+    // A prior spanning all of R^n leaves no room for any unit.
+    auto full = makePrior(10, 8, 8, 333);
+    const LeoFit ff = lowrank.fitMetric(full, {1, 5, 6},
+                                        Vector{9.0, 11.0, 10.0});
+    EXPECT_EQ(ff.basisT.rows(), 8u);
+    EXPECT_LT(orthonormalityError(ff.basisT), 1e-12);
+    EXPECT_TRUE(ff.prediction.allFinite());
+}
+
+TEST(PriorBasis, DuplicateIndicesShareOneDirection)
+{
+    auto prior = makePrior(8, 200, 8, 9);
+    const std::vector<std::size_t> idx{5, 50, 5, 120, 50};
+    Vector vals(5);
+    for (std::size_t j = 0; j < 5; ++j)
+        vals[j] = 30.0 * prior[0][idx[j]];
+    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
+    const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
+    EXPECT_EQ(fl.basisT.rows(), 8u + 3u);
+    EXPECT_LT(orthonormalityError(fl.basisT), 1e-12);
+}
+
+/**
+ * The fit cache keys on the order-free Observations::contentHash, so
+ * the fit must be order-free too: any permutation of one sample set
+ * fits to the same bits, dense and low-rank.
+ */
+TEST(PriorBasis, PermutedObservationsFitIdentically)
+{
+    const platform::ConfigSpace space = space256();
+    for (const auto rep : {CovarianceRep::Dense, CovarianceRep::LowRank}) {
+        auto prior = makePrior(12, 256, 12, 341);
+        std::vector<std::size_t> idx;
+        Vector vals;
+        makeObservations(prior, 20, 343, idx, vals);
+        std::vector<std::size_t> rev_idx(idx.rbegin(), idx.rend());
+        Vector rev_vals(vals.size());
+        for (std::size_t j = 0; j < vals.size(); ++j)
+            rev_vals[j] = vals[vals.size() - 1 - j];
+
+        const LeoEstimator est(gridOptions(rep));
+        LeoFit fwd, rev;
+        const auto a = est.estimateMetric(space, prior, idx, vals,
+                                          nullptr, nullptr, &fwd, rep);
+        const auto b = est.estimateMetric(space, prior, rev_idx,
+                                          rev_vals, nullptr, nullptr,
+                                          &rev, rep);
+        expectSameBits(a.values, b.values, "values");
+        expectFitsBitwise(fwd, rev);
+        expectFitsBitwise(est.fitMetric(prior, idx, vals),
+                          est.fitMetric(prior, rev_idx, rev_vals));
+    }
+}
+
+/** A prior the basis cannot be built from degrades as before: no
+ *  throw, a flagged flat estimate at the observed mean. */
+TEST(PriorBasis, UnbuildablePriorDegrades)
+{
+    const platform::ConfigSpace space = space256();
+    std::vector<Vector> bad = makePrior(4, 256, 4, 351);
+    bad[2] = Vector(256, -1.0); // non-positive mean
+    const LeoEstimator est(gridOptions(CovarianceRep::Auto));
+    const auto e = est.estimateMetric(space, bad, {3, 9},
+                                      Vector{10.0, 14.0});
+    EXPECT_FALSE(e.reliable);
+    ASSERT_EQ(e.values.size(), 256u);
+    for (std::size_t j = 0; j < 256; ++j)
+        EXPECT_EQ(e.values[j], 12.0);
 }

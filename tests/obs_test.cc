@@ -380,6 +380,86 @@ TEST(ObsIntegration, InstrumentedFitMatchesReferencePathBitwise)
                 << r << "," << c;
 }
 
+namespace
+{
+
+/** One span of a Chrome trace export: name, start and duration. */
+struct TracedSpan
+{
+    std::string name;
+    double ts = 0.0;
+    double dur = 0.0;
+};
+
+/** The "X" events of a chromeTraceJson() document (one per line). */
+std::vector<TracedSpan>
+parseSpans(const std::string &json)
+{
+    std::vector<TracedSpan> spans;
+    std::istringstream lines(json);
+    std::string line;
+    while (std::getline(lines, line)) {
+        const std::size_t name = line.find("{\"name\": \"");
+        const std::size_t ts = line.find("\"ts\": ");
+        const std::size_t dur = line.find("\"dur\": ");
+        if (name == std::string::npos || ts == std::string::npos ||
+            dur == std::string::npos)
+            continue;
+        const std::size_t begin = name + 10;
+        TracedSpan s;
+        s.name = line.substr(begin, line.find('"', begin) - begin);
+        s.ts = std::stod(line.substr(ts + 6));
+        s.dur = std::stod(line.substr(dur + 7));
+        spans.push_back(s);
+    }
+    return spans;
+}
+
+} // namespace
+
+TEST(ObsIntegration, FitSpanCoversTheWholeFit)
+{
+    // leo.em.fit opens before sanitization and closes after the
+    // prediction: the basis a raw-vector fit builds and every EM
+    // iteration sit inside the one fit span.
+    const FitProblem p = makeFitProblem(12);
+    platform::Machine machine;
+    const auto space = platform::ConfigSpace::coreOnly(machine);
+    estimators::LeoOptions o;
+    o.threads = 1;
+    const estimators::LeoEstimator leo(o);
+
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.enable(1u << 12);
+    const auto est = leo.estimateMetric(space, p.prior, p.idx, p.vals);
+    tracer.disable();
+    const std::vector<TracedSpan> spans =
+        parseSpans(tracer.chromeTraceJson());
+    tracer.clear();
+    ASSERT_EQ(est.values.size(), space.size());
+
+    const TracedSpan *fit = nullptr;
+    std::size_t fits = 0, bases = 0, iters = 0;
+    for (const TracedSpan &s : spans)
+        if (s.name == obs::names::kEmFitSpan) {
+            fit = &s;
+            ++fits;
+        }
+    ASSERT_EQ(fits, 1u);
+    for (const TracedSpan &s : spans) {
+        if (s.name != obs::names::kEmPriorBasisSpan &&
+            s.name != obs::names::kEmIterSpan)
+            continue;
+        (s.name == obs::names::kEmIterSpan ? iters : bases) += 1;
+        // The export prints microseconds to 3 decimals.
+        EXPECT_GE(s.ts, fit->ts) << s.name;
+        EXPECT_LE(s.ts + s.dur, fit->ts + fit->dur + 0.002) << s.name;
+    }
+    EXPECT_EQ(bases, 1u);
+    EXPECT_GE(iters, 1u);
+}
+
 TEST(ObsIntegration, FitCountersIdenticalAcrossThreadCounts)
 {
     // The registry delta of one deterministic fit must be the same

@@ -8,6 +8,7 @@
 #include "estimators/leo.hh"
 #include "linalg/error.hh"
 #include "linalg/serialize.hh"
+#include "obs/obs.hh"
 #include "runtime/controller.hh"
 #include "runtime/phased_run.hh"
 #include "telemetry/profile_store.hh"
@@ -131,6 +132,54 @@ TEST(Controller, DriftTriggersReestimation)
     }
     EXPECT_EQ(ctl.state(), EnergyController::State::Sampling);
     EXPECT_EQ(ctl.reestimations(), 1u);
+}
+
+/**
+ * A standalone controller builds its prior bases inside its first
+ * LEO fit — never at construction — and reuses them for the
+ * drift-triggered warm refit: one build per metric in total.
+ */
+TEST(Controller, BuildsOnePriorBasisPerMetricAcrossRefits)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    ControllerOptions opt = w.options(30.0, 5);
+    opt.driftWindow = 2;
+    auto built = [] {
+        return obs::Registry::global()
+            .counter(obs::names::kEmPriorBasisBuilt)
+            .value();
+    };
+    const std::uint64_t before = built();
+    EnergyController ctl(w.space, &leo, prior, opt);
+    EXPECT_EQ(built() - before, 0u);
+
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    auto step = [&](double speedup) {
+        const std::size_t cfg = ctl.nextConfig(w.rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, speedup * app.heartbeatRate(ra),
+                               app.powerWatts(ra)});
+    };
+    while (ctl.state() == EnergyController::State::Sampling)
+        step(1.0);
+    EXPECT_EQ(built() - before, 2u);
+    ASSERT_FALSE(ctl.warmPerfFit()->warmStarted);
+
+    for (int i = 0; i < 6; ++i)
+        step(1.0);
+    for (int i = 0;
+         i < 5 && ctl.state() == EnergyController::State::Controlling;
+         ++i)
+        step(1.6);
+    ASSERT_EQ(ctl.reestimations(), 1u);
+    while (ctl.state() == EnergyController::State::Sampling)
+        step(1.6);
+    EXPECT_TRUE(ctl.warmPerfFit()->warmStarted);
+    EXPECT_TRUE(ctl.warmPowerFit()->warmStarted);
+    EXPECT_EQ(built() - before, 2u);
 }
 
 TEST(Controller, GradientAscentMeetsDemand)

@@ -339,6 +339,128 @@ TEST(Service, ColdFitCacheServesIdenticalTenant)
               0u);
 }
 
+/**
+ * The cache key (Observations::contentHash) ignores sample order, so
+ * the fit must too: a tenant that probed the same configurations in
+ * another order gets a cache hit that is bitwise its own fit. A
+ * cacheless service, where that tenant fits its own samples, ends in
+ * a byte-identical snapshot.
+ */
+TEST(Service, CacheHitMatchesOwnFitWhateverTheSampleOrder)
+{
+    World w;
+    for (const auto rep : {estimators::CovarianceRep::Dense,
+                           estimators::CovarianceRep::LowRank}) {
+        SCOPED_TRACE(rep == estimators::CovarianceRep::Dense ? "dense"
+                                                             : "lowrank");
+        estimators::LeoOptions lopt;
+        lopt.representation = rep;
+        estimators::LeoEstimator leo(lopt);
+        parallel::ThreadPool pool(0);
+        ServiceOptions opt = w.serviceOptions(2);
+        // Probing every configuration makes two plans permutations
+        // of each other; noise-free readings make their samples equal.
+        opt.controller.sampleBudget = w.space.size();
+        ServiceOptions nocache = opt;
+        nocache.fitCacheCapacity = 0;
+        Service cached(w.space, leo, w.prior, pool, opt);
+        Service plain(w.space, leo, w.prior, pool, nocache);
+
+        TenantConfig cfg_b = w.tenant(0);
+        cfg_b.seed = 777;
+        std::vector<std::vector<std::size_t>> probes;
+        for (const TenantConfig &cfg : {w.tenant(0), cfg_b}) {
+            const auto id = cached.admit(cfg);
+            ASSERT_TRUE(id.has_value());
+            ASSERT_EQ(plain.admit(cfg), id);
+            probes.emplace_back();
+            // The plan, one tick for the fit, one paced window.
+            for (std::size_t round = 0; round < w.space.size() + 2;
+                 ++round) {
+                const std::size_t c = cached.nextConfig(*id);
+                ASSERT_EQ(plain.nextConfig(*id), c) << round;
+                if (round < w.space.size())
+                    probes.back().push_back(c);
+                const telemetry::Sample s{c, w.gt.performance[c],
+                                          w.gt.power[c]};
+                ASSERT_TRUE(cached.submit(*id, s));
+                ASSERT_TRUE(plain.submit(*id, s));
+                cached.tick();
+                plain.tick();
+            }
+        }
+        ASSERT_NE(probes[0], probes[1]);
+        EXPECT_EQ(cached.metrics().snapshot().counterOr(
+                      obs::names::kServiceCacheHits),
+                  1u);
+        EXPECT_EQ(plain.metrics().snapshot().counterOr(
+                      obs::names::kServiceCacheHits),
+                  0u);
+
+        linalg::ByteWriter wc, wp;
+        cached.saveSnapshot(wc);
+        plain.saveSnapshot(wp);
+        EXPECT_TRUE(wc.take() == wp.take());
+    }
+}
+
+/**
+ * Prior bases are built once per metric per prior version — in the
+ * constructor and in refreshPrior() — and pinned by every session:
+ * admissions, fits, the tick that installs a refresh and a snapshot
+ * restore build none.
+ */
+TEST(Service, BuildsOneBasisPerMetricPerPriorVersion)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    const ServiceOptions opt = w.serviceOptions(2);
+    auto built = [] {
+        return obs::Registry::global()
+            .counter(obs::names::kEmPriorBasisBuilt)
+            .value();
+    };
+    const std::uint64_t before = built();
+    Service svc(w.space, leo, w.prior, pool, opt);
+    EXPECT_EQ(built() - before, 2u);
+
+    std::vector<std::uint64_t> ids;
+    for (std::size_t t = 0; t < 3; ++t)
+        ids.push_back(*svc.admit(w.tenant(t)));
+    auto rngs = measurementRngs(ids.size());
+    std::vector<std::vector<std::size_t>> sched;
+    ASSERT_NO_FATAL_FAILURE(driveFleet(svc, w, w.monitor, w.meter, ids,
+                                       rngs, 12, sched));
+    EXPECT_EQ(built() - before, 2u);
+
+    auto refreshed = std::make_shared<const telemetry::ProfileStore>(
+        w.store.without("swish"));
+    svc.refreshPrior(refreshed);
+    EXPECT_EQ(built() - before, 4u);
+    ids.push_back(*svc.admit(w.tenant(3))); // still the old version
+    rngs = measurementRngs(ids.size());
+    ASSERT_NO_FATAL_FAILURE(driveFleet(svc, w, w.monitor, w.meter, ids,
+                                       rngs, 12, sched));
+    ids.push_back(*svc.admit(w.tenant(4))); // the refreshed version
+    rngs = measurementRngs(ids.size());
+    ASSERT_NO_FATAL_FAILURE(driveFleet(svc, w, w.monitor, w.meter, ids,
+                                       rngs, 12, sched));
+    EXPECT_EQ(built() - before, 4u);
+
+    linalg::ByteWriter writer;
+    svc.saveSnapshot(writer);
+    const std::string blob = writer.take();
+    Service restored(w.space, leo, refreshed, pool, opt);
+    EXPECT_EQ(built() - before, 6u);
+    linalg::ByteReader reader(blob);
+    ASSERT_TRUE(restored.restoreSnapshot(reader));
+    rngs = measurementRngs(ids.size());
+    ASSERT_NO_FATAL_FAILURE(driveFleet(restored, w, w.monitor, w.meter,
+                                       ids, rngs, 12, sched));
+    EXPECT_EQ(built() - before, 6u);
+}
+
 // ----------------------------------------------- concurrent submit
 
 /**
