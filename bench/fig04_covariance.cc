@@ -40,7 +40,8 @@ main()
                                  estimators::Metric::Performance),
         obs.indices, obs.performance);
 
-    const linalg::Matrix &s = fit.sigma;
+    // The fit carries Sigma factored; materialize it for display.
+    const linalg::Matrix s = fit.covariance();
     auto corr = [&](std::size_t i, std::size_t j) {
         return s(i, j) / std::sqrt(s(i, i) * s(j, j));
     };

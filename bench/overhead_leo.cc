@@ -7,12 +7,11 @@
  * (per metric) as a function of the configuration-space size, plus
  * the downstream hull walk, which is negligible by comparison.
  *
- * Three fit variants are timed so the perf trajectory of the hot
+ * Two fit variants are timed so the perf trajectory of the hot
  * loop stays visible:
  *
- *  - BM_LeoFitReference: the allocating reference path (the
- *    executable specification the workspace path is tested against).
- *  - BM_LeoFit: the default allocation-free workspace path, cold.
+ *  - BM_LeoFit: one cold fit from the raw prior vectors (basis build
+ *    included).
  *  - BM_LeoWarmRound: one active-sampling-style round — a warm
  *    refit from the previous round's fit with a persistent
  *    workspace, after four new observations arrive.
@@ -160,7 +159,7 @@ runTimedFits(benchmark::State &state, std::size_t configs, Fit &&fit,
             total_ms / static_cast<double>(total_iters);
 }
 
-/** Cold fit on the default allocation-free workspace path. */
+/** Cold fit from the raw prior vectors. */
 void
 BM_LeoFit(benchmark::State &state)
 {
@@ -173,43 +172,6 @@ BM_LeoFit(benchmark::State &state)
     runTimedFits(state, s.space.size(), [&]() {
         return est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
     });
-}
-
-/** Cold fit on the opt-in allocating reference path (the seed
- *  implementation; the speedup baseline for bench_diff). */
-void
-BM_LeoFitReference(benchmark::State &state)
-{
-    const unsigned core_stride = static_cast<unsigned>(state.range(0));
-    const unsigned speed_stride =
-        static_cast<unsigned>(state.range(1));
-    const FitSetup s = makeSetup(core_stride, speed_stride);
-    estimators::LeoOptions opts;
-    opts.referencePath = true;
-    estimators::LeoEstimator est(opts);
-    runTimedFits(state, s.space.size(), [&]() {
-        return est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
-    });
-}
-
-/** Cold fit on the low-rank (Woodbury) covariance representation;
- *  timings flow through the `lowrank` histogram key. */
-void
-BM_LeoFitLowRank(benchmark::State &state)
-{
-    const unsigned core_stride = static_cast<unsigned>(state.range(0));
-    const unsigned speed_stride =
-        static_cast<unsigned>(state.range(1));
-    const FitSetup s = makeSetup(core_stride, speed_stride);
-    estimators::LeoOptions opts;
-    opts.representation = estimators::CovarianceRep::LowRank;
-    estimators::LeoEstimator est(opts);
-    runTimedFits(
-        state, s.space.size(),
-        [&]() {
-            return est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
-        },
-        obs::names::kBenchLowRankMs);
 }
 
 /**
@@ -225,11 +187,7 @@ BM_LeoWarmRound(benchmark::State &state)
     const unsigned speed_stride =
         static_cast<unsigned>(state.range(1));
     const FitSetup s = makeSetup(core_stride, speed_stride);
-    // Auto resolves to the low-rank representation at these sizes
-    // (4 q << n), exactly as the production controller would run.
-    estimators::LeoOptions opts;
-    opts.representation = estimators::CovarianceRep::Auto;
-    estimators::LeoEstimator est(opts);
+    estimators::LeoEstimator est;
     linalg::Workspace ws;
     const std::vector<std::size_t> prev_idx(s.obs_idx.begin(),
                                             s.obs_idx.end() - 4);
@@ -255,9 +213,7 @@ void
 BM_LeoIncrementalRefit(benchmark::State &state)
 {
     const FitSetup s = makeSetup(1, 1);
-    estimators::LeoOptions opts;
-    opts.representation = estimators::CovarianceRep::LowRank;
-    estimators::LeoEstimator est(opts);
+    estimators::LeoEstimator est;
     const estimators::LeoFit fit =
         est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
 
@@ -296,8 +252,8 @@ BM_LeoIncrementalRefit(benchmark::State &state)
 /**
  * Headroom probe: a synthetic n = 16384 problem (no machine model —
  * config spaces that large do not exist on the testbed) shows the
- * low-rank path's per-iteration cost scaling with the number of
- * applications, not n.
+ * fit's per-iteration cost scaling with the number of applications,
+ * not n; timings flow through the `lowrank` histogram key.
  */
 void
 BM_LeoLowRankHeadroom(benchmark::State &state)
@@ -325,9 +281,7 @@ BM_LeoLowRankHeadroom(benchmark::State &state)
         vals[i] = 0.4 * prior[0][idx[i]] *
                   (1.0 + 0.03 * rng.gaussian());
 
-    estimators::LeoOptions opts;
-    opts.representation = estimators::CovarianceRep::LowRank;
-    estimators::LeoEstimator est(opts);
+    estimators::LeoEstimator est;
     runTimedFits(
         state, n,
         [&]() { return est.fitMetric(prior, idx, vals); },
@@ -354,31 +308,16 @@ BM_HullWalk(benchmark::State &state)
 
 } // namespace
 
-// n = 128, 256, 512, 1024 configurations.
+// n = 128, 256, 512, 1024 configurations. A fit takes a few ms, so
+// one timing per repetition would be mostly scheduler noise: each
+// repetition averages 20 fits.
 BENCHMARK(BM_LeoFit)
     ->Args({4, 2})
     ->Args({2, 2})
     ->Args({1, 2})
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// The reference baseline only at the two largest sizes (it is the
-// slow path; the small sizes add runtime without information).
-BENCHMARK(BM_LeoFitReference)
-    ->Args({1, 2})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// The low-rank representation at the two largest spaces, plus the
-// synthetic n = 16384 headroom point (configs counter distinguishes
-// the rows in BENCH_leo.json).
-BENCHMARK(BM_LeoFitLowRank)
-    ->Args({1, 2})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(20);
 
 BENCHMARK(BM_LeoWarmRound)
     ->Args({1, 2})

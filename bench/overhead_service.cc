@@ -11,9 +11,9 @@
  * the 1-shard baseline: shard count is a throughput knob, never a
  * behavior knob, so any divergence is a bug, not noise.
  *
- * The space is the 256-configuration reduction so Auto resolves the
- * estimator to the low-rank path — the representation the batched
- * refit pillar is built around.
+ * The space is the 256-configuration reduction, where a fit's basis
+ * (q <= M + |Omega|) is a small fraction of n — the regime the
+ * batched refit pillar is built around.
  *
  * Emits google-benchmark-format JSON (consumed by tools/bench_diff.py
  * in CI) to BENCH_service.json, or to argv[1] when given.
@@ -132,10 +132,7 @@ main(int argc, char **argv)
     const std::size_t repeats =
         experiments::envSize("LEO_BENCH_REPEATS", 3);
 
-    // Auto resolves to low-rank on this space (checked below).
-    estimators::LeoOptions lopt;
-    lopt.representation = estimators::CovarianceRep::Auto;
-    const estimators::LeoEstimator estimator(lopt);
+    const estimators::LeoEstimator estimator;
     const auto prior =
         std::make_shared<const telemetry::ProfileStore>(
             world.store.without("x264"));

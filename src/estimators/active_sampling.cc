@@ -99,13 +99,11 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
         have_fit = true;
 
         // Rank unobserved configurations by predictive variance. A
-        // low-rank fit run with expandVariance=false never
-        // materialized the n-vector; read the q x n factor directly
-        // instead — lowRankPredictiveVariance evaluates each entry
-        // bitwise identically to the expanded fill, so the ranking
-        // (and every probe it picks) matches the expanded path.
-        const bool factored =
-            fit.lowRank && fit.predictionVariance.size() == 0;
+        // fit run with expandVariance=false never materialized the
+        // n-vector; predictiveVarianceAt then reads the factors
+        // directly, bitwise identically to the expanded fill, so the
+        // ranking (and every probe it picks) matches the expanded
+        // path.
         std::vector<std::size_t> order;
         order.reserve(n);
         std::vector<double> variance(n, 0.0);
@@ -113,9 +111,7 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
             if (seen[c])
                 continue;
             order.push_back(c);
-            variance[c] = factored
-                              ? lowRankPredictiveVariance(fit, c)
-                              : fit.predictionVariance[c];
+            variance[c] = fit.predictiveVarianceAt(c);
         }
         invariant(!order.empty(),
                   "active sampling exhausted the space early");

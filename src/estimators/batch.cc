@@ -16,9 +16,9 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
     std::vector<EstimateRequest> requests = std::move(requests_);
     requests_.clear();
     std::vector<MetricEstimate> results(requests.size());
-    // Shared bases, warm starts, fit-out and representation plumbing
-    // only exist on LeoEstimator; other estimators silently take the
-    // plain interface.
+    // Shared bases, warm starts and fit-out plumbing only exist on
+    // LeoEstimator; other estimators silently take the plain
+    // interface.
     const auto *as_leo = dynamic_cast<const LeoEstimator *>(&estimator_);
     parallel::parallelFor(pool_, requests.size(), [&](std::size_t i) {
         const EstimateRequest &r = requests[i];
@@ -27,17 +27,15 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
                 space, r.prior, r.obsIndices, r.obsValues);
             return;
         }
-        const CovarianceRep rep =
-            r.representation.value_or(as_leo->options().representation);
         results[i] =
             r.priorBasis
                 ? as_leo->estimateMetric(space, *r.priorBasis,
                                          r.obsIndices, r.obsValues,
                                          /*ws=*/nullptr, r.warmStart,
-                                         r.fitOut, rep)
+                                         r.fitOut)
                 : as_leo->estimateMetric(space, r.prior, r.obsIndices,
                                          r.obsValues, /*ws=*/nullptr,
-                                         r.warmStart, r.fitOut, rep);
+                                         r.warmStart, r.fitOut);
     });
     return results;
 }

@@ -6,17 +6,15 @@
  * This is the scaling path for the experiment drivers (leave-one-out
  * accuracy sweeps run 25 independent fits per metric) and for any
  * server-style deployment estimating several target applications at
- * once. Each request is one task; a fit executing on a pool worker
- * runs its own inner loops inline (parallel_for.hh nesting rule), so
- * a batch never over-subscribes the machine and every result is
- * bitwise identical to running the same request alone.
+ * once. Each request is one task and each fit is serial, so a batch
+ * never over-subscribes the machine and every result is bitwise
+ * identical to running the same request alone.
  */
 
 #ifndef LEO_ESTIMATORS_BATCH_HH
 #define LEO_ESTIMATORS_BATCH_HH
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "estimators/estimator.hh"
@@ -54,15 +52,6 @@ struct EstimateRequest
      * requests must point at distinct fits.
      */
     LeoFit *fitOut = nullptr;
-    /**
-     * Per-request covariance representation override (LEO estimators
-     * only). The multi-tenant service resolves Auto per tenant at
-     * admission and pins it here so one shared estimator serves mixed
-     * dense/low-rank batches; nullopt uses the estimator's own
-     * options().representation, bitwise identical to before the field
-     * existed.
-     */
-    std::optional<CovarianceRep> representation;
 };
 
 /**

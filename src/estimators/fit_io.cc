@@ -12,7 +12,7 @@ namespace
 {
 
 /** Format version; bump when the field list changes. */
-constexpr std::uint32_t kFitVersion = 1;
+constexpr std::uint32_t kFitVersion = 2;
 
 } // namespace
 
@@ -23,7 +23,6 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
     w.vec(fit.prediction);
     w.vec(fit.predictionVariance);
     w.vec(fit.mu);
-    w.mat(fit.sigma);
     w.f64(fit.sigma2);
     w.u64(fit.iterations);
     w.u8(fit.converged ? 1 : 0);
@@ -32,7 +31,6 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
         w.f64(v);
     w.f64(fit.scale);
     w.u8(fit.warmStarted ? 1 : 0);
-    w.u8(fit.lowRank ? 1 : 0);
     w.mat(fit.basisT);
     w.mat(fit.coeff);
     w.f64(fit.alphaDiag);
@@ -50,7 +48,6 @@ loadFit(linalg::ByteReader &r)
     fit.prediction = r.vec();
     fit.predictionVariance = r.vec();
     fit.mu = r.vec();
-    fit.sigma = r.mat();
     fit.sigma2 = r.f64();
     fit.iterations = static_cast<std::size_t>(r.u64());
     fit.converged = r.u8() != 0;
@@ -59,7 +56,6 @@ loadFit(linalg::ByteReader &r)
         fit.logLikelihoodTrace.push_back(r.f64());
     fit.scale = r.f64();
     fit.warmStarted = r.u8() != 0;
-    fit.lowRank = r.u8() != 0;
     fit.basisT = r.mat();
     fit.coeff = r.mat();
     fit.alphaDiag = r.f64();

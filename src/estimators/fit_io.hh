@@ -5,7 +5,7 @@
  * The snapshot/restore path of the multi-tenant service (and the
  * runtime controller underneath it) persists the warm-start state a
  * session accumulated — for a LEO session that is a pair of LeoFits,
- * including the low-rank factors. Round trips are exact: a restored
+ * including the covariance factors. Round trips are exact: a restored
  * fit warm-starts EM from bitwise-identical theta, so a resumed
  * session reproduces the uninterrupted run's schedule bit for bit.
  */
@@ -24,9 +24,9 @@ void saveFit(linalg::ByteWriter &w, const LeoFit &fit);
 
 /**
  * Read a LeoFit written by saveFit(). Never throws; on a truncated
- * or corrupt buffer the reader's ok() flips false and the returned
- * fit is value-initialized — callers validate r.ok() once at the end
- * of their restore.
+ * or corrupt buffer, or one in another format version, the reader's
+ * ok() flips false and the returned fit is value-initialized —
+ * callers validate r.ok() once at the end of their restore.
  */
 LeoFit loadFit(linalg::ByteReader &r);
 

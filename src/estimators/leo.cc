@@ -2,23 +2,12 @@
  * @file
  * Implementation of the LEO hierarchical Bayesian estimator.
  *
- * Two implementations of the EM loop live here:
- *
- *  - The *reference path* (LeoOptions::referencePath) is the
- *    straightforward transcription of Equations (3)-(4): allocating
- *    temporaries every iteration, naive Cholesky/inverse kernels. It
- *    is the executable specification of the fit.
- *  - The default *workspace path* acquires every loop buffer up
- *    front from a linalg::Workspace, factors and inverts in place
- *    with the blocked kernels, and exploits symmetry (lower-triangle
- *    inverse + symv). It produces bitwise-identical output — every
- *    kernel it substitutes preserves the reference's per-entry
- *    floating-point accumulation order — while performing zero heap
- *    allocations inside the iteration loop and roughly halving the
- *    per-iteration flops.
- *
- * The estimator tests assert exact equality between the two paths,
- * at several thread counts, warm and cold.
+ * One EM loop lives here: the factored loop of DESIGN.md section 7.2,
+ * serial, with every buffer acquired up front from a
+ * linalg::Workspace so the iteration loop performs no heap
+ * allocation. The straightforward dense transcription of Equations
+ * (3)-(4) is the test oracle it is checked against
+ * (tests/support/leo_oracle.hh).
  */
 
 #include "estimators/leo.hh"
@@ -29,7 +18,6 @@
 #include <numbers>
 #include <numeric>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "estimators/normalization.hh"
@@ -39,26 +27,12 @@
 #include "linalg/error.hh"
 #include "linalg/lowrank.hh"
 #include "obs/obs.hh"
-#include "parallel/parallel_for.hh"
-#include "stats/mvn.hh"
 
 namespace leo::estimators
 {
 
 namespace
 {
-
-/**
- * Leaf-chunk grain for the per-application reductions: at most 8
- * leaves regardless of worker count, so the combine tree (and with
- * it every rounding decision) depends only on the number of prior
- * applications.
- */
-std::size_t
-emGrain(std::size_t m)
-{
-    return (m + 7) / 8;
-}
 
 /** Registered heap-allocation counter (test hook; see leo.hh). */
 std::size_t (*alloc_counter)() = nullptr;
@@ -78,8 +52,6 @@ struct EmObs
         obs::names::kEmIterMs, obs::defaultTimeBucketsMs());
     obs::Gauge ws_bytes =
         obs::Registry::global().gauge(obs::names::kEmWorkspaceBytes);
-    obs::Counter lowrank =
-        obs::Registry::global().counter(obs::names::kEmLowRankFits);
     obs::Gauge basis_cols =
         obs::Registry::global().gauge(obs::names::kEmBasisColumns);
 };
@@ -302,7 +274,7 @@ sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
 }
 
 /**
- * The low-rank EM path (CovarianceRep::LowRank).
+ * The EM loop.
  *
  * Every vector the EM ever produces — shapes, mu, posterior means —
  * lives in the span of the M prior shapes plus the observed
@@ -316,8 +288,8 @@ sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
  *
  * and because every difference vector the E-step solves against is in
  * span(Q'), the n-dimensional solves collapse to q-dimensional ones:
- * the per-iteration cost is O(q^3 + m q^2 + s q^2) against the dense
- * path's O(n^3). The M-step closes over the representation — the
+ * the per-iteration cost is O(q^3 + m q^2 + s q^2) against a dense
+ * loop's O(n^3). The M-step closes over the representation — the
  * isotropic pieces (sigma^2-inflation of the posterior covariance and
  * the Psi = psi I prior) update alpha, everything else updates C — so
  * no re-densification ever happens. Full derivation: DESIGN.md
@@ -328,8 +300,12 @@ sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
  * (observeUnits), so the EM runs on P = [P_p' | L] and prior
  * coordinates [R | 0] without an n-length sweep before the loop.
  *
+ * When the prior and the observed directions span all of R^n, q = n
+ * and Q is a full basis: the same algebra, only no cheaper than a
+ * dense loop (DESIGN.md section 7.2 gives the small-n cost).
+ *
  * The result is tolerance-equivalent (not bitwise-equal) to the dense
- * path: the algebra is identical but evaluated in a rotated
+ * test oracle: the algebra is identical but evaluated in a rotated
  * parameterization, so roundings differ at the 1e-14 level per
  * operation. The equivalence suite (tests/lowrank_test.cc) pins the
  * agreement bounds.
@@ -395,11 +371,10 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     }
 
     // ---- Initialization -------------------------------------------
-    // A warm fit must itself be low-rank (no dense <-> low-rank warm
-    // crossover: the representations converge to slightly different
-    // bits and the mixed init would be neither).
+    // A warm fit must carry finite factors on this space; anything
+    // else falls back to the cold init.
     const bool warm_ok =
-        warm != nullptr && warm->lowRank && warm->basisT.cols() == n &&
+        warm != nullptr && warm->basisT.cols() == n &&
         warm->basisT.rows() >= 1 &&
         warm->coeff.rows() == warm->basisT.rows() &&
         warm->coeff.cols() == warm->basisT.rows() &&
@@ -503,8 +478,11 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     obs::Registry::global().prepareThread();
     eo.ws_bytes.set(static_cast<double>(arena.bytes()));
 
-    // Same allocation contract as the dense workspace path: nothing
-    // inside the loop touches the heap.
+    // The allocation-audited region: every buffer the loop touches
+    // was acquired above, and the operator-new counting hook in the
+    // estimator tests asserts the loop performs zero heap
+    // allocations. leo-lint's hot-alloc check enforces the same
+    // contract statically.
     // leo-lint: hot-begin
     const std::size_t alloc0 = counter ? counter() : 0;
     for (std::size_t iter = 0; iter < opt.maxIterations; ++iter) {
@@ -667,9 +645,12 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
         const double sigma2_new =
             std::max(noise_accum / total_obs, opt.minSigma2);
 
-        // Convergence on the target prediction, as in the dense
-        // paths; coordinate norms equal ambient norms because Q has
-        // orthonormal rows.
+        // Convergence is judged on what the algorithm is for: the
+        // target prediction ("3-4 iterations to reach the desired
+        // accuracy", Section 5.5). Raw parameters — sigma^2 in
+        // particular — keep drifting geometrically long after the
+        // prediction has stabilized. Coordinate norms equal ambient
+        // norms because Q has orthonormal rows.
         const Vector &pred = have_obs ? tc : gnew;
         double dd = 0.0;
         for (std::size_t k = 0; k < q; ++k) {
@@ -695,7 +676,6 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     // leo-lint: hot-end
 
     eo.fits.add(1);
-    eo.lowrank.add(1);
     if (warm_ok)
         eo.warm.add(1);
     eo.iters.add(fit.iterations);
@@ -766,10 +746,7 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
                 (alpha + cov_diag[j] + sigma2) * scale * scale;
     }
     linalg::gemvTransInto(fit.mu, qmat, g);
-    // fit.sigma stays empty: at large n the dense matrix is exactly
-    // what this path exists to avoid materializing.
     fit.sigma2 = sigma2;
-    fit.lowRank = true;
     fit.basisT = std::move(qmat);
     fit.coeff = cmat;
     fit.alphaDiag = alpha;
@@ -814,11 +791,9 @@ traceFit(obs::Span &span, const PriorBasis &prior, const LeoFit &fit)
 {
     span.arg("apps", static_cast<double>(prior.apps()));
     span.arg("configs", static_cast<double>(prior.dim()));
-    if (fit.lowRank)
-        span.arg("rank", static_cast<double>(fit.basisT.rows()));
+    span.arg("rank", static_cast<double>(fit.basisT.rows()));
     span.arg("iters", static_cast<double>(fit.iterations));
-    if (!fit.lowRank)
-        span.arg("converged", fit.converged ? 1.0 : 0.0);
+    span.arg("converged", fit.converged ? 1.0 : 0.0);
 }
 
 } // namespace
@@ -827,8 +802,7 @@ double
 lowRankPredictiveVariance(const LeoFit &fit, std::size_t c)
 {
     const std::size_t q = fit.basisT.rows();
-    require(fit.lowRank, "lowRankPredictiveVariance on a dense fit");
-    require(fit.varCore.rows() == q && fit.varCore.cols() == q,
+    require(q > 0 && fit.varCore.rows() == q && fit.varCore.cols() == q,
             "lowRankPredictiveVariance: missing varCore");
     require(c < fit.basisT.cols(),
             "lowRankPredictiveVariance: index out of range");
@@ -851,6 +825,21 @@ lowRankPredictiveVariance(const LeoFit &fit, std::size_t c)
            fit.scale;
 }
 
+linalg::Matrix
+LeoFit::covariance() const
+{
+    const std::size_t q = basisT.rows();
+    require(q > 0 && basisT.cols() > 0 && coeff.rows() == q &&
+                coeff.cols() == q,
+            "LeoFit::covariance: missing or mismatched factors");
+    const linalg::Matrix cq = linalg::Matrix::multiply(coeff, basisT);
+    linalg::Matrix sigma;
+    linalg::atbInto(sigma, basisT, cq);
+    sigma.addToDiagonal(alphaDiag);
+    sigma.symmetrize();
+    return sigma;
+}
+
 double
 LeoFit::predictiveVarianceAt(std::size_t c) const
 {
@@ -859,9 +848,6 @@ LeoFit::predictiveVarianceAt(std::size_t c) const
                 "predictiveVarianceAt: index out of range");
         return predictionVariance[c];
     }
-    require(lowRank,
-            "predictiveVarianceAt: fit carries no variance (dense "
-            "fit without expanded predictionVariance)");
     return lowRankPredictiveVariance(*this, c);
 }
 
@@ -880,18 +866,6 @@ LeoEstimator::LeoEstimator(LeoOptions options) : options_(options)
             "LeoEstimator: need >= 1 EM iteration");
     require(options_.initSigma2 > 0.0,
             "LeoEstimator: initial sigma^2 must be > 0");
-    if (options_.threads > 1)
-        pool_ = std::make_unique<parallel::ThreadPool>(
-            options_.threads - 1);
-}
-
-parallel::ThreadPool &
-LeoEstimator::pool() const
-{
-    if (pool_)
-        return *pool_;
-    return options_.threads == 1 ? parallel::ThreadPool::serial()
-                                 : parallel::ThreadPool::global();
 }
 
 MetricEstimate
@@ -912,8 +886,12 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              linalg::Workspace *ws, const LeoFit *warm,
                              LeoFit *fit_out) const
 {
-    return estimateMetric(space, prior, obs_idx, obs_vals, ws, warm,
-                          fit_out, options_.representation);
+    // An empty prior leaves no basis to build; it degrades below like
+    // any other unbuildable prior.
+    require(prior.empty() || prior.front().size() == space.size(),
+            "LeoEstimator: prior/space size mismatch");
+    return estimateMetric(space, nullptr, prior, obs_idx, obs_vals, ws,
+                          warm, fit_out);
 }
 
 MetricEstimate
@@ -922,24 +900,10 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
                              linalg::Workspace *ws, const LeoFit *warm,
-                             LeoFit *fit_out, CovarianceRep rep) const
+                             LeoFit *fit_out, CovarianceRep) const
 {
-    if (prior.empty()) {
-        // No offline knowledge at all: degenerate to a flat guess at
-        // the observed mean (flagged unreliable).
-        MetricEstimate est;
-        double flat = 0.0;
-        for (double v : obs_vals)
-            if (std::isfinite(v) && v > 0.0)
-                flat = std::max(flat, v);
-        est.values = linalg::Vector(space.size(), flat);
-        est.reliable = false;
-        return est;
-    }
-    require(prior.front().size() == space.size(),
-            "LeoEstimator: prior/space size mismatch");
-    return estimateMetric(space, nullptr, prior, obs_idx, obs_vals, ws,
-                          warm, fit_out, rep);
+    return estimateMetric(space, prior, obs_idx, obs_vals, ws, warm,
+                          fit_out);
 }
 
 MetricEstimate
@@ -948,12 +912,12 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
                              linalg::Workspace *ws, const LeoFit *warm,
-                             LeoFit *fit_out, CovarianceRep rep) const
+                             LeoFit *fit_out) const
 {
     require(prior.dim() == space.size(),
             "LeoEstimator: prior/space size mismatch");
     return estimateMetric(space, &prior, {}, obs_idx, obs_vals, ws, warm,
-                          fit_out, rep);
+                          fit_out);
 }
 
 MetricEstimate
@@ -963,7 +927,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
                              linalg::Workspace *ws, const LeoFit *warm,
-                             LeoFit *fit_out, CovarianceRep rep) const
+                             LeoFit *fit_out) const
 {
     obs::Span span(obs::names::kEmFitSpan, "em");
     MetricEstimate est;
@@ -989,9 +953,9 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
         reordered ? ordered_idx : clean_idx;
     const linalg::Vector &vals = reordered ? ordered_vals : clean_vals;
 
-    // A prior the basis cannot be built from (a non-positive mean,
-    // ragged vectors) leaves no fit to run: it goes straight to the
-    // degradation path below.
+    // A prior the basis cannot be built from (empty, a non-positive
+    // mean, ragged vectors) leaves no fit to run: it goes straight to
+    // the degradation path below.
     std::optional<PriorBasis> own;
     const PriorBasis *basis = shared;
     if (basis == nullptr) {
@@ -1004,7 +968,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
 
     if (basis != nullptr) {
         try {
-            LeoFit fit = fitWith(*basis, idx, vals, ws, warm, rep);
+            LeoFit fit = fitWith(*basis, idx, vals, ws, warm);
             traceFit(span, *basis, fit);
             if (fit.prediction.allFinite()) {
                 est.iterations = fit.iterations;
@@ -1023,25 +987,21 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
         } catch (const Error &) {
             // Fall through to the ridge retry.
         }
-    }
 
-    // The EM fit failed (singular covariance even after the Cholesky
-    // jitter schedule) or went non-finite. Retry cold with a heavy
-    // NIW ridge — a deliberately over-regularized fit that trades
-    // statistical efficiency for existence (DESIGN.md "Failure model
-    // and degradation policy").
-    emObs().ridge.add(1);
-    if (basis != nullptr) {
+        // The EM fit failed (singular covariance even after the
+        // Cholesky jitter schedule) or went non-finite. Retry cold
+        // with a heavy NIW ridge — a deliberately over-regularized
+        // fit that trades statistical efficiency for existence
+        // (DESIGN.md "Failure model and degradation policy").
+        emObs().ridge.add(1);
         try {
             LeoOptions ridge = options_;
             ridge.hyperPsiScale =
                 std::max(options_.hyperPsiScale * 100.0, 1.0);
             ridge.initSigma2 = std::max(options_.initSigma2, 1e-2);
-            ridge.threads = 1;
-            ridge.representation = rep;
             const LeoEstimator heavy(ridge);
             LeoFit fit =
-                heavy.fitWith(*basis, idx, vals, nullptr, nullptr, rep);
+                heavy.fitWith(*basis, idx, vals, nullptr, nullptr);
             if (fit.prediction.allFinite()) {
                 est.iterations = fit.iterations;
                 est.reliable = false;
@@ -1059,8 +1019,9 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
     }
 
     // Last resort: the prior mean shape, anchored to the observed
-    // scale when any observation survived. Always finite; never
-    // updates fit_out (the caller's warm state stays intact).
+    // scale when any observation survived, or with no usable prior a
+    // flat guess at the observed mean. Always finite; never updates
+    // fit_out (the caller's warm state stays intact).
     try {
         linalg::Vector shape = basis != nullptr
                                    ? averageShape(basis->shapes())
@@ -1095,8 +1056,7 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
 {
     obs::Span span(obs::names::kEmFitSpan, "em");
     const PriorBasis basis(prior);
-    LeoFit fit = fitWith(basis, obs_idx, obs_vals, ws, warm,
-                         options_.representation);
+    LeoFit fit = fitWith(basis, obs_idx, obs_vals, ws, warm);
     traceFit(span, basis, fit);
     return fit;
 }
@@ -1108,8 +1068,7 @@ LeoEstimator::fitMetric(const PriorBasis &prior,
                         linalg::Workspace *ws, const LeoFit *warm) const
 {
     obs::Span span(obs::names::kEmFitSpan, "em");
-    LeoFit fit = fitWith(prior, obs_idx, obs_vals, ws, warm,
-                         options_.representation);
+    LeoFit fit = fitWith(prior, obs_idx, obs_vals, ws, warm);
     traceFit(span, prior, fit);
     return fit;
 }
@@ -1118,14 +1077,13 @@ LeoFit
 LeoEstimator::fitWith(const PriorBasis &prior,
                       const std::vector<std::size_t> &obs_idx_in,
                       const linalg::Vector &obs_vals_in,
-                      linalg::Workspace *ws, const LeoFit *warm,
-                      CovarianceRep rep) const
+                      linalg::Workspace *ws, const LeoFit *warm) const
 {
     require(obs_idx_in.size() == obs_vals_in.size(),
             "LeoEstimator: observation index/value mismatch");
-    const std::size_t n = prior.dim();
     for (std::size_t idx : obs_idx_in)
-        require(idx < n, "LeoEstimator: observation index out of range");
+        require(idx < prior.dim(),
+                "LeoEstimator: observation index out of range");
     std::vector<std::size_t> ordered_idx;
     linalg::Vector ordered_vals;
     const bool reordered =
@@ -1135,504 +1093,16 @@ LeoEstimator::fitWith(const PriorBasis &prior,
     const linalg::Vector &obs_vals =
         reordered ? ordered_vals : obs_vals_in;
 
-    // ---- Normalization --------------------------------------------
     // Estimation happens on unit-mean shapes (see normalization.hh),
-    // normalized once per prior by the PriorBasis.
-    const std::vector<linalg::Vector> &shapes = prior.shapes();
-    const std::size_t m_prior = shapes.size();
+    // normalized once per prior by the PriorBasis; the target's
+    // observations are scaled by their own anchor.
     const std::size_t s = obs_idx.size();
-    const bool have_obs = s > 0;
-    const double scale = have_obs ? observedScale(obs_vals) : 1.0;
+    const double scale = s > 0 ? observedScale(obs_vals) : 1.0;
     linalg::Vector x_obs(s);
     for (std::size_t j = 0; j < s; ++j)
         x_obs[j] = obs_vals[j] / scale;
-
-    // Total applications M: priors plus (when observed) the target.
-    const double m_total =
-        static_cast<double>(m_prior) + (have_obs ? 1.0 : 0.0);
-
-    // ---- Representation dispatch ----------------------------------
-    // The reference path is by definition dense (it is the executable
-    // specification the other paths are judged against); Auto opts
-    // into the factored path only when the rank bound leaves enough
-    // headroom for the subspace algebra to win.
-    const bool low_rank =
-        !options_.referencePath &&
-        (rep == CovarianceRep::LowRank ||
-         (rep == CovarianceRep::Auto &&
-          4 * (m_prior + s + 1) <= n));
-    if (low_rank)
-        return fitLowRank(options_, prior, obs_idx, x_obs, scale, ws,
-                          warm, alloc_counter);
-
-    // ---- Initialization -------------------------------------------
-    // Warm start (when a compatible previous fit is supplied) resumes
-    // EM from its theta; since warm and cold fits share the loop
-    // below, identical theta-zero implies identical output bits.
-    const bool warm_ok =
-        warm != nullptr && warm->mu.size() == n &&
-        warm->sigma.rows() == n && warm->sigma.cols() == n &&
-        warm->sigma2 >= options_.minSigma2 && warm->mu.allFinite() &&
-        warm->sigma.allFinite();
-
-    linalg::Vector mu(n, 0.0);
-    linalg::Matrix sigma_m;
-    double sigma2 = options_.initSigma2;
-    if (warm_ok) {
-        mu = warm->mu;
-        sigma_m = warm->sigma;
-        sigma2 = warm->sigma2;
-    } else {
-        // Cold init (Section 5.5: offline init helps).
-        if (options_.init == EmInit::Offline) {
-            for (const linalg::Vector &x : shapes)
-                mu += x;
-            mu /= static_cast<double>(m_prior);
-        }
-        // Residual matrix with rows x_i - mu: sum_i outer(x_i - mu)
-        // is its Gram matrix, computed with the blocked kernel.
-        linalg::Matrix resid(m_prior, n);
-        for (std::size_t i = 0; i < m_prior; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                resid.at(i, j) = shapes[i][j] - mu[j];
-        sigma_m = linalg::Matrix::gram(resid);
-        sigma_m += options_.hyperPi * linalg::Matrix::outer(mu, mu);
-        sigma_m.addToDiagonal(options_.hyperPsiScale);
-        sigma_m /= m_total + 1.0;
-    }
-
-    // ---- EM iterations --------------------------------------------
-    parallel::ThreadPool &workers = pool();
-    LeoFit fit;
-    fit.scale = scale;
-    fit.warmStarted = warm_ok;
-    fit.logLikelihoodTrace.reserve(options_.maxIterations);
-    stats::GaussianPosterior target_post;
-    target_post.mean = mu;
-    linalg::Vector prev_pred = mu;
-
-    const double total_obs =
-        static_cast<double>(m_prior * n + s); // ||L||_F^2
-
-    const auto counter = alloc_counter;
-
-    if (options_.referencePath) {
-        const std::size_t alloc0 = counter ? counter() : 0;
-        for (std::size_t iter = 0; iter < options_.maxIterations;
-             ++iter) {
-            fit.iterations = iter + 1;
-
-            // E-step, fully-observed applications (shared algebra):
-            //   C_full = sigma^2 I - sigma^4 (Sigma + sigma^2 I)^-1
-            //   z_i    = x_i - sigma^2 (Sigma + sigma^2 I)^-1
-            //            (x_i - mu)
-            linalg::Matrix a = sigma_m;
-            a.addToDiagonal(sigma2);
-            const linalg::Cholesky chol(a, 1e-6);
-            const linalg::Matrix inv = chol.inverse();
-
-            // Fan the per-application E-step across the pool: the
-            // shared matrix-vector product inv * (x_i - mu) yields
-            // both the posterior mean z_i and the app's
-            // log-likelihood quadratic term. Each iteration writes
-            // disjoint slots; every reduction below folds in a fixed
-            // order, so the fit is bitwise identical at any thread
-            // count.
-            std::vector<linalg::Vector> z(m_prior);
-            linalg::Vector ll_quad(m_prior);
-            parallel::parallelFor(
-                workers, m_prior, [&](std::size_t i) {
-                    const linalg::Vector d = shapes[i] - mu;
-                    const linalg::Vector w = inv * d;
-                    ll_quad[i] = linalg::dot(d, w);
-                    z[i] = shapes[i] - sigma2 * w;
-                });
-
-            // Marginal log-likelihood of everything observed under
-            // the current theta: fully observed apps are N(mu, Sigma
-            // + sigma^2 I); the target contributes its Omega
-            // marginal.
-            {
-                const double log2pi =
-                    std::log(2.0 * std::numbers::pi);
-                double ll = -0.5 * static_cast<double>(m_prior) *
-                            (static_cast<double>(n) * log2pi +
-                             chol.logDet());
-                for (std::size_t i = 0; i < m_prior; ++i)
-                    ll -= 0.5 * ll_quad[i];
-                if (have_obs) {
-                    linalg::Matrix a_obs = sigma_m.gather(obs_idx);
-                    a_obs.addToDiagonal(sigma2);
-                    const linalg::Cholesky chol_obs(a_obs, 1e-8);
-                    linalg::Vector d(s);
-                    for (std::size_t j = 0; j < s; ++j)
-                        d[j] = x_obs[j] - mu[obs_idx[j]];
-                    const linalg::Vector w = chol_obs.solveLower(d);
-                    ll -= 0.5 * (static_cast<double>(s) * log2pi +
-                                 chol_obs.logDet() + w.squaredNorm());
-                }
-                fit.logLikelihoodTrace.push_back(ll);
-            }
-
-            // E-step, target application (sparse observations):
-            if (have_obs) {
-                target_post = stats::conditionOnObservations(
-                    mu, sigma_m, obs_idx, x_obs, sigma2, true);
-            }
-
-            // M-step: mu (Equation 4, mu_0 = 0).
-            linalg::Vector mu_new(n, 0.0);
-            for (const linalg::Vector &zi : z)
-                mu_new += zi;
-            if (have_obs)
-                mu_new += target_post.mean;
-            mu_new /= m_total + options_.hyperPi;
-
-            // M-step: Sigma (Equation 4; Psi and pi mu mu'
-            // normalized inside the bracket per Yu et al. '05 — see
-            // DESIGN.md).
-            linalg::Matrix s_accum(n, n, 0.0);
-            // sum_i C_i for the fully observed apps is m_prior *
-            // C_full; C_full = sigma^2 I - sigma^4 inv.
-            s_accum += (-sigma2 * sigma2 *
-                        static_cast<double>(m_prior)) * inv;
-            s_accum.addToDiagonal(sigma2 *
-                                  static_cast<double>(m_prior));
-            if (have_obs)
-                s_accum += target_post.cov;
-            // sum_i (z_i - mu)(z_i - mu)': per-chunk Gram partials
-            // folded along the fixed combine tree — the chunk layout
-            // depends only on m_prior, never on the worker count.
-            s_accum += parallel::parallelReduce<linalg::Matrix>(
-                workers, m_prior, emGrain(m_prior),
-                [&](std::size_t b, std::size_t e) {
-                    linalg::Matrix r(e - b, n);
-                    for (std::size_t i = b; i < e; ++i)
-                        for (std::size_t j = 0; j < n; ++j)
-                            r.at(i - b, j) = z[i][j] - mu_new[j];
-                    return linalg::Matrix::gram(r);
-                },
-                [](linalg::Matrix &into, linalg::Matrix &&from) {
-                    into += from;
-                });
-            if (have_obs) {
-                const linalg::Vector d = target_post.mean - mu_new;
-                s_accum += linalg::Matrix::outer(d, d);
-            }
-            s_accum += options_.hyperPi *
-                       linalg::Matrix::outer(mu_new, mu_new);
-            s_accum.addToDiagonal(options_.hyperPsiScale);
-            s_accum /= m_total + 1.0;
-            s_accum.symmetrize();
-
-            // M-step: sigma^2 (Equation 4).
-            double noise_accum = 0.0;
-            // Fully observed apps: every configuration contributes.
-            for (std::size_t i = 0; i < m_prior; ++i) {
-                for (std::size_t j = 0; j < n; ++j) {
-                    const double cjj =
-                        sigma2 - sigma2 * sigma2 * inv.at(j, j);
-                    const double r = z[i][j] - shapes[i][j];
-                    noise_accum += cjj + r * r;
-                }
-            }
-            // Target: only the observed configurations contribute.
-            if (have_obs) {
-                for (std::size_t j = 0; j < s; ++j) {
-                    const std::size_t idx = obs_idx[j];
-                    const double r =
-                        target_post.mean[idx] - x_obs[j];
-                    noise_accum +=
-                        target_post.cov.at(idx, idx) + r * r;
-                }
-            }
-            double sigma2_new = std::max(noise_accum / total_obs,
-                                         options_.minSigma2);
-
-            // Convergence is judged on what the algorithm is for:
-            // the target prediction ("3-4 iterations to reach the
-            // desired accuracy", Section 5.5). Raw parameters —
-            // sigma^2 in particular — keep drifting geometrically
-            // long after the prediction has stabilized.
-            const linalg::Vector &pred =
-                have_obs ? target_post.mean : mu_new;
-            const double dpred = (pred - prev_pred).norm() /
-                                 (prev_pred.norm() + 1e-12);
-            prev_pred = pred;
-
-            mu = std::move(mu_new);
-            sigma_m = std::move(s_accum);
-            sigma2 = sigma2_new;
-
-            if (dpred < options_.tolerance) {
-                fit.converged = true;
-                break;
-            }
-        }
-        if (counter)
-            fit.loopAllocations = counter() - alloc0;
-
-        // ---- Prediction -------------------------------------------
-        // Final E-step for the target under the fitted parameters;
-        // the prediction is E[z_M | theta-hat] rescaled to raw units.
-        if (have_obs) {
-            target_post = stats::conditionOnObservations(
-                mu, sigma_m, obs_idx, x_obs, sigma2, true);
-        } else {
-            target_post.mean = mu;
-            target_post.cov = sigma_m;
-        }
-
-        fit.prediction = linalg::Vector(n);
-        fit.predictionVariance = linalg::Vector(n);
-        for (std::size_t j = 0; j < n; ++j) {
-            fit.prediction[j] =
-                std::max(target_post.mean[j] * scale, 0.0);
-            fit.predictionVariance[j] =
-                (target_post.cov.at(j, j) + sigma2) * scale * scale;
-        }
-        fit.mu = std::move(mu);
-        fit.sigma = std::move(sigma_m);
-        fit.sigma2 = sigma2;
-        return fit;
-    }
-
-    // ---- Workspace path -------------------------------------------
-    // Acquire every buffer the loop touches up front; from here to
-    // the end of the loop the only heap traffic is inside
-    // ThreadPool::post when fanning to workers (serial fits are
-    // strictly allocation-free, which the estimator tests assert).
-    // Observability: the reference loop above stays uninstrumented
-    // (no iteration spans or counters) — it is the executable
-    // specification the 0-ULP obs test compares this instrumented
-    // path against.
-    EmObs &eo = emObs();
-    linalg::Workspace local_ws;
-    linalg::Workspace &arena = ws ? *ws : local_ws;
-
-    linalg::Matrix &inv = arena.matrix("em.inv", n, n);
-    linalg::Matrix &a_obs = arena.matrix("em.aobs", s, s);
-    linalg::Vector &d_obs = arena.vector("em.dobs", s);
-    std::vector<linalg::Vector> &z =
-        arena.vectorArray("em.z", m_prior, n);
-    std::vector<linalg::Vector> &dscr =
-        arena.vectorArray("em.d", m_prior, n);
-    linalg::Vector &ll_quad = arena.vector("em.llquad", m_prior);
-    linalg::Vector &mu_new = arena.vector("em.munew", n);
-    linalg::Matrix &s_accum = arena.matrix("em.saccum", n, n);
-    linalg::Vector &d_target = arena.vector("em.dtarget", n);
-
-    const std::size_t grain = emGrain(m_prior);
-    const std::size_t chunks = parallel::chunkCount(m_prior, grain);
-    std::vector<linalg::Matrix *> gram_parts(chunks);
-    std::vector<linalg::Matrix *> resid_parts(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t b = c * grain;
-        const std::size_t e = std::min(m_prior, b + grain);
-        resid_parts[c] =
-            &arena.matrix("em.resid." + std::to_string(c), e - b, n);
-        gram_parts[c] =
-            &arena.matrix("em.gram." + std::to_string(c), n, n);
-    }
-
-    linalg::Cholesky chol;
-    chol.reserve(n);
-    linalg::Cholesky::reserveInverseScratch(arena, n);
-    linalg::Cholesky chol_obs;
-    stats::ConditioningScratch cond;
-    if (have_obs) {
-        chol_obs.reserve(s);
-        cond.reserve(n, s);
-    }
-    target_post.cov.resize(n, n);
-
-    // Touch the registry before the allocation audit starts: the
-    // calling thread's shard (and every instrument cell block) is
-    // created here, so in-loop counter adds and histogram records
-    // below are guaranteed heap-free.
-    obs::Registry::global().prepareThread();
-    eo.ws_bytes.set(static_cast<double>(arena.bytes()));
-
-    // The allocation-audited region: every buffer the loop touches
-    // was acquired from the arena above, and the operator-new
-    // counting hook in the estimator tests asserts the serial loop
-    // performs zero heap allocations. leo-lint's hot-alloc check
-    // enforces the same contract statically.
-    // leo-lint: hot-begin
-    const std::size_t alloc0 = counter ? counter() : 0;
-    for (std::size_t iter = 0; iter < options_.maxIterations; ++iter) {
-        obs::Span iter_span(obs::names::kEmIterSpan, "em");
-        obs::ScopedMs iter_timer(eo.iter_ms);
-        fit.iterations = iter + 1;
-
-        // E-step, fully-observed applications: factor
-        // (Sigma + sigma^2 I) in place and expand the lower triangle
-        // of its inverse (the mirror is never materialized — the
-        // consumers below are symmetry-aware).
-        chol.factorize(sigma_m, sigma2, 1e-6);
-        chol.inverseInto(inv, arena, /*mirror=*/false);
-
-        parallel::parallelFor(workers, m_prior, [&](std::size_t i) {
-            linalg::Vector &d = dscr[i];
-            linalg::Vector &zi = z[i];
-            d = shapes[i];
-            d -= mu;
-            linalg::symv(inv, d, zi);
-            ll_quad[i] = linalg::dot(d, zi);
-            for (std::size_t j = 0; j < n; ++j)
-                zi[j] = shapes[i][j] - sigma2 * zi[j];
-        });
-
-        // Marginal log-likelihood under the current theta.
-        {
-            const double log2pi = std::log(2.0 * std::numbers::pi);
-            double ll = -0.5 * static_cast<double>(m_prior) *
-                        (static_cast<double>(n) * log2pi +
-                         chol.logDet());
-            for (std::size_t i = 0; i < m_prior; ++i)
-                ll -= 0.5 * ll_quad[i];
-            if (have_obs) {
-                sigma_m.gatherInto(a_obs, obs_idx);
-                chol_obs.factorize(a_obs, sigma2, 1e-8);
-                for (std::size_t j = 0; j < s; ++j)
-                    d_obs[j] = x_obs[j] - mu[obs_idx[j]];
-                chol_obs.solveLowerInPlace(d_obs);
-                ll -= 0.5 * (static_cast<double>(s) * log2pi +
-                             chol_obs.logDet() +
-                             d_obs.squaredNorm());
-            }
-            fit.logLikelihoodTrace.push_back(ll);
-            iter_span.arg("iter", static_cast<double>(iter + 1));
-            if (iter > 0) {
-                const auto &t = fit.logLikelihoodTrace;
-                iter_span.arg("ll_delta",
-                              t[t.size() - 1] - t[t.size() - 2]);
-            }
-        }
-
-        // E-step, target application (sparse observations):
-        if (have_obs) {
-            stats::conditionOnObservationsInto(
-                target_post, cond, mu, sigma_m, obs_idx, x_obs,
-                sigma2, true);
-        }
-
-        // M-step: mu (Equation 4, mu_0 = 0).
-        mu_new.fill(0.0);
-        for (const linalg::Vector &zi : z)
-            mu_new += zi;
-        if (have_obs)
-            mu_new += target_post.mean;
-        mu_new /= m_total + options_.hyperPi;
-
-        // M-step: Sigma (Equation 4).
-        s_accum.fill(0.0);
-        s_accum.addScaledSymmetric(
-            -sigma2 * sigma2 * static_cast<double>(m_prior), inv);
-        s_accum.addToDiagonal(sigma2 * static_cast<double>(m_prior));
-        if (have_obs)
-            s_accum += target_post.cov;
-        parallel::parallelReduceInto(
-            workers, m_prior, grain, gram_parts,
-            [&](std::size_t b, std::size_t e, linalg::Matrix &part) {
-                linalg::Matrix &r = *resid_parts[b / grain];
-                for (std::size_t i = b; i < e; ++i)
-                    for (std::size_t j = 0; j < n; ++j)
-                        r.at(i - b, j) = z[i][j] - mu_new[j];
-                linalg::Matrix::gramInto(part, r);
-            },
-            [](linalg::Matrix &into, const linalg::Matrix &from) {
-                into += from;
-            });
-        s_accum += *gram_parts[0];
-        if (have_obs) {
-            for (std::size_t j = 0; j < n; ++j)
-                d_target[j] = target_post.mean[j] - mu_new[j];
-            s_accum.outerAddInto(1.0, d_target, d_target);
-        }
-        s_accum.outerAddInto(options_.hyperPi, mu_new, mu_new);
-        s_accum.addToDiagonal(options_.hyperPsiScale);
-        s_accum /= m_total + 1.0;
-        s_accum.symmetrize();
-
-        // M-step: sigma^2 (Equation 4).
-        double noise_accum = 0.0;
-        for (std::size_t i = 0; i < m_prior; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-                const double cjj =
-                    sigma2 - sigma2 * sigma2 * inv.at(j, j);
-                const double r = z[i][j] - shapes[i][j];
-                noise_accum += cjj + r * r;
-            }
-        }
-        if (have_obs) {
-            for (std::size_t j = 0; j < s; ++j) {
-                const std::size_t idx = obs_idx[j];
-                const double r = target_post.mean[idx] - x_obs[j];
-                noise_accum += target_post.cov.at(idx, idx) + r * r;
-            }
-        }
-        double sigma2_new =
-            std::max(noise_accum / total_obs, options_.minSigma2);
-
-        // Convergence on the target prediction, as in the reference
-        // path (the explicit difference loop reproduces
-        // (pred - prev_pred).norm() term for term).
-        const linalg::Vector &pred =
-            have_obs ? target_post.mean : mu_new;
-        double dd = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-            const double t = pred[j] - prev_pred[j];
-            dd += t * t;
-        }
-        const double dpred =
-            std::sqrt(dd) / (prev_pred.norm() + 1e-12);
-        prev_pred = pred;
-
-        // Swap theta into place; the swapped-out buffers are
-        // overwritten wholesale next iteration.
-        std::swap(mu, mu_new);
-        std::swap(sigma_m, s_accum);
-        sigma2 = sigma2_new;
-
-        if (dpred < options_.tolerance) {
-            fit.converged = true;
-            break;
-        }
-    }
-    if (counter)
-        fit.loopAllocations = counter() - alloc0;
-    // leo-lint: hot-end
-
-    eo.fits.add(1);
-    if (warm_ok)
-        eo.warm.add(1);
-    eo.iters.add(fit.iterations);
-
-    // ---- Prediction ------------------------------------------------
-    // Final E-step for the target under the fitted parameters; the
-    // prediction is E[z_M | theta-hat] rescaled to raw units.
-    if (have_obs) {
-        stats::conditionOnObservationsInto(target_post, cond, mu,
-                                           sigma_m, obs_idx, x_obs,
-                                           sigma2, true);
-    } else {
-        target_post.mean = mu;
-        target_post.cov = sigma_m;
-    }
-
-    fit.prediction = linalg::Vector(n);
-    fit.predictionVariance = linalg::Vector(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        fit.prediction[j] =
-            std::max(target_post.mean[j] * scale, 0.0);
-        fit.predictionVariance[j] =
-            (target_post.cov.at(j, j) + sigma2) * scale * scale;
-    }
-    fit.mu = std::move(mu);
-    fit.sigma = std::move(sigma_m);
-    fit.sigma2 = sigma2;
-    return fit;
+    return fitLowRank(options_, prior, obs_idx, x_obs, scale, ws, warm,
+                      alloc_counter);
 }
 
 } // namespace leo::estimators

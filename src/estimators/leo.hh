@@ -15,10 +15,11 @@
  * Equation (4) and predicts y_M as E[z_M | theta-hat].
  *
  * Implementation notes (see DESIGN.md for the full discussion):
- *  - The E-step uses the Gaussian-conditioning form of Equation (3)
- *    (identical algebra, O(n^2 |Omega|) instead of O(n^3) per
- *    application), and the fully-observed applications share one
- *    matrix inverse per iteration.
+ *  - Sigma is carried factored, Sigma = alpha I + Q' C Q with Q an
+ *    orthonormal basis of the prior shapes and the observed
+ *    coordinate directions (q = rank(Q) <= M + |Omega|, and q <= n).
+ *    Every E- and M-step runs in q dimensions through the Woodbury
+ *    identity (DESIGN.md section 7.2); the fit is serial.
  *  - Estimation runs on mean-normalized vectors so applications with
  *    different heartbeat units share statistical strength; the
  *    prediction is rescaled by the target's observed mean
@@ -34,14 +35,12 @@
 #ifndef LEO_ESTIMATORS_LEO_HH
 #define LEO_ESTIMATORS_LEO_HH
 
-#include <memory>
 #include <vector>
 
 #include "estimators/estimator.hh"
 #include "estimators/prior_basis.hh"
 #include "linalg/matrix.hh"
 #include "linalg/workspace.hh"
-#include "parallel/thread_pool.hh"
 
 namespace leo::estimators
 {
@@ -63,22 +62,15 @@ enum class EmInit
 };
 
 /**
- * How the configuration covariance Sigma is represented during EM.
+ * The covariance representation of a fit. The factored
+ * Sigma = alpha I + Q' C Q of DESIGN.md section 7.2 is the only one,
+ * so Auto is the only value.
  *
- * The dense representation carries the full n x n matrix and is the
- * executable specification. The low-rank representation writes
- * Sigma = alpha I + Q' C Q with Q an orthonormal basis of the
- * subspace spanned by the prior shapes and the observed coordinate
- * directions (q = rank(Q) <= M + |Omega| << n), and runs every EM
- * step in q dimensions via the Woodbury identity — the same model,
- * evaluated in a different parameterization, so results agree with
- * the dense path to rounding (see DESIGN.md section 7.2).
+ * Kept only because perfbench/ compiles against it.
  */
 enum class CovarianceRep
 {
-    Dense,   //!< Full n x n Sigma (bitwise-stable reference behavior).
-    LowRank, //!< Factored alpha I + Q' C Q; O(n q^2) per iteration.
-    Auto     //!< LowRank when 4 (M + |Omega| + 1) <= n, else Dense.
+    Auto
 };
 
 /** Tunable knobs of the LEO estimator. */
@@ -100,41 +92,16 @@ struct LeoOptions
     double initSigma2 = 1e-2;
     /** Floor on sigma^2 to keep the E-step well posed. */
     double minSigma2 = 1e-8;
-    /**
-     * Threads the EM fit may use. 0 = the process-wide shared pool
-     * (sized from LEO_THREADS or hardware concurrency), 1 = strictly
-     * serial, N > 1 = a private pool with N - 1 workers plus the
-     * caller. The fit is bitwise identical for every value — the
-     * parallel reductions use thread-count-independent chunking and
-     * a fixed combine tree (see parallel/parallel_for.hh).
-     */
+    /** No effect: a fit is serial, and batches fan out instead
+     *  (EstimatorBatch). Kept only because perfbench/ sets it. */
     std::size_t threads = 0;
     /**
-     * Opt into the straightforward reference implementation of the
-     * EM loop (allocating temporaries each iteration, naive kernels).
-     * The default workspace path is bitwise identical to it — the
-     * estimator tests assert exact equality — just allocation-free
-     * and considerably faster at large n. Kept as the executable
-     * specification of the fit.
-     */
-    bool referencePath = false;
-    /**
-     * Covariance representation (see CovarianceRep). Dense keeps the
-     * historical bitwise-stable behavior and remains the default;
-     * LowRank trades 0-ULP reproducibility of the dense path for
-     * O(n q^2) iterations; Auto picks LowRank exactly when the rank
-     * bound q = M + |Omega| + 1 satisfies 4 q <= n. referencePath
-     * forces Dense (the reference loop is the dense specification).
-     */
-    CovarianceRep representation = CovarianceRep::Dense;
-    /**
-     * When false, low-rank fits skip materializing the n-vector
+     * When false, fits skip materializing the n-vector
      * predictionVariance (the q x q posterior core is still stored in
      * LeoFit::varCore, and lowRankPredictiveVariance() evaluates any
      * single entry on demand). Saves an O(n q) expansion per fit for
      * callers — the variance-guided sampler, the serving core — that
-     * only ever query a handful of candidate configurations. Dense
-     * fits ignore the flag.
+     * only ever query a handful of candidate configurations.
      */
     bool expandVariance = true;
 };
@@ -148,9 +115,6 @@ struct LeoFit
     linalg::Vector predictionVariance;
     /** Fitted mean mu (normalized space). */
     linalg::Vector mu;
-    /** Fitted configuration covariance Sigma (normalized space);
-     *  this is the matrix visualized in Figure 4. */
-    linalg::Matrix sigma;
     /** Fitted noise variance sigma^2 (normalized space). */
     double sigma2 = 0.0;
     /** EM iterations executed. */
@@ -168,32 +132,40 @@ struct LeoFit
     bool warmStarted = false;
     /** Heap allocations observed inside the EM iteration loop when a
      *  counter is registered via setAllocationCounter (0 otherwise).
-     *  The workspace path keeps this at zero. */
+     *  The fit keeps this at zero. */
     std::size_t loopAllocations = 0; // leo-lint: allow(snapshot-completeness) diagnostic counter, not model state
-    /** True iff this fit used the low-rank representation. Low-rank
-     *  fits leave `sigma` empty (at n = 16384 the dense matrix would
-     *  be 2 GB) and carry Sigma factored in the three fields below:
-     *  Sigma = alphaDiag I + basisT' coeff basisT. */
-    bool lowRank = false;
-    /** Low-rank basis Q, stored row-major q x n (row k = basis
-     *  vector k); empty on dense fits. */
+    /** Basis Q of the fitted covariance, stored row-major q x n (row
+     *  k = basis vector k). Sigma (normalized space) is carried
+     *  factored, Sigma = alphaDiag I + basisT' coeff basisT — at
+     *  n = 16384 the dense matrix would be 2 GB; covariance()
+     *  materializes it. */
     linalg::Matrix basisT;
-    /** Low-rank core C (q x q, symmetric); empty on dense fits. */
+    /** Core C (q x q, symmetric). */
     linalg::Matrix coeff;
     /** Isotropic diagonal term alpha of the factored Sigma. */
     double alphaDiag = 0.0;
     /** Posterior covariance core Ct (q x q) of the final E-step, so
      *  the predictive variance of configuration c is
      *  (alphaDiag + q_c' Ct q_c + sigma2) * scale^2 with q_c = column
-     *  c of basisT (see lowRankPredictiveVariance). Empty on dense
-     *  fits. */
+     *  c of basisT (see lowRankPredictiveVariance). */
     linalg::Matrix varCore;
+
+    /**
+     * The fitted covariance Sigma = alphaDiag I + basisT' coeff basisT
+     * as a dense, exactly symmetric n x n matrix (normalized space):
+     * the matrix visualized in Figure 4. O(n^2 q); meant for
+     * inspection, never for the fit path.
+     *
+     * @throws leo::FatalError when the factors are missing or their
+     *         shapes disagree.
+     */
+    linalg::Matrix covariance() const;
 
     /**
      * Streaming predictive-variance query: the posterior predictive
      * variance of one configuration, in raw units squared. Reads the
      * expanded predictionVariance when present and otherwise
-     * evaluates the low-rank factors directly (no q x n expansion),
+     * evaluates the factors directly (no q x n expansion),
      * so callers — schedule-time uncertainty displays, the
      * controller's residual standardization — can query single
      * configurations off an expandVariance = false fit at O(q^2)
@@ -208,14 +180,14 @@ struct LeoFit
 };
 
 /**
- * Predictive variance of one configuration from a low-rank fit's
- * factored posterior, without expanding the full n-vector: evaluates
+ * Predictive variance of one configuration from a fit's factored
+ * posterior, without expanding the full n-vector: evaluates
  * (alphaDiag + q_c' varCore q_c + sigma2) * scale^2 with the same
  * increasing-index accumulation order as the expanded
  * predictionVariance fill, so the result is bitwise identical to
  * fit.predictionVariance[c].
  *
- * @param fit A low-rank fit (fit.lowRank, non-empty varCore).
+ * @param fit A fit carrying varCore.
  * @param c   Configuration index (column of basisT).
  */
 double lowRankPredictiveVariance(const LeoFit &fit, std::size_t c);
@@ -243,7 +215,9 @@ class LeoEstimator : public Estimator
     /**
      * Warm-refit variant of estimateMetric for incremental callers
      * (active sampling, the runtime controller): same result contract,
-     * plus workspace reuse and warm starting across calls.
+     * plus workspace reuse and warm starting across calls. Builds a
+     * PriorBasis from `prior` and runs the shared-basis overload
+     * below, so both produce the same bits.
      *
      * @param ws      Scratch arena reused across calls (may be null).
      * @param warm    Previous fit on the same space to start EM from
@@ -258,36 +232,25 @@ class LeoEstimator : public Estimator
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
         const LeoFit *warm, LeoFit *fit_out = nullptr) const;
 
-    /**
-     * Representation-override variant: identical to the warm-refit
-     * overload, but dispatches dense/low-rank from `rep` instead of
-     * options().representation. Lets one shared estimator serve
-     * callers whose resolved representation differs per request (the
-     * multi-tenant service batches tenants with per-tenant Auto
-     * resolutions through a single estimator); passing
-     * options().representation is bitwise identical to the 7-argument
-     * overload. The ridge-retry fallback keeps the same override.
-     *
-     * Builds a PriorBasis from `prior` and runs the shared-basis
-     * overload below, so both produce the same bits.
-     */
+    /** The warm-refit overload with a trailing CovarianceRep, which
+     *  it ignores; kept only because perfbench/ calls it. */
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,
         const std::vector<linalg::Vector> &prior,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out, CovarianceRep rep) const;
+        const LeoFit *warm, LeoFit *fit_out, CovarianceRep) const;
 
     /**
-     * Shared-basis variant: the representation-override overload
-     * with the prior-invariant work already done. `prior` is only
-     * read, so one basis may serve concurrent fits.
+     * Shared-basis variant: the warm-refit overload with the
+     * prior-invariant work already done. `prior` is only read, so
+     * one basis may serve concurrent fits.
      */
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space, const PriorBasis &prior,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out, CovarianceRep rep) const;
+        const LeoFit *warm, LeoFit *fit_out = nullptr) const;
 
     /**
      * Run the full EM fit for one metric and return everything
@@ -345,23 +308,16 @@ class LeoEstimator : public Estimator
         const std::vector<linalg::Vector> &raw,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out, CovarianceRep rep) const;
+        const LeoFit *warm, LeoFit *fit_out) const;
 
-    /** The fit itself (validate, order, dispatch dense/low-rank on
-     *  `rep`), without the span. */
+    /** The fit itself (validate, order, normalize, run EM), without
+     *  the span. */
     LeoFit fitWith(const PriorBasis &prior,
                    const std::vector<std::size_t> &obs_idx,
                    const linalg::Vector &obs_vals,
-                   linalg::Workspace *ws, const LeoFit *warm,
-                   CovarianceRep rep) const;
-
-    /** The pool the fit fans across, per options_.threads. */
-    parallel::ThreadPool &pool() const;
+                   linalg::Workspace *ws, const LeoFit *warm) const;
 
     LeoOptions options_;
-    /** Private pool when options_.threads > 1 (built eagerly in the
-     *  constructor so concurrent fits never race on creation). */
-    std::unique_ptr<parallel::ThreadPool> pool_;
 };
 
 } // namespace leo::estimators

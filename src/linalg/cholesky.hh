@@ -143,7 +143,7 @@ class Cholesky
      * @param ws     Scratch arena for the triangular-inverse panels.
      * @param mirror When false only inv's lower triangle is written
      *               (the upper triangle is unspecified), pairing
-     *               with symv / addScaledSymmetric consumers.
+     *               with addScaledSymmetric consumers.
      */
     void inverseInto(Matrix &inv, Workspace &ws,
                      bool mirror = true) const;

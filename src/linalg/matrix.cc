@@ -298,18 +298,6 @@ Matrix::outerAddInto(double scale, const Vector &x, const Vector &y)
 }
 
 void
-Matrix::gatherInto(Matrix &out,
-                   const std::vector<std::size_t> &idx) const
-{
-    out.resize(idx.size(), idx.size());
-    for (std::size_t r = 0; r < idx.size(); ++r) {
-        require(idx[r] < rows_, "gatherInto index out of range");
-        for (std::size_t c = 0; c < idx.size(); ++c)
-            out.at(r, c) = at(idx[r], idx[c]);
-    }
-}
-
-void
 Matrix::transposeInto(Matrix &out) const
 {
     out.resize(cols_, rows_);
@@ -602,42 +590,6 @@ operator*(const Matrix &a, const Vector &x)
         out[r] = acc;
     }
     return out;
-}
-
-void
-symv(const Matrix &a, const Vector &x, Vector &y)
-{
-    const std::size_t n = a.rows();
-    require(a.cols() == n, "symv of non-square matrix");
-    require(x.size() == n, "symv dimension mismatch");
-    require(&x != &y, "symv aliased output");
-    y.resize(n);
-    // Single streaming pass over the lower triangle: row r supplies
-    // y[r]'s leading terms directly and scatters a(r, c) * x[r] onto
-    // every earlier y[c] via symmetry. For y[t] the additions land as
-    // [c < t ascending, diagonal, rows r > t ascending] — exactly the
-    // increasing-column order of the full matvec (y[t] is finalized
-    // by its own row before the first scatter arrives), so for a
-    // symmetric a the result is bitwise identical to it. Unlike the
-    // naive mirrored read a(c, r), every access here is contiguous.
-    // The three streams are disjoint (y aliases neither x nor a), and
-    // saying so with restrict is what lets the fused dot + scatter
-    // body vectorize; the single ascending-c accumulator per row is
-    // untouched, so the value sequence is exactly the scalar one.
-    const double *__restrict xp = x.data();
-    double *__restrict yp = y.data();
-    const double *__restrict ap = a.data();
-    for (std::size_t r = 0; r < n; ++r) {
-        const double xr = xp[r];
-        const double *__restrict ar = ap + r * n;
-        double acc = 0.0;
-        for (std::size_t c = 0; c < r; ++c) {
-            const double arc = ar[c];
-            acc += arc * xp[c];
-            yp[c] += arc * xr;
-        }
-        yp[r] = acc + ar[r] * xr;
-    }
 }
 
 } // namespace leo::linalg

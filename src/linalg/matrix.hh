@@ -173,13 +173,6 @@ class Matrix
      */
     void outerAddInto(double scale, const Vector &x, const Vector &y);
 
-    /**
-     * Gather the principal sub-matrix indexed by idx into `out`
-     * (re-shaped as needed) without allocating a fresh matrix.
-     */
-    void gatherInto(Matrix &out,
-                    const std::vector<std::size_t> &idx) const;
-
     /** Write the transpose into `out` (re-shaped as needed). */
     void transposeInto(Matrix &out) const;
 
@@ -266,16 +259,6 @@ Matrix operator*(double s, Matrix a);
 Matrix operator*(const Matrix &a, const Matrix &b);
 /** Matrix-vector product. */
 Vector operator*(const Matrix &a, const Vector &x);
-
-/**
- * Symmetric matrix-vector product into a caller buffer: y = a x,
- * reading only a's lower triangle (a(c, r) stands in for a(r, c)
- * above the diagonal). For an exactly symmetric (or mirrored) a this
- * is bitwise identical to operator*(a, x): each output component
- * accumulates in increasing-column order. y is re-shaped as needed
- * and must not alias x.
- */
-void symv(const Matrix &a, const Vector &x, Vector &y);
 
 } // namespace leo::linalg
 

@@ -31,20 +31,6 @@ Workspace::vector(const std::string &key, std::size_t n)
     return v;
 }
 
-std::vector<Vector> &
-Workspace::vectorArray(const std::string &key, std::size_t count,
-                       std::size_t n)
-{
-    std::vector<Vector> &a = arrays_[key];
-    const bool match = a.size() == count &&
-                       (count == 0 || a.front().size() == n);
-    if (!match) {
-        a.assign(count, Vector(n, 0.0));
-        ++allocations_;
-    }
-    return a;
-}
-
 std::size_t
 Workspace::bytes() const
 {
@@ -53,9 +39,6 @@ Workspace::bytes() const
         doubles += kv.second.rows() * kv.second.cols();
     for (const auto &kv : vectors_)
         doubles += kv.second.size();
-    for (const auto &kv : arrays_)
-        for (const Vector &v : kv.second)
-            doubles += v.size();
     return doubles * sizeof(double);
 }
 
@@ -64,7 +47,6 @@ Workspace::clear()
 {
     matrices_.clear();
     vectors_.clear();
-    arrays_.clear();
 }
 
 } // namespace leo::linalg

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "linalg/matrix.hh"
 #include "linalg/vector.hh"
@@ -57,23 +56,16 @@ class Workspace
     Vector &vector(const std::string &key, std::size_t n);
 
     /**
-     * Acquire (or reuse) an array of count vectors of size n each
-     * (e.g. one posterior-mean row per prior application).
-     */
-    std::vector<Vector> &vectorArray(const std::string &key,
-                                     std::size_t count, std::size_t n);
-
-    /**
      * @return Number of buffer (re-)creations so far. Stable across
      *         calls that only reuse buffers — the allocation-free
      *         property the estimator tests assert.
      */
     std::size_t allocations() const { return allocations_; }
 
-    /** @return Number of live buffers (all three kinds). */
+    /** @return Number of live buffers (both kinds). */
     std::size_t buffers() const
     {
-        return matrices_.size() + vectors_.size() + arrays_.size();
+        return matrices_.size() + vectors_.size();
     }
 
     /**
@@ -89,7 +81,6 @@ class Workspace
   private:
     std::map<std::string, Matrix> matrices_;
     std::map<std::string, Vector> vectors_;
-    std::map<std::string, std::vector<Vector>> arrays_;
     std::size_t allocations_ = 0;
 };
 

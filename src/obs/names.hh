@@ -33,7 +33,6 @@ inline constexpr const char *kEmIterMs = "leo.em.iter.ms";
 inline constexpr const char *kEmWorkspaceBytes = "leo.em.workspace.bytes";
 inline constexpr const char *kEmFitSpan = "leo.em.fit";
 inline constexpr const char *kEmIterSpan = "leo.em.iter";
-inline constexpr const char *kEmLowRankFits = "leo.em.lowrank.fits";
 inline constexpr const char *kEmBasisColumns = "leo.em.basis.columns";
 inline constexpr const char *kEmPriorBasisSpan = "leo.em.prior_basis";
 inline constexpr const char *kEmPriorBasisBuilt =

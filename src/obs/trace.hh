@@ -45,7 +45,7 @@ class Tracer
 {
   public:
     /** Maximum key/value args attachable to one span. */
-    static constexpr std::size_t kMaxArgs = 4;
+    static constexpr std::size_t kMaxArgs = 5;
 
     /** One completed span (Chrome "X" event). */
     struct Event

@@ -3,20 +3,15 @@
  * Deterministic data-parallel loops on top of ThreadPool.
  *
  * Every primitive here guarantees *bitwise-identical results at any
- * worker count*, which is what lets the estimator test suite assert
- * exact equality between serial and parallel EM fits:
+ * worker count*, which is what lets the batch and service tests
+ * assert exact equality between serial and parallel runs:
  *
  *  - Work is split into chunks whose boundaries depend only on the
  *    problem size and the caller-supplied grain — never on the
  *    worker count or on scheduling order.
- *  - parallelReduce combines per-chunk partials along a fixed binary
- *    tree over the chunk indices (stride doubling), so the
- *    floating-point accumulation order is a function of the chunk
- *    count alone. The zero-worker inline path executes the same
- *    chunking and the same tree.
  *  - Chunks may be *executed* in any order on any thread; only
- *    writes to disjoint slots and the fixed-order combine are used
- *    to publish results.
+ *    writes to disjoint slots are used to publish results. The
+ *    zero-worker inline path executes the same chunking.
  *
  * Exception behaviour: the first exception thrown by a chunk body is
  * captured and rethrown in the calling thread after every in-flight
@@ -37,24 +32,11 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
-#include <optional>
-#include <utility>
-#include <vector>
 
-#include "linalg/error.hh"
 #include "parallel/thread_pool.hh"
 
 namespace leo::parallel
 {
-
-/** @return Number of chunks a range of n items splits into. */
-inline std::size_t
-chunkCount(std::size_t n, std::size_t grain)
-{
-    if (grain == 0)
-        grain = 1;
-    return (n + grain - 1) / grain;
-}
 
 /**
  * Run body(begin, end) over [0, n) split into ceil(n / grain)
@@ -155,104 +137,6 @@ parallelFor(ThreadPool &pool, std::size_t n, Body &&body)
                            for (std::size_t i = begin; i < end; ++i)
                                body(i);
                        });
-}
-
-/**
- * Deterministic parallel reduction over [0, n).
- *
- * map(begin, end) produces one partial T per chunk (accumulating its
- * items in index order); the partials are then folded pairwise along
- * a fixed stride-doubling binary tree: combine(parts[i],
- * parts[i + stride]) for stride = 1, 2, 4, ... The topology depends
- * only on the chunk count, so the result — including floating-point
- * rounding — is identical at every worker count, and the tree levels
- * themselves run in parallel.
- *
- * @param pool    Pool to fan across (0 workers = inline, same tree).
- * @param n       Number of items; must be positive.
- * @param grain   Items per leaf chunk (0 treated as 1).
- * @param map     Callable (begin, end) -> T.
- * @param combine Callable (T &into, T &&from); must fold `from` into
- *                `into` (e.g. +=).
- * @return The root of the combine tree.
- */
-template <typename T, typename Map, typename Combine>
-T
-parallelReduce(ThreadPool &pool, std::size_t n, std::size_t grain,
-               Map &&map, Combine &&combine)
-{
-    if (grain == 0)
-        grain = 1;
-    const std::size_t chunks = chunkCount(n, grain);
-    std::vector<std::optional<T>> parts(chunks);
-    parallelForChunked(
-        pool, chunks, 1, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c)
-                parts[c].emplace(
-                    map(c * grain, std::min(n, (c + 1) * grain)));
-        });
-    for (std::size_t stride = 1; stride < chunks; stride *= 2) {
-        const std::size_t pairs =
-            (chunks + stride - 1) / (2 * stride);
-        parallelForChunked(
-            pool, pairs, 1, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t p = begin; p < end; ++p) {
-                    const std::size_t i = p * 2 * stride;
-                    combine(*parts[i], std::move(*parts[i + stride]));
-                    parts[i + stride].reset();
-                }
-            });
-    }
-    return std::move(*parts[0]);
-}
-
-/**
- * Buffer-reusing variant of parallelReduce for hot loops.
- *
- * The caller owns one partial per chunk and passes them as pointers
- * (parts.size() must equal chunkCount(n, grain)); mapInto(begin, end,
- * part) overwrites each partial in place, and the same fixed
- * stride-doubling tree as parallelReduce folds them with
- * combine(into, from). The result lands in *parts[0]. Because the
- * chunk layout and combine topology match parallelReduce exactly,
- * the two produce bitwise-identical results — this one just never
- * touches the heap for the partials.
- *
- * @param pool    Pool to fan across (0 workers = inline, same tree).
- * @param n       Number of items; must be positive.
- * @param grain   Items per leaf chunk (0 treated as 1).
- * @param parts   One pre-allocated partial per chunk.
- * @param mapInto Callable (begin, end, T &part); must overwrite part.
- * @param combine Callable (T &into, const T &from).
- */
-template <typename T, typename MapInto, typename Combine>
-void
-parallelReduceInto(ThreadPool &pool, std::size_t n, std::size_t grain,
-                   const std::vector<T *> &parts, MapInto &&mapInto,
-                   Combine &&combine)
-{
-    if (grain == 0)
-        grain = 1;
-    const std::size_t chunks = chunkCount(n, grain);
-    require(parts.size() == chunks,
-            "parallelReduceInto: parts/chunk count mismatch");
-    parallelForChunked(
-        pool, chunks, 1, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c)
-                mapInto(c * grain, std::min(n, (c + 1) * grain),
-                        *parts[c]);
-        });
-    for (std::size_t stride = 1; stride < chunks; stride *= 2) {
-        const std::size_t pairs =
-            (chunks + stride - 1) / (2 * stride);
-        parallelForChunked(
-            pool, pairs, 1, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t p = begin; p < end; ++p) {
-                    const std::size_t i = p * 2 * stride;
-                    combine(*parts[i], *parts[i + stride]);
-                }
-            });
-    }
 }
 
 } // namespace leo::parallel

@@ -469,7 +469,6 @@ EnergyController::fitUnguarded()
         if (!power_basis_)
             power_basis_ = estimators::PriorBasis::tryBuild(
                 priorVectors(prior_, estimators::Metric::Power));
-        const estimators::CovarianceRep rep = fitRepresentation();
         const auto fitOne = [&](const estimators::PriorBasis *basis,
                                 estimators::Metric metric,
                                 const linalg::Vector &vals,
@@ -477,11 +476,11 @@ EnergyController::fitUnguarded()
             const estimators::LeoFit *warm = have_fits_ ? &fit : nullptr;
             return basis ? as_leo->estimateMetric(
                                space_, *basis, observations_.indices,
-                               vals, &fit_ws_, warm, &fit, rep)
+                               vals, &fit_ws_, warm, &fit)
                          : as_leo->estimateMetric(
                                space_, priorVectors(prior_, metric),
                                observations_.indices, vals, &fit_ws_,
-                               warm, &fit, rep);
+                               warm, &fit);
         };
         estimators::MetricEstimate perf =
             fitOne(perf_basis_.get(), estimators::Metric::Performance,
@@ -535,21 +534,6 @@ EnergyController::replan()
     // evidence accumulated against the old one is void.
     cp_perf_.reset();
     cp_power_.reset();
-}
-
-estimators::CovarianceRep
-EnergyController::fitRepresentation() const
-{
-    // An estimator constructed with an explicit non-Dense
-    // representation keeps it; the controller knob only replaces the
-    // estimator's Dense default (so pre-existing LowRank/Auto opt-ins
-    // behave exactly as before this knob existed).
-    const auto *as_leo =
-        dynamic_cast<const estimators::LeoEstimator *>(estimator_);
-    if (as_leo && as_leo->options().representation !=
-                      estimators::CovarianceRep::Dense)
-        return as_leo->options().representation;
-    return options_.representation;
 }
 
 void

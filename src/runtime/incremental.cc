@@ -48,7 +48,7 @@ IncrementalRefit::reset(const estimators::LeoFit &fit,
         return false;
     const std::size_t q = fit.basisT.rows();
     const std::size_t n = fit.basisT.cols();
-    if (!fit.lowRank || q == 0 || n == 0 || fit.coeff.rows() != q ||
+    if (q == 0 || n == 0 || fit.coeff.rows() != q ||
         fit.coeff.cols() != q || fit.mu.size() != n ||
         !(fit.alphaDiag > 0.0) || !(fit.sigma2 > 0.0) ||
         !(fit.scale > 0.0) || !fit.mu.allFinite() ||

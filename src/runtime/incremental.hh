@@ -70,12 +70,11 @@ class IncrementalRefit
 {
   public:
     /**
-     * Freeze theta from a completed low-rank fit and clear the
-     * sample window.
+     * Freeze theta from a completed fit and clear the sample window.
      *
-     * @param fit    A LeoFit with lowRank set (dense fits are
-     *               rejected: the whole point is never touching an
-     *               n x n matrix online).
+     * @param fit    A LeoFit carrying finite factors (fits without
+     *               them are rejected: the whole point is never
+     *               touching an n x n matrix online).
      * @param window Sliding-window length; samples beyond it are
      *               evicted oldest-first. 0 keeps every sample.
      * @param mode   Batch or Incremental (None deactivates).

@@ -310,8 +310,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         FitCacheKey key;
         key.appId = sess.config.appId;
         key.priorVersion = sess.priorVersion;
-        key.representation =
-            static_cast<std::uint8_t>(ctl.fitRepresentation());
         key.obsHash =
             ctl.observations().contentHash(space_.size());
         if (cold) {
@@ -334,7 +332,7 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     // One shared batch for the whole fleet: the per-tenant q-space
     // EM work shares a single parallel region instead of N tiny
     // ones. Requests mirror the controller's inline fit inputs
-    // exactly (observations, warm fits, representation), so
+    // exactly (observations, warm fits), so
     // applyExternalFit reproduces the inline schedule bit for bit;
     // the pinned bases stand in for the prior vectors, which a fit
     // through a basis reproduces bitwise.
@@ -344,7 +342,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Session &sess = *jobs[i].sess;
         const runtime::EnergyController &ctl = *sess.controller;
-        const auto rep = ctl.fitRepresentation();
 
         estimators::EstimateRequest perf_req;
         perf_req.priorBasis = sess.bases->perf.get();
@@ -355,7 +352,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         perf_req.obsValues = ctl.observations().performance;
         perf_req.warmStart = ctl.warmPerfFit();
         perf_req.fitOut = &perf_fits[i];
-        perf_req.representation = rep;
         batch.add(std::move(perf_req));
 
         estimators::EstimateRequest power_req;
@@ -367,7 +363,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         power_req.obsValues = ctl.observations().power;
         power_req.warmStart = ctl.warmPowerFit();
         power_req.fitOut = &power_fits[i];
-        power_req.representation = rep;
         batch.add(std::move(power_req));
     }
 

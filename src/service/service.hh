@@ -22,7 +22,7 @@
  *    back through applyExternalFit() (bitwise identical to the
  *    inline fit, see controller.hh).
  *  - **Fit cache + shared prior.** Cold fits are pure functions of
- *    (app id, prior version, representation, observation hash);
+ *    (app id, prior version, observation hash);
  *    FitCache shares them across tenants. The offline prior is one
  *    shared immutable snapshot; refreshPrior() stages a new one from
  *    any thread and tick() installs it at the next boundary (running

@@ -130,7 +130,7 @@ TEST(ActiveSampling, DetectsMisbehavingCallback)
 }
 
 /**
- * Low-rank guidance fits that skip the n-vector variance expansion
+ * Guidance fits that skip the n-vector variance expansion
  * (expandVariance = false) must select exactly the probes the
  * expanded path selects: lowRankPredictiveVariance evaluates each
  * candidate bitwise identically to the expanded fill, so the whole
@@ -146,8 +146,6 @@ TEST(ActiveSampling, FactoredVarianceMatchesExpandedPath)
 
     auto run = [&](bool expand) {
         estimators::ActiveSamplingOptions opt;
-        opt.estimator.representation =
-            estimators::CovarianceRep::LowRank;
         opt.estimator.expandVariance = expand;
         estimators::VarianceGuidedSampler sampler(opt);
         // Fresh, identically seeded streams per run so both paths

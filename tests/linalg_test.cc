@@ -742,9 +742,9 @@ TEST(BlockedKernels, GramIsOrderedSumOfRowOuterProducts)
 
 // ------------------------------------------------- Into-variant kernels
 //
-// The allocation-free EM loop substitutes every allocating kernel
-// with an into-buffer variant; each substitution must be exact — 0
-// ULP — or the workspace path would diverge from the reference path.
+// The allocation-free EM loop uses into-buffer variants of the
+// allocating kernels; each variant must be exact — 0 ULP — so the
+// two are interchangeable wherever a caller picks one.
 // Every test below also re-runs into the *same dirty buffers* to
 // prove stale workspace contents cannot leak into a result.
 
@@ -788,13 +788,12 @@ TEST(Workspace, ReusesBuffersByKeyAndShape)
     EXPECT_EQ(ws.allocations(), 2u);
 
     ws.vector("v", 9);
-    ws.vectorArray("arr", 3, 8);
-    EXPECT_EQ(ws.buffers(), 3u);
-    EXPECT_EQ(ws.allocations(), 4u);
+    EXPECT_EQ(ws.buffers(), 2u);
+    EXPECT_EQ(ws.allocations(), 3u);
 
-    std::vector<Vector> &arr = ws.vectorArray("arr", 3, 8);
-    EXPECT_EQ(arr.size(), 3u);
-    EXPECT_EQ(ws.allocations(), 4u);
+    Vector &v = ws.vector("v", 9);
+    EXPECT_EQ(v.size(), 9u);
+    EXPECT_EQ(ws.allocations(), 3u);
 }
 
 TEST(IntoKernels, MultiplyIntoMatchesMultiplyToZeroUlp)
@@ -838,8 +837,11 @@ TEST(IntoKernels, GatherTransposeAndAxpyVariantsMatchToZeroUlp)
     const std::vector<std::size_t> idx = {0, 3, 5, 17, 64, 66};
 
     Matrix out;
-    a.gatherInto(out, idx);
-    expectBitwiseEqual(out, a.gather(idx), "gatherInto");
+    const Matrix sub = a.gather(idx);
+    ASSERT_EQ(sub.rows(), idx.size());
+    for (std::size_t r = 0; r < idx.size(); ++r)
+        for (std::size_t c = 0; c < idx.size(); ++c)
+            ASSERT_EQ(sub.at(r, c), a.at(idx[r], idx[c])) << "gather";
 
     a.transposeInto(out);
     expectBitwiseEqual(out, a.transpose(), "transposeInto");
@@ -869,7 +871,7 @@ TEST(IntoKernels, GatherTransposeAndAxpyVariantsMatchToZeroUlp)
         ASSERT_EQ(vs[i], vexpect[i]) << "Vector::addScaled at " << i;
 }
 
-TEST(IntoKernels, SymvAndSymmetricAxpyReadOnlyLowerTriangle)
+TEST(IntoKernels, SymmetricAxpyReadsOnlyLowerTriangle)
 {
     stats::Rng rng(3444);
     for (std::size_t n : kSpdSizes) {
@@ -880,15 +882,6 @@ TEST(IntoKernels, SymvAndSymmetricAxpyReadOnlyLowerTriangle)
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = i + 1; j < n; ++j)
                 lower.at(i, j) = std::nan("");
-
-        Vector x(n);
-        for (std::size_t i = 0; i < n; ++i)
-            x[i] = rng.gaussian();
-        Vector y;
-        linalg::symv(lower, x, y);
-        const Vector expect = a * x;
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(y[i], expect[i]) << "symv n=" << n << " at " << i;
 
         Matrix sum = randomMatrix(n, n, rng);
         Matrix full_expect = sum;

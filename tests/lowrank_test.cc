@@ -1,26 +1,27 @@
 /**
  * @file
- * Equivalence harness for the low-rank EM path.
+ * Equivalence harness for the factored EM fit.
  *
- * The low-rank representation (Sigma = alpha I + Q' C Q, DESIGN.md
- * section 7.2) evaluates the same EM algebra as the dense path in a
- * rotated parameterization, so the two paths agree to accumulated
- * rounding, not to the bit. The discipline mirrors PR 2's two-path
- * harness:
+ * The fit carries Sigma = alpha I + Q' C Q (DESIGN.md section 7.2)
+ * and evaluates the EM algebra in that rotated parameterization. The
+ * dense reference loop of the test-support library
+ * (support/leo_oracle.hh) evaluates the same algebra on the n x n
+ * matrix, so the two agree to accumulated rounding, not to the bit:
  *
- *  - Where the dense path runs verbatim (Auto resolving to Dense,
- *    referencePath), equality is asserted at 0 ULP.
- *  - Where the reordering is inherent (LowRank vs Dense), relative
- *    L2 agreement is pinned at documented tolerances: 1e-6 on
- *    well-conditioned problems, 1e-4 on deliberately ill-conditioned
- *    and rank-deficient ones (the subspace rotation amplifies
- *    rounding roughly by the covariance condition number).
+ *  - Relative L2 agreement with the oracle is pinned at documented
+ *    tolerances: 1e-6 on predictions and means, 1e-4 on variances and
+ *    on deliberately ill-conditioned and rank-deficient problems (the
+ *    subspace rotation amplifies rounding roughly by the covariance
+ *    condition number).
+ *  - Where one fit is compared with itself through another entry
+ *    point (shared basis, restored warm fit, permuted observations),
+ *    equality is asserted at 0 ULP.
  *
- * Every fit in this file sets tolerance = 0 so both paths run exactly
- * maxIterations: convergence is judged on a thresholded quantity, and
- * a 1e-15 rounding difference on the threshold's edge would otherwise
- * let one path stop an iteration early and turn rounding into a
- * macroscopic (but meaningless) discrepancy.
+ * Every fit in this file sets tolerance = 0 so fit and oracle run
+ * exactly maxIterations: convergence is judged on a thresholded
+ * quantity, and a 1e-15 rounding difference on the threshold's edge
+ * would otherwise let one stop an iteration early and turn rounding
+ * into a macroscopic (but meaningless) discrepancy.
  */
 
 #include <algorithm>
@@ -46,6 +47,7 @@
 #include "obs/obs.hh"
 #include "platform/config_space.hh"
 #include "stats/rng.hh"
+#include "support/leo_oracle.hh"
 
 /** Heap-allocation audit hook (same pattern as estimators_test.cc). */
 static std::atomic<std::size_t> g_heap_allocs{0};
@@ -72,7 +74,6 @@ operator delete(void *p, std::size_t) noexcept
 }
 
 using namespace leo;
-using estimators::CovarianceRep;
 using estimators::LeoEstimator;
 using estimators::LeoFit;
 using estimators::LeoOptions;
@@ -158,13 +159,19 @@ relL2(const Vector &a, const Vector &b)
 }
 
 LeoOptions
-gridOptions(CovarianceRep rep)
+gridOptions()
 {
     LeoOptions opt;
-    opt.representation = rep;
-    opt.tolerance = 0.0; // run exactly maxIterations on both paths
-    opt.threads = 1;
+    opt.tolerance = 0.0; // fit and oracle run exactly maxIterations
     return opt;
+}
+
+/** The oracle fit of a problem under gridOptions(). */
+support::OracleFit
+oracleFit(const std::vector<Vector> &prior,
+          const std::vector<std::size_t> &idx, const Vector &vals)
+{
+    return support::referenceFit(gridOptions(), prior, idx, vals);
 }
 
 } // namespace
@@ -216,7 +223,7 @@ TEST(LowRankBasis, DropsDependentVectors)
     EXPECT_FALSE(basis.appendUnit(9));
 }
 
-// ------------------------------------------- Dense/low-rank equivalence
+// ------------------------------------------- Oracle equivalence
 
 struct GridCase
 {
@@ -238,13 +245,10 @@ TEST_P(LowRankGrid, MatchesDensePath)
     Vector vals;
     makeObservations(prior, gc.obs, 7 + gc.m, idx, vals);
 
-    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
-    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
-    const LeoFit fd = dense.fitMetric(prior, idx, vals);
+    const LeoEstimator lowrank(gridOptions());
+    const support::OracleFit fd = oracleFit(prior, idx, vals);
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
 
-    ASSERT_FALSE(fd.lowRank);
-    ASSERT_TRUE(fl.lowRank);
     ASSERT_EQ(fd.iterations, fl.iterations);
     ASSERT_TRUE(fl.prediction.allFinite());
     ASSERT_TRUE(fl.predictionVariance.allFinite());
@@ -257,12 +261,18 @@ TEST_P(LowRankGrid, MatchesDensePath)
     EXPECT_NEAR(fl.sigma2, fd.sigma2,
                 1e-6 * fd.sigma2 + 1e-12);
 
-    // The factored Sigma must carry an orthonormal basis.
+    // The factored Sigma must carry an orthonormal basis of at most
+    // n directions.
     EXPECT_GE(fl.basisT.rows(), 1u);
+    EXPECT_LE(fl.basisT.rows(), gc.n);
+    // The n = 32 cases are built so the prior and the observed units
+    // span all of R^n: the basis is full, q = n.
+    if (gc.n == 32) {
+        EXPECT_EQ(fl.basisT.rows(), gc.n);
+    }
     EXPECT_EQ(fl.basisT.cols(), gc.n);
     EXPECT_EQ(fl.coeff.rows(), fl.basisT.rows());
     EXPECT_GT(fl.alphaDiag, 0.0);
-    EXPECT_TRUE(fl.sigma.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -274,7 +284,10 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{8, 256, 3, 8},   // rank-deficient prior
                       GridCase{25, 1024, 5, 20}, // strongly deficient
                       GridCase{6, 333, 6, 5},   // odd n (kernel tails)
-                      GridCase{8, 256, 8, 0}),  // no observations
+                      GridCase{8, 256, 8, 0},   // no observations
+                      GridCase{12, 32, 12, 20}, // q = n
+                      GridCase{40, 32, 32, 6},  // prior spans R^n
+                      GridCase{24, 32, 6, 20}), // small n, deficient
     [](const ::testing::TestParamInfo<GridCase> &info) {
         const GridCase &g = info.param;
         return "m" + std::to_string(g.m) + "_n" + std::to_string(g.n) +
@@ -300,9 +313,8 @@ TEST(LowRankEquivalence, IllConditionedPriorStaysClose)
     Vector vals;
     makeObservations(prior, 8, 23, idx, vals);
 
-    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
-    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
-    const LeoFit fd = dense.fitMetric(prior, idx, vals);
+    const LeoEstimator lowrank(gridOptions());
+    const support::OracleFit fd = oracleFit(prior, idx, vals);
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
     ASSERT_TRUE(fl.prediction.allFinite());
     EXPECT_LT(relL2(fd.prediction, fl.prediction), 1e-4);
@@ -311,71 +323,18 @@ TEST(LowRankEquivalence, IllConditionedPriorStaysClose)
 TEST(LowRankEquivalence, DuplicateObservationIndices)
 {
     // Repeated indices shrink the basis (the second unit vector is
-    // in-span) but both paths must accept them and agree.
+    // in-span) but fit and oracle must accept them and agree.
     auto prior = makePrior(8, 200, 8, 9);
     std::vector<std::size_t> idx{5, 50, 5, 120, 50};
     Vector vals(5);
     for (std::size_t j = 0; j < 5; ++j)
         vals[j] = 30.0 * prior[0][idx[j]];
 
-    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
-    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
-    const LeoFit fd = dense.fitMetric(prior, idx, vals);
+    const LeoEstimator lowrank(gridOptions());
+    const support::OracleFit fd = oracleFit(prior, idx, vals);
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
     ASSERT_TRUE(fl.prediction.allFinite());
     EXPECT_LT(relL2(fd.prediction, fl.prediction), 1e-6);
-}
-
-// --------------------------------------------------- Auto resolution
-
-TEST(LowRankAuto, ResolvesDenseBitwiseOnSmallProblems)
-{
-    // 4 (m + s + 1) > n: Auto must run the dense path, and not just
-    // approximately — bit for bit.
-    auto prior = makePrior(12, 64, 12, 29);
-    std::vector<std::size_t> idx;
-    Vector vals;
-    makeObservations(prior, 4, 31, idx, vals);
-
-    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
-    const LeoEstimator automatic(gridOptions(CovarianceRep::Auto));
-    const LeoFit fd = dense.fitMetric(prior, idx, vals);
-    const LeoFit fa = automatic.fitMetric(prior, idx, vals);
-    ASSERT_FALSE(fa.lowRank);
-    ASSERT_EQ(fd.prediction.size(), fa.prediction.size());
-    auto bits = [](double v) {
-        std::uint64_t u = 0;
-        std::memcpy(&u, &v, sizeof(u));
-        return u;
-    };
-    for (std::size_t j = 0; j < fd.prediction.size(); ++j) {
-        EXPECT_EQ(bits(fd.prediction[j]), bits(fa.prediction[j]));
-        EXPECT_EQ(bits(fd.predictionVariance[j]),
-                  bits(fa.predictionVariance[j]));
-    }
-    EXPECT_EQ(bits(fd.sigma2), bits(fa.sigma2));
-}
-
-TEST(LowRankAuto, ResolvesLowRankOnLargeProblems)
-{
-    auto prior = makePrior(8, 512, 8, 37);
-    std::vector<std::size_t> idx;
-    Vector vals;
-    makeObservations(prior, 8, 39, idx, vals);
-    const LeoEstimator automatic(gridOptions(CovarianceRep::Auto));
-    const LeoFit fa = automatic.fitMetric(prior, idx, vals);
-    EXPECT_TRUE(fa.lowRank);
-}
-
-TEST(LowRankAuto, ReferencePathForcesDense)
-{
-    auto prior = makePrior(6, 256, 6, 43);
-    LeoOptions opt = gridOptions(CovarianceRep::LowRank);
-    opt.referencePath = true;
-    const LeoEstimator est(opt);
-    const LeoFit f = est.fitMetric(prior, {3, 9}, Vector{10.0, 11.0});
-    EXPECT_FALSE(f.lowRank);
-    EXPECT_FALSE(f.sigma.empty());
 }
 
 // ------------------------------------------------------- Warm starts
@@ -387,10 +346,9 @@ TEST(LowRankWarm, WarmStartResumesAndStaysEquivalent)
     Vector vals;
     makeObservations(prior, 10, 57, idx, vals);
 
-    const LeoEstimator est(gridOptions(CovarianceRep::LowRank));
+    const LeoEstimator est(gridOptions());
     linalg::Workspace ws;
     const LeoFit cold = est.fitMetric(prior, idx, vals, &ws, nullptr);
-    ASSERT_TRUE(cold.lowRank);
 
     // Add one observation and refit warm; the warm fit must converge
     // to (essentially) the cold refit of the same problem.
@@ -403,25 +361,35 @@ TEST(LowRankWarm, WarmStartResumesAndStaysEquivalent)
 
     const LeoFit warm = est.fitMetric(prior, idx2, vals2, &ws, &cold);
     EXPECT_TRUE(warm.warmStarted);
-    EXPECT_TRUE(warm.lowRank);
     const LeoFit cold2 = est.fitMetric(prior, idx2, vals2);
     EXPECT_LT(relL2(cold2.prediction, warm.prediction), 5e-3);
 }
 
 TEST(LowRankWarm, DenseWarmFitIsIgnoredByLowRankPath)
 {
+    // A warm fit carrying a theta but no factors (the service
+    // installs factor-less fits when a batched fit fails) must not
+    // poison the init: the fit falls back to cold, bit for bit, and
+    // stays finite.
     auto prior = makePrior(6, 256, 6, 61);
-    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
-    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
-    const LeoFit fd =
-        dense.fitMetric(prior, {4, 80}, Vector{12.0, 13.0});
-    // A dense warm fit must not poison the low-rank init: the fit
-    // falls back to cold (warmStarted false) and stays finite.
-    const LeoFit fl = lowrank.fitMetric(prior, {4, 80},
-                                        Vector{12.0, 13.0}, nullptr,
-                                        &fd);
+    const std::vector<std::size_t> idx{4, 80};
+    const Vector vals{12.0, 13.0};
+    const support::OracleFit fd = oracleFit(prior, idx, vals);
+    LeoFit dense;
+    dense.prediction = fd.prediction;
+    dense.predictionVariance = fd.predictionVariance;
+    dense.mu = fd.mu;
+    dense.sigma2 = fd.sigma2;
+    dense.scale = fd.scale;
+
+    const LeoEstimator lowrank(gridOptions());
+    const LeoFit fl =
+        lowrank.fitMetric(prior, idx, vals, nullptr, &dense);
     EXPECT_FALSE(fl.warmStarted);
     EXPECT_TRUE(fl.prediction.allFinite());
+    const LeoFit cold = lowrank.fitMetric(prior, idx, vals);
+    for (std::size_t j = 0; j < cold.prediction.size(); ++j)
+        ASSERT_EQ(fl.prediction[j], cold.prediction[j]) << j;
 }
 
 // ----------------------------------------------- Allocation contract
@@ -433,8 +401,7 @@ TEST(LowRankHotLoop, SerialLoopIsAllocationFree)
     Vector vals;
     makeObservations(prior, 10, 71, idx, vals);
 
-    LeoOptions opt = gridOptions(CovarianceRep::LowRank);
-    const LeoEstimator est(opt);
+    const LeoEstimator est(gridOptions());
     linalg::Workspace ws;
     // Prime the arena, then audit a second fit's loop.
     (void)est.fitMetric(prior, idx, vals, &ws, nullptr);
@@ -460,16 +427,14 @@ TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
     Vector vals;
     makeObservations(prior, 12, 22, idx, vals);
 
-    const LeoEstimator expanded(gridOptions(CovarianceRep::LowRank));
-    LeoOptions lazy_opt = gridOptions(CovarianceRep::LowRank);
+    const LeoEstimator expanded(gridOptions());
+    LeoOptions lazy_opt = gridOptions();
     lazy_opt.expandVariance = false;
     const LeoEstimator lazy(lazy_opt);
 
     const LeoFit full = expanded.fitMetric(prior, idx, vals);
     const LeoFit factored = lazy.fitMetric(prior, idx, vals);
 
-    ASSERT_TRUE(full.lowRank);
-    ASSERT_TRUE(factored.lowRank);
     ASSERT_EQ(full.predictionVariance.size(), 96u);
     EXPECT_EQ(factored.predictionVariance.size(), 0u);
     ASSERT_GT(factored.varCore.rows(), 0u);
@@ -529,7 +494,6 @@ expectFitsBitwise(const LeoFit &a, const LeoFit &b)
     expectSameBits(a.predictionVariance, b.predictionVariance,
                    "predictionVariance");
     expectSameBits(a.mu, b.mu, "mu");
-    expectSameBits(a.sigma, b.sigma, "sigma");
     EXPECT_EQ(bitsOf(a.sigma2), bitsOf(b.sigma2));
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.converged, b.converged);
@@ -539,7 +503,6 @@ expectFitsBitwise(const LeoFit &a, const LeoFit &b)
                   bitsOf(b.logLikelihoodTrace[i]));
     EXPECT_EQ(bitsOf(a.scale), bitsOf(b.scale));
     EXPECT_EQ(a.warmStarted, b.warmStarted);
-    EXPECT_EQ(a.lowRank, b.lowRank);
     expectSameBits(a.basisT, b.basisT, "basisT");
     expectSameBits(a.coeff, b.coeff, "coeff");
     EXPECT_EQ(bitsOf(a.alphaDiag), bitsOf(b.alphaDiag));
@@ -613,31 +576,26 @@ TEST(PriorBasis, HoldsNormalizedShapesAndOneBuild)
 
 /**
  * The one-fit-path guarantee: a fit through a shared basis is the
- * fit from the raw prior vectors, bit for bit — cold and warm, on the
- * low-rank path and where Auto resolves to Dense.
+ * fit from the raw prior vectors, bit for bit — cold and warm, with
+ * a basis that is a small or a large share of n.
  */
 TEST(PriorBasis, SharedBasisFitMatchesRawVectorsBitwise)
 {
     const platform::ConfigSpace space = space256();
     for (const std::size_t m : {std::size_t{12}, std::size_t{70}}) {
-        // m = 12: 4 (m + s + 1) <= 256, Auto runs low-rank;
-        // m = 70: it does not, Auto runs dense.
         SCOPED_TRACE("m = " + std::to_string(m));
         auto prior = makePrior(m, 256, m, 311 + m);
         std::vector<std::size_t> idx;
         Vector vals;
         makeObservations(prior, 10, 313, idx, vals);
-        const LeoEstimator est(gridOptions(CovarianceRep::Auto));
+        const LeoEstimator est(gridOptions());
         const estimators::PriorBasis basis(prior);
 
         LeoFit raw_cold, shared_cold;
         const auto raw_est = est.estimateMetric(
-            space, prior, idx, vals, nullptr, nullptr, &raw_cold,
-            CovarianceRep::Auto);
+            space, prior, idx, vals, nullptr, nullptr, &raw_cold);
         const auto shared_est = est.estimateMetric(
-            space, basis, idx, vals, nullptr, nullptr, &shared_cold,
-            CovarianceRep::Auto);
-        EXPECT_EQ(raw_cold.lowRank, m == 12);
+            space, basis, idx, vals, nullptr, nullptr, &shared_cold);
         expectSameBits(raw_est.values, shared_est.values, "cold values");
         expectFitsBitwise(raw_cold, shared_cold);
 
@@ -647,10 +605,9 @@ TEST(PriorBasis, SharedBasisFitMatchesRawVectorsBitwise)
         LeoFit raw_warm, shared_warm;
         linalg::Workspace ws;
         est.estimateMetric(space, prior, idx, vals, &ws, &raw_cold,
-                           &raw_warm, CovarianceRep::Auto);
+                           &raw_warm);
         est.estimateMetric(space, basis, idx, vals, nullptr,
-                           &shared_cold, &shared_warm,
-                           CovarianceRep::Auto);
+                           &shared_cold, &shared_warm);
         EXPECT_TRUE(raw_warm.warmStarted);
         expectFitsBitwise(raw_warm, shared_warm);
 
@@ -672,10 +629,9 @@ TEST(PriorBasis, WarmStartFromRestoredFitMatchesLiveFit)
     std::vector<std::size_t> idx;
     Vector vals;
     makeObservations(prior, 12, 323, idx, vals);
-    const LeoEstimator est(gridOptions(CovarianceRep::LowRank));
+    const LeoEstimator est(gridOptions());
     const estimators::PriorBasis basis(prior);
     const LeoFit cold = est.fitMetric(basis, idx, vals, nullptr, nullptr);
-    ASSERT_TRUE(cold.lowRank);
     // The fit's basis leads with the shared prior block.
     ASSERT_GE(cold.basisT.rows(), basis.rank());
     for (std::size_t k = 0; k < basis.rank(); ++k)
@@ -724,14 +680,12 @@ TEST(PriorBasis, UnitInsidePriorSpanAddsNoDirection)
 
     const std::vector<std::size_t> idx{17, 40, 90};
     const Vector vals{30.0, 31.0, 29.0};
-    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
+    const LeoEstimator lowrank(gridOptions());
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
-    ASSERT_TRUE(fl.lowRank);
     EXPECT_EQ(fl.basisT.rows(), 10u); // e_17 dropped
     EXPECT_LT(orthonormalityError(fl.basisT), 1e-12);
     ASSERT_TRUE(fl.prediction.allFinite());
-    const LeoEstimator dense(gridOptions(CovarianceRep::Dense));
-    EXPECT_LT(relL2(dense.fitMetric(prior, idx, vals).prediction,
+    EXPECT_LT(relL2(oracleFit(prior, idx, vals).prediction,
                     fl.prediction),
               1e-6);
 
@@ -751,7 +705,7 @@ TEST(PriorBasis, DuplicateIndicesShareOneDirection)
     Vector vals(5);
     for (std::size_t j = 0; j < 5; ++j)
         vals[j] = 30.0 * prior[0][idx[j]];
-    const LeoEstimator lowrank(gridOptions(CovarianceRep::LowRank));
+    const LeoEstimator lowrank(gridOptions());
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
     EXPECT_EQ(fl.basisT.rows(), 8u + 3u);
     EXPECT_LT(orthonormalityError(fl.basisT), 1e-12);
@@ -760,33 +714,30 @@ TEST(PriorBasis, DuplicateIndicesShareOneDirection)
 /**
  * The fit cache keys on the order-free Observations::contentHash, so
  * the fit must be order-free too: any permutation of one sample set
- * fits to the same bits, dense and low-rank.
+ * fits to the same bits.
  */
 TEST(PriorBasis, PermutedObservationsFitIdentically)
 {
     const platform::ConfigSpace space = space256();
-    for (const auto rep : {CovarianceRep::Dense, CovarianceRep::LowRank}) {
-        auto prior = makePrior(12, 256, 12, 341);
-        std::vector<std::size_t> idx;
-        Vector vals;
-        makeObservations(prior, 20, 343, idx, vals);
-        std::vector<std::size_t> rev_idx(idx.rbegin(), idx.rend());
-        Vector rev_vals(vals.size());
-        for (std::size_t j = 0; j < vals.size(); ++j)
-            rev_vals[j] = vals[vals.size() - 1 - j];
+    auto prior = makePrior(12, 256, 12, 341);
+    std::vector<std::size_t> idx;
+    Vector vals;
+    makeObservations(prior, 20, 343, idx, vals);
+    std::vector<std::size_t> rev_idx(idx.rbegin(), idx.rend());
+    Vector rev_vals(vals.size());
+    for (std::size_t j = 0; j < vals.size(); ++j)
+        rev_vals[j] = vals[vals.size() - 1 - j];
 
-        const LeoEstimator est(gridOptions(rep));
-        LeoFit fwd, rev;
-        const auto a = est.estimateMetric(space, prior, idx, vals,
-                                          nullptr, nullptr, &fwd, rep);
-        const auto b = est.estimateMetric(space, prior, rev_idx,
-                                          rev_vals, nullptr, nullptr,
-                                          &rev, rep);
-        expectSameBits(a.values, b.values, "values");
-        expectFitsBitwise(fwd, rev);
-        expectFitsBitwise(est.fitMetric(prior, idx, vals),
-                          est.fitMetric(prior, rev_idx, rev_vals));
-    }
+    const LeoEstimator est(gridOptions());
+    LeoFit fwd, rev;
+    const auto a = est.estimateMetric(space, prior, idx, vals, nullptr,
+                                      nullptr, &fwd);
+    const auto b = est.estimateMetric(space, prior, rev_idx, rev_vals,
+                                      nullptr, nullptr, &rev);
+    expectSameBits(a.values, b.values, "values");
+    expectFitsBitwise(fwd, rev);
+    expectFitsBitwise(est.fitMetric(prior, idx, vals),
+                      est.fitMetric(prior, rev_idx, rev_vals));
 }
 
 /** A prior the basis cannot be built from degrades as before: no
@@ -796,7 +747,7 @@ TEST(PriorBasis, UnbuildablePriorDegrades)
     const platform::ConfigSpace space = space256();
     std::vector<Vector> bad = makePrior(4, 256, 4, 351);
     bad[2] = Vector(256, -1.0); // non-positive mean
-    const LeoEstimator est(gridOptions(CovarianceRep::Auto));
+    const LeoEstimator est(gridOptions());
     const auto e = est.estimateMetric(space, bad, {3, 9},
                                       Vector{10.0, 14.0});
     EXPECT_FALSE(e.reliable);

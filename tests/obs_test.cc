@@ -5,8 +5,8 @@
  * JSON export), the tracer (ring capacity, drop counting, Chrome
  * trace_event output) and the two integration guarantees the rest of
  * the pipeline relies on — the instrumented fit is bitwise identical
- * to the uninstrumented reference path, and counter snapshots are
- * identical at any fit thread count.
+ * to the same fit with the registry disabled, and counter snapshots
+ * are identical at any batch thread count.
  */
 // leo-lint: allow-file(obs-naming) — registry mechanics are tested
 // with synthetic instrument names, not the production constants.
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "estimators/batch.hh"
 #include "estimators/leo.hh"
 #include "linalg/workspace.hh"
 #include "obs/obs.hh"
@@ -78,6 +79,19 @@ expectExactlyEqual(const linalg::Vector &a, const linalg::Vector &b,
     ASSERT_EQ(a.size(), b.size()) << what;
     for (std::size_t i = 0; i < a.size(); ++i)
         ASSERT_EQ(a[i], b[i]) << what << "[" << i << "]";
+}
+
+/** Exact (bitwise, via ==) equality of two matrices. */
+void
+expectExactlyEqual(const linalg::Matrix &a, const linalg::Matrix &b,
+                   const std::string &what)
+{
+    ASSERT_EQ(a.rows(), b.rows()) << what;
+    ASSERT_EQ(a.cols(), b.cols()) << what;
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t c = 0; c < a.cols(); ++c)
+            ASSERT_EQ(a.at(r, c), b.at(r, c))
+                << what << "(" << r << "," << c << ")";
 }
 
 /** Counter name/value pairs of a snapshot, for whole-map compares. */
@@ -212,8 +226,8 @@ TEST(ObsRegistry, ShardMergeIsDeterministicAcrossThreadCounts)
     // The same total workload, partitioned across 1, 4 and 16
     // threads, must produce identical counter values and histogram
     // bucket counts: integer sums commute, and the snapshot merges
-    // shards in creation order. This is the guarantee behind the
-    // "--threads N gives identical metric snapshots" acceptance.
+    // shards in creation order. This is the guarantee behind
+    // identical metric snapshots at any pool size.
     constexpr std::size_t kItems = 1600;
     auto run = [](std::size_t threads) {
         obs::Registry reg;
@@ -342,53 +356,61 @@ TEST(ObsTracer, ChromeTraceJsonIsWellFormed)
 
 TEST(ObsIntegration, InstrumentedFitMatchesReferencePathBitwise)
 {
-    // The 0-ULP guarantee: the instrumented workspace path (metrics
-    // on, tracing actively recording) computes exactly the same bits
-    // as the uninstrumented reference path.
+    // The 0-ULP guarantee: the fit with metrics on and tracing
+    // actively recording computes exactly the same bits as the
+    // reference — the same fit with the registry disabled (the
+    // LEO_OBS=off null sink) and no tracer.
     const FitProblem p = makeFitProblem(12);
+    const estimators::LeoEstimator leo;
+    obs::Registry &reg = obs::Registry::global();
+    const bool was_enabled = reg.enabled();
 
-    estimators::LeoOptions oref;
-    oref.threads = 1;
-    oref.referencePath = true;
-    const estimators::LeoFit ref =
-        estimators::LeoEstimator(oref).fitMetric(p.prior, p.idx,
-                                                 p.vals);
+    reg.setEnabled(false);
+    linalg::Workspace ws_off;
+    const estimators::LeoFit bare =
+        leo.fitMetric(p.prior, p.idx, p.vals, &ws_off, nullptr);
 
+    reg.setEnabled(true);
+    const std::uint64_t fits_before =
+        reg.counter(obs::names::kEmFitsCompleted).value();
     obs::Tracer &tracer = obs::Tracer::global();
     tracer.clear();
     tracer.enable(1u << 12);
-    estimators::LeoOptions ows;
-    ows.threads = 1;
-    linalg::Workspace ws;
-    const estimators::LeoFit fast = estimators::LeoEstimator(
-        ows).fitMetric(p.prior, p.idx, p.vals, &ws, nullptr);
+    linalg::Workspace ws_on;
+    const estimators::LeoFit traced =
+        leo.fitMetric(p.prior, p.idx, p.vals, &ws_on, nullptr);
     tracer.disable();
-
     EXPECT_GT(tracer.recorded(), 0u); // the fit did emit spans
     tracer.clear();
+    EXPECT_EQ(reg.counter(obs::names::kEmFitsCompleted).value(),
+              fits_before + 1); // and did count
+    reg.setEnabled(was_enabled);
 
-    expectExactlyEqual(fast.prediction, ref.prediction, "prediction");
-    expectExactlyEqual(fast.predictionVariance,
-                       ref.predictionVariance, "variance");
-    expectExactlyEqual(fast.mu, ref.mu, "mu");
-    EXPECT_EQ(fast.sigma2, ref.sigma2);
-    EXPECT_EQ(fast.iterations, ref.iterations);
-    ASSERT_EQ(fast.sigma.rows(), ref.sigma.rows());
-    for (std::size_t r = 0; r < fast.sigma.rows(); ++r)
-        for (std::size_t c = 0; c < fast.sigma.cols(); ++c)
-            ASSERT_EQ(fast.sigma.at(r, c), ref.sigma.at(r, c))
-                << r << "," << c;
+    expectExactlyEqual(traced.prediction, bare.prediction, "prediction");
+    expectExactlyEqual(traced.predictionVariance,
+                       bare.predictionVariance, "variance");
+    expectExactlyEqual(traced.mu, bare.mu, "mu");
+    EXPECT_EQ(traced.sigma2, bare.sigma2);
+    EXPECT_EQ(traced.iterations, bare.iterations);
+    EXPECT_EQ(traced.converged, bare.converged);
+    EXPECT_EQ(traced.logLikelihoodTrace, bare.logLikelihoodTrace);
+    expectExactlyEqual(traced.basisT, bare.basisT, "basisT");
+    expectExactlyEqual(traced.coeff, bare.coeff, "coeff");
+    EXPECT_EQ(traced.alphaDiag, bare.alphaDiag);
+    expectExactlyEqual(traced.varCore, bare.varCore, "varCore");
 }
 
 namespace
 {
 
-/** One span of a Chrome trace export: name, start and duration. */
+/** One span of a Chrome trace export: name, start, duration and the
+ *  raw text of its args object (empty when it has none). */
 struct TracedSpan
 {
     std::string name;
     double ts = 0.0;
     double dur = 0.0;
+    std::string args;
 };
 
 /** The "X" events of a chromeTraceJson() document (one per line). */
@@ -410,6 +432,9 @@ parseSpans(const std::string &json)
         s.name = line.substr(begin, line.find('"', begin) - begin);
         s.ts = std::stod(line.substr(ts + 6));
         s.dur = std::stod(line.substr(dur + 7));
+        const std::size_t args = line.find("\"args\": ");
+        if (args != std::string::npos)
+            s.args = line.substr(args);
         spans.push_back(s);
     }
     return spans;
@@ -421,13 +446,12 @@ TEST(ObsIntegration, FitSpanCoversTheWholeFit)
 {
     // leo.em.fit opens before sanitization and closes after the
     // prediction: the basis a raw-vector fit builds and every EM
-    // iteration sit inside the one fit span.
+    // iteration sit inside the one fit span, which reports the fit's
+    // shape and whether EM converged.
     const FitProblem p = makeFitProblem(12);
     platform::Machine machine;
     const auto space = platform::ConfigSpace::coreOnly(machine);
-    estimators::LeoOptions o;
-    o.threads = 1;
-    const estimators::LeoEstimator leo(o);
+    const estimators::LeoEstimator leo;
 
     obs::Tracer &tracer = obs::Tracer::global();
     tracer.clear();
@@ -447,6 +471,10 @@ TEST(ObsIntegration, FitSpanCoversTheWholeFit)
             ++fits;
         }
     ASSERT_EQ(fits, 1u);
+    for (const char *key : {"apps", "configs", "rank", "iters", "converged"})
+        EXPECT_NE(fit->args.find("\"" + std::string(key) + "\": "),
+                  std::string::npos)
+            << key << " missing from " << fit->args;
     for (const TracedSpan &s : spans) {
         if (s.name != obs::names::kEmPriorBasisSpan &&
             s.name != obs::names::kEmIterSpan)
@@ -462,20 +490,32 @@ TEST(ObsIntegration, FitSpanCoversTheWholeFit)
 
 TEST(ObsIntegration, FitCountersIdenticalAcrossThreadCounts)
 {
-    // The registry delta of one deterministic fit must be the same
-    // whether EM fans across 1, 4 or 16 threads: the fit itself is
-    // bitwise thread-count-invariant, and integer counter merges are
-    // order-free.
+    // The registry delta of one deterministic batch of fits must be
+    // the same whether the batch fans across 1, 4 or 16 threads: each
+    // fit is serial and bitwise thread-count-invariant, and integer
+    // counter merges are order-free.
     const FitProblem p = makeFitProblem(12);
+    const platform::Machine machine;
+    const auto space = platform::ConfigSpace::coreOnly(machine);
+    const estimators::LeoEstimator leo;
     obs::Registry &reg = obs::Registry::global();
 
     auto em_delta = [&](std::size_t threads) {
-        estimators::LeoOptions o;
-        o.threads = threads;
+        parallel::ThreadPool pool(threads - 1);
+        estimators::EstimatorBatch batch(leo, pool);
+        for (std::size_t k = 0; k < 6; ++k) {
+            estimators::EstimateRequest req;
+            req.prior = p.prior;
+            // Drop one observation per request: six distinct fits.
+            req.obsIndices.assign(p.idx.begin() + k, p.idx.end());
+            req.obsValues = linalg::Vector(p.idx.size() - k);
+            for (std::size_t j = k; j < p.idx.size(); ++j)
+                req.obsValues[j - k] = p.vals[j];
+            batch.add(std::move(req));
+        }
         const obs::Snapshot before = reg.snapshot();
-        const estimators::LeoFit f = estimators::LeoEstimator(
-            o).fitMetric(p.prior, p.idx, p.vals);
-        EXPECT_GT(f.iterations, 0u);
+        const auto results = batch.run(space);
+        EXPECT_EQ(results.size(), 6u);
         const obs::Snapshot after = reg.snapshot();
         std::vector<std::pair<std::string, std::uint64_t>> delta;
         for (const auto &kv : after.counters) {

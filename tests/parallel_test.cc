@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the parallel subsystem: ThreadPool lifecycle and
- * the deterministic parallelFor / parallelReduce primitives.
+ * the deterministic parallelFor / parallelForChunked primitives.
  */
 
 #include <atomic>
@@ -174,139 +174,4 @@ TEST(ParallelFor, ZeroWorkerPoolRunsInline)
     parallel::parallelFor(pool, 16, [&](std::size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
     });
-}
-
-// --------------------------------------------------------- parallelReduce
-
-TEST(ParallelReduce, SumsExactly)
-{
-    ThreadPool pool(3);
-    const std::size_t n = 12345;
-    const long total = parallel::parallelReduce<long>(
-        pool, n, 100,
-        [](std::size_t b, std::size_t e) {
-            long acc = 0;
-            for (std::size_t i = b; i < e; ++i)
-                acc += static_cast<long>(i);
-            return acc;
-        },
-        [](long &into, long &&from) { into += from; });
-    EXPECT_EQ(total, static_cast<long>(n * (n - 1) / 2));
-}
-
-TEST(ParallelReduce, SingleChunk)
-{
-    ThreadPool pool(2);
-    const int v = parallel::parallelReduce<int>(
-        pool, 5, 100,
-        [](std::size_t b, std::size_t e) {
-            return static_cast<int>(e - b);
-        },
-        [](int &into, int &&from) { into += from; });
-    EXPECT_EQ(v, 5);
-}
-
-TEST(ParallelReduce, FloatingPointBitwiseIdenticalAcrossPoolSizes)
-{
-    // Ill-conditioned summands: any change in accumulation order
-    // changes the rounded result, so exact equality across pool
-    // sizes exercises the fixed chunking + fixed combine tree.
-    const std::size_t n = 4097;
-    std::vector<double> xs(n);
-    double sign = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        xs[i] = sign * 1e16 / static_cast<double>(i + 3) +
-                1e-7 * static_cast<double>(i % 97);
-        sign = -sign;
-    }
-    auto reduce = [&](ThreadPool &pool) {
-        return parallel::parallelReduce<double>(
-            pool, n, 64,
-            [&](std::size_t b, std::size_t e) {
-                double acc = 0.0;
-                for (std::size_t i = b; i < e; ++i)
-                    acc += xs[i];
-                return acc;
-            },
-            [](double &into, double &&from) { into += from; });
-    };
-    ThreadPool serial(0);
-    const double reference = reduce(serial);
-    for (std::size_t workers : {1u, 2u, 3u, 7u}) {
-        ThreadPool pool(workers);
-        // Repeat: scheduling varies run to run, results must not.
-        for (int rep = 0; rep < 3; ++rep)
-            EXPECT_EQ(reduce(pool), reference)
-                << "workers=" << workers << " rep=" << rep;
-    }
-}
-
-TEST(ParallelReduce, IntoVariantMatchesAllocatingBitwise)
-{
-    // Same ill-conditioned summands as above: parallelReduceInto must
-    // reproduce parallelReduce bit-for-bit at every pool size, with
-    // the caller-owned partials left dirty between runs.
-    const std::size_t n = 4097;
-    const std::size_t grain = 64;
-    std::vector<double> xs(n);
-    double sign = 1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        xs[i] = sign * 1e16 / static_cast<double>(i + 3) +
-                1e-7 * static_cast<double>(i % 97);
-        sign = -sign;
-    }
-    auto map = [&](std::size_t b, std::size_t e) {
-        double acc = 0.0;
-        for (std::size_t i = b; i < e; ++i)
-            acc += xs[i];
-        return acc;
-    };
-
-    ThreadPool serial(0);
-    const double reference = parallel::parallelReduce<double>(
-        serial, n, grain, map,
-        [](double &into, double &&from) { into += from; });
-
-    const std::size_t chunks = parallel::chunkCount(n, grain);
-    std::vector<double> storage(chunks, -1234.5);  // Dirty partials.
-    std::vector<double *> parts(chunks);
-    for (std::size_t c = 0; c < chunks; ++c)
-        parts[c] = &storage[c];
-
-    for (std::size_t workers : {0u, 1u, 2u, 3u, 7u}) {
-        ThreadPool pool(workers);
-        for (int rep = 0; rep < 3; ++rep) {
-            parallel::parallelReduceInto<double>(
-                pool, n, grain, parts,
-                [&](std::size_t b, std::size_t e, double &part) {
-                    part = map(b, e);
-                },
-                [](double &into, const double &from) { into += from; });
-            EXPECT_EQ(storage[0], reference)
-                << "workers=" << workers << " rep=" << rep;
-        }
-    }
-
-    // Single chunk: the map result lands in *parts[0] untouched.
-    std::vector<double *> one{&storage[0]};
-    parallel::parallelReduceInto<double>(
-        serial, 5, 100, one,
-        [&](std::size_t b, std::size_t e, double &part) {
-            part = static_cast<double>(e - b);
-        },
-        [](double &into, const double &from) { into += from; });
-    EXPECT_EQ(storage[0], 5.0);
-}
-
-TEST(ParallelReduce, IntoVariantRejectsPartCountMismatch)
-{
-    ThreadPool pool(1);
-    double slot = 0.0;
-    std::vector<double *> parts{&slot};  // Needs 2 for n=10, grain=5.
-    EXPECT_THROW(
-        parallel::parallelReduceInto<double>(
-            pool, 10, 5, parts,
-            [](std::size_t, std::size_t, double &part) { part = 0.0; },
-            [](double &into, const double &from) { into += from; }),
-        FatalError);
 }

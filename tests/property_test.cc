@@ -447,9 +447,7 @@ TEST_P(RefitScheduleEquivalence, BatchAndIncrementalAgree)
     auto gt = workloads::computeGroundTruth(app, space);
     const auto prior = store.without("x264");
 
-    estimators::LeoOptions lopt;
-    lopt.representation = estimators::CovarianceRep::LowRank;
-    estimators::LeoEstimator leo(lopt);
+    estimators::LeoEstimator leo;
 
     runtime::ControllerOptions copt;
     copt.targetRate = 0.5 * gt.performance.max();

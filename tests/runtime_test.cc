@@ -287,45 +287,6 @@ TEST(PhasedRun, LeoNearOracleEnergy)
     EXPECT_LT(mine.totalEnergy, oracle.totalEnergy * 1.35);
 }
 
-// --------------------------------- Auto representation default
-
-/**
- * ControllerOptions defaults to CovarianceRep::Auto, and on the
- * small test spaces Auto resolves to Dense — so the default-option
- * schedule is bitwise what it was when Dense was the default.
- */
-TEST(Controller, AutoRepresentationDefaultPreservesDenseSchedule)
-{
-    World w;
-    estimators::LeoEstimator leo;
-    auto prior = w.store.without("x264");
-    workloads::ApplicationModel app(
-        workloads::profileByName("x264"), w.machine);
-
-    ASSERT_EQ(ControllerOptions{}.representation,
-              estimators::CovarianceRep::Auto);
-
-    auto run = [&](estimators::CovarianceRep rep) {
-        ControllerOptions o = w.options(40.0, 5);
-        o.representation = rep;
-        EnergyController ctl(w.space, &leo, prior, o);
-        stats::Rng rng(23);
-        std::vector<std::size_t> schedule;
-        for (int i = 0; i < 20; ++i) {
-            const std::size_t cfg = ctl.nextConfig(rng);
-            schedule.push_back(cfg);
-            const auto &ra = w.space.assignment(cfg);
-            ctl.recordMeasurement(
-                {cfg, w.monitor.measureRate(app, ra, rng),
-                 w.meter.read(app, ra, rng)});
-        }
-        return schedule;
-    };
-
-    EXPECT_EQ(run(estimators::CovarianceRep::Auto),
-              run(estimators::CovarianceRep::Dense));
-}
-
 // ------------------------------------------ state snapshot/restore
 
 /**
@@ -335,9 +296,7 @@ TEST(Controller, AutoRepresentationDefaultPreservesDenseSchedule)
 TEST(Controller, SaveRestoreResumesScheduleBitwise)
 {
     World w;
-    estimators::LeoOptions lopt;
-    lopt.representation = estimators::CovarianceRep::LowRank;
-    estimators::LeoEstimator leo(lopt);
+    estimators::LeoEstimator leo;
     auto prior = w.store.without("fluidanimate");
     workloads::ApplicationModel app(
         workloads::profileByName("fluidanimate"), w.machine);

@@ -10,8 +10,8 @@
  *    controller over the same samples;
  *  - the cold-fit cache changes cost, never behavior;
  *  - a snapshot restored into a fresh service resumes every tenant's
- *    schedule bit for bit, dense and low-rank, with incremental
- *    refit state, across the fault-scenario sweep.
+ *    schedule bit for bit, with and without incremental refit
+ *    state, across the fault-scenario sweep.
  */
 
 #include <cstdint>
@@ -349,59 +349,52 @@ TEST(Service, ColdFitCacheServesIdenticalTenant)
 TEST(Service, CacheHitMatchesOwnFitWhateverTheSampleOrder)
 {
     World w;
-    for (const auto rep : {estimators::CovarianceRep::Dense,
-                           estimators::CovarianceRep::LowRank}) {
-        SCOPED_TRACE(rep == estimators::CovarianceRep::Dense ? "dense"
-                                                             : "lowrank");
-        estimators::LeoOptions lopt;
-        lopt.representation = rep;
-        estimators::LeoEstimator leo(lopt);
-        parallel::ThreadPool pool(0);
-        ServiceOptions opt = w.serviceOptions(2);
-        // Probing every configuration makes two plans permutations
-        // of each other; noise-free readings make their samples equal.
-        opt.controller.sampleBudget = w.space.size();
-        ServiceOptions nocache = opt;
-        nocache.fitCacheCapacity = 0;
-        Service cached(w.space, leo, w.prior, pool, opt);
-        Service plain(w.space, leo, w.prior, pool, nocache);
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    ServiceOptions opt = w.serviceOptions(2);
+    // Probing every configuration makes two plans permutations
+    // of each other; noise-free readings make their samples equal.
+    opt.controller.sampleBudget = w.space.size();
+    ServiceOptions nocache = opt;
+    nocache.fitCacheCapacity = 0;
+    Service cached(w.space, leo, w.prior, pool, opt);
+    Service plain(w.space, leo, w.prior, pool, nocache);
 
-        TenantConfig cfg_b = w.tenant(0);
-        cfg_b.seed = 777;
-        std::vector<std::vector<std::size_t>> probes;
-        for (const TenantConfig &cfg : {w.tenant(0), cfg_b}) {
-            const auto id = cached.admit(cfg);
-            ASSERT_TRUE(id.has_value());
-            ASSERT_EQ(plain.admit(cfg), id);
-            probes.emplace_back();
-            // The plan, one tick for the fit, one paced window.
-            for (std::size_t round = 0; round < w.space.size() + 2;
-                 ++round) {
-                const std::size_t c = cached.nextConfig(*id);
-                ASSERT_EQ(plain.nextConfig(*id), c) << round;
-                if (round < w.space.size())
-                    probes.back().push_back(c);
-                const telemetry::Sample s{c, w.gt.performance[c],
-                                          w.gt.power[c]};
-                ASSERT_TRUE(cached.submit(*id, s));
-                ASSERT_TRUE(plain.submit(*id, s));
-                cached.tick();
-                plain.tick();
-            }
+    TenantConfig cfg_b = w.tenant(0);
+    cfg_b.seed = 777;
+    std::vector<std::vector<std::size_t>> probes;
+    for (const TenantConfig &cfg : {w.tenant(0), cfg_b}) {
+        const auto id = cached.admit(cfg);
+        ASSERT_TRUE(id.has_value());
+        ASSERT_EQ(plain.admit(cfg), id);
+        probes.emplace_back();
+        // The plan, one tick for the fit, one paced window.
+        for (std::size_t round = 0; round < w.space.size() + 2;
+             ++round) {
+            const std::size_t c = cached.nextConfig(*id);
+            ASSERT_EQ(plain.nextConfig(*id), c) << round;
+            if (round < w.space.size())
+                probes.back().push_back(c);
+            const telemetry::Sample s{c, w.gt.performance[c],
+                                      w.gt.power[c]};
+            ASSERT_TRUE(cached.submit(*id, s));
+            ASSERT_TRUE(plain.submit(*id, s));
+            cached.tick();
+            plain.tick();
         }
-        ASSERT_NE(probes[0], probes[1]);
-        EXPECT_EQ(cached.metrics().snapshot().counterOr(
-                      obs::names::kServiceCacheHits),
-                  1u);
-        EXPECT_EQ(plain.metrics().snapshot().counterOr(
-                      obs::names::kServiceCacheHits),
-                  0u);
-
-        linalg::ByteWriter wc, wp;
-        cached.saveSnapshot(wc);
-        plain.saveSnapshot(wp);
-        EXPECT_TRUE(wc.take() == wp.take());
     }
+    ASSERT_NE(probes[0], probes[1]);
+    EXPECT_EQ(cached.metrics().snapshot().counterOr(
+                  obs::names::kServiceCacheHits),
+              1u);
+    EXPECT_EQ(plain.metrics().snapshot().counterOr(
+                  obs::names::kServiceCacheHits),
+              0u);
+
+    linalg::ByteWriter wc, wp;
+    cached.saveSnapshot(wc);
+    plain.saveSnapshot(wp);
+    EXPECT_TRUE(wc.take() == wp.take());
 }
 
 /**
@@ -541,8 +534,8 @@ faultSweep()
  * Snapshot mid-run (with samples still queued), restore into a fresh
  * service, and continue both side by side over one shared sample
  * stream: every tenant's remaining schedule is bitwise identical.
- * Parameter = scenario index * 2 + (0 dense / 1 low-rank with
- * incremental refits).
+ * Parameter = scenario index * 2 + (0 full fits only / 1 with
+ * incremental refits between them).
  */
 class ServiceSnapshotProperty
     : public ::testing::TestWithParam<std::size_t>
@@ -553,18 +546,15 @@ TEST_P(ServiceSnapshotProperty, RestoredFleetResumesBitwise)
 {
     const auto sweep = faultSweep();
     const auto &[name, scenario] = sweep[GetParam() / 2];
-    const bool lowrank = (GetParam() % 2) == 1;
+    const bool incremental = (GetParam() % 2) == 1;
     SCOPED_TRACE(name);
-    SCOPED_TRACE(lowrank ? "lowrank+incremental" : "dense");
+    SCOPED_TRACE(incremental ? "incremental" : "full fits");
 
     World w;
-    estimators::LeoOptions lopt;
-    if (lowrank)
-        lopt.representation = estimators::CovarianceRep::LowRank;
-    estimators::LeoEstimator leo(lopt);
+    estimators::LeoEstimator leo;
     ServiceOptions opt = w.serviceOptions(4);
     opt.controller.onlineSampleWindow = 8;
-    if (lowrank)
+    if (incremental)
         opt.controller.refitMode = runtime::RefitMode::Incremental;
 
     parallel::ThreadPool pool(2);
@@ -751,9 +741,9 @@ TEST(ShardQueue, ConcurrentProducersLoseNothing)
 TEST(FitCache, EvictsLeastRecentlyUsedDeterministically)
 {
     service::FitCache cache(2);
-    service::FitCacheKey a{"a", 0, 0, 1};
-    service::FitCacheKey b{"b", 0, 0, 2};
-    service::FitCacheKey c{"c", 0, 0, 3};
+    service::FitCacheKey a{"a", 0, 1};
+    service::FitCacheKey b{"b", 0, 2};
+    service::FitCacheKey c{"c", 0, 3};
     cache.insert(a, {});
     cache.insert(b, {});
     EXPECT_NE(cache.lookup(a), nullptr); // a is now most recent.
@@ -768,7 +758,7 @@ TEST(FitCache, EvictsLeastRecentlyUsedDeterministically)
 TEST(FitCache, ZeroCapacityDisables)
 {
     service::FitCache cache(0);
-    service::FitCacheKey k{"a", 0, 0, 1};
+    service::FitCacheKey k{"a", 0, 1};
     cache.insert(k, {});
     EXPECT_EQ(cache.lookup(k), nullptr);
     EXPECT_EQ(cache.size(), 0u);
@@ -777,7 +767,7 @@ TEST(FitCache, ZeroCapacityDisables)
 TEST(FitCache, OverwriteRefreshesWithoutEviction)
 {
     service::FitCache cache(2);
-    service::FitCacheKey a{"a", 0, 0, 1};
+    service::FitCacheKey a{"a", 0, 1};
     service::CachedFit fit;
     fit.perfEstimate.reliable = true;
     cache.insert(a, {});

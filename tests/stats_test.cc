@@ -9,9 +9,9 @@
 
 #include "linalg/error.hh"
 #include "stats/metrics.hh"
-#include "stats/mvn.hh"
 #include "stats/rng.hh"
 #include "stats/summary.hh"
+#include "support/mvn.hh"
 
 using namespace leo;
 using linalg::Matrix;
@@ -204,12 +204,14 @@ TEST(RunningStats, Reset)
 }
 
 // ----------------------------------------------------------------- MVN
+// The Gaussian utilities of the test-support library (support/mvn.hh):
+// model-generated data and the oracle's conditioning step.
 
 TEST(Mvn, SampleMomentsMatch)
 {
     Matrix cov{{2.0, 0.6}, {0.6, 1.0}};
     Vector mean{1.0, -1.0};
-    stats::MultivariateNormal mvn(mean, cov);
+    support::MultivariateNormal mvn(mean, cov);
     stats::Rng rng(23);
     stats::RunningStats m0, m1;
     double cross = 0.0;
@@ -232,7 +234,7 @@ TEST(Mvn, LogPdfAgainstKnownValue)
     // Standard bivariate normal at the origin:
     // log pdf = -log(2 pi).
     Matrix cov = Matrix::identity(2);
-    stats::MultivariateNormal mvn(Vector{0.0, 0.0}, cov);
+    support::MultivariateNormal mvn(Vector{0.0, 0.0}, cov);
     EXPECT_NEAR(mvn.logPdf(Vector{0.0, 0.0}),
                 -std::log(2.0 * std::numbers::pi), 1e-10);
 }
@@ -243,8 +245,8 @@ TEST(Mvn, ConditioningShrinksVariance)
     // other.
     Matrix cov{{1.0, 0.95}, {0.95, 1.0}};
     Vector mu{0.0, 0.0};
-    auto post = stats::conditionOnObservations(mu, cov, {0},
-                                               Vector{2.0}, 0.01);
+    auto post = support::conditionOnObservations(mu, cov, {0},
+                                                 Vector{2.0}, 0.01);
     EXPECT_GT(post.mean[1], 1.5);
     EXPECT_LT(post.cov(1, 1), cov(1, 1));
     EXPECT_LT(post.cov(0, 0), 0.02);
@@ -255,7 +257,7 @@ TEST(Mvn, ConditioningNoObservationsIsPrior)
     Matrix cov{{1.0, 0.2}, {0.2, 2.0}};
     Vector mu{3.0, 4.0};
     auto post =
-        stats::conditionOnObservations(mu, cov, {}, Vector{}, 0.1);
+        support::conditionOnObservations(mu, cov, {}, Vector{}, 0.1);
     EXPECT_DOUBLE_EQ(post.mean[0], 3.0);
     EXPECT_DOUBLE_EQ(post.cov(1, 1), 2.0);
 }
@@ -295,7 +297,7 @@ TEST(Mvn, ConditioningMatchesPaperForm)
 
     // Implementation form.
     auto post =
-        stats::conditionOnObservations(mu, sigma, obs_idx, y_obs, s2);
+        support::conditionOnObservations(mu, sigma, obs_idx, y_obs, s2);
 
     for (int i = 0; i < 3; ++i) {
         EXPECT_NEAR(post.mean[i], z_direct[i], 1e-9);
@@ -308,134 +310,7 @@ TEST(Mvn, RejectsBadNoise)
 {
     Matrix cov = Matrix::identity(2);
     Vector mu(2, 0.0);
-    EXPECT_THROW(stats::conditionOnObservations(mu, cov, {0},
-                                                Vector{1.0}, 0.0),
-                 FatalError);
-}
-
-// ------------------------------------------- Allocation-free conditioning
-
-namespace
-{
-
-/** An exactly symmetric SPD matrix: B B^T + n I with the lower
- *  triangle mirrored bit-for-bit into the upper. */
-Matrix
-randomSpdExact(std::size_t n, stats::Rng &rng)
-{
-    Matrix b(n, n);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            b.at(r, c) = rng.uniform(-1.0, 1.0);
-    Matrix s(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < n; ++k)
-                acc += b.at(i, k) * b.at(j, k);
-            s.at(i, j) = acc;
-            s.at(j, i) = acc;
-        }
-        s.at(i, i) += static_cast<double>(n);
-    }
-    return s;
-}
-
-void
-expectPosteriorBitwiseEqual(const stats::GaussianPosterior &got,
-                            const stats::GaussianPosterior &want,
-                            const std::string &what, bool with_cov)
-{
-    ASSERT_EQ(got.mean.size(), want.mean.size()) << what;
-    for (std::size_t i = 0; i < want.mean.size(); ++i)
-        ASSERT_EQ(got.mean[i], want.mean[i])
-            << what << " mean differs at " << i;
-    if (!with_cov)
-        return;
-    ASSERT_EQ(got.cov.rows(), want.cov.rows()) << what;
-    ASSERT_EQ(got.cov.cols(), want.cov.cols()) << what;
-    for (std::size_t r = 0; r < want.cov.rows(); ++r)
-        for (std::size_t c = 0; c < want.cov.cols(); ++c)
-            ASSERT_EQ(got.cov.at(r, c), want.cov.at(r, c))
-                << what << " cov differs at (" << r << "," << c << ")";
-}
-
-} // namespace
-
-TEST(Mvn, ConditionIntoMatchesAllocatingToZeroUlp)
-{
-    // One scratch + one posterior reused across problems of differing
-    // shapes: buffers left dirty by one problem must not leak into the
-    // next, and every result must match the allocating reference
-    // bit-for-bit (the sigma built here is exactly symmetric, as the
-    // Into variant requires).
-    stats::Rng rng(331);
-    stats::ConditioningScratch scratch;
-    stats::GaussianPosterior post;
-
-    struct Case
-    {
-        std::size_t n;
-        std::vector<std::size_t> obs;
-    };
-    const Case cases[] = {
-        {6, {0, 2, 5}},
-        {9, {1, 3, 4, 8}},  // Shape grows: scratch reassigns.
-        {6, {4, 1}},        // Shape shrinks again, buffers dirty.
-    };
-    const double s2 = 0.07;
-
-    for (const Case &cs : cases) {
-        const Matrix sigma = randomSpdExact(cs.n, rng);
-        Vector mu(cs.n);
-        for (std::size_t i = 0; i < cs.n; ++i)
-            mu[i] = rng.uniform(-2.0, 2.0);
-        Vector y(cs.obs.size());
-        for (std::size_t j = 0; j < y.size(); ++j)
-            y[j] = rng.uniform(-2.0, 2.0);
-
-        const auto ref = stats::conditionOnObservations(
-            mu, sigma, cs.obs, y, s2, /*want_cov=*/true);
-        stats::conditionOnObservationsInto(post, scratch, mu, sigma,
-                                           cs.obs, y, s2,
-                                           /*want_cov=*/true);
-        expectPosteriorBitwiseEqual(
-            post, ref, "n=" + std::to_string(cs.n), /*with_cov=*/true);
-
-        // Mean-only pass over the same problem (cov buffers stay
-        // dirty; only the mean is contractually written).
-        const auto ref_mean = stats::conditionOnObservations(
-            mu, sigma, cs.obs, y, s2, /*want_cov=*/false);
-        stats::conditionOnObservationsInto(post, scratch, mu, sigma,
-                                           cs.obs, y, s2,
-                                           /*want_cov=*/false);
-        expectPosteriorBitwiseEqual(post, ref_mean,
-                                    "mean-only n=" + std::to_string(cs.n),
-                                    /*with_cov=*/false);
-    }
-
-    // s == 0 passthrough: posterior is the prior, bit-for-bit.
-    const Matrix sigma = randomSpdExact(5, rng);
-    Vector mu(5);
-    for (std::size_t i = 0; i < 5; ++i)
-        mu[i] = rng.uniform(-1.0, 1.0);
-    stats::conditionOnObservationsInto(post, scratch, mu, sigma, {},
-                                       Vector{}, s2);
-    stats::GaussianPosterior prior{mu, sigma};
-    expectPosteriorBitwiseEqual(post, prior, "no observations",
-                                /*with_cov=*/true);
-}
-
-TEST(Mvn, ConditionIntoRejectsBadShapes)
-{
-    stats::ConditioningScratch scratch;
-    stats::GaussianPosterior post;
-    const Matrix cov = Matrix::identity(2);
-    const Vector mu(2, 0.0);
-    EXPECT_THROW(stats::conditionOnObservationsInto(
-                     post, scratch, mu, cov, {0}, Vector{1.0}, 0.0),
-                 FatalError);
-    EXPECT_THROW(stats::conditionOnObservationsInto(
-                     post, scratch, mu, cov, {0, 1}, Vector{1.0}, 0.1),
+    EXPECT_THROW(support::conditionOnObservations(mu, cov, {0},
+                                                  Vector{1.0}, 0.0),
                  FatalError);
 }

@@ -1,14 +1,14 @@
 /**
  * @file
- * Implementation of multivariate normal utilities.
+ * Implementation of the test multivariate normal utilities.
  */
 
-#include "stats/mvn.hh"
+#include "support/mvn.hh"
 
 #include <cmath>
 #include <numbers>
 
-namespace leo::stats
+namespace leo::support
 {
 
 MultivariateNormal::MultivariateNormal(linalg::Vector mean,
@@ -20,7 +20,7 @@ MultivariateNormal::MultivariateNormal(linalg::Vector mean,
 }
 
 linalg::Vector
-MultivariateNormal::sample(Rng &rng) const
+MultivariateNormal::sample(stats::Rng &rng) const
 {
     const std::size_t n = dim();
     linalg::Vector u(n);
@@ -121,84 +121,4 @@ conditionOnObservations(const linalg::Vector &mu,
     return post;
 }
 
-void
-ConditioningScratch::reserve(std::size_t n, std::size_t s)
-{
-    k.resize(s, s);
-    crossT.resize(s, n);
-    kinvCrossT.resize(s, n);
-    r.resize(s);
-    alpha.resize(s);
-    chol.reserve(s);
-}
-
-void
-conditionOnObservationsInto(GaussianPosterior &post,
-                            ConditioningScratch &scratch,
-                            const linalg::Vector &mu,
-                            const linalg::Matrix &sigma_m,
-                            const std::vector<std::size_t> &obs_idx,
-                            const linalg::Vector &y_obs,
-                            double noise_var, bool want_cov)
-{
-    const std::size_t n = mu.size();
-    const std::size_t s = obs_idx.size();
-    require(sigma_m.rows() == n && sigma_m.cols() == n,
-            "conditionOnObservationsInto: covariance shape mismatch");
-    require(y_obs.size() == s,
-            "conditionOnObservationsInto: observation shape mismatch");
-    require(noise_var > 0.0,
-            "conditionOnObservationsInto: noise variance must be > 0");
-
-    if (s == 0) {
-        post.mean = mu;
-        if (want_cov)
-            post.cov = sigma_m;
-        return;
-    }
-
-    // K = Sigma[obs, obs] + sigma^2 I, factored in place.
-    sigma_m.gatherInto(scratch.k, obs_idx);
-    scratch.chol.factorize(scratch.k, noise_var, 1e-8);
-
-    // alpha = K^-1 (y_obs - mu[obs]).
-    scratch.alpha.resize(s); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
-    for (std::size_t j = 0; j < s; ++j)
-        scratch.alpha[j] = y_obs[j] - mu[obs_idx[j]];
-    scratch.chol.solveInPlace(scratch.alpha);
-
-    // Cross covariance as rows: crossT = Sigma[obs, :] (s x n). For
-    // an exactly symmetric sigma_m this holds the same bits as the
-    // reference's Sigma[:, obs] columns.
-    scratch.crossT.resize(s, n); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
-    for (std::size_t j = 0; j < s; ++j)
-        for (std::size_t i = 0; i < n; ++i)
-            scratch.crossT.at(j, i) = sigma_m.at(obs_idx[j], i);
-
-    post.mean = mu;
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < s; ++j)
-            acc += scratch.crossT.at(j, i) * scratch.alpha[j];
-        post.mean[i] += acc;
-    }
-
-    if (want_cov) {
-        scratch.kinvCrossT = scratch.crossT;
-        scratch.chol.solveInPlace(scratch.kinvCrossT);
-        post.cov = sigma_m;
-        for (std::size_t t = 0; t < s; ++t) {
-            for (std::size_t i = 0; i < n; ++i) {
-                const double cit = scratch.crossT.at(t, i);
-                if (cit == 0.0)
-                    continue;
-                for (std::size_t j = 0; j < n; ++j)
-                    post.cov.at(i, j) -=
-                        cit * scratch.kinvCrossT.at(t, j);
-            }
-        }
-        post.cov.symmetrize();
-    }
-}
-
-} // namespace leo::stats
+} // namespace leo::support

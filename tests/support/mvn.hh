@@ -1,23 +1,27 @@
 /**
  * @file
- * Multivariate normal distribution utilities.
+ * Multivariate normal utilities for the tests.
  *
  * The hierarchical model of Equation (2) is built entirely from
- * multivariate Gaussians; this module supplies sampling (used by the
+ * multivariate Gaussians. This module supplies sampling (used by the
  * property-based tests to generate data *from the model itself* and
- * check that EM recovers the generating parameters) and both the
- * conditional-distribution identities the E-step relies on.
+ * check that EM recovers the generating parameters) and the dense
+ * conditional-distribution identity the reference E-step of the test
+ * oracle (leo_oracle.hh) relies on. The estimator itself runs every
+ * step in the factored representation and needs neither.
  */
 
-#ifndef LEO_STATS_MVN_HH
-#define LEO_STATS_MVN_HH
+#ifndef LEO_TESTS_SUPPORT_MVN_HH
+#define LEO_TESTS_SUPPORT_MVN_HH
+
+#include <vector>
 
 #include "linalg/cholesky.hh"
 #include "linalg/matrix.hh"
 #include "linalg/vector.hh"
 #include "stats/rng.hh"
 
-namespace leo::stats
+namespace leo::support
 {
 
 /**
@@ -39,7 +43,7 @@ class MultivariateNormal
     const linalg::Vector &mean() const { return mean_; }
 
     /** Draw one sample x = mean + L u with u ~ N(0, I). */
-    linalg::Vector sample(Rng &rng) const;
+    linalg::Vector sample(stats::Rng &rng) const;
 
     /** Log density at a point. */
     double logPdf(const linalg::Vector &x) const;
@@ -85,42 +89,6 @@ GaussianPosterior conditionOnObservations(
     const std::vector<std::size_t> &obs_idx, const linalg::Vector &y_obs,
     double noise_var, bool want_cov = true);
 
-/**
- * Reusable scratch for conditionOnObservationsInto.
- *
- * One instance per recurring call site; after the first call with a
- * given (n, |obs|) shape — or an up-front reserve() — subsequent
- * calls are allocation-free.
- */
-struct ConditioningScratch
-{
-    /** Pre-size every buffer for an n-dim prior and s observations. */
-    void reserve(std::size_t n, std::size_t s);
+} // namespace leo::support
 
-    linalg::Matrix k;          ///< Sigma[obs, obs] + sigma^2 I (s x s).
-    linalg::Matrix crossT;     ///< Sigma[obs, :] (s x n).
-    linalg::Matrix kinvCrossT; ///< K^-1 Sigma[obs, :] (s x n).
-    linalg::Vector r;          ///< Residual y_obs - mu[obs] (s).
-    linalg::Vector alpha;      ///< K^-1 r (s).
-    linalg::Cholesky chol;     ///< Factor of k.
-};
-
-/**
- * Allocation-free variant of conditionOnObservations.
- *
- * Writes the posterior into `post` (whose buffers are reused when
- * shapes match) using `scratch` for every temporary. Requires an
- * *exactly* symmetric sigma_m — the cross covariance is read from
- * rows Sigma[obs, :] instead of columns Sigma[:, obs] so both
- * operands stream contiguously — under which the result is bitwise
- * identical to conditionOnObservations.
- */
-void conditionOnObservationsInto(
-    GaussianPosterior &post, ConditioningScratch &scratch,
-    const linalg::Vector &mu, const linalg::Matrix &sigma_m,
-    const std::vector<std::size_t> &obs_idx, const linalg::Vector &y_obs,
-    double noise_var, bool want_cov = true);
-
-} // namespace leo::stats
-
-#endif // LEO_STATS_MVN_HH
+#endif // LEO_TESTS_SUPPORT_MVN_HH

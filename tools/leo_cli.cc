@@ -5,7 +5,6 @@
  * Subcommands:
  *
  *   estimate --prior FILE --obs FILE [--psi X] [--iters N]
- *            [--threads N]
  *       Fit the hierarchical model: FILE formats per
  *       src/experiments/csv.hh. Prints `index,estimate,stddev` for
  *       every configuration to stdout.
@@ -132,10 +131,6 @@ cmdEstimate(const Options &opts)
     lo.maxIterations = static_cast<std::size_t>(
         getDouble(opts, "iters", static_cast<double>(
                                      lo.maxIterations)));
-    // 0 = shared pool sized from LEO_THREADS / hardware concurrency;
-    // the fit is bitwise identical at any thread count.
-    lo.threads = static_cast<std::size_t>(
-        getDouble(opts, "threads", 0.0));
     const estimators::LeoEstimator leo(lo);
     const estimators::LeoFit fit =
         leo.fitMetric(prior, obs_idx, obs_vals);
@@ -231,7 +226,7 @@ usage()
 {
     std::cerr
         << "usage: leo_cli estimate --prior FILE --obs FILE "
-           "[--psi X] [--iters N] [--threads N]\n"
+           "[--psi X] [--iters N]\n"
            "       leo_cli schedule --perf FILE --power FILE "
            "--work W --deadline T [--idle WATTS]\n"
            "       leo_cli demo [--out DIR]\n"

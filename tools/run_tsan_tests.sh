@@ -2,8 +2,9 @@
 # Build and run the concurrency-sensitive test binaries under
 # ThreadSanitizer (the -DLEO_SANITIZE=thread preset of the top-level
 # CMakeLists.txt). This is the acceptance gate for src/parallel/ and
-# the parallel EM fit: a data race in the pool, the parallel loops or
-# the estimator slot writes fails the run.
+# the code that fans out on it — estimator batches, the service and
+# the scenario runner: a data race in the pool, the parallel loops or
+# the batch slot writes fails the run.
 #
 # Usage: tools/run_tsan_tests.sh [build-dir]
 #   build-dir  defaults to build-tsan (kept separate from the plain
