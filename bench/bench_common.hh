@@ -32,6 +32,7 @@
 #include "estimators/online.hh"
 #include "experiments/report.hh"
 #include "platform/config_space.hh"
+#include "scenario/scenario.hh"
 #include "telemetry/profile_store.hh"
 #include "telemetry/sampler.hh"
 #include "workloads/ground_truth.hh"
@@ -104,6 +105,27 @@ sweepWorld()
         return fullWorld();
     return makeWorld(
         platform::ConfigSpace::reducedFactorial(machine, 1, 2));
+}
+
+/**
+ * The Section 6.6 workload (Fig. 13, Tab. 1) as a scenario: 400
+ * frames of fluidanimate, then 400 frames that need 2/3 the
+ * resources per frame (3/2 the heartbeat rate at every
+ * configuration), paced at 60% of the first phase's peak rate on
+ * @p w's space. Runs with the master seed.
+ */
+inline scenario::Spec
+phaseChangeSpec(const World &w)
+{
+    scenario::Spec spec;
+    spec.name = "fluidanimate_two_phase";
+    spec.workload = scenario::WorkloadKind::Phased;
+    spec.phases = {{"fluidanimate", 1.0, 400},
+                   {"fluidanimate", 1.5, 400}};
+    spec.seed = seed();
+    const scenario::Scenario heavy(spec, w.machine, w.space);
+    spec.targetRate = 0.6 * heavy.truth(0).performance.max();
+    return spec;
 }
 
 /** Print the standard bench header. */

@@ -2,17 +2,16 @@
  * @file
  * Figure 13: fluidanimate transitioning through phases.
  *
- * Closed-loop run on the full 1024-configuration space: frames 0..99 are the
- * heavy phase, 100..199 the light phase (2/3 the work per frame).
- * Prints per-frame normalized performance (a) and power above idle
- * (b) for LEO, Offline, Online and the oracle. The paper's claims:
- * every approach meets the performance goal in both phases (gradient
+ * Closed-loop run of bench::phaseChangeSpec() on the full
+ * 1024-configuration space: frames 0..399 are the heavy phase,
+ * 400..799 the light phase (2/3 the work per frame). Prints
+ * per-frame normalized performance (a) and power above idle (b) for
+ * LEO, Offline, Online and the oracle. The paper's claims: every
+ * approach meets the performance goal in both phases (gradient
  * ascent), and LEO's power hugs the oracle's after the transition.
  */
 
 #include "bench_common.hh"
-
-#include "runtime/phased_run.hh"
 
 using namespace leo;
 
@@ -24,14 +23,11 @@ main()
                   "near-oracle in both phases");
 
     bench::World w = bench::fullWorld();
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(400);
+    scenario::Scenario sc(bench::phaseChangeSpec(w), w.machine,
+                          w.space);
     auto prior = w.store.without("fluidanimate");
 
-    workloads::ApplicationModel heavy(app.phases()[0].profile,
-                                      w.machine);
-    auto gt = workloads::computeGroundTruth(heavy, w.space);
     runtime::ControllerOptions opt;
-    opt.targetRate = 0.6 * gt.performance.max();
     opt.sampleBudget = 20;
 
     estimators::LeoEstimator leo;
@@ -51,17 +47,16 @@ main()
         {"oracle", nullptr, &w.store},
     };
 
-    std::vector<runtime::PhasedRunResult> results;
-    for (const Variant &v : variants) {
-        stats::Rng rng(bench::seed());
-        results.push_back(runtime::runPhased(
-            app, w.machine, w.space, v.est, *v.prior, opt, rng));
-    }
+    std::vector<scenario::RunResult> results;
+    for (const Variant &v : variants)
+        results.push_back(
+            scenario::runScenario(sc, v.est, *v.prior, opt));
 
     std::printf("frame  |  rate/target: leo online offline oracle  |"
                 "  power-above-idle-W: leo online offline oracle\n");
     const double idle = w.machine.spec().idleSystemPowerW;
-    for (std::size_t f = 0; f < app.totalFrames(); f += 20) {
+    const std::size_t change = sc.spec().phases[0].frames;
+    for (std::size_t f = 0; f < sc.totalFrames(); f += 20) {
         std::printf("%5zu  |  %5.2f %6.2f %7.2f %6.2f  |  "
                     "%6.1f %6.1f %7.1f %6.1f%s\n",
                     f, results[0].trace[f].normalizedPerformance,
@@ -72,7 +67,7 @@ main()
                     results[1].trace[f].powerWatts - idle,
                     results[2].trace[f].powerWatts - idle,
                     results[3].trace[f].powerWatts - idle,
-                    f == 400 ? "   <-- phase change" : "");
+                    f == change ? "   <-- phase change" : "");
     }
     std::printf("\ndeadline hit rate: leo %.2f  online %.2f  offline "
                 "%.2f  oracle %.2f\n",

@@ -2,8 +2,9 @@
  * @file
  * Table 1: relative energy consumption on the phased workload.
  *
- * Energy of each approach per phase and overall, normalized to the
- * oracle (which receives the true vectors at each phase boundary).
+ * Energy of each approach per phase and overall on
+ * bench::phaseChangeSpec(), normalized to the oracle (which receives
+ * the true vectors at each phase boundary).
  * Paper values:
  *
  *     Algorithm  Phase#1  Phase#2  Overall
@@ -14,8 +15,6 @@
 
 #include "bench_common.hh"
 
-#include "runtime/phased_run.hh"
-
 using namespace leo;
 
 int
@@ -25,19 +24,15 @@ main()
                   "LEO ~1.03 overall; offline ~1.22; online ~1.29");
 
     bench::World w = bench::fullWorld();
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(400);
+    const scenario::Spec spec = bench::phaseChangeSpec(w);
     auto prior = w.store.without("fluidanimate");
 
-    workloads::ApplicationModel heavy(app.phases()[0].profile,
-                                      w.machine);
-    auto gt = workloads::computeGroundTruth(heavy, w.space);
     runtime::ControllerOptions opt;
-    opt.targetRate = 0.6 * gt.performance.max();
     opt.sampleBudget = 20;
 
-    stats::Rng rng_oracle(bench::seed());
-    auto oracle = runtime::runPhased(app, w.machine, w.space, nullptr,
-                                     w.store, opt, rng_oracle);
+    scenario::Scenario oracle_sc(spec, w.machine, w.space);
+    auto oracle = scenario::runScenario(oracle_sc, nullptr, w.store,
+                                        opt);
 
     estimators::LeoEstimator leo;
     estimators::OnlineEstimator online;
@@ -59,9 +54,10 @@ main()
         const std::size_t reps = bench::trials(3);
         double p1 = 0, p2 = 0, total = 0;
         for (std::size_t r = 0; r < reps; ++r) {
-            stats::Rng rng(bench::seed() + r);
-            auto res = runtime::runPhased(app, w.machine, w.space,
-                                          v.est, prior, opt, rng);
+            scenario::Spec rep = spec;
+            rep.seed = bench::seed() + r;
+            scenario::Scenario sc(rep, w.machine, w.space);
+            auto res = scenario::runScenario(sc, v.est, prior, opt);
             p1 += res.phaseEnergy[0];
             p2 += res.phaseEnergy[1];
             total += res.totalEnergy;

@@ -13,9 +13,8 @@
 
 #include "estimators/leo.hh"
 #include "platform/config_space.hh"
-#include "runtime/phased_run.hh"
+#include "scenario/scenario.hh"
 #include "telemetry/profile_store.hh"
-#include "workloads/ground_truth.hh"
 #include "workloads/suite.hh"
 
 int
@@ -34,22 +33,27 @@ main()
         rng);
     auto prior = store.without("fluidanimate");
 
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(100);
+    // The workload in the scenario DSL: the light phase runs at 3/2
+    // the heavy phase's heartbeat rate at every configuration.
+    scenario::Spec spec = scenario::Spec::fromString(
+        "name phase_adaptive\n"
+        "workload phased\n"
+        "seed 9\n"
+        "phase fluidanimate frames=100 scale=1.0\n"
+        "phase fluidanimate frames=100 scale=1.5\n");
 
     // Real-time demand: 60% of the heavy phase's peak rate.
-    workloads::ApplicationModel heavy(app.phases()[0].profile,
-                                      machine);
-    auto gt = workloads::computeGroundTruth(heavy, space);
+    spec.targetRate = 0.6 * scenario::Scenario(spec, machine, space)
+                                .truth(0)
+                                .performance.max();
+    scenario::Scenario sc(spec, machine, space);
+
     runtime::ControllerOptions opt;
-    opt.targetRate = 0.6 * gt.performance.max();
     opt.sampleBudget = 6;
 
     estimators::LeoEstimator leo;
-    stats::Rng rng_leo(9), rng_oracle(9);
-    auto mine = runtime::runPhased(app, machine, space, &leo, prior,
-                                   opt, rng_leo);
-    auto oracle = runtime::runPhased(app, machine, space, nullptr,
-                                     store, opt, rng_oracle);
+    auto mine = scenario::runScenario(sc, &leo, prior, opt);
+    auto oracle = scenario::runScenario(sc, nullptr, store, opt);
 
     std::printf("frame  phase  config  rate/target  power-W  "
                 "sampling\n");

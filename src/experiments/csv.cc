@@ -5,64 +5,16 @@
 
 #include "experiments/csv.hh"
 
-#include <cctype>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "linalg/error.hh"
+#include "workloads/fields.hh"
 
 namespace leo::experiments
 {
 
-namespace
-{
-
-/** Split a line on commas, trimming surrounding whitespace. */
-std::vector<std::string>
-splitCsvLine(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream is(line);
-    while (std::getline(is, cell, ',')) {
-        const auto begin = cell.find_first_not_of(" \t\r");
-        const auto end = cell.find_last_not_of(" \t\r");
-        cells.push_back(begin == std::string::npos
-                            ? std::string{}
-                            : cell.substr(begin, end - begin + 1));
-    }
-    return cells;
-}
-
-/** True for lines CSV readers skip. */
-bool
-skippable(const std::string &line)
-{
-    for (char c : line) {
-        if (c == '#')
-            return true;
-        if (!std::isspace(static_cast<unsigned char>(c)))
-            return false;
-    }
-    return true;
-}
-
-double
-parseDouble(const std::string &cell, const std::string &context)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(cell, &used);
-        require(used == cell.size(),
-                "trailing characters in number: " + context);
-        return v;
-    } catch (const std::exception &) {
-        fatal("cannot parse number '" + cell + "' in " + context);
-    }
-}
-
-} // namespace
+namespace fields = workloads::fields;
 
 std::vector<NamedVector>
 readProfileTable(std::istream &in)
@@ -72,18 +24,21 @@ readProfileTable(std::istream &in)
     std::size_t lineno = 0;
     while (std::getline(in, line)) {
         ++lineno;
-        if (skippable(line))
+        line = fields::stripLine(line);
+        if (line.empty())
             continue;
-        const std::vector<std::string> cells = splitCsvLine(line);
+        const std::vector<std::string> cells =
+            fields::splitCommas(line);
         require(cells.size() >= 2,
                 "profile row needs a name and at least one value "
                 "(line " + std::to_string(lineno) + ")");
         NamedVector row;
         row.name = cells[0];
         linalg::Vector v(cells.size() - 1);
+        const std::string what =
+            "line " + std::to_string(lineno) + ": profile value";
         for (std::size_t i = 1; i < cells.size(); ++i)
-            v[i - 1] = parseDouble(
-                cells[i], "line " + std::to_string(lineno));
+            v[i - 1] = fields::parseFinite(cells[i], what);
         row.values = std::move(v);
         if (!rows.empty()) {
             require(row.values.size() == rows.front().values.size(),
@@ -102,7 +57,7 @@ writeProfileTable(std::ostream &out,
     for (const NamedVector &row : rows) {
         out << row.name;
         for (double v : row.values)
-            out << ',' << v;
+            out << ',' << fields::formatNumber(v);
         out << '\n';
     }
 }
@@ -116,21 +71,19 @@ readObservations(std::istream &in)
     std::size_t lineno = 0;
     while (std::getline(in, line)) {
         ++lineno;
-        if (skippable(line))
+        line = fields::stripLine(line);
+        if (line.empty())
             continue;
-        const std::vector<std::string> cells = splitCsvLine(line);
+        const std::vector<std::string> cells =
+            fields::splitCommas(line);
         require(cells.size() == 2,
                 "observation row must be 'index,value' (line " +
                     std::to_string(lineno) + ")");
-        const double idx = parseDouble(
-            cells[0], "line " + std::to_string(lineno));
-        require(idx >= 0.0 && idx == static_cast<double>(
-                                         static_cast<std::size_t>(idx)),
-                "observation index must be a non-negative integer "
-                "(line " + std::to_string(lineno) + ")");
-        indices.push_back(static_cast<std::size_t>(idx));
-        values.push_back(parseDouble(
-            cells[1], "line " + std::to_string(lineno)));
+        const std::string at = "line " + std::to_string(lineno);
+        indices.push_back(
+            fields::parseCount(cells[0], at + ": observation index"));
+        values.push_back(
+            fields::parseFinite(cells[1], at + ": observation value"));
     }
     return {std::move(indices), linalg::Vector(std::move(values))};
 }
@@ -143,7 +96,8 @@ writeObservations(std::ostream &out,
     require(indices.size() == values.size(),
             "writeObservations: size mismatch");
     for (std::size_t i = 0; i < indices.size(); ++i)
-        out << indices[i] << ',' << values[i] << '\n';
+        out << indices[i] << ',' << fields::formatNumber(values[i])
+            << '\n';
 }
 
 void
@@ -153,9 +107,9 @@ writeEstimates(std::ostream &out, const linalg::Vector &values,
     require(stddev.empty() || stddev.size() == values.size(),
             "writeEstimates: stddev size mismatch");
     for (std::size_t i = 0; i < values.size(); ++i) {
-        out << i << ',' << values[i];
+        out << i << ',' << fields::formatNumber(values[i]);
         if (!stddev.empty())
-            out << ',' << stddev[i];
+            out << ',' << fields::formatNumber(stddev[i]);
         out << '\n';
     }
 }

@@ -13,7 +13,13 @@
  *  - estimates:      one row per configuration,
  *        index,estimate[,stddev]
  *
- * Lines starting with '#' and blank lines are ignored.
+ * Lines, fields and numbers follow the grammar the trace and
+ * scenario readers share (workloads/fields.hh): '#' starts a comment
+ * anywhere on a line, blank lines and CRLF endings are fine, a
+ * trailing comma makes an empty cell (rejected), every value must be
+ * a finite number and every index an exact non-negative decimal
+ * integer. Writers print each number in its shortest round-trip
+ * form, so a table reads back bit for bit.
  */
 
 #ifndef LEO_EXPERIMENTS_CSV_HH

@@ -5,6 +5,7 @@
 
 #include "scenario/scenario.hh"
 
+#include <cmath>
 #include <utility>
 
 #include "faults/faults.hh"
@@ -50,6 +51,11 @@ Scenario::Scenario(Spec spec, const platform::Machine &machine,
         require(!spec_.phases.empty(),
                 "scenario: phased workload needs at least one phase");
         for (const PhaseSpec &ph : spec_.phases) {
+            require(ph.frames > 0, "scenario: phase '" + ph.app +
+                                       "' has zero frames");
+            require(std::isfinite(ph.scale) && ph.scale > 0.0,
+                    "scenario: phase '" + ph.app +
+                        "' needs a finite scale > 0");
             workloads::ApplicationProfile profile =
                 workloads::profileByName(ph.app);
             profile.baseHeartbeatRate *= ph.scale;
@@ -159,8 +165,7 @@ runScenario(Scenario &scenario,
 
     // Fault decorators over the standard meters: with the spec's
     // fault scenario all-zero they are bitwise identical to the bare
-    // meters (faults draw from a separate stream), which is what
-    // makes this loop 0-ULP equivalent to runtime::runPhased.
+    // meters (faults draw from a separate stream).
     const telemetry::HeartbeatMonitor base_monitor;
     const telemetry::WattsUpMeter base_meter;
     const faults::FaultyHeartbeatMonitor monitor(base_monitor,
@@ -211,7 +216,7 @@ runScenario(Scenario &scenario,
         if (busy < period)
             energy += idle_power * (period - busy);
 
-        runtime::FrameRecord rec;
+        FrameRecord rec;
         rec.frame = f;
         rec.phase = phase;
         rec.configIndex = cfg;

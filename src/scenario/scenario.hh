@@ -10,13 +10,14 @@
  *
  * Two runners consume a Scenario:
  *
- *  - runScenario() is the single-tenant closed loop. It mirrors
- *    runtime::runPhased frame for frame — same controller, same
- *    telemetry, same RNG consumption order — with the scenario's
- *    fault decorators wrapped around the meters and the scenario's
- *    change-point policy applied to the controller. With a fault-free
- *    spec and the policy Off it is bitwise identical to runPhased on
- *    the equivalent PhasedApplication (tested).
+ *  - runScenario() is the single-tenant closed loop, and the only
+ *    one in the repository: the Section 6.6 experiment (fig13, tab01,
+ *    examples/phase_adaptive) is a two-phase Spec run through it.
+ *    Every frame the controller picks a configuration, sees noisy
+ *    telemetry through the scenario's fault decorators, and the
+ *    runner accounts the frame's true time and energy, including
+ *    slack idling within the frame period ("pace to idle") and late
+ *    frames when the chosen configuration is too slow.
  *
  *  - runScenarioService() drives the scenario through leo::service:
  *    tenants arrive per the spec's ArrivalSpec, every tenant replays
@@ -34,7 +35,7 @@
 #include <vector>
 
 #include "platform/machine.hh"
-#include "runtime/phased_run.hh"
+#include "runtime/controller.hh"
 #include "scenario/spec.hh"
 #include "service/service.hh"
 #include "workloads/ground_truth.hh"
@@ -55,7 +56,8 @@ class Scenario
      * @param machine The machine it runs on.
      * @param space   The configuration space the controller actuates.
      * @throws leo::FatalError when the spec cannot materialize (an
-     *         unknown application, a Phased spec without phases, a
+     *         unknown application, a Phased spec without phases or
+     *         with a phase of zero frames or a non-positive scale, a
      *         Trace spec without a trace, a trace row outside the
      *         space).
      */
@@ -77,7 +79,9 @@ class Scenario
     std::size_t totalFrames() const { return total_frames_; }
     /** @return Number of phases (trace: segments). */
     std::size_t numPhases() const { return truths_.size(); }
-    /** @return Phase index containing a global frame. */
+    /** @return Phase index containing a global frame; frames past
+     *  the end stay in the last phase (service runs may outlast
+     *  the spec's frame count). */
     std::size_t phaseIndexAt(std::size_t frame) const;
 
     /**
@@ -114,11 +118,32 @@ class Scenario
     std::vector<workloads::GroundTruth> truths_;
 };
 
+/** Per-frame record of a closed-loop run. */
+struct FrameRecord
+{
+    /** Global frame index. */
+    std::size_t frame = 0;
+    /** Phase the application was in. */
+    std::size_t phase = 0;
+    /** Configuration the controller chose. */
+    std::size_t configIndex = 0;
+    /** True heartbeat rate achieved (frames/s). */
+    double rate = 0.0;
+    /** True wall power while rendering (Watts). */
+    double powerWatts = 0.0;
+    /** Energy of the frame period, including slack idle (Joules). */
+    double energyJoules = 0.0;
+    /** rate / demand: >= 1 means the frame met real-time. */
+    double normalizedPerformance = 0.0;
+    /** True while the controller was probing configurations. */
+    bool sampling = false;
+};
+
 /** Result of a single-tenant scenario run. */
 struct RunResult
 {
-    /** The full frame trace (runtime/phased_run.hh record). */
-    std::vector<runtime::FrameRecord> trace;
+    /** The full frame trace. */
+    std::vector<FrameRecord> trace;
     /** Energy per phase (Joules). */
     std::vector<double> phaseEnergy;
     /** Total energy (Joules). */

@@ -1,13 +1,11 @@
 #include "scenario/spec.hh"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "linalg/error.hh"
+#include "workloads/fields.hh"
 #include "workloads/jsonish.hh"
 
 namespace leo::scenario
@@ -16,64 +14,28 @@ namespace leo::scenario
 namespace
 {
 
-/** Strip '#' comments and surrounding whitespace (CRLF tolerant). */
-std::string
-stripLine(const std::string &raw)
-{
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos)
-        line.erase(hash);
-    const auto isSpace = [](char c) {
-        return c == ' ' || c == '\t' || c == '\r';
-    };
-    std::size_t b = 0, e = line.size();
-    while (b < e && isSpace(line[b]))
-        ++b;
-    while (e > b && isSpace(line[e - 1]))
-        --e;
-    return line.substr(b, e - b);
-}
+namespace fields = workloads::fields;
+using fields::formatNumber;
 
-/** Split on runs of spaces/tabs. */
+/** Split a stripped line on runs of blanks. */
 std::vector<std::string>
 tokens(const std::string &line)
 {
+    std::istringstream in(line);
     std::vector<std::string> out;
-    std::string cur;
-    for (const char c : line) {
-        if (c == ' ' || c == '\t') {
-            if (!cur.empty())
-                out.push_back(std::exchange(cur, {}));
-        } else {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
+    for (std::string tok; in >> tok;)
+        out.push_back(std::move(tok));
     return out;
 }
 
+/** A phase scale: finite and > 0. */
 double
-parseNum(const std::string &tok, const std::string &what)
+parseScale(const std::string &tok, const std::string &what)
 {
-    char *end = nullptr;
-    const double x = std::strtod(tok.c_str(), &end);
-    require(!tok.empty() && end != nullptr && *end == '\0' &&
-                std::isfinite(x),
-            "scenario: " + what + " '" + tok +
-                "' is not a finite number");
-    return x;
-}
-
-std::size_t
-parseCount(const std::string &tok, const std::string &what)
-{
-    const double x = parseNum(tok, what);
-    require(x >= 0.0 && x == std::floor(x),
-            "scenario: " + what + " '" + tok +
-                "' must be a non-negative integer");
-    return static_cast<std::size_t>(x);
+    const double s = fields::parseFinite(tok, "scenario: " + what);
+    require(s > 0.0, "scenario: " + what + " '" + tok +
+                         "' must be > 0");
+    return s;
 }
 
 /** Split "key=value"; returns false when there is no '='. */
@@ -130,31 +92,70 @@ setFaultField(faults::FaultScenario &f, const std::string &key,
               const std::string &val)
 {
     if (key == "nan")
-        f.nanProb = parseNum(val, "fault nan");
+        f.nanProb = fields::parseFinite(val, "scenario: fault nan");
     else if (key == "inf")
-        f.infProb = parseNum(val, "fault inf");
+        f.infProb = fields::parseFinite(val, "scenario: fault inf");
     else if (key == "dropout")
-        f.dropoutProb = parseNum(val, "fault dropout");
+        f.dropoutProb = fields::parseFinite(val, "scenario: fault dropout");
     else if (key == "outlier")
-        f.outlierProb = parseNum(val, "fault outlier");
+        f.outlierProb = fields::parseFinite(val, "scenario: fault outlier");
     else if (key == "outlier_scale")
-        f.outlierScale = parseNum(val, "fault outlier_scale");
+        f.outlierScale =
+            fields::parseFinite(val, "scenario: fault outlier_scale");
     else if (key == "stale")
-        f.staleProb = parseNum(val, "fault stale");
+        f.staleProb = fields::parseFinite(val, "scenario: fault stale");
     else if (key == "seed")
-        f.seed = static_cast<std::uint64_t>(
-            parseCount(val, "fault seed"));
+        f.seed = fields::parseCount(val, "scenario: fault seed");
     else
         fatal("scenario: unknown fault field '" + key + "'");
 }
 
-/** Round-trip-exact double rendering. */
-std::string
-fmtNum(double x)
+/** Apply one phase option (app, frames, scale). */
+void
+setPhaseField(PhaseSpec &ph, const std::string &key,
+              const std::string &val)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", x);
-    return buf;
+    if (key == "app")
+        ph.app = val;
+    else if (key == "frames")
+        ph.frames = fields::parseCount(val, "scenario: phase frames");
+    else if (key == "scale")
+        ph.scale = parseScale(val, "phase scale");
+    else
+        fatal("scenario: unknown phase option '" + key + "'");
+}
+
+/** Apply one tenant-arrival option (count, spacing, rate_spread). */
+void
+setArrivalField(ArrivalSpec &a, const std::string &key,
+                const std::string &val)
+{
+    if (key == "count")
+        a.tenants = fields::parseCount(val, "scenario: tenants");
+    else if (key == "spacing")
+        a.spacingWindows =
+            fields::parseCount(val, "scenario: tenants spacing");
+    else if (key == "rate_spread")
+        a.rateSpread =
+            fields::parseFinite(val, "scenario: tenants rate_spread");
+    else
+        fatal("scenario: unknown tenants option '" + key + "'");
+}
+
+/** Every phase lasts at least one frame. */
+void
+requireFrames(const PhaseSpec &ph)
+{
+    require(ph.frames > 0, "scenario: phase '" + ph.app +
+                               "' needs frames=<n> > 0");
+}
+
+/** A JSON scalar as the text the field setters parse: a number's
+ *  source text or a string's payload. */
+const std::string &
+scalarText(const workloads::jsonish::Value &v)
+{
+    return v.isNumber() ? v.numberText() : v.asString();
 }
 
 Spec
@@ -164,60 +165,31 @@ fromJsonDoc(const std::string &text)
     const js::Value doc = js::parse(text);
     require(doc.isObject(), "scenario: JSON root must be an object");
     Spec spec;
+    // Only the structure is read here; every scalar goes through the
+    // text grammar's setters, so both forms validate alike.
     for (const auto &[key, v] : doc.members()) {
-        if (key == "name") {
-            spec.name = v.asString();
-        } else if (key == "workload") {
-            spec.workload = parseWorkload(v.asString());
-        } else if (key == "app") {
-            spec.app = v.asString();
-        } else if (key == "target") {
-            spec.targetRate = v.asNumber();
-        } else if (key == "frames") {
-            spec.frames =
-                static_cast<std::size_t>(v.asNumber());
-        } else if (key == "seed") {
-            spec.seed = static_cast<std::uint64_t>(v.asNumber());
-        } else if (key == "changepoint") {
-            spec.changePointPolicy = parsePolicy(v.asString());
-        } else if (key == "changepoint_method") {
-            spec.changePointMethod = parseMethod(v.asString());
-        } else if (key == "trace_file") {
-            spec.traceFile = v.asString();
-        } else if (key == "trace_inline") {
-            spec.traceText = v.asString();
-        } else if (key == "phases") {
-            for (const auto &pv : v.items()) {
+        if (key == "phases") {
+            for (const js::Value &pv : v.items()) {
                 PhaseSpec ph;
-                if (pv.has("app"))
-                    ph.app = pv.at("app").asString();
-                if (pv.has("scale"))
-                    ph.scale = pv.at("scale").asNumber();
-                require(pv.has("frames"),
-                        "scenario: phase needs 'frames'");
-                ph.frames = static_cast<std::size_t>(
-                    pv.at("frames").asNumber());
+                for (const auto &[pk, pval] : pv.members())
+                    setPhaseField(ph, pk, scalarText(pval));
+                requireFrames(ph);
                 spec.phases.push_back(std::move(ph));
             }
         } else if (key == "fault") {
             for (const auto &[fk, fv] : v.members())
-                setFaultField(spec.faults, fk,
-                              fmtNum(fv.asNumber()));
+                setFaultField(spec.faults, fk, scalarText(fv));
         } else if (key == "tenants") {
-            require(v.isObject(),
-                    "scenario: 'tenants' must be an object");
-            if (v.has("count"))
-                spec.arrivals.tenants = static_cast<std::size_t>(
-                    v.at("count").asNumber());
-            if (v.has("spacing"))
-                spec.arrivals.spacingWindows =
-                    static_cast<std::size_t>(
-                        v.at("spacing").asNumber());
-            if (v.has("rate_spread"))
-                spec.arrivals.rateSpread =
-                    v.at("rate_spread").asNumber();
+            for (const auto &[tk, tv] : v.members())
+                setArrivalField(spec.arrivals, tk, scalarText(tv));
+        } else if (key == "trace_inline") {
+            spec.traceText = v.asString();
         } else {
-            fatal("scenario: unknown JSON key '" + key + "'");
+            // Keys are sorted, so "phase_scale" would always run
+            // before "phases" and rescale nothing.
+            require(key != "phase_scale",
+                    "scenario: JSON phases carry their own 'scale'");
+            setField(spec, key, scalarText(v));
         }
     }
     return spec;
@@ -232,7 +204,7 @@ fromTextDoc(const std::string &text)
     std::size_t lineno = 0;
     while (std::getline(ss, raw)) {
         ++lineno;
-        const std::string line = stripLine(raw);
+        const std::string line = fields::stripLine(raw);
         if (line.empty())
             continue;
         const auto toks = tokens(line);
@@ -246,26 +218,14 @@ fromTextDoc(const std::string &text)
         if (dir == "phase") {
             PhaseSpec ph;
             ph.app = wantArg("an application name");
-            bool have_frames = false;
             for (std::size_t i = 2; i < toks.size(); ++i) {
                 std::string k, v;
                 require(splitKv(toks[i], &k, &v),
                         "scenario: line " + std::to_string(lineno) +
                             ": phase options are key=value");
-                if (k == "frames") {
-                    ph.frames = parseCount(v, "phase frames");
-                    have_frames = true;
-                } else if (k == "scale") {
-                    ph.scale = parseNum(v, "phase scale");
-                } else {
-                    fatal("scenario: line " +
-                          std::to_string(lineno) +
-                          ": unknown phase option '" + k + "'");
-                }
+                setPhaseField(ph, k, v);
             }
-            require(have_frames && ph.frames > 0,
-                    "scenario: line " + std::to_string(lineno) +
-                        ": phase needs frames=<n> > 0");
+            requireFrames(ph);
             spec.phases.push_back(std::move(ph));
         } else if (dir == "fault") {
             for (std::size_t i = 1; i < toks.size(); ++i) {
@@ -276,23 +236,14 @@ fromTextDoc(const std::string &text)
                 setFaultField(spec.faults, k, v);
             }
         } else if (dir == "tenants") {
-            spec.arrivals.tenants =
-                parseCount(wantArg("a tenant count"), "tenants");
+            setArrivalField(spec.arrivals, "count",
+                            wantArg("a tenant count"));
             for (std::size_t i = 2; i < toks.size(); ++i) {
                 std::string k, v;
                 require(splitKv(toks[i], &k, &v),
                         "scenario: line " + std::to_string(lineno) +
                             ": tenants options are key=value");
-                if (k == "spacing")
-                    spec.arrivals.spacingWindows =
-                        parseCount(v, "tenants spacing");
-                else if (k == "rate_spread")
-                    spec.arrivals.rateSpread =
-                        parseNum(v, "tenants rate_spread");
-                else
-                    fatal("scenario: line " +
-                          std::to_string(lineno) +
-                          ": unknown tenants option '" + k + "'");
+                setArrivalField(spec.arrivals, k, v);
             }
         } else if (dir == "trace_inline") {
             const std::string &arg = wantArg("a <<DELIM marker");
@@ -307,7 +258,7 @@ fromTextDoc(const std::string &text)
                 // Only CRLF-strip here: the body is raw trace text.
                 if (!raw.empty() && raw.back() == '\r')
                     raw.pop_back();
-                if (stripLine(raw) == delim) {
+                if (fields::stripLine(raw) == delim) {
                     closed = true;
                     break;
                 }
@@ -338,12 +289,14 @@ setField(Spec &spec, const std::string &key,
     } else if (key == "app") {
         spec.app = value;
     } else if (key == "target") {
-        spec.targetRate = parseNum(value, "target");
+        spec.targetRate = fields::parseFinite(value, "scenario: target");
+        require(spec.targetRate >= 0.0,
+                "scenario: target '" + value +
+                    "' must be >= 0 (0 = auto)");
     } else if (key == "frames") {
-        spec.frames = parseCount(value, "frames");
+        spec.frames = fields::parseCount(value, "scenario: frames");
     } else if (key == "seed") {
-        spec.seed =
-            static_cast<std::uint64_t>(parseCount(value, "seed"));
+        spec.seed = fields::parseCount(value, "scenario: seed");
     } else if (key == "changepoint") {
         spec.changePointPolicy = parsePolicy(value);
     } else if (key == "changepoint_method") {
@@ -351,9 +304,9 @@ setField(Spec &spec, const std::string &key,
     } else if (key == "trace_file") {
         spec.traceFile = value;
     } else if (key == "tenants") {
-        spec.arrivals.tenants = parseCount(value, "tenants");
+        setArrivalField(spec.arrivals, "count", value);
     } else if (key == "phase_scale") {
-        const double s = parseNum(value, "phase_scale");
+        const double s = parseScale(value, "phase_scale");
         for (PhaseSpec &ph : spec.phases)
             ph.scale *= s;
     } else if (key.size() > 6 && key.compare(0, 6, "fault.") == 0) {
@@ -366,14 +319,8 @@ setField(Spec &spec, const std::string &key,
 Spec
 Spec::fromString(const std::string &text)
 {
-    for (const char c : text) {
-        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-            continue;
-        if (c == '{')
-            return fromJsonDoc(text);
-        break;
-    }
-    return fromTextDoc(text);
+    return fields::looksLikeJson(text) ? fromJsonDoc(text)
+                                       : fromTextDoc(text);
 }
 
 Spec
@@ -397,7 +344,7 @@ Spec::toString() const
                                               : "trace";
     out += "\n";
     out += "app " + app + "\n";
-    out += "target " + fmtNum(targetRate) + "\n";
+    out += "target " + formatNumber(targetRate) + "\n";
     out += "frames " + std::to_string(frames) + "\n";
     out += "seed " + std::to_string(seed) + "\n";
     out += "changepoint ";
@@ -414,17 +361,17 @@ Spec::toString() const
         faults.seed != faults::FaultScenario{}.seed) {
         out += "fault";
         if (faults.nanProb > 0.0)
-            out += " nan=" + fmtNum(faults.nanProb);
+            out += " nan=" + formatNumber(faults.nanProb);
         if (faults.infProb > 0.0)
-            out += " inf=" + fmtNum(faults.infProb);
+            out += " inf=" + formatNumber(faults.infProb);
         if (faults.dropoutProb > 0.0)
-            out += " dropout=" + fmtNum(faults.dropoutProb);
+            out += " dropout=" + formatNumber(faults.dropoutProb);
         if (faults.outlierProb > 0.0) {
-            out += " outlier=" + fmtNum(faults.outlierProb);
-            out += " outlier_scale=" + fmtNum(faults.outlierScale);
+            out += " outlier=" + formatNumber(faults.outlierProb);
+            out += " outlier_scale=" + formatNumber(faults.outlierScale);
         }
         if (faults.staleProb > 0.0)
-            out += " stale=" + fmtNum(faults.staleProb);
+            out += " stale=" + formatNumber(faults.staleProb);
         if (faults.seed != faults::FaultScenario{}.seed)
             out += " seed=" + std::to_string(faults.seed);
         out += "\n";
@@ -432,7 +379,7 @@ Spec::toString() const
     for (const PhaseSpec &ph : phases) {
         out += "phase " + ph.app +
                " frames=" + std::to_string(ph.frames) +
-               " scale=" + fmtNum(ph.scale) + "\n";
+               " scale=" + formatNumber(ph.scale) + "\n";
     }
     if (!traceFile.empty())
         out += "trace_file " + traceFile + "\n";
@@ -451,7 +398,7 @@ Spec::toString() const
                    std::to_string(arrivals.spacingWindows);
         if (arrivals.rateSpread != 0.0)
             out +=
-                " rate_spread=" + fmtNum(arrivals.rateSpread);
+                " rate_spread=" + formatNumber(arrivals.rateSpread);
         out += "\n";
     }
     return out;

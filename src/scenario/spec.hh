@@ -38,7 +38,9 @@
  * "target": 4.0, "phases": [{"app": "x264", "frames": 60,
  * "scale": 1.0}], "fault": {"nan": 0.05}, "tenants": {"count": 4,
  * "spacing": 8}}. A document whose first non-space character is '{'
- * parses as JSON.
+ * parses as JSON; every scalar in it goes through the same field
+ * setters as the text form, so both forms accept the same values
+ * (numbers and counts per workloads/fields.hh).
  *
  * Grid expansion (expandGrid) takes a base Spec and a list of axes —
  * each a directive key plus the values it sweeps — and produces the
@@ -142,11 +144,11 @@ struct Spec
 
 /**
  * Apply one "key value" directive to a spec — the routine behind
- * both the text grammar and grid axes. Keys: name, workload, app,
- * target, frames, seed, changepoint, changepoint_method,
- * trace_file, tenants (count only), fault.<field> (nan, inf,
- * dropout, outlier, outlier_scale, stale, seed), phase_scale
- * (rescales every phase).
+ * the text grammar, the JSON form's scalars and grid axes. Keys:
+ * name, workload, app, target (finite, >= 0), frames, seed,
+ * changepoint, changepoint_method, trace_file, tenants (count
+ * only), fault.<field> (nan, inf, dropout, outlier, outlier_scale,
+ * stale, seed), phase_scale (rescales every phase; finite, > 0).
  *
  * @throws leo::FatalError on an unknown key or unparsable value.
  */

@@ -1,10 +1,10 @@
 #include "workloads/jsonish.hh"
 
 #include <cctype>
-#include <cstdlib>
 #include <utility>
 
 #include "linalg/error.hh"
+#include "workloads/fields.hh"
 
 namespace leo::workloads::jsonish
 {
@@ -16,11 +16,11 @@ Value::asBool() const
     return bool_;
 }
 
-double
-Value::asNumber() const
+const std::string &
+Value::numberText() const
 {
     require(kind_ == Kind::Number, "jsonish: value is not a number");
-    return number_;
+    return string_;
 }
 
 const std::string &
@@ -76,11 +76,11 @@ Value::makeBool(bool b)
 }
 
 Value
-Value::makeNumber(double x)
+Value::makeNumber(std::string text)
 {
     Value v;
     v.kind_ = Kind::Number;
-    v.number_ = x;
+    v.string_ = std::move(text);
     return v;
 }
 
@@ -354,14 +354,11 @@ class Parser
             ++pos_;
         if (pos_ == start)
             fail("expected a value");
-        const std::string tok = text_.substr(start, pos_ - start);
-        char *end = nullptr;
-        const double x = std::strtod(tok.c_str(), &end);
-        if (end == nullptr || *end != '\0' || end == tok.c_str()) {
-            pos_ = start;
-            fail("malformed number '" + tok + "'");
-        }
-        return Value::makeNumber(x);
+        std::string tok = text_.substr(start, pos_ - start);
+        pos_ = start; // Errors point at the number's first character.
+        fields::parseFinite(tok, where() + "number");
+        pos_ = start + tok.size();
+        return Value::makeNumber(std::move(tok));
     }
 
     const std::string &text_;

@@ -8,7 +8,10 @@
  * standard escapes, numbers, true/false/null) into a small DOM with
  * object keys held in a sorted std::map, so iteration order — and
  * therefore everything built from a parsed document — is
- * deterministic and independent of key order in the input.
+ * deterministic and independent of key order in the input. Numbers
+ * keep their source text (checked finite at parse time): consumers
+ * read them with the shared field parsers (workloads/fields.hh), so
+ * a JSON count is as exact as a text one.
  *
  * Parse errors throw leo::FatalError with a line/column message.
  * This is an offline input reader, not a wire-format codec: no
@@ -60,8 +63,11 @@ class Value
 
     /** @return The boolean payload (kind must be Bool). */
     bool asBool() const;
-    /** @return The numeric payload (kind must be Number). */
-    double asNumber() const;
+    /** @return A number's source text, exactly as written (kind must
+     *  be Number). Read it with the workloads/fields.hh parsers,
+     *  which own the range checks, so a count never passes through
+     *  a double. */
+    const std::string &numberText() const;
     /** @return The string payload (kind must be String). */
     const std::string &asString() const;
     /** @return The elements (kind must be Array). */
@@ -77,7 +83,7 @@ class Value
     /** Factory helpers used by the parser. */
     static Value makeNull();
     static Value makeBool(bool b);
-    static Value makeNumber(double x);
+    static Value makeNumber(std::string text);
     static Value makeString(std::string s);
     static Value makeArray(std::vector<Value> items);
     static Value makeObject(std::map<std::string, Value> members);
@@ -85,7 +91,7 @@ class Value
   private:
     Kind kind_ = Kind::Null;
     bool bool_ = false;
-    double number_ = 0.0;
+    /** String payload, or a number's source text. */
     std::string string_;
     std::vector<Value> items_;
     std::map<std::string, Value> members_;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <numeric>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "linalg/error.hh"
+#include "workloads/fields.hh"
 #include "workloads/jsonish.hh"
 
 namespace leo::workloads
@@ -17,117 +18,50 @@ namespace leo::workloads
 namespace
 {
 
-/** True when the document looks like JSON rather than CSV. */
-bool
-looksLikeJson(const std::string &text)
-{
-    for (const char c : text) {
-        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-            continue;
-        return c == '{' || c == '[';
-    }
-    return false;
-}
-
-/** Strip an inline '#' comment and surrounding whitespace. */
-std::string
-stripLine(const std::string &raw)
-{
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos)
-        line.erase(hash);
-    const auto isSpace = [](char c) {
-        return c == ' ' || c == '\t' || c == '\r';
-    };
-    std::size_t b = 0, e = line.size();
-    while (b < e && isSpace(line[b]))
-        ++b;
-    while (e > b && isSpace(line[e - 1]))
-        --e;
-    return line.substr(b, e - b);
-}
-
-/** Split a CSV line on commas, trimming each field. */
-std::vector<std::string>
-splitFields(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string cur;
-    std::stringstream ss(line);
-    while (std::getline(ss, cur, ','))
-        fields.push_back(stripLine(cur));
-    if (!line.empty() && line.back() == ',')
-        fields.push_back("");
-    return fields;
-}
-
-/** Parse one strictly-finite double cell. */
-double
-parseCell(const std::string &tok, std::size_t lineno,
-          const char *what)
-{
-    char *end = nullptr;
-    const double x = std::strtod(tok.c_str(), &end);
-    require(!tok.empty() && end != nullptr && *end == '\0',
-            "trace: line " + std::to_string(lineno) + ": " + what +
-                " '" + tok + "' is not a number");
-    require(std::isfinite(x), "trace: line " +
-                                  std::to_string(lineno) + ": " +
-                                  what + " is not finite");
-    return x;
-}
-
-/** Append one validated (index, perf, power) row to a segment. */
+/** Append one validated (config, perf, power) row to a segment;
+ *  @p where prefixes the error messages. */
 void
-pushRow(TraceSegment &seg, std::size_t lineno, double idx,
-        double perf, double power)
+pushRow(TraceSegment &seg, const std::string &where,
+        std::string_view config, std::string_view perf,
+        std::string_view power)
 {
-    require(idx >= 0.0 && idx == std::floor(idx),
-            "trace: line " + std::to_string(lineno) +
-                ": config index must be a non-negative integer");
-    require(perf > 0.0, "trace: line " + std::to_string(lineno) +
-                            ": performance must be positive");
-    require(power > 0.0, "trace: line " + std::to_string(lineno) +
-                             ": power must be positive");
-    const auto c = static_cast<std::size_t>(idx);
-    for (const std::size_t seen : seg.indices)
-        require(seen != c,
-                "trace: line " + std::to_string(lineno) +
-                    ": duplicate config index " + std::to_string(c) +
-                    " in segment");
+    const std::size_t c =
+        fields::parseCount(config, where + ": config index");
+    const double p =
+        fields::parseFinite(perf, where + ": performance");
+    const double w = fields::parseFinite(power, where + ": power");
+    require(p > 0.0, where + ": performance must be positive");
+    require(w > 0.0, where + ": power must be positive");
+    if (std::find(seg.indices.begin(), seg.indices.end(), c) !=
+        seg.indices.end())
+        fatal(where + ": duplicate config index " +
+              std::to_string(c) + " in segment");
     seg.indices.push_back(c);
-    seg.performance.push_back(perf);
-    seg.power.push_back(power);
+    seg.performance.push_back(p);
+    seg.power.push_back(w);
 }
 
-/** Sort a segment's rows by config index (parallel arrays). */
+/** Append a segment to @p table with its rows sorted by config
+ *  index; @p where prefixes the empty-segment error. */
 void
-sortSegment(TraceSegment &seg)
+appendSegment(TraceTable &table, const TraceSegment &seg,
+              const std::string &where)
 {
+    require(!seg.indices.empty(), where + ": empty segment");
     std::vector<std::size_t> order(seg.indices.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    // Insertion sort on index: segments are small and already mostly
-    // ordered, and stability is irrelevant (indices are unique).
-    for (std::size_t i = 1; i < order.size(); ++i) {
-        const std::size_t o = order[i];
-        std::size_t j = i;
-        while (j > 0 &&
-               seg.indices[order[j - 1]] > seg.indices[o]) {
-            order[j] = order[j - 1];
-            --j;
-        }
-        order[j] = o;
-    }
-    TraceSegment sorted;
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    // Indices are unique within a segment: the order is total.
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return seg.indices[a] < seg.indices[b];
+              });
+    TraceSegment &sorted = table.segments.emplace_back();
     sorted.workUnits = seg.workUnits;
     for (const std::size_t o : order) {
         sorted.indices.push_back(seg.indices[o]);
         sorted.performance.push_back(seg.performance[o]);
         sorted.power.push_back(seg.power[o]);
     }
-    seg = std::move(sorted);
 }
 
 TraceTable
@@ -141,49 +75,38 @@ fromCsv(const std::string &text)
     std::string raw;
 
     const auto closeSegment = [&]() {
-        require(!cur.indices.empty(),
-                "trace: line " + std::to_string(lineno) +
-                    ": empty segment");
-        sortSegment(cur);
-        table.segments.push_back(std::move(cur));
+        appendSegment(table, cur,
+                      "trace: line " + std::to_string(lineno));
         cur = TraceSegment{};
     };
 
     while (std::getline(ss, raw)) {
         ++lineno;
-        const std::string line = stripLine(raw);
+        const std::string line = fields::stripLine(raw);
         if (line.empty())
             continue;
-        const auto fields = splitFields(line);
-        if (fields[0] == "segment") {
-            require(fields.size() == 2,
-                    "trace: line " + std::to_string(lineno) +
-                        ": segment directive needs exactly one "
-                        "work-unit count");
+        const auto cells = fields::splitCommas(line);
+        const std::string where =
+            "trace: line " + std::to_string(lineno);
+        if (cells[0] == "segment") {
+            require(cells.size() == 2,
+                    where + ": segment directive needs exactly one "
+                            "work-unit count");
             if (open)
                 closeSegment();
-            const double wu =
-                parseCell(fields[1], lineno, "work-unit count");
-            require(wu >= 0.0 && wu == std::floor(wu),
-                    "trace: line " + std::to_string(lineno) +
-                        ": work-unit count must be a non-negative "
-                        "integer");
-            cur.workUnits = static_cast<std::size_t>(wu);
+            cur.workUnits = fields::parseCount(
+                cells[1], where + ": work-unit count");
             open = true;
             continue;
         }
-        if (fields[0] == "config" || fields[0] == "index")
+        if (cells[0] == "config" || cells[0] == "index")
             continue; // Optional header row.
-        require(fields.size() == 3,
-                "trace: line " + std::to_string(lineno) +
-                    ": expected 3 columns "
-                    "(config,performance,power), got " +
-                    std::to_string(fields.size()));
-        if (!open)
-            open = true; // Implicit unbounded first segment.
-        pushRow(cur, lineno, parseCell(fields[0], lineno, "config"),
-                parseCell(fields[1], lineno, "performance"),
-                parseCell(fields[2], lineno, "power"));
+        require(cells.size() == 3,
+                where + ": expected 3 columns "
+                        "(config,performance,power), got " +
+                    std::to_string(cells.size()));
+        open = true; // The first row may open an unbounded segment.
+        pushRow(cur, where, cells[0], cells[1], cells[2]);
     }
     require(open, "trace: no data rows");
     closeSegment();
@@ -197,12 +120,9 @@ pushJsonRow(TraceSegment &seg, const jsonish::Value &row)
     require(row.isArray() && row.items().size() == 3,
             "trace: each row must be a [config, performance, power] "
             "triple");
-    const double idx = row.items()[0].asNumber();
-    const double perf = row.items()[1].asNumber();
-    const double power = row.items()[2].asNumber();
-    require(std::isfinite(perf) && std::isfinite(power),
-            "trace: row cells must be finite");
-    pushRow(seg, 0, idx, perf, power);
+    const auto &cells = row.items();
+    pushRow(seg, "trace: JSON row", cells[0].numberText(),
+            cells[1].numberText(), cells[2].numberText());
 }
 
 TraceTable
@@ -214,9 +134,7 @@ fromJson(const std::string &text)
         TraceSegment seg;
         for (const auto &row : doc.items())
             pushJsonRow(seg, row);
-        require(!seg.indices.empty(), "trace: empty segment");
-        sortSegment(seg);
-        table.segments.push_back(std::move(seg));
+        appendSegment(table, seg, "trace");
         return table;
     }
     require(doc.isObject() && doc.has("segments"),
@@ -228,18 +146,12 @@ fromJson(const std::string &text)
         require(sv.isObject() && sv.has("rows"),
                 "trace: each segment needs a 'rows' array");
         TraceSegment seg;
-        if (sv.has("workUnits")) {
-            const double wu = sv.at("workUnits").asNumber();
-            require(wu >= 0.0 && wu == std::floor(wu),
-                    "trace: workUnits must be a non-negative "
-                    "integer");
-            seg.workUnits = static_cast<std::size_t>(wu);
-        }
+        if (sv.has("workUnits"))
+            seg.workUnits = fields::parseCount(
+                sv.at("workUnits").numberText(), "trace: workUnits");
         for (const auto &row : sv.at("rows").items())
             pushJsonRow(seg, row);
-        require(!seg.indices.empty(), "trace: empty segment");
-        sortSegment(seg);
-        table.segments.push_back(std::move(seg));
+        appendSegment(table, seg, "trace");
     }
     return table;
 }
@@ -321,7 +233,8 @@ keyOf(const platform::ResourceAssignment &ra)
 TraceTable
 TraceTable::fromString(const std::string &text)
 {
-    return looksLikeJson(text) ? fromJson(text) : fromCsv(text);
+    return fields::looksLikeJson(text) ? fromJson(text)
+                                       : fromCsv(text);
 }
 
 TraceTable

@@ -30,10 +30,15 @@
  * unbounded segment) or {"segments": [{"workUnits": n, "rows":
  * [[c, perf, power], ...]}, ...]}.
  *
- * Malformed input (missing columns, non-finite or non-positive
- * cells, empty segments, duplicate configs in a segment) throws
- * leo::FatalError. Config indices are validated against the actual
- * ConfigSpace when a TraceApplicationModel is built.
+ * Both forms read cells with the grammar the CSV and scenario readers
+ * share (workloads/fields.hh): config indices and work-unit counts
+ * are exact non-negative decimal integers, performance and power are
+ * finite numbers, and a CSV line splits on every comma. Malformed
+ * input (missing columns, non-integer indices, non-finite or
+ * non-positive cells, empty segments, duplicate configs in a
+ * segment) throws leo::FatalError. Config indices are validated
+ * against the actual ConfigSpace when a TraceApplicationModel is
+ * built.
  *
  * Missing configs are filled at construction by a deterministic
  * interpolation policy over config-index space (Linear, Nearest, or

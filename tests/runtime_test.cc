@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the runtime controller and the phased closed loop.
+ * Unit tests for the runtime controller. The closed loop that drives
+ * it frame by frame is scenario::runScenario (scenario_test).
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include "linalg/serialize.hh"
 #include "obs/obs.hh"
 #include "runtime/controller.hh"
-#include "runtime/phased_run.hh"
 #include "telemetry/profile_store.hh"
 #include "workloads/ground_truth.hh"
 #include "workloads/suite.hh"
@@ -218,73 +218,6 @@ TEST(Controller, RejectsBadOptions)
     estimators::LeoEstimator leo;
     EXPECT_THROW(EnergyController(w.space, &leo, w.store, bad),
                  FatalError);
-}
-
-// ------------------------------------------------------------ PhasedRun
-
-TEST(PhasedRun, OracleMeetsDemandInBothPhases)
-{
-    World w;
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(30);
-    // Demand achievable in both phases: ~60% of phase-1 peak.
-    workloads::ApplicationModel heavy(app.phases()[0].profile,
-                                      w.machine);
-    auto gt = workloads::computeGroundTruth(heavy, w.space);
-    const double demand = 0.6 * gt.performance.max();
-
-    auto result = runtime::runPhased(app, w.machine, w.space, nullptr,
-                                     w.store, w.options(demand),
-                                     w.rng);
-    EXPECT_EQ(result.trace.size(), 60u);
-    EXPECT_EQ(result.phaseEnergy.size(), 2u);
-    EXPECT_GT(result.deadlineHitRate, 0.9);
-    // Phase 2 needs 2/3 the resources: oracle spends less energy.
-    EXPECT_LT(result.phaseEnergy[1], result.phaseEnergy[0]);
-}
-
-TEST(PhasedRun, LeoAdaptsToPhaseChange)
-{
-    World w;
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(40);
-    workloads::ApplicationModel heavy(app.phases()[0].profile,
-                                      w.machine);
-    auto gt = workloads::computeGroundTruth(heavy, w.space);
-    const double demand = 0.6 * gt.performance.max();
-
-    estimators::LeoEstimator leo;
-    auto prior = w.store.without("fluidanimate");
-    ControllerOptions opt = w.options(demand, 6);
-    opt.driftWindow = 3;
-    auto result = runtime::runPhased(app, w.machine, w.space, &leo,
-                                     prior, opt, w.rng);
-    // The phase change must have been noticed.
-    EXPECT_GE(result.reestimations, 1u);
-    // And the controller still hits most frames.
-    EXPECT_GT(result.deadlineHitRate, 0.6);
-}
-
-TEST(PhasedRun, LeoNearOracleEnergy)
-{
-    // The Table 1 property, loosened: LEO's total energy lands
-    // within 35% of the oracle on the phased workload.
-    World w;
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(40);
-    workloads::ApplicationModel heavy(app.phases()[0].profile,
-                                      w.machine);
-    auto gt = workloads::computeGroundTruth(heavy, w.space);
-    const double demand = 0.55 * gt.performance.max();
-
-    stats::Rng rng_a(11), rng_b(11);
-    auto oracle = runtime::runPhased(app, w.machine, w.space, nullptr,
-                                     w.store, w.options(demand),
-                                     rng_a);
-    estimators::LeoEstimator leo;
-    auto prior = w.store.without("fluidanimate");
-    auto mine = runtime::runPhased(app, w.machine, w.space, &leo,
-                                   prior, w.options(demand, 6),
-                                   rng_b);
-    EXPECT_GT(oracle.totalEnergy, 0.0);
-    EXPECT_LT(mine.totalEnergy, oracle.totalEnergy * 1.35);
 }
 
 // ------------------------------------------ state snapshot/restore

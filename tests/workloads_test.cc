@@ -8,7 +8,6 @@
 #include "linalg/error.hh"
 #include "platform/config_space.hh"
 #include "workloads/ground_truth.hh"
-#include "workloads/phased.hh"
 #include "workloads/scaling.hh"
 #include "workloads/suite.hh"
 
@@ -245,31 +244,6 @@ TEST(Suite, GroundTruthPositiveEverywhere)
     }
 }
 
-// ---------------------------------------------------------- Phased app
-
-TEST(Phased, FluidanimateTwoPhase)
-{
-    auto app = workloads::PhasedApplication::fluidanimateTwoPhase(50);
-    EXPECT_EQ(app.phases().size(), 2u);
-    EXPECT_EQ(app.totalFrames(), 100u);
-    EXPECT_EQ(app.phaseIndexAt(0), 0u);
-    EXPECT_EQ(app.phaseIndexAt(49), 0u);
-    EXPECT_EQ(app.phaseIndexAt(50), 1u);
-    EXPECT_EQ(app.phaseIndexAt(99), 1u);
-    EXPECT_THROW(app.phaseIndexAt(100), FatalError);
-    // Phase 2 needs 2/3 the resources: 3/2 the heartbeat rate.
-    EXPECT_NEAR(app.phases()[1].profile.baseHeartbeatRate,
-                1.5 * app.phases()[0].profile.baseHeartbeatRate,
-                1e-9);
-}
-
-TEST(Phased, RejectsEmpty)
-{
-    EXPECT_THROW(workloads::PhasedApplication({}), FatalError);
-    workloads::Phase empty{workloads::profileByName("kmeans"), 0};
-    EXPECT_THROW(workloads::PhasedApplication({empty}), FatalError);
-}
-
 // ------------------------------------------------------- Input variation
 
 #include "estimators/leo.hh"
@@ -349,4 +323,62 @@ TEST(Inputs, LeoAdaptsAcrossInputs)
     EXPECT_GT(stats::accuracy(est.performance.values,
                               gt.performance),
               0.8);
+}
+
+// ------------------------------------------------ Shared field grammar
+
+#include <limits>
+
+#include "workloads/fields.hh"
+
+namespace fields = workloads::fields;
+
+TEST(Fields, LinesAndCommas)
+{
+    EXPECT_EQ(fields::stripLine("  a,b # note\r"), "a,b");
+    EXPECT_EQ(fields::stripLine("# only a comment"), "");
+    EXPECT_EQ(fields::stripLine("\t \r"), "");
+    EXPECT_EQ(fields::splitCommas("a, 1 ,2"),
+              (std::vector<std::string>{"a", "1", "2"}));
+    // A trailing comma makes an empty last field, never a dropped one.
+    EXPECT_EQ(fields::splitCommas("a,1,"),
+              (std::vector<std::string>{"a", "1", ""}));
+    EXPECT_EQ(fields::splitCommas(""), (std::vector<std::string>{""}));
+    EXPECT_TRUE(fields::looksLikeJson(" \r\n{\"a\": 1}"));
+    EXPECT_TRUE(fields::looksLikeJson("\t[1]"));
+    EXPECT_FALSE(fields::looksLikeJson("frames 3"));
+    EXPECT_FALSE(fields::looksLikeJson(" "));
+}
+
+TEST(Fields, ParsersOwnTheRangeChecks)
+{
+    EXPECT_EQ(fields::parseFinite("-2.5", "x"), -2.5);
+    EXPECT_EQ(fields::parseFinite("1e-3", "x"), 1e-3);
+    EXPECT_EQ(fields::parseCount("0", "n"), 0u);
+    EXPECT_EQ(fields::parseCount("9007199254740993", "n"),
+              9007199254740993ull);
+    EXPECT_EQ(fields::parseCount("18446744073709551615", "n"),
+              std::numeric_limits<std::uint64_t>::max());
+
+    for (const char *bad : {"", "nan", "inf", "-inf", "1e400", "1,0",
+                            "0x10", "abc", "1.5x", " 1"})
+        EXPECT_THROW(fields::parseFinite(bad, "x"), FatalError)
+            << "'" << bad << "'";
+    for (const char *bad :
+         {"", "-1", "+1", "nan", "2.7", "2.0", "1e30", "1e3", " 1",
+          "18446744073709551616"})
+        EXPECT_THROW(fields::parseCount(bad, "n"), FatalError)
+            << "'" << bad << "'";
+}
+
+TEST(Fields, FormatNumberIsShortestRoundTrip)
+{
+    EXPECT_EQ(fields::formatNumber(0.1), "0.1");
+    EXPECT_EQ(fields::formatNumber(2.0), "2");
+    for (const double x :
+         {1.0 / 3.0, 0.1 + 0.2, -1e300, 6.02214076e23, 1e-300,
+          std::numeric_limits<double>::max(),
+          std::numeric_limits<double>::min()})
+        EXPECT_EQ(fields::parseFinite(fields::formatNumber(x), "x"), x)
+            << fields::formatNumber(x);
 }

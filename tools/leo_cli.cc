@@ -44,12 +44,14 @@
 #include "platform/config_space.hh"
 #include "telemetry/profile_store.hh"
 #include "telemetry/sampler.hh"
+#include "workloads/fields.hh"
 #include "workloads/suite.hh"
 
 namespace
 {
 
 using namespace leo;
+namespace fields = workloads::fields;
 
 /** Parsed --key value options. */
 using Options = std::map<std::string, std::string>;
@@ -79,12 +81,25 @@ need(const Options &opts, const std::string &key)
     return it->second;
 }
 
+/** --key as a finite number (@p fallback when absent). */
 double
-getDouble(const Options &opts, const std::string &key,
-          double fallback)
+number(const Options &opts, const std::string &key, double fallback)
 {
     auto it = opts.find(key);
-    return it == opts.end() ? fallback : std::stod(it->second);
+    return it == opts.end()
+               ? fallback
+               : fields::parseFinite(it->second, "--" + key);
+}
+
+/** --key as an exact count (@p fallback when absent). */
+std::size_t
+count(const Options &opts, const std::string &key,
+      std::size_t fallback)
+{
+    auto it = opts.find(key);
+    return it == opts.end()
+               ? fallback
+               : fields::parseCount(it->second, "--" + key);
 }
 
 std::ifstream
@@ -127,10 +142,8 @@ cmdEstimate(const Options &opts)
         prior.push_back(r.values);
 
     estimators::LeoOptions lo;
-    lo.hyperPsiScale = getDouble(opts, "psi", lo.hyperPsiScale);
-    lo.maxIterations = static_cast<std::size_t>(
-        getDouble(opts, "iters", static_cast<double>(
-                                     lo.maxIterations)));
+    lo.hyperPsiScale = number(opts, "psi", lo.hyperPsiScale);
+    lo.maxIterations = count(opts, "iters", lo.maxIterations);
     const estimators::LeoEstimator leo(lo);
     const estimators::LeoFit fit =
         leo.fitMetric(prior, obs_idx, obs_vals);
@@ -154,9 +167,10 @@ cmdSchedule(const Options &opts)
             "perf and power tables differ in length");
 
     optimizer::PerformanceConstraint c;
-    c.work = std::stod(need(opts, "work"));
-    c.deadlineSeconds = std::stod(need(opts, "deadline"));
-    const double idle = getDouble(opts, "idle", 85.0);
+    c.work = fields::parseFinite(need(opts, "work"), "--work");
+    c.deadlineSeconds =
+        fields::parseFinite(need(opts, "deadline"), "--deadline");
+    const double idle = number(opts, "idle", 85.0);
 
     const optimizer::Schedule plan =
         optimizer::planMinimalEnergy(perf, power, idle, c);

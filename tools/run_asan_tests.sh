@@ -5,6 +5,10 @@
 # expands to ASan+UBSan). This is the acceptance gate for src/faults/
 # and the fault-injection / sanitization / graceful-degradation path:
 # a heap error or UB triggered by corrupted telemetry fails the run.
+# csv_test, workloads_test and scenario_test feed hostile text to the
+# shared field parsers (src/workloads/fields.hh); the preset's
+# float-cast-overflow check fails the run if any of them still reaches
+# a double-to-integer cast.
 #
 # Usage: tools/run_asan_tests.sh [build-dir]
 #   build-dir  defaults to build-asan (kept separate from the plain
@@ -18,16 +22,23 @@ cmake -B "$build_dir" -S "$src_dir" \
     -DLEO_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j \
-    --target robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test
+    --target robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test
 
-# ASAN/UBSAN_OPTIONS: fail the script on any report; UBSan reports are
-# non-fatal by default, so force a non-zero exit and keep going within
-# a binary so one finding does not mask another.
+# ASAN/UBSAN_OPTIONS: fail the script on any report. UBSan keeps going
+# within a binary so one finding does not mask another, but a
+# recovered UBSan report leaves the binary's exit status at 0, so the
+# reports are counted from the log instead.
 asan="abort_on_error=0 exitcode=66 ${ASAN_OPTIONS:-}"
 ubsan="halt_on_error=0 exitcode=66 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
-for t in robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test; do
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+for t in robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test; do
     ASAN_OPTIONS="$asan" UBSAN_OPTIONS="$ubsan" \
-        "$build_dir/tests/$t"
+        "$build_dir/tests/$t" 2>&1 | tee -a "$log"
 done
+if grep -q 'runtime error:' "$log"; then
+    echo "UBSan reported runtime errors (see above)" >&2
+    exit 66
+fi
 
-echo "ASan+UBSan run clean: robustness_test + optimizer_test + runtime_test + lowrank_test + service_test + global_test + scenario_test + simplex_stress_test"
+echo "ASan+UBSan run clean: robustness_test + optimizer_test + runtime_test + lowrank_test + service_test + global_test + scenario_test + simplex_stress_test + csv_test + workloads_test"
