@@ -310,7 +310,8 @@ BM_HullWalk(benchmark::State &state)
 
 // n = 128, 256, 512, 1024 configurations. A fit takes a few ms, so
 // one timing per repetition would be mostly scheduler noise: each
-// repetition averages 20 fits.
+// repetition of a fit row averages 20 fits (10 for the headroom row,
+// whose fits take tens of ms).
 BENCHMARK(BM_LeoFit)
     ->Args({4, 2})
     ->Args({2, 2})
@@ -323,7 +324,7 @@ BENCHMARK(BM_LeoWarmRound)
     ->Args({1, 2})
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(20);
 
 BENCHMARK(BM_LeoIncrementalRefit)
     ->Unit(benchmark::kMillisecond)
@@ -331,7 +332,7 @@ BENCHMARK(BM_LeoIncrementalRefit)
 
 BENCHMARK(BM_LeoLowRankHeadroom)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(10);
 
 BENCHMARK(BM_HullWalk)->Unit(benchmark::kMillisecond);
 

@@ -98,12 +98,9 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
                                   &ws, warm);
         have_fit = true;
 
-        // Rank unobserved configurations by predictive variance. A
-        // fit run with expandVariance=false never materialized the
-        // n-vector; predictiveVarianceAt then reads the factors
-        // directly, bitwise identically to the expanded fill, so the
-        // ranking (and every probe it picks) matches the expanded
-        // path.
+        // Rank unobserved configurations by predictive variance,
+        // read one candidate at a time from the fit's factors
+        // (O(q^2) each; no fit expands the n-vector).
         std::vector<std::size_t> order;
         order.reserve(n);
         std::vector<double> variance(n, 0.0);

@@ -12,7 +12,25 @@ namespace
 {
 
 /** Format version; bump when the field list changes. */
-constexpr std::uint32_t kFitVersion = 2;
+constexpr std::uint32_t kFitVersion = 3;
+
+/**
+ * The factors are a fit's only variance source, so their shapes must
+ * agree: either none at all (the factor-less fit a failed batched fit
+ * leaves behind), or q x q cores under a q x n basis with n-entry
+ * prediction and mu.
+ */
+bool
+factorShapesAgree(const LeoFit &fit)
+{
+    if (fit.basisT.empty())
+        return fit.coeff.empty() && fit.varCore.empty();
+    const std::size_t q = fit.basisT.rows();
+    const std::size_t n = fit.basisT.cols();
+    return fit.coeff.rows() == q && fit.coeff.cols() == q &&
+           fit.varCore.rows() == q && fit.varCore.cols() == q &&
+           fit.prediction.size() == n && fit.mu.size() == n;
+}
 
 } // namespace
 
@@ -21,7 +39,6 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
 {
     w.u32(kFitVersion);
     w.vec(fit.prediction);
-    w.vec(fit.predictionVariance);
     w.vec(fit.mu);
     w.f64(fit.sigma2);
     w.u64(fit.iterations);
@@ -46,7 +63,6 @@ loadFit(linalg::ByteReader &r)
         return fit;
     }
     fit.prediction = r.vec();
-    fit.predictionVariance = r.vec();
     fit.mu = r.vec();
     fit.sigma2 = r.f64();
     fit.iterations = static_cast<std::size_t>(r.u64());
@@ -60,6 +76,10 @@ loadFit(linalg::ByteReader &r)
     fit.coeff = r.mat();
     fit.alphaDiag = r.f64();
     fit.varCore = r.mat();
+    if (r.ok() && !factorShapesAgree(fit)) {
+        r.fail();
+        return LeoFit{};
+    }
     return fit;
 }
 

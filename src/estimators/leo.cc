@@ -82,8 +82,8 @@ constexpr double kPivotTol = 1e-12;
  * Q_p have Gram matrix G = I - W W', and an in-order Cholesky
  * G = L L' gives each unit's coordinates on the new directions (row
  * of L) without touching n. The rows themselves,
- * Q_o = L^-1 (E_Omega' - W Q_p), are formed once, only because
- * LeoFit::basisT carries them (observedRowsInto).
+ * Q_o = L^-1 (E_Omega' - W Q_p), are formed once, for the prediction,
+ * mu and LeoFit::basisT (observedRowsInto).
  */
 struct ObservedBlock
 {
@@ -343,7 +343,7 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     require(q >= 1, "LeoEstimator: empty low-rank basis");
 
     // Q = [Q_p; Q_o] (q x n), kept for the warm re-expression, the
-    // expansions after the loop and LeoFit::basisT.
+    // prediction and mu after the loop and LeoFit::basisT.
     Matrix qmat(q, n);
     std::copy(prior.rows().data(), prior.rows().data() + rp * n,
               qmat.data());
@@ -725,26 +725,8 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     for (std::size_t j = 0; j < n; ++j)
         fit.prediction[j] = std::max(pred_full[j] * scale, 0.0);
 
-    // Posterior diagonal: cov_jj = alpha + q_j' Ct q_j, streamed as
-    // rows of Ct Q against rows of Q. Callers that only query a few
-    // configurations (opt.expandVariance == false) skip the O(n q)
-    // expansion and evaluate entries on demand from varCore via
-    // lowRankPredictiveVariance().
-    if (opt.expandVariance) {
-        Matrix &predt = arena.matrix("lr.predt", q, n);
-        Matrix::multiplyInto(predt, ct, qmat);
-        Vector cov_diag(n, 0.0);
-        for (std::size_t k = 0; k < q; ++k) {
-            const double *qk = qmat.data() + k * n;
-            const double *tk = predt.data() + k * n;
-            for (std::size_t j = 0; j < n; ++j)
-                cov_diag[j] += qk[j] * tk[j];
-        }
-        fit.predictionVariance = Vector(n);
-        for (std::size_t j = 0; j < n; ++j)
-            fit.predictionVariance[j] =
-                (alpha + cov_diag[j] + sigma2) * scale * scale;
-    }
+    // The posterior variance stays factored in varCore;
+    // LeoFit::predictiveVarianceAt reads one configuration at a time.
     linalg::gemvTransInto(fit.mu, qmat, g);
     fit.sigma2 = sigma2;
     fit.basisT = std::move(qmat);
@@ -798,33 +780,6 @@ traceFit(obs::Span &span, const PriorBasis &prior, const LeoFit &fit)
 
 } // namespace
 
-double
-lowRankPredictiveVariance(const LeoFit &fit, std::size_t c)
-{
-    const std::size_t q = fit.basisT.rows();
-    require(q > 0 && fit.varCore.rows() == q && fit.varCore.cols() == q,
-            "lowRankPredictiveVariance: missing varCore");
-    require(c < fit.basisT.cols(),
-            "lowRankPredictiveVariance: index out of range");
-    // Same increasing-index accumulation as the expanded path: the
-    // inner dot is one entry of Ct Q (multiplyInto accumulates each
-    // entry in increasing k), the outer dot mirrors the streamed
-    // cov_diag loop, so the result equals fit.predictionVariance[c]
-    // bit for bit.
-    const std::size_t n = fit.basisT.cols();
-    const double *b = fit.basisT.data();
-    double cov = 0.0;
-    for (std::size_t k = 0; k < q; ++k) {
-        const double *ctk = fit.varCore.data() + k * q;
-        double t = 0.0;
-        for (std::size_t k2 = 0; k2 < q; ++k2)
-            t += ctk[k2] * b[k2 * n + c];
-        cov += b[k * n + c] * t;
-    }
-    return (fit.alphaDiag + cov + fit.sigma2) * fit.scale *
-           fit.scale;
-}
-
 linalg::Matrix
 LeoFit::covariance() const
 {
@@ -843,12 +798,25 @@ LeoFit::covariance() const
 double
 LeoFit::predictiveVarianceAt(std::size_t c) const
 {
-    if (!predictionVariance.empty()) {
-        require(c < predictionVariance.size(),
-                "predictiveVarianceAt: index out of range");
-        return predictionVariance[c];
+    const std::size_t q = basisT.rows();
+    require(q > 0 && varCore.rows() == q && varCore.cols() == q,
+            "predictiveVarianceAt: missing varCore");
+    require(c < basisT.cols(), "predictiveVarianceAt: index out of range");
+    // Both dots accumulate in increasing index order: the inner one
+    // is entry (k, c) of varCore basisT as Matrix::multiplyInto
+    // forms it, the outer one sums the diagonal over k. The value is
+    // therefore the full expansion's entry c, bit for bit.
+    const std::size_t n = basisT.cols();
+    const double *b = basisT.data();
+    double cov = 0.0;
+    for (std::size_t k = 0; k < q; ++k) {
+        const double *ctk = varCore.data() + k * q;
+        double t = 0.0;
+        for (std::size_t k2 = 0; k2 < q; ++k2)
+            t += ctk[k2] * b[k2 * n + c];
+        cov += b[k * n + c] * t;
     }
-    return lowRankPredictiveVariance(*this, c);
+    return (alphaDiag + cov + sigma2) * scale * scale;
 }
 
 void

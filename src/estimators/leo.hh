@@ -95,15 +95,6 @@ struct LeoOptions
     /** No effect: a fit is serial, and batches fan out instead
      *  (EstimatorBatch). Kept only because perfbench/ sets it. */
     std::size_t threads = 0;
-    /**
-     * When false, fits skip materializing the n-vector
-     * predictionVariance (the q x q posterior core is still stored in
-     * LeoFit::varCore, and lowRankPredictiveVariance() evaluates any
-     * single entry on demand). Saves an O(n q) expansion per fit for
-     * callers — the variance-guided sampler, the serving core — that
-     * only ever query a handful of candidate configurations.
-     */
-    bool expandVariance = true;
 };
 
 /** Full output of one EM fit (one metric). */
@@ -111,8 +102,6 @@ struct LeoFit
 {
     /** Predicted values in raw units, every configuration. */
     linalg::Vector prediction;
-    /** Posterior predictive variance (raw units squared). */
-    linalg::Vector predictionVariance;
     /** Fitted mean mu (normalized space). */
     linalg::Vector mu;
     /** Fitted noise variance sigma^2 (normalized space). */
@@ -147,7 +136,7 @@ struct LeoFit
     /** Posterior covariance core Ct (q x q) of the final E-step, so
      *  the predictive variance of configuration c is
      *  (alphaDiag + q_c' Ct q_c + sigma2) * scale^2 with q_c = column
-     *  c of basisT (see lowRankPredictiveVariance). */
+     *  c of basisT (see predictiveVarianceAt). */
     linalg::Matrix varCore;
 
     /**
@@ -162,35 +151,19 @@ struct LeoFit
     linalg::Matrix covariance() const;
 
     /**
-     * Streaming predictive-variance query: the posterior predictive
-     * variance of one configuration, in raw units squared. Reads the
-     * expanded predictionVariance when present and otherwise
-     * evaluates the factors directly (no q x n expansion),
-     * so callers — schedule-time uncertainty displays, the
-     * controller's residual standardization — can query single
-     * configurations off an expandVariance = false fit at O(q^2)
-     * cost. Bitwise identical to predictionVariance[c] whichever
-     * path answers.
+     * The posterior predictive variance of one configuration, in raw
+     * units squared: (alphaDiag + q_c' varCore q_c + sigma2) * scale^2
+     * with q_c = column c of basisT, at O(q^2) per query. This is the
+     * only way to read a fit's variance; no fit expands it over all
+     * n configurations. Each value equals the diagonal entry of that
+     * full expansion bit for bit.
      *
-     * @param c Configuration index.
+     * @param c Configuration index (column of basisT).
      * @throws leo::FatalError when c is out of range or the fit
-     *         carries no variance information at all.
+     *         carries no varCore of basisT's rank.
      */
     double predictiveVarianceAt(std::size_t c) const;
 };
-
-/**
- * Predictive variance of one configuration from a fit's factored
- * posterior, without expanding the full n-vector: evaluates
- * (alphaDiag + q_c' varCore q_c + sigma2) * scale^2 with the same
- * increasing-index accumulation order as the expanded
- * predictionVariance fill, so the result is bitwise identical to
- * fit.predictionVariance[c].
- *
- * @param fit A fit carrying varCore.
- * @param c   Configuration index (column of basisT).
- */
-double lowRankPredictiveVariance(const LeoFit &fit, std::size_t c);
 
 /**
  * The LEO estimator.

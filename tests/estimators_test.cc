@@ -601,8 +601,6 @@ expectFitsExactlyEqual(const estimators::LeoFit &a,
                        const std::string &what)
 {
     expectExactlyEqual(a.prediction, b.prediction, what + ".prediction");
-    expectExactlyEqual(a.predictionVariance, b.predictionVariance,
-                       what + ".predictionVariance");
     expectExactlyEqual(a.mu, b.mu, what + ".mu");
     EXPECT_EQ(a.sigma2, b.sigma2) << what;
     EXPECT_EQ(a.iterations, b.iterations) << what;
@@ -992,9 +990,11 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
 }
 
 /**
- * A blob in the version-1 format (a dense Sigma and a low-rank flag
- * alongside the factors) is rejected through the unknown-version
- * path: the reader fails and the returned fit is empty.
+ * Blobs in the retired formats are rejected through the
+ * unknown-version path: the reader fails and the returned fit is
+ * empty. Version 1 carried a dense Sigma and a low-rank flag
+ * alongside the factors; version 2 carried the expanded variance
+ * vector that fits no longer compute.
  */
 TEST(FitIo, RejectsVersionOneBlob)
 {
@@ -1015,10 +1015,120 @@ TEST(FitIo, RejectsVersionOneBlob)
     wtr.mat(Matrix(1, 1, 0.2));      // coeff
     wtr.f64(0.03);                   // alphaDiag
     wtr.mat(Matrix(1, 1, 0.1));      // varCore
-    const std::string blob = wtr.take();
-    linalg::ByteReader rdr(blob);
-    const estimators::LeoFit fit = estimators::loadFit(rdr);
-    EXPECT_FALSE(rdr.ok());
-    EXPECT_TRUE(fit.prediction.empty());
-    EXPECT_TRUE(fit.basisT.empty());
+
+    linalg::ByteWriter v2;
+    v2.u32(2);
+    v2.vec(Vector(4, 2.0));         // prediction
+    v2.vec(Vector(4, 0.1));         // predictionVariance
+    v2.vec(Vector(4, 1.0));         // mu
+    v2.f64(0.01);                   // sigma2
+    v2.u64(3);                      // iterations
+    v2.u8(1);                       // converged
+    v2.u64(0);                      // empty log-likelihood trace
+    v2.f64(1.0);                    // scale
+    v2.u8(0);                       // warmStarted
+    v2.mat(Matrix(1, 4, 0.5));      // basisT
+    v2.mat(Matrix(1, 1, 0.2));      // coeff
+    v2.f64(0.03);                   // alphaDiag
+    v2.mat(Matrix(1, 1, 0.1));      // varCore
+
+    for (linalg::ByteWriter *w : {&wtr, &v2}) {
+        const std::string blob = w->take();
+        linalg::ByteReader rdr(blob);
+        const estimators::LeoFit fit = estimators::loadFit(rdr);
+        EXPECT_FALSE(rdr.ok());
+        EXPECT_TRUE(fit.prediction.empty());
+        EXPECT_TRUE(fit.basisT.empty());
+    }
+}
+
+/**
+ * The factors are a fit's only variance source, so loadFit rejects a
+ * blob whose factor shapes disagree instead of handing back a fit
+ * whose predictiveVarianceAt throws. A fit with no factors at all —
+ * what the service installs after a failed batched fit — still
+ * round-trips.
+ */
+TEST(FitIo, RejectsInconsistentFactorShapes)
+{
+    estimators::LeoFit good;
+    good.prediction = Vector(4, 2.0);
+    good.mu = Vector(4, 1.0);
+    good.sigma2 = 0.01;
+    good.scale = 3.0;
+    good.basisT = Matrix(2, 4, 0.5);
+    good.coeff = Matrix(2, 2, 0.2);
+    good.alphaDiag = 0.03;
+    good.varCore = Matrix(2, 2, 0.1);
+
+    const auto roundTrip = [](const estimators::LeoFit &fit, bool &ok) {
+        linalg::ByteWriter wtr;
+        estimators::saveFit(wtr, fit);
+        const std::string blob = wtr.take();
+        linalg::ByteReader rdr(blob);
+        estimators::LeoFit loaded = estimators::loadFit(rdr);
+        ok = rdr.ok() && rdr.atEnd();
+        return loaded;
+    };
+    bool ok = false;
+    const estimators::LeoFit loaded = roundTrip(good, ok);
+    ASSERT_TRUE(ok);
+    ASSERT_NO_FATAL_FAILURE(expectFitsExactlyEqual(good, loaded, "good"));
+    EXPECT_EQ(loaded.predictiveVarianceAt(3),
+              good.predictiveVarianceAt(3));
+
+    struct Case
+    {
+        const char *what;
+        void (*mutate)(estimators::LeoFit &);
+    };
+    const Case cases[] = {
+        {"varCore 1x1 under a 2-row basis",
+         [](estimators::LeoFit &f) { f.varCore = Matrix(1, 1, 0.1); }},
+        {"varCore not square",
+         [](estimators::LeoFit &f) { f.varCore = Matrix(2, 3, 0.1); }},
+        {"varCore missing",
+         [](estimators::LeoFit &f) { f.varCore = Matrix(); }},
+        {"coeff 3x3 under a 2-row basis",
+         [](estimators::LeoFit &f) { f.coeff = Matrix(3, 3, 0.2); }},
+        {"coeff missing",
+         [](estimators::LeoFit &f) { f.coeff = Matrix(); }},
+        {"prediction shorter than the basis",
+         [](estimators::LeoFit &f) { f.prediction = Vector(3, 2.0); }},
+        {"mu longer than the basis",
+         [](estimators::LeoFit &f) { f.mu = Vector(5, 1.0); }},
+        {"mu missing",
+         [](estimators::LeoFit &f) { f.mu = Vector(); }},
+        {"cores without a basis",
+         [](estimators::LeoFit &f) { f.basisT = Matrix(); }},
+        {"varCore alone",
+         [](estimators::LeoFit &f) {
+             f.basisT = Matrix();
+             f.coeff = Matrix();
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        estimators::LeoFit bad = good;
+        c.mutate(bad);
+        const estimators::LeoFit got = roundTrip(bad, ok);
+        EXPECT_FALSE(ok);
+        EXPECT_TRUE(got.prediction.empty());
+        EXPECT_TRUE(got.basisT.empty());
+        EXPECT_TRUE(got.varCore.empty());
+    }
+
+    // Factor-less fits round-trip, value-initialized or not.
+    estimators::LeoFit bare;
+    bare.prediction = Vector(4, 2.0);
+    bare.mu = Vector(4, 1.0);
+    bare.sigma2 = 0.01;
+    bare.scale = 3.0;
+    for (const estimators::LeoFit &f : {estimators::LeoFit{}, bare}) {
+        const estimators::LeoFit back = roundTrip(f, ok);
+        EXPECT_TRUE(ok);
+        ASSERT_NO_FATAL_FAILURE(
+            expectFitsExactlyEqual(f, back, "factor-less"));
+        EXPECT_THROW((void)back.predictiveVarianceAt(0), FatalError);
+    }
 }

