@@ -15,25 +15,33 @@
  * (q <= M + |Omega|) is a small fraction of n — the regime the
  * batched refit pillar is built around.
  *
+ * After the drive, the 1-shard fleet is snapshotted and restored into
+ * a fresh service LEO_BENCH_REPEATS times: the save and restore rows
+ * report the median milliseconds and the blob's bytes, and the
+ * restored fleet must re-save to the same bytes.
+ *
  * Emits google-benchmark-format JSON (consumed by tools/bench_diff.py
  * in CI) to BENCH_service.json, or to argv[1] when given.
  *
  * Environment knobs (bench_common.hh conventions):
  *   LEO_BENCH_TENANTS   fleet size (default 32)
  *   LEO_BENCH_WINDOWS   windows per tenant (default 12)
- *   LEO_BENCH_REPEATS   timing repeats, best-of (default 3)
+ *   LEO_BENCH_REPEATS   timing repeats: best-of for the drive rows,
+ *                       median for the snapshot rows (default 3)
  *
  * Note: shard scaling needs physical cores; on a single-core host
  * every row times the same inline path and the scaling column reads
  * ~1x.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "linalg/serialize.hh"
 #include "parallel/thread_pool.hh"
 #include "service/service.hh"
 
@@ -49,12 +57,41 @@ struct DriveResult
     std::vector<std::vector<std::size_t>> schedules;
 };
 
+/** Save/restore timings of the driven fleet. */
+struct SnapshotResult
+{
+    double saveMs = 0.0;    //!< Median saveSnapshot wall time.
+    double restoreMs = 0.0; //!< Median restoreSnapshot wall time.
+    std::size_t bytes = 0;
+    /** Every restored fleet re-saved to the saved bytes. */
+    bool roundTrips = true;
+};
+
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    std::sort(v.begin(), v.end());
+    const std::size_t m = v.size() / 2;
+    return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
 DriveResult
 driveFleet(const bench::World &world,
            const estimators::LeoEstimator &estimator,
            const std::shared_ptr<const telemetry::ProfileStore> &prior,
            const workloads::ApplicationModel &app, std::size_t shards,
-           std::size_t tenants, std::size_t windows)
+           std::size_t tenants, std::size_t windows,
+           SnapshotResult *snap = nullptr, std::size_t repeats = 0)
 {
     // Pool sized to the shard count: the drain/fit parallelism under
     // measurement is exactly the parallelism a deployment of this
@@ -107,9 +144,33 @@ driveFleet(const bench::World &world,
         const auto report = svc.tick();
         res.windows += report.windowsProcessed;
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    res.ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    res.ms = msSince(t0);
+    if (snap == nullptr)
+        return res;
+
+    // Snapshot the driven fleet and restore it into a fresh service;
+    // only the two calls are timed.
+    std::vector<double> save_ms, restore_ms;
+    for (std::size_t r = 0; r < repeats; ++r) {
+        linalg::ByteWriter w;
+        auto t = std::chrono::steady_clock::now();
+        svc.saveSnapshot(w);
+        save_ms.push_back(msSince(t));
+        const std::string blob = w.take();
+        service::Service restored(world.space, estimator, prior, pool,
+                                  opt);
+        linalg::ByteReader rd(blob);
+        t = std::chrono::steady_clock::now();
+        const bool ok = restored.restoreSnapshot(rd);
+        restore_ms.push_back(msSince(t));
+        linalg::ByteWriter again;
+        restored.saveSnapshot(again);
+        snap->roundTrips =
+            snap->roundTrips && ok && again.bytes() == blob;
+        snap->bytes = blob.size();
+    }
+    snap->saveMs = median(save_ms);
+    snap->restoreMs = median(restore_ms);
     return res;
 }
 
@@ -153,12 +214,15 @@ main(int argc, char **argv)
     std::string json = "{\n  \"context\": {\"executable\": "
                        "\"overhead_service\"},\n  \"benchmarks\": [\n";
     bool first_row = true;
+    SnapshotResult snap;
     for (const std::size_t shards : shard_counts) {
         DriveResult best;
         for (std::size_t r = 0; r < repeats; ++r) {
-            DriveResult run =
-                driveFleet(world, estimator, prior, app, shards,
-                           tenants, windows);
+            // The first 1-shard drive also times the snapshot rows.
+            const bool time_snapshot = shards == 1 && r == 0;
+            DriveResult run = driveFleet(
+                world, estimator, prior, app, shards, tenants, windows,
+                time_snapshot ? &snap : nullptr, repeats);
             if (r == 0 || run.ms < best.ms)
                 best = std::move(run);
         }
@@ -193,7 +257,29 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    std::printf("\n%-10s %12s %12s %9s\n", "snapshot", "median ms",
+                "bytes", "bitwise");
+    std::printf("%-10s %12.3f %12zu %9s\n", "save", snap.saveMs,
+                snap.bytes, snap.roundTrips ? "yes" : "NO");
+    std::printf("%-10s %12.3f %12zu %9s\n", "restore", snap.restoreMs,
+                snap.bytes, snap.roundTrips ? "yes" : "NO");
+    for (const auto &[name, ms] :
+         {std::pair{"BM_ServiceSnapshot/save", snap.saveMs},
+          std::pair{"BM_ServiceSnapshot/restore", snap.restoreMs}}) {
+        char row[384];
+        std::snprintf(row, sizeof(row),
+                      ",\n    {\"name\": \"%s\", \"run_type\": "
+                      "\"iteration\", \"iterations\": %zu, "
+                      "\"real_time\": %.4f, \"cpu_time\": %.4f, "
+                      "\"time_unit\": \"ms\", \"bytes\": %zu}",
+                      name, repeats, ms, ms, snap.bytes);
+        json += row;
+    }
     json += "\n  ]\n}\n";
+    if (!snap.roundTrips) {
+        std::fprintf(stderr, "restored fleet re-saved other bytes\n");
+        return 1;
+    }
 
     const std::string out =
         argc > 1 ? argv[1] : "BENCH_service.json";

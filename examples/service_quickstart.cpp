@@ -8,7 +8,9 @@
  * into steady-state control — samples flowing through the sharded
  * lock-free queues, all EM fits batched on the shared pool, cold
  * fits shared through the fit cache. Finishes with a snapshot
- * round-trip to show bit-identical resumption.
+ * round-trip to show bit-identical resumption; the exit status is 0
+ * only when the restored fleet re-saves to the same bytes and paces
+ * every tenant identically.
  *
  *   ./service_quickstart [tenants]     (default: 6)
  */
@@ -108,7 +110,11 @@ main(int argc, char **argv)
         std::fprintf(stderr, "restore failed\n");
         return 1;
     }
-    bool identical = true;
+    // The restored fleet re-saves to the same bytes and paces every
+    // tenant on the same configuration next.
+    linalg::ByteWriter again;
+    resumed.saveSnapshot(again);
+    bool identical = again.bytes() == blob;
     for (std::size_t t = 0; t < tenants; ++t)
         identical = identical &&
                     svc.nextConfig(ids[t]) == resumed.nextConfig(ids[t]);

@@ -5,31 +5,51 @@
 
 #include "estimators/fit_io.hh"
 
+#include <exception>
+
 namespace leo::estimators
 {
 
 namespace
 {
 
-/** Format version; bump when the field list changes. */
-constexpr std::uint32_t kFitVersion = 3;
+/** Format version; bump when the field list changes. v4 replaced
+ *  basisT with its row count, the prior fingerprint and the observed
+ *  units. */
+constexpr std::uint32_t kFitVersion = 4;
+
+/** True iff units is strictly increasing and below n. */
+bool
+unitsValid(const std::vector<std::size_t> &units, std::size_t n)
+{
+    for (std::size_t a = 0; a < units.size(); ++a)
+        if (units[a] >= n || (a > 0 && units[a] <= units[a - 1]))
+            return false;
+    return true;
+}
 
 /**
- * The factors are a fit's only variance source, so their shapes must
- * agree: either none at all (the factor-less fit a failed batched fit
- * leaves behind), or q x q cores under a q x n basis with n-entry
- * prediction and mu.
+ * Rebuild the basis of a fit with q > 0 rows from `prior` and check
+ * the factor shapes against it: q x q cores, n-entry prediction and
+ * mu. False leaves the fit's basisT unspecified.
  */
 bool
-factorShapesAgree(const LeoFit &fit)
+rebuildBasis(LeoFit &fit, std::uint64_t q, const PriorBasis *prior)
 {
-    if (fit.basisT.empty())
-        return fit.coeff.empty() && fit.varCore.empty();
-    const std::size_t q = fit.basisT.rows();
-    const std::size_t n = fit.basisT.cols();
-    return fit.coeff.rows() == q && fit.coeff.cols() == q &&
-           fit.varCore.rows() == q && fit.varCore.cols() == q &&
-           fit.prediction.size() == n && fit.mu.size() == n;
+    if (prior == nullptr ||
+        fit.priorFingerprint != prior->fingerprint() ||
+        !unitsValid(fit.observedUnits, prior->dim()))
+        return false;
+    try {
+        fit.basisT = observedBasis(*prior, fit.observedUnits);
+    } catch (const std::exception &) {
+        return false;
+    }
+    const std::size_t n = prior->dim();
+    return fit.basisT.rows() == q && fit.coeff.rows() == q &&
+           fit.coeff.cols() == q && fit.varCore.rows() == q &&
+           fit.varCore.cols() == q && fit.prediction.size() == n &&
+           fit.mu.size() == n;
 }
 
 } // namespace
@@ -48,14 +68,16 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
         w.f64(v);
     w.f64(fit.scale);
     w.u8(fit.warmStarted ? 1 : 0);
-    w.mat(fit.basisT);
+    w.u64(fit.basisT.rows());
+    w.u64(fit.priorFingerprint);
+    w.indexVec(fit.observedUnits);
     w.mat(fit.coeff);
     w.f64(fit.alphaDiag);
     w.mat(fit.varCore);
 }
 
 LeoFit
-loadFit(linalg::ByteReader &r)
+loadFit(linalg::ByteReader &r, const PriorBasis *prior)
 {
     LeoFit fit;
     if (r.u32() != kFitVersion) {
@@ -66,17 +88,29 @@ loadFit(linalg::ByteReader &r)
     fit.mu = r.vec();
     fit.sigma2 = r.f64();
     fit.iterations = static_cast<std::size_t>(r.u64());
-    fit.converged = r.u8() != 0;
+    const std::uint8_t converged = r.u8();
+    fit.converged = converged != 0;
     const std::uint64_t traces = r.u64();
     for (std::uint64_t i = 0; i < traces && r.ok(); ++i)
         fit.logLikelihoodTrace.push_back(r.f64());
     fit.scale = r.f64();
-    fit.warmStarted = r.u8() != 0;
-    fit.basisT = r.mat();
+    const std::uint8_t warm = r.u8();
+    fit.warmStarted = warm != 0;
+    const std::uint64_t q = r.u64();
+    fit.priorFingerprint = r.u64();
+    fit.observedUnits = r.indexVec();
     fit.coeff = r.mat();
     fit.alphaDiag = r.f64();
     fit.varCore = r.mat();
-    if (r.ok() && !factorShapesAgree(fit)) {
+    if (!r.ok())
+        return LeoFit{};
+    // Flags are 0 or 1, so an accepted blob re-saves to its own bytes.
+    // A fit without factors needs no basis; one with factors must
+    // rebuild the basis it was saved with.
+    const bool shapes_ok =
+        q == 0 ? fit.coeff.empty() && fit.varCore.empty()
+               : rebuildBasis(fit, q, prior);
+    if (converged > 1 || warm > 1 || !shapes_ok) {
         r.fail();
         return LeoFit{};
     }

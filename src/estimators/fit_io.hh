@@ -9,6 +9,14 @@
  * (LeoFit::predictiveVarianceAt). Round trips are exact: a restored
  * fit warm-starts EM from bitwise-identical theta, so a resumed
  * session reproduces the uninterrupted run's schedule bit for bit.
+ *
+ * A fit's basis basisT = [Q_p; Q_o] is not written. Q_p is the prior
+ * basis's rows, shared by every fit on that prior, and Q_o follows
+ * from the prior basis and the fit's observed configurations
+ * (observedBasis). The blob names the basis by its fingerprint and
+ * lists the fit's observedUnits; loadFit rebuilds basisT from the
+ * basis the caller passes, bit for bit. So only fits a PriorBasis
+ * produced can be saved, which every production fit is.
  */
 
 #ifndef LEO_ESTIMATORS_FIT_IO_HH
@@ -20,18 +28,27 @@
 namespace leo::estimators
 {
 
-/** Append every field of `fit` to `w` (see linalg/serialize.hh). */
+/**
+ * Append `fit` to `w` (see linalg/serialize.hh): every field except
+ * basisT, which is written as its row count q next to the prior
+ * fingerprint and the observed units it is rebuilt from.
+ */
 void saveFit(linalg::ByteWriter &w, const LeoFit &fit);
 
 /**
- * Read a LeoFit written by saveFit(). Never throws; on a truncated
- * or corrupt buffer, one in another format version, or one whose
- * factor shapes disagree (predictiveVarianceAt reads nothing else),
- * the reader's ok() flips false and the returned fit is
- * value-initialized — callers validate r.ok() once at the end of
- * their restore. A fit with no factors at all round-trips.
+ * Read a LeoFit written by saveFit(), rebuilding basisT from `prior`.
+ * Never throws. The reader's ok() flips false and the returned fit is
+ * value-initialized on a truncated or corrupt buffer, on one in
+ * another format version, and on a fit with factors unless all of
+ * these hold:
+ *  - `prior` is non-null and its fingerprint is the saved one;
+ *  - the observed units strictly increase and are below prior->dim();
+ *  - the rebuilt basis has the saved q rows, under q x q cores and
+ *    n-entry prediction and mu.
+ * A fit with no factors round-trips without a basis (`prior` may be
+ * null). Callers validate r.ok() once at the end of their restore.
  */
-LeoFit loadFit(linalg::ByteReader &r);
+LeoFit loadFit(linalg::ByteReader &r, const PriorBasis *prior);
 
 } // namespace leo::estimators
 

@@ -207,6 +207,21 @@ observedRowsInto(linalg::Matrix &qmat, const PriorBasis &prior,
     solveKeptRows(rows, n, ob);
 }
 
+/** Q = [Q_p; Q_o] (q x n) of one observed block: the shared prior
+ *  rows, then observedRowsInto. */
+linalg::Matrix
+basisOf(const PriorBasis &prior, const ObservedBlock &ob,
+        linalg::Workspace &arena)
+{
+    const std::size_t rp = prior.rank();
+    const std::size_t n = prior.dim();
+    linalg::Matrix qmat(rp + ob.kept.size(), n);
+    std::copy(prior.rows().data(), prior.rows().data() + rp * n,
+              qmat.data());
+    observedRowsInto(qmat, prior, ob, arena);
+    return qmat;
+}
+
 /**
  * C0 = R C_w R' for a warm fit whose basis leads with this fit's
  * prior block. Both observed blocks are orthogonal to Q_p, so
@@ -344,10 +359,7 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
 
     // Q = [Q_p; Q_o] (q x n), kept for the warm re-expression, the
     // prediction and mu after the loop and LeoFit::basisT.
-    Matrix qmat(q, n);
-    std::copy(prior.rows().data(), prior.rows().data() + rp * n,
-              qmat.data());
-    observedRowsInto(qmat, prior, ob, arena);
+    Matrix qmat = basisOf(prior, ob, arena);
 
     // P (s x q): row j holds the coordinates of e_{obs_j} in the
     // basis, [P_p' | L] at its unit.
@@ -730,6 +742,8 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     linalg::gemvTransInto(fit.mu, qmat, g);
     fit.sigma2 = sigma2;
     fit.basisT = std::move(qmat);
+    fit.observedUnits = ob.units;
+    fit.priorFingerprint = prior.fingerprint();
     fit.coeff = cmat;
     fit.alphaDiag = alpha;
     fit.varCore = ct;
@@ -817,6 +831,16 @@ LeoFit::predictiveVarianceAt(std::size_t c) const
         cov += b[k * n + c] * t;
     }
     return (alphaDiag + cov + sigma2) * scale * scale;
+}
+
+linalg::Matrix
+observedBasis(const PriorBasis &prior,
+              const std::vector<std::size_t> &units)
+{
+    for (const std::size_t u : units)
+        require(u < prior.dim(), "observedBasis: unit out of range");
+    linalg::Workspace arena;
+    return basisOf(prior, observeUnits(prior, units, arena), arena);
 }
 
 void

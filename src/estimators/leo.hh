@@ -35,6 +35,7 @@
 #ifndef LEO_ESTIMATORS_LEO_HH
 #define LEO_ESTIMATORS_LEO_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "estimators/estimator.hh"
@@ -129,6 +130,15 @@ struct LeoFit
      *  n = 16384 the dense matrix would be 2 GB; covariance()
      *  materializes it. */
     linalg::Matrix basisT;
+    /** The distinct observed configurations, ascending (at most one
+     *  per observation), that the observed rows Q_o of basisT were
+     *  built from. With the prior basis they determine basisT bit for
+     *  bit (observedBasis), so a saved fit stores them in its place
+     *  (fit_io.hh). */
+    std::vector<std::size_t> observedUnits;
+    /** PriorBasis::fingerprint() of the prior basis the fit ran on
+     *  (0 for a fit without factors). */
+    std::uint64_t priorFingerprint = 0;
     /** Core C (q x q, symmetric). */
     linalg::Matrix coeff;
     /** Isotropic diagonal term alpha of the factored Sigma. */
@@ -164,6 +174,19 @@ struct LeoFit
      */
     double predictiveVarianceAt(std::size_t c) const;
 };
+
+/**
+ * The basis Q = [Q_p; Q_o] (q x n) of a fit on `prior` whose distinct
+ * observed configurations are `units`, ascending as
+ * LeoFit::observedUnits holds them: the prior rows, then the observed
+ * directions factored in s dimensions (DESIGN.md section 7.2). The
+ * fit forms its basisT through the same code, so for a fit's own
+ * units the result equals its basisT bit for bit.
+ *
+ * @throws leo::FatalError when a unit is not below prior.dim().
+ */
+linalg::Matrix observedBasis(const PriorBasis &prior,
+                             const std::vector<std::size_t> &units);
 
 /**
  * The LEO estimator.

@@ -19,11 +19,17 @@
 #define LEO_ESTIMATORS_PRIOR_BASIS_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "linalg/matrix.hh"
 #include "linalg/vector.hh"
+
+namespace leo::telemetry
+{
+class ProfileStore;
+}
 
 namespace leo::estimators
 {
@@ -86,13 +92,39 @@ class PriorBasis
      *  (r x r): the prior part of the Offline cold init of C. */
     const linalg::Matrix &residualGram() const { return resid_gram_; }
 
+    /**
+     * @return A 64-bit hash of n, Q_p and R, bit for bit, computed
+     *  once at construction. Bases built from equal prior vectors
+     *  share it, so a saved fit names the basis it ran on by this
+     *  value (fit_io.hh) instead of copying Q_p.
+     */
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
   private:
     std::size_t n_ = 0;
+    std::uint64_t fingerprint_ = 0;
     std::vector<linalg::Vector> shapes_;
     linalg::Matrix rows_;
     linalg::Matrix coords_;
     linalg::Vector mean_coords_;
     linalg::Matrix resid_gram_;
+};
+
+/**
+ * One prior version's bases, one per metric, shared read-only by
+ * every controller and fit pinned to that version. A metric's basis
+ * is null when its prior is empty or cannot be built; those fits take
+ * the raw-vector path and degrade as DESIGN.md section 8 describes.
+ */
+struct PriorBases
+{
+    std::shared_ptr<const PriorBasis> perf;
+    std::shared_ptr<const PriorBasis> power;
+
+    /** Build both metrics' bases from a profile store (a prior they
+     *  cannot be built from leaves them null; never a throw). */
+    static std::shared_ptr<const PriorBases> build(
+        const telemetry::ProfileStore &prior);
 };
 
 } // namespace leo::estimators

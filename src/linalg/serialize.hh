@@ -10,17 +10,25 @@
  * never through a decimal conversion.
  *
  * Format rules:
- *  - All integers are fixed-width little-endian (explicit byte
- *    packing, so the format is identical across hosts).
+ *  - All integers are fixed-width little-endian, so the format is
+ *    identical across hosts.
  *  - Doubles are the 8 bytes of their bit pattern (via
  *    std::bit_cast to std::uint64_t), preserving NaN payloads and
  *    signed zeros.
- *  - Containers are a u64 length followed by the elements.
+ *  - Containers are a u64 length followed by the elements; a matrix
+ *    is (rows, cols) followed by its row-major elements.
+ *
+ * On a little-endian host that format is the in-memory layout, so
+ * vec(), mat() and indexVec() move a whole element array with one
+ * append on write and one copy on read; other hosts pack byte by
+ * byte. The bytes are the same either way (linalg_test's ByteCodec
+ * golden test pins them).
  *
  * ByteReader never throws: a truncated or malformed buffer flips
  * ok() to false and every subsequent read returns zero values, so
  * callers validate once at the end (the pattern the no-throw
- * controller restore path requires).
+ * controller restore path requires). A container count larger than
+ * the bytes left fails before anything is allocated.
  */
 
 #ifndef LEO_LINALG_SERIALIZE_HH
@@ -72,6 +80,10 @@ class ByteWriter
     std::string take() { return std::move(bytes_); }
 
   private:
+    /** Append count 8-byte words (doubles or indices), no prefix. */
+    template <typename T>
+    void words(const T *p, std::size_t count);
+
     std::string bytes_;
 };
 
@@ -100,6 +112,9 @@ class ByteReader
     /** @return True iff every byte has been consumed. */
     bool atEnd() const { return pos_ == bytes_->size(); }
 
+    /** @return The number of bytes consumed so far. */
+    std::size_t position() const { return pos_; }
+
     /** Read one byte (0 after a failure). */
     std::uint8_t u8();
 
@@ -127,6 +142,14 @@ class ByteReader
   private:
     /** Claim n bytes; nullptr (and ok_ = false) when exhausted. */
     const char *claim(std::size_t n);
+
+    /** True iff n elements of `width` bytes remain; otherwise fail
+     *  (ok_ = false) without allocating. */
+    bool fits(std::uint64_t n, std::uint64_t width);
+
+    /** Read count 8-byte words into out (left as is on failure). */
+    template <typename T>
+    void words(T *out, std::size_t count);
 
     const std::string *bytes_;
     std::size_t pos_ = 0;

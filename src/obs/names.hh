@@ -162,6 +162,9 @@ inline constexpr const char *kServiceSnapshotsRestored =
 inline constexpr const char *kServiceTickMs = "leo.service.tick.ms";
 inline constexpr const char *kServiceTickSpan = "leo.service.tick";
 inline constexpr const char *kServiceFitSpan = "leo.service.fit";
+inline constexpr const char *kServiceSnapshotSpan =
+    "leo.service.snapshot";
+inline constexpr const char *kServiceRestoreSpan = "leo.service.restore";
 
 // ---- bench: benchmark-local instruments ------------------------- //
 inline constexpr const char *kBenchFitMs = "leo.bench.fit.ms";

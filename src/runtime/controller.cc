@@ -16,12 +16,13 @@
 namespace leo::runtime
 {
 
-EnergyController::EnergyController(const platform::ConfigSpace &space,
-                                   const estimators::Estimator *estimator,
-                                   const telemetry::ProfileStore &prior,
-                                   ControllerOptions options)
+EnergyController::EnergyController(
+    const platform::ConfigSpace &space,
+    const estimators::Estimator *estimator,
+    const telemetry::ProfileStore &prior, ControllerOptions options,
+    std::shared_ptr<const estimators::PriorBases> bases)
     : space_(space), estimator_(estimator), prior_(prior),
-      options_(options)
+      options_(options), bases_(std::move(bases))
 {
     require(options_.targetRate > 0.0,
             "EnergyController: target rate must be > 0");
@@ -331,6 +332,17 @@ EnergyController::beginSampling()
     state_ = State::Sampling;
 }
 
+const estimators::PriorBases &
+EnergyController::priorBases()
+{
+    // The prior never changes under a controller, so its bases are
+    // built at most once; a prior they cannot be built from leaves
+    // null bases, and those fits keep the raw-vector path.
+    if (!bases_)
+        bases_ = estimators::PriorBases::build(prior_);
+    return *bases_;
+}
+
 void
 EnergyController::fit()
 {
@@ -459,16 +471,9 @@ EnergyController::fitUnguarded()
     const auto *as_leo =
         dynamic_cast<const estimators::LeoEstimator *>(estimator_);
     if (as_leo) {
-        // The prior never changes under a controller, so its bases
-        // are built once, here inside the fit guard, and every refit
-        // reuses them. A prior they cannot be built from keeps the
-        // raw-vector path, which degrades inside the estimator.
-        if (!perf_basis_)
-            perf_basis_ = estimators::PriorBasis::tryBuild(
-                priorVectors(prior_, estimators::Metric::Performance));
-        if (!power_basis_)
-            power_basis_ = estimators::PriorBasis::tryBuild(
-                priorVectors(prior_, estimators::Metric::Power));
+        // A prior the bases cannot be built from keeps the raw-vector
+        // path, which degrades inside the estimator.
+        const estimators::PriorBases &bases = priorBases();
         const auto fitOne = [&](const estimators::PriorBasis *basis,
                                 estimators::Metric metric,
                                 const linalg::Vector &vals,
@@ -483,10 +488,10 @@ EnergyController::fitUnguarded()
                                warm, &fit);
         };
         estimators::MetricEstimate perf =
-            fitOne(perf_basis_.get(), estimators::Metric::Performance,
+            fitOne(bases.perf.get(), estimators::Metric::Performance,
                    observations_.performance, perf_fit_);
         estimators::MetricEstimate power =
-            fitOne(power_basis_.get(), estimators::Metric::Power,
+            fitOne(bases.power.get(), estimators::Metric::Power,
                    observations_.power, power_fit_);
         have_fits_ = true;
         samples_rejected_.add(perf.samplesRejected +
@@ -650,10 +655,14 @@ EnergyController::restoreState(linalg::ByteReader &r)
     probe_next_ = static_cast<std::size_t>(r.u64());
     perf_ = r.vec();
     power_ = r.vec();
-    have_fits_ = r.u8() != 0;
-    if (have_fits_) {
-        perf_fit_ = estimators::loadFit(r);
-        power_fit_ = estimators::loadFit(r);
+    const std::uint8_t have_fits = r.u8();
+    have_fits_ = have_fits != 0;
+    if (have_fits_ && r.ok()) {
+        // The fits rebuild their bases from this controller's prior
+        // and fail closed on any other.
+        const estimators::PriorBases &bases = priorBases();
+        perf_fit_ = estimators::loadFit(r, bases.perf.get());
+        power_fit_ = estimators::loadFit(r, bases.power.get());
     } else {
         perf_fit_ = estimators::LeoFit{};
         power_fit_ = estimators::LeoFit{};
@@ -664,19 +673,27 @@ EnergyController::restoreState(linalg::ByteReader &r)
     const bool refit_power_ok = refit_power_.restore(r);
     const bool refits_ok = refit_perf_ok && refit_power_ok;
     history_.clear();
+    // Saved in increasing index order; anything else would re-save
+    // differently.
+    bool hist_ok = true;
+    std::size_t last_hist = 0;
     const std::size_t hist_count = static_cast<std::size_t>(r.u64());
     for (std::size_t i = 0; i < hist_count && r.ok(); ++i) {
         const std::size_t idx = static_cast<std::size_t>(r.u64());
+        hist_ok = hist_ok && (i == 0 || idx > last_hist);
+        last_hist = idx;
         history_[idx] = r.f64();
     }
     const std::size_t segment = static_cast<std::size_t>(r.u64());
     boost_ = static_cast<std::size_t>(r.u64());
     avg_rate_ = r.f64();
-    have_avg_ = r.u8() != 0;
+    const std::uint8_t have_avg = r.u8();
+    have_avg_ = have_avg != 0;
     drift_count_ = static_cast<std::size_t>(r.u64());
     reestimations_ = static_cast<std::size_t>(r.u64());
     pending_config_ = static_cast<std::size_t>(r.u64());
-    fit_pending_ = r.u8() != 0;
+    const std::uint8_t fit_pending = r.u8();
+    fit_pending_ = fit_pending != 0;
     fallback_remaining_ = static_cast<std::size_t>(r.u64());
     const std::uint64_t fits_failed = r.u64();
     const std::uint64_t samples_rejected = r.u64();
@@ -693,14 +710,28 @@ EnergyController::restoreState(linalg::ByteReader &r)
         starve_count_ = 0;
     }
 
+    const std::size_t n = space_.size();
+    const auto inSpace = [n](const std::vector<std::size_t> &idx) {
+        return std::all_of(idx.begin(), idx.end(),
+                           [n](std::size_t c) { return c < n; });
+    };
     const bool sizes_ok =
-        (perf_.empty() || perf_.size() == space_.size()) &&
-        (power_.empty() || power_.size() == space_.size()) &&
+        (perf_.empty() || perf_.size() == n) &&
+        (power_.empty() || power_.size() == n) &&
         observations_.performance.size() ==
             observations_.indices.size() &&
         observations_.power.size() == observations_.indices.size() &&
-        probe_next_ <= probe_plan_.size();
-    if (!r.ok() || !sizes_ok) {
+        inSpace(observations_.indices) && inSpace(probe_plan_) &&
+        probe_next_ <= probe_plan_.size() &&
+        (!fit_pending_ || pending_config_ < n);
+    // Flags are 0 or 1, and a sampling controller that is not waiting
+    // on a fit has a probe left to offer (or no plan yet).
+    const bool canonical =
+        state <= 1 && have_fits <= 1 && have_avg <= 1 &&
+        fit_pending <= 1 && hist_ok &&
+        (state != 0 || fit_pending_ || probe_plan_.empty() ||
+         probe_next_ < probe_plan_.size());
+    if (!r.ok() || !sizes_ok || !canonical) {
         beginSampling();
         perf_ = linalg::Vector{};
         power_ = linalg::Vector{};

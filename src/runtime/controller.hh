@@ -114,11 +114,16 @@ class EnergyController
      *                  estimates are injected via setEstimates().
      * @param prior     Offline profiles (borrowed).
      * @param options   Control knobs.
+     * @param bases     The prior bases of `prior`, shared with every
+     *                  controller on the same prior (the service passes
+     *                  each session's); null builds them from `prior`
+     *                  at the first LEO fit or fit restore.
      */
-    EnergyController(const platform::ConfigSpace &space,
-                     const estimators::Estimator *estimator,
-                     const telemetry::ProfileStore &prior,
-                     ControllerOptions options);
+    EnergyController(
+        const platform::ConfigSpace &space,
+        const estimators::Estimator *estimator,
+        const telemetry::ProfileStore &prior, ControllerOptions options,
+        std::shared_ptr<const estimators::PriorBases> bases = nullptr);
 
     /** @return Current state. */
     State state() const { return state_; }
@@ -220,9 +225,16 @@ class EnergyController
      * Restore state written by saveState(). The controller must have
      * been constructed with the same configuration space (validated),
      * estimator kind and options as the saved one — the blob carries
-     * runtime state, not construction parameters. Never throws; on a
-     * truncated or mismatched blob the controller resets to fresh
-     * Sampling state and returns false.
+     * runtime state, not construction parameters. The saved fits are
+     * rebuilt on this controller's prior bases (fit_io.hh), so the
+     * prior must be the saved one too: a blob whose fits ran on
+     * another prior fails closed. Never throws; on a truncated or
+     * mismatched blob, or one saveState() would not write (a flag byte
+     * other than 0 or 1, history out of order, indices outside the
+     * space, a sampling state with no probe left) the controller
+     * resets to fresh Sampling state and returns false. A refitter or
+     * change-point detector that fails to restore is degradation, not
+     * corruption: it restarts empty and the restore succeeds.
      */
     bool restoreState(linalg::ByteReader &r);
 
@@ -292,6 +304,10 @@ class EnergyController
     /** Reset sampling state so fresh probes are drawn. */
     void beginSampling();
 
+    /** The prior bases, built from prior_ on first use when none were
+     *  passed at construction. */
+    const estimators::PriorBases &priorBases();
+
     /** Recompute the frontier and locate the demand on it. */
     void replan();
 
@@ -336,11 +352,11 @@ class EnergyController
     linalg::Vector power_;
     /** Scratch arena reused across LEO (re)fits. */
     linalg::Workspace fit_ws_; // leo-lint: allow(snapshot-completeness) fit scratch workspace
-    /** Prior bases of the LEO fits: built inside the first fit (so
-     *  construction stays cheap) and reused by every refit; null
-     *  until then, and while the prior cannot be built. */
-    std::shared_ptr<const estimators::PriorBasis> perf_basis_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, rebuilt by the next fit
-    std::shared_ptr<const estimators::PriorBasis> power_basis_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, rebuilt by the next fit
+    /** Prior bases of the LEO fits: passed at construction, or built
+     *  at the first fit or fit restore (so construction stays cheap)
+     *  and reused by every refit. A metric whose prior cannot be built
+     *  has a null basis. */
+    std::shared_ptr<const estimators::PriorBases> bases_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, passed or rebuilt on construction
     /** Previous LEO fits: drift-triggered re-estimations warm-start
      *  EM from these instead of the cold init. */
     estimators::LeoFit perf_fit_;

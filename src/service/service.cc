@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <sstream>
 #include <tuple>
 
@@ -22,19 +23,55 @@ namespace
 {
 
 /** Snapshot format version; bump when the field list changes.
- *  v2 added TenantConfig::deadlineSeconds. */
-constexpr std::uint32_t kSnapshotVersion = 2;
+ *  v2 added TenantConfig::deadlineSeconds; v3 added the prior table
+ *  and saves fits without their basis (fit_io v4). */
+constexpr std::uint32_t kSnapshotVersion = 3;
 
-/** Build one prior version's bases (never throws on a bad prior). */
-std::shared_ptr<const PriorBases>
-buildBases(const telemetry::ProfileStore &prior)
+/** Append one offline profile (its fields in declaration order). */
+void
+writeRecord(linalg::ByteWriter &w, const telemetry::ApplicationRecord &rec)
 {
-    auto bases = std::make_shared<PriorBases>();
-    bases->perf = estimators::PriorBasis::tryBuild(
-        estimators::priorVectors(prior, estimators::Metric::Performance));
-    bases->power = estimators::PriorBasis::tryBuild(
-        estimators::priorVectors(prior, estimators::Metric::Power));
-    return bases;
+    w.str(rec.name);
+    w.vec(rec.performance);
+    w.vec(rec.power);
+}
+
+/** Read one profile written by writeRecord (never throws). */
+telemetry::ApplicationRecord
+readRecord(linalg::ByteReader &r)
+{
+    telemetry::ApplicationRecord rec;
+    rec.name = r.str();
+    rec.performance = r.vec();
+    rec.power = r.vec();
+    return rec;
+}
+
+/**
+ * Read one saved profile store over an n-configuration space: a u64
+ * record count, then the records. Null, with the reader failed, when
+ * the buffer is short or a record's vectors are not n long.
+ */
+std::shared_ptr<const telemetry::ProfileStore>
+readProfileStore(linalg::ByteReader &r, std::size_t n)
+{
+    const std::uint64_t apps = r.u64();
+    std::vector<telemetry::ApplicationRecord> records;
+    for (std::uint64_t i = 0; i < apps && r.ok(); ++i) {
+        records.push_back(readRecord(r));
+        if (records.back().performance.size() != n ||
+            records.back().power.size() != n)
+            r.fail();
+    }
+    if (!r.ok())
+        return nullptr;
+    try {
+        return std::make_shared<const telemetry::ProfileStore>(
+            std::move(records));
+    } catch (const std::exception &) {
+        r.fail();
+        return nullptr;
+    }
 }
 
 } // namespace
@@ -57,7 +94,7 @@ Service::Service(const platform::ConfigSpace &space,
     require(prior_->spaceSize() == space_.size() ||
                 prior_->numApplications() == 0,
             "Service: prior/space size mismatch");
-    bases_ = buildBases(*prior_);
+    bases_ = estimators::PriorBases::build(*prior_);
     queues_.reserve(options_.shards);
     for (std::size_t s = 0; s < options_.shards; ++s)
         queues_.push_back(
@@ -65,15 +102,14 @@ Service::Service(const platform::ConfigSpace &space,
 }
 
 std::unique_ptr<runtime::EnergyController>
-Service::makeController(const TenantConfig &config,
-                        const telemetry::ProfileStore &prior) const
+Service::makeController(const Session &sess) const
 {
     runtime::ControllerOptions copts = options_.controller;
-    copts.targetRate = config.targetRate;
+    copts.targetRate = sess.config.targetRate;
     // The service owns fit scheduling: every controller defers.
     copts.deferFits = true;
     return std::make_unique<runtime::EnergyController>(
-        space_, &estimator_, prior, copts);
+        space_, &estimator_, *sess.prior, copts, sess.bases);
 }
 
 std::optional<std::uint64_t>
@@ -92,7 +128,7 @@ Service::admit(const TenantConfig &config)
     sess->prior = prior_;
     sess->priorVersion = prior_version_;
     sess->bases = bases_;
-    sess->controller = makeController(sess->config, *sess->prior);
+    sess->controller = makeController(*sess);
     sessions_[id] = std::move(sess);
     tenants_admitted_.add(1);
     tenants_active_.set(static_cast<double>(sessions_.size()));
@@ -113,6 +149,16 @@ Service::close(std::uint64_t tenant)
     tenants_closed_.add(1);
     tenants_active_.set(static_cast<double>(sessions_.size()));
     return true;
+}
+
+std::vector<std::uint64_t>
+Service::tenantIds() const
+{
+    std::vector<std::uint64_t> ids;
+    ids.reserve(sessions_.size());
+    for (const auto &[id, sess] : sessions_)
+        ids.push_back(id);
+    return ids;
 }
 
 std::size_t
@@ -424,7 +470,8 @@ Service::refreshPrior(
     require(prior->spaceSize() == space_.size() ||
                 prior->numApplications() == 0,
             "Service: refreshed prior/space size mismatch");
-    std::shared_ptr<const PriorBases> bases = buildBases(*prior);
+    std::shared_ptr<const estimators::PriorBases> bases =
+        estimators::PriorBases::build(*prior);
     const std::lock_guard<std::mutex> lock(pending_prior_mutex_);
     pending_prior_ = std::move(prior);
     pending_bases_ = std::move(bases);
@@ -433,11 +480,28 @@ Service::refreshPrior(
 void
 Service::saveSnapshot(linalg::ByteWriter &w)
 {
+    obs::Span span(obs::names::kServiceSnapshotSpan, "service");
+    const std::size_t start = w.bytes().size();
+    // Each prior version a session pins, plus the live one, travels
+    // once, ahead of the sessions that name it. Sessions on one
+    // version share one store, so the first pointer seen is the one.
+    std::map<std::uint64_t, const telemetry::ProfileStore *> priors;
+    priors.emplace(prior_version_, prior_.get());
+    for (const auto &[id, sess] : sessions_)
+        priors.emplace(sess->priorVersion, sess->prior.get());
+
     w.u32(kSnapshotVersion);
     w.u64(space_.size());
     w.u64(options_.shards);
     w.u64(next_id_);
     w.u64(prior_version_);
+    w.u64(priors.size());
+    for (const auto &[version, store] : priors) {
+        w.u64(version);
+        w.u64(store->numApplications());
+        for (const telemetry::ApplicationRecord &rec : store->records())
+            writeRecord(w, rec);
+    }
     w.u64(sessions_.size());
     for (const auto &[id, sess] : sessions_) {
         w.u64(id);
@@ -480,29 +544,71 @@ Service::saveSnapshot(linalg::ByteWriter &w)
     for (const InboundSample &in : queued)
         queues_[shardOf(in.tenant)]->push(in);
     snapshots_saved_.add(1);
+    span.arg("bytes", static_cast<double>(w.bytes().size() - start));
+    span.arg("sessions", static_cast<double>(sessions_.size()));
+    span.arg("versions", static_cast<double>(priors.size()));
 }
 
 bool
 Service::restoreSnapshot(linalg::ByteReader &r)
 {
+    obs::Span span(obs::names::kServiceRestoreSpan, "service");
+    const std::size_t start = r.position();
     sessions_.clear();
+    cache_ = FitCache(options_.fitCacheCapacity);
+    evictions_seen_ = 0;
     // The fleet plan is derived state: it is not in the snapshot and
     // the next tick() after a successful restore reproduces it.
     global_plan_ = optimizer::GlobalSchedule{};
     global_tenants_.clear();
     InboundSample drain;
+    const auto fail = [&] {
+        r.fail();
+        sessions_.clear();
+        for (const auto &q : queues_)
+            while (q->pop(drain)) {
+            }
+        tenants_active_.set(0.0);
+        span.arg("sessions", 0.0);
+        return false;
+    };
     for (const auto &q : queues_)
         while (q->pop(drain)) {
         }
 
     if (r.u32() != kSnapshotVersion || r.u64() != space_.size() ||
-        r.u64() != options_.shards) {
-        r.fail();
-        tenants_active_.set(0.0);
-        return false;
+        r.u64() != options_.shards)
+        return fail();
+    const std::uint64_t next_id = r.u64();
+    const std::uint64_t live = r.u64();
+
+    // The prior table, in increasing version order: one profile store
+    // and one set of bases per version. A version no session pins and
+    // that is not the live one is never written, so it is rejected
+    // like any other encoding saveSnapshot would not produce.
+    struct SavedPrior
+    {
+        std::shared_ptr<const telemetry::ProfileStore> store;
+        std::shared_ptr<const estimators::PriorBases> bases;
+        bool pinned = false;
+    };
+    std::map<std::uint64_t, SavedPrior> priors;
+    const std::uint64_t versions = r.u64();
+    for (std::uint64_t i = 0; i < versions && r.ok(); ++i) {
+        const std::uint64_t version = r.u64();
+        auto store = readProfileStore(r, space_.size());
+        if (!store ||
+            (!priors.empty() && version <= priors.rbegin()->first))
+            return fail();
+        auto bases = estimators::PriorBases::build(*store);
+        priors.emplace(version, SavedPrior{std::move(store),
+                                           std::move(bases), false});
     }
-    next_id_ = r.u64();
-    prior_version_ = r.u64();
+    const auto live_prior = priors.find(live);
+    if (!r.ok() || live_prior == priors.end())
+        return fail();
+    live_prior->second.pinned = true;
+
     const std::size_t count = static_cast<std::size_t>(r.u64());
     for (std::size_t i = 0; i < count && r.ok(); ++i) {
         const std::uint64_t id = r.u64();
@@ -511,30 +617,41 @@ Service::restoreSnapshot(linalg::ByteReader &r)
         config.targetRate = r.f64();
         config.deadlineSeconds = r.f64();
         config.seed = r.u64();
+        // Ids are saved ascending and below the next id to hand out.
         if (!r.ok() || !(config.targetRate > 0.0) ||
             !std::isfinite(config.targetRate) ||
             !(config.deadlineSeconds >= 0.0) ||
-            !std::isfinite(config.deadlineSeconds))
-            break;
+            !std::isfinite(config.deadlineSeconds) || id >= next_id ||
+            (!sessions_.empty() && id <= sessions_.rbegin()->first))
+            return fail();
         auto sess = std::make_unique<Session>(id, config);
         sess->submitSeq.store(r.u64(), std::memory_order_relaxed);
         sess->windows = r.u64();
         sess->priorVersion = r.u64();
-        std::istringstream engine(r.str());
+        const auto pinned = priors.find(sess->priorVersion);
+        if (pinned == priors.end())
+            return fail();
+        pinned->second.pinned = true;
+        // The engine text must be exactly what the engine writes back.
+        const std::string text = r.str();
+        std::istringstream engine(text);
         engine >> sess->rng.engine();
-        if (engine.fail())
-            break;
-        // Restored sessions pin the service's *current* prior; the
-        // restore contract requires it to match the saved service's
-        // (the blob carries runtime state, not the profile store).
-        sess->prior = prior_;
-        sess->bases = bases_;
-        sess->controller = makeController(sess->config, *sess->prior);
+        std::ostringstream again;
+        again << sess->rng.engine();
+        if (engine.fail() || again.str() != text)
+            return fail();
+        sess->prior = pinned->second.store;
+        sess->bases = pinned->second.bases;
+        sess->controller = makeController(*sess);
         if (!sess->controller->restoreState(r))
-            break;
+            return fail();
         sessions_[id] = std::move(sess);
     }
+    // Queued samples are saved in increasing (tenant, seq) order, and
+    // every one must fit its shard queue again.
     const std::size_t queued = static_cast<std::size_t>(r.u64());
+    bool have_prev = false;
+    InboundSample prev;
     for (std::size_t i = 0; i < queued && r.ok(); ++i) {
         InboundSample in;
         in.tenant = r.u64();
@@ -542,19 +659,30 @@ Service::restoreSnapshot(linalg::ByteReader &r)
         in.sample.configIndex = static_cast<std::size_t>(r.u64());
         in.sample.heartbeatRate = r.f64();
         in.sample.powerWatts = r.f64();
-        if (r.ok())
-            queues_[shardOf(in.tenant)]->push(in);
+        if (!r.ok())
+            break;
+        if ((have_prev && std::tie(in.tenant, in.seq) <=
+                              std::tie(prev.tenant, prev.seq)) ||
+            !queues_[shardOf(in.tenant)]->push(in))
+            return fail();
+        prev = in;
+        have_prev = true;
     }
-    if (!r.ok() || sessions_.size() != count) {
-        sessions_.clear();
-        for (const auto &q : queues_)
-            while (q->pop(drain)) {
-            }
-        tenants_active_.set(0.0);
-        return false;
-    }
+    const bool all_pinned =
+        std::all_of(priors.begin(), priors.end(),
+                    [](const auto &p) { return p.second.pinned; });
+    if (!r.ok() || !r.atEnd() || sessions_.size() != count ||
+        !all_pinned)
+        return fail();
+    next_id_ = next_id;
+    prior_version_ = live;
+    prior_ = live_prior->second.store;
+    bases_ = live_prior->second.bases;
     tenants_active_.set(static_cast<double>(sessions_.size()));
     snapshots_restored_.add(1);
+    span.arg("bytes", static_cast<double>(r.position() - start));
+    span.arg("sessions", static_cast<double>(sessions_.size()));
+    span.arg("versions", static_cast<double>(priors.size()));
     return true;
 }
 

@@ -38,11 +38,15 @@
  *    fleet plan is exposed through globalPlan()/tenantSchedule() and
  *    is a pure function of the session table, so it inherits the
  *    shard- and thread-count independence of the replay.
- *  - **Snapshot/restore.** saveSnapshot() serializes every session
- *    (controller state incl. low-rank fit factors, RNG engine,
- *    sequence counters) plus undrained queue contents;
- *    restoreSnapshot() into a service built over the same space,
- *    estimator and options resumes every schedule bit for bit.
+ *  - **Snapshot/restore.** saveSnapshot() serializes each prior
+ *    version a session pins (plus the live one) once, then every
+ *    session (controller state incl. low-rank fit factors, RNG
+ *    engine, sequence counters) plus undrained queue contents. A fit
+ *    names its prior by fingerprint instead of carrying the prior's
+ *    basis rows (estimators/fit_io.hh). restoreSnapshot() into a
+ *    service built over the same space, estimator and options pins
+ *    each session to its own prior version and resumes every
+ *    schedule bit for bit.
  *
  * Threading contract: submit() is safe from any number of threads
  * concurrently with other submit() calls, with nextConfig() and with
@@ -79,18 +83,6 @@
 
 namespace leo::service
 {
-
-/**
- * The prior-invariant fit state of one prior version, shared by all
- * sessions pinned to it: one basis per metric, each null when that
- * metric's prior is empty or cannot be built (those fits take the
- * raw-vector path and degrade as DESIGN.md section 8 describes).
- */
-struct PriorBases
-{
-    std::shared_ptr<const estimators::PriorBasis> perf;
-    std::shared_ptr<const estimators::PriorBasis> power;
-};
 
 /** Tunables of the serving core. */
 struct ServiceOptions
@@ -190,6 +182,10 @@ class Service
     /** @return Number of live tenants. */
     std::size_t activeTenants() const { return sessions_.size(); }
 
+    /** @return The live tenants' ids, ascending (after a restore,
+     *  the ones the snapshot brought back). */
+    std::vector<std::uint64_t> tenantIds() const;
+
     /**
      * Configuration tenant `tenant` should run its next window in.
      * Fleet-order independent: the answer depends only on this
@@ -224,19 +220,34 @@ class Service
         std::shared_ptr<const telemetry::ProfileStore> prior);
 
     /**
-     * Serialize every session and the undrained queue contents.
-     * Call between ticks (control-plane exclusive); concurrent
-     * submit() traffic may or may not make the snapshot.
+     * Serialize each prior version a session pins plus the live one
+     * (version number and profile store, once each), every session,
+     * and the undrained queue contents. Call between ticks
+     * (control-plane exclusive); concurrent submit() traffic may or
+     * may not make the snapshot.
      */
     void saveSnapshot(linalg::ByteWriter &w);
 
     /**
-     * Restore a snapshot into this service. The space, estimator
-     * kind, options and offline prior must match the saved
-     * service's; the snapshot carries runtime state, not
-     * construction parameters. On success every tenant resumes its
-     * schedule bit for bit. On failure (truncated or mismatched
-     * blob) the service is left empty and false is returned.
+     * Restore a snapshot into this service. The space, estimator kind
+     * and options must match the saved service's; the snapshot
+     * carries runtime state, not construction parameters. The offline
+     * priors travel in the snapshot: the constructor's prior need not
+     * match. Restore builds one set of bases per saved prior version,
+     * pins each session to its own version, and reinstalls the saved
+     * live prior and version number, so every tenant resumes its
+     * schedule bit for bit, also across prior refreshes. A staged
+     * refreshPrior() is kept, and the fit cache starts empty.
+     *
+     * On failure the service is left empty and false is returned:
+     * a truncated or mismatched blob, an unknown or duplicate prior
+     * version, a version no session pins, a malformed profile store,
+     * a fit saved on another prior, trailing bytes, session ids or
+     * queued samples out of order, or engine text the engine would
+     * not write. With incremental refits and change-point detection
+     * off, every accepted blob re-saves to its own bytes; a refitter
+     * or detector that fails to restore degrades as before
+     * (EnergyController::restoreState).
      */
     bool restoreSnapshot(linalg::ByteReader &r);
 
@@ -279,8 +290,8 @@ class Service
         /** Version of the pinned prior (fit-cache key component). */
         std::uint64_t priorVersion = 0;
         /** Bases of the pinned prior, shared with every session on
-         *  the same version. */
-        std::shared_ptr<const PriorBases> bases;
+         *  the same version and with the session's controller. */
+        std::shared_ptr<const estimators::PriorBases> bases;
         /** Per-tenant submission sequence (drain sort key). */
         std::atomic<std::uint64_t> submitSeq{0};
         /** Windows applied so far. */
@@ -292,10 +303,10 @@ class Service
         }
     };
 
-    /** Build a controller for a (new or restored) session. */
+    /** Build a controller for a (new or restored) session on its
+     *  pinned prior and that prior's shared bases. */
     std::unique_ptr<runtime::EnergyController> makeController(
-        const TenantConfig &config,
-        const telemetry::ProfileStore &prior) const;
+        const Session &sess) const;
 
     /** Run the deferred fits of `pending` (sorted tenant ids). */
     void runDeferredFits(const std::vector<std::uint64_t> &pending,
@@ -309,15 +320,16 @@ class Service
     parallel::ThreadPool &pool_; // leo-lint: allow(snapshot-completeness) borrowed dependency, rebound on construction
     ServiceOptions options_;
 
-    /** Live prior + version, swapped only at tick boundaries. */
+    /** Live prior + version, swapped only at tick boundaries and by
+     *  a restore. */
     std::shared_ptr<const telemetry::ProfileStore> prior_;
     std::uint64_t prior_version_ = 0;
     /** Bases of the live prior (built with it, never in tick()). */
-    std::shared_ptr<const PriorBases> bases_; // leo-lint: allow(snapshot-completeness) derived from the prior, rebuilt on construction
+    std::shared_ptr<const estimators::PriorBases> bases_; // leo-lint: allow(snapshot-completeness) derived from the live prior, rebuilt by construction and restore
     /** Staged prior from refreshPrior() (any thread). */
     std::mutex pending_prior_mutex_; // leo-lint: allow(snapshot-completeness) synchronization primitive
     std::shared_ptr<const telemetry::ProfileStore> pending_prior_; // leo-lint: allow(snapshot-completeness) in-flight update, intentionally dropped
-    std::shared_ptr<const PriorBases> pending_bases_; // leo-lint: allow(snapshot-completeness) in-flight update, intentionally dropped
+    std::shared_ptr<const estimators::PriorBases> pending_bases_; // leo-lint: allow(snapshot-completeness) in-flight update, intentionally dropped
 
     std::uint64_t next_id_ = 0;
     /** Sessions ordered by id (determinism: iteration order is the

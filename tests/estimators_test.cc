@@ -613,6 +613,8 @@ expectFitsExactlyEqual(const estimators::LeoFit &a,
     EXPECT_EQ(a.scale, b.scale) << what;
     EXPECT_EQ(a.warmStarted, b.warmStarted) << what;
     expectExactlyEqual(a.basisT, b.basisT, what + ".basisT");
+    EXPECT_EQ(a.observedUnits, b.observedUnits) << what;
+    EXPECT_EQ(a.priorFingerprint, b.priorFingerprint) << what;
     expectExactlyEqual(a.coeff, b.coeff, what + ".coeff");
     EXPECT_EQ(a.alphaDiag, b.alphaDiag) << what;
     expectExactlyEqual(a.varCore, b.varCore, what + ".varCore");
@@ -928,7 +930,8 @@ TEST(LeoHotLoop, BatchWarmStartMatchesDirectWarmFit)
  * saveFit/loadFit round-trip every field bit for bit, with a dense
  * (full-rank, q = n) and a low-rank (q << n) factored Sigma alike —
  * the warm-start continuation from a loaded fit is indistinguishable
- * from one using the original.
+ * from one using the original. The blob carries no basis rows:
+ * loadFit rebuilds basisT from the prior basis it is handed.
  */
 TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
 {
@@ -961,11 +964,15 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
         SCOPED_TRACE("n = " + std::to_string(space.size()) +
                      ", q = " + std::to_string(fit.basisT.rows()));
         EXPECT_EQ(fit.basisT.rows() == space.size(), space.size() == 32);
+        // A basis built from the same vectors is the one the fit ran
+        // on, by content.
+        const estimators::PriorBasis basis(prior);
+        EXPECT_EQ(fit.priorFingerprint, basis.fingerprint());
         linalg::ByteWriter wtr;
         estimators::saveFit(wtr, fit);
         std::string blob = wtr.take();
         linalg::ByteReader rdr(blob);
-        const auto loaded = estimators::loadFit(rdr);
+        const auto loaded = estimators::loadFit(rdr, &basis);
         ASSERT_TRUE(rdr.ok());
         EXPECT_TRUE(rdr.atEnd());
         ASSERT_NO_FATAL_FAILURE(
@@ -984,7 +991,7 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
         // A truncated blob fails closed.
         blob.resize(blob.size() / 2);
         linalg::ByteReader cut(blob);
-        (void)estimators::loadFit(cut);
+        (void)estimators::loadFit(cut, &basis);
         EXPECT_FALSE(cut.ok());
     }
 }
@@ -994,7 +1001,8 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
  * unknown-version path: the reader fails and the returned fit is
  * empty. Version 1 carried a dense Sigma and a low-rank flag
  * alongside the factors; version 2 carried the expanded variance
- * vector that fits no longer compute.
+ * vector that fits no longer compute; version 3 carried basisT
+ * itself.
  */
 TEST(FitIo, RejectsVersionOneBlob)
 {
@@ -1032,10 +1040,25 @@ TEST(FitIo, RejectsVersionOneBlob)
     v2.f64(0.03);                   // alphaDiag
     v2.mat(Matrix(1, 1, 0.1));      // varCore
 
-    for (linalg::ByteWriter *w : {&wtr, &v2}) {
+    linalg::ByteWriter v3;
+    v3.u32(3);
+    v3.vec(Vector(4, 2.0));         // prediction
+    v3.vec(Vector(4, 1.0));         // mu
+    v3.f64(0.01);                   // sigma2
+    v3.u64(3);                      // iterations
+    v3.u8(1);                       // converged
+    v3.u64(0);                      // empty log-likelihood trace
+    v3.f64(1.0);                    // scale
+    v3.u8(0);                       // warmStarted
+    v3.mat(Matrix(1, 4, 0.5));      // basisT
+    v3.mat(Matrix(1, 1, 0.2));      // coeff
+    v3.f64(0.03);                   // alphaDiag
+    v3.mat(Matrix(1, 1, 0.1));      // varCore
+
+    for (linalg::ByteWriter *w : {&wtr, &v2, &v3}) {
         const std::string blob = w->take();
         linalg::ByteReader rdr(blob);
-        const estimators::LeoFit fit = estimators::loadFit(rdr);
+        const estimators::LeoFit fit = estimators::loadFit(rdr, nullptr);
         EXPECT_FALSE(rdr.ok());
         EXPECT_TRUE(fit.prediction.empty());
         EXPECT_TRUE(fit.basisT.empty());
@@ -1043,66 +1066,127 @@ TEST(FitIo, RejectsVersionOneBlob)
 }
 
 /**
- * The factors are a fit's only variance source, so loadFit rejects a
- * blob whose factor shapes disagree instead of handing back a fit
- * whose predictiveVarianceAt throws. A fit with no factors at all —
- * what the service installs after a failed batched fit — still
- * round-trips.
+ * The factors are a fit's only variance source, and basisT is rebuilt
+ * rather than read, so loadFit rejects a blob it cannot rebuild the
+ * saved basis from (a null or different prior, corrupt observed
+ * units, a row count the rebuild disagrees with) and one whose factor
+ * shapes disagree, instead of handing back a fit whose
+ * predictiveVarianceAt throws or reads another basis. A fit with no
+ * factors at all — what the service installs after a failed batched
+ * fit — still round-trips, with no prior.
  */
 TEST(FitIo, RejectsInconsistentFactorShapes)
 {
-    estimators::LeoFit good;
-    good.prediction = Vector(4, 2.0);
-    good.mu = Vector(4, 1.0);
-    good.sigma2 = 0.01;
-    good.scale = 3.0;
-    good.basisT = Matrix(2, 4, 0.5);
-    good.coeff = Matrix(2, 2, 0.2);
-    good.alphaDiag = 0.03;
-    good.varCore = Matrix(2, 2, 0.1);
+    // A real fit at q < n: only fits a PriorBasis produced can be
+    // saved, which every production fit is.
+    const FitProblem p = makeFitProblem(4);
+    const estimators::PriorBasis basis(p.prior);
+    const estimators::LeoEstimator est;
+    const estimators::LeoFit good =
+        est.fitMetric(basis, p.idx, p.vals, nullptr, nullptr);
+    const std::size_t n = basis.dim();
+    const std::size_t q = good.basisT.rows();
+    ASSERT_LT(q, n);
+    ASSERT_GE(good.observedUnits.size(), 2u);
 
-    const auto roundTrip = [](const estimators::LeoFit &fit, bool &ok) {
+    const auto roundTrip = [](const estimators::LeoFit &fit,
+                              const estimators::PriorBasis *prior,
+                              bool &ok) {
         linalg::ByteWriter wtr;
         estimators::saveFit(wtr, fit);
         const std::string blob = wtr.take();
         linalg::ByteReader rdr(blob);
-        estimators::LeoFit loaded = estimators::loadFit(rdr);
+        estimators::LeoFit loaded = estimators::loadFit(rdr, prior);
         ok = rdr.ok() && rdr.atEnd();
         return loaded;
     };
+    const auto expectRejected = [](const estimators::LeoFit &got,
+                                   bool ok) {
+        EXPECT_FALSE(ok);
+        EXPECT_TRUE(got.prediction.empty());
+        EXPECT_TRUE(got.basisT.empty());
+        EXPECT_TRUE(got.varCore.empty());
+    };
     bool ok = false;
-    const estimators::LeoFit loaded = roundTrip(good, ok);
+    const estimators::LeoFit loaded = roundTrip(good, &basis, ok);
     ASSERT_TRUE(ok);
     ASSERT_NO_FATAL_FAILURE(expectFitsExactlyEqual(good, loaded, "good"));
     EXPECT_EQ(loaded.predictiveVarianceAt(3),
               good.predictiveVarianceAt(3));
 
+    {
+        SCOPED_TRACE("null prior under factors");
+        const estimators::LeoFit got = roundTrip(good, nullptr, ok);
+        expectRejected(got, ok);
+    }
+    {
+        SCOPED_TRACE("another prior");
+        const estimators::PriorBasis other(
+            makeFitProblem(4, "swish").prior);
+        ASSERT_NE(other.fingerprint(), basis.fingerprint());
+        const estimators::LeoFit got = roundTrip(good, &other, ok);
+        expectRejected(got, ok);
+    }
+
     struct Case
     {
         const char *what;
-        void (*mutate)(estimators::LeoFit &);
+        void (*mutate)(estimators::LeoFit &, std::size_t n);
     };
     const Case cases[] = {
-        {"varCore 1x1 under a 2-row basis",
-         [](estimators::LeoFit &f) { f.varCore = Matrix(1, 1, 0.1); }},
+        {"wrong fingerprint",
+         [](estimators::LeoFit &f, std::size_t) {
+             f.priorFingerprint ^= 1;
+         }},
+        {"units out of order",
+         [](estimators::LeoFit &f, std::size_t) {
+             std::swap(f.observedUnits[0], f.observedUnits[1]);
+         }},
+        {"units duplicated",
+         [](estimators::LeoFit &f, std::size_t) {
+             f.observedUnits[1] = f.observedUnits[0];
+         }},
+        {"unit not below n",
+         [](estimators::LeoFit &f, std::size_t dim) {
+             f.observedUnits.back() = dim;
+         }},
+        {"q one more than the rebuilt rows",
+         [](estimators::LeoFit &f, std::size_t dim) {
+             const std::size_t q1 = f.basisT.rows() + 1;
+             f.basisT = Matrix(q1, dim, 0.0);
+             f.coeff = Matrix(q1, q1, 0.2);
+             f.varCore = Matrix(q1, q1, 0.1);
+         }},
+        {"varCore 1x1 under a q-row basis",
+         [](estimators::LeoFit &f, std::size_t) {
+             f.varCore = Matrix(1, 1, 0.1);
+         }},
         {"varCore not square",
-         [](estimators::LeoFit &f) { f.varCore = Matrix(2, 3, 0.1); }},
+         [](estimators::LeoFit &f, std::size_t) {
+             f.varCore = Matrix(f.basisT.rows(), f.basisT.rows() + 1);
+         }},
         {"varCore missing",
-         [](estimators::LeoFit &f) { f.varCore = Matrix(); }},
-        {"coeff 3x3 under a 2-row basis",
-         [](estimators::LeoFit &f) { f.coeff = Matrix(3, 3, 0.2); }},
+         [](estimators::LeoFit &f, std::size_t) { f.varCore = Matrix(); }},
+        {"coeff one larger than the basis",
+         [](estimators::LeoFit &f, std::size_t) {
+             f.coeff = Matrix(f.basisT.rows() + 1, f.basisT.rows() + 1);
+         }},
         {"coeff missing",
-         [](estimators::LeoFit &f) { f.coeff = Matrix(); }},
-        {"prediction shorter than the basis",
-         [](estimators::LeoFit &f) { f.prediction = Vector(3, 2.0); }},
-        {"mu longer than the basis",
-         [](estimators::LeoFit &f) { f.mu = Vector(5, 1.0); }},
+         [](estimators::LeoFit &f, std::size_t) { f.coeff = Matrix(); }},
+        {"prediction shorter than n",
+         [](estimators::LeoFit &f, std::size_t dim) {
+             f.prediction = Vector(dim - 1, 2.0);
+         }},
+        {"mu longer than n",
+         [](estimators::LeoFit &f, std::size_t dim) {
+             f.mu = Vector(dim + 1, 1.0);
+         }},
         {"mu missing",
-         [](estimators::LeoFit &f) { f.mu = Vector(); }},
+         [](estimators::LeoFit &f, std::size_t) { f.mu = Vector(); }},
         {"cores without a basis",
-         [](estimators::LeoFit &f) { f.basisT = Matrix(); }},
+         [](estimators::LeoFit &f, std::size_t) { f.basisT = Matrix(); }},
         {"varCore alone",
-         [](estimators::LeoFit &f) {
+         [](estimators::LeoFit &f, std::size_t) {
              f.basisT = Matrix();
              f.coeff = Matrix();
          }},
@@ -1110,12 +1194,24 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);
         estimators::LeoFit bad = good;
-        c.mutate(bad);
-        const estimators::LeoFit got = roundTrip(bad, ok);
-        EXPECT_FALSE(ok);
-        EXPECT_TRUE(got.prediction.empty());
-        EXPECT_TRUE(got.basisT.empty());
-        EXPECT_TRUE(got.varCore.empty());
+        c.mutate(bad, n);
+        const estimators::LeoFit got = roundTrip(bad, &basis, ok);
+        expectRejected(got, ok);
+    }
+
+    // A flag byte other than 0 or 1 would re-save to other bytes.
+    {
+        SCOPED_TRACE("converged byte 2");
+        linalg::ByteWriter wtr;
+        estimators::saveFit(wtr, good);
+        std::string blob = wtr.take();
+        // version, prediction, mu, sigma2, iterations, then converged.
+        const std::size_t at = 4 + 2 * (8 + 8 * n) + 8 + 8;
+        ASSERT_EQ(blob[at], good.converged ? 1 : 0);
+        blob[at] = 2;
+        linalg::ByteReader rdr(blob);
+        const estimators::LeoFit got = estimators::loadFit(rdr, &basis);
+        expectRejected(got, rdr.ok());
     }
 
     // Factor-less fits round-trip, value-initialized or not.
@@ -1125,7 +1221,7 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
     bare.sigma2 = 0.01;
     bare.scale = 3.0;
     for (const estimators::LeoFit &f : {estimators::LeoFit{}, bare}) {
-        const estimators::LeoFit back = roundTrip(f, ok);
+        const estimators::LeoFit back = roundTrip(f, nullptr, ok);
         EXPECT_TRUE(ok);
         ASSERT_NO_FATAL_FAILURE(
             expectFitsExactlyEqual(f, back, "factor-less"));

@@ -3,8 +3,11 @@
  * Unit tests for the dense linear-algebra substrate.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "linalg/least_squares.hh"
 #include "linalg/matrix.hh"
 #include "linalg/poly_features.hh"
+#include "linalg/serialize.hh"
 #include "linalg/simplex.hh"
 #include "linalg/vector.hh"
 #include "linalg/workspace.hh"
@@ -1009,4 +1013,150 @@ TEST(IntoKernels, LargeProblemMatchesNaiveKernelsToZeroUlp)
     blocked.inverseInto(inv_buf, ws, /*mirror=*/true);
     expectBitwiseEqual(inv_buf, reference.inverse(),
                        "inverseInto n=1030");
+}
+
+// ------------------------------------------------------- Byte codec
+
+namespace
+{
+
+/** Little-endian bytes of a 64-bit word. */
+std::string
+le64(std::uint64_t v)
+{
+    std::string s;
+    for (int i = 0; i < 8; ++i)
+        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return s;
+}
+
+} // namespace
+
+/**
+ * The wire format is fixed: little-endian integers, doubles as their
+ * IEEE-754 bits (signed zero and NaN payload included), containers
+ * behind a u64 count. Every primitive writes exactly these bytes and
+ * reads them back bit for bit.
+ */
+TEST(ByteCodec, GoldenBytesRoundTripBitwise)
+{
+    const double nan_payload =
+        std::bit_cast<double>(std::uint64_t{0x7ff8000000000123});
+    Matrix m(2, 3);
+    for (std::size_t i = 0; i < 6; ++i)
+        m.data()[i] = static_cast<double>(i) - 2.5;
+    const std::vector<std::size_t> idx{7, (std::size_t{1} << 40) + 1};
+
+    linalg::ByteWriter w;
+    w.u8(0xab);
+    w.u32(0x01020304u);
+    w.u64(0x0102030405060708ull);
+    w.f64(1.0);
+    w.f64(-0.0);
+    w.f64(nan_payload);
+    w.str("hi");
+    w.vec(Vector{1.0, -2.5});
+    w.mat(m);
+    w.indexVec(idx);
+    w.vec(Vector{});
+
+    std::string golden;
+    golden += '\xab';
+    golden += std::string("\x04\x03\x02\x01", 4);
+    golden += le64(0x0102030405060708ull);
+    golden += le64(0x3ff0000000000000ull);
+    golden += le64(0x8000000000000000ull);
+    golden += le64(0x7ff8000000000123ull);
+    golden += le64(2) + "hi";
+    golden += le64(2) + le64(0x3ff0000000000000ull) +
+              le64(0xc004000000000000ull);
+    golden += le64(2) + le64(3);
+    for (std::size_t i = 0; i < 6; ++i)
+        golden += le64(std::bit_cast<std::uint64_t>(m.data()[i]));
+    golden += le64(2) + le64(7) + le64((std::uint64_t{1} << 40) + 1);
+    golden += le64(0);
+    ASSERT_EQ(w.bytes(), golden);
+
+    linalg::ByteReader r(golden);
+    EXPECT_EQ(r.u8(), 0xab);
+    EXPECT_EQ(r.u32(), 0x01020304u);
+    EXPECT_EQ(r.u64(), 0x0102030405060708ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+              0x3ff0000000000000ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+              0x8000000000000000ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+              0x7ff8000000000123ull);
+    EXPECT_EQ(r.str(), "hi");
+    const Vector v = r.vec();
+    ASSERT_EQ(v.size(), 2u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v[0]), 0x3ff0000000000000ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v[1]), 0xc004000000000000ull);
+    const Matrix back = r.mat();
+    ASSERT_EQ(back.rows(), 2u);
+    ASSERT_EQ(back.cols(), 3u);
+    for (std::size_t i = 0; i < 6; ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.data()[i]),
+                  std::bit_cast<std::uint64_t>(m.data()[i]));
+    EXPECT_EQ(r.indexVec(), idx);
+    EXPECT_TRUE(r.vec().empty());
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.atEnd());
+}
+
+/**
+ * A count larger than the bytes left fails the reader before any
+ * allocation: a count of 2^61 elements would throw bad_alloc if the
+ * reader sized a container from it. Every later read returns zero.
+ */
+TEST(ByteCodec, OversizedCountFailsWithoutAllocating)
+{
+    const std::uint64_t huge = std::uint64_t{1} << 61;
+    const std::string payload = le64(0x3ff0000000000000ull);
+    const auto expectFailed = [](linalg::ByteReader &r) {
+        EXPECT_FALSE(r.ok());
+        EXPECT_EQ(r.u64(), 0u);
+        EXPECT_EQ(r.f64(), 0.0);
+        EXPECT_TRUE(r.str().empty());
+    };
+    {
+        const std::string blob = le64(huge) + payload;
+        linalg::ByteReader r(blob);
+        EXPECT_TRUE(r.vec().empty());
+        expectFailed(r);
+    }
+    {
+        const std::string blob = le64(2) + payload; // one of two
+        linalg::ByteReader r(blob);
+        EXPECT_TRUE(r.vec().empty());
+        expectFailed(r);
+    }
+    {
+        const std::string blob = le64(huge) + payload;
+        linalg::ByteReader r(blob);
+        EXPECT_TRUE(r.indexVec().empty());
+        expectFailed(r);
+    }
+    {
+        const std::string blob = le64(huge) + "abc";
+        linalg::ByteReader r(blob);
+        EXPECT_TRUE(r.str().empty());
+        expectFailed(r);
+    }
+    // rows * cols overflows 64 bits to a small product; the guard
+    // divides instead of multiplying.
+    for (const auto &[rows, cols] :
+         {std::pair{huge, std::uint64_t{1}},
+          std::pair{std::uint64_t{1} << 32, std::uint64_t{1} << 32},
+          std::pair{std::uint64_t{1}, std::uint64_t{2}}}) {
+        const std::string blob = le64(rows) + le64(cols) + payload;
+        linalg::ByteReader r(blob);
+        EXPECT_TRUE(r.mat().empty());
+        expectFailed(r);
+    }
+    // Truncated fixed-width reads fail too.
+    const std::string three = "abc";
+    linalg::ByteReader r(three);
+    EXPECT_EQ(r.u32(), 0u);
+    expectFailed(r);
 }

@@ -734,6 +734,24 @@ TEST(LintSnapshot, FullyRoundTrippedStructPasses)
     EXPECT_EQ(countCheck(ds, "snapshot-completeness"), 0u);
 }
 
+TEST(LintSnapshot, ReaderSubjectIsItsReturnType)
+{
+    // loadBlob(ByteReader&, const Context*) builds a Blob: the check
+    // pairs it with saveBlob and flags Blob's 'dropped', not the
+    // fields of the Context it only reads.
+    const auto ds = lintProgramOver(
+        {{"src/runtime/blob.cc", fixture("bad_snapshot_reader.cc")}});
+    ASSERT_EQ(countCheck(ds, "snapshot-completeness"), 1u);
+    for (const Diagnostic &d : ds) {
+        if (d.check != "snapshot-completeness")
+            continue;
+        EXPECT_NE(d.message.find("'dropped' of 'Blob'"),
+                  std::string::npos)
+            << d.message;
+        EXPECT_EQ(d.chain.size(), 2u) << d.message;
+    }
+}
+
 TEST(LintSnapshot, AllowDirectiveOnTheFieldSilences)
 {
     std::size_t suppressed = 0;

@@ -647,7 +647,7 @@ TEST(PriorBasis, WarmStartFromRestoredFitMatchesLiveFit)
     estimators::saveFit(wr, cold);
     const std::string blob = wr.take();
     linalg::ByteReader rd(blob);
-    const LeoFit loaded = estimators::loadFit(rd);
+    const LeoFit loaded = estimators::loadFit(rd, &basis);
     ASSERT_TRUE(rd.ok());
 
     std::vector<std::size_t> idx2 = idx;

@@ -25,7 +25,9 @@
 #include "linalg/workspace.hh"
 #include "obs/obs.hh"
 #include "platform/config_space.hh"
+#include "linalg/serialize.hh"
 #include "runtime/controller.hh"
+#include "service/service.hh"
 #include "telemetry/profile_store.hh"
 #include "telemetry/sampler.hh"
 #include "workloads/ground_truth.hh"
@@ -484,6 +486,57 @@ TEST(ObsIntegration, FitSpanCoversTheWholeFit)
     }
     EXPECT_EQ(bases, 1u);
     EXPECT_GE(iters, 1u);
+}
+
+TEST(ObsIntegration, SnapshotAndRestoreSpansReportTheirSize)
+{
+    // leo.service.snapshot and leo.service.restore each cover one
+    // call and report the blob's bytes, the sessions and the prior
+    // versions it carries.
+    platform::Machine machine;
+    const auto space = platform::ConfigSpace::coreOnly(machine);
+    telemetry::HeartbeatMonitor monitor{0.01};
+    telemetry::WattsUpMeter meter{0.005, 0.1};
+    stats::Rng rng{7};
+    const telemetry::ProfileStore store = telemetry::ProfileStore::collect(
+        workloads::standardSuite(), machine, space, monitor, meter, rng);
+    auto prior = std::make_shared<const telemetry::ProfileStore>(
+        store.without("x264"));
+    const estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    service::Service svc(space, leo, prior, pool, {});
+    for (std::uint64_t seed : {1, 2})
+        ASSERT_TRUE(svc.admit({"x264", 10.0, 0.0, seed}).has_value());
+    service::Service restored(space, leo, prior, pool, {});
+
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.enable(1u << 12);
+    linalg::ByteWriter w;
+    svc.saveSnapshot(w);
+    linalg::ByteReader r(w.bytes());
+    const bool ok = restored.restoreSnapshot(r);
+    tracer.disable();
+    const std::vector<TracedSpan> spans =
+        parseSpans(tracer.chromeTraceJson());
+    tracer.clear();
+    ASSERT_TRUE(ok);
+
+    const std::string expected =
+        "\"bytes\": " + std::to_string(w.bytes().size()) +
+        ", \"sessions\": 2, \"versions\": 1}";
+    for (const char *name : {obs::names::kServiceSnapshotSpan,
+                             obs::names::kServiceRestoreSpan}) {
+        std::size_t seen = 0;
+        for (const TracedSpan &s : spans) {
+            if (s.name != name)
+                continue;
+            ++seen;
+            EXPECT_NE(s.args.find(expected), std::string::npos)
+                << name << ": " << s.args;
+        }
+        EXPECT_EQ(seen, 1u) << name;
+    }
 }
 
 TEST(ObsIntegration, FitCountersIdenticalAcrossThreadCounts)

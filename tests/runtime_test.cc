@@ -295,3 +295,88 @@ TEST(Controller, RestoreRejectsTruncatedState)
     // A failed restore resets to a fresh sampling controller.
     EXPECT_EQ(twin.state(), EnergyController::State::Sampling);
 }
+
+/**
+ * A controller's fits are rebuilt on its own prior bases, so a blob
+ * restored into a controller on another leave-one-out prior fails
+ * closed and resumes Sampling, instead of pacing from fits whose basis
+ * its prior does not have.
+ */
+TEST(Controller, RestoreRejectsOtherPrior)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    const ControllerOptions o = w.options(30.0, 5);
+    EnergyController ctl(w.space, &leo, prior, o);
+    stats::Rng rng(31);
+    while (ctl.state() == EnergyController::State::Sampling) {
+        const std::size_t cfg = ctl.nextConfig(rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, w.monitor.measureRate(app, ra, rng),
+                               w.meter.read(app, ra, rng)});
+    }
+    ASSERT_NE(ctl.warmPerfFit(), nullptr);
+    linalg::ByteWriter wtr;
+    ctl.saveState(wtr);
+    const std::string blob = wtr.take();
+
+    EnergyController same(w.space, &leo, prior, o);
+    linalg::ByteReader ok(blob);
+    ASSERT_TRUE(same.restoreState(ok));
+    EXPECT_EQ(same.state(), EnergyController::State::Controlling);
+
+    auto other = w.store.without("x264");
+    EnergyController twin(w.space, &leo, other, o);
+    linalg::ByteReader rdr(blob);
+    EXPECT_FALSE(twin.restoreState(rdr));
+    EXPECT_EQ(twin.state(), EnergyController::State::Sampling);
+    EXPECT_FALSE(twin.hasEstimates());
+    EXPECT_EQ(twin.warmPerfFit(), nullptr);
+}
+
+/**
+ * A controller blob carrying both fits, cut at any offset, fails
+ * closed into fresh Sampling state; the whole blob restores. A
+ * six-app prior keeps the blob small enough to cut everywhere.
+ */
+TEST(Controller, RestoreFailsClosedAtEveryTruncation)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    const telemetry::ProfileStore loo = w.store.without("fluidanimate");
+    const telemetry::ProfileStore prior(
+        std::vector<telemetry::ApplicationRecord>(
+            loo.records().begin(), loo.records().begin() + 6));
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    const ControllerOptions o = w.options(30.0, 5);
+    EnergyController ctl(w.space, &leo, prior, o);
+    stats::Rng rng(31);
+    for (int i = 0; i < 9; ++i) {
+        const std::size_t cfg = ctl.nextConfig(rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, w.monitor.measureRate(app, ra, rng),
+                               w.meter.read(app, ra, rng)});
+    }
+    ASSERT_NE(ctl.warmPerfFit(), nullptr);
+    linalg::ByteWriter wtr;
+    ctl.saveState(wtr);
+    const std::string blob = wtr.take();
+
+    EnergyController twin(w.space, &leo, prior, o);
+    for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+        const std::string part(blob, 0, cut);
+        linalg::ByteReader rdr(part);
+        ASSERT_FALSE(twin.restoreState(rdr)) << "cut at " << cut;
+        ASSERT_EQ(twin.state(), EnergyController::State::Sampling)
+            << "cut at " << cut;
+        ASSERT_FALSE(twin.hasEstimates()) << "cut at " << cut;
+    }
+    linalg::ByteReader whole(blob);
+    EXPECT_TRUE(twin.restoreState(whole));
+    EXPECT_TRUE(whole.atEnd());
+    EXPECT_EQ(twin.state(), ctl.state());
+}

@@ -15,7 +15,9 @@
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -400,8 +402,10 @@ TEST(Service, CacheHitMatchesOwnFitWhateverTheSampleOrder)
 /**
  * Prior bases are built once per metric per prior version — in the
  * constructor and in refreshPrior() — and pinned by every session:
- * admissions, fits, the tick that installs a refresh and a snapshot
- * restore build none.
+ * admissions, fits and the tick that installs a refresh build none. A
+ * snapshot restore builds one per metric for each prior version the
+ * blob carries (here the admission-time one and the refreshed one),
+ * and the restored fleet's fits build none.
  */
 TEST(Service, BuildsOneBasisPerMetricPerPriorVersion)
 {
@@ -448,10 +452,11 @@ TEST(Service, BuildsOneBasisPerMetricPerPriorVersion)
     EXPECT_EQ(built() - before, 6u);
     linalg::ByteReader reader(blob);
     ASSERT_TRUE(restored.restoreSnapshot(reader));
+    EXPECT_EQ(built() - before, 10u);
     rngs = measurementRngs(ids.size());
     ASSERT_NO_FATAL_FAILURE(driveFleet(restored, w, w.monitor, w.meter,
                                        ids, rngs, 12, sched));
-    EXPECT_EQ(built() - before, 6u);
+    EXPECT_EQ(built() - before, 10u);
 }
 
 // ----------------------------------------------- concurrent submit
@@ -625,6 +630,83 @@ TEST_P(ServiceSnapshotProperty, RestoredFleetResumesBitwise)
 INSTANTIATE_TEST_SUITE_P(FaultSweep, ServiceSnapshotProperty,
                          ::testing::Range<std::size_t>(0, 8));
 
+namespace
+{
+
+/** Byte offsets into a service snapshot (format v3). */
+struct SnapshotLayout
+{
+    /** The first prior table entry, [begin, end). */
+    std::size_t entryBegin = 0;
+    std::size_t entryEnd = 0;
+    /** The table's entry count. */
+    std::size_t versionCount = 0;
+    /** The first record's performance vector (its u64 length). */
+    std::size_t firstPerf = 0;
+    /** The first session's pinned prior version. */
+    std::size_t sessionVersion = 0;
+};
+
+/** Walk a snapshot's header, prior table and first session. */
+SnapshotLayout
+walkSnapshot(const std::string &blob)
+{
+    SnapshotLayout at;
+    linalg::ByteReader r(blob);
+    (void)r.u32();
+    for (int i = 0; i < 4; ++i) // space, shards, next id, live version
+        (void)r.u64();
+    at.versionCount = r.position();
+    const std::uint64_t versions = r.u64();
+    for (std::uint64_t v = 0; v < versions; ++v) {
+        if (v == 0)
+            at.entryBegin = r.position();
+        (void)r.u64(); // version
+        const std::uint64_t apps = r.u64();
+        for (std::uint64_t a = 0; a < apps; ++a) {
+            (void)r.str();
+            if (v == 0 && a == 0)
+                at.firstPerf = r.position();
+            (void)r.vec();
+            (void)r.vec();
+        }
+        if (v == 0)
+            at.entryEnd = r.position();
+    }
+    (void)r.u64(); // sessions
+    (void)r.u64(); // id
+    (void)r.str(); // app id
+    (void)r.f64(); // target rate
+    (void)r.f64(); // deadline
+    for (int i = 0; i < 3; ++i) // seed, submit sequence, windows
+        (void)r.u64();
+    at.sessionVersion = r.position();
+    EXPECT_TRUE(r.ok());
+    return at;
+}
+
+/** Overwrite the little-endian u64 at `at`. */
+void
+putU64(std::string &blob, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        blob[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/** @return The little-endian u64 at `at`. */
+std::uint64_t
+getU64(const std::string &blob, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(blob[at + i]))
+             << (8 * i);
+    return v;
+}
+
+} // namespace
+
 TEST(Service, RestoreRejectsCorruptSnapshot)
 {
     World w;
@@ -635,19 +717,302 @@ TEST(Service, RestoreRejectsCorruptSnapshot)
 
     linalg::ByteWriter writer;
     svc.saveSnapshot(writer);
-    std::string blob = writer.take();
+    const std::string blob = writer.take();
+    const SnapshotLayout at = walkSnapshot(blob);
 
-    // Truncation fails cleanly and empties the service.
-    const std::string truncated = blob.substr(0, blob.size() / 2);
-    linalg::ByteReader r1(truncated);
-    EXPECT_FALSE(svc.restoreSnapshot(r1));
-    EXPECT_EQ(svc.activeTenants(), 0u);
+    const auto expectRejected = [&](const std::string &bad) {
+        // Start from a populated service: a failed restore empties it.
+        linalg::ByteReader good(blob);
+        ASSERT_TRUE(svc.restoreSnapshot(good));
+        ASSERT_EQ(svc.activeTenants(), 1u);
+        linalg::ByteReader r(bad);
+        EXPECT_FALSE(svc.restoreSnapshot(r));
+        EXPECT_EQ(svc.activeTenants(), 0u);
+    };
 
-    // A flipped version word fails before any session is built.
-    blob[0] = static_cast<char>(blob[0] ^ 0x7f);
-    linalg::ByteReader r2(blob);
-    EXPECT_FALSE(svc.restoreSnapshot(r2));
-    EXPECT_EQ(svc.activeTenants(), 0u);
+    {
+        SCOPED_TRACE("truncated");
+        expectRejected(blob.substr(0, blob.size() / 2));
+    }
+    {
+        // A flipped version word fails before any session is built.
+        SCOPED_TRACE("version word");
+        std::string bad = blob;
+        bad[0] = static_cast<char>(bad[0] ^ 0x7f);
+        expectRejected(bad);
+    }
+    {
+        SCOPED_TRACE("session pins a version the table lacks");
+        std::string bad = blob;
+        ASSERT_EQ(getU64(bad, at.sessionVersion), 0u);
+        putU64(bad, at.sessionVersion, 1);
+        expectRejected(bad);
+    }
+    {
+        SCOPED_TRACE("duplicate version entry");
+        std::string bad = blob;
+        ASSERT_EQ(getU64(bad, at.versionCount), 1u);
+        putU64(bad, at.versionCount, 2);
+        bad.insert(at.entryEnd,
+                   blob.substr(at.entryBegin, at.entryEnd - at.entryBegin));
+        expectRejected(bad);
+    }
+    {
+        SCOPED_TRACE("store vector of the wrong length");
+        std::string bad = blob;
+        const std::uint64_t n = getU64(bad, at.firstPerf);
+        ASSERT_EQ(n, w.space.size());
+        putU64(bad, at.firstPerf, n - 1);
+        bad.erase(at.firstPerf + 8 * n, 8); // Drop the last value.
+        expectRejected(bad);
+    }
+    {
+        SCOPED_TRACE("one trailing byte");
+        expectRejected(blob + std::string(1, '\0'));
+    }
+}
+
+// ------------------------------------------- snapshot hostile bytes
+
+/**
+ * Regression: a snapshot taken after a prior refresh, while sessions
+ * admitted on the old prior are still open, restores each session
+ * onto its own prior version. Driven over one measurement stream for
+ * long enough that every restored tenant fits, the restored fleet
+ * ends byte-equal to the original (restoring every session onto the
+ * live prior instead made the restored fits lose a prior direction).
+ */
+TEST(ServiceSnapshot, RestoreAcrossPriorRefreshResumesBitwise)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    const ServiceOptions opt = w.serviceOptions(2);
+    Service original(w.space, leo, w.prior, pool, opt);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t t = 0; t < 3; ++t)
+        ids.push_back(*original.admit(w.tenant(t)));
+    auto rngs = measurementRngs(ids.size());
+    std::vector<std::vector<std::size_t>> sched;
+    ASSERT_NO_FATAL_FAILURE(driveFleet(original, w, w.monitor, w.meter,
+                                       ids, rngs, 3, sched));
+
+    auto refreshed = std::make_shared<const telemetry::ProfileStore>(
+        w.store.without("swish"));
+    original.refreshPrior(refreshed);
+    original.tick();
+
+    linalg::ByteWriter writer;
+    original.saveSnapshot(writer);
+    const std::string blob = writer.take();
+    Service restored(w.space, leo, refreshed, pool, opt);
+    linalg::ByteReader reader(blob);
+    ASSERT_TRUE(restored.restoreSnapshot(reader));
+    EXPECT_EQ(restored.tenantIds(), ids);
+
+    std::size_t fitted = 0;
+    for (std::size_t round = 0; round < 20; ++round) {
+        for (std::size_t t = 0; t < ids.size(); ++t) {
+            const std::size_t cfg = original.nextConfig(ids[t]);
+            ASSERT_EQ(restored.nextConfig(ids[t]), cfg)
+                << "tenant " << t << " window " << round;
+            const auto &ra = w.space.assignment(cfg);
+            const telemetry::Sample s{
+                cfg, w.monitor.measureRate(w.app, ra, rngs[t]),
+                w.meter.read(w.app, ra, rngs[t])};
+            ASSERT_TRUE(original.submit(ids[t], s));
+            ASSERT_TRUE(restored.submit(ids[t], s));
+        }
+        original.tick();
+        fitted += restored.tick().tenantsFitted;
+    }
+    EXPECT_GE(fitted, ids.size());
+
+    linalg::ByteWriter a, b;
+    original.saveSnapshot(a);
+    restored.saveSnapshot(b);
+    EXPECT_EQ(a.bytes().size(), b.bytes().size());
+    EXPECT_TRUE(a.bytes() == b.bytes());
+}
+
+/**
+ * Restore empties the fit cache. The service restored into here has
+ * already served fits for the same tenants and observations under
+ * version 0 of *another* prior; the blob's version 0 is the original
+ * prior. Had those cache entries survived, the restored tenants would
+ * take cache hits fitted on the wrong prior content.
+ */
+TEST(ServiceSnapshot, RestoreDropsFitsCachedOnOtherPriorContent)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    const ServiceOptions opt = w.serviceOptions(2);
+    Service original(w.space, leo, w.prior, pool, opt);
+    auto other = std::make_shared<const telemetry::ProfileStore>(
+        w.store.without("swish"));
+    Service restored(w.space, leo, other, pool, opt);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t t = 0; t < 3; ++t) {
+        ids.push_back(*original.admit(w.tenant(t)));
+        ASSERT_EQ(*restored.admit(w.tenant(t)), ids.back());
+    }
+    // The restored side runs the same probes and measurements to its
+    // first fits, filling its cache under (x264, version 0, hash).
+    auto pre = measurementRngs(ids.size());
+    std::vector<std::vector<std::size_t>> sched;
+    ASSERT_NO_FATAL_FAILURE(
+        driveFleet(restored, w, w.monitor, w.meter, ids, pre, 8, sched));
+
+    auto rngs = measurementRngs(ids.size());
+    ASSERT_NO_FATAL_FAILURE(driveFleet(original, w, w.monitor, w.meter,
+                                       ids, rngs, 3, sched));
+    linalg::ByteWriter writer;
+    original.saveSnapshot(writer);
+    const std::string blob = writer.take();
+    linalg::ByteReader reader(blob);
+    ASSERT_TRUE(restored.restoreSnapshot(reader));
+
+    std::size_t hits = 0;
+    for (std::size_t round = 0; round < 6; ++round) {
+        for (std::size_t t = 0; t < ids.size(); ++t) {
+            const std::size_t cfg = original.nextConfig(ids[t]);
+            ASSERT_EQ(restored.nextConfig(ids[t]), cfg);
+            const auto &ra = w.space.assignment(cfg);
+            const telemetry::Sample s{
+                cfg, w.monitor.measureRate(w.app, ra, rngs[t]),
+                w.meter.read(w.app, ra, rngs[t])};
+            ASSERT_TRUE(original.submit(ids[t], s));
+            ASSERT_TRUE(restored.submit(ids[t], s));
+        }
+        original.tick();
+        hits += restored.tick().cacheHits;
+    }
+    EXPECT_EQ(hits, 0u);
+    linalg::ByteWriter a, b;
+    original.saveSnapshot(a);
+    restored.saveSnapshot(b);
+    EXPECT_TRUE(a.bytes() == b.bytes());
+}
+
+namespace
+{
+
+/**
+ * The hostile-byte sweeps' fleet: the n = 32 World with a six-app
+ * prior, so that a blob stays small enough to cut at every offset.
+ * The tenants run 10 windows (each fits once) and leave one batch
+ * queued.
+ */
+struct SweepFleet
+{
+    World w;
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool{0};
+    ServiceOptions opt = w.serviceOptions(2);
+    std::shared_ptr<const telemetry::ProfileStore> prior;
+    std::string blob;
+
+    explicit SweepFleet(std::size_t tenants)
+    {
+        std::vector<telemetry::ApplicationRecord> records(
+            w.prior->records().begin(), w.prior->records().begin() + 6);
+        prior = std::make_shared<const telemetry::ProfileStore>(
+            std::move(records));
+        Service svc(w.space, leo, prior, pool, opt);
+        std::vector<std::uint64_t> ids;
+        for (std::size_t t = 0; t < tenants; ++t)
+            ids.push_back(*svc.admit(w.tenant(t)));
+        auto rngs = measurementRngs(ids.size());
+        std::vector<std::vector<std::size_t>> sched;
+        driveFleet(svc, w, w.monitor, w.meter, ids, rngs, 10, sched);
+        for (std::size_t t = 0; t < ids.size(); ++t) {
+            const std::size_t cfg = svc.nextConfig(ids[t]);
+            const auto &ra = w.space.assignment(cfg);
+            (void)svc.submit(ids[t],
+                             {cfg, w.monitor.measureRate(w.app, ra, rngs[t]),
+                              w.meter.read(w.app, ra, rngs[t])});
+        }
+        linalg::ByteWriter writer;
+        svc.saveSnapshot(writer);
+        blob = writer.take();
+    }
+};
+
+} // namespace
+
+/** A service blob cut at any offset fails closed. One tenant covers
+ *  every field a session writes. */
+TEST(ServiceSnapshot, TruncationAtAnyOffsetFailsClosed)
+{
+    SweepFleet f(1);
+    Service svc(f.w.space, f.leo, f.prior, f.pool, f.opt);
+    for (std::size_t cut = 0; cut < f.blob.size(); ++cut) {
+        const std::string part(f.blob, 0, cut);
+        linalg::ByteReader r(part);
+        ASSERT_FALSE(svc.restoreSnapshot(r)) << "cut at " << cut;
+        ASSERT_EQ(svc.activeTenants(), 0u) << "cut at " << cut;
+    }
+    linalg::ByteReader whole(f.blob);
+    EXPECT_TRUE(svc.restoreSnapshot(whole));
+    EXPECT_EQ(svc.activeTenants(), 1u);
+}
+
+/**
+ * 2000 seeded mutations of 1-4 flipped bits each. Every mutated blob
+ * either fails closed (the service is left empty) or restores,
+ * re-saves to exactly the mutated bytes, and serves 8 more windows
+ * without a throw escaping. The snapshot carries no checksum, so a
+ * flipped bit inside a double restores as live state; the accepted
+ * share is printed.
+ */
+TEST(ServiceSnapshot, BitFlipsFailClosedOrResumeCanonically)
+{
+    SweepFleet f(2);
+    stats::Rng pick(2024);
+    const auto bits = static_cast<std::int64_t>(8 * f.blob.size());
+    std::size_t accepted = 0;
+    constexpr std::size_t kTrials = 2000;
+    for (std::size_t trial = 0; trial < kTrials; ++trial) {
+        std::string mutated = f.blob;
+        const std::int64_t flips = pick.uniformInt(1, 4);
+        for (std::int64_t k = 0; k < flips; ++k) {
+            const std::int64_t bit = pick.uniformInt(0, bits - 1);
+            mutated[static_cast<std::size_t>(bit / 8)] ^=
+                static_cast<char>(1 << (bit % 8));
+        }
+        Service svc(f.w.space, f.leo, f.prior, f.pool, f.opt);
+        linalg::ByteReader r(mutated);
+        bool ok = false;
+        ASSERT_NO_THROW(ok = svc.restoreSnapshot(r)) << "trial " << trial;
+        if (!ok) {
+            ASSERT_EQ(svc.activeTenants(), 0u) << "trial " << trial;
+            continue;
+        }
+        ++accepted;
+        linalg::ByteWriter again;
+        svc.saveSnapshot(again);
+        ASSERT_TRUE(again.bytes() == mutated) << "trial " << trial;
+        const std::vector<std::uint64_t> ids = svc.tenantIds();
+        stats::Rng meas(trial);
+        ASSERT_NO_THROW({
+            for (std::size_t round = 0; round < 8; ++round) {
+                for (const std::uint64_t id : ids) {
+                    const std::size_t cfg = svc.nextConfig(id);
+                    ASSERT_LT(cfg, f.w.space.size()) << "trial " << trial;
+                    const auto &ra = f.w.space.assignment(cfg);
+                    (void)svc.submit(
+                        id, {cfg, f.w.monitor.measureRate(f.w.app, ra, meas),
+                             f.w.meter.read(f.w.app, ra, meas)});
+                }
+                (void)svc.tick();
+            }
+        }) << "trial " << trial;
+    }
+    std::printf("snapshot bit flips: %zu of %zu mutated %zu-byte blobs "
+                "accepted\n",
+                accepted, kTrials, f.blob.size());
+    RecordProperty("accepted", static_cast<int>(accepted));
 }
 
 TEST(Service, PriorRefreshInstallsAtTickBoundary)

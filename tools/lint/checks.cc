@@ -653,10 +653,15 @@ checkSnapshotCompleteness(const std::vector<SourceUnit> &units,
                             hasParam("ByteReader");
         if (!writer && !reader)
             continue;
-        // Subject: the method's class, or — for free functions like
-        // saveFit(ByteWriter&, const LeoFit&) — the first parameter
-        // / return type that names an indexed struct.
+        // Subject: the method's class; for a free reader, the struct
+        // it returns (loadFit(ByteReader&, const PriorBasis*) builds
+        // a LeoFit, and only reads the basis); otherwise the first
+        // parameter, then the return type, that names an indexed
+        // struct (saveFit(ByteWriter&, const LeoFit&)).
         std::string subject = fn.className;
+        if (subject.empty() && reader &&
+            index.structsByName.count(fn.returnIdent))
+            subject = fn.returnIdent;
         if (subject.empty()) {
             for (const std::string &p : fn.paramIdents) {
                 if (p == "ByteWriter" || p == "ByteReader")
