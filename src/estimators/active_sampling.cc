@@ -6,7 +6,7 @@
 #include "estimators/active_sampling.hh"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "linalg/error.hh"
@@ -84,23 +84,24 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
     // guidance round: refits skip the prior-invariant work, reuse the
     // arena's buffers and (when enabled) warm-start EM from the
     // previous round's parameters.
-    std::optional<PriorBasis> basis;
+    std::shared_ptr<const PriorBasis> basis;
     linalg::Workspace ws;
     LeoFit fit;
     bool have_fit = false;
     while (obs.size() < budget) {
         samplingObs().rounds.add(1);
         if (!basis)
-            basis.emplace(prior);
+            basis = std::make_shared<const PriorBasis>(prior);
         const LeoFit *warm =
             (options_.warmStartRefits && have_fit) ? &fit : nullptr;
-        fit = estimator.fitMetric(*basis, obs.indices, obs.performance,
+        fit = estimator.fitMetric(basis, obs.indices, obs.performance,
                                   &ws, warm);
         have_fit = true;
 
         // Rank unobserved configurations by predictive variance,
         // read one candidate at a time from the fit's factors
-        // (O(q^2) each; no fit expands the n-vector).
+        // (O(q^2 + kept r + kept^2) each; no fit expands the
+        // n-vector or forms its basis).
         std::vector<std::size_t> order;
         order.reserve(n);
         std::vector<double> variance(n, 0.0);

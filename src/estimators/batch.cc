@@ -29,7 +29,7 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
         }
         results[i] =
             r.priorBasis
-                ? as_leo->estimateMetric(space, *r.priorBasis,
+                ? as_leo->estimateMetric(space, r.priorBasis,
                                          r.obsIndices, r.obsValues,
                                          /*ws=*/nullptr, r.warmStart,
                                          r.fitOut)

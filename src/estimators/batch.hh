@@ -15,6 +15,7 @@
 #define LEO_ESTIMATORS_BATCH_HH
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "estimators/estimator.hh"
@@ -33,9 +34,9 @@ struct EstimateRequest
     /**
      * Shared basis of this target's prior (LEO estimators only). When
      * set, the fit reads it instead of building one from `prior`,
-     * bitwise identically. The pointed-to basis must outlive run().
+     * bitwise identically, and the fit written to fitOut shares it.
      */
-    const PriorBasis *priorBasis = nullptr;
+    std::shared_ptr<const PriorBasis> priorBasis;
     /** Observed configuration indices Omega. */
     std::vector<std::size_t> obsIndices;
     /** Observed values at those indices. */

@@ -14,8 +14,8 @@ namespace
 {
 
 /** Format version; bump when the field list changes. v4 replaced
- *  basisT with its row count, the prior fingerprint and the observed
- *  units. */
+ *  the basis rows with their count q, the prior fingerprint and the
+ *  observed units. */
 constexpr std::uint32_t kFitVersion = 4;
 
 /** True iff units is strictly increasing and below n. */
@@ -26,30 +26,6 @@ unitsValid(const std::vector<std::size_t> &units, std::size_t n)
         if (units[a] >= n || (a > 0 && units[a] <= units[a - 1]))
             return false;
     return true;
-}
-
-/**
- * Rebuild the basis of a fit with q > 0 rows from `prior` and check
- * the factor shapes against it: q x q cores, n-entry prediction and
- * mu. False leaves the fit's basisT unspecified.
- */
-bool
-rebuildBasis(LeoFit &fit, std::uint64_t q, const PriorBasis *prior)
-{
-    if (prior == nullptr ||
-        fit.priorFingerprint != prior->fingerprint() ||
-        !unitsValid(fit.observedUnits, prior->dim()))
-        return false;
-    try {
-        fit.basisT = observedBasis(*prior, fit.observedUnits);
-    } catch (const std::exception &) {
-        return false;
-    }
-    const std::size_t n = prior->dim();
-    return fit.basisT.rows() == q && fit.coeff.rows() == q &&
-           fit.coeff.cols() == q && fit.varCore.rows() == q &&
-           fit.varCore.cols() == q && fit.prediction.size() == n &&
-           fit.mu.size() == n;
 }
 
 } // namespace
@@ -68,7 +44,7 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
         w.f64(v);
     w.f64(fit.scale);
     w.u8(fit.warmStarted ? 1 : 0);
-    w.u64(fit.basisT.rows());
+    w.u64(fit.rank());
     w.u64(fit.priorFingerprint);
     w.indexVec(fit.observedUnits);
     w.mat(fit.coeff);
@@ -77,7 +53,8 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
 }
 
 LeoFit
-loadFit(linalg::ByteReader &r, const PriorBasis *prior)
+loadFit(linalg::ByteReader &r,
+        const std::shared_ptr<const PriorBasis> &prior)
 {
     LeoFit fit;
     if (r.u32() != kFitVersion) {
@@ -105,11 +82,30 @@ loadFit(linalg::ByteReader &r, const PriorBasis *prior)
     if (!r.ok())
         return LeoFit{};
     // Flags are 0 or 1, so an accepted blob re-saves to its own bytes.
-    // A fit without factors needs no basis; one with factors must
-    // rebuild the basis it was saved with.
-    const bool shapes_ok =
-        q == 0 ? fit.coeff.empty() && fit.varCore.empty()
-               : rebuildBasis(fit, q, prior);
+    // A fit without factors needs no basis; one with factors shares
+    // the basis it was saved with and refactors its kept block, whose
+    // directions must add up to the saved rank.
+    bool shapes_ok = fit.coeff.empty() && fit.varCore.empty();
+    if (q > 0) {
+        shapes_ok = prior != nullptr &&
+                    fit.priorFingerprint == prior->fingerprint() &&
+                    unitsValid(fit.observedUnits, prior->dim());
+        if (shapes_ok) {
+            fit.prior = prior;
+            try {
+                fit.kept = observedFactors(*prior, fit.observedUnits);
+            } catch (const std::exception &) {
+                shapes_ok = false;
+            }
+            const std::size_t n = prior->dim();
+            shapes_ok = shapes_ok &&
+                        prior->rank() + fit.kept.units.size() == q &&
+                        fit.coeff.rows() == q && fit.coeff.cols() == q &&
+                        fit.varCore.rows() == q &&
+                        fit.varCore.cols() == q &&
+                        fit.prediction.size() == n && fit.mu.size() == n;
+        }
+    }
     if (converged > 1 || warm > 1 || !shapes_ok) {
         r.fail();
         return LeoFit{};

@@ -14,10 +14,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "estimators/normalization.hh"
@@ -81,9 +79,9 @@ constexpr double kPivotTol = 1e-12;
  * unit vectors (row a = Q_p e_{units[a]}). Their residuals against
  * Q_p have Gram matrix G = I - W W', and an in-order Cholesky
  * G = L L' gives each unit's coordinates on the new directions (row
- * of L) without touching n. The rows themselves,
- * Q_o = L^-1 (E_Omega' - W Q_p), are formed once, for the prediction,
- * mu and LeoFit::basisT (observedRowsInto).
+ * of L) without touching n. The rows Q_o = L_k^-1 (E_k' - W_k Q_p)
+ * themselves are never formed: the fit keeps the kept units' rows of
+ * W and L (KeptBlock), and every reader of Q works from those.
  */
 struct ObservedBlock
 {
@@ -156,70 +154,109 @@ observeUnits(const PriorBasis &prior,
     return ob;
 }
 
+/** The kept units' rows of W and L, copied out of the arena: the
+ *  block a fit keeps. */
+KeptBlock
+keptBlockOf(const PriorBasis &prior, const ObservedBlock &ob)
+{
+    const std::size_t r = prior.rank();
+    const std::size_t kept = ob.kept.size();
+    KeptBlock kb;
+    kb.units.resize(kept);
+    kb.w.resize(kept, r);
+    kb.l.resize(kept, kept);
+    for (std::size_t c = 0; c < kept; ++c) {
+        const std::size_t a = ob.kept[c];
+        kb.units[c] = ob.units[a];
+        for (std::size_t k = 0; k < r; ++k)
+            kb.w.at(c, k) = ob.w->at(a, k);
+        for (std::size_t c2 = 0; c2 < kept; ++c2)
+            kb.l.at(c, c2) = ob.l->at(a, c2);
+    }
+    return kb;
+}
+
+/** True iff the block's shapes fit a prior block of rank r. */
+bool
+blockShapesMatch(const KeptBlock &kb, std::size_t r)
+{
+    const std::size_t kept = kb.units.size();
+    return kb.w.rows() == kept && kb.w.cols() == r &&
+           kb.l.rows() == kept && kb.l.cols() == kept;
+}
+
 /**
- * Apply L_k^-1 (L restricted to the kept units' rows) in place to
- * `kept` rows of length `len`, row c at rows + c * len: subtract the
- * earlier rows, then scale by the pivot. The Q_o construction and the
- * warm rotation share this forward substitution.
+ * The column evaluator: entries [0, kept) of column c of
+ * Q_o = L_k^-1 (E_k' - W_k Q_p) into out, at O(kept r + kept^2). It
+ * repeats the arithmetic of forming the rows whole — the projection
+ * accumulated from 0.0 in ascending k, as Matrix::multiplyInto sums
+ * it, negated, 1.0 added at the direction's own unit, the earlier
+ * directions subtracted in axpy form in ascending order, then a
+ * multiply by 1.0 / pivot — so every entry is the one a materialized
+ * basis holds, bit for bit (observedBasis is built from it).
  */
 void
-solveKeptRows(double *rows, std::size_t len, const ObservedBlock &ob)
+observedColumnInto(double *out, const PriorBasis &prior,
+                   const KeptBlock &kb, std::size_t c)
 {
-    const linalg::Matrix &l = *ob.l;
-    for (std::size_t c = 0; c < ob.kept.size(); ++c) {
-        const std::size_t a = ob.kept[c];
+    const std::size_t r = prior.rank();
+    const std::size_t kept = kb.units.size();
+    const linalg::Matrix &qp = prior.rows();
+    for (std::size_t d = 0; d < kept; ++d) {
+        const double *wd = kb.w.data() + d * r;
+        double proj = 0.0;
+        for (std::size_t k = 0; k < r; ++k)
+            proj += wd[k] * qp.at(k, c);
+        double v = -proj;
+        if (kb.units[d] == c)
+            v += 1.0;
+        const double *ld = kb.l.data() + d * kept;
+        for (std::size_t d2 = 0; d2 < d; ++d2)
+            v += -ld[d2] * out[d2];
+        out[d] = v * (1.0 / ld[d]);
+    }
+}
+
+/**
+ * Apply L_k^-1 in place to `kept` rows of length `len`, row c at
+ * rows + c * len: subtract the earlier rows, then scale by the pivot
+ * (the warm rotation's forward substitution).
+ */
+void
+solveKeptRows(double *rows, std::size_t len, const KeptBlock &kb)
+{
+    for (std::size_t c = 0; c < kb.units.size(); ++c) {
         double *row = rows + c * len;
         for (std::size_t c2 = 0; c2 < c; ++c2)
-            linalg::axpyN(row, rows + c2 * len, -l.at(a, c2), len);
-        const double inv = 1.0 / l.at(a, c);
+            linalg::axpyN(row, rows + c2 * len, -kb.l.at(c, c2), len);
+        const double inv = 1.0 / kb.l.at(c, c);
         for (std::size_t j = 0; j < len; ++j)
             row[j] *= inv;
     }
 }
 
 /**
- * Write Q_o = L_k^-1 (E_k' - W_k Q_p) into rows [r, r + kept) of
- * qmat: one GEMM for the projections, then one forward substitution.
+ * g = Q x (length q) from the factors:
+ * [Q_p x; L_k^-1 (x[units] - W_k Q_p x)]. The prior half is the same
+ * dot products a materialized basis would take.
  */
 void
-observedRowsInto(linalg::Matrix &qmat, const PriorBasis &prior,
-                 const ObservedBlock &ob, linalg::Workspace &arena)
+projectInto(linalg::Vector &g, const PriorBasis &prior,
+            const KeptBlock &kb, const linalg::Vector &x)
 {
     const std::size_t r = prior.rank();
-    const std::size_t n = prior.dim();
-    const std::size_t kept = ob.kept.size();
-    if (kept == 0)
-        return;
-    linalg::Matrix &wk = arena.matrix("lr.wk", kept, r);
-    for (std::size_t c = 0; c < kept; ++c)
-        for (std::size_t k = 0; k < r; ++k)
-            wk.at(c, k) = ob.w->at(ob.kept[c], k);
-    linalg::Matrix &proj = arena.matrix("lr.proj", kept, n);
-    linalg::Matrix::multiplyInto(proj, wk, prior.rows());
-    double *rows = qmat.data() + r * n;
+    const std::size_t kept = kb.units.size();
+    linalg::Vector gp(r);
+    linalg::gemvInto(gp, prior.rows(), x);
+    for (std::size_t k = 0; k < r; ++k)
+        g[k] = gp[k];
     for (std::size_t c = 0; c < kept; ++c) {
-        double *row = rows + c * n;
-        const double *pr = proj.data() + c * n;
-        for (std::size_t j = 0; j < n; ++j)
-            row[j] = -pr[j];
-        row[ob.units[ob.kept[c]]] += 1.0;
+        double v = x[kb.units[c]] -
+                   linalg::dotN(kb.w.data() + c * r, gp.data(), r);
+        for (std::size_t c2 = 0; c2 < c; ++c2)
+            v -= kb.l.at(c, c2) * g[r + c2];
+        g[r + c] = v / kb.l.at(c, c);
     }
-    solveKeptRows(rows, n, ob);
-}
-
-/** Q = [Q_p; Q_o] (q x n) of one observed block: the shared prior
- *  rows, then observedRowsInto. */
-linalg::Matrix
-basisOf(const PriorBasis &prior, const ObservedBlock &ob,
-        linalg::Workspace &arena)
-{
-    const std::size_t rp = prior.rank();
-    const std::size_t n = prior.dim();
-    linalg::Matrix qmat(rp + ob.kept.size(), n);
-    std::copy(prior.rows().data(), prior.rows().data() + rp * n,
-              qmat.data());
-    observedRowsInto(qmat, prior, ob, arena);
-    return qmat;
 }
 
 /**
@@ -227,27 +264,27 @@ basisOf(const PriorBasis &prior, const ObservedBlock &ob,
  * prior block. Both observed blocks are orthogonal to Q_p, so
  * R = Q Q_w' = blockdiag(I_r, R_o) with
  * R_o = Q_o Q_ow' = L_k^-1 (E_k' - W_k Q_p) Q_ow' = L_k^-1 E_k' Q_ow':
- * a gather of the warm observed rows at this fit's kept units and one
- * forward substitution, with no n-length product. The prior block of
- * C_w carries over; only the observed rows and columns rotate.
+ * the warm observed columns at this fit's kept units, evaluated from
+ * the warm fit's factors, and one forward substitution, with no
+ * n-length product. The prior block of C_w carries over; only the
+ * observed rows and columns rotate.
  */
 void
 rotateSharedPriorBlock(linalg::Matrix &cmat, const LeoFit &warm,
-                       std::size_t rp, const ObservedBlock &ob,
+                       std::size_t rp, const KeptBlock &kb,
                        linalg::Workspace &arena)
 {
-    const std::size_t kept = ob.kept.size();
+    const std::size_t kept = kb.units.size();
     const std::size_t q = rp + kept;
-    const std::size_t qw = warm.basisT.rows();
+    const std::size_t qw = warm.rank();
     const std::size_t sw = qw - rp;
     const linalg::Matrix &cw = warm.coeff;
 
     linalg::Matrix &ro = arena.matrix("lr.ro", kept, sw);
     for (std::size_t c = 0; c < kept; ++c)
-        for (std::size_t c2 = 0; c2 < sw; ++c2)
-            ro.at(c, c2) =
-                warm.basisT.at(rp + c2, ob.units[ob.kept[c]]);
-    solveKeptRows(ro.data(), sw, ob);
+        observedColumnInto(ro.data() + c * sw, *warm.prior, warm.kept,
+                           kb.units[c]);
+    solveKeptRows(ro.data(), sw, kb);
 
     // rc = R C_w (q x qw): prior rows copied, observed rows rotated.
     linalg::Matrix &rc = arena.matrix("lr.rotc", q, qw);
@@ -273,19 +310,29 @@ rotateSharedPriorBlock(linalg::Matrix &cmat, const LeoFit &warm,
 }
 
 /**
- * True iff the warm fit's basis leads with exactly this prior block.
- * Compared bit for bit, never by object identity, so a live fit, one
- * restored by loadFit and a replay all take the same warm branch.
+ * True iff the warm fit ran on a prior basis with this one's content:
+ * the same fingerprint (a hash of n, Q_p and R) and rank. Compared by
+ * content, never by object identity, so a live fit, one restored by
+ * loadFit and a replay on a rebuilt basis all take the same warm
+ * branch.
  */
 bool
 sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
 {
-    const std::size_t r = prior.rank();
-    const std::size_t n = prior.dim();
-    return warm.basisT.rows() >= r && warm.basisT.cols() == n &&
-           (r == 0 ||
-            std::memcmp(warm.basisT.data(), prior.rows().data(),
-                        r * n * sizeof(double)) == 0);
+    return warm.prior->fingerprint() == prior.fingerprint() &&
+           warm.prior->rank() == prior.rank();
+}
+
+/**
+ * True iff the fit carries a complete factored basis: a prior basis
+ * and a kept block whose ranks add up to the order of its cores.
+ */
+bool
+hasBasis(const LeoFit &fit)
+{
+    return fit.prior != nullptr &&
+           blockShapesMatch(fit.kept, fit.prior->rank()) &&
+           fit.rank() == fit.prior->rank() + fit.kept.units.size();
 }
 
 /**
@@ -313,7 +360,10 @@ sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
  * Q = [Q_p; Q_o]: the prior block comes shared and ready in `prior`,
  * and the observed block is factored in s dimensions
  * (observeUnits), so the EM runs on P = [P_p' | L] and prior
- * coordinates [R | 0] without an n-length sweep before the loop.
+ * coordinates [R | 0] without an n-length sweep before the loop. Q
+ * itself is never formed: the prediction and mu expand through the
+ * kept block (expandInto), a warm theta projects through it
+ * (projectInto), and the fit keeps the block and shares the prior.
  *
  * When the prior and the observed directions span all of R^n, q = n
  * and Q is a full basis: the same algebra, only no cheaper than a
@@ -326,7 +376,8 @@ sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
  * agreement bounds.
  */
 LeoFit
-fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
+fitLowRank(const LeoOptions &opt,
+           const std::shared_ptr<const PriorBasis> &shared,
            const std::vector<std::size_t> &obs_idx,
            const linalg::Vector &x_obs, double scale,
            linalg::Workspace *ws, const LeoFit *warm,
@@ -335,6 +386,7 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     using linalg::Matrix;
     using linalg::Vector;
 
+    const PriorBasis &prior = *shared;
     const std::size_t n = prior.dim();
     const std::size_t m_prior = prior.apps();
     const std::size_t rp = prior.rank();
@@ -357,9 +409,10 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     const std::size_t q = rp + kept;
     require(q >= 1, "LeoEstimator: empty low-rank basis");
 
-    // Q = [Q_p; Q_o] (q x n), kept for the warm re-expression, the
-    // prediction and mu after the loop and LeoFit::basisT.
-    Matrix qmat = basisOf(prior, ob, arena);
+    // The kept units' rows of W and L: all the fit needs of Q_o, for
+    // the warm re-expression, the prediction and mu after the loop
+    // and LeoFit::kept.
+    KeptBlock kb = keptBlockOf(prior, ob);
 
     // P (s x q): row j holds the coordinates of e_{obs_j} in the
     // basis, [P_p' | L] at its unit.
@@ -386,13 +439,11 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
     // A warm fit must carry finite factors on this space; anything
     // else falls back to the cold init.
     const bool warm_ok =
-        warm != nullptr && warm->basisT.cols() == n &&
-        warm->basisT.rows() >= 1 &&
-        warm->coeff.rows() == warm->basisT.rows() &&
-        warm->coeff.cols() == warm->basisT.rows() &&
-        warm->mu.size() == n && warm->alphaDiag > 0.0 &&
-        warm->sigma2 >= opt.minSigma2 && warm->mu.allFinite() &&
-        warm->basisT.allFinite() && warm->coeff.allFinite();
+        warm != nullptr && hasBasis(*warm) && warm->prior->dim() == n &&
+        warm->coeff.cols() == warm->rank() && warm->mu.size() == n &&
+        warm->alphaDiag > 0.0 && warm->sigma2 >= opt.minSigma2 &&
+        warm->mu.allFinite() && warm->kept.w.allFinite() &&
+        warm->kept.l.allFinite() && warm->coeff.allFinite();
 
     Vector g(q, 0.0);
     Matrix &cmat = arena.matrix("lr.c", q, q);
@@ -404,14 +455,18 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
         // C0 = R C_w R' with R = Q Q_w'. Old directions missing from
         // the new span project away; since EM re-estimates from the
         // init, the loss only perturbs the starting point.
-        linalg::gemvInto(g, qmat, warm->mu);
+        projectInto(g, prior, kb, warm->mu);
         if (sharesPriorBlock(*warm, prior)) {
-            rotateSharedPriorBlock(cmat, *warm, rp, ob, arena);
+            rotateSharedPriorBlock(cmat, *warm, rp, kb, arena);
         } else {
-            const std::size_t qw = warm->basisT.rows();
-            Matrix &rmat = arena.matrix("lr.rot", q, qw);
-            Matrix &rc = arena.matrix("lr.rotc", q, qw);
-            linalg::abtInto(rmat, qmat, warm->basisT);
+            // A warm fit on another prior: no workload's controller
+            // changes prior, so this generic product runs on
+            // materialized bases.
+            const Matrix qmat = observedBasis(prior, kb);
+            const Matrix qwarm = warm->basis();
+            Matrix &rmat = arena.matrix("lr.rot", q, qwarm.rows());
+            Matrix &rc = arena.matrix("lr.rotc", q, qwarm.rows());
+            linalg::abtInto(rmat, qmat, qwarm);
             Matrix::multiplyInto(rc, rmat, warm->coeff);
             linalg::abtInto(cmat, rc, rmat);
         }
@@ -731,17 +786,16 @@ fitLowRank(const LeoOptions &opt, const PriorBasis &prior,
         ct = cmat;
     }
 
-    Vector pred_full(n);
-    linalg::gemvTransInto(pred_full, qmat, tc);
-    fit.prediction = Vector(n);
+    expandInto(fit.prediction, prior, kb, tc);
     for (std::size_t j = 0; j < n; ++j)
-        fit.prediction[j] = std::max(pred_full[j] * scale, 0.0);
+        fit.prediction[j] = std::max(fit.prediction[j] * scale, 0.0);
 
     // The posterior variance stays factored in varCore;
     // LeoFit::predictiveVarianceAt reads one configuration at a time.
-    linalg::gemvTransInto(fit.mu, qmat, g);
+    expandInto(fit.mu, prior, kb, g);
     fit.sigma2 = sigma2;
-    fit.basisT = std::move(qmat);
+    fit.prior = shared;
+    fit.kept = std::move(kb);
     fit.observedUnits = ob.units;
     fit.priorFingerprint = prior.fingerprint();
     fit.coeff = cmat;
@@ -787,7 +841,7 @@ traceFit(obs::Span &span, const PriorBasis &prior, const LeoFit &fit)
 {
     span.arg("apps", static_cast<double>(prior.apps()));
     span.arg("configs", static_cast<double>(prior.dim()));
-    span.arg("rank", static_cast<double>(fit.basisT.rows()));
+    span.arg("rank", static_cast<double>(fit.rank()));
     span.arg("iters", static_cast<double>(fit.iterations));
     span.arg("converged", fit.converged ? 1.0 : 0.0);
 }
@@ -795,15 +849,22 @@ traceFit(obs::Span &span, const PriorBasis &prior, const LeoFit &fit)
 } // namespace
 
 linalg::Matrix
+LeoFit::basis() const
+{
+    require(prior != nullptr, "LeoFit::basis: the fit carries no factors");
+    return observedBasis(*prior, kept);
+}
+
+linalg::Matrix
 LeoFit::covariance() const
 {
-    const std::size_t q = basisT.rows();
-    require(q > 0 && basisT.cols() > 0 && coeff.rows() == q &&
-                coeff.cols() == q,
+    const std::size_t q = rank();
+    require(q > 0 && hasBasis(*this) && coeff.cols() == q,
             "LeoFit::covariance: missing or mismatched factors");
-    const linalg::Matrix cq = linalg::Matrix::multiply(coeff, basisT);
+    const linalg::Matrix qmat = basis();
+    const linalg::Matrix cq = linalg::Matrix::multiply(coeff, qmat);
     linalg::Matrix sigma;
-    linalg::atbInto(sigma, basisT, cq);
+    linalg::atbInto(sigma, qmat, cq);
     sigma.addToDiagonal(alphaDiag);
     sigma.symmetrize();
     return sigma;
@@ -812,35 +873,94 @@ LeoFit::covariance() const
 double
 LeoFit::predictiveVarianceAt(std::size_t c) const
 {
-    const std::size_t q = basisT.rows();
-    require(q > 0 && varCore.rows() == q && varCore.cols() == q,
+    const std::size_t q = rank();
+    require(q > 0 && hasBasis(*this) && varCore.rows() == q &&
+                varCore.cols() == q,
             "predictiveVarianceAt: missing varCore");
-    require(c < basisT.cols(), "predictiveVarianceAt: index out of range");
+    require(c < prior->dim(), "predictiveVarianceAt: index out of range");
+    // Column c of Q: the prior rows' entries, then the column
+    // evaluator's, each bit for bit the materialized basis's entry.
+    constexpr std::size_t kStackColumn = 64;
+    double stack_col[kStackColumn];
+    std::vector<double> heap_col;
+    double *col = stack_col;
+    if (q > kStackColumn) {
+        heap_col.resize(q);
+        col = heap_col.data();
+    }
+    const std::size_t r = prior->rank();
+    for (std::size_t k = 0; k < r; ++k)
+        col[k] = prior->rows().at(k, c);
+    observedColumnInto(col + r, *prior, kept, c);
     // Both dots accumulate in increasing index order: the inner one
-    // is entry (k, c) of varCore basisT as Matrix::multiplyInto
-    // forms it, the outer one sums the diagonal over k. The value is
-    // therefore the full expansion's entry c, bit for bit.
-    const std::size_t n = basisT.cols();
-    const double *b = basisT.data();
+    // is entry (k, c) of varCore Q as Matrix::multiplyInto forms it,
+    // the outer one sums the diagonal over k. The value is therefore
+    // the full expansion's entry c, bit for bit.
     double cov = 0.0;
     for (std::size_t k = 0; k < q; ++k) {
         const double *ctk = varCore.data() + k * q;
         double t = 0.0;
         for (std::size_t k2 = 0; k2 < q; ++k2)
-            t += ctk[k2] * b[k2 * n + c];
-        cov += b[k * n + c] * t;
+            t += ctk[k2] * col[k2];
+        cov += col[k] * t;
     }
     return (alphaDiag + cov + sigma2) * scale * scale;
 }
 
-linalg::Matrix
-observedBasis(const PriorBasis &prior,
-              const std::vector<std::size_t> &units)
+KeptBlock
+observedFactors(const PriorBasis &prior,
+                const std::vector<std::size_t> &units)
 {
     for (const std::size_t u : units)
-        require(u < prior.dim(), "observedBasis: unit out of range");
+        require(u < prior.dim(), "observedFactors: unit out of range");
     linalg::Workspace arena;
-    return basisOf(prior, observeUnits(prior, units, arena), arena);
+    return keptBlockOf(prior, observeUnits(prior, units, arena));
+}
+
+linalg::Matrix
+observedBasis(const PriorBasis &prior, const KeptBlock &kept)
+{
+    const std::size_t r = prior.rank();
+    const std::size_t n = prior.dim();
+    const std::size_t kn = kept.units.size();
+    require(blockShapesMatch(kept, r),
+            "observedBasis: block shapes disagree with the prior");
+    for (const std::size_t u : kept.units)
+        require(u < n, "observedBasis: unit out of range");
+    linalg::Matrix qmat(r + kn, n);
+    std::copy(prior.rows().data(), prior.rows().data() + r * n,
+              qmat.data());
+    std::vector<double> col(kn);
+    for (std::size_t j = 0; j < n; ++j) {
+        observedColumnInto(col.data(), prior, kept, j);
+        for (std::size_t d = 0; d < kn; ++d)
+            qmat.at(r + d, j) = col[d];
+    }
+    return qmat;
+}
+
+void
+expandInto(linalg::Vector &x, const PriorBasis &prior,
+           const KeptBlock &kept, const linalg::Vector &t)
+{
+    // Q_o' t_o = (E_k - Q_p' W_k') y with y = L_k^-T t_o.
+    const std::size_t r = prior.rank();
+    const std::size_t kn = kept.units.size();
+    linalg::Vector y(kn);
+    for (std::size_t c = kn; c-- > 0;) {
+        double v = t[r + c];
+        for (std::size_t c2 = c + 1; c2 < kn; ++c2)
+            v -= kept.l.at(c2, c) * y[c2];
+        y[c] = v / kept.l.at(c, c);
+    }
+    linalg::Vector tp(r);
+    for (std::size_t k = 0; k < r; ++k)
+        tp[k] = t[k];
+    for (std::size_t c = 0; c < kn; ++c)
+        linalg::axpyN(tp.data(), kept.w.data() + c * r, -y[c], r);
+    linalg::gemvTransInto(x, prior.rows(), tp);
+    for (std::size_t c = 0; c < kn; ++c)
+        x[kept.units[c]] += y[c];
 }
 
 void
@@ -900,21 +1020,22 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
 
 MetricEstimate
 LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
-                             const PriorBasis &prior,
+                             const std::shared_ptr<const PriorBasis> &prior,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
                              linalg::Workspace *ws, const LeoFit *warm,
                              LeoFit *fit_out) const
 {
-    require(prior.dim() == space.size(),
+    require(prior != nullptr, "LeoEstimator: null prior basis");
+    require(prior->dim() == space.size(),
             "LeoEstimator: prior/space size mismatch");
-    return estimateMetric(space, &prior, {}, obs_idx, obs_vals, ws, warm,
+    return estimateMetric(space, prior, {}, obs_idx, obs_vals, ws, warm,
                           fit_out);
 }
 
 MetricEstimate
 LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
-                             const PriorBasis *shared,
+                             std::shared_ptr<const PriorBasis> basis,
                              const std::vector<linalg::Vector> &raw,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
@@ -948,11 +1069,9 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
     // A prior the basis cannot be built from (empty, a non-positive
     // mean, ragged vectors) leaves no fit to run: it goes straight to
     // the degradation path below.
-    std::optional<PriorBasis> own;
-    const PriorBasis *basis = shared;
     if (basis == nullptr) {
         try {
-            basis = &own.emplace(raw);
+            basis = std::make_shared<const PriorBasis>(raw);
         } catch (const Error &) {
             // No basis: degrade below.
         }
@@ -960,7 +1079,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
 
     if (basis != nullptr) {
         try {
-            LeoFit fit = fitWith(*basis, idx, vals, ws, warm);
+            LeoFit fit = fitWith(basis, idx, vals, ws, warm);
             traceFit(span, *basis, fit);
             if (fit.prediction.allFinite()) {
                 est.iterations = fit.iterations;
@@ -993,7 +1112,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
             ridge.initSigma2 = std::max(options_.initSigma2, 1e-2);
             const LeoEstimator heavy(ridge);
             LeoFit fit =
-                heavy.fitWith(*basis, idx, vals, nullptr, nullptr);
+                heavy.fitWith(basis, idx, vals, nullptr, nullptr);
             if (fit.prediction.allFinite()) {
                 est.iterations = fit.iterations;
                 est.reliable = false;
@@ -1047,26 +1166,27 @@ LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
                         linalg::Workspace *ws, const LeoFit *warm) const
 {
     obs::Span span(obs::names::kEmFitSpan, "em");
-    const PriorBasis basis(prior);
+    const auto basis = std::make_shared<const PriorBasis>(prior);
     LeoFit fit = fitWith(basis, obs_idx, obs_vals, ws, warm);
-    traceFit(span, basis, fit);
+    traceFit(span, *basis, fit);
     return fit;
 }
 
 LeoFit
-LeoEstimator::fitMetric(const PriorBasis &prior,
+LeoEstimator::fitMetric(const std::shared_ptr<const PriorBasis> &prior,
                         const std::vector<std::size_t> &obs_idx,
                         const linalg::Vector &obs_vals,
                         linalg::Workspace *ws, const LeoFit *warm) const
 {
+    require(prior != nullptr, "LeoEstimator: null prior basis");
     obs::Span span(obs::names::kEmFitSpan, "em");
     LeoFit fit = fitWith(prior, obs_idx, obs_vals, ws, warm);
-    traceFit(span, prior, fit);
+    traceFit(span, *prior, fit);
     return fit;
 }
 
 LeoFit
-LeoEstimator::fitWith(const PriorBasis &prior,
+LeoEstimator::fitWith(const std::shared_ptr<const PriorBasis> &prior,
                       const std::vector<std::size_t> &obs_idx_in,
                       const linalg::Vector &obs_vals_in,
                       linalg::Workspace *ws, const LeoFit *warm) const
@@ -1074,7 +1194,7 @@ LeoEstimator::fitWith(const PriorBasis &prior,
     require(obs_idx_in.size() == obs_vals_in.size(),
             "LeoEstimator: observation index/value mismatch");
     for (std::size_t idx : obs_idx_in)
-        require(idx < prior.dim(),
+        require(idx < prior->dim(),
                 "LeoEstimator: observation index out of range");
     std::vector<std::size_t> ordered_idx;
     linalg::Vector ordered_vals;

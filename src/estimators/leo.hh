@@ -29,13 +29,16 @@
  *  - The prior-invariant half of a fit (normalized shapes, their
  *    orthonormal basis and coordinates) is a PriorBasis, built once
  *    per prior and shared by every fit against it
- *    (prior_basis.hh).
+ *    (prior_basis.hh). A fit keeps a shared reference to it and its
+ *    own observed block in s dimensions (KeptBlock), never a q x n
+ *    basis.
  */
 
 #ifndef LEO_ESTIMATORS_LEO_HH
 #define LEO_ESTIMATORS_LEO_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "estimators/estimator.hh"
@@ -98,6 +101,27 @@ struct LeoOptions
     std::size_t threads = 0;
 };
 
+/**
+ * The observed block of a fit's basis Q = [Q_p; Q_o], kept in s
+ * dimensions (DESIGN.md section 7.2). Its rows are
+ * Q_o = L_k^-1 (E_k' - W_k Q_p), with E_k the unit vectors of the kept
+ * configurations, and are never formed on the fit path: the
+ * prediction and mu expand through W_k and L_k, and single columns of
+ * Q come from the column evaluator behind predictiveVarianceAt.
+ */
+struct KeptBlock
+{
+    /** The configuration behind each observed direction, ascending:
+     *  the observed units that the prior block and the earlier units
+     *  do not already span. */
+    std::vector<std::size_t> units;
+    /** W_k (kept x r): row c holds Q_p e_{units[c]}. */
+    linalg::Matrix w;
+    /** L_k (kept x kept, lower triangular): the Schur factor of the
+     *  kept units' residual Gram matrix I - W_k W_k'. */
+    linalg::Matrix l;
+};
+
 /** Full output of one EM fit (one metric). */
 struct LeoFit
 {
@@ -124,16 +148,20 @@ struct LeoFit
      *  counter is registered via setAllocationCounter (0 otherwise).
      *  The fit keeps this at zero. */
     std::size_t loopAllocations = 0; // leo-lint: allow(snapshot-completeness) diagnostic counter, not model state
-    /** Basis Q of the fitted covariance, stored row-major q x n (row
-     *  k = basis vector k). Sigma (normalized space) is carried
-     *  factored, Sigma = alphaDiag I + basisT' coeff basisT — at
-     *  n = 16384 the dense matrix would be 2 GB; covariance()
-     *  materializes it. */
-    linalg::Matrix basisT;
+    /** The prior basis the fit ran on, shared with every fit on that
+     *  prior version: its rows are Q_p, the leading block of the
+     *  fit's basis Q (null for a fit without factors). */
+    std::shared_ptr<const PriorBasis> prior;
+    /** The observed block of Q in s dimensions. Sigma (normalized
+     *  space) is carried factored, Sigma = alphaDiag I + Q' coeff Q
+     *  with Q = [Q_p; Q_o] (rank() x n): no fit holds Q or the dense
+     *  Sigma (2 GB at n = 16384); basis() and covariance()
+     *  materialize them for inspection. */
+    KeptBlock kept;
     /** The distinct observed configurations, ascending (at most one
-     *  per observation), that the observed rows Q_o of basisT were
-     *  built from. With the prior basis they determine basisT bit for
-     *  bit (observedBasis), so a saved fit stores them in its place
+     *  per observation), that the kept block was factored from. With
+     *  the prior basis they determine it bit for bit
+     *  (observedFactors), so a saved fit stores them in its place
      *  (fit_io.hh). */
     std::vector<std::size_t> observedUnits;
     /** PriorBasis::fingerprint() of the prior basis the fit ran on
@@ -146,14 +174,28 @@ struct LeoFit
     /** Posterior covariance core Ct (q x q) of the final E-step, so
      *  the predictive variance of configuration c is
      *  (alphaDiag + q_c' Ct q_c + sigma2) * scale^2 with q_c = column
-     *  c of basisT (see predictiveVarianceAt). */
+     *  c of Q (see predictiveVarianceAt). */
     linalg::Matrix varCore;
 
+    /** @return The rank q of the factored Sigma: the order of coeff
+     *  (0 for a fit without factors). */
+    std::size_t rank() const { return coeff.rows(); }
+
     /**
-     * The fitted covariance Sigma = alphaDiag I + basisT' coeff basisT
-     * as a dense, exactly symmetric n x n matrix (normalized space):
-     * the matrix visualized in Figure 4. O(n^2 q); meant for
-     * inspection, never for the fit path.
+     * The basis Q = [Q_p; Q_o] (q x n), row-major, materialized from
+     * the prior rows and the kept block: each column is the column
+     * evaluator's (observedBasis). O(n (kept r + kept^2)); no fit
+     * path forms it.
+     *
+     * @throws leo::FatalError when the fit carries no factors.
+     */
+    linalg::Matrix basis() const;
+
+    /**
+     * The fitted covariance Sigma = alphaDiag I + Q' coeff Q as a
+     * dense, exactly symmetric n x n matrix (normalized space): the
+     * matrix visualized in Figure 4. O(n^2 q); meant for inspection,
+     * never for the fit path.
      *
      * @throws leo::FatalError when the factors are missing or their
      *         shapes disagree.
@@ -163,30 +205,54 @@ struct LeoFit
     /**
      * The posterior predictive variance of one configuration, in raw
      * units squared: (alphaDiag + q_c' varCore q_c + sigma2) * scale^2
-     * with q_c = column c of basisT, at O(q^2) per query. This is the
-     * only way to read a fit's variance; no fit expands it over all
-     * n configurations. Each value equals the diagonal entry of that
-     * full expansion bit for bit.
+     * with q_c = column c of Q, evaluated from the factors at
+     * O(q^2 + kept r + kept^2) per query. This is the only way to read
+     * a fit's variance; no fit expands it over all n configurations.
+     * Each value equals the diagonal entry of that full expansion
+     * against basis() bit for bit.
      *
-     * @param c Configuration index (column of basisT).
+     * @param c Configuration index (column of Q).
      * @throws leo::FatalError when c is out of range or the fit
-     *         carries no varCore of basisT's rank.
+     *         carries no varCore of the basis's rank.
      */
     double predictiveVarianceAt(std::size_t c) const;
 };
 
 /**
- * The basis Q = [Q_p; Q_o] (q x n) of a fit on `prior` whose distinct
- * observed configurations are `units`, ascending as
- * LeoFit::observedUnits holds them: the prior rows, then the observed
- * directions factored in s dimensions (DESIGN.md section 7.2). The
- * fit forms its basisT through the same code, so for a fit's own
- * units the result equals its basisT bit for bit.
+ * The kept block of a fit on `prior` whose distinct observed
+ * configurations are `units`, ascending as LeoFit::observedUnits holds
+ * them, factored in s dimensions (DESIGN.md section 7.2). The fit
+ * factors its own block through the same code, so for a fit's own
+ * units the result equals its kept block bit for bit; loadFit
+ * rebuilds saved fits this way.
  *
  * @throws leo::FatalError when a unit is not below prior.dim().
  */
+KeptBlock observedFactors(const PriorBasis &prior,
+                          const std::vector<std::size_t> &units);
+
+/**
+ * The basis Q = [Q_p; Q_o] (q x n) of a kept block on `prior`: the
+ * prior rows, then one column of Q_o at a time from the column
+ * evaluator that predictiveVarianceAt reads, so every entry matches
+ * the value a variance query sees bit for bit.
+ *
+ * @throws leo::FatalError when the block's shapes disagree with
+ *         `prior`.
+ */
 linalg::Matrix observedBasis(const PriorBasis &prior,
-                             const std::vector<std::size_t> &units);
+                             const KeptBlock &kept);
+
+/**
+ * x = Q' t (length n) for coordinates t (length q) in the basis
+ * Q = [Q_p; Q_o] of a kept block on `prior`, without forming Q_o:
+ * Q' t = Q_p' (t_p - W_k' y) + E_k y with y = L_k^-T t_o, one pass
+ * over the prior rows plus a scatter of the kept values. Fits expand
+ * their prediction and mu this way; the result equals
+ * observedBasis(prior, kept)' t to rounding.
+ */
+void expandInto(linalg::Vector &x, const PriorBasis &prior,
+                const KeptBlock &kept, const linalg::Vector &t);
 
 /**
  * The LEO estimator.
@@ -240,10 +306,14 @@ class LeoEstimator : public Estimator
     /**
      * Shared-basis variant: the warm-refit overload with the
      * prior-invariant work already done. `prior` is only read, so
-     * one basis may serve concurrent fits.
+     * one basis may serve concurrent fits, and the fit written to
+     * `fit_out` shares ownership of it (LeoFit::prior).
+     *
+     * @throws leo::FatalError when `prior` is null.
      */
     MetricEstimate estimateMetric(
-        const platform::ConfigSpace &space, const PriorBasis &prior,
+        const platform::ConfigSpace &space,
+        const std::shared_ptr<const PriorBasis> &prior,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
         const LeoFit *warm, LeoFit *fit_out = nullptr) const;
@@ -286,8 +356,9 @@ class LeoEstimator : public Estimator
                      linalg::Workspace *ws, const LeoFit *warm) const;
 
     /** Shared-basis variant of the workspace-and-warm-start
-     *  fitMetric; bitwise equal to it for the same prior. */
-    LeoFit fitMetric(const PriorBasis &prior,
+     *  fitMetric; bitwise equal to it for the same prior. The fit
+     *  shares ownership of `prior` (non-null). */
+    LeoFit fitMetric(const std::shared_ptr<const PriorBasis> &prior,
                      const std::vector<std::size_t> &obs_idx,
                      const linalg::Vector &obs_vals,
                      linalg::Workspace *ws, const LeoFit *warm) const;
@@ -296,11 +367,12 @@ class LeoEstimator : public Estimator
     /**
      * The one estimate path behind the public overloads, traced as a
      * whole by the leo.em.fit span: sanitize and order the
-     * observations, build a basis from `raw` unless `shared` is
+     * observations, build a basis from `raw` unless `basis` is
      * given, fit, and degrade along DESIGN.md section 8 on failure.
      */
     MetricEstimate estimateMetric(
-        const platform::ConfigSpace &space, const PriorBasis *shared,
+        const platform::ConfigSpace &space,
+        std::shared_ptr<const PriorBasis> basis,
         const std::vector<linalg::Vector> &raw,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
@@ -308,7 +380,7 @@ class LeoEstimator : public Estimator
 
     /** The fit itself (validate, order, normalize, run EM), without
      *  the span. */
-    LeoFit fitWith(const PriorBasis &prior,
+    LeoFit fitWith(const std::shared_ptr<const PriorBasis> &prior,
                    const std::vector<std::size_t> &obs_idx,
                    const linalg::Vector &obs_vals,
                    linalg::Workspace *ws, const LeoFit *warm) const;

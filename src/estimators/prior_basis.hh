@@ -8,7 +8,10 @@
  * configurations and projected onto that basis. PriorBasis does this
  * work once per metric and prior version. Every fit against the same
  * prior shares it read-only and adds only its own s observed
- * directions, in s dimensions (DESIGN.md section 7.2).
+ * directions, in s dimensions (DESIGN.md section 7.2). A fit holds
+ * a std::shared_ptr to the basis it ran on (LeoFit::prior) in place
+ * of a q x n basis of its own, so every fit-taking API passes bases
+ * by shared_ptr, and a fit outlives whoever built its basis.
  *
  * The raw-vector LeoEstimator overloads build a PriorBasis and
  * delegate to the same path, so a fit through a shared basis is
@@ -37,7 +40,8 @@ namespace leo::estimators
 /**
  * Normalized prior shapes, their orthonormal basis Q_p and their
  * coordinates in it. Immutable after construction, so one instance
- * may be shared read-only by concurrent fits.
+ * may be shared read-only by concurrent fits; build it with
+ * std::make_shared to hand it to them.
  */
 class PriorBasis
 {

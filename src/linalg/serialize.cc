@@ -63,11 +63,27 @@ wireLayout()
 } // namespace
 
 void
+ByteWriter::reserve(std::size_t more)
+{
+    if (!counting_)
+        bytes_.reserve(bytes_.size() + more);
+}
+
+void
+ByteWriter::append(const char *p, std::size_t n)
+{
+    if (counting_)
+        counted_ += n;
+    else
+        bytes_.append(p, n);
+}
+
+void
 ByteWriter::u32(std::uint32_t v)
 {
     char b[4];
     packLe(b, v);
-    bytes_.append(b, 4);
+    append(b, 4);
 }
 
 void
@@ -75,7 +91,7 @@ ByteWriter::u64(std::uint64_t v)
 {
     char b[8];
     packLe(b, v);
-    bytes_.append(b, 8);
+    append(b, 8);
 }
 
 void
@@ -88,7 +104,7 @@ void
 ByteWriter::str(const std::string &s)
 {
     u64(s.size());
-    bytes_.append(s);
+    append(s.data(), s.size());
 }
 
 template <typename T>
@@ -96,7 +112,7 @@ void
 ByteWriter::words(const T *p, std::size_t count)
 {
     if constexpr (wireLayout<T>()) {
-        bytes_.append(reinterpret_cast<const char *>(p), count * 8);
+        append(reinterpret_cast<const char *>(p), count * 8);
     } else {
         for (std::size_t i = 0; i < count; ++i) {
             if constexpr (std::is_floating_point_v<T>)

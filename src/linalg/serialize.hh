@@ -49,8 +49,37 @@ namespace leo::linalg
 class ByteWriter
 {
   public:
+    /**
+     * A writer that stores nothing: every call only adds its encoded
+     * length to size(). A counting pass through the calls a save
+     * makes sizes that save's buffer exactly, with the format still
+     * defined by the one sequence of calls.
+     */
+    static ByteWriter counter()
+    {
+        ByteWriter w;
+        w.counting_ = true;
+        return w;
+    }
+
+    /** @return Bytes written so far (for a counter, bytes counted). */
+    std::size_t size() const
+    {
+        return counting_ ? counted_ : bytes_.size();
+    }
+
+    /** Make room for `more` bytes past size() in one allocation (a
+     *  counter ignores it). */
+    void reserve(std::size_t more);
+
     /** Append one byte. */
-    void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
+    void u8(std::uint8_t v)
+    {
+        if (counting_)
+            ++counted_;
+        else
+            bytes_.push_back(static_cast<char>(v));
+    }
 
     /** Append a 32-bit little-endian integer. */
     void u32(std::uint32_t v);
@@ -80,11 +109,16 @@ class ByteWriter
     std::string take() { return std::move(bytes_); }
 
   private:
+    /** Append n raw bytes (a counter only counts them). */
+    void append(const char *p, std::size_t n);
+
     /** Append count 8-byte words (doubles or indices), no prefix. */
     template <typename T>
     void words(const T *p, std::size_t count);
 
     std::string bytes_;
+    bool counting_ = false;
+    std::size_t counted_ = 0;
 };
 
 /**

@@ -474,13 +474,14 @@ EnergyController::fitUnguarded()
         // A prior the bases cannot be built from keeps the raw-vector
         // path, which degrades inside the estimator.
         const estimators::PriorBases &bases = priorBases();
-        const auto fitOne = [&](const estimators::PriorBasis *basis,
+        const auto fitOne = [&](const std::shared_ptr<
+                                    const estimators::PriorBasis> &basis,
                                 estimators::Metric metric,
                                 const linalg::Vector &vals,
                                 estimators::LeoFit &fit) {
             const estimators::LeoFit *warm = have_fits_ ? &fit : nullptr;
             return basis ? as_leo->estimateMetric(
-                               space_, *basis, observations_.indices,
+                               space_, basis, observations_.indices,
                                vals, &fit_ws_, warm, &fit)
                          : as_leo->estimateMetric(
                                space_, priorVectors(prior_, metric),
@@ -488,10 +489,10 @@ EnergyController::fitUnguarded()
                                warm, &fit);
         };
         estimators::MetricEstimate perf =
-            fitOne(bases.perf.get(), estimators::Metric::Performance,
+            fitOne(bases.perf, estimators::Metric::Performance,
                    observations_.performance, perf_fit_);
         estimators::MetricEstimate power =
-            fitOne(bases.power.get(), estimators::Metric::Power,
+            fitOne(bases.power, estimators::Metric::Power,
                    observations_.power, power_fit_);
         have_fits_ = true;
         samples_rejected_.add(perf.samplesRejected +
@@ -586,6 +587,22 @@ constexpr std::uint32_t kControllerStateVersion = 1;
 void
 EnergyController::saveState(linalg::ByteWriter &w) const
 {
+    // A standalone save (into an empty writer) is sized by a counting
+    // pass through the same calls, so the blob lands in one
+    // allocation instead of a chain of doublings. A writer that
+    // already holds bytes, such as a service snapshot, grows as it
+    // would anyway.
+    if (w.size() == 0) {
+        linalg::ByteWriter count = linalg::ByteWriter::counter();
+        writeState(count);
+        w.reserve(count.size());
+    }
+    writeState(w);
+}
+
+void
+EnergyController::writeState(linalg::ByteWriter &w) const
+{
     w.u32(kControllerStateVersion);
     w.u64(space_.size());
     w.u8(state_ == State::Sampling ? 0 : 1);
@@ -658,11 +675,12 @@ EnergyController::restoreState(linalg::ByteReader &r)
     const std::uint8_t have_fits = r.u8();
     have_fits_ = have_fits != 0;
     if (have_fits_ && r.ok()) {
-        // The fits rebuild their bases from this controller's prior
-        // and fail closed on any other.
+        // The fits share this controller's prior bases, refactor
+        // their kept blocks from them and fail closed on any other
+        // prior.
         const estimators::PriorBases &bases = priorBases();
-        perf_fit_ = estimators::loadFit(r, bases.perf.get());
-        power_fit_ = estimators::loadFit(r, bases.power.get());
+        perf_fit_ = estimators::loadFit(r, bases.perf);
+        power_fit_ = estimators::loadFit(r, bases.power);
     } else {
         perf_fit_ = estimators::LeoFit{};
         power_fit_ = estimators::LeoFit{};

@@ -217,7 +217,8 @@ class EnergyController
      * plan, estimates, warm fits, refitters, drift/boost bookkeeping
      * and degradation counters — so a controller constructed with the
      * same space, estimator, prior and options can resume the run bit
-     * for bit (see restoreState()).
+     * for bit (see restoreState()). Into an empty writer the blob is
+     * sized first and written in one allocation.
      */
     void saveState(linalg::ByteWriter &w) const;
 
@@ -323,6 +324,9 @@ class EnergyController
     /** Arm the per-window refitters from the latest fits (no-op
      *  unless options_.refitMode asks for them). */
     void seedRefits();
+
+    /** The field list of saveState(), written to `w` as is. */
+    void writeState(linalg::ByteWriter &w) const;
 
     /** Select the frontier configuration pacing the demand. */
     std::size_t paceConfig();

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "obs/obs.hh"
 
@@ -46,13 +47,23 @@ IncrementalRefit::reset(const estimators::LeoFit &fit,
     entries_.clear();
     if (mode == RefitMode::None)
         return false;
-    const std::size_t q = fit.basisT.rows();
-    const std::size_t n = fit.basisT.cols();
-    if (q == 0 || n == 0 || fit.coeff.rows() != q ||
-        fit.coeff.cols() != q || fit.mu.size() != n ||
+    const std::size_t q = fit.rank();
+    const std::size_t n = fit.mu.size();
+    if (q == 0 || n == 0 || fit.prior == nullptr ||
+        fit.prior->dim() != n || fit.coeff.cols() != q ||
         !(fit.alphaDiag > 0.0) || !(fit.sigma2 > 0.0) ||
         !(fit.scale > 0.0) || !fit.mu.allFinite() ||
-        !fit.basisT.allFinite() || !fit.coeff.allFinite())
+        !fit.coeff.allFinite())
+        return false;
+    // The refitter keeps its own copy of the basis rows, materialized
+    // from the fit's factors (the fit itself holds none).
+    linalg::Matrix basis;
+    try {
+        basis = fit.basis();
+    } catch (const std::exception &) {
+        return false;
+    }
+    if (basis.rows() != q || !basis.allFinite())
         return false;
     // F = chol(B) with B = C + alpha I. C itself is indefinite in
     // general — Sigma = alpha I + Q' C Q only bounds C's spectrum at
@@ -77,7 +88,7 @@ IncrementalRefit::reset(const estimators::LeoFit &fit,
     d_ = fit.sigma2;
     scale_ = fit.scale;
     mu_ = fit.mu;
-    basisT_ = fit.basisT;
+    basisT_ = std::move(basis);
     fmat_ = fchol.factor();
     kchol_.reserve(q_);
     kmat_.resize(q_, q_);

@@ -390,7 +390,7 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         const runtime::EnergyController &ctl = *sess.controller;
 
         estimators::EstimateRequest perf_req;
-        perf_req.priorBasis = sess.bases->perf.get();
+        perf_req.priorBasis = sess.bases->perf;
         if (perf_req.priorBasis == nullptr)
             perf_req.prior = estimators::priorVectors(
                 *sess.prior, estimators::Metric::Performance);
@@ -401,7 +401,7 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
         batch.add(std::move(perf_req));
 
         estimators::EstimateRequest power_req;
-        power_req.priorBasis = sess.bases->power.get();
+        power_req.priorBasis = sess.bases->power;
         if (power_req.priorBasis == nullptr)
             power_req.prior = estimators::priorVectors(
                 *sess.prior, estimators::Metric::Power);

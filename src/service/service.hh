@@ -30,7 +30,9 @@
  *    change under a tenant mid-run). Each prior version gets one
  *    estimators::PriorBasis per metric, built in the constructor or
  *    in refreshPrior() and pinned by every session with its prior,
- *    so a batched fit only adds its own observed directions.
+ *    so a batched fit only adds its own observed directions, and
+ *    the fit keeps a shared reference to the basis instead of a
+ *    copy of its rows.
  *  - **Global co-scheduling.** With ServiceOptions::globalPlanning
  *    on, every tick() ends by co-scheduling all tenants that have
  *    estimates onto the one machine through the interval LP of
@@ -42,11 +44,11 @@
  *    version a session pins (plus the live one) once, then every
  *    session (controller state incl. low-rank fit factors, RNG
  *    engine, sequence counters) plus undrained queue contents. A fit
- *    names its prior by fingerprint instead of carrying the prior's
- *    basis rows (estimators/fit_io.hh). restoreSnapshot() into a
- *    service built over the same space, estimator and options pins
- *    each session to its own prior version and resumes every
- *    schedule bit for bit.
+ *    names its prior by fingerprint and lists its observed units
+ *    instead of carrying basis rows (estimators/fit_io.hh).
+ *    restoreSnapshot() into a service built over the same space,
+ *    estimator and options pins each session to its own prior
+ *    version and resumes every schedule bit for bit.
  *
  * Threading contract: submit() is safe from any number of threads
  * concurrently with other submit() calls, with nextConfig() and with

@@ -418,8 +418,8 @@ TEST(Leo, LearnedSigmaCapturesConfigCorrelation)
 
 TEST(Leo, CovarianceMaterializesTheFactors)
 {
-    // covariance() is Sigma = alphaDiag I + basisT' coeff basisT as a
-    // dense matrix: exactly symmetric, with each diagonal entry the
+    // covariance() is Sigma = alphaDiag I + Q' coeff Q as a dense
+    // matrix: exactly symmetric, with each diagonal entry the
     // factored variance alphaDiag + q_j' C q_j.
     CoreOnlyWorld w;
     auto prior = w.priorPerf("kmeans");
@@ -433,7 +433,9 @@ TEST(Leo, CovarianceMaterializesTheFactors)
 
     const Matrix s = fit.covariance();
     const std::size_t n = w.space.size();
-    const std::size_t q = fit.basisT.rows();
+    const Matrix basis = fit.basis();
+    const std::size_t q = basis.rows();
+    ASSERT_EQ(q, fit.rank());
     ASSERT_EQ(s.rows(), n);
     ASSERT_EQ(s.cols(), n);
     EXPECT_TRUE(s.isSymmetric(0.0));
@@ -441,8 +443,7 @@ TEST(Leo, CovarianceMaterializesTheFactors)
         double quad = 0.0;
         for (std::size_t a = 0; a < q; ++a)
             for (std::size_t b = 0; b < q; ++b)
-                quad += fit.basisT(a, j) * fit.coeff(a, b) *
-                        fit.basisT(b, j);
+                quad += basis(a, j) * fit.coeff(a, b) * basis(b, j);
         const double want = fit.alphaDiag + quad;
         EXPECT_NEAR(s(j, j), want, 1e-12 * std::abs(want)) << j;
     }
@@ -612,7 +613,14 @@ expectFitsExactlyEqual(const estimators::LeoFit &a,
             << what << ".trace[" << i << "]";
     EXPECT_EQ(a.scale, b.scale) << what;
     EXPECT_EQ(a.warmStarted, b.warmStarted) << what;
-    expectExactlyEqual(a.basisT, b.basisT, what + ".basisT");
+    // The shared prior is compared by content, never by pointer.
+    EXPECT_EQ(a.prior == nullptr, b.prior == nullptr) << what;
+    if (a.prior && b.prior) {
+        EXPECT_EQ(a.prior->fingerprint(), b.prior->fingerprint()) << what;
+    }
+    EXPECT_EQ(a.kept.units, b.kept.units) << what;
+    expectExactlyEqual(a.kept.w, b.kept.w, what + ".kept.w");
+    expectExactlyEqual(a.kept.l, b.kept.l, what + ".kept.l");
     EXPECT_EQ(a.observedUnits, b.observedUnits) << what;
     EXPECT_EQ(a.priorFingerprint, b.priorFingerprint) << what;
     expectExactlyEqual(a.coeff, b.coeff, what + ".coeff");
@@ -797,7 +805,8 @@ TEST(LeoHotLoop, WarmStartSameThetaMatchesAcrossPaths)
     // An incompatible warm fit silently falls back to the cold init.
     estimators::LeoFit bogus;
     bogus.mu = Vector(3, 1.0);
-    bogus.basisT = Matrix(1, 3, 0.5);
+    bogus.prior = std::make_shared<const estimators::PriorBasis>(
+        std::vector<Vector>{Vector{1.0, 2.0, 3.0}});
     bogus.coeff = Matrix(1, 1, 0.1);
     bogus.alphaDiag = 0.01;
     bogus.sigma2 = 0.01;
@@ -931,7 +940,8 @@ TEST(LeoHotLoop, BatchWarmStartMatchesDirectWarmFit)
  * (full-rank, q = n) and a low-rank (q << n) factored Sigma alike —
  * the warm-start continuation from a loaded fit is indistinguishable
  * from one using the original. The blob carries no basis rows:
- * loadFit rebuilds basisT from the prior basis it is handed.
+ * loadFit shares the prior basis it is handed and refactors the kept
+ * block from it.
  */
 TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
 {
@@ -962,17 +972,18 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
         const auto fit =
             leo.fitMetric(prior, obs.indices, obs.performance);
         SCOPED_TRACE("n = " + std::to_string(space.size()) +
-                     ", q = " + std::to_string(fit.basisT.rows()));
-        EXPECT_EQ(fit.basisT.rows() == space.size(), space.size() == 32);
+                     ", q = " + std::to_string(fit.rank()));
+        EXPECT_EQ(fit.rank() == space.size(), space.size() == 32);
         // A basis built from the same vectors is the one the fit ran
         // on, by content.
-        const estimators::PriorBasis basis(prior);
-        EXPECT_EQ(fit.priorFingerprint, basis.fingerprint());
+        const auto basis =
+            std::make_shared<const estimators::PriorBasis>(prior);
+        EXPECT_EQ(fit.priorFingerprint, basis->fingerprint());
         linalg::ByteWriter wtr;
         estimators::saveFit(wtr, fit);
         std::string blob = wtr.take();
         linalg::ByteReader rdr(blob);
-        const auto loaded = estimators::loadFit(rdr, &basis);
+        const auto loaded = estimators::loadFit(rdr, basis);
         ASSERT_TRUE(rdr.ok());
         EXPECT_TRUE(rdr.atEnd());
         ASSERT_NO_FATAL_FAILURE(
@@ -991,7 +1002,7 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
         // A truncated blob fails closed.
         blob.resize(blob.size() / 2);
         linalg::ByteReader cut(blob);
-        (void)estimators::loadFit(cut, &basis);
+        (void)estimators::loadFit(cut, basis);
         EXPECT_FALSE(cut.ok());
     }
 }
@@ -1001,8 +1012,8 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
  * unknown-version path: the reader fails and the returned fit is
  * empty. Version 1 carried a dense Sigma and a low-rank flag
  * alongside the factors; version 2 carried the expanded variance
- * vector that fits no longer compute; version 3 carried basisT
- * itself.
+ * vector that fits no longer compute; version 3 carried the basis
+ * rows themselves.
  */
 TEST(FitIo, RejectsVersionOneBlob)
 {
@@ -1061,16 +1072,17 @@ TEST(FitIo, RejectsVersionOneBlob)
         const estimators::LeoFit fit = estimators::loadFit(rdr, nullptr);
         EXPECT_FALSE(rdr.ok());
         EXPECT_TRUE(fit.prediction.empty());
-        EXPECT_TRUE(fit.basisT.empty());
+        EXPECT_EQ(fit.prior, nullptr);
+        EXPECT_EQ(fit.rank(), 0u);
     }
 }
 
 /**
- * The factors are a fit's only variance source, and basisT is rebuilt
- * rather than read, so loadFit rejects a blob it cannot rebuild the
- * saved basis from (a null or different prior, corrupt observed
- * units, a row count the rebuild disagrees with) and one whose factor
- * shapes disagree, instead of handing back a fit whose
+ * The factors are a fit's only variance source, and the kept block is
+ * refactored rather than read, so loadFit rejects a blob it cannot
+ * rebuild the saved basis from (a null or different prior, corrupt
+ * observed units, a rank the rebuild disagrees with) and one whose
+ * factor shapes disagree, instead of handing back a fit whose
  * predictiveVarianceAt throws or reads another basis. A fit with no
  * factors at all — what the service installs after a failed batched
  * fit — still round-trips, with no prior.
@@ -1080,18 +1092,19 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
     // A real fit at q < n: only fits a PriorBasis produced can be
     // saved, which every production fit is.
     const FitProblem p = makeFitProblem(4);
-    const estimators::PriorBasis basis(p.prior);
+    const auto basis = std::make_shared<const estimators::PriorBasis>(p.prior);
     const estimators::LeoEstimator est;
     const estimators::LeoFit good =
         est.fitMetric(basis, p.idx, p.vals, nullptr, nullptr);
-    const std::size_t n = basis.dim();
-    const std::size_t q = good.basisT.rows();
+    const std::size_t n = basis->dim();
+    const std::size_t q = good.rank();
     ASSERT_LT(q, n);
     ASSERT_GE(good.observedUnits.size(), 2u);
 
-    const auto roundTrip = [](const estimators::LeoFit &fit,
-                              const estimators::PriorBasis *prior,
-                              bool &ok) {
+    const auto roundTrip =
+        [](const estimators::LeoFit &fit,
+           const std::shared_ptr<const estimators::PriorBasis> &prior,
+           bool &ok) {
         linalg::ByteWriter wtr;
         estimators::saveFit(wtr, fit);
         const std::string blob = wtr.take();
@@ -1104,11 +1117,12 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
                                    bool ok) {
         EXPECT_FALSE(ok);
         EXPECT_TRUE(got.prediction.empty());
-        EXPECT_TRUE(got.basisT.empty());
+        EXPECT_EQ(got.prior, nullptr);
+        EXPECT_TRUE(got.kept.units.empty());
         EXPECT_TRUE(got.varCore.empty());
     };
     bool ok = false;
-    const estimators::LeoFit loaded = roundTrip(good, &basis, ok);
+    const estimators::LeoFit loaded = roundTrip(good, basis, ok);
     ASSERT_TRUE(ok);
     ASSERT_NO_FATAL_FAILURE(expectFitsExactlyEqual(good, loaded, "good"));
     EXPECT_EQ(loaded.predictiveVarianceAt(3),
@@ -1121,10 +1135,10 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
     }
     {
         SCOPED_TRACE("another prior");
-        const estimators::PriorBasis other(
+        const auto other = std::make_shared<const estimators::PriorBasis>(
             makeFitProblem(4, "swish").prior);
-        ASSERT_NE(other.fingerprint(), basis.fingerprint());
-        const estimators::LeoFit got = roundTrip(good, &other, ok);
+        ASSERT_NE(other->fingerprint(), basis->fingerprint());
+        const estimators::LeoFit got = roundTrip(good, other, ok);
         expectRejected(got, ok);
     }
 
@@ -1151,9 +1165,8 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
              f.observedUnits.back() = dim;
          }},
         {"q one more than the rebuilt rows",
-         [](estimators::LeoFit &f, std::size_t dim) {
-             const std::size_t q1 = f.basisT.rows() + 1;
-             f.basisT = Matrix(q1, dim, 0.0);
+         [](estimators::LeoFit &f, std::size_t) {
+             const std::size_t q1 = f.rank() + 1;
              f.coeff = Matrix(q1, q1, 0.2);
              f.varCore = Matrix(q1, q1, 0.1);
          }},
@@ -1163,13 +1176,13 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
          }},
         {"varCore not square",
          [](estimators::LeoFit &f, std::size_t) {
-             f.varCore = Matrix(f.basisT.rows(), f.basisT.rows() + 1);
+             f.varCore = Matrix(f.rank(), f.rank() + 1);
          }},
         {"varCore missing",
          [](estimators::LeoFit &f, std::size_t) { f.varCore = Matrix(); }},
         {"coeff one larger than the basis",
          [](estimators::LeoFit &f, std::size_t) {
-             f.coeff = Matrix(f.basisT.rows() + 1, f.basisT.rows() + 1);
+             f.coeff = Matrix(f.rank() + 1, f.rank() + 1);
          }},
         {"coeff missing",
          [](estimators::LeoFit &f, std::size_t) { f.coeff = Matrix(); }},
@@ -1183,20 +1196,34 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
          }},
         {"mu missing",
          [](estimators::LeoFit &f, std::size_t) { f.mu = Vector(); }},
-        {"cores without a basis",
-         [](estimators::LeoFit &f, std::size_t) { f.basisT = Matrix(); }},
         {"varCore alone",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.basisT = Matrix();
-             f.coeff = Matrix();
-         }},
+         [](estimators::LeoFit &f, std::size_t) { f.coeff = Matrix(); }},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);
         estimators::LeoFit bad = good;
         c.mutate(bad, n);
-        const estimators::LeoFit got = roundTrip(bad, &basis, ok);
+        const estimators::LeoFit got = roundTrip(bad, basis, ok);
         expectRejected(got, ok);
+    }
+
+    // saveFit writes the rank from the cores, so a q of 0 above them
+    // (cores without a basis) only arises in a blob.
+    {
+        SCOPED_TRACE("cores without a basis");
+        linalg::ByteWriter wtr;
+        estimators::saveFit(wtr, good);
+        std::string blob = wtr.take();
+        // version, prediction, mu, sigma2, iterations, converged,
+        // the trace, scale and warmStarted, then q.
+        const std::size_t at = 4 + 2 * (8 + 8 * n) + 8 + 8 + 1 + 8 +
+                               8 * good.logLikelihoodTrace.size() + 8 +
+                               1;
+        ASSERT_EQ(static_cast<unsigned char>(blob[at]), q);
+        blob[at] = 0;
+        linalg::ByteReader rdr(blob);
+        const estimators::LeoFit got = estimators::loadFit(rdr, basis);
+        expectRejected(got, rdr.ok());
     }
 
     // A flag byte other than 0 or 1 would re-save to other bytes.
@@ -1210,7 +1237,7 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
         ASSERT_EQ(blob[at], good.converged ? 1 : 0);
         blob[at] = 2;
         linalg::ByteReader rdr(blob);
-        const estimators::LeoFit got = estimators::loadFit(rdr, &basis);
+        const estimators::LeoFit got = estimators::loadFit(rdr, basis);
         expectRejected(got, rdr.ok());
     }
 

@@ -1109,6 +1109,44 @@ TEST(ByteCodec, GoldenBytesRoundTripBitwise)
  * allocation: a count of 2^61 elements would throw bad_alloc if the
  * reader sized a container from it. Every later read returns zero.
  */
+/**
+ * A counting writer stores nothing and counts exactly what a real
+ * writer appends for the same calls, so a counting pass can size a
+ * save's buffer; reserve() then makes room without changing a byte.
+ */
+TEST(ByteCodec, CounterCountsWhatTheWriterWrites)
+{
+    Matrix m(3, 2, 0.25);
+    const auto calls = [&](linalg::ByteWriter &w) {
+        w.u8(1);
+        w.u32(2);
+        w.u64(3);
+        w.f64(-0.0);
+        w.str("seven");
+        w.str("");
+        w.vec(Vector{1.0, 2.0, 3.0});
+        w.vec(Vector{});
+        w.mat(m);
+        w.mat(Matrix());
+        w.indexVec({4, 5});
+    };
+    linalg::ByteWriter real;
+    calls(real);
+    linalg::ByteWriter counter = linalg::ByteWriter::counter();
+    calls(counter);
+    EXPECT_EQ(counter.size(), real.bytes().size());
+    EXPECT_EQ(real.size(), real.bytes().size());
+    EXPECT_TRUE(counter.bytes().empty());
+    counter.reserve(1 << 20);
+    EXPECT_TRUE(counter.bytes().empty());
+
+    linalg::ByteWriter sized;
+    sized.reserve(counter.size());
+    calls(sized);
+    EXPECT_EQ(sized.bytes(), real.bytes());
+    EXPECT_EQ(sized.bytes().capacity(), sized.bytes().size());
+}
+
 TEST(ByteCodec, OversizedCountFailsWithoutAllocating)
 {
     const std::uint64_t huge = std::uint64_t{1} << 61;

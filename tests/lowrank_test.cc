@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -266,15 +267,16 @@ TEST_P(LowRankGrid, MatchesDensePath)
 
     // The factored Sigma must carry an orthonormal basis of at most
     // n directions.
-    EXPECT_GE(fl.basisT.rows(), 1u);
-    EXPECT_LE(fl.basisT.rows(), gc.n);
+    const Matrix basis = fl.basis();
+    EXPECT_GE(basis.rows(), 1u);
+    EXPECT_LE(basis.rows(), gc.n);
     // The n = 32 cases are built so the prior and the observed units
     // span all of R^n: the basis is full, q = n.
     if (gc.n == 32) {
-        EXPECT_EQ(fl.basisT.rows(), gc.n);
+        EXPECT_EQ(basis.rows(), gc.n);
     }
-    EXPECT_EQ(fl.basisT.cols(), gc.n);
-    EXPECT_EQ(fl.coeff.rows(), fl.basisT.rows());
+    EXPECT_EQ(basis.cols(), gc.n);
+    EXPECT_EQ(fl.rank(), basis.rows());
     EXPECT_GT(fl.alphaDiag, 0.0);
 }
 
@@ -419,9 +421,10 @@ TEST(LowRankHotLoop, SerialLoopIsAllocationFree)
 /**
  * predictiveVarianceAt evaluates single entries of the factored
  * posterior bitwise identically to the full expansion that fits no
- * longer run: varCore basisT formed by Matrix::multiplyInto, its
- * diagonal against basisT summed in increasing k, then the isotropic
- * terms and the scale. That fill is kept here as the reference.
+ * longer run: varCore Q formed by Matrix::multiplyInto, its diagonal
+ * against Q summed in increasing k, then the isotropic terms and the
+ * scale. That fill is kept here as the reference, on the basis the
+ * fit materializes (basis()).
  */
 TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
 {
@@ -432,17 +435,18 @@ TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
 
     const LeoFit fit =
         LeoEstimator(gridOptions()).fitMetric(prior, idx, vals);
-    const std::size_t q = fit.basisT.rows();
-    const std::size_t n = fit.basisT.cols();
+    const Matrix basis = fit.basis();
+    const std::size_t q = basis.rows();
+    const std::size_t n = basis.cols();
     ASSERT_EQ(n, 96u);
     ASSERT_GT(q, 0u);
     ASSERT_EQ(fit.varCore.rows(), q);
 
     Matrix predt;
-    Matrix::multiplyInto(predt, fit.varCore, fit.basisT);
+    Matrix::multiplyInto(predt, fit.varCore, basis);
     Vector cov_diag(n, 0.0);
     for (std::size_t k = 0; k < q; ++k) {
-        const double *qk = fit.basisT.data() + k * n;
+        const double *qk = basis.data() + k * n;
         const double *tk = predt.data() + k * n;
         for (std::size_t j = 0; j < n; ++j)
             cov_diag[j] += qk[j] * tk[j];
@@ -458,6 +462,78 @@ TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
     }
     EXPECT_THROW(fit.predictiveVarianceAt(n), FatalError);
     EXPECT_THROW(LeoFit{}.predictiveVarianceAt(0), FatalError);
+}
+
+// ------------------------------------------- expansion from the factors
+
+/**
+ * No fit forms Q_o: the prediction and mu expand through the kept
+ * block (estimators::expandInto). The expansion must still be Q' t of
+ * the basis the fit materializes, to rounding, for any coordinates t
+ * and for the fit's own vectors — cold and warm, with the basis a
+ * small share of n (256, 1024) and all of it (32).
+ */
+TEST(LowRankExpansion, PredictionAndMuMatchMaterializedBasis)
+{
+    struct Case
+    {
+        std::size_t m, n, rank, obs;
+    };
+    for (const Case c : {Case{10, 256, 10, 12}, Case{25, 1024, 25, 20},
+                         Case{12, 32, 12, 20}}) {
+        SCOPED_TRACE("n = " + std::to_string(c.n));
+        auto prior = makePrior(c.m, c.n, c.rank, 401 + c.n);
+        std::vector<std::size_t> idx;
+        Vector vals;
+        makeObservations(prior, c.obs, 403 + c.n, idx, vals);
+        const LeoEstimator est(gridOptions());
+        const auto basis =
+            std::make_shared<const estimators::PriorBasis>(prior);
+        const LeoFit cold =
+            est.fitMetric(basis, idx, vals, nullptr, nullptr);
+        // The warm refit swaps one probe, so its kept units differ
+        // from the warm fit's.
+        idx[0] = (idx[0] + c.n / 2 + 1) % c.n;
+        vals[0] = 40.0 * prior.front()[idx[0]];
+        const LeoFit warm = est.fitMetric(basis, idx, vals, nullptr, &cold);
+        ASSERT_TRUE(warm.warmStarted);
+
+        stats::Rng rng(405 + c.n);
+        for (const LeoFit *fit : {&cold, &warm}) {
+            const Matrix q = fit->basis();
+            ASSERT_EQ(q.rows(), fit->rank());
+            if (c.n == 32) {
+                EXPECT_EQ(q.rows(), c.n);
+            } else {
+                EXPECT_LT(q.rows(), c.n);
+            }
+            // Arbitrary coordinates.
+            Vector t(q.rows());
+            for (std::size_t k = 0; k < t.size(); ++k)
+                t[k] = rng.uniform(-1.0, 1.0);
+            Vector want, got;
+            linalg::gemvTransInto(want, q, t);
+            estimators::expandInto(got, *fit->prior, fit->kept, t);
+            EXPECT_LE(relL2(want, got), 1e-13);
+
+            // The fit's own vectors: mu and the unclamped prediction
+            // are Q' t for their coordinates t = Q x.
+            Vector pred = fit->prediction;
+            for (std::size_t j = 0; j < pred.size(); ++j) {
+                ASSERT_GT(pred[j], 0.0);
+                pred[j] /= fit->scale;
+            }
+            const Vector &pred_ref = pred;
+            for (const Vector *x : {&fit->mu, &pred_ref}) {
+                Vector coords, back;
+                linalg::gemvInto(coords, q, *x);
+                linalg::gemvTransInto(back, q, coords);
+                EXPECT_LE(relL2(*x, back), 1e-13);
+                estimators::expandInto(got, *fit->prior, fit->kept, coords);
+                EXPECT_LE(relL2(*x, got), 1e-13);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------ shared prior basis
@@ -507,7 +583,16 @@ expectFitsBitwise(const LeoFit &a, const LeoFit &b)
                   bitsOf(b.logLikelihoodTrace[i]));
     EXPECT_EQ(bitsOf(a.scale), bitsOf(b.scale));
     EXPECT_EQ(a.warmStarted, b.warmStarted);
-    expectSameBits(a.basisT, b.basisT, "basisT");
+    // The shared prior is compared by content, never by pointer.
+    ASSERT_EQ(a.prior == nullptr, b.prior == nullptr);
+    if (a.prior) {
+        EXPECT_EQ(a.prior->fingerprint(), b.prior->fingerprint());
+    }
+    EXPECT_EQ(a.priorFingerprint, b.priorFingerprint);
+    EXPECT_EQ(a.observedUnits, b.observedUnits);
+    EXPECT_EQ(a.kept.units, b.kept.units);
+    expectSameBits(a.kept.w, b.kept.w, "kept.w");
+    expectSameBits(a.kept.l, b.kept.l, "kept.l");
     expectSameBits(a.coeff, b.coeff, "coeff");
     EXPECT_EQ(bitsOf(a.alphaDiag), bitsOf(b.alphaDiag));
     expectSameBits(a.varCore, b.varCore, "varCore");
@@ -551,7 +636,8 @@ TEST(PriorBasis, HoldsNormalizedShapesAndOneBuild)
 {
     auto prior = makePrior(9, 256, 9, 301);
     const std::uint64_t before = basesBuilt();
-    const estimators::PriorBasis basis(prior);
+    const auto shared = std::make_shared<const estimators::PriorBasis>(prior);
+    const estimators::PriorBasis &basis = *shared;
     EXPECT_EQ(basesBuilt() - before, 1u);
 
     const auto shapes = estimators::normalizeShapes(prior);
@@ -593,7 +679,8 @@ TEST(PriorBasis, SharedBasisFitMatchesRawVectorsBitwise)
         Vector vals;
         makeObservations(prior, 10, 313, idx, vals);
         const LeoEstimator est(gridOptions());
-        const estimators::PriorBasis basis(prior);
+        const auto basis =
+            std::make_shared<const estimators::PriorBasis>(prior);
 
         LeoFit raw_cold, shared_cold;
         const auto raw_est = est.estimateMetric(
@@ -634,20 +721,22 @@ TEST(PriorBasis, WarmStartFromRestoredFitMatchesLiveFit)
     Vector vals;
     makeObservations(prior, 12, 323, idx, vals);
     const LeoEstimator est(gridOptions());
-    const estimators::PriorBasis basis(prior);
+    const auto basis = std::make_shared<const estimators::PriorBasis>(prior);
     const LeoFit cold = est.fitMetric(basis, idx, vals, nullptr, nullptr);
-    // The fit's basis leads with the shared prior block.
-    ASSERT_GE(cold.basisT.rows(), basis.rank());
-    for (std::size_t k = 0; k < basis.rank(); ++k)
+    // The fit shares the prior block, and its basis leads with it.
+    EXPECT_EQ(cold.prior, basis);
+    const Matrix cold_basis = cold.basis();
+    ASSERT_GE(cold_basis.rows(), basis->rank());
+    for (std::size_t k = 0; k < basis->rank(); ++k)
         for (std::size_t j = 0; j < 512; ++j)
-            ASSERT_EQ(bitsOf(cold.basisT.at(k, j)),
-                      bitsOf(basis.rows().at(k, j)));
+            ASSERT_EQ(bitsOf(cold_basis.at(k, j)),
+                      bitsOf(basis->rows().at(k, j)));
 
     linalg::ByteWriter wr;
     estimators::saveFit(wr, cold);
     const std::string blob = wr.take();
     linalg::ByteReader rd(blob);
-    const LeoFit loaded = estimators::loadFit(rd, &basis);
+    const LeoFit loaded = estimators::loadFit(rd, basis);
     ASSERT_TRUE(rd.ok());
 
     std::vector<std::size_t> idx2 = idx;
@@ -664,6 +753,41 @@ TEST(PriorBasis, WarmStartFromRestoredFitMatchesLiveFit)
     // And a warm start stays close to the cold refit it shortcuts.
     const LeoFit cold2 = est.fitMetric(prior, idx2, vals2);
     EXPECT_LT(relL2(cold2.prediction, from_live.prediction), 5e-3);
+}
+
+/**
+ * A fit shares its prior basis and keeps only s-dimensional factors:
+ * at n = 1024 no member it owns has n columns (the prediction and mu
+ * are its only n-vectors), so a q x n basis cannot creep back in.
+ */
+TEST(PriorBasis, FitHoldsNoConfigurationLengthMatrix)
+{
+    const std::size_t n = 1024;
+    auto prior = makePrior(25, n, 25, 361);
+    std::vector<std::size_t> idx;
+    Vector vals;
+    makeObservations(prior, 20, 363, idx, vals);
+    const LeoEstimator est(gridOptions());
+    const auto basis = std::make_shared<const estimators::PriorBasis>(prior);
+    const LeoFit cold = est.fitMetric(basis, idx, vals, nullptr, nullptr);
+    idx.push_back((idx.front() + 500) % n);
+    vals.push_back(40.0 * prior.front()[idx.back()]);
+    const LeoFit warm = est.fitMetric(basis, idx, vals, nullptr, &cold);
+    ASSERT_TRUE(warm.warmStarted);
+    for (const LeoFit *fit : {&cold, &warm}) {
+        EXPECT_EQ(fit->prior, basis);
+        ASSERT_EQ(fit->prediction.size(), n);
+        ASSERT_EQ(fit->mu.size(), n);
+        ASSERT_GT(fit->rank(), basis->rank());
+        for (const Matrix *m : {&fit->kept.w, &fit->kept.l, &fit->coeff,
+                                &fit->varCore}) {
+            EXPECT_LT(m->rows(), n);
+            EXPECT_LT(m->cols(), n);
+        }
+        EXPECT_EQ(fit->kept.w.rows(), fit->kept.units.size());
+        EXPECT_EQ(fit->kept.w.cols(), basis->rank());
+        EXPECT_LE(fit->kept.units.size(), fit->observedUnits.size());
+    }
 }
 
 /**
@@ -686,8 +810,9 @@ TEST(PriorBasis, UnitInsidePriorSpanAddsNoDirection)
     const Vector vals{30.0, 31.0, 29.0};
     const LeoEstimator lowrank(gridOptions());
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
-    EXPECT_EQ(fl.basisT.rows(), 10u); // e_17 dropped
-    EXPECT_LT(orthonormalityError(fl.basisT), 1e-12);
+    EXPECT_EQ(fl.rank(), 10u); // e_17 dropped
+    EXPECT_EQ(fl.kept.units, (std::vector<std::size_t>{40, 90}));
+    EXPECT_LT(orthonormalityError(fl.basis()), 1e-12);
     ASSERT_TRUE(fl.prediction.allFinite());
     EXPECT_LT(relL2(oracleFit(prior, idx, vals).prediction,
                     fl.prediction),
@@ -697,8 +822,9 @@ TEST(PriorBasis, UnitInsidePriorSpanAddsNoDirection)
     auto full = makePrior(10, 8, 8, 333);
     const LeoFit ff = lowrank.fitMetric(full, {1, 5, 6},
                                         Vector{9.0, 11.0, 10.0});
-    EXPECT_EQ(ff.basisT.rows(), 8u);
-    EXPECT_LT(orthonormalityError(ff.basisT), 1e-12);
+    EXPECT_EQ(ff.rank(), 8u);
+    EXPECT_TRUE(ff.kept.units.empty());
+    EXPECT_LT(orthonormalityError(ff.basis()), 1e-12);
     EXPECT_TRUE(ff.prediction.allFinite());
 }
 
@@ -711,8 +837,8 @@ TEST(PriorBasis, DuplicateIndicesShareOneDirection)
         vals[j] = 30.0 * prior[0][idx[j]];
     const LeoEstimator lowrank(gridOptions());
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
-    EXPECT_EQ(fl.basisT.rows(), 8u + 3u);
-    EXPECT_LT(orthonormalityError(fl.basisT), 1e-12);
+    EXPECT_EQ(fl.rank(), 8u + 3u);
+    EXPECT_LT(orthonormalityError(fl.basis()), 1e-12);
 }
 
 /**

@@ -394,7 +394,9 @@ TEST(ObsIntegration, InstrumentedFitMatchesReferencePathBitwise)
     EXPECT_EQ(traced.iterations, bare.iterations);
     EXPECT_EQ(traced.converged, bare.converged);
     EXPECT_EQ(traced.logLikelihoodTrace, bare.logLikelihoodTrace);
-    expectExactlyEqual(traced.basisT, bare.basisT, "basisT");
+    EXPECT_EQ(traced.kept.units, bare.kept.units);
+    expectExactlyEqual(traced.kept.w, bare.kept.w, "kept.w");
+    expectExactlyEqual(traced.kept.l, bare.kept.l, "kept.l");
     expectExactlyEqual(traced.coeff, bare.coeff, "coeff");
     EXPECT_EQ(traced.alphaDiag, bare.alphaDiag);
     expectExactlyEqual(traced.varCore, bare.varCore, "varCore");

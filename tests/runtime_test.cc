@@ -4,9 +4,16 @@
  * it frame by frame is scenario::runScenario (scenario_test).
  */
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "estimators/estimator.hh"
 #include "estimators/leo.hh"
+#include "estimators/prior_basis.hh"
 #include "linalg/error.hh"
 #include "linalg/serialize.hh"
 #include "obs/obs.hh"
@@ -277,6 +284,130 @@ TEST(Controller, SaveRestoreResumesScheduleBitwise)
         ctl.recordMeasurement(s);
         twin.recordMeasurement(s);
     }
+}
+
+/**
+ * A standalone save is sized by a counting pass and written in one
+ * allocation: the buffer ends exactly full, and the bytes are the
+ * ones the same controller writes into a writer that already holds a
+ * prefix (the service snapshot's path, which grows as it goes).
+ */
+TEST(Controller, StandaloneSaveAllocatesOnce)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    EnergyController ctl(w.space, &leo, prior, w.options(30.0, 5));
+    for (int i = 0; i < 12; ++i) {
+        const std::size_t cfg = ctl.nextConfig(w.rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement(
+            {cfg, app.heartbeatRate(ra), app.powerWatts(ra)});
+    }
+    ASSERT_NE(ctl.warmPerfFit(), nullptr);
+
+    linalg::ByteWriter alone;
+    ctl.saveState(alone);
+    EXPECT_EQ(alone.bytes().capacity(), alone.bytes().size());
+
+    linalg::ByteWriter prefixed;
+    prefixed.u64(42);
+    ctl.saveState(prefixed);
+    EXPECT_EQ(prefixed.bytes().substr(8), alone.bytes());
+
+    linalg::ByteWriter counted = linalg::ByteWriter::counter();
+    ctl.saveState(counted);
+    EXPECT_EQ(counted.size(), alone.size());
+    EXPECT_TRUE(counted.bytes().empty());
+}
+
+/**
+ * A fit shares its prior basis instead of copying it, so a copy
+ * outlives the controller and the PriorBases that built it: it keeps
+ * the basis alive, answers variance queries with the same bits, and
+ * warm-starts a fit on an equal-content basis to the bits the live fit
+ * gave on the original one.
+ */
+TEST(Controller, FitOutlivesItsControllerAndBases)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+
+    estimators::LeoFit copy;
+    std::weak_ptr<const estimators::PriorBasis> weak;
+    std::vector<std::size_t> idx;
+    Vector vals;
+    std::vector<double> variance;
+    estimators::LeoFit live_warm;
+    {
+        auto bases = estimators::PriorBases::build(prior);
+        EnergyController ctl(w.space, &leo, prior, w.options(30.0, 5),
+                             bases);
+        while (ctl.state() == EnergyController::State::Sampling) {
+            const std::size_t cfg = ctl.nextConfig(w.rng);
+            const auto &ra = w.space.assignment(cfg);
+            ctl.recordMeasurement(
+                {cfg, app.heartbeatRate(ra), app.powerWatts(ra)});
+        }
+        ASSERT_NE(ctl.warmPerfFit(), nullptr);
+        copy = *ctl.warmPerfFit();
+        ASSERT_EQ(copy.prior, bases->perf);
+        weak = bases->perf;
+        for (std::size_t c = 0; c < w.space.size(); ++c)
+            variance.push_back(copy.predictiveVarianceAt(c));
+
+        idx = ctl.observations().indices;
+        vals = ctl.observations().performance;
+        const std::size_t extra = (idx.back() + 7) % w.space.size();
+        idx.push_back(extra);
+        vals.push_back(app.heartbeatRate(w.space.assignment(extra)));
+        live_warm = leo.fitMetric(bases->perf, idx, vals, nullptr,
+                                  ctl.warmPerfFit());
+        ASSERT_TRUE(live_warm.warmStarted);
+    }
+    // The controller and its bases are gone; the copy and the live
+    // refit hold the last references to the perf basis.
+    ASSERT_FALSE(weak.expired());
+    EXPECT_EQ(copy.prior.use_count(), 2);
+    EXPECT_EQ(live_warm.prior, copy.prior);
+    for (std::size_t c = 0; c < w.space.size(); ++c)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.predictiveVarianceAt(c)),
+                  std::bit_cast<std::uint64_t>(variance[c]))
+            << "config " << c;
+
+    const auto rebuilt = std::make_shared<const estimators::PriorBasis>(
+        estimators::priorVectors(prior, estimators::Metric::Performance));
+    ASSERT_NE(rebuilt, copy.prior);
+    ASSERT_EQ(rebuilt->fingerprint(), copy.prior->fingerprint());
+    const estimators::LeoFit warm =
+        leo.fitMetric(rebuilt, idx, vals, nullptr, &copy);
+    EXPECT_TRUE(warm.warmStarted);
+    EXPECT_EQ(warm.iterations, live_warm.iterations);
+    for (std::size_t c = 0; c < w.space.size(); ++c) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.prediction[c]),
+                  std::bit_cast<std::uint64_t>(live_warm.prediction[c]))
+            << "config " << c;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.mu[c]),
+                  std::bit_cast<std::uint64_t>(live_warm.mu[c]))
+            << "config " << c;
+    }
+    ASSERT_EQ(warm.rank(), live_warm.rank());
+    for (std::size_t a = 0; a < warm.rank(); ++a)
+        for (std::size_t b = 0; b < warm.rank(); ++b) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.coeff(a, b)),
+                      std::bit_cast<std::uint64_t>(live_warm.coeff(a, b)));
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.varCore(a, b)),
+                      std::bit_cast<std::uint64_t>(live_warm.varCore(a, b)));
+        }
+
+    copy = estimators::LeoFit{};
+    live_warm = estimators::LeoFit{};
+    EXPECT_TRUE(weak.expired());
 }
 
 TEST(Controller, RestoreRejectsTruncatedState)
