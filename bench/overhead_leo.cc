@@ -50,7 +50,6 @@
 #include "linalg/workspace.hh"
 #include "optimizer/schedule.hh"
 #include "platform/config_space.hh"
-#include "runtime/incremental.hh"
 #include "telemetry/profile_store.hh"
 #include "telemetry/sampler.hh"
 #include "workloads/ground_truth.hh"
@@ -203,53 +202,6 @@ BM_LeoWarmRound(benchmark::State &state)
 }
 
 /**
- * One per-window incremental refit at n = 1024: fold a fresh sample
- * into the frozen-theta conditioner (rank-1 Cholesky update, plus a
- * downdate once the window slides) and re-predict all n
- * configurations. This is the controller's per-window cost between
- * full fits; timings flow through the `incremental` histogram key.
- */
-void
-BM_LeoIncrementalRefit(benchmark::State &state)
-{
-    const FitSetup s = makeSetup(1, 1);
-    estimators::LeoEstimator est;
-    const estimators::LeoFit fit =
-        est.fitMetric(s.prior, s.obs_idx, s.obs_vals);
-
-    runtime::IncrementalRefit refit;
-    if (!refit.reset(fit, 32, runtime::RefitMode::Incremental)) {
-        state.SkipWithError("refit reset rejected the fit");
-        return;
-    }
-    linalg::Vector pred(s.space.size());
-
-    obs::Registry &reg = obs::Registry::global();
-    const obs::Histogram ms = reg.histogram(
-        obs::names::kBenchIncrementalMs, obs::defaultTimeBucketsMs());
-    const bool via_obs = ms.live();
-    std::size_t t = 0;
-    for (auto _ : state) {
-        const std::size_t idx = s.obs_idx[t % s.obs_idx.size()];
-        const double val =
-            s.obs_vals[t % s.obs_idx.size()] * (1.0 + 0.01 * (t % 7));
-        ++t;
-        if (via_obs) {
-            obs::ScopedMs timer(ms);
-            refit.addSample(idx, val);
-            refit.predictInto(pred);
-        } else {
-            refit.addSample(idx, val);
-            refit.predictInto(pred);
-        }
-        benchmark::DoNotOptimize(pred);
-    }
-    state.counters["configs"] = static_cast<double>(s.space.size());
-    state.counters["window"] = static_cast<double>(refit.size());
-    state.counters["rebuilds"] = static_cast<double>(refit.rebuilds());
-}
-
-/**
  * Headroom probe: a synthetic n = 16384 problem (no machine model —
  * config spaces that large do not exist on the testbed) shows the
  * fit's per-iteration cost scaling with the number of applications,
@@ -325,10 +277,6 @@ BENCHMARK(BM_LeoWarmRound)
     ->Args({1, 1})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(20);
-
-BENCHMARK(BM_LeoIncrementalRefit)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(64);
 
 BENCHMARK(BM_LeoLowRankHeadroom)
     ->Unit(benchmark::kMillisecond)

@@ -48,17 +48,6 @@ Cholesky::reserve(std::size_t n)
 {
     l_.resize(n, n); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
     panelT_.resize(kPanel, n); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
-    upd_x_.resize(n); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
-    upd_stash_.resize(n, n); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
-}
-
-void
-Cholesky::setFactor(Matrix l)
-{
-    require(l.rows() == l.cols(),
-            "Cholesky::setFactor of non-square matrix");
-    l_ = std::move(l);
-    jitter_ = 0.0;
 }
 
 void
@@ -546,85 +535,6 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
     }
 }
 
-UpdateStatus
-Cholesky::updateRank1(const Vector &x)
-{
-    const std::size_t n = dim();
-    require(x.size() == n, "Cholesky::updateRank1 dimension mismatch");
-    if (!x.allFinite())
-        return UpdateStatus::NotPositiveDefinite;
-
-    // Givens sweep (LINPACK dchud): column k rotates the k-th factor
-    // column against the shrinking update vector. Each column's
-    // rotation only reads entries the previous columns have already
-    // finalized, so the sweep runs in place.
-    upd_x_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        upd_x_[i] = x[i];
-    for (std::size_t k = 0; k < n; ++k) {
-        const double lkk = l_.at(k, k);
-        const double xk = upd_x_[k];
-        const double r = std::sqrt(lkk * lkk + xk * xk);
-        const double c = r / lkk;
-        const double s = xk / lkk;
-        l_.at(k, k) = r;
-        for (std::size_t i = k + 1; i < n; ++i) {
-            const double lik = (l_.at(i, k) + s * upd_x_[i]) / c;
-            upd_x_[i] = c * upd_x_[i] - s * lik;
-            l_.at(i, k) = lik;
-        }
-    }
-    return UpdateStatus::Ok;
-}
-
-UpdateStatus
-Cholesky::downdateRank1(const Vector &x, double tol)
-{
-    const std::size_t n = dim();
-    require(x.size() == n,
-            "Cholesky::downdateRank1 dimension mismatch");
-    if (!x.allFinite())
-        return UpdateStatus::NotPositiveDefinite;
-
-    // Feasibility first: A - x x' is SPD iff x' A^-1 x = ||L^-1 x||^2
-    // is strictly below 1. Checking before mutating is what makes the
-    // failure graceful — the caller keeps a valid factor of A.
-    upd_x_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        upd_x_[i] = x[i];
-    solveLowerInPlace(upd_x_);
-    const double rho2 = 1.0 - upd_x_.squaredNorm();
-    if (!(rho2 > tol) || !std::isfinite(rho2))
-        return UpdateStatus::NotPositiveDefinite;
-
-    // The hyperbolic sweep below is mathematically guaranteed to
-    // succeed now, but a borderline rho2 can still break down in
-    // floating point; stash the factor so that case rolls back to the
-    // exact pre-call bits instead of leaving a half-rotated factor.
-    upd_stash_ = l_;
-    for (std::size_t i = 0; i < n; ++i)
-        upd_x_[i] = x[i];
-    for (std::size_t k = 0; k < n; ++k) {
-        const double lkk = l_.at(k, k);
-        const double xk = upd_x_[k];
-        const double r2 = lkk * lkk - xk * xk;
-        if (!(r2 > 0.0) || !std::isfinite(r2)) {
-            l_ = upd_stash_;
-            return UpdateStatus::NotPositiveDefinite;
-        }
-        const double r = std::sqrt(r2);
-        const double c = r / lkk;
-        const double s = xk / lkk;
-        l_.at(k, k) = r;
-        for (std::size_t i = k + 1; i < n; ++i) {
-            const double lik = (l_.at(i, k) - s * upd_x_[i]) / c;
-            upd_x_[i] = c * upd_x_[i] - s * lik;
-            l_.at(i, k) = lik;
-        }
-    }
-    return UpdateStatus::Ok;
-}
-
 double
 Cholesky::logDet() const
 {
@@ -632,18 +542,6 @@ Cholesky::logDet() const
     for (std::size_t i = 0; i < dim(); ++i)
         acc += std::log(l_.at(i, i));
     return 2.0 * acc;
-}
-
-Vector
-spdSolve(const Matrix &a, const Vector &b)
-{
-    return Cholesky(a).solve(b);
-}
-
-Matrix
-spdInverse(const Matrix &a)
-{
-    return Cholesky(a).inverse();
 }
 
 } // namespace leo::linalg

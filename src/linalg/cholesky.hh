@@ -20,20 +20,6 @@ namespace leo::linalg
 class Workspace;
 
 /**
- * Result of a rank-1 factor update or downdate.
- *
- * Downdating can legitimately fail — A - x x' need not be positive
- * definite — so the failure is an error *code*, not an exception: the
- * runtime refit path consumes it on every window and must stay
- * no-throw. On failure the factor is left exactly as it was.
- */
-enum class UpdateStatus
-{
-    Ok,                 //!< Factor updated in place.
-    NotPositiveDefinite //!< Result not SPD; factor left untouched.
-};
-
-/**
  * Lower-triangular Cholesky factorization A = L L'.
  *
  * The factorization is computed once at construction; solves against
@@ -92,16 +78,6 @@ class Cholesky
 
     /** @return The lower-triangular factor L. */
     const Matrix &factor() const { return l_; }
-
-    /**
-     * Install an externally produced lower-triangular factor L
-     * directly (deserialization: a snapshot restores the factor a
-     * rank-1 update sequence arrived at, which a refactorization of
-     * the underlying matrix would only reproduce up to rounding).
-     * The matrix must be square; its strict upper triangle is
-     * ignored by every consumer.
-     */
-    void setFactor(Matrix l);
 
     /** @return The jitter that was added to the diagonal (usually 0). */
     double jitterUsed() const { return jitter_; }
@@ -183,33 +159,6 @@ class Cholesky
      */
     void solveInPlace(Matrix &b) const;
 
-    /**
-     * Rank-1 update: replace the factor of A with the factor of
-     * A + x x' in O(n^2) via Givens rotations (LINPACK dchud order),
-     * instead of the O(n^3) refactorization. Allocation-free after
-     * reserve(). A + x x' is SPD whenever A is, so this only reports
-     * NotPositiveDefinite on non-finite input — in which case the
-     * factor is left untouched.
-     */
-    UpdateStatus updateRank1(const Vector &x);
-
-    /**
-     * Rank-1 downdate: replace the factor of A with the factor of
-     * A - x x' in O(n^2) via hyperbolic rotations.
-     *
-     * Unlike the update this can genuinely fail: A - x x' is SPD only
-     * while x'A^-1 x < 1. The method first solves L p = x and checks
-     * 1 - ||p||^2 > tol before touching the factor, and stashes the
-     * factor so that even a rounding-induced mid-sweep breakdown
-     * restores it bit-for-bit. On NotPositiveDefinite the factor is
-     * therefore always exactly the pre-call factor — never NaN.
-     * Allocation-free after reserve().
-     *
-     * @param x   Downdate direction.
-     * @param tol Positivity margin required of 1 - ||L^-1 x||^2.
-     */
-    UpdateStatus downdateRank1(const Vector &x, double tol = 1e-12);
-
   private:
     /** Attempt the factorization; @return true on success. */
     bool tryFactor(const Matrix &a, double jitter);
@@ -224,22 +173,8 @@ class Cholesky
     Matrix l_;
     /** Transposed-panel scratch for the blocked factorization. */
     Matrix panelT_;
-    /** Rotation scratch for updateRank1 / downdateRank1. */
-    Vector upd_x_;
-    /** Pre-downdate factor stash for exact failure rollback. */
-    Matrix upd_stash_;
     double jitter_ = 0.0;
 };
-
-/**
- * Convenience wrapper: solve the SPD system A x = b once.
- */
-Vector spdSolve(const Matrix &a, const Vector &b);
-
-/**
- * Convenience wrapper: explicit SPD inverse.
- */
-Matrix spdInverse(const Matrix &a);
 
 } // namespace leo::linalg
 

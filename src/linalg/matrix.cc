@@ -347,32 +347,6 @@ Matrix::multiply(const Matrix &a, const Matrix &b)
 }
 
 Matrix
-Matrix::multiplyTransposed(const Matrix &a, const Matrix &bt)
-{
-    require(a.cols() == bt.cols(),
-            "multiplyTransposed dimension mismatch");
-    const std::size_t m = a.rows();
-    const std::size_t kk = a.cols();
-    const std::size_t n = bt.rows();
-    Matrix out(m, n);
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-        const std::size_t i1 = std::min(m, i0 + kBlock);
-        for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-            const std::size_t j1 = std::min(n, j0 + kBlock);
-            for (std::size_t i = i0; i < i1; ++i) {
-                for (std::size_t j = j0; j < j1; ++j) {
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < kk; ++k)
-                        acc += a.at(i, k) * bt.at(j, k);
-                    out.at(i, j) = acc;
-                }
-            }
-        }
-    }
-    return out;
-}
-
-Matrix
 Matrix::syrk(const Matrix &a)
 {
     const std::size_t m = a.rows();
@@ -433,63 +407,6 @@ Matrix::multiplyInto(Matrix &out, const Matrix &a, const Matrix &b)
                         for (std::size_t j = j0; j < j1; ++j)
                             oi[j] += a_ik * bk[j];
                     }
-                }
-            }
-        }
-    }
-}
-
-void
-Matrix::syrkInto(Matrix &out, const Matrix &a)
-{
-    require(&out != &a, "syrkInto aliased output");
-    const std::size_t m = a.rows();
-    const std::size_t kk = a.cols();
-    out.resize(m, m);
-    // Four output entries of a row share the a(i, k) stream through
-    // restrict-qualified row pointers: four independent row dots per
-    // pass, each with its own accumulator filled in ascending k, so
-    // every entry is still bitwise identical to the scalar dot.
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-        const std::size_t i1 = std::min(m, i0 + kBlock);
-        for (std::size_t j0 = 0; j0 <= i0; j0 += kBlock) {
-            const std::size_t j1 = std::min(m, j0 + kBlock);
-            for (std::size_t i = i0; i < i1; ++i) {
-                const double *__restrict ai = &a.data_[i * kk];
-                const std::size_t j_hi = std::min(j1, i + 1);
-                std::size_t j = j0;
-                for (; j + 4 <= j_hi; j += 4) {
-                    const double *__restrict r0 = &a.data_[j * kk];
-                    const double *__restrict r1 =
-                        &a.data_[(j + 1) * kk];
-                    const double *__restrict r2 =
-                        &a.data_[(j + 2) * kk];
-                    const double *__restrict r3 =
-                        &a.data_[(j + 3) * kk];
-                    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-                    for (std::size_t k = 0; k < kk; ++k) {
-                        const double aik = ai[k];
-                        a0 += aik * r0[k];
-                        a1 += aik * r1[k];
-                        a2 += aik * r2[k];
-                        a3 += aik * r3[k];
-                    }
-                    out.at(i, j) = a0;
-                    out.at(i, j + 1) = a1;
-                    out.at(i, j + 2) = a2;
-                    out.at(i, j + 3) = a3;
-                    out.at(j, i) = a0;
-                    out.at(j + 1, i) = a1;
-                    out.at(j + 2, i) = a2;
-                    out.at(j + 3, i) = a3;
-                }
-                for (; j < j_hi; ++j) {
-                    const double *__restrict aj = &a.data_[j * kk];
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < kk; ++k)
-                        acc += ai[k] * aj[k];
-                    out.at(i, j) = acc;
-                    out.at(j, i) = acc;
                 }
             }
         }

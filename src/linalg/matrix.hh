@@ -187,18 +187,6 @@ class Matrix
     static Matrix multiply(const Matrix &a, const Matrix &b);
 
     /**
-     * Blocked product a * b with b supplied already transposed:
-     * returns a * bt' using row-dot-row inner loops (both operands
-     * stream along contiguous rows). Same increasing-k accumulation
-     * order as multiply().
-     *
-     * @param a  Left operand (m x k).
-     * @param bt The transpose of the right operand (n x k).
-     * @return a * bt' (m x n).
-     */
-    static Matrix multiplyTransposed(const Matrix &a, const Matrix &bt);
-
-    /**
      * Blocked symmetric rank-k product a * a' (syrk).
      *
      * Computes the lower triangle with increasing-k dots of rows of
@@ -225,12 +213,6 @@ class Matrix
      */
     static void multiplyInto(Matrix &out, const Matrix &a,
                              const Matrix &b);
-
-    /**
-     * Into-buffer variant of syrk(): out = a * a', overwriting out.
-     * Bitwise identical to syrk(a); out must not alias a.
-     */
-    static void syrkInto(Matrix &out, const Matrix &a);
 
     /**
      * Into-buffer variant of gram(): out = a' * a, overwriting out,

@@ -20,25 +20,12 @@ Workspace::matrix(const std::string &key, std::size_t rows,
     return m;
 }
 
-Vector &
-Workspace::vector(const std::string &key, std::size_t n)
-{
-    Vector &v = vectors_[key];
-    if (v.size() != n) {
-        v = Vector(n, 0.0);
-        ++allocations_;
-    }
-    return v;
-}
-
 std::size_t
 Workspace::bytes() const
 {
     std::size_t doubles = 0;
     for (const auto &kv : matrices_)
         doubles += kv.second.rows() * kv.second.cols();
-    for (const auto &kv : vectors_)
-        doubles += kv.second.size();
     return doubles * sizeof(double);
 }
 
@@ -46,7 +33,6 @@ void
 Workspace::clear()
 {
     matrices_.clear();
-    vectors_.clear();
 }
 
 } // namespace leo::linalg

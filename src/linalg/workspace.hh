@@ -19,13 +19,12 @@
 #include <string>
 
 #include "linalg/matrix.hh"
-#include "linalg/vector.hh"
 
 namespace leo::linalg
 {
 
 /**
- * A named arena of Matrix / Vector buffers keyed by shape.
+ * A named arena of Matrix buffers keyed by shape.
  *
  * Ownership rules:
  *  - The arena owns every buffer; references stay valid until the
@@ -52,21 +51,12 @@ class Workspace
     Matrix &matrix(const std::string &key, std::size_t rows,
                    std::size_t cols);
 
-    /** Acquire (or reuse) an n-component vector buffer. */
-    Vector &vector(const std::string &key, std::size_t n);
-
     /**
      * @return Number of buffer (re-)creations so far. Stable across
      *         calls that only reuse buffers — the allocation-free
      *         property the estimator tests assert.
      */
     std::size_t allocations() const { return allocations_; }
-
-    /** @return Number of live buffers (both kinds). */
-    std::size_t buffers() const
-    {
-        return matrices_.size() + vectors_.size();
-    }
 
     /**
      * @return Total payload held by the arena, in bytes (the double
@@ -80,7 +70,6 @@ class Workspace
 
   private:
     std::map<std::string, Matrix> matrices_;
-    std::map<std::string, Vector> vectors_;
     std::size_t allocations_ = 0;
 };
 

@@ -38,16 +38,6 @@ inline constexpr const char *kEmPriorBasisSpan = "leo.em.prior_basis";
 inline constexpr const char *kEmPriorBasisBuilt =
     "leo.em.prior_basis.built";
 
-// ---- refit: the incremental per-window refitter ----------------- //
-inline constexpr const char *kRefitSamplesApplied =
-    "leo.refit.samples.applied";
-inline constexpr const char *kRefitSamplesEvicted =
-    "leo.refit.samples.evicted";
-inline constexpr const char *kRefitDowndatesFailed =
-    "leo.refit.downdates.failed";
-inline constexpr const char *kRefitRebuildsRun =
-    "leo.refit.rebuilds.run";
-
 // ---- sanitize: estimator input sanitization --------------------- //
 inline constexpr const char *kSanitizeSamplesRejected =
     "leo.sanitize.samples.rejected";
@@ -170,8 +160,6 @@ inline constexpr const char *kServiceRestoreSpan = "leo.service.restore";
 inline constexpr const char *kBenchFitMs = "leo.bench.fit.ms";
 inline constexpr const char *kBenchFitIters = "leo.bench.fit.iters";
 inline constexpr const char *kBenchLowRankMs = "leo.bench.lowrank.ms";
-inline constexpr const char *kBenchIncrementalMs =
-    "leo.bench.incremental.ms";
 inline constexpr const char *kBenchTrialSpan = "leo.bench.trial";
 
 } // namespace leo::obs::names

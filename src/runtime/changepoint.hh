@@ -2,12 +2,12 @@
  * @file
  * Online change-point detection for the controller.
  *
- * The legacy phase-change trigger (ControllerOptions::driftThreshold
- * / driftWindow) compares each measurement against that
- * configuration's own EWMA history and needs driftWindow consecutive
- * large gaps — robust, but slow on gradual drifts (the EWMA tracks
- * the drift away) and wasteful on clean step changes (it always
- * waits the full window). This header provides the replacement
+ * The legacy phase-change trigger (the controller's kDriftThreshold
+ * gap and ControllerOptions::driftWindow) compares each measurement
+ * against that configuration's own EWMA history and needs driftWindow
+ * consecutive large gaps — robust, but slow on gradual drifts (the
+ * EWMA tracks the drift away) and wasteful on clean step changes (it
+ * always waits the full window). This header provides the replacement
  * detectors, fed with *standardized residuals* of each window's
  * measurement against the current fit's predictive distribution:
  *

@@ -16,6 +16,23 @@
 namespace leo::runtime
 {
 
+namespace
+{
+
+/** Relative gap between a measurement and the same configuration's
+ *  own measurement history that counts as drift. Comparing against
+ *  history (not the model) separates phase changes from static
+ *  estimation error: a merely-misestimated configuration measures
+ *  consistently, while a phase change moves the measurement away
+ *  from its own past. */
+constexpr double kDriftThreshold = 0.20;
+
+/** Snapshot format version; bump when the field list changes.
+ *  v2 dropped the two per-window refitter states. */
+constexpr std::uint32_t kControllerStateVersion = 2;
+
+} // namespace
+
 EnergyController::EnergyController(
     const platform::ConfigSpace &space,
     const estimators::Estimator *estimator,
@@ -137,7 +154,7 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
     if (hist != history_.end() && hist->second > 0.0) {
         const double gap =
             std::abs(s.heartbeatRate - hist->second) / hist->second;
-        if (gap > options_.driftThreshold)
+        if (gap > kDriftThreshold)
             ++drift_count_;
         else
             drift_count_ = 0;
@@ -212,28 +229,6 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
         avg_rate_ < options_.targetRate * 0.98 &&
         segment_ + 1 + boost_ < frontier_.size()) {
         ++boost_;
-    }
-
-    // Per-window refit: fold this window's measurement into the
-    // frozen-theta conditioners and replan on the refreshed map. Any
-    // numerical surprise just deactivates the refitters — the
-    // controller falls back to fit-once-then-watch, never crashes.
-    if (refit_perf_.active() && refit_power_.active()) {
-        try {
-            refit_perf_.addSample(s.configIndex, s.heartbeatRate);
-            refit_power_.addSample(s.configIndex, s.powerWatts);
-            if (refit_perf_.predictInto(perf_) &&
-                refit_power_.predictInto(power_) &&
-                perf_.allFinite() && power_.allFinite()) {
-                replanPreserving();
-            } else {
-                refit_perf_.deactivate();
-                refit_power_.deactivate();
-            }
-        } catch (const std::exception &) {
-            refit_perf_.deactivate();
-            refit_power_.deactivate();
-        }
     }
 }
 
@@ -315,8 +310,6 @@ EnergyController::setEstimates(linalg::Vector performance,
 void
 EnergyController::beginSampling()
 {
-    refit_perf_.deactivate();
-    refit_power_.deactivate();
     history_.clear();
     observations_ = telemetry::Observations{};
     probe_plan_.clear();
@@ -359,60 +352,32 @@ EnergyController::fit()
             power_.size() == space_.size() && perf_.allFinite() &&
             power_.allFinite()) {
             fallback_remaining_ = 0;
-            seedRefits();
             return;
         }
     } catch (const std::exception &) {
         // Fall through to the fallback policy.
     }
-    refit_perf_.deactivate();
-    refit_power_.deactivate();
     fits_failed_.add(1);
     fallbackEstimates();
-}
-
-void
-EnergyController::seedRefits()
-{
-    refit_perf_.deactivate();
-    refit_power_.deactivate();
-    if (options_.refitMode == RefitMode::None || !have_fits_)
-        return;
-    // Arm the conditioners from the fresh theta and replay the fit's
-    // own observation set, so the first refit prediction starts from
-    // (a Woodbury re-derivation of) the fit's posterior instead of
-    // snapping back to the prior mean.
-    try {
-        const bool ok =
-            refit_perf_.reset(perf_fit_, options_.onlineSampleWindow,
-                              options_.refitMode) &&
-            refit_power_.reset(power_fit_, options_.onlineSampleWindow,
-                               options_.refitMode);
-        if (!ok) {
-            refit_perf_.deactivate();
-            refit_power_.deactivate();
-            return;
-        }
-        for (std::size_t i = 0; i < observations_.indices.size(); ++i) {
-            refit_perf_.addSample(observations_.indices[i],
-                                  observations_.performance[i]);
-            refit_power_.addSample(observations_.indices[i],
-                                   observations_.power[i]);
-        }
-    } catch (const std::exception &) {
-        refit_perf_.deactivate();
-        refit_power_.deactivate();
-    }
 }
 
 void
 EnergyController::replanPreserving()
 {
     if (!hasEstimates()) {
+        // Race-to-idle degradation: with no estimates at all the
+        // frontier is unknown; paceConfig() then runs the final
+        // (all-resources) configuration.
         frontier_.clear();
         return;
     }
+    // Pacing selects a single configuration per window (the slack is
+    // idled out inside the window), so the candidate set is the full
+    // Pareto frontier: unlike batch scheduling, pure selection can
+    // exploit frontier points that sit above the convex hull.
     frontier_ = optimizer::paretoFrontier(perf_, power_);
+
+    // Locate the segment bracketing the demand.
     segment_ = 0;
     while (segment_ + 1 < frontier_.size() &&
            frontier_[segment_ + 1].performance < options_.targetRate) {
@@ -513,25 +478,9 @@ EnergyController::fitUnguarded()
 void
 EnergyController::replan()
 {
-    if (!hasEstimates()) {
-        // Race-to-idle degradation: with no estimates at all the
-        // frontier is unknown; paceConfig() then runs the final
-        // (all-resources) configuration.
-        frontier_.clear();
+    replanPreserving();
+    if (!hasEstimates())
         return;
-    }
-    // Pacing selects a single configuration per window (the slack is
-    // idled out inside the window), so the candidate set is the full
-    // Pareto frontier: unlike batch scheduling, pure selection can
-    // exploit frontier points that sit above the convex hull.
-    frontier_ = optimizer::paretoFrontier(perf_, power_);
-
-    // Locate the segment bracketing the demand.
-    segment_ = 0;
-    while (segment_ + 1 < frontier_.size() &&
-           frontier_[segment_ + 1].performance < options_.targetRate) {
-        ++segment_;
-    }
     boost_ = 0;
     have_avg_ = false;
     drift_count_ = 0;
@@ -565,24 +514,13 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
         power_.size() == space_.size() && perf_.allFinite() &&
         power_.allFinite()) {
         fallback_remaining_ = 0;
-        seedRefits();
     } else {
-        refit_perf_.deactivate();
-        refit_power_.deactivate();
         fits_failed_.add(1);
         fallbackEstimates();
     }
     replan();
     state_ = State::Controlling;
 }
-
-namespace
-{
-
-/** Snapshot format version; bump when the field list changes. */
-constexpr std::uint32_t kControllerStateVersion = 1;
-
-} // namespace
 
 void
 EnergyController::saveState(linalg::ByteWriter &w) const
@@ -618,8 +556,6 @@ EnergyController::writeState(linalg::ByteWriter &w) const
         estimators::saveFit(w, perf_fit_);
         estimators::saveFit(w, power_fit_);
     }
-    refit_perf_.save(w);
-    refit_power_.save(w);
     // The history map is unordered in memory; the blob orders it by
     // configuration index so identical states serialize identically.
     std::vector<std::pair<std::size_t, double>> hist(history_.begin(),
@@ -657,11 +593,23 @@ EnergyController::writeState(linalg::ByteWriter &w) const
 bool
 EnergyController::restoreState(linalg::ByteReader &r)
 {
+    // Every rejection, an older format version included, leaves no
+    // estimates, fits or frontier behind: neither the ones held before
+    // the call nor any the rejected blob carried.
+    const auto failClosed = [this] {
+        beginSampling();
+        perf_ = linalg::Vector{};
+        power_ = linalg::Vector{};
+        perf_fit_ = estimators::LeoFit{};
+        power_fit_ = estimators::LeoFit{};
+        have_fits_ = false;
+        frontier_.clear();
+        return false;
+    };
     if (r.u32() != kControllerStateVersion ||
         r.u64() != space_.size()) {
         r.fail();
-        beginSampling();
-        return false;
+        return failClosed();
     }
     const std::uint8_t state = r.u8();
     observations_ = telemetry::Observations{};
@@ -685,11 +633,6 @@ EnergyController::restoreState(linalg::ByteReader &r)
         perf_fit_ = estimators::LeoFit{};
         power_fit_ = estimators::LeoFit{};
     }
-    // Sequenced explicitly: both restores consume their portion of
-    // the stream even when the first fails.
-    const bool refit_perf_ok = refit_perf_.restore(r);
-    const bool refit_power_ok = refit_power_.restore(r);
-    const bool refits_ok = refit_perf_ok && refit_power_ok;
     history_.clear();
     // Saved in increasing index order; anything else would re-save
     // differently.
@@ -749,34 +692,16 @@ EnergyController::restoreState(linalg::ByteReader &r)
         fit_pending <= 1 && hist_ok &&
         (state != 0 || fit_pending_ || probe_plan_.empty() ||
          probe_next_ < probe_plan_.size());
-    if (!r.ok() || !sizes_ok || !canonical) {
-        beginSampling();
-        perf_ = linalg::Vector{};
-        power_ = linalg::Vector{};
-        perf_fit_ = estimators::LeoFit{};
-        power_fit_ = estimators::LeoFit{};
-        have_fits_ = false;
-        history_.clear();
-        frontier_.clear();
-        return false;
-    }
-    // A refitter that failed to restore is not corruption of the
-    // whole snapshot: deactivate both (their states pair) and resume
-    // on fit-once-then-watch, the standard degradation.
-    if (!refits_ok) {
-        refit_perf_.deactivate();
-        refit_power_.deactivate();
-    }
+    if (!r.ok() || !sizes_ok || !canonical)
+        return failClosed();
     state_ = state == 0 ? State::Sampling : State::Controlling;
     // The frontier is a pure function of the estimates; recompute it
     // rather than shipping it. The same scan reproduces the saved
     // segment deterministically, so the serialized value is only a
     // cross-check.
     replanPreserving();
-    if (segment_ != segment) {
-        beginSampling();
-        return false;
-    }
+    if (segment_ != segment)
+        return failClosed();
     // A detector that failed to restore is degradation, not blob
     // corruption: it restarts empty and re-accumulates evidence.
     if (!cp_ok) {

@@ -29,7 +29,6 @@
 #include "obs/obs.hh"
 #include "optimizer/pareto.hh"
 #include "runtime/changepoint.hh"
-#include "runtime/incremental.hh"
 #include "stats/rng.hh"
 #include "telemetry/measurement.hh"
 
@@ -43,14 +42,8 @@ struct ControllerOptions
     double targetRate = 1.0;
     /** Configurations sampled when (re)estimating. */
     std::size_t sampleBudget = 20;
-    /** Relative gap between a measurement and the same
-     *  configuration's own measurement history that counts as drift.
-     *  Comparing against history (not the model) separates phase
-     *  changes from static estimation error: a merely-misestimated
-     *  configuration measures consistently, while a phase change
-     *  moves the measurement away from its own past. */
-    double driftThreshold = 0.20;
-    /** Consecutive drifting windows before re-estimation. */
+    /** Consecutive drifting windows (kDriftThreshold in controller.cc)
+     *  before re-estimation. */
     std::size_t driftWindow = 3;
     /** Idle system power (intra-window slack), Watts. */
     double idlePower = 85.0;
@@ -58,18 +51,6 @@ struct ControllerOptions
      *  retrying estimation with fresh probes (0 = never retry; see
      *  DESIGN.md "Failure model and degradation policy"). */
     std::size_t fallbackBackoffWindows = 8;
-    /**
-     * Per-window estimate refresh between full fits (see
-     * runtime/incremental.hh). Requires the estimator to be a
-     * LeoEstimator; otherwise ignored. None
-     * keeps the historical fit-once-then-watch behavior.
-     */
-    RefitMode refitMode = RefitMode::None;
-    /**
-     * Sliding window of online samples the refitter conditions on;
-     * samples beyond it are evicted oldest-first (0 = keep all).
-     */
-    std::size_t onlineSampleWindow = 32;
     /**
      * Phase-change reaction policy (runtime/changepoint.hh). Off
      * keeps the legacy EWMA-history drift trigger and is bitwise
@@ -214,8 +195,8 @@ class EnergyController
 
     /**
      * Serialize the complete control state — observations, probe
-     * plan, estimates, warm fits, refitters, drift/boost bookkeeping
-     * and degradation counters — so a controller constructed with the
+     * plan, estimates, warm fits, drift/boost bookkeeping and
+     * degradation counters — so a controller constructed with the
      * same space, estimator, prior and options can resume the run bit
      * for bit (see restoreState()). Into an empty writer the blob is
      * sized first and written in one allocation.
@@ -230,12 +211,13 @@ class EnergyController
      * rebuilt on this controller's prior bases (fit_io.hh), so the
      * prior must be the saved one too: a blob whose fits ran on
      * another prior fails closed. Never throws; on a truncated or
-     * mismatched blob, or one saveState() would not write (a flag byte
-     * other than 0 or 1, history out of order, indices outside the
-     * space, a sampling state with no probe left) the controller
-     * resets to fresh Sampling state and returns false. A refitter or
-     * change-point detector that fails to restore is degradation, not
-     * corruption: it restarts empty and the restore succeeds.
+     * mismatched blob (an older format version included), or one
+     * saveState() would not write (a flag byte other than 0 or 1,
+     * history out of order, indices outside the space, a sampling
+     * state with no probe left) the controller resets to fresh
+     * Sampling state and returns false. A change-point detector that
+     * fails to restore is degradation, not corruption: it restarts
+     * empty and the restore succeeds.
      */
     bool restoreState(linalg::ByteReader &r);
 
@@ -309,21 +291,18 @@ class EnergyController
      *  passed at construction. */
     const estimators::PriorBases &priorBases();
 
-    /** Recompute the frontier and locate the demand on it. */
+    /** Recompute the frontier and locate the demand on it, then
+     *  reset the guard (boost, rate EWMA, drift and starvation
+     *  counts, detectors) for the new estimates. */
     void replan();
 
     /**
      * replan() minus the guard resets: recomputes the frontier and
-     * segment from refreshed estimates while preserving the
-     * gradient-ascent boost, the measured-rate EWMA and the drift
-     * counter — a refit refreshes the map, it does not declare a
-     * phase change.
+     * segment while preserving the gradient-ascent boost, the
+     * measured-rate EWMA and the drift counter, so a restored
+     * controller resumes its guard where the saved one left it.
      */
     void replanPreserving();
-
-    /** Arm the per-window refitters from the latest fits (no-op
-     *  unless options_.refitMode asks for them). */
-    void seedRefits();
 
     /** The field list of saveState(), written to `w` as is. */
     void writeState(linalg::ByteWriter &w) const;
@@ -366,10 +345,6 @@ class EnergyController
     estimators::LeoFit perf_fit_;
     estimators::LeoFit power_fit_;
     bool have_fits_ = false;
-    /** Frozen-theta per-window refitters (inactive unless
-     *  options_.refitMode engages them). */
-    IncrementalRefit refit_perf_;
-    IncrementalRefit refit_power_;
     /** Per-configuration EWMA of measured rates (drift reference). */
     std::unordered_map<std::size_t, double> history_;
     std::vector<optimizer::TradeoffPoint> frontier_;

@@ -24,8 +24,9 @@ namespace
 
 /** Snapshot format version; bump when the field list changes.
  *  v2 added TenantConfig::deadlineSeconds; v3 added the prior table
- *  and saves fits without their basis (fit_io v4). */
-constexpr std::uint32_t kSnapshotVersion = 3;
+ *  and saves fits without their basis (fit_io v4); v4 saves each
+ *  controller without its refitter states (controller state v2). */
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 /** Append one offline profile (its fields in declaration order). */
 void

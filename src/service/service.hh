@@ -246,10 +246,9 @@ class Service
      * version, a version no session pins, a malformed profile store,
      * a fit saved on another prior, trailing bytes, session ids or
      * queued samples out of order, or engine text the engine would
-     * not write. With incremental refits and change-point detection
-     * off, every accepted blob re-saves to its own bytes; a refitter
-     * or detector that fails to restore degrades as before
-     * (EnergyController::restoreState).
+     * not write. With change-point detection off, every accepted blob
+     * re-saves to its own bytes; a detector that fails to restore
+     * degrades as before (EnergyController::restoreState).
      */
     bool restoreSnapshot(linalg::ByteReader &r);
 

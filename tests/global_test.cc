@@ -350,7 +350,8 @@ TEST(GreedyBaseline, CapStarvationMakesGreedyInfeasible)
         optimizer::planPerAppGreedy(demands, kIdle, o);
     EXPECT_TRUE(global.feasible);
     // Greedy either fails outright or pays at least as much.
-    if (greedy.feasible)
+    if (greedy.feasible) {
         EXPECT_GE(greedy.predictedEnergy,
                   global.predictedEnergy * (1.0 - 1e-9));
+    }
 }

@@ -293,8 +293,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{12, 32, 12, 20}, // q = n
                       GridCase{40, 32, 32, 6},  // prior spans R^n
                       GridCase{24, 32, 6, 20}), // small n, deficient
-    [](const ::testing::TestParamInfo<GridCase> &info) {
-        const GridCase &g = info.param;
+    [](const ::testing::TestParamInfo<GridCase> &param_info) {
+        const GridCase &g = param_info.param;
         return "m" + std::to_string(g.m) + "_n" + std::to_string(g.n) +
                "_rank" + std::to_string(g.rank) + "_obs" +
                std::to_string(g.obs);

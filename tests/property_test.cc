@@ -12,11 +12,9 @@
 #include "faults/faults.hh"
 #include "linalg/cholesky.hh"
 #include "linalg/simplex.hh"
-#include "obs/obs.hh"
 #include "optimizer/global.hh"
 #include "optimizer/pareto.hh"
 #include "optimizer/schedule.hh"
-#include "runtime/controller.hh"
 #include "scenario/spec.hh"
 #include "stats/metrics.hh"
 #include "telemetry/profile_store.hh"
@@ -363,23 +361,23 @@ INSTANTIATE_TEST_SUITE_P(
                       LeoGridParam{0.5, 1.0, 8},
                       LeoGridParam{0.02, 1.0, 12}));
 
-// ---------------------------------------- incremental refit schedule
+// ------------------------------------------------ fault scenarios
 
 namespace
 {
 
-/** Fault scenarios the refit equivalence must hold across,
- *  authored in the scenario DSL (scenario/spec.hh) so the sweep is a
- *  pure function of parseable spec text. Exactly four cells: the
- *  INSTANTIATE_TEST_SUITE_P ranges below index into this list. */
-struct RefitScenario
+/** Fault scenarios the global-plan property sweeps, authored in the
+ *  scenario DSL (scenario/spec.hh) so the sweep is a pure function of
+ *  parseable spec text. Exactly four cells: the
+ *  INSTANTIATE_TEST_SUITE_P range below indexes into this list. */
+struct FaultCell
 {
     std::string name;
     faults::FaultScenario scenario;
 };
 
-std::vector<RefitScenario>
-refitSweep()
+std::vector<FaultCell>
+faultSweep()
 {
     static const char *const kCells[] = {
         "name none\n",
@@ -388,7 +386,7 @@ refitSweep()
         "name mixed\nfault.nan 0.05\nfault.dropout 0.05\n"
         "fault.stale 0.05\n",
     };
-    std::vector<RefitScenario> sweep;
+    std::vector<FaultCell> sweep;
     for (const char *text : kCells) {
         const scenario::Spec spec = scenario::Spec::fromString(text);
         sweep.push_back({spec.name, spec.faults});
@@ -396,113 +394,16 @@ refitSweep()
     return sweep;
 }
 
-/** Drive n windows, appending each accepted configuration. */
-void
-driveSchedule(runtime::EnergyController &ctl,
-              const workloads::ApplicationModel &app,
-              const platform::ConfigSpace &space,
-              const telemetry::HeartbeatMonitor &monitor,
-              const telemetry::PowerMeter &meter, stats::Rng &rng,
-              std::size_t n, std::vector<std::size_t> &schedule)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t cfg = ctl.nextConfig(rng);
-        ASSERT_LT(cfg, space.size());
-        schedule.push_back(cfg);
-        const auto &ra = space.assignment(cfg);
-        ctl.recordMeasurement({cfg, monitor.measureRate(app, ra, rng),
-                               meter.read(app, ra, rng)});
-    }
-}
-
 } // namespace
-
-/**
- * Batch refits (the executable specification: the Woodbury system is
- * refactorized from scratch every sample) and incremental refits
- * (rank-1 Cholesky up/downdates) must drive the controller to the
- * same accepted-config schedule over the same observation stream,
- * with or without sensor faults in the stream.
- */
-class RefitScheduleEquivalence
-    : public ::testing::TestWithParam<std::size_t>
-{
-};
-
-TEST_P(RefitScheduleEquivalence, BatchAndIncrementalAgree)
-{
-    const RefitScenario ns = refitSweep()[GetParam()];
-    SCOPED_TRACE(ns.name);
-
-    platform::Machine machine;
-    auto space = platform::ConfigSpace::coreOnly(machine);
-    telemetry::HeartbeatMonitor monitor(0.01);
-    telemetry::WattsUpMeter meter(0.005, 0.1);
-    stats::Rng store_rng(7);
-    auto store = telemetry::ProfileStore::collect(
-        workloads::standardSuite(), machine, space, monitor, meter,
-        store_rng);
-    workloads::ApplicationModel app(
-        workloads::profileByName("x264"), machine);
-    auto gt = workloads::computeGroundTruth(app, space);
-    const auto prior = store.without("x264");
-
-    estimators::LeoEstimator leo;
-
-    runtime::ControllerOptions copt;
-    copt.targetRate = 0.5 * gt.performance.max();
-    copt.sampleBudget = 6;
-    copt.idlePower = machine.spec().idleSystemPowerW;
-    copt.onlineSampleWindow = 8;
-
-    auto runOne = [&](runtime::RefitMode mode,
-                      std::vector<std::size_t> &schedule) {
-        // Fresh fault wrappers per run: the injector's own RNG stream
-        // is stateful, and both controllers must see the same stream.
-        const faults::FaultyHeartbeatMonitor fmon(monitor,
-                                                  ns.scenario);
-        const faults::FaultyPowerMeter fmet(meter, ns.scenario);
-        runtime::ControllerOptions o = copt;
-        o.refitMode = mode;
-        runtime::EnergyController ctl(space, &leo, prior, o);
-        stats::Rng rng(29);
-        ASSERT_NO_FATAL_FAILURE(driveSchedule(
-            ctl, app, space, fmon, fmet, rng, 60, schedule));
-        EXPECT_TRUE(ctl.performanceEstimate().allFinite());
-        EXPECT_TRUE(ctl.powerEstimate().allFinite());
-    };
-
-    const std::uint64_t applied_before =
-        obs::Registry::global()
-            .counter(obs::names::kRefitSamplesApplied)
-            .value();
-
-    std::vector<std::size_t> batch, incremental;
-    runOne(runtime::RefitMode::Batch, batch);
-    runOne(runtime::RefitMode::Incremental, incremental);
-
-    // The property is vacuous unless the refitters actually ran.
-    EXPECT_GT(obs::Registry::global()
-                  .counter(obs::names::kRefitSamplesApplied)
-                  .value(),
-              applied_before);
-
-    ASSERT_EQ(batch.size(), incremental.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_EQ(batch[i], incremental[i]) << "window " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(FaultSweep, RefitScheduleEquivalence,
-                         ::testing::Range<std::size_t>(0, 4));
 
 // ------------------------------------------- global co-scheduling
 
 /**
  * Properties of the global multi-app co-scheduler, swept across the
- * same fault scenarios as the refit equivalence: estimates corrupted
- * by sensor faults (then sanitized the way the runtime does) must
- * never let the shared plan undercut the single-app optimum, and a
- * binding power cap must hold in every interval.
+ * fault scenarios above: estimates corrupted by sensor faults (then
+ * sanitized the way the runtime does) must never let the shared plan
+ * undercut the single-app optimum, and a binding power cap must hold
+ * in every interval.
  */
 class GlobalPlanProperty : public ::testing::TestWithParam<std::size_t>
 {
@@ -510,7 +411,7 @@ class GlobalPlanProperty : public ::testing::TestWithParam<std::size_t>
 
 TEST_P(GlobalPlanProperty, SharingNeverBeatsStandaloneAndCapsHold)
 {
-    const RefitScenario ns = refitSweep()[GetParam()];
+    const FaultCell ns = faultSweep()[GetParam()];
     SCOPED_TRACE(ns.name);
     faults::FaultInjector perf_faults(ns.scenario);
     faults::FaultInjector power_faults(ns.scenario);
@@ -563,11 +464,12 @@ TEST_P(GlobalPlanProperty, SharingNeverBeatsStandaloneAndCapsHold)
             // Greedy is a feasible point of the same program.
             const auto greedy =
                 optimizer::planPerAppGreedy(demands, idle, {});
-            if (greedy.feasible)
+            if (greedy.feasible) {
                 EXPECT_LE(shared.predictedEnergy,
                           greedy.predictedEnergy * (1.0 + 1e-9) +
                               1e-9)
                     << "trial " << trial;
+            }
         }
 
         // Binding cap: whenever the capped program stays feasible,

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,7 +101,6 @@ TEST(Controller, DriftTriggersReestimation)
     auto prior = w.store.without("fluidanimate");
     ControllerOptions opt = w.options(30.0, 5);
     opt.driftWindow = 2;
-    opt.driftThreshold = 0.2;
     EnergyController ctl(w.space, &leo, prior, opt);
 
     workloads::ApplicationModel app(
@@ -241,9 +241,7 @@ TEST(Controller, SaveRestoreResumesScheduleBitwise)
     workloads::ApplicationModel app(
         workloads::profileByName("fluidanimate"), w.machine);
 
-    ControllerOptions o = w.options(30.0, 5);
-    o.onlineSampleWindow = 8;
-    o.refitMode = runtime::RefitMode::Incremental;
+    const ControllerOptions o = w.options(30.0, 5);
     EnergyController ctl(w.space, &leo, prior, o);
     stats::Rng rng(31);
 
@@ -510,4 +508,47 @@ TEST(Controller, RestoreFailsClosedAtEveryTruncation)
     EXPECT_TRUE(twin.restoreState(whole));
     EXPECT_TRUE(whole.atEnd());
     EXPECT_EQ(twin.state(), ctl.state());
+}
+
+/**
+ * The blob opens with its format version. A blob of the previous
+ * format (v1, which also carried two per-window refitter states) fails
+ * closed: the controller, though it held a restored run, drops to
+ * fresh Sampling state with no estimates or fits left over.
+ */
+TEST(Controller, RestoreRejectsOlderFormatVersion)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    const ControllerOptions o = w.options(30.0, 5);
+    EnergyController ctl(w.space, &leo, prior, o);
+    stats::Rng rng(31);
+    while (ctl.state() == EnergyController::State::Sampling) {
+        const std::size_t cfg = ctl.nextConfig(rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, w.monitor.measureRate(app, ra, rng),
+                               w.meter.read(app, ra, rng)});
+    }
+    linalg::ByteWriter wtr;
+    ctl.saveState(wtr);
+    std::string blob = wtr.take();
+    // The version is the leading little-endian u32.
+    ASSERT_EQ(blob.substr(0, 4), std::string("\x02\0\0\0", 4));
+
+    EnergyController twin(w.space, &leo, prior, o);
+    linalg::ByteReader current(blob);
+    ASSERT_TRUE(twin.restoreState(current));
+    ASSERT_TRUE(twin.hasEstimates());
+    ASSERT_NE(twin.warmPerfFit(), nullptr);
+
+    blob[0] = 1;
+    linalg::ByteReader old(blob);
+    EXPECT_FALSE(twin.restoreState(old));
+    EXPECT_EQ(twin.state(), EnergyController::State::Sampling);
+    EXPECT_FALSE(twin.hasEstimates());
+    EXPECT_EQ(twin.warmPerfFit(), nullptr);
+    EXPECT_TRUE(twin.observations().indices.empty());
 }

@@ -10,8 +10,7 @@
  *    controller over the same samples;
  *  - the cold-fit cache changes cost, never behavior;
  *  - a snapshot restored into a fresh service resumes every tenant's
- *    schedule bit for bit, with and without incremental refit
- *    state, across the fault-scenario sweep.
+ *    schedule bit for bit across the fault-scenario sweep.
  */
 
 #include <cstdint>
@@ -539,8 +538,9 @@ faultSweep()
  * Snapshot mid-run (with samples still queued), restore into a fresh
  * service, and continue both side by side over one shared sample
  * stream: every tenant's remaining schedule is bitwise identical.
- * Parameter = scenario index * 2 + (0 full fits only / 1 with
- * incremental refits between them).
+ * Parameter = scenario index * 2 + (0 snapshot while pacing, after
+ * the first fits / 1 snapshot one probe short of the first fit, so
+ * the restored fleet runs that fit from the restored observations).
  */
 class ServiceSnapshotProperty
     : public ::testing::TestWithParam<std::size_t>
@@ -551,22 +551,21 @@ TEST_P(ServiceSnapshotProperty, RestoredFleetResumesBitwise)
 {
     const auto sweep = faultSweep();
     const auto &[name, scenario] = sweep[GetParam() / 2];
-    const bool incremental = (GetParam() % 2) == 1;
+    const bool before_fit = (GetParam() % 2) == 1;
     SCOPED_TRACE(name);
-    SCOPED_TRACE(incremental ? "incremental" : "full fits");
+    SCOPED_TRACE(before_fit ? "before the first fit" : "while pacing");
 
     World w;
     estimators::LeoEstimator leo;
-    ServiceOptions opt = w.serviceOptions(4);
-    opt.controller.onlineSampleWindow = 8;
-    if (incremental)
-        opt.controller.refitMode = runtime::RefitMode::Incremental;
+    const ServiceOptions opt = w.serviceOptions(4);
 
     parallel::ThreadPool pool(2);
     Service original(w.space, leo, w.prior, pool, opt);
 
     constexpr std::size_t kTenants = 3;
-    constexpr std::size_t kBefore = 20;
+    // Fewer rounds than the probe budget leaves every tenant sampling.
+    const std::size_t rounds_before =
+        before_fit ? opt.controller.sampleBudget - 1 : 20;
     constexpr std::size_t kAfter = 14;
     std::vector<std::uint64_t> ids;
     for (std::size_t t = 0; t < kTenants; ++t) {
@@ -580,7 +579,7 @@ TEST_P(ServiceSnapshotProperty, RestoredFleetResumesBitwise)
     auto rngs = measurementRngs(kTenants);
     std::vector<std::vector<std::size_t>> before;
     ASSERT_NO_FATAL_FAILURE(driveFleet(original, w, fmon, fmet, ids,
-                                       rngs, kBefore, before));
+                                       rngs, rounds_before, before));
 
     // Leave one un-ticked batch in the shard queues so the snapshot
     // carries in-flight samples, not just controller state.
@@ -606,7 +605,7 @@ TEST_P(ServiceSnapshotProperty, RestoredFleetResumesBitwise)
     EXPECT_EQ(restored.activeTenants(), kTenants);
 
     original.tick();
-    restored.tick();
+    std::size_t fitted_after_restore = restored.tick().tenantsFitted;
 
     // Continue both fleets over one shared measurement stream.
     for (std::size_t round = 0; round < kAfter; ++round) {
@@ -623,7 +622,12 @@ TEST_P(ServiceSnapshotProperty, RestoredFleetResumesBitwise)
             ASSERT_TRUE(restored.submit(ids[t], s));
         }
         original.tick();
-        restored.tick();
+        fitted_after_restore += restored.tick().tenantsFitted;
+    }
+
+    // The before-fit case is vacuous unless the restored fleet fitted.
+    if (before_fit) {
+        EXPECT_GT(fitted_after_restore, 0u);
     }
 }
 
@@ -633,7 +637,7 @@ INSTANTIATE_TEST_SUITE_P(FaultSweep, ServiceSnapshotProperty,
 namespace
 {
 
-/** Byte offsets into a service snapshot (format v3). */
+/** Byte offsets into a service snapshot (format v4). */
 struct SnapshotLayout
 {
     /** The first prior table entry, [begin, end). */

@@ -286,14 +286,14 @@ TEST(Mvn, ConditioningMatchesPaperForm)
     // matrix sum), and C is compared entry-wise against the posterior
     // covariance below; the two inverse-times-vector products are
     // factored solves instead of inverse() multiplications.
-    Matrix a = linalg::spdInverse(sigma);
+    Matrix a = linalg::Cholesky(sigma).inverse();
     for (int i = 0; i < 3; ++i)
         a(i, i) += l[i] / s2;
-    Matrix c = linalg::spdInverse(a);
-    Vector rhs = linalg::spdSolve(sigma, mu);
+    Matrix c = linalg::Cholesky(a).inverse();
+    Vector rhs = linalg::Cholesky(sigma).solve(mu);
     for (int i = 0; i < 3; ++i)
         rhs[i] += l[i] * y_full[i] / s2;
-    Vector z_direct = linalg::spdSolve(a, rhs);
+    Vector z_direct = linalg::Cholesky(a).solve(rhs);
 
     // Implementation form.
     auto post =
