@@ -507,28 +507,25 @@ fitLowRank(const LeoOptions &opt,
     // Loop buffers: everything is q- or s-dimensional, so the whole
     // working set is a few hundred kilobytes even at n = 16384.
     Matrix &invq = arena.matrix("lr.invq", q, q);
+    Matrix &wmat = arena.matrix("lr.wq", m_prior, q);
     Matrix &zc = arena.matrix("lr.zc", m_prior, q);
     Matrix &residm = arena.matrix("lr.residm", m_prior, q);
     Matrix &gramq = arena.matrix("lr.gram", q, q);
     Matrix &cnew = arena.matrix("lr.cnew", q, q);
     Matrix &pc = arena.matrix("lr.pc", s, q);
     Matrix &amat = arena.matrix("lr.amat", s, s);
-    Matrix &bmat = arena.matrix("lr.bmat", s, q);
-    Matrix &xmat = arena.matrix("lr.xmat", s, q);
+    Matrix &ymat = arena.matrix("lr.ymat", s, q);
+    Matrix &linv = arena.matrix("lr.linv", s, s);
     Matrix &ct = arena.matrix("lr.ct", q, q);
-    Matrix &pct = arena.matrix("lr.pct", s, q);
 
     Vector gnew(q, 0.0);
     Vector tc(q, 0.0);
     Vector u(q, 0.0);
     Vector cu(q, 0.0);
-    Vector dq(q, 0.0);
-    Vector wq(q, 0.0);
     Vector dtc(q, 0.0);
     Vector ll_quad(m_prior, 0.0);
     Vector r(s, 0.0);
     Vector w(s, 0.0);
-    Vector ptc(s, 0.0);
     Vector pg(s, 0.0);
     Vector prev_pred = g;
 
@@ -538,6 +535,47 @@ fitLowRank(const LeoOptions &opt,
     linalg::Cholesky chol_obs;
     if (have_obs)
         chol_obs.reserve(s);
+
+    // E-step, target application: condition on the observations
+    // entirely in the small dimensions. A = Sigma_Omega + sigma^2 I =
+    // beta I_s + P C P' (+ alpha at duplicate pairs); the posterior
+    // mean is tc = g + (alpha I + C) P' A^-1 r, and the posterior core
+    // is Ct = C - B' A^-1 B with B = alpha P + P C. One forward
+    // substitution Y = L_A^-1 B gives B' A^-1 B = Y' Y. Leaves the
+    // factor of A in chol_obs and w = A^-1 r.
+    const auto conditionTarget = [&](double beta) {
+        Matrix::multiplyInto(pc, p, cmat);
+        linalg::abtInto(amat, pc, p);
+        amat.addToDiagonal(beta);
+        // Duplicate observation indices couple through the alpha I
+        // part of Sigma off the diagonal too: Sigma_Omega[j][j2]
+        // includes alpha whenever the two rows observe the same
+        // configuration.
+        for (std::size_t j = 0; j < s; ++j)
+            for (std::size_t j2 = j + 1; j2 < s; ++j2)
+                if (obs_idx[j] == obs_idx[j2]) {
+                    amat.at(j, j2) += alpha;
+                    amat.at(j2, j) += alpha;
+                }
+        chol_obs.factorize(amat, 0.0, 1e-8);
+        linalg::gemvInto(pg, p, g);
+        for (std::size_t j = 0; j < s; ++j)
+            r[j] = x_obs[j] - pg[j];
+        w = r;
+        chol_obs.solveInPlace(w);
+        linalg::gemvTransInto(u, p, w);
+        linalg::gemvInto(cu, cmat, u);
+        for (std::size_t k = 0; k < q; ++k)
+            tc[k] = g[k] + alpha * u[k] + cu[k];
+        for (std::size_t j = 0; j < s; ++j)
+            for (std::size_t k = 0; k < q; ++k)
+                ymat.at(j, k) = alpha * p.at(j, k) + pc.at(j, k);
+        chol_obs.solveLowerInPlace(ymat);
+        Matrix::gramInto(ct, ymat);
+        for (std::size_t k = 0; k < q; ++k)
+            for (std::size_t k2 = 0; k2 < q; ++k2)
+                ct.at(k, k2) = cmat.at(k, k2) - ct.at(k, k2);
+    };
 
     const double total_obs = static_cast<double>(m_prior * n + s);
     const double log2pi = std::log(2.0 * std::numbers::pi);
@@ -562,7 +600,7 @@ fitLowRank(const LeoOptions &opt,
         // Factor (C + beta I): the q x q core of every Woodbury
         // identity this iteration needs.
         chol.factorize(cmat, beta, 1e-6);
-        chol.inverseInto(invq, arena, /*mirror=*/false);
+        chol.inverseInto(invq, arena);
         double tr_invq = 0.0;
         for (std::size_t k = 0; k < q; ++k)
             tr_invq += invq.at(k, k);
@@ -571,61 +609,27 @@ fitLowRank(const LeoOptions &opt,
             static_cast<double>(n) / beta +
             (tr_invq - static_cast<double>(q) / beta);
 
-        // E-step, fully observed applications, in coordinates:
-        // (Sigma + sigma^2 I)^-1 (x_i - mu) = Q' (C + beta I)^-1 dq
-        // because x_i - mu is in span(Q').
+        // E-step, fully observed applications, in one product:
+        // (Sigma + sigma^2 I)^-1 (x_i - mu) = Q' (C + beta I)^-1 dq_i
+        // because x_i - mu is in span(Q'), so the rows of
+        // W = (R - 1 g')(C + beta I)^-1 carry every app's solve. zc
+        // holds the differences dq_i until each row is overwritten
+        // with the posterior mean.
+        for (std::size_t i = 0; i < m_prior; ++i)
+            for (std::size_t k = 0; k < q; ++k)
+                zc.at(i, k) = coords.at(i, k) - g[k];
+        linalg::abtInto(wmat, zc, invq);
         double wq2_sum = 0.0;
         for (std::size_t i = 0; i < m_prior; ++i) {
+            const double *wi = wmat.data() + i * q;
+            ll_quad[i] = linalg::dotN(zc.data() + i * q, wi, q);
+            wq2_sum += linalg::dotN(wi, wi, q);
             for (std::size_t k = 0; k < q; ++k)
-                dq[k] = coords.at(i, k) - g[k];
-            wq = dq;
-            chol.solveInPlace(wq);
-            ll_quad[i] = linalg::dot(dq, wq);
-            wq2_sum += wq.squaredNorm();
-            for (std::size_t k = 0; k < q; ++k)
-                zc.at(i, k) = coords.at(i, k) - sigma2 * wq[k];
+                zc.at(i, k) = coords.at(i, k) - sigma2 * wi[k];
         }
 
-        // E-step, target application: condition on the observations
-        // entirely in the small dimensions. A = Sigma_Omega +
-        // sigma^2 I = beta I_s + P C P'; the posterior mean is
-        // tc = g + (alpha I + C) P' A^-1 r, and the posterior core is
-        // Ct = C - B' A^-1 B with B = alpha P + P C.
-        if (have_obs) {
-            Matrix::multiplyInto(pc, p, cmat);
-            linalg::abtInto(amat, pc, p);
-            amat.addToDiagonal(beta);
-            // Duplicate observation indices couple through the
-            // alpha I part of Sigma off the diagonal too:
-            // Sigma_Omega[j][j2] includes alpha whenever the two
-            // rows observe the same configuration.
-            for (std::size_t j = 0; j < s; ++j)
-                for (std::size_t j2 = j + 1; j2 < s; ++j2)
-                    if (obs_idx[j] == obs_idx[j2]) {
-                        amat.at(j, j2) += alpha;
-                        amat.at(j2, j) += alpha;
-                    }
-            chol_obs.factorize(amat, 0.0, 1e-8);
-            linalg::gemvInto(pg, p, g);
-            for (std::size_t j = 0; j < s; ++j)
-                r[j] = x_obs[j] - pg[j];
-            w = r;
-            chol_obs.solveInPlace(w);
-            linalg::gemvTransInto(u, p, w);
-            linalg::gemvInto(cu, cmat, u);
-            for (std::size_t k = 0; k < q; ++k)
-                tc[k] = g[k] + alpha * u[k] + cu[k];
-            for (std::size_t j = 0; j < s; ++j)
-                for (std::size_t k = 0; k < q; ++k)
-                    bmat.at(j, k) =
-                        alpha * p.at(j, k) + pc.at(j, k);
-            xmat = bmat;
-            chol_obs.solveInPlace(xmat);
-            linalg::atbInto(ct, bmat, xmat);
-            for (std::size_t k = 0; k < q; ++k)
-                for (std::size_t k2 = 0; k2 < q; ++k2)
-                    ct.at(k, k2) = cmat.at(k, k2) - ct.at(k, k2);
-        }
+        if (have_obs)
+            conditionTarget(beta);
 
         // Marginal log-likelihood under the current theta;
         // logdet(Sigma + sigma^2 I) = (n - q) log beta +
@@ -673,7 +677,7 @@ fitLowRank(const LeoOptions &opt,
         cnew.fill(0.0);
         // -m sigma^4 E = -m sigma^4 (C + beta I)^-1
         //                + (m sigma^4 / beta) I.
-        cnew.addScaledSymmetric(-mp * sigma2 * sigma2, invq);
+        cnew.addScaled(-mp * sigma2 * sigma2, invq);
         cnew.addToDiagonal(mp * sigma2 * sigma2 / beta);
         if (have_obs)
             cnew += ct;
@@ -699,15 +703,20 @@ fitLowRank(const LeoOptions &opt,
                   sigma2 * sigma2 * tr_ainv) +
             sigma2 * sigma2 * wq2_sum;
         if (have_obs) {
-            Matrix::multiplyInto(pct, p, ct);
-            linalg::gemvInto(ptc, p, tc);
-            for (std::size_t j = 0; j < s; ++j) {
-                double tjj = alpha;
-                for (std::size_t k = 0; k < q; ++k)
-                    tjj += pct.at(j, k) * p.at(j, k);
-                const double rr = ptc[j] - x_obs[j];
-                noise_accum += tjj + rr * rr;
-            }
+            // The target's observed entries, in closed form: every
+            // observed unit lies in span(Q), so P P' is the duplicate
+            // indicator and A = Sigma_Omega + sigma^2 I exactly. Then
+            // diag(alpha I + P Ct P') = sigma^2 - sigma^4 diag(A^-1)
+            // and P tc - x = -sigma^2 A^-1 r, and tr(A^-1) is the
+            // squared Frobenius norm of L_A^-1.
+            linv.fill(0.0);
+            linv.addToDiagonal(1.0);
+            chol_obs.solveLowerInPlace(linv);
+            const double tr_ainv_obs =
+                linalg::dotN(linv.data(), linv.data(), s * s);
+            noise_accum += static_cast<double>(s) * sigma2 +
+                           sigma2 * sigma2 *
+                               (w.squaredNorm() - tr_ainv_obs);
         }
         const double sigma2_new =
             std::max(noise_accum / total_obs, opt.minSigma2);
@@ -752,35 +761,7 @@ fitLowRank(const LeoOptions &opt,
     // Final E-step for the target under the fitted theta, then expand
     // back to configuration space.
     if (have_obs) {
-        const double beta = alpha + sigma2;
-        Matrix::multiplyInto(pc, p, cmat);
-        linalg::abtInto(amat, pc, p);
-        amat.addToDiagonal(beta);
-        for (std::size_t j = 0; j < s; ++j)
-            for (std::size_t j2 = j + 1; j2 < s; ++j2)
-                if (obs_idx[j] == obs_idx[j2]) {
-                    amat.at(j, j2) += alpha;
-                    amat.at(j2, j) += alpha;
-                }
-        chol_obs.factorize(amat, 0.0, 1e-8);
-        linalg::gemvInto(pg, p, g);
-        for (std::size_t j = 0; j < s; ++j)
-            r[j] = x_obs[j] - pg[j];
-        w = r;
-        chol_obs.solveInPlace(w);
-        linalg::gemvTransInto(u, p, w);
-        linalg::gemvInto(cu, cmat, u);
-        for (std::size_t k = 0; k < q; ++k)
-            tc[k] = g[k] + alpha * u[k] + cu[k];
-        for (std::size_t j = 0; j < s; ++j)
-            for (std::size_t k = 0; k < q; ++k)
-                bmat.at(j, k) = alpha * p.at(j, k) + pc.at(j, k);
-        xmat = bmat;
-        chol_obs.solveInPlace(xmat);
-        linalg::atbInto(ct, bmat, xmat);
-        for (std::size_t k = 0; k < q; ++k)
-            for (std::size_t k2 = 0; k2 < q; ++k2)
-                ct.at(k, k2) = cmat.at(k, k2) - ct.at(k, k2);
+        conditionTarget(alpha + sigma2);
     } else {
         tc = g;
         ct = cmat;

@@ -273,6 +273,32 @@ Cholesky::solveInPlace(Vector &b) const
     }
 }
 
+void
+Cholesky::solveLowerInPlace(Matrix &x) const
+{
+    const std::size_t n = dim();
+    require(x.rows() == n,
+            "Cholesky::solveLowerInPlace dimension mismatch");
+    const std::size_t m = x.cols();
+    // Row i of Y = L^-1 B: subtract the earlier rows in ascending k,
+    // then divide by the pivot. Column by column that is solveLower()'s
+    // arithmetic (same terms, same order, no zero skip, a division, not
+    // a reciprocal multiply), so each column matches it bit for bit;
+    // the rows are contiguous, so every step is a vectorizable axpy.
+    for (std::size_t i = 0; i < n; ++i) {
+        double *__restrict xi = x.data() + i * m;
+        for (std::size_t k = 0; k < i; ++k) {
+            const double lik = l_.at(i, k);
+            const double *__restrict xk = x.data() + k * m;
+            for (std::size_t c = 0; c < m; ++c)
+                xi[c] -= lik * xk[c];
+        }
+        const double lii = l_.at(i, i);
+        for (std::size_t c = 0; c < m; ++c)
+            xi[c] /= lii;
+    }
+}
+
 Matrix
 Cholesky::solve(const Matrix &b) const
 {
@@ -363,7 +389,7 @@ Cholesky::reserveInverseScratch(Workspace &ws, std::size_t n)
 }
 
 void
-Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
+Cholesky::inverseInto(Matrix &inv, Workspace &ws) const
 {
     const std::size_t n = dim();
     Matrix &k = ws.matrix("chol.k", n, n);
@@ -389,10 +415,20 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
             for (std::size_t cb = 0; cb < w; cb += 8) {
                 const std::size_t wb =
                     std::min<std::size_t>(8, w - cb);
+                // K is lower triangular: a slice right of row i is
+                // all structural zeros, and rows p above the slice's
+                // first column e hold zeros in it, whose terms are
+                // exact no-ops on an accumulator that starts at +0 or
+                // 1. So the p-run starts at e.
+                const std::size_t e = c0 + cb;
+                if (e > i) {
+                    for (std::size_t jj = 0; jj < wb; ++jj)
+                        panel.at(i, cb + jj) = 0.0;
+                    continue;
+                }
                 if (wb == 8) {
                     // Named scalars (not an array) so the accumulators
                     // live in registers across the whole p-run at -O2.
-                    const std::size_t e = c0 + cb;
                     double a0 = (i == e) ? 1.0 : 0.0;
                     double a1 = (i == e + 1) ? 1.0 : 0.0;
                     double a2 = (i == e + 2) ? 1.0 : 0.0;
@@ -401,9 +437,9 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
                     double a5 = (i == e + 5) ? 1.0 : 0.0;
                     double a6 = (i == e + 6) ? 1.0 : 0.0;
                     double a7 = (i == e + 7) ? 1.0 : 0.0;
-                    const double *pp = &panel.at(c0, cb);
+                    const double *pp = &panel.at(e, cb);
                     const std::size_t stride = panel.cols();
-                    for (std::size_t p = c0; p < i;
+                    for (std::size_t p = e; p < i;
                          ++p, pp += stride) {
                         const double lip = l_.at(i, p);
                         if (lip == 0.0)
@@ -429,8 +465,8 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
                 } else {
                     double acc[8];
                     for (std::size_t jj = 0; jj < wb; ++jj)
-                        acc[jj] = (i == c0 + cb + jj) ? 1.0 : 0.0;
-                    for (std::size_t p = c0; p < i; ++p) {
+                        acc[jj] = (i == e + jj) ? 1.0 : 0.0;
+                    for (std::size_t p = e; p < i; ++p) {
                         const double lip = l_.at(i, p);
                         if (lip == 0.0)
                             continue;
@@ -456,8 +492,8 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
 
     // Phase 2: A^-1 = K' K, blocked over lower-triangle tiles. The
     // per-entry products and their increasing-p order match
-    // inverse() exactly (including its kpi == 0 skip); k-tiles that
-    // lie entirely in K's structural-zero region are skipped.
+    // inverse() exactly (including its kpi == 0 skip); the p-run of
+    // row i starts at i, since K(p, i) is a structural zero above it.
     inv.resize(n, n); // leo-lint: allow(hot-alloc-transitive) capacity guard; no-op when presized
     for (std::size_t i0 = 0; i0 < n; i0 += kPanel) {
         const std::size_t i1 = std::min(n, i0 + kPanel);
@@ -476,6 +512,7 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
                     // the whole p-tile (independent dependency chains,
                     // no store per p); each entry still sums its
                     // p-terms in ascending order.
+                    const std::size_t p_lo = std::max(p0, i);
                     for (std::size_t jb = j0; jb < j_hi; jb += 8) {
                         const std::size_t w =
                             std::min<std::size_t>(8, j_hi - jb);
@@ -488,9 +525,9 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
                                    a3 = d[3], a4 = d[4], a5 = d[5],
                                    a6 = d[6], a7 = d[7];
                             const double *kti = &kt.at(i, 0);
-                            const double *kp = &k.at(p0, jb);
+                            const double *kp = &k.at(p_lo, jb);
                             const std::size_t stride = k.cols();
-                            for (std::size_t p = p0; p < p1;
+                            for (std::size_t p = p_lo; p < p1;
                                  ++p, kp += stride) {
                                 const double kpi = kti[p];
                                 if (kpi == 0.0)
@@ -512,7 +549,7 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
                             double acc[8];
                             for (std::size_t jj = 0; jj < w; ++jj)
                                 acc[jj] = inv.at(i, jb + jj);
-                            for (std::size_t p = p0; p < p1; ++p) {
+                            for (std::size_t p = p_lo; p < p1; ++p) {
                                 const double kpi = kt.at(i, p);
                                 if (kpi == 0.0)
                                     continue;
@@ -528,11 +565,9 @@ Cholesky::inverseInto(Matrix &inv, Workspace &ws, bool mirror) const
             }
         }
     }
-    if (mirror) {
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < i; ++j)
-                inv.at(j, i) = inv.at(i, j);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            inv.at(j, i) = inv.at(i, j);
 }
 
 double

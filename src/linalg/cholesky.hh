@@ -109,20 +109,17 @@ class Cholesky
      *
      * Computes K = L^-1 by cache-blocked panel substitution, then
      * A^-1 = K' K with a blocked multiply that skips K's structural
-     * zero blocks. Bitwise identical to inverse() (same per-entry
-     * accumulation order), several times faster at n ~ 1000, and
-     * allocation-free once `ws` holds the scratch buffers (keys
-     * "chol.*" — give each recurring inverseInto call site a
-     * workspace of its own, or shapes will thrash).
+     * zeros, and mirrors the lower triangle. Bitwise identical to
+     * inverse() (same per-entry accumulation order), several times
+     * faster at n ~ 1000, and allocation-free once `ws` holds the
+     * scratch buffers (keys "chol.*" — give each recurring
+     * inverseInto call site a workspace of its own, or shapes will
+     * thrash).
      *
-     * @param inv    Output buffer (re-shaped as needed).
-     * @param ws     Scratch arena for the triangular-inverse panels.
-     * @param mirror When false only inv's lower triangle is written
-     *               (the upper triangle is unspecified), pairing
-     *               with addScaledSymmetric consumers.
+     * @param inv Output buffer (re-shaped as needed).
+     * @param ws  Scratch arena for the triangular-inverse panels.
      */
-    void inverseInto(Matrix &inv, Workspace &ws,
-                     bool mirror = true) const;
+    void inverseInto(Matrix &inv, Workspace &ws) const;
 
     /**
      * Pre-acquire the "chol.*" scratch buffers an n x n inverseInto
@@ -146,6 +143,13 @@ class Cholesky
      * to solveLower() without the result allocation.
      */
     void solveLowerInPlace(Vector &b) const;
+
+    /**
+     * In-place forward substitution on a matrix right-hand side:
+     * b <- L^-1 b. Each column is bitwise solveLower() of that column;
+     * the row-wise sweep vectorizes across the columns.
+     */
+    void solveLowerInPlace(Matrix &b) const;
 
     /**
      * In-place SPD solve: b <- A^-1 b. Bitwise identical to

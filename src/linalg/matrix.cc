@@ -270,22 +270,6 @@ Matrix::addScaled(double scale, const Matrix &other)
 }
 
 void
-Matrix::addScaledSymmetric(double scale, const Matrix &lower)
-{
-    require(rows_ == cols_ && lower.rows() == rows_ &&
-                lower.cols() == cols_,
-            "Matrix::addScaledSymmetric dimension mismatch");
-    for (std::size_t i = 0; i < rows_; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            const double v = scale * lower.at(i, j);
-            at(i, j) += v;
-            at(j, i) += v;
-        }
-        at(i, i) += scale * lower.at(i, i);
-    }
-}
-
-void
 Matrix::outerAddInto(double scale, const Vector &x, const Vector &y)
 {
     require(rows_ == x.size() && cols_ == y.size(),

@@ -158,14 +158,6 @@ class Matrix
     void addScaled(double scale, const Matrix &other);
 
     /**
-     * In-place symmetric axpy from a lower triangle: treats `lower`
-     * as a symmetric matrix stored in its lower triangle (upper
-     * entries ignored) and adds scale * that matrix. Pairs with the
-     * mirror = false mode of Cholesky::inverseInto.
-     */
-    void addScaledSymmetric(double scale, const Matrix &lower);
-
-    /**
      * Rank-1 update: this += scale * x y'.
      *
      * Each entry adds (x[i] * y[j]) * scale in one rounding step —

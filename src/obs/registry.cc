@@ -504,10 +504,10 @@ histogramJson(const HistogramSnapshot &h)
             out += ", ";
         out += std::to_string(h.counts[i]);
     }
-    out += "], \"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + fmtDouble(h.sum);
-    out += ", \"min\": " + fmtDouble(h.min);
-    out += ", \"max\": " + fmtDouble(h.max) + "}";
+    out.append("], \"count\": ").append(std::to_string(h.count));
+    out.append(", \"sum\": ").append(fmtDouble(h.sum));
+    out.append(", \"min\": ").append(fmtDouble(h.min));
+    out.append(", \"max\": ").append(fmtDouble(h.max)).append("}");
     return out;
 }
 
@@ -518,25 +518,28 @@ snapshotJson(const Registry &reg)
 {
     const Snapshot snap = reg.snapshot();
     std::string out = "{\n  \"counters\": {";
-    for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-        out += i ? ",\n    " : "\n    ";
-        out += "\"" + jsonEscape(snap.counters[i].first) +
-               "\": " + std::to_string(snap.counters[i].second);
-    }
+    // Appends rather than "..." + std::string&&, whose inlined copy
+    // GCC 12 flags with a false -Wrestrict at -O3.
+    const auto entry = [&out](std::size_t i, const std::string &name,
+                              const std::string &value) {
+        out.append(i ? ",\n    " : "\n    ")
+            .append("\"")
+            .append(jsonEscape(name))
+            .append("\": ")
+            .append(value);
+    };
+    for (std::size_t i = 0; i < snap.counters.size(); ++i)
+        entry(i, snap.counters[i].first,
+              std::to_string(snap.counters[i].second));
     out += snap.counters.empty() ? "},\n" : "\n  },\n";
     out += "  \"gauges\": {";
-    for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-        out += i ? ",\n    " : "\n    ";
-        out += "\"" + jsonEscape(snap.gauges[i].first) +
-               "\": " + fmtDouble(snap.gauges[i].second);
-    }
+    for (std::size_t i = 0; i < snap.gauges.size(); ++i)
+        entry(i, snap.gauges[i].first, fmtDouble(snap.gauges[i].second));
     out += snap.gauges.empty() ? "},\n" : "\n  },\n";
     out += "  \"histograms\": {";
-    for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-        out += i ? ",\n    " : "\n    ";
-        out += "\"" + jsonEscape(snap.histograms[i].name) +
-               "\": " + histogramJson(snap.histograms[i]);
-    }
+    for (std::size_t i = 0; i < snap.histograms.size(); ++i)
+        entry(i, snap.histograms[i].name,
+              histogramJson(snap.histograms[i]));
     out += snap.histograms.empty() ? "}\n}" : "\n  }\n}";
     return out;
 }
@@ -546,18 +549,24 @@ snapshotNdjson(const Registry &reg)
 {
     const Snapshot snap = reg.snapshot();
     std::string out;
+    const auto line = [&out](const char *type, const std::string &name,
+                             const char *field, const std::string &value) {
+        out.append("{\"type\": \"")
+            .append(type)
+            .append("\", \"name\": \"")
+            .append(jsonEscape(name))
+            .append("\", \"")
+            .append(field)
+            .append("\": ")
+            .append(value)
+            .append("}\n");
+    };
     for (const auto &c : snap.counters)
-        out += "{\"type\": \"counter\", \"name\": \"" +
-               jsonEscape(c.first) +
-               "\", \"value\": " + std::to_string(c.second) + "}\n";
+        line("counter", c.first, "value", std::to_string(c.second));
     for (const auto &g : snap.gauges)
-        out += "{\"type\": \"gauge\", \"name\": \"" +
-               jsonEscape(g.first) +
-               "\", \"value\": " + fmtDouble(g.second) + "}\n";
+        line("gauge", g.first, "value", fmtDouble(g.second));
     for (const HistogramSnapshot &h : snap.histograms)
-        out += "{\"type\": \"histogram\", \"name\": \"" +
-               jsonEscape(h.name) + "\", \"data\": " +
-               histogramJson(h) + "}\n";
+        line("histogram", h.name, "data", histogramJson(h));
     return out;
 }
 

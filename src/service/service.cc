@@ -483,6 +483,10 @@ Service::saveSnapshot(linalg::ByteWriter &w)
 {
     obs::Span span(obs::names::kServiceSnapshotSpan, "service");
     const std::size_t start = w.bytes().size();
+    // Reserve the previous snapshot's size up front, so a repeat save
+    // lands in one allocation; a counting pass would format every
+    // session's engine text twice.
+    w.reserve(last_snapshot_bytes_);
     // Each prior version a session pins, plus the live one, travels
     // once, ahead of the sessions that name it. Sessions on one
     // version share one store, so the first pointer seen is the one.
@@ -545,7 +549,8 @@ Service::saveSnapshot(linalg::ByteWriter &w)
     for (const InboundSample &in : queued)
         queues_[shardOf(in.tenant)]->push(in);
     snapshots_saved_.add(1);
-    span.arg("bytes", static_cast<double>(w.bytes().size() - start));
+    last_snapshot_bytes_ = w.bytes().size() - start;
+    span.arg("bytes", static_cast<double>(last_snapshot_bytes_));
     span.arg("sessions", static_cast<double>(sessions_.size()));
     span.arg("versions", static_cast<double>(priors.size()));
 }

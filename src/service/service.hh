@@ -340,6 +340,9 @@ class Service
     FitCache cache_; // leo-lint: allow(snapshot-completeness) cache, rebuilt on demand
     /** Evictions already forwarded to the eviction counter. */
     std::size_t evictions_seen_ = 0; // leo-lint: allow(snapshot-completeness) derived diagnostic
+    /** Byte count of the last saved snapshot: the next save reserves
+     *  it up front. */
+    std::size_t last_snapshot_bytes_ = 0;
 
     /** Latest fleet co-schedule and the ids it covers (id order,
      *  index-aligned with global_plan_.perTenant). Derived state:

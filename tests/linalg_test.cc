@@ -606,6 +606,10 @@ randomSpd(std::size_t n, stats::Rng &rng)
 /** The EM-relevant dimensions: trivial, prime, one tile, many tiles. */
 const std::size_t kSpdSizes[] = {1, 7, 64, 130};
 
+/** EM core orders q: 20 and 44 leave a 4-wide tail slice in the
+ *  inverse's 8-column slices, 37 a 5-wide one. */
+const std::size_t kEmCoreSizes[] = {20, 37, 44};
+
 } // namespace
 
 TEST(Workspace, ReusesBuffersByKeyAndShape)
@@ -698,27 +702,6 @@ TEST(IntoKernels, GatherTransposeAndAxpyVariantsMatchToZeroUlp)
         ASSERT_EQ(vs[i], vexpect[i]) << "Vector::addScaled at " << i;
 }
 
-TEST(IntoKernels, SymmetricAxpyReadsOnlyLowerTriangle)
-{
-    stats::Rng rng(3444);
-    for (std::size_t n : kSpdSizes) {
-        const Matrix a = randomSpd(n, rng);
-        // Poison the strict upper triangle: symmetry-aware consumers
-        // must never read it.
-        Matrix lower = a;
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = i + 1; j < n; ++j)
-                lower.at(i, j) = std::nan("");
-
-        Matrix sum = randomMatrix(n, n, rng);
-        Matrix full_expect = sum;
-        sum.addScaledSymmetric(-1.75, lower);
-        full_expect += -1.75 * a;
-        expectBitwiseEqual(sum, full_expect,
-                           "addScaledSymmetric n=" + std::to_string(n));
-    }
-}
-
 TEST(IntoKernels, FactorizeMatchesConstructorToZeroUlp)
 {
     stats::Rng rng(3555);
@@ -761,22 +744,18 @@ TEST(IntoKernels, InverseIntoMatchesInverseToZeroUlp)
     stats::Rng rng(3666);
     linalg::Workspace ws;
     Matrix inv_buf;
-    for (std::size_t n : kSpdSizes) {
+    std::vector<std::size_t> sizes(std::begin(kSpdSizes),
+                                   std::end(kSpdSizes));
+    sizes.insert(sizes.end(), std::begin(kEmCoreSizes),
+                 std::end(kEmCoreSizes));
+    for (std::size_t n : sizes) {
         const Matrix a = randomSpd(n, rng);
         const linalg::Cholesky chol(a, 1e-6);
         const Matrix reference = chol.inverse();
 
-        chol.inverseInto(inv_buf, ws, /*mirror=*/true);
+        chol.inverseInto(inv_buf, ws);
         expectBitwiseEqual(inv_buf, reference,
                            "inverseInto n=" + std::to_string(n));
-
-        // mirror = false must still produce the exact lower triangle
-        // (the upper is unspecified).
-        chol.inverseInto(inv_buf, ws, /*mirror=*/false);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j <= i; ++j)
-                ASSERT_EQ(inv_buf.at(i, j), reference.at(i, j))
-                    << "lower-only inverseInto n=" << n;
     }
 }
 
@@ -811,6 +790,28 @@ TEST(IntoKernels, InPlaceSolvesMatchAllocatingSolvesToZeroUlp)
     }
 }
 
+TEST(IntoKernels, MatrixForwardSolveMatchesSolveLowerPerColumnToZeroUlp)
+{
+    stats::Rng rng(3779);
+    for (std::size_t n : kSpdSizes) {
+        const Matrix a = randomSpd(n, rng);
+        const linalg::Cholesky chol(a, 1e-6);
+        for (std::size_t cols : {1u, 5u, 44u}) {
+            const Matrix rhs = randomMatrix(n, cols, rng);
+            Matrix y = rhs;
+            chol.solveLowerInPlace(y);
+            for (std::size_t c = 0; c < cols; ++c) {
+                const Vector expect = chol.solveLower(rhs.col(c));
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(y.at(i, c)),
+                              std::bit_cast<std::uint64_t>(expect[i]))
+                        << "n=" << n << " cols=" << cols << " at (" << i
+                        << ", " << c << ")";
+            }
+        }
+    }
+}
+
 TEST(IntoKernels, LargeProblemMatchesNaiveKernelsToZeroUlp)
 {
     // One EM-scale problem (n ~ 1024, off the tile grid) exercising
@@ -833,7 +834,7 @@ TEST(IntoKernels, LargeProblemMatchesNaiveKernelsToZeroUlp)
 
     linalg::Workspace ws;
     Matrix inv_buf;
-    blocked.inverseInto(inv_buf, ws, /*mirror=*/true);
+    blocked.inverseInto(inv_buf, ws);
     expectBitwiseEqual(inv_buf, reference.inverse(),
                        "inverseInto n=1030");
 }

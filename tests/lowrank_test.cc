@@ -340,6 +340,10 @@ TEST(LowRankEquivalence, DuplicateObservationIndices)
     const LeoFit fl = lowrank.fitMetric(prior, idx, vals);
     ASSERT_TRUE(fl.prediction.allFinite());
     EXPECT_LT(relL2(fd.prediction, fl.prediction), 1e-6);
+    // The fit's observed-noise term is closed-form in A^-1, exact only
+    // because P P' is the duplicate indicator: sigma^2 pins it.
+    EXPECT_EQ(fl.iterations, fd.iterations);
+    EXPECT_NEAR(fl.sigma2, fd.sigma2, 1e-6 * fd.sigma2 + 1e-12);
 }
 
 // ------------------------------------------------------- Warm starts
@@ -814,9 +818,12 @@ TEST(PriorBasis, UnitInsidePriorSpanAddsNoDirection)
     EXPECT_EQ(fl.kept.units, (std::vector<std::size_t>{40, 90}));
     EXPECT_LT(orthonormalityError(fl.basis()), 1e-12);
     ASSERT_TRUE(fl.prediction.allFinite());
-    EXPECT_LT(relL2(oracleFit(prior, idx, vals).prediction,
-                    fl.prediction),
-              1e-6);
+    const support::OracleFit fd = oracleFit(prior, idx, vals);
+    EXPECT_LT(relL2(fd.prediction, fl.prediction), 1e-6);
+    // e_17 lies in span(Q) through the prior block alone, which the
+    // closed-form observed-noise term relies on.
+    EXPECT_EQ(fl.iterations, fd.iterations);
+    EXPECT_NEAR(fl.sigma2, fd.sigma2, 1e-6 * fd.sigma2 + 1e-12);
 
     // A prior spanning all of R^n leaves no room for any unit.
     auto full = makePrior(10, 8, 8, 333);

@@ -474,7 +474,7 @@ TEST(ObsIntegration, FitSpanCoversTheWholeFit)
         }
     ASSERT_EQ(fits, 1u);
     for (const char *key : {"apps", "configs", "rank", "iters", "converged"})
-        EXPECT_NE(fit->args.find("\"" + std::string(key) + "\": "),
+        EXPECT_NE(fit->args.find(std::string("\"").append(key).append("\": ")),
                   std::string::npos)
             << key << " missing from " << fit->args;
     for (const TracedSpan &s : spans) {

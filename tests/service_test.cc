@@ -899,6 +899,33 @@ TEST(ServiceSnapshot, RestoreDropsFitsCachedOnOtherPriorContent)
     EXPECT_TRUE(a.bytes() == b.bytes());
 }
 
+/**
+ * A save reserves the previous save's byte count up front, so a
+ * repeat save into a fresh writer lands in one buffer of exactly its
+ * size and writes the same bytes.
+ */
+TEST(ServiceSnapshot, RepeatSaveSizesItsBufferOnce)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    Service svc(w.space, leo, w.prior, pool, w.serviceOptions(2));
+    std::vector<std::uint64_t> ids;
+    for (std::size_t t = 0; t < 3; ++t)
+        ids.push_back(*svc.admit(w.tenant(t)));
+    auto rngs = measurementRngs(ids.size());
+    std::vector<std::vector<std::size_t>> sched;
+    ASSERT_NO_FATAL_FAILURE(
+        driveFleet(svc, w, w.monitor, w.meter, ids, rngs, 8, sched));
+
+    linalg::ByteWriter first;
+    svc.saveSnapshot(first);
+    linalg::ByteWriter second;
+    svc.saveSnapshot(second);
+    EXPECT_EQ(second.bytes().capacity(), second.bytes().size());
+    EXPECT_TRUE(second.bytes() == first.bytes());
+}
+
 namespace
 {
 
