@@ -16,6 +16,10 @@
  *    refit from the previous round's fit with a persistent
  *    workspace, after four new observations arrive.
  *
+ * BM_PriorBasisBuild times the stage a controller's first decision
+ * runs before either fit: one metric's PriorBasis (normalize,
+ * orthonormalize and factor the prior shapes).
+ *
  * Every fit row also reports per-EM-iteration time (ms_per_iter), and
  * the binary always writes machine-readable results to
  * BENCH_leo.json (google-benchmark JSON) unless --benchmark_out is
@@ -38,6 +42,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -47,6 +52,7 @@
 #include "obs/obs.hh"
 
 #include "estimators/leo.hh"
+#include "estimators/prior_basis.hh"
 #include "linalg/workspace.hh"
 #include "optimizer/schedule.hh"
 #include "platform/config_space.hh"
@@ -240,6 +246,31 @@ BM_LeoLowRankHeadroom(benchmark::State &state)
         obs::names::kBenchLowRankMs);
 }
 
+/**
+ * One metric's prior basis on the leave-one-out suite prior (the
+ * suite without kmeans, cut to its first M apps). Each build takes a
+ * fresh copy of the prior vectors, as PriorBases::build takes
+ * priorVectors' copy of the profile store.
+ */
+void
+BM_PriorBasisBuild(benchmark::State &state)
+{
+    const unsigned core_stride = static_cast<unsigned>(state.range(0));
+    const unsigned speed_stride =
+        static_cast<unsigned>(state.range(1));
+    const std::size_t apps = static_cast<std::size_t>(state.range(2));
+    const FitSetup s = makeSetup(core_stride, speed_stride);
+    const std::vector<linalg::Vector> prior(
+        s.prior.begin(),
+        s.prior.begin() + static_cast<std::ptrdiff_t>(apps));
+    for (auto _ : state) {
+        const estimators::PriorBasis basis(prior);
+        benchmark::DoNotOptimize(basis.fingerprint());
+    }
+    state.counters["configs"] = static_cast<double>(s.space.size());
+    state.counters["apps"] = static_cast<double>(apps);
+}
+
 void
 BM_HullWalk(benchmark::State &state)
 {
@@ -281,6 +312,14 @@ BENCHMARK(BM_LeoWarmRound)
 BENCHMARK(BM_LeoLowRankHeadroom)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(10);
+
+// (n, M) = (1024, 24) and (256, 20); a build takes well under a
+// millisecond, so each repetition averages 50 of them.
+BENCHMARK(BM_PriorBasisBuild)
+    ->Args({1, 1, 24})
+    ->Args({2, 2, 20})
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(50);
 
 BENCHMARK(BM_HullWalk)->Unit(benchmark::kMillisecond);
 

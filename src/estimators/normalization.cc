@@ -11,17 +11,15 @@ namespace leo::estimators
 {
 
 std::vector<linalg::Vector>
-normalizeShapes(const std::vector<linalg::Vector> &prior)
+normalizeShapes(std::vector<linalg::Vector> prior)
 {
-    std::vector<linalg::Vector> shapes;
-    shapes.reserve(prior.size());
-    for (const linalg::Vector &y : prior) {
+    for (linalg::Vector &y : prior) {
         require(!y.empty(), "normalizeShapes: empty prior vector");
         const double m = y.mean();
         require(m > 0.0, "normalizeShapes: non-positive prior mean");
-        shapes.push_back(y / m);
+        y /= m;
     }
-    return shapes;
+    return prior;
 }
 
 linalg::Vector

@@ -27,13 +27,14 @@ namespace leo::estimators
 {
 
 /**
- * Divide each prior vector by its own mean.
+ * Divide each prior vector by its own mean, in place: a caller that
+ * moves its vectors in gets them back normalized, without a copy.
  *
  * @param prior Fully observed application vectors.
- * @return Mean-normalized copies (unit-mean shapes).
+ * @return The unit-mean shapes.
  */
 std::vector<linalg::Vector> normalizeShapes(
-    const std::vector<linalg::Vector> &prior);
+    std::vector<linalg::Vector> prior);
 
 /**
  * Average of unit-mean shapes, accumulated in order: the Offline

@@ -6,6 +6,7 @@
 #include "estimators/prior_basis.hh"
 
 #include <bit>
+#include <utility>
 
 #include "estimators/estimator.hh"
 #include "estimators/normalization.hh"
@@ -55,29 +56,40 @@ fingerprintOf(std::size_t n, const linalg::Matrix &rows,
 
 } // namespace
 
-PriorBasis::PriorBasis(const std::vector<linalg::Vector> &prior)
+PriorBasis::PriorBasis(std::vector<linalg::Vector> prior)
+    : shapes_(std::move(prior))
 {
     obs::Span span(obs::names::kEmPriorBasisSpan, "em");
-    require(!prior.empty(), "PriorBasis: no prior applications");
-    n_ = prior.front().size();
-    for (const linalg::Vector &y : prior)
+    require(!shapes_.empty(), "PriorBasis: no prior applications");
+    n_ = shapes_.front().size();
+    for (const linalg::Vector &y : shapes_)
         require(y.size() == n_, "PriorBasis: ragged prior vectors");
-    shapes_ = normalizeShapes(prior);
+    shapes_ = normalizeShapes(std::move(shapes_));
     const std::size_t m = shapes_.size();
 
+    // Q_p grows in the basis's own storage and R is its Gram-Schmidt
+    // factor: row i takes x_i's coefficients on the rows kept so far,
+    // plus its residual norm when x_i adds a direction. Both move
+    // into place at full rank; a rank-deficient prior copies R's
+    // first r columns out.
     linalg::LowRankBasis basis;
     basis.reset(n_, m);
-    for (const linalg::Vector &x : shapes_)
-        basis.appendVector(x);
-    basis.rowsInto(rows_);
-    const std::size_t r = basis.size();
-
-    coords_.resize(m, r);
-    linalg::Vector ci(r);
+    linalg::Matrix coef(m, m);
     for (std::size_t i = 0; i < m; ++i) {
-        basis.coordsInto(ci, shapes_[i]);
-        for (std::size_t k = 0; k < r; ++k)
-            coords_.at(i, k) = ci[k];
+        basis.appendVector(shapes_[i]);
+        const linalg::Vector &c = basis.coefficients();
+        for (std::size_t k = 0; k < basis.size(); ++k)
+            coef.at(i, k) = c[k];
+    }
+    const std::size_t r = basis.size();
+    rows_ = basis.releaseRows();
+    if (r == m) {
+        coords_ = std::move(coef);
+    } else {
+        coords_.resize(m, r);
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t k = 0; k < r; ++k)
+                coords_.at(i, k) = coef.at(i, k);
     }
 
     mean_coords_ = linalg::Vector(r, 0.0);
@@ -101,12 +113,12 @@ PriorBasis::PriorBasis(const std::vector<linalg::Vector> &prior)
 }
 
 std::shared_ptr<const PriorBasis>
-PriorBasis::tryBuild(const std::vector<linalg::Vector> &prior)
+PriorBasis::tryBuild(std::vector<linalg::Vector> prior)
 {
     if (prior.empty())
         return nullptr;
     try {
-        return std::make_shared<const PriorBasis>(prior);
+        return std::make_shared<const PriorBasis>(std::move(prior));
     } catch (const Error &) {
         return nullptr;
     }

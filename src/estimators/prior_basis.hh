@@ -5,8 +5,9 @@
  * The M - 1 fully profiled applications of Equation 2 are fixed
  * offline data, yet a low-rank fit needs them in a prepared form:
  * normalized to unit-mean shapes, orthonormalized over all n
- * configurations and projected onto that basis. PriorBasis does this
- * work once per metric and prior version. Every fit against the same
+ * configurations and expressed in that basis. PriorBasis does this
+ * work once per metric and prior version, in one Gram-Schmidt
+ * factorization that yields both the basis and the coefficients. Every fit against the same
  * prior shares it read-only and adds only its own s observed
  * directions, in s dimensions (DESIGN.md section 7.2). A fit holds
  * a std::shared_ptr to the basis it ran on (LeoFit::prior) in place
@@ -39,7 +40,7 @@ namespace leo::estimators
 
 /**
  * Normalized prior shapes, their orthonormal basis Q_p and their
- * coordinates in it. Immutable after construction, so one instance
+ * coefficients in it. Immutable after construction, so one instance
  * may be shared read-only by concurrent fits; build it with
  * std::make_shared to hand it to them.
  */
@@ -47,15 +48,18 @@ class PriorBasis
 {
   public:
     /**
-     * Build from one metric's raw prior vectors. Counts one
-     * leo.em.prior_basis.built and records a leo.em.prior_basis span.
+     * Build from one metric's raw prior vectors, taken by value: a
+     * caller that moves its vectors in has them normalized in place
+     * and kept as shapes(), with no second copy of the prior. Counts
+     * one leo.em.prior_basis.built and records a leo.em.prior_basis
+     * span.
      *
      * @param prior Fully observed prior vectors (>= 1, equal length,
      *              positive means).
      * @throws leo::FatalError on an empty, ragged or non-positive
      *         prior.
      */
-    explicit PriorBasis(const std::vector<linalg::Vector> &prior);
+    explicit PriorBasis(std::vector<linalg::Vector> prior);
 
     /**
      * Build when possible. Returns null for an empty prior and for
@@ -63,7 +67,7 @@ class PriorBasis
      * raw vectors, which degrade as DESIGN.md section 8 describes.
      */
     static std::shared_ptr<const PriorBasis> tryBuild(
-        const std::vector<linalg::Vector> &prior);
+        std::vector<linalg::Vector> prior);
 
     /** @return The configuration count n. */
     std::size_t dim() const { return n_; }
@@ -85,7 +89,11 @@ class PriorBasis
      *  built with LowRankBasis::appendVector in shape order. */
     const linalg::Matrix &rows() const { return rows_; }
 
-    /** @return R (M x r): row i holds the coordinates Q_p x_i. */
+    /** @return R (M x r): row i holds the coefficients of x_i, the
+     *  Gram-Schmidt factor x_i = sum_k R_ik (Q_p)_k. It is lower
+     *  trapezoidal: entries right of the direction x_i added (or,
+     *  for a shape dropped as dependent, right of the rows kept
+     *  before it) are exactly zero. */
     const linalg::Matrix &coords() const { return coords_; }
 
     /** @return The mean of R's rows: the Offline cold init of mu,

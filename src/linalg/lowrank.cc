@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "linalg/error.hh"
 
@@ -51,37 +52,95 @@ axpyN(double *__restrict y, const double *__restrict x, double s,
         y[i] += s * x[i];
 }
 
+namespace
+{
+
+/**
+ * c = Q v over the first q rows of `rows` (row stride n): four rows
+ * share each pass over v, one accumulator per row, every entry
+ * summed in ascending j.
+ */
+void
+productRows(double *__restrict c, const double *__restrict rows,
+            std::size_t q, const double *__restrict v, std::size_t n)
+{
+    std::size_t k = 0;
+    for (; k + 4 <= q; k += 4) {
+        const double *__restrict r0 = rows + k * n;
+        const double *__restrict r1 = r0 + n;
+        const double *__restrict r2 = r1 + n;
+        const double *__restrict r3 = r2 + n;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double vj = v[j];
+            s0 += r0[j] * vj;
+            s1 += r1[j] * vj;
+            s2 += r2[j] * vj;
+            s3 += r3[j] * vj;
+        }
+        c[k] = s0;
+        c[k + 1] = s1;
+        c[k + 2] = s2;
+        c[k + 3] = s3;
+    }
+    for (; k < q; ++k)
+        c[k] = dotN(rows + k * n, v, n);
+}
+
+/** v -= Q' c over the first q rows, four rows per pass over v. */
+void
+subtractRows(double *__restrict v, const double *__restrict rows,
+             std::size_t q, const double *__restrict c, std::size_t n)
+{
+    std::size_t k = 0;
+    for (; k + 4 <= q; k += 4) {
+        const double *__restrict r0 = rows + k * n;
+        const double *__restrict r1 = r0 + n;
+        const double *__restrict r2 = r1 + n;
+        const double *__restrict r3 = r2 + n;
+        const double c0 = c[k], c1 = c[k + 1], c2 = c[k + 2],
+                     c3 = c[k + 3];
+        for (std::size_t j = 0; j < n; ++j)
+            v[j] -= (c0 * r0[j] + c1 * r1[j]) + (c2 * r2[j] + c3 * r3[j]);
+    }
+    for (; k < q; ++k)
+        axpyN(v, rows + k * n, -c[k], n);
+}
+
+} // namespace
+
 void
 LowRankBasis::reset(std::size_t n, std::size_t max_rank)
 {
     n_ = n;
     q_ = 0;
     rows_.resize(max_rank, n);
+    coeffs_.resize(0);
+    second_.resize(max_rank);
 }
 
 bool
-LowRankBasis::appendVector(const Vector &x)
+LowRankBasis::orthonormalizeStaged()
 {
-    require(x.size() == n_, "LowRankBasis: dimension mismatch");
-    if (q_ >= rows_.rows())
-        return false;
     double *__restrict v = rows_.data() + q_ * n_;
-    for (std::size_t j = 0; j < n_; ++j)
-        v[j] = x[j];
+    coeffs_.resize(q_ + 1);
+    double *__restrict c = coeffs_.data();
+    double *__restrict c2 = second_.data();
     const double norm0 = std::sqrt(dotN(v, v, n_));
-    if (!(norm0 > 0.0) || !std::isfinite(norm0))
-        return false;
 
-    // Two MGS sweeps: the second pass removes the O(eps * cos-angle)
-    // residue the first leaves behind when x nearly lies in the span.
-    for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t k = 0; k < q_; ++k) {
-            const double *__restrict row = rows_.data() + k * n_;
-            const double c = dotN(row, v, n_);
-            axpyN(v, row, -c, n_);
-        }
-    }
+    // Two CGS passes: the second removes the O(eps * cos-angle)
+    // residue the first leaves behind when v nearly lies in the span,
+    // and the vector's coefficients are the two passes' sum. A zero
+    // or non-finite vector fails the drop test below.
+    productRows(c, rows_.data(), q_, v, n_);
+    subtractRows(v, rows_.data(), q_, c, n_);
+    productRows(c2, rows_.data(), q_, v, n_);
+    subtractRows(v, rows_.data(), q_, c2, n_);
+    for (std::size_t k = 0; k < q_; ++k)
+        c[k] += c2[k];
+
     const double norm = std::sqrt(dotN(v, v, n_));
+    c[q_] = norm;
     if (!(norm > kDropTol * norm0) || !std::isfinite(norm))
         return false;
     const double inv = 1.0 / norm;
@@ -92,64 +151,45 @@ LowRankBasis::appendVector(const Vector &x)
 }
 
 bool
+LowRankBasis::appendVector(const Vector &x)
+{
+    require(x.size() == n_, "LowRankBasis: dimension mismatch");
+    if (q_ >= rows_.rows()) {
+        coeffs_.resize(0);
+        return false;
+    }
+    std::copy(x.data(), x.data() + n_, rows_.data() + q_ * n_);
+    return orthonormalizeStaged();
+}
+
+bool
 LowRankBasis::appendUnit(std::size_t j)
 {
     require(j < n_, "LowRankBasis: unit index out of range");
-    if (q_ >= rows_.rows())
+    if (q_ >= rows_.rows()) {
+        coeffs_.resize(0);
         return false;
+    }
     double *__restrict v = rows_.data() + q_ * n_;
-    for (std::size_t i = 0; i < n_; ++i)
-        v[i] = 0.0;
+    std::fill(v, v + n_, 0.0);
     v[j] = 1.0;
-    for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t k = 0; k < q_; ++k) {
-            const double *__restrict row = rows_.data() + k * n_;
-            const double c = dotN(row, v, n_);
-            axpyN(v, row, -c, n_);
-        }
+    return orthonormalizeStaged();
+}
+
+Matrix
+LowRankBasis::releaseRows()
+{
+    Matrix out;
+    if (q_ == rows_.rows()) {
+        out = std::move(rows_);
+    } else {
+        out.resize(q_, n_);
+        std::copy(rows_.data(), rows_.data() + q_ * n_, out.data());
     }
-    const double norm = std::sqrt(dotN(v, v, n_));
-    if (!(norm > kDropTol) || !std::isfinite(norm))
-        return false;
-    const double inv = 1.0 / norm;
-    for (std::size_t i = 0; i < n_; ++i)
-        v[i] *= inv;
-    ++q_;
-    return true;
-}
-
-void
-LowRankBasis::coordsInto(Vector &c, const Vector &x) const
-{
-    require(x.size() == n_, "LowRankBasis: coords dimension mismatch");
-    c.resize(q_);
-    const double *__restrict xp = x.data();
-    for (std::size_t k = 0; k < q_; ++k)
-        c[k] = dotN(rows_.data() + k * n_, xp, n_);
-}
-
-void
-LowRankBasis::expandInto(Vector &x, const Vector &c) const
-{
-    require(c.size() == q_, "LowRankBasis: expand dimension mismatch");
-    x.resize(n_);
-    double *__restrict xp = x.data();
-    for (std::size_t j = 0; j < n_; ++j)
-        xp[j] = 0.0;
-    for (std::size_t k = 0; k < q_; ++k)
-        axpyN(xp, rows_.data() + k * n_, c[k], n_);
-}
-
-void
-LowRankBasis::rowsInto(Matrix &out) const
-{
-    out.resize(q_, n_);
-    for (std::size_t k = 0; k < q_; ++k) {
-        double *__restrict o = out.data() + k * n_;
-        const double *__restrict r = rows_.data() + k * n_;
-        for (std::size_t j = 0; j < n_; ++j)
-            o[j] = r[j];
-    }
+    rows_ = Matrix();
+    n_ = 0;
+    q_ = 0;
+    return out;
 }
 
 void

@@ -31,24 +31,33 @@ namespace leo::linalg
 
 /**
  * An orthonormal basis of a low-dimensional subspace of R^n, grown
- * one vector at a time by modified Gram-Schmidt.
+ * one vector at a time by classical Gram-Schmidt applied twice
+ * (CGS2).
  *
- * Rows are stored contiguously (row k is basis vector k), so both
- * projection and expansion stream whole cache lines. Every append
- * runs the projection sweep twice ("twice is enough" — a single MGS
- * pass loses orthogonality exactly when a new vector nearly lies in
- * the current span, which is the common case here: application
- * shapes are strongly correlated). Vectors whose residual after
- * projection is below a relative drop tolerance are rejected, which
- * is how rank-deficient priors (duplicated shapes, repeated
- * observation indices) shrink q instead of poisoning the basis.
+ * Rows are stored contiguously (row k is basis vector k). Each
+ * append runs two passes, and each pass is one product c = Q v and
+ * one update v -= Q' c, both blocked four rows at a time, so a pass
+ * streams the incoming vector twice per four rows instead of twice
+ * per row. The second pass is what keeps the basis orthonormal ("twice
+ * is enough"): one pass loses orthogonality exactly when a new
+ * vector nearly lies in the current span, which is the common case
+ * here, as application shapes are strongly correlated. Vectors whose
+ * residual after projection is below a relative drop tolerance are
+ * rejected, which is how rank-deficient priors (duplicated shapes,
+ * repeated observation indices) shrink q instead of poisoning the
+ * basis.
+ *
+ * Every append also leaves the vector's coefficient row behind
+ * (coefficients()), so a caller gets the triangular factor of its
+ * vectors, x_i = sum_k R_ik Q_k, without a second pass over them.
  */
 class LowRankBasis
 {
   public:
     /**
      * Start an empty basis over R^n with storage for up to max_rank
-     * vectors (appends beyond max_rank are rejected).
+     * vectors (appends beyond max_rank are rejected and leave
+     * coefficients() empty).
      */
     void reset(std::size_t n, std::size_t max_rank);
 
@@ -60,7 +69,8 @@ class LowRankBasis
 
     /**
      * Orthonormalize x against the basis and append the residual
-     * direction.
+     * direction. A vector whose residual norm is at most 1e-10 of
+     * its own norm adds no direction.
      *
      * @return True if the vector added a new direction; false if it
      *         was (numerically) already in the span and was dropped.
@@ -68,16 +78,25 @@ class LowRankBasis
     bool appendVector(const Vector &x);
 
     /**
-     * Append the coordinate direction e_j. Identical contract to
-     * appendVector (drop tolerance 1e-10 on the residual norm), and
-     * the same cost: e_j is staged as a dense n-vector and both MGS
-     * sweeps run full dot products against every row, so an append
-     * costs O(q n). The estimator no longer calls this — a fit
-     * extends the shared prior block by its observed directions in
-     * s dimensions instead (estimators/prior_basis.hh) — but the
-     * per-append timing remains a useful reference point.
+     * Append the coordinate direction e_j: the same contract and the
+     * same CGS2 passes as appendVector, with e_j staged as a dense
+     * n-vector, so an append costs O(q n). The estimator does not
+     * call this (a fit extends the shared prior block by its
+     * observed directions in s dimensions, estimators/prior_basis.hh),
+     * but the per-append timing remains a useful reference point.
      */
     bool appendUnit(std::size_t j);
+
+    /**
+     * @return The coefficient row of the last append, of length
+     *  q + 1 for the rank q before it: entry k < q is the vector's
+     *  coefficient on row k (both passes summed), entry q its
+     *  residual norm. When the vector was kept, the residual is
+     *  norm times the new row, so the row holds the vector's
+     *  coordinates in the grown basis; when it was dropped, its
+     *  first q entries are its coordinates in the unchanged one.
+     */
+    const Vector &coefficients() const { return coeffs_; }
 
     /** @return Basis entry Q[k][j] (row k, component j). */
     double entry(std::size_t k, std::size_t j) const
@@ -85,18 +104,25 @@ class LowRankBasis
         return rows_.at(k, j);
     }
 
-    /** Write coordinates c = Q x (length size()) into c. */
-    void coordsInto(Vector &c, const Vector &x) const;
-
-    /** Write the expansion x = Q' c (length dim()) into x. */
-    void expandInto(Vector &x, const Vector &c) const;
-
-    /** Copy the q live basis rows into `out` (re-shaped to q x n). */
-    void rowsInto(Matrix &out) const;
+    /**
+     * Hand over the q live rows as a q x n matrix and leave the
+     * basis empty (reset() it before reuse). The storage moves when
+     * every slot was filled; only a rank-deficient basis copies its
+     * rows out.
+     */
+    Matrix releaseRows();
 
   private:
+    /** Run CGS2 on the vector staged in row slot q_ and keep it if
+     *  it survives the drop test. */
+    bool orthonormalizeStaged();
+
     /** Storage: max_rank x n; rows [0, q_) hold the basis. */
     Matrix rows_;
+    /** Last append's coefficient row (length q + 1). */
+    Vector coeffs_;
+    /** The second pass's coefficients (length max_rank). */
+    Vector second_;
     std::size_t n_ = 0;
     std::size_t q_ = 0;
 };

@@ -752,6 +752,32 @@ TEST(LintSnapshot, ReaderSubjectIsItsReturnType)
     }
 }
 
+TEST(LintSnapshot, FieldOnlyTheWriterMentionsFires)
+{
+    // saveBlob reads 'last_size' as a sizing hint but loadBlob never
+    // restores it: a writer's mention does not make a field
+    // serialized.
+    const auto ds = lintProgramOver(
+        {{"src/runtime/blob.cc",
+          fixture("bad_snapshot_writer_only.cc")}});
+    ASSERT_EQ(countCheck(ds, "snapshot-completeness"), 1u);
+    for (const Diagnostic &d : ds) {
+        if (d.check != "snapshot-completeness")
+            continue;
+        EXPECT_NE(d.message.find("'last_size' of 'Blob'"),
+                  std::string::npos)
+            << d.message;
+    }
+}
+
+TEST(LintSnapshot, FieldTheReaderRestoresPasses)
+{
+    const auto ds = lintProgramOver(
+        {{"src/runtime/blob.cc",
+          fixture("good_snapshot_writer_only.cc")}});
+    EXPECT_EQ(countCheck(ds, "snapshot-completeness"), 0u);
+}
+
 TEST(LintSnapshot, AllowDirectiveOnTheFieldSilences)
 {
     std::size_t suppressed = 0;

@@ -38,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include "estimators/estimator.hh"
 #include "estimators/fit_io.hh"
 #include "estimators/leo.hh"
 #include "estimators/normalization.hh"
@@ -49,7 +50,11 @@
 #include "obs/obs.hh"
 #include "platform/config_space.hh"
 #include "stats/rng.hh"
+#include "support/basis_oracle.hh"
 #include "support/leo_oracle.hh"
+#include "telemetry/meters.hh"
+#include "telemetry/profile_store.hh"
+#include "workloads/suite.hh"
 
 /** Heap-allocation audit hook (same pattern as estimators_test.cc). */
 static std::atomic<std::size_t> g_heap_allocs{0};
@@ -201,10 +206,11 @@ TEST(LowRankBasis, OrthonormalAndSpanning)
     }
 
     // Round-trip: expand(coords(x)) == x for in-span vectors.
-    Vector c, back;
-    basis.coordsInto(c, prior[3]);
-    basis.expandInto(back, c);
-    EXPECT_LT(relL2(prior[3], back), 1e-12);
+    const Matrix rows = basis.releaseRows();
+    ASSERT_EQ(rows.rows(), 7u);
+    EXPECT_EQ(basis.size(), 0u);
+    const Vector c = support::coordinatesOf(rows, prior[3]);
+    EXPECT_LT(relL2(prior[3], support::expansionOf(rows, c)), 1e-12);
 }
 
 TEST(LowRankBasis, DropsDependentVectors)
@@ -666,6 +672,194 @@ TEST(PriorBasis, HoldsNormalizedShapesAndOneBuild)
               nullptr);
     EXPECT_THROW(estimators::PriorBasis({Vector(3, 1.0), Vector(2, 1.0)}),
                  FatalError);
+}
+
+namespace
+{
+
+/** The standard suite profiled on a space, one store per call. */
+telemetry::ProfileStore
+suiteStore(const platform::ConfigSpace &space)
+{
+    const platform::Machine machine;
+    telemetry::HeartbeatMonitor monitor;
+    telemetry::WattsUpMeter meter;
+    stats::Rng rng(5);
+    return telemetry::ProfileStore::collect(workloads::standardSuite(),
+                                            machine, space, monitor,
+                                            meter, rng);
+}
+
+/**
+ * Pin one production build against the reference build on the same
+ * prior: equal ranks, Q_p within 1e-12 of the reference rows and
+ * orthonormal to 1e-13, and R within 1e-12 (relative to each shape's
+ * norm) of the reference coordinates, exactly zero right of the
+ * direction each shape added or, for a dropped shape, right of the
+ * rows kept before it.
+ */
+void
+expectMatchesReference(const std::vector<Vector> &prior)
+{
+    const estimators::PriorBasis basis(prior);
+    const support::OracleBasis ref = support::referenceBasis(
+        estimators::normalizeShapes(prior));
+    ASSERT_EQ(basis.rank(), ref.rows.rows());
+    const std::size_t r = basis.rank();
+    const std::size_t n = basis.dim();
+
+    double worst_q = 0.0;
+    for (std::size_t k = 0; k < r; ++k)
+        for (std::size_t j = 0; j < n; ++j)
+            worst_q = std::max(worst_q, std::abs(basis.rows().at(k, j) -
+                                                 ref.rows.at(k, j)));
+    EXPECT_LT(worst_q, 1e-12);
+    EXPECT_LT(orthonormalityError(basis.rows()), 1e-13);
+
+    ASSERT_EQ(basis.coords().rows(), prior.size());
+    ASSERT_EQ(basis.coords().cols(), r);
+    // Replay the appends: the rank after shape i's append is the
+    // number of its entries left of the zeros (its own direction
+    // included when it was kept).
+    linalg::LowRankBasis replay;
+    replay.reset(n, prior.size());
+    for (std::size_t i = 0; i < prior.size(); ++i) {
+        replay.appendVector(basis.shapes()[i]);
+        const std::size_t own = replay.size();
+        const double norm =
+            std::sqrt(linalg::dot(basis.shapes()[i], basis.shapes()[i]));
+        for (std::size_t k = 0; k < r; ++k) {
+            if (k < own)
+                EXPECT_LE(std::abs(basis.coords().at(i, k) -
+                                   ref.coords.at(i, k)),
+                          1e-12 * norm)
+                    << "R(" << i << "," << k << ")";
+            else
+                EXPECT_EQ(bitsOf(basis.coords().at(i, k)), 0u)
+                    << "R(" << i << "," << k << ")";
+        }
+    }
+}
+
+} // namespace
+
+/**
+ * The CGS2 build against the MGS2-then-project reference on the 25
+ * leave-one-out priors of the standard suite, both metrics, at 256
+ * and 1024 configurations: what every controller and service builds.
+ * Each space also runs one rank-deficient prior, a leave-one-out
+ * prior with a duplicate and an exact combination inserted ahead of
+ * shapes that are kept, so the dropped shapes' rows of R are checked
+ * where a later direction follows them.
+ */
+TEST(PriorBasis, MatchesReferenceBuildOnSuitePriors)
+{
+    const platform::Machine machine;
+    for (const platform::ConfigSpace &space :
+         {platform::ConfigSpace::reducedFactorial(machine, 2, 2),
+          platform::ConfigSpace::fullFactorial(machine)}) {
+        const telemetry::ProfileStore store = suiteStore(space);
+        ASSERT_EQ(store.numApplications(), 25u);
+        for (const telemetry::ApplicationRecord &app : store.records()) {
+            const telemetry::ProfileStore loo = store.without(app.name);
+            for (const estimators::Metric metric :
+                 {estimators::Metric::Performance,
+                  estimators::Metric::Power}) {
+                SCOPED_TRACE(
+                    "n = " + std::to_string(space.size()) +
+                    ", without " + app.name +
+                    (metric == estimators::Metric::Performance
+                         ? ", performance"
+                         : ", power"));
+                expectMatchesReference(
+                    estimators::priorVectors(loo, metric));
+            }
+        }
+
+        SCOPED_TRACE("rank-deficient, n = " +
+                     std::to_string(space.size()));
+        std::vector<Vector> prior = estimators::priorVectors(
+            store.without(store.records().front().name),
+            estimators::Metric::Performance);
+        Vector combo(space.size(), 0.0);
+        combo.addScaled(0.5, prior[2]);
+        combo.addScaled(2.0, prior[5]);
+        prior.insert(prior.begin() + 1, prior[0]);
+        prior.insert(prior.begin() + 4, combo);
+        expectMatchesReference(prior);
+        EXPECT_EQ(estimators::PriorBasis(prior).rank(), 24u);
+    }
+}
+
+/**
+ * The drop rule decides as the reference does on the vectors it
+ * exists for: an exact duplicate and an exact linear combination are
+ * dropped, and a combination lifted off the span by a residual of
+ * 1e-9 of its norm is kept while one at 1e-11 is dropped (either
+ * side of the 1e-10 threshold). A dropped vector's coefficients
+ * still reproduce it from the kept rows.
+ */
+TEST(PriorBasis, DropDecisionsMatchReference)
+{
+    const std::size_t n = 256;
+    const std::vector<Vector> base = makePrior(5, n, 5, 331, 0.0);
+    const support::OracleBasis span = support::referenceBasis(base);
+    ASSERT_EQ(span.rows.rows(), 5u);
+
+    // A unit direction orthogonal to the base span.
+    Vector off(n);
+    for (std::size_t j = 0; j < n; ++j)
+        off[j] = std::cos(0.37 * static_cast<double>(j * j % 97));
+    for (int pass = 0; pass < 2; ++pass)
+        off = off - support::expansionOf(
+                        span.rows, support::coordinatesOf(span.rows, off));
+    off /= std::sqrt(linalg::dot(off, off));
+
+    Vector combo(n, 0.0);
+    combo.addScaled(0.5, base[0]);
+    combo.addScaled(2.0, base[2]);
+    combo.addScaled(-0.25, base[4]);
+    const double combo_norm = std::sqrt(linalg::dot(combo, combo));
+    const auto lifted = [&](double ratio) {
+        Vector v = combo;
+        v.addScaled(ratio * combo_norm, off);
+        return v;
+    };
+    struct Probe
+    {
+        const char *what;
+        Vector x;
+        bool kept;
+    };
+    const std::vector<Probe> probes = {
+        {"duplicate", base[1], false},
+        {"combination", combo, false},
+        {"ratio 1e-9", lifted(1e-9), true},
+        {"ratio 1e-11", lifted(1e-11), false},
+    };
+    for (const Probe &p : probes) {
+        SCOPED_TRACE(p.what);
+        std::vector<Vector> vectors = base;
+        vectors.push_back(p.x);
+        const support::OracleBasis ref = support::referenceBasis(vectors);
+        linalg::LowRankBasis basis;
+        basis.reset(n, vectors.size());
+        for (std::size_t i = 0; i < base.size(); ++i)
+            ASSERT_TRUE(basis.appendVector(vectors[i]));
+        EXPECT_EQ(basis.appendVector(p.x), p.kept);
+        EXPECT_EQ(basis.size(), ref.rows.rows());
+        EXPECT_EQ(ref.rows.rows(), p.kept ? 6u : 5u);
+        if (!p.kept) {
+            const Vector &c = basis.coefficients();
+            ASSERT_EQ(c.size(), 6u);
+            Vector coords(5);
+            for (std::size_t k = 0; k < 5; ++k)
+                coords[k] = c[k];
+            EXPECT_LT(relL2(p.x, support::expansionOf(
+                                     basis.releaseRows(), coords)),
+                      1e-10);
+        }
+    }
 }
 
 /**

@@ -682,25 +682,28 @@ checkSnapshotCompleteness(const std::vector<SourceUnit> &units,
     for (const auto &[subject, serializers] : pairs) {
         const StructDef &s =
             index.structs[index.structsByName.at(subject).front()];
-        // Every identifier in every serializer body "mentions" a
-        // field; a field absent from *both* sides of the pair was
-        // added after the serializers were written.
-        std::set<std::string> mentioned;
+        // Every identifier in a reader's body "mentions" a field. A
+        // writer's mentions do not count: a writer that only reads a
+        // field (a sizing hint, a cache key) serializes nothing, and
+        // a field no reader restores is lost by a round trip however
+        // the writer uses it.
+        std::set<std::string> restored;
         std::vector<std::string> sites;
         for (const Serializer &ser : serializers) {
             const FunctionDef &fn = index.functions[ser.fn];
             const SourceUnit &unit = units[fn.unit];
-            for (std::size_t i = fn.bodyBegin;
-                 i <= fn.bodyEnd && i < unit.tokens.size(); ++i)
-                if (unit.tokens[i].kind == TokenKind::Identifier)
-                    mentioned.insert(unit.tokens[i].text);
+            if (!ser.writer)
+                for (std::size_t i = fn.bodyBegin;
+                     i <= fn.bodyEnd && i < unit.tokens.size(); ++i)
+                    if (unit.tokens[i].kind == TokenKind::Identifier)
+                        restored.insert(unit.tokens[i].text);
             sites.push_back(unit.rel + ":" +
                             std::to_string(fn.line) + " " +
                             fn.qualified());
         }
         const SourceUnit &structUnit = units[s.unit];
         for (const FieldDef &field : s.fields) {
-            if (mentioned.count(field.name))
+            if (restored.count(field.name))
                 continue;
             if (structUnit.lineAllows(field.line,
                                       "snapshot-completeness")) {
@@ -713,10 +716,10 @@ checkSnapshotCompleteness(const std::vector<SourceUnit> &units,
             d.line = field.line;
             d.message =
                 "field '" + field.name + "' of '" + s.name +
-                "' is not touched by its serializer pair: a "
-                "snapshot round trip silently drops it (serialize "
-                "it, or suppress with a justification if it is "
-                "derived/scratch state)";
+                "' is not touched by any reader of its serializer "
+                "pair: a snapshot round trip silently drops it "
+                "(serialize and restore it, or suppress with a "
+                "justification if it is derived/scratch state)";
             d.chain = sites;
             out.push_back(std::move(d));
         }
@@ -762,8 +765,8 @@ programChecks()
         {"hot-alloc-transitive",
          "hot regions reach no allocation through the call graph"},
         {"snapshot-completeness",
-         "every field of a serialized struct is covered by its "
-         "serializer pair"},
+         "every field of a serialized struct is restored by a reader "
+         "of its serializer pair"},
     };
     return registry;
 }
