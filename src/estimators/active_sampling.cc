@@ -6,11 +6,14 @@
 #include "estimators/active_sampling.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "linalg/error.hh"
 #include "obs/obs.hh"
+#include "workloads/fields.hh"
 
 namespace leo::estimators
 {
@@ -34,17 +37,21 @@ samplingObs()
     return o;
 }
 
-} // namespace
+/** Random probes before the first fit. */
+constexpr std::size_t kSeedProbes = 4;
 
-VarianceGuidedSampler::VarianceGuidedSampler(
-    ActiveSamplingOptions options)
-    : options_(options)
+/** Probes added per fit-and-select round. */
+constexpr std::size_t kBatchSize = 4;
+
+/** @return Whether a reading is usable: finite and positive, the
+ *  controller's front-gate rule. */
+bool
+usable(double reading)
 {
-    require(options_.seedProbes >= 1,
-            "VarianceGuidedSampler: need >= 1 seed probe");
-    require(options_.batchSize >= 1,
-            "VarianceGuidedSampler: need >= 1 probe per batch");
+    return std::isfinite(reading) && reading > 0.0;
 }
+
+} // namespace
 
 telemetry::Observations
 VarianceGuidedSampler::collect(const MeasureFn &measure,
@@ -67,23 +74,30 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
         require(s.configIndex == idx,
                 "VarianceGuidedSampler: callback measured the wrong "
                 "configuration");
+        if (!usable(s.heartbeatRate) || !usable(s.powerWatts))
+            fatal("VarianceGuidedSampler: configuration " +
+                  std::to_string(idx) + " measured rate " +
+                  workloads::fields::formatNumber(s.heartbeatRate) +
+                  " and power " +
+                  workloads::fields::formatNumber(s.powerWatts) +
+                  "; both must be finite and > 0");
         obs.push(s);
         seen[idx] = true;
         samplingObs().probes.add(1);
     };
 
     // Seed with random probes so the first fit has an anchor.
-    const std::size_t n_seed = std::min(options_.seedProbes, budget);
+    const std::size_t n_seed = std::min(kSeedProbes, budget);
     for (std::size_t idx :
          rng.sampleWithoutReplacement(n, n_seed)) {
         probe(idx);
     }
 
-    const LeoEstimator estimator(options_.estimator);
+    const LeoEstimator estimator;
     // One prior basis, one workspace and one previous fit serve every
     // guidance round: refits skip the prior-invariant work, reuse the
-    // arena's buffers and (when enabled) warm-start EM from the
-    // previous round's parameters.
+    // arena's buffers and warm-start EM from the previous round's
+    // parameters.
     std::shared_ptr<const PriorBasis> basis;
     linalg::Workspace ws;
     LeoFit fit;
@@ -92,8 +106,7 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
         samplingObs().rounds.add(1);
         if (!basis)
             basis = std::make_shared<const PriorBasis>(prior);
-        const LeoFit *warm =
-            (options_.warmStartRefits && have_fit) ? &fit : nullptr;
+        const LeoFit *warm = have_fit ? &fit : nullptr;
         fit = estimator.fitMetric(basis, obs.indices, obs.performance,
                                   &ws, warm);
         have_fit = true;
@@ -119,7 +132,7 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
                   });
 
         const std::size_t take = std::min(
-            {options_.batchSize, budget - obs.size(), order.size()});
+            {kBatchSize, budget - obs.size(), order.size()});
         for (std::size_t k = 0; k < take; ++k)
             probe(order[k]);
     }

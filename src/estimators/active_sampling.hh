@@ -6,10 +6,13 @@
  * at random, Section 6.3): the hierarchical model's posterior
  * predictive variance says exactly where the estimate is least
  * certain, so the sampler can spend its measurement budget there.
- * Probes proceed in batches — seed with a few random configurations,
- * fit, measure the highest-variance unobserved configurations, refit,
- * repeat. The abl02_active_sampling bench quantifies the accuracy
- * gain over random sampling at equal budget.
+ * Probes proceed in batches — seed with four random configurations,
+ * fit, measure the four highest-variance unobserved configurations,
+ * refit, repeat. Successive rounds differ by only a few
+ * observations, so each guidance refit warm-starts EM from the
+ * previous round's parameters (typically 1-2 iterations instead of
+ * 3-4). The abl02_active_sampling bench quantifies the accuracy gain
+ * over random sampling at equal budget.
  */
 
 #ifndef LEO_ESTIMATORS_ACTIVE_SAMPLING_HH
@@ -23,26 +26,6 @@
 namespace leo::estimators
 {
 
-/** Knobs of the active sampler. */
-struct ActiveSamplingOptions
-{
-    /** Random probes before the first fit. */
-    std::size_t seedProbes = 4;
-    /** Probes added per fit-and-select round. */
-    std::size_t batchSize = 4;
-    /** Estimator used for the guidance fits. */
-    LeoOptions estimator;
-    /**
-     * Start each guidance refit from the previous round's fitted
-     * parameters instead of the cold init. Successive rounds differ
-     * by only a few observations, so the warm EM typically converges
-     * in 1-2 iterations instead of 3-4; together with workspace reuse
-     * this makes refits several times cheaper. Selection can differ
-     * from cold fitting only through the EM iteration count.
-     */
-    bool warmStartRefits = true;
-};
-
 /**
  * Collects observations by maximizing posterior predictive variance.
  */
@@ -51,9 +34,6 @@ class VarianceGuidedSampler
   public:
     /** A measurement callback: run one window in a configuration. */
     using MeasureFn = std::function<telemetry::Sample(std::size_t)>;
-
-    explicit VarianceGuidedSampler(
-        ActiveSamplingOptions options = ActiveSamplingOptions{});
 
     /**
      * Spend a measurement budget guided by the model.
@@ -66,14 +46,15 @@ class VarianceGuidedSampler
      * @param rng     Randomness for the seed probes.
      * @return All collected observations (|result| == budget, unless
      *         the space is smaller).
+     * @throws leo::FatalError when the callback measures another
+     *         configuration than asked, or returns a reading the
+     *         controller would reject (a non-finite or non-positive
+     *         rate or power).
      */
     telemetry::Observations collect(
         const MeasureFn &measure,
         const std::vector<linalg::Vector> &prior, std::size_t budget,
         stats::Rng &rng) const;
-
-  private:
-    ActiveSamplingOptions options_;
 };
 
 } // namespace leo::estimators

@@ -72,6 +72,10 @@ emObs()
  */
 constexpr double kPivotTol = 1e-12;
 
+/** Floor on sigma^2 (normalized space) that keeps the E-step well
+ *  posed; a warm fit below it falls back to the cold init. */
+constexpr double kMinSigma2 = 1e-8;
+
 /**
  * The observed half of one fit's basis, built in s dimensions.
  *
@@ -441,7 +445,7 @@ fitLowRank(const LeoOptions &opt,
     const bool warm_ok =
         warm != nullptr && hasBasis(*warm) && warm->prior->dim() == n &&
         warm->coeff.cols() == warm->rank() && warm->mu.size() == n &&
-        warm->alphaDiag > 0.0 && warm->sigma2 >= opt.minSigma2 &&
+        warm->alphaDiag > 0.0 && warm->sigma2 >= kMinSigma2 &&
         warm->mu.allFinite() && warm->kept.w.allFinite() &&
         warm->kept.l.allFinite() && warm->coeff.allFinite();
 
@@ -719,7 +723,7 @@ fitLowRank(const LeoOptions &opt,
                                (w.squaredNorm() - tr_ainv_obs);
         }
         const double sigma2_new =
-            std::max(noise_accum / total_obs, opt.minSigma2);
+            std::max(noise_accum / total_obs, kMinSigma2);
 
         // Convergence is judged on what the algorithm is for: the
         // target prediction ("3-4 iterations to reach the desired

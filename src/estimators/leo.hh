@@ -70,7 +70,8 @@ enum class EmInit
  * Sigma = alpha I + Q' C Q of DESIGN.md section 7.2 is the only one,
  * so Auto is the only value.
  *
- * Kept only because perfbench/ compiles against it.
+ * Kept only because perfbench/ compiles against it; it goes with the
+ * warm-start deletion, which must change perfbench.
  */
 enum class CovarianceRep
 {
@@ -92,12 +93,12 @@ struct LeoOptions
     std::size_t maxIterations = 4;
     /** Relative-change convergence tolerance on mu and sigma^2. */
     double tolerance = 1e-2;
-    /** Initial observation-noise variance (normalized space). */
+    /** Initial observation-noise variance (normalized space); the
+     *  fit floors sigma^2 at kMinSigma2 (leo.cc). */
     double initSigma2 = 1e-2;
-    /** Floor on sigma^2 to keep the E-step well posed. */
-    double minSigma2 = 1e-8;
     /** No effect: a fit is serial, and batches fan out instead
-     *  (EstimatorBatch). Kept only because perfbench/ sets it. */
+     *  (EstimatorBatch). Kept only because perfbench/ sets it, until
+     *  the warm-start deletion changes perfbench. */
     std::size_t threads = 0;
 };
 

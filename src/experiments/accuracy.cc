@@ -12,8 +12,6 @@
 
 #include "experiments/accuracy.hh"
 
-#include <memory>
-
 #include "estimators/batch.hh"
 #include "estimators/leo.hh"
 #include "estimators/offline.hh"
@@ -80,15 +78,9 @@ runAccuracyExperiment(estimators::Metric metric,
     const estimators::OnlineEstimator online_est;
     const estimators::OfflineEstimator offline_est;
 
-    std::unique_ptr<parallel::ThreadPool> local_pool;
-    parallel::ThreadPool *pool = &parallel::ThreadPool::global();
-    if (options.threads == 1) {
-        pool = &parallel::ThreadPool::serial();
-    } else if (options.threads > 1) {
-        local_pool = std::make_unique<parallel::ThreadPool>(
-            options.threads - 1);
-        pool = local_pool.get();
-    }
+    // The batched fits fan out on the shared pool (LEO_THREADS);
+    // results are identical at every pool size.
+    parallel::ThreadPool &pool = parallel::ThreadPool::global();
 
     const std::size_t n_apps = apps.size();
     const std::size_t trials = options.trials;
@@ -105,9 +97,9 @@ runAccuracyExperiment(estimators::Metric metric,
     truths.reserve(n_apps);
     std::vector<std::vector<Trial>> trial_inputs(n_apps);
 
-    estimators::EstimatorBatch leo_batch(leo_est, *pool);
-    estimators::EstimatorBatch online_batch(online_est, *pool);
-    estimators::EstimatorBatch offline_batch(offline_est, *pool);
+    estimators::EstimatorBatch leo_batch(leo_est, pool);
+    estimators::EstimatorBatch online_batch(online_est, pool);
+    estimators::EstimatorBatch offline_batch(offline_est, pool);
 
     for (std::size_t a = 0; a < n_apps; ++a) {
         const workloads::ApplicationProfile &profile = apps[a];

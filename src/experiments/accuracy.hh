@@ -43,13 +43,6 @@ struct AccuracyOptions
     std::size_t trials = 10;
     /** Master seed (profile collection, sampling, noise). */
     std::uint64_t seed = 42;
-    /**
-     * Threads for the batched fits: 0 = shared global pool
-     * (LEO_THREADS / hardware concurrency), 1 = serial, N > 1 = a
-     * private pool for this experiment. Results are identical for
-     * every value.
-     */
-    std::size_t threads = 0;
 };
 
 /**

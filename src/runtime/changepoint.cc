@@ -10,15 +10,6 @@ void
 ChangePointDetector::configure(const ChangePointOptions &options)
 {
     options_ = options;
-    if (options_.method == ChangePointMethod::Bayesian) {
-        const std::size_t n = options_.maxRunLength + 1;
-        runProb_.assign(n, 0.0);
-        runCount_.assign(n, 0.0);
-        runSum_.assign(n, 0.0);
-        scratchProb_.assign(n, 0.0);
-        scratchCount_.assign(n, 0.0);
-        scratchSum_.assign(n, 0.0);
-    }
     reset();
 }
 
@@ -33,12 +24,6 @@ ChangePointDetector::reset()
     gNeg_ = 0.0;
     lastZeroPos_ = 0;
     lastZeroNeg_ = 0;
-    if (!runProb_.empty()) {
-        std::fill(runProb_.begin(), runProb_.end(), 0.0);
-        std::fill(runCount_.begin(), runCount_.end(), 0.0);
-        std::fill(runSum_.begin(), runSum_.end(), 0.0);
-        runProb_[0] = 1.0; // All mass on "the run just started".
-    }
 }
 
 bool
@@ -57,17 +42,9 @@ ChangePointDetector::observe(double residual)
         return false;
     }
     const double centered = residual - bias_;
-    return options_.method == ChangePointMethod::Cusum
-               ? observeCusum(centered)
-               : observeBayes(centered);
-}
-
-bool
-ChangePointDetector::observeCusum(double residual)
-{
     const double k = options_.cusumDrift;
-    gPos_ = std::max(0.0, gPos_ + residual - k);
-    gNeg_ = std::max(0.0, gNeg_ - residual - k);
+    gPos_ = std::max(0.0, gPos_ + centered - k);
+    gNeg_ = std::max(0.0, gNeg_ - centered - k);
     if (gPos_ == 0.0)
         lastZeroPos_ = windows_;
     if (gNeg_ == 0.0)
@@ -82,77 +59,6 @@ ChangePointDetector::observeCusum(double residual)
     return true;
 }
 
-bool
-ChangePointDetector::observeBayes(double residual)
-{
-    // Conjugate normal model on standardized residuals: unit
-    // observation variance, N(0, 1) prior on the segment mean. For a
-    // run with n observations summing to s the posterior mean is
-    // s / (n + 1) and the predictive is N(s/(n+1), 1 + 1/(n+1)).
-    const std::size_t cap = options_.maxRunLength;
-    const double hazard = options_.hazard;
-    double changeMass = 0.0;
-    std::fill(scratchProb_.begin(), scratchProb_.end(), 0.0);
-    std::fill(scratchCount_.begin(), scratchCount_.end(), 0.0);
-    std::fill(scratchSum_.begin(), scratchSum_.end(), 0.0);
-    for (std::size_t r = 0; r <= cap; ++r) {
-        const double p = runProb_[r];
-        if (p <= 0.0)
-            continue;
-        const double n = runCount_[r];
-        const double mean = runSum_[r] / (n + 1.0);
-        const double var = 1.0 + 1.0 / (n + 1.0);
-        const double z = residual - mean;
-        const double like =
-            std::exp(-0.5 * z * z / var) / std::sqrt(var);
-        const double joint = p * like;
-        changeMass += joint * hazard;
-        const std::size_t grown = std::min(r + 1, cap);
-        scratchProb_[grown] += joint * (1.0 - hazard);
-        scratchCount_[grown] += joint * (1.0 - hazard) * (n + 1.0);
-        scratchSum_[grown] +=
-            joint * (1.0 - hazard) * (runSum_[r] + residual);
-    }
-    scratchProb_[0] += changeMass;
-    double total = 0.0;
-    for (std::size_t r = 0; r <= cap; ++r)
-        total += scratchProb_[r];
-    if (total <= 0.0 || !std::isfinite(total)) {
-        // Numerical wipeout (all likelihoods underflowed: the
-        // residual is wildly out of model). That *is* a change.
-        reset();
-        latency_ = 1;
-        return true;
-    }
-    for (std::size_t r = 0; r <= cap; ++r) {
-        runProb_[r] = scratchProb_[r] / total;
-        if (scratchProb_[r] > 0.0) {
-            runCount_[r] = scratchCount_[r] / scratchProb_[r];
-            runSum_[r] = scratchSum_[r] / scratchProb_[r];
-        } else {
-            runCount_[r] = 0.0;
-            runSum_[r] = 0.0;
-        }
-    }
-    const std::size_t shortRun =
-        std::min(options_.shortRunWindows, cap);
-    double shortMass = 0.0;
-    for (std::size_t r = 0; r <= shortRun; ++r)
-        shortMass += runProb_[r];
-    // Ignore the startup transient where the run is short because the
-    // detector just started, not because a change happened.
-    if (windows_ <= options_.warmupWindows + shortRun + 1)
-        return false;
-    if (shortMass < options_.detectProbability)
-        return false;
-    std::size_t map = 0;
-    for (std::size_t r = 1; r <= shortRun; ++r)
-        if (runProb_[r] > runProb_[map])
-            map = r;
-    latency_ = std::max<std::size_t>(map, 1);
-    return true;
-}
-
 void
 ChangePointDetector::save(linalg::ByteWriter &w) const
 {
@@ -164,12 +70,6 @@ ChangePointDetector::save(linalg::ByteWriter &w) const
     w.f64(gNeg_);
     w.u64(lastZeroPos_);
     w.u64(lastZeroNeg_);
-    w.u64(runProb_.size());
-    for (std::size_t r = 0; r < runProb_.size(); ++r) {
-        w.f64(runProb_[r]);
-        w.f64(runCount_[r]);
-        w.f64(runSum_[r]);
-    }
 }
 
 bool
@@ -183,22 +83,6 @@ ChangePointDetector::restore(linalg::ByteReader &r)
     gNeg_ = r.f64();
     lastZeroPos_ = static_cast<std::size_t>(r.u64());
     lastZeroNeg_ = static_cast<std::size_t>(r.u64());
-    const std::size_t n = static_cast<std::size_t>(r.u64());
-    if (n != runProb_.size() || !r.ok()) {
-        // Method/size mismatch against the configured detector.
-        for (std::size_t i = 0; i < n && r.ok(); ++i) {
-            (void)r.f64();
-            (void)r.f64();
-            (void)r.f64();
-        }
-        reset();
-        return false;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        runProb_[i] = r.f64();
-        runCount_[i] = r.f64();
-        runSum_[i] = r.f64();
-    }
     if (!r.ok()) {
         reset();
         return false;

@@ -27,9 +27,29 @@ namespace
  *  from its own past. */
 constexpr double kDriftThreshold = 0.20;
 
+/** Consecutive drifting windows (gap above kDriftThreshold) before
+ *  the Off policy re-estimates. */
+constexpr std::size_t kDriftWindow = 3;
+
+/** Windows to ride a fallback estimate after a failed fit before
+ *  retrying estimation with fresh probes (DESIGN.md "Failure model
+ *  and degradation policy"). */
+constexpr std::size_t kFallbackBackoffWindows = 8;
+
+/** Consecutive windows where the measured rate misses the demand
+ *  (average below 98% of target) while the map predicts the paced
+ *  configuration meets it, before a change-point policy treats
+ *  starvation itself as change-grade evidence and re-samples. Warmup
+ *  centering absorbs static fit bias, so a uniformly optimistic fit
+ *  can pace a missing configuration with no residual signal left —
+ *  this is the escape hatch. Genuinely infeasible demand never trips
+ *  it (the map concedes the shortfall there). */
+constexpr std::size_t kStarveWindows = 8;
+
 /** Snapshot format version; bump when the field list changes.
- *  v2 dropped the two per-window refitter states. */
-constexpr std::uint32_t kControllerStateVersion = 2;
+ *  v2 dropped the two per-window refitter states; v3 dropped the
+ *  detectors' run-length arrays. */
+constexpr std::uint32_t kControllerStateVersion = 3;
 
 } // namespace
 
@@ -43,8 +63,6 @@ EnergyController::EnergyController(
 {
     require(options_.targetRate > 0.0,
             "EnergyController: target rate must be > 0");
-    require(options_.driftWindow >= 1,
-            "EnergyController: drift window must be >= 1");
     if (estimator_ == nullptr) {
         // Oracle-fed controller: estimates arrive via setEstimates();
         // there is nothing to sample.
@@ -166,8 +184,7 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
     }
 
     if (options_.changePointPolicy == ChangePointPolicy::Off) {
-        if (drift_count_ >= options_.driftWindow &&
-            estimator_ != nullptr) {
+        if (drift_count_ >= kDriftWindow && estimator_ != nullptr) {
             // Phase change: the old observations and the measurement
             // history describe dead behaviour.
             ++reestimations_;
@@ -180,10 +197,10 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
         // out the fixed drift window.
         std::size_t latency = 0;
         bool fired = changePointFired(s, &latency);
-        if (!fired && options_.changePoint.starveWindows > 0) {
-            // Starvation escape (see ChangePointOptions): the map
-            // says the configuration that just ran meets the demand,
-            // the measurement says the demand is missed — the fit is
+        if (!fired) {
+            // Starvation escape (kStarveWindows): the map says the
+            // configuration that just ran meets the demand, the
+            // measurement says the demand is missed — the fit is
             // wrong exactly where it is being trusted, even when the
             // centered residual stream has been silenced by a
             // uniformly optimistic fit. Genuinely infeasible demand
@@ -196,8 +213,7 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
                 perf_[s.configIndex] >= options_.targetRate;
             if (!starved)
                 starve_count_ = 0;
-            else if (++starve_count_ >=
-                     options_.changePoint.starveWindows) {
+            else if (++starve_count_ >= kStarveWindows) {
                 fired = true;
                 latency = starve_count_;
             }
@@ -207,15 +223,11 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
             changepoint_latency_.record(
                 static_cast<double>(latency));
             ++reestimations_;
-            if (options_.changePointPolicy ==
-                ChangePointPolicy::ColdRefit) {
-                // The old posterior describes dead behavior: drop
-                // the warm fits so the next EM runs from the cold
-                // init (PriorReset keeps them as the anchor).
-                have_fits_ = false;
-                perf_fit_ = estimators::LeoFit{};
-                power_fit_ = estimators::LeoFit{};
-            }
+            // The old posterior describes dead behavior: drop the
+            // warm fits so the next EM runs from the cold init.
+            have_fits_ = false;
+            perf_fit_ = estimators::LeoFit{};
+            power_fit_ = estimators::LeoFit{};
             beginSampling();
             return;
         }
@@ -419,7 +431,7 @@ EnergyController::fallbackEstimates()
         perf_ = linalg::Vector{};
         power_ = linalg::Vector{};
     }
-    fallback_remaining_ = options_.fallbackBackoffWindows;
+    fallback_remaining_ = kFallbackBackoffWindows;
 }
 
 void
@@ -578,10 +590,9 @@ EnergyController::writeState(linalg::ByteWriter &w) const
     w.u64(fits_failed_.value());
     w.u64(samples_rejected_.value());
     w.u64(fallback_windows_.value());
-    // Appended only when the policy is on, so Off-policy blobs stay
-    // byte-identical to the historical format (and to pre-detector
-    // builds). A controller restores with the same options it saved
-    // with — the service already guarantees that.
+    // Appended only when the policy is on, so Off-policy blobs carry
+    // no detector bytes. A controller restores with the same options
+    // it saved with — the service already guarantees that.
     if (options_.changePointPolicy != ChangePointPolicy::Off) {
         cp_perf_.save(w);
         cp_power_.save(w);
@@ -659,12 +670,10 @@ EnergyController::restoreState(linalg::ByteReader &r)
     const std::uint64_t fits_failed = r.u64();
     const std::uint64_t samples_rejected = r.u64();
     const std::uint64_t fallback_windows = r.u64();
-    bool cp_ok = true;
     std::uint64_t changepoints = 0;
     if (options_.changePointPolicy != ChangePointPolicy::Off) {
-        const bool cp_perf_ok = cp_perf_.restore(r);
-        const bool cp_power_ok = cp_power_.restore(r);
-        cp_ok = cp_perf_ok && cp_power_ok;
+        cp_perf_.restore(r);
+        cp_power_.restore(r);
         changepoints = r.u64();
         starve_count_ = static_cast<std::size_t>(r.u64());
     } else {
@@ -702,12 +711,6 @@ EnergyController::restoreState(linalg::ByteReader &r)
     replanPreserving();
     if (segment_ != segment)
         return failClosed();
-    // A detector that failed to restore is degradation, not blob
-    // corruption: it restarts empty and re-accumulates evidence.
-    if (!cp_ok) {
-        cp_perf_.reset();
-        cp_power_.reset();
-    }
     // Counters restore additively; a freshly constructed controller
     // has them at zero, so the resumed totals match the saved run.
     fits_failed_.add(fits_failed);

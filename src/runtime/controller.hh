@@ -42,24 +42,17 @@ struct ControllerOptions
     double targetRate = 1.0;
     /** Configurations sampled when (re)estimating. */
     std::size_t sampleBudget = 20;
-    /** Consecutive drifting windows (kDriftThreshold in controller.cc)
-     *  before re-estimation. */
-    std::size_t driftWindow = 3;
     /** Idle system power (intra-window slack), Watts. */
     double idlePower = 85.0;
-    /** Windows to ride a fallback estimate after a failed fit before
-     *  retrying estimation with fresh probes (0 = never retry; see
-     *  DESIGN.md "Failure model and degradation policy"). */
-    std::size_t fallbackBackoffWindows = 8;
     /**
      * Phase-change reaction policy (runtime/changepoint.hh). Off
-     * keeps the legacy EWMA-history drift trigger and is bitwise
-     * identical to pre-detector behavior. ColdRefit / PriorReset
-     * replace that trigger with an online change-point detector
-     * scoring standardized residuals against the current fit's
-     * predictive distribution: detection re-samples immediately —
-     * discarding the warm fits (ColdRefit) or keeping them as the EM
-     * anchor (PriorReset) — instead of waiting out the fixed window.
+     * keeps the legacy EWMA-history drift trigger (kDriftThreshold
+     * for kDriftWindow windows, controller.cc) and is bitwise
+     * identical to pre-detector behavior. ColdRefit replaces that
+     * trigger with an online change-point detector scoring
+     * standardized residuals against the current fit's predictive
+     * distribution: detection discards the warm fits and re-samples
+     * immediately instead of waiting out the fixed window.
      */
     ChangePointPolicy changePointPolicy = ChangePointPolicy::Off;
     /** Detector tunables (used when changePointPolicy != Off). */
@@ -215,9 +208,7 @@ class EnergyController
      * saveState() would not write (a flag byte other than 0 or 1,
      * history out of order, indices outside the space, a sampling
      * state with no probe left) the controller resets to fresh
-     * Sampling state and returns false. A change-point detector that
-     * fails to restore is degradation, not corruption: it restarts
-     * empty and the restore succeeds.
+     * Sampling state and returns false.
      */
     bool restoreState(linalg::ByteReader &r);
 
@@ -354,7 +345,7 @@ class EnergyController
     bool have_avg_ = false;
     std::size_t drift_count_ = 0;
     /** Consecutive starved windows (change-point policies only; see
-     *  ChangePointOptions::starveWindows). */
+     *  kStarveWindows in controller.cc). */
     std::size_t starve_count_ = 0;
     std::size_t reestimations_ = 0;
     std::size_t pending_config_ = 0;

@@ -146,7 +146,6 @@ Scenario::controllerOptions(runtime::ControllerOptions base) const
     base.targetRate = target_;
     base.idlePower = machine_.spec().idleSystemPowerW;
     base.changePointPolicy = spec_.changePointPolicy;
-    base.changePoint.method = spec_.changePointMethod;
     return base;
 }
 
@@ -256,8 +255,6 @@ runScenarioService(
     auto svc = std::make_unique<service::Service>(
         scenario.space(), estimator, prior, pool, sopts);
 
-    const std::size_t windows =
-        options.windows != 0 ? options.windows : spec.frames;
     const std::size_t tenants = spec.arrivals.tenants;
     require(tenants > 0, "runScenarioService: zero tenants");
     const std::string app_label = scenario.behaviorAt(0).name();
@@ -276,7 +273,7 @@ runScenarioService(
     out.schedules.resize(tenants);
     std::size_t admitted = 0;
 
-    for (std::size_t w = 0; w < windows; ++w) {
+    for (std::size_t w = 0; w < spec.frames; ++w) {
         while (admitted < tenants &&
                w >= admitted * spec.arrivals.spacingWindows) {
             service::TenantConfig tc;

@@ -178,10 +178,10 @@ RunResult runScenario(Scenario &scenario,
 /** Knobs of the service-driven runner. */
 struct ServiceRunOptions
 {
-    /** Windows to drive (0 = the spec's frame count). */
-    std::size_t windows = 0;
     /** After this many windows, snapshot the service, restore into a
-     *  fresh one and continue there (0 = never). */
+     *  fresh one and continue there (0 = never). No shipped caller
+     *  sets it: it stays as the only mid-run restore a scenario-driven
+     *  fleet run gets. */
     std::size_t snapshotAtWindow = 0;
     /** Service knobs; the controller template inherits the
      *  scenario's demand and change-point policy. */

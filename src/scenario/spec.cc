@@ -1,5 +1,7 @@
 #include "scenario/spec.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -70,21 +72,44 @@ parsePolicy(const std::string &v)
         return runtime::ChangePointPolicy::Off;
     if (v == "coldrefit")
         return runtime::ChangePointPolicy::ColdRefit;
-    if (v == "priorreset")
-        return runtime::ChangePointPolicy::PriorReset;
     fatal("scenario: unknown changepoint policy '" + v +
-          "' (off | coldrefit | priorreset)");
+          "' (off | coldrefit)");
 }
 
-runtime::ChangePointMethod
-parseMethod(const std::string &v)
+/** A free-text value (a name, an application, a path): one token of
+ *  the text grammar, so no blank, '#' or control character — the
+ *  canonical text could not carry it back. */
+const std::string &
+textValue(const std::string &v, const std::string &what)
 {
-    if (v == "cusum")
-        return runtime::ChangePointMethod::Cusum;
-    if (v == "bayesian")
-        return runtime::ChangePointMethod::Bayesian;
-    fatal("scenario: unknown changepoint method '" + v +
-          "' (cusum | bayesian)");
+    const bool one_token =
+        !v.empty() && std::none_of(v.begin(), v.end(), [](char ch) {
+            const auto c = static_cast<unsigned char>(ch);
+            return c <= 0x20 || c == 0x7f || c == '#';
+        });
+    if (!one_token)
+        fatal("scenario: " + what + " '" + v +
+              "' must be one token: no blank, '#' or control "
+              "character");
+    return v;
+}
+
+/** A heredoc body as the text form reads it back: no line ends in a
+ *  carriage return (CRLF bodies are tolerated and stored as LF). */
+std::string
+bodyText(const std::string &raw)
+{
+    std::string body;
+    body.reserve(raw.size());
+    for (const char c : raw) {
+        if (c == '\n')
+            while (!body.empty() && body.back() == '\r')
+                body.pop_back();
+        body += c;
+    }
+    while (!body.empty() && body.back() == '\r')
+        body.pop_back();
+    return body;
 }
 
 void
@@ -116,7 +141,7 @@ setPhaseField(PhaseSpec &ph, const std::string &key,
               const std::string &val)
 {
     if (key == "app")
-        ph.app = val;
+        ph.app = textValue(val, "phase app");
     else if (key == "frames")
         ph.frames = fields::parseCount(val, "scenario: phase frames");
     else if (key == "scale")
@@ -183,7 +208,7 @@ fromJsonDoc(const std::string &text)
             for (const auto &[tk, tv] : v.members())
                 setArrivalField(spec.arrivals, tk, scalarText(tv));
         } else if (key == "trace_inline") {
-            spec.traceText = v.asString();
+            spec.traceText = bodyText(v.asString());
         } else {
             // Keys are sorted, so "phase_scale" would always run
             // before "phases" and rescale nothing.
@@ -215,9 +240,18 @@ fromTextDoc(const std::string &text)
                         ": '" + dir + "' needs " + what);
             return toks[1];
         };
+        // A directive without options takes exactly one value.
+        const auto soleArg = [&](const char *what) -> const std::string & {
+            const std::string &arg = wantArg(what);
+            require(toks.size() == 2,
+                    "scenario: line " + std::to_string(lineno) +
+                        ": '" + dir + "' takes one value, got " +
+                        std::to_string(toks.size() - 1));
+            return arg;
+        };
         if (dir == "phase") {
             PhaseSpec ph;
-            ph.app = wantArg("an application name");
+            setPhaseField(ph, "app", wantArg("an application name"));
             for (std::size_t i = 2; i < toks.size(); ++i) {
                 std::string k, v;
                 require(splitKv(toks[i], &k, &v),
@@ -246,7 +280,7 @@ fromTextDoc(const std::string &text)
                 setArrivalField(spec.arrivals, k, v);
             }
         } else if (dir == "trace_inline") {
-            const std::string &arg = wantArg("a <<DELIM marker");
+            const std::string &arg = soleArg("a <<DELIM marker");
             require(arg.size() > 2 && arg[0] == '<' && arg[1] == '<',
                     "scenario: line " + std::to_string(lineno) +
                         ": trace_inline needs <<DELIM");
@@ -255,9 +289,6 @@ fromTextDoc(const std::string &text)
             bool closed = false;
             while (std::getline(ss, raw)) {
                 ++lineno;
-                // Only CRLF-strip here: the body is raw trace text.
-                if (!raw.empty() && raw.back() == '\r')
-                    raw.pop_back();
                 if (fields::stripLine(raw) == delim) {
                     closed = true;
                     break;
@@ -268,9 +299,10 @@ fromTextDoc(const std::string &text)
             require(closed, "scenario: unterminated trace_inline "
                             "(missing '" +
                                 delim + "')");
-            spec.traceText = std::move(body);
+            // Only CRLF-strip the body: it is raw trace text.
+            spec.traceText = bodyText(body);
         } else {
-            setField(spec, dir, wantArg("a value"));
+            setField(spec, dir, soleArg("a value"));
         }
     }
     return spec;
@@ -283,11 +315,11 @@ setField(Spec &spec, const std::string &key,
          const std::string &value)
 {
     if (key == "name") {
-        spec.name = value;
+        spec.name = textValue(value, "name");
     } else if (key == "workload") {
         spec.workload = parseWorkload(value);
     } else if (key == "app") {
-        spec.app = value;
+        spec.app = textValue(value, "app");
     } else if (key == "target") {
         spec.targetRate = fields::parseFinite(value, "scenario: target");
         require(spec.targetRate >= 0.0,
@@ -299,16 +331,19 @@ setField(Spec &spec, const std::string &key,
         spec.seed = fields::parseCount(value, "scenario: seed");
     } else if (key == "changepoint") {
         spec.changePointPolicy = parsePolicy(value);
-    } else if (key == "changepoint_method") {
-        spec.changePointMethod = parseMethod(value);
     } else if (key == "trace_file") {
-        spec.traceFile = value;
+        spec.traceFile = textValue(value, "trace_file");
     } else if (key == "tenants") {
         setArrivalField(spec.arrivals, "count", value);
     } else if (key == "phase_scale") {
         const double s = parseScale(value, "phase_scale");
-        for (PhaseSpec &ph : spec.phases)
+        for (PhaseSpec &ph : spec.phases) {
+            // The product must stay a scale the text form reads back.
             ph.scale *= s;
+            if (!std::isfinite(ph.scale) || ph.scale <= 0.0)
+                fatal("scenario: phase_scale '" + value +
+                      "' takes phase '" + ph.app + "' out of range");
+        }
     } else if (key.size() > 6 && key.compare(0, 6, "fault.") == 0) {
         setFaultField(spec.faults, key.substr(6), value);
     } else {
@@ -350,32 +385,30 @@ Spec::toString() const
     out += "changepoint ";
     out += changePointPolicy == runtime::ChangePointPolicy::Off
                ? "off"
-           : changePointPolicy ==
-                   runtime::ChangePointPolicy::ColdRefit
-               ? "coldrefit"
-               : "priorreset";
+               : "coldrefit";
     out += "\n";
-    if (changePointMethod != runtime::ChangePointMethod::Cusum)
-        out += "changepoint_method bayesian\n";
-    if (faults.enabled() ||
-        faults.seed != faults::FaultScenario{}.seed) {
-        out += "fault";
-        if (faults.nanProb > 0.0)
-            out += " nan=" + formatNumber(faults.nanProb);
-        if (faults.infProb > 0.0)
-            out += " inf=" + formatNumber(faults.infProb);
-        if (faults.dropoutProb > 0.0)
-            out += " dropout=" + formatNumber(faults.dropoutProb);
-        if (faults.outlierProb > 0.0) {
-            out += " outlier=" + formatNumber(faults.outlierProb);
-            out += " outlier_scale=" + formatNumber(faults.outlierScale);
-        }
-        if (faults.staleProb > 0.0)
-            out += " stale=" + formatNumber(faults.staleProb);
-        if (faults.seed != faults::FaultScenario{}.seed)
-            out += " seed=" + std::to_string(faults.seed);
-        out += "\n";
-    }
+    // Every fault field off its default, so a value the fault
+    // injector would reject (a negative probability, say) survives
+    // the round trip and is rejected there too.
+    const faults::FaultScenario none;
+    std::string fault;
+    if (faults.nanProb != none.nanProb)
+        fault += " nan=" + formatNumber(faults.nanProb);
+    if (faults.infProb != none.infProb)
+        fault += " inf=" + formatNumber(faults.infProb);
+    if (faults.dropoutProb != none.dropoutProb)
+        fault += " dropout=" + formatNumber(faults.dropoutProb);
+    if (faults.outlierProb != none.outlierProb)
+        fault += " outlier=" + formatNumber(faults.outlierProb);
+    if (faults.outlierProb != none.outlierProb ||
+        faults.outlierScale != none.outlierScale)
+        fault += " outlier_scale=" + formatNumber(faults.outlierScale);
+    if (faults.staleProb != none.staleProb)
+        fault += " stale=" + formatNumber(faults.staleProb);
+    if (faults.seed != none.seed)
+        fault += " seed=" + std::to_string(faults.seed);
+    if (!fault.empty())
+        out += "fault" + fault + "\n";
     for (const PhaseSpec &ph : phases) {
         out += "phase " + ph.app +
                " frames=" + std::to_string(ph.frames) +
@@ -384,11 +417,22 @@ Spec::toString() const
     if (!traceFile.empty())
         out += "trace_file " + traceFile + "\n";
     if (!traceText.empty()) {
-        out += "trace_inline <<END\n";
+        // The first of END, END1, END2, ... that no body line reads
+        // as, so the heredoc closes where the body does.
+        std::vector<std::string> lines;
+        std::stringstream body(traceText);
+        for (std::string line; std::getline(body, line);)
+            lines.push_back(fields::stripLine(line));
+        std::string delim = "END";
+        for (std::size_t k = 1; std::find(lines.begin(), lines.end(),
+                                          delim) != lines.end();
+             ++k)
+            delim = "END" + std::to_string(k);
+        out += "trace_inline <<" + delim + "\n";
         out += traceText;
         if (traceText.back() != '\n')
             out += '\n';
-        out += "END\n";
+        out += delim + "\n";
     }
     if (arrivals.tenants != 1 || arrivals.spacingWindows != 0 ||
         arrivals.rateSpread != 0.0) {

@@ -23,7 +23,7 @@
  *     target 4.0                   # heartbeats/s (0 = auto)
  *     frames 240                   # closed-loop windows
  *     seed 42                      # run RNG seed
- *     changepoint coldrefit        # off | coldrefit | priorreset
+ *     changepoint coldrefit        # off | coldrefit
  *     fault nan=0.05 outlier=0.05 outlier_scale=25 seed=99
  *     phase x264 frames=60 scale=1.0
  *     phase x264 frames=60 scale=0.7
@@ -33,6 +33,14 @@
  *       segment,40
  *       0,1.0,100
  *     END
+ *
+ * A directive without options takes exactly one value. Free-text
+ * values (name, app, trace_file, a phase's app) are one token: no
+ * blank, '#' or control character, in either form. toString() closes
+ * a heredoc with the first of END, END1, END2, ... that no body line
+ * reads as, and a body is stored without carriage returns at line
+ * ends, so every spec the parser accepts renders to text that parses
+ * back to the same rendering.
  *
  * JSON uses the same keys: {"name": ..., "workload": "phased",
  * "target": 4.0, "phases": [{"app": "x264", "frames": 60,
@@ -125,9 +133,6 @@ struct Spec
     /** Controller adaptation policy. */
     runtime::ChangePointPolicy changePointPolicy =
         runtime::ChangePointPolicy::Off;
-    /** Detection algorithm when the policy is not Off. */
-    runtime::ChangePointMethod changePointMethod =
-        runtime::ChangePointMethod::Cusum;
 
     /**
      * Parse a spec from text or JSON (see the file comment).
@@ -146,9 +151,10 @@ struct Spec
  * Apply one "key value" directive to a spec — the routine behind
  * the text grammar, the JSON form's scalars and grid axes. Keys:
  * name, workload, app, target (finite, >= 0), frames, seed,
- * changepoint, changepoint_method, trace_file, tenants (count
- * only), fault.<field> (nan, inf, dropout, outlier, outlier_scale,
- * stale, seed), phase_scale (rescales every phase; finite, > 0).
+ * changepoint, trace_file, tenants (count only), fault.<field> (nan,
+ * inf, dropout, outlier, outlier_scale, stale, seed), phase_scale
+ * (rescales every phase; finite, > 0, and every rescaled phase stays
+ * finite and > 0).
  *
  * @throws leo::FatalError on an unknown key or unparsable value.
  */

@@ -25,8 +25,18 @@ namespace
 /** Snapshot format version; bump when the field list changes.
  *  v2 added TenantConfig::deadlineSeconds; v3 added the prior table
  *  and saves fits without their basis (fit_io v4); v4 saves each
- *  controller without its refitter states (controller state v2). */
-constexpr std::uint32_t kSnapshotVersion = 4;
+ *  controller without its refitter states (controller state v2); v5
+ *  saves its change-point detectors without run-length arrays
+ *  (controller state v3). */
+constexpr std::uint32_t kSnapshotVersion = 5;
+
+/** Per-shard inbound queue slots (a power of 2): a full queue
+ *  rejects submit() — backpressure, not blocking. */
+constexpr std::size_t kQueueCapacity = 1024;
+
+/** Deadline given to tenants that do not set their own: each horizon
+ *  must deliver targetRate * horizon heartbeats. */
+constexpr double kPlanningHorizonSeconds = 1.0;
 
 /** Append one offline profile (its fields in declaration order). */
 void
@@ -86,9 +96,6 @@ Service::Service(const platform::ConfigSpace &space,
       cache_(options.fitCacheCapacity)
 {
     require(options_.shards >= 1, "Service: need >= 1 shard");
-    require(!options_.globalPlanning ||
-                options_.planningHorizonSeconds > 0.0,
-            "Service: planning horizon must be > 0");
     require(!std::isnan(options_.powerCapWatts),
             "Service: power cap is NaN");
     require(prior_ != nullptr, "Service: null offline prior");
@@ -99,7 +106,7 @@ Service::Service(const platform::ConfigSpace &space,
     queues_.reserve(options_.shards);
     for (std::size_t s = 0; s < options_.shards; ++s)
         queues_.push_back(
-            std::make_unique<ShardQueue>(options_.queueCapacity));
+            std::make_unique<ShardQueue>(kQueueCapacity));
 }
 
 std::unique_ptr<runtime::EnergyController>
@@ -294,7 +301,7 @@ Service::globalReplan(TickReport &report)
         const double deadline =
             sess->config.deadlineSeconds > 0.0
                 ? sess->config.deadlineSeconds
-                : options_.planningHorizonSeconds;
+                : kPlanningHorizonSeconds;
         d.constraint.deadlineSeconds = deadline;
         d.constraint.work = sess->config.targetRate * deadline;
         demands.push_back(std::move(d));

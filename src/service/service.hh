@@ -91,12 +91,11 @@ struct ServiceOptions
 {
     /** Shard count; tenants hash onto shards by id. */
     std::size_t shards = 4;
-    /** Per-shard inbound queue slots (rounded up to a power of 2);
-     *  a full queue rejects submit() — backpressure, not blocking. */
-    std::size_t queueCapacity = 1024;
     /** Admission limit; admit() beyond it is rejected. */
     std::size_t maxTenants = 256;
-    /** Cold-fit cache entries (0 disables the cache). */
+    /** Cold-fit cache entries (0 disables the cache). No shipped
+     *  caller changes it: tests set 0 to compare cached against
+     *  uncached runs. */
     std::size_t fitCacheCapacity = 64;
     /** Template for per-tenant controllers. targetRate is replaced
      *  by each tenant's demand and deferFits is forced on (the
@@ -108,9 +107,6 @@ struct ServiceOptions
     bool globalPlanning = false;
     /** Machine-wide average-power cap fed to the global planner. */
     double powerCapWatts = optimizer::kNoPowerCap;
-    /** Deadline given to tenants that do not set their own: each
-     *  horizon must deliver targetRate * horizon heartbeats. */
-    double planningHorizonSeconds = 1.0;
 };
 
 /** Per-tenant admission parameters. */
@@ -122,7 +118,8 @@ struct TenantConfig
     double targetRate = 1.0;
     /** Global-planning deadline (seconds); tenants with a tighter
      *  deadline are packed earlier by the co-scheduler. 0 (the
-     *  default) inherits ServiceOptions::planningHorizonSeconds. */
+     *  default) inherits the service's 1 s planning horizon
+     *  (kPlanningHorizonSeconds in service.cc). */
     double deadlineSeconds = 0.0;
     /** Seed of the tenant's private probe-selection RNG; the whole
      *  run is a deterministic function of (config, seed, samples). */

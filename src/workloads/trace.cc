@@ -156,35 +156,11 @@ fromJson(const std::string &text)
     return table;
 }
 
-/** splitmix64 finalizer: the deterministic noise hash. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Replayed ripple in [1-amp, 1+amp] for one (seed, seg, c, tag). */
-double
-ripple(std::uint64_t seed, std::size_t seg, std::size_t c,
-       std::uint64_t tag, double amp)
-{
-    if (amp == 0.0)
-        return 1.0;
-    std::uint64_t h = mix64(seed ^ mix64(tag));
-    h = mix64(h ^ (static_cast<std::uint64_t>(seg) << 32 | c));
-    const double u =
-        static_cast<double>(h >> 11) * 0x1.0p-53; // [0, 1)
-    return 1.0 + amp * (2.0 * u - 1.0);
-}
-
-/** Interpolate one dense value from sorted sparse rows. */
+/** Fill one dense value from sorted sparse rows: the measured row
+ *  itself, index-linear between its neighbors, clamped at the ends. */
 double
 fillValue(const std::vector<std::size_t> &idx,
-          const std::vector<double> &val, std::size_t c,
-          TraceInterpolation policy)
+          const std::vector<double> &val, std::size_t c)
 {
     // Find the first measured row at or above c.
     std::size_t hi = 0;
@@ -197,22 +173,9 @@ fillValue(const std::vector<std::size_t> &idx,
     if (hi == idx.size())
         return val.back(); // Past the last row: clamp.
     const std::size_t lo = hi - 1;
-    switch (policy) {
-    case TraceInterpolation::Hold:
-        return val[lo];
-    case TraceInterpolation::Nearest: {
-        const std::size_t dlo = c - idx[lo];
-        const std::size_t dhi = idx[hi] - c;
-        return dlo <= dhi ? val[lo] : val[hi];
-    }
-    case TraceInterpolation::Linear:
-    default: {
-        const double t =
-            static_cast<double>(c - idx[lo]) /
-            static_cast<double>(idx[hi] - idx[lo]);
-        return val[lo] + (val[hi] - val[lo]) * t;
-    }
-    }
+    const double t = static_cast<double>(c - idx[lo]) /
+                     static_cast<double>(idx[hi] - idx[lo]);
+    return val[lo] + (val[hi] - val[lo]) * t;
 }
 
 /** Pack the assignment's knob effects into a lookup key. */
@@ -284,14 +247,8 @@ TraceApplicationModel::TraceApplicationModel(
         const auto &seg = table_.segments[s];
         linalg::Vector perf(n), power(n);
         for (std::size_t c = 0; c < n; ++c) {
-            perf[c] = fillValue(seg.indices, seg.performance, c,
-                                options_.interpolation) *
-                      ripple(options_.noiseSeed, s, c, 0x9e1u,
-                             options_.noiseRelative);
-            power[c] = fillValue(seg.indices, seg.power, c,
-                                 options_.interpolation) *
-                       ripple(options_.noiseSeed, s, c, 0x7077u,
-                              options_.noiseRelative);
+            perf[c] = fillValue(seg.indices, seg.performance, c);
+            power[c] = fillValue(seg.indices, seg.power, c);
         }
         perf_.push_back(std::move(perf));
         power_.push_back(std::move(power));

@@ -40,11 +40,9 @@
  * against the actual ConfigSpace when a TraceApplicationModel is
  * built.
  *
- * Missing configs are filled at construction by a deterministic
- * interpolation policy over config-index space (Linear, Nearest, or
- * Hold), and an optional seeded multiplicative ripple replays the
- * same "measurement noise" for a given (seed, segment, config) on
- * every query — replay noise, not sampling noise.
+ * Missing configs are filled at construction by index-linear
+ * interpolation between the measured neighbors, clamped at the ends;
+ * measured rows replay bit-exactly.
  */
 
 #ifndef LEO_WORKLOADS_TRACE_HH
@@ -108,24 +106,9 @@ struct TraceTable
     std::size_t totalWorkUnits() const;
 };
 
-/** How configs absent from a segment are filled in. */
-enum class TraceInterpolation
-{
-    Linear,  //!< Index-linear between neighbors, clamped at ends.
-    Nearest, //!< Value of the nearest measured row (ties go low).
-    Hold     //!< Last measured row at or below; first row before it.
-};
-
 /** Construction knobs for TraceApplicationModel. */
 struct TraceModelOptions
 {
-    /** Fill-in policy for configs missing from a segment. */
-    TraceInterpolation interpolation = TraceInterpolation::Linear;
-    /** Relative amplitude of the replayed measurement ripple; 0
-     *  disables it and replays the table bit-exactly. */
-    double noiseRelative = 0.0;
-    /** Seed of the ripple; same seed => same replayed noise. */
-    std::uint64_t noiseSeed = 0x7ace5eedu;
     /** Wall power of the idle system (the trace measures the active
      *  system, so idle comes from the machine description). */
     double idlePowerWatts = 85.0;
@@ -137,8 +120,8 @@ struct TraceModelOptions
  * An ApplicationBehavior that replays a TraceTable on a ConfigSpace.
  *
  * Dense per-segment performance/power vectors are materialized once
- * at construction (interpolation + noise), so queries are pure table
- * lookups and bitwise reproducible. The model carries a work-unit
+ * at construction (interpolation), so queries are pure table lookups
+ * and bitwise reproducible. The model carries a work-unit
  * clock: setWorkUnit() (or advance()) selects the active segment,
  * mirroring how the phased runner advances frames.
  */
@@ -149,7 +132,7 @@ class TraceApplicationModel : public ApplicationBehavior
      * @param table   The parsed trace (validated against @p space).
      * @param space   The configuration space replayed over (borrowed;
      *                must outlive the model).
-     * @param options Interpolation / noise / naming knobs.
+     * @param options Idle power and naming knobs.
      * @throws leo::FatalError when a row's config index is outside
      *         the space.
      */

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "estimators/active_sampling.hh"
 #include "linalg/error.hh"
 #include "platform/config_space.hh"
 #include "stats/metrics.hh"
 #include "telemetry/meters.hh"
 #include "telemetry/profile_store.hh"
+#include "workloads/fields.hh"
 #include "workloads/ground_truth.hh"
 #include "workloads/suite.hh"
 
@@ -102,10 +106,6 @@ TEST(ActiveSampling, EstimateQualityComparableToRandom)
 
 TEST(ActiveSampling, RejectsBadSetup)
 {
-    estimators::ActiveSamplingOptions bad;
-    bad.seedProbes = 0;
-    EXPECT_THROW(estimators::VarianceGuidedSampler{bad}, FatalError);
-
     World w;
     estimators::VarianceGuidedSampler sampler;
     auto noop = [](std::size_t idx) {
@@ -127,6 +127,65 @@ TEST(ActiveSampling, DetectsMisbehavingCallback)
     };
     EXPECT_THROW(sampler.collect(wrong, prior, 6, w.rng),
                  FatalError);
+}
+
+/**
+ * A reading the controller would reject (zero, negative, NaN or
+ * +inf, in the rate or the power) must not enter the observation set
+ * or a guidance fit: collect() throws, naming the configuration and
+ * the reading, whether the bad reading is a seed probe or a guided
+ * one.
+ */
+TEST(ActiveSampling, RejectsUnusableReadings)
+{
+    World w;
+    workloads::ApplicationModel app(
+        workloads::profileByName("blackscholes"), w.machine);
+    auto prior = estimators::priorVectors(
+        w.store.without("blackscholes"),
+        estimators::Metric::Performance);
+    const auto good = w.measureFn(app);
+    const double bad_values[] = {
+        0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()};
+    for (const double bad : bad_values) {
+        for (const bool rate : {true, false}) {
+            // Probe 1 is a seed probe; probe 7 is guided by a fit.
+            for (const std::size_t at : {1u, 7u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (rate ? "rate " : "power ") << bad
+                             << " at probe " << at);
+                std::size_t calls = 0;
+                std::size_t bad_config = 0;
+                auto measure = [&](std::size_t idx) {
+                    telemetry::Sample s = good(idx);
+                    if (++calls == at) {
+                        bad_config = idx;
+                        (rate ? s.heartbeatRate : s.powerWatts) = bad;
+                    }
+                    return s;
+                };
+                const estimators::VarianceGuidedSampler sampler;
+                try {
+                    (void)sampler.collect(measure, prior, 20, w.rng);
+                    ADD_FAILURE() << "bad reading accepted";
+                } catch (const FatalError &e) {
+                    const std::string msg = e.what();
+                    EXPECT_EQ(calls, at) << msg;
+                    EXPECT_NE(msg.find("configuration " +
+                                       std::to_string(bad_config) +
+                                       " "),
+                              std::string::npos)
+                        << msg;
+                    const std::string reading =
+                        (rate ? "rate " : "power ") +
+                        workloads::fields::formatNumber(bad);
+                    EXPECT_NE(msg.find(reading), std::string::npos)
+                        << msg;
+                }
+            }
+        }
+    }
 }
 
 /**

@@ -433,9 +433,7 @@ TEST(RobustController, ThrowingEstimatorFallsBackToPriorMean)
         workloads::profileByName("x264"), w.machine);
     const auto prior = w.store.without("x264");
     const ThrowingEstimator thrower;
-    ControllerOptions opt = w.options(30.0, 4);
-    opt.fallbackBackoffWindows = 3;
-    EnergyController ctl(w.space, &thrower, prior, opt);
+    EnergyController ctl(w.space, &thrower, prior, w.options(30.0, 4));
 
     stats::Rng rng(41);
     // Sampling round completes; the fit throws; the controller must
@@ -447,11 +445,15 @@ TEST(RobustController, ThrowingEstimatorFallsBackToPriorMean)
     EXPECT_TRUE(ctl.performanceEstimate().allFinite());
     EXPECT_TRUE(ctl.powerEstimate().allFinite());
 
-    // After the backoff window the controller retries with fresh
-    // probes (and fails again, forever, without ever throwing).
-    driveWindows(ctl, app, w.space, w.monitor, w.meter, rng, 3);
+    // The controller rides the fallback for exactly eight windows
+    // (kFallbackBackoffWindows in controller.cc), then retries with
+    // fresh probes (and fails again, forever, without ever throwing).
+    driveWindows(ctl, app, w.space, w.monitor, w.meter, rng, 7);
+    EXPECT_EQ(ctl.state(), EnergyController::State::Controlling);
+    EXPECT_EQ(ctl.fallbackWindows(), 7u);
+    driveWindows(ctl, app, w.space, w.monitor, w.meter, rng, 1);
     EXPECT_EQ(ctl.state(), EnergyController::State::Sampling);
-    EXPECT_GT(ctl.fallbackWindows(), 0u);
+    EXPECT_EQ(ctl.fallbackWindows(), 8u);
     driveWindows(ctl, app, w.space, w.monitor, w.meter, rng, 20);
     EXPECT_GE(ctl.fitsFailed(), 2u);
 }
@@ -464,9 +466,8 @@ TEST(RobustController, ThrowingEstimatorWithoutPriorRacesToIdle)
     const telemetry::ProfileStore empty_prior(
         std::vector<telemetry::ApplicationRecord>{});
     const ThrowingEstimator thrower;
-    ControllerOptions opt = w.options(30.0, 4);
-    opt.fallbackBackoffWindows = 4;
-    EnergyController ctl(w.space, &thrower, empty_prior, opt);
+    EnergyController ctl(w.space, &thrower, empty_prior,
+                         w.options(30.0, 4));
 
     stats::Rng rng(43);
     driveWindows(ctl, app, w.space, w.monitor, w.meter, rng, 4);

@@ -99,9 +99,7 @@ TEST(Controller, DriftTriggersReestimation)
     World w;
     estimators::LeoEstimator leo;
     auto prior = w.store.without("fluidanimate");
-    ControllerOptions opt = w.options(30.0, 5);
-    opt.driftWindow = 2;
-    EnergyController ctl(w.space, &leo, prior, opt);
+    EnergyController ctl(w.space, &leo, prior, w.options(30.0, 5));
 
     workloads::ApplicationModel app(
         workloads::profileByName("fluidanimate"), w.machine);
@@ -128,12 +126,14 @@ TEST(Controller, DriftTriggersReestimation)
     EXPECT_EQ(ctl.state(), EnergyController::State::Controlling);
     EXPECT_EQ(ctl.reestimations(), 0u);
 
-    for (int i = 0; i < 5 &&
-                    ctl.state() == EnergyController::State::Controlling;
-         ++i) {
+    // The new phase runs 1.6x faster everywhere. Three consecutive
+    // drifting windows (kDriftWindow in controller.cc) re-estimate;
+    // two do not.
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_EQ(ctl.state(), EnergyController::State::Controlling)
+            << "after " << i << " drifting windows";
         const std::size_t cfg = ctl.nextConfig(w.rng);
         const auto &ra = w.space.assignment(cfg);
-        // The new phase runs 1.6x faster everywhere.
         ctl.recordMeasurement({cfg, 1.6 * app.heartbeatRate(ra),
                                app.powerWatts(ra)});
     }
@@ -151,8 +151,7 @@ TEST(Controller, BuildsOnePriorBasisPerMetricAcrossRefits)
     World w;
     estimators::LeoEstimator leo;
     auto prior = w.store.without("fluidanimate");
-    ControllerOptions opt = w.options(30.0, 5);
-    opt.driftWindow = 2;
+    const ControllerOptions opt = w.options(30.0, 5);
     auto built = [] {
         return obs::Registry::global()
             .counter(obs::names::kEmPriorBasisBuilt)
@@ -225,6 +224,113 @@ TEST(Controller, RejectsBadOptions)
     estimators::LeoEstimator leo;
     EXPECT_THROW(EnergyController(w.space, &leo, w.store, bad),
                  FatalError);
+}
+
+// ------------------------------------------------- starvation escape
+
+namespace
+{
+
+/** Predicts every configuration at `scale` times the mean of the
+ *  observations, for both metrics: a flat map that is as optimistic
+ *  (scale > 1) as the test needs. */
+class ScaledMeanEstimator : public estimators::Estimator
+{
+  public:
+    explicit ScaledMeanEstimator(double scale) : scale_(scale) {}
+
+    std::string name() const override { return "scaled-mean"; }
+
+    estimators::MetricEstimate estimateMetric(
+        const platform::ConfigSpace &space, const std::vector<Vector> &,
+        const std::vector<std::size_t> &,
+        const Vector &obs_vals) const override
+    {
+        double mean = 0.0;
+        for (std::size_t i = 0; i < obs_vals.size(); ++i)
+            mean += obs_vals[i];
+        mean /= static_cast<double>(obs_vals.size());
+        estimators::MetricEstimate est;
+        est.values = Vector(space.size(), scale_ * mean);
+        return est;
+    }
+
+  private:
+    double scale_;
+};
+
+/** Drive `windows` windows whose every measurement reads `rate`
+ *  heartbeats/s at 100 W, whatever the configuration. */
+void
+driveFlat(EnergyController &ctl, stats::Rng &rng, double rate,
+          std::size_t windows)
+{
+    for (std::size_t i = 0; i < windows; ++i) {
+        const std::size_t cfg = ctl.nextConfig(rng);
+        ctl.recordMeasurement({cfg, rate, 100.0});
+    }
+}
+
+} // namespace
+
+/**
+ * The starvation escape of a change-point policy. Measurements sit
+ * uniformly at half the demand while the map claims four times that
+ * everywhere: every residual carries the same bias, which warmup
+ * centers out, so the detectors stay quiet. A ColdRefit controller
+ * must still re-sample after exactly eight starved windows
+ * (kStarveWindows in controller.cc) and count one change-point. When
+ * the map concedes that no configuration meets the demand, or the
+ * policy is Off, the escape never trips.
+ */
+TEST(Controller, StarvationEscapeResamplesAfterEightWindows)
+{
+    World w;
+    const double target = 10.0;
+    const double measured = 0.5 * target;
+    ControllerOptions cold = w.options(target, 4);
+    cold.changePointPolicy = runtime::ChangePointPolicy::ColdRefit;
+
+    {
+        SCOPED_TRACE("optimistic map");
+        const ScaledMeanEstimator optimistic(4.0);
+        EnergyController ctl(w.space, &optimistic, w.store, cold);
+        stats::Rng rng(5);
+        driveFlat(ctl, rng, measured, 4);
+        ASSERT_EQ(ctl.state(), EnergyController::State::Controlling);
+        ASSERT_EQ(ctl.performanceEstimate()[0], 2.0 * target);
+        driveFlat(ctl, rng, measured, 7);
+        EXPECT_EQ(ctl.state(), EnergyController::State::Controlling);
+        EXPECT_EQ(ctl.changePointsDetected(), 0u);
+        EXPECT_EQ(ctl.reestimations(), 0u);
+        driveFlat(ctl, rng, measured, 1);
+        EXPECT_EQ(ctl.state(), EnergyController::State::Sampling);
+        EXPECT_EQ(ctl.changePointsDetected(), 1u);
+        EXPECT_EQ(ctl.reestimations(), 1u);
+    }
+    {
+        SCOPED_TRACE("map concedes the shortfall");
+        const ScaledMeanEstimator conceding(1.1);
+        EnergyController ctl(w.space, &conceding, w.store, cold);
+        stats::Rng rng(5);
+        driveFlat(ctl, rng, measured, 4);
+        ASSERT_EQ(ctl.state(), EnergyController::State::Controlling);
+        ASSERT_LT(ctl.performanceEstimate()[0], target);
+        driveFlat(ctl, rng, measured, 40);
+        EXPECT_EQ(ctl.state(), EnergyController::State::Controlling);
+        EXPECT_EQ(ctl.changePointsDetected(), 0u);
+        EXPECT_EQ(ctl.reestimations(), 0u);
+    }
+    {
+        SCOPED_TRACE("policy off");
+        const ScaledMeanEstimator optimistic(4.0);
+        EnergyController ctl(w.space, &optimistic, w.store,
+                             w.options(target, 4));
+        stats::Rng rng(5);
+        driveFlat(ctl, rng, measured, 44);
+        EXPECT_EQ(ctl.state(), EnergyController::State::Controlling);
+        EXPECT_EQ(ctl.reestimations(), 0u);
+    }
 }
 
 // ------------------------------------------ state snapshot/restore
@@ -468,8 +574,10 @@ TEST(Controller, RestoreRejectsOtherPrior)
 
 /**
  * A controller blob carrying both fits, cut at any offset, fails
- * closed into fresh Sampling state; the whole blob restores. A
- * six-app prior keeps the blob small enough to cut everywhere.
+ * closed into fresh Sampling state; the whole blob restores. Run with
+ * the policy Off and with ColdRefit, whose blob ends in the two
+ * change-point detectors. A six-app prior keeps the blob small enough
+ * to cut everywhere.
  */
 TEST(Controller, RestoreFailsClosedAtEveryTruncation)
 {
@@ -481,40 +589,53 @@ TEST(Controller, RestoreFailsClosedAtEveryTruncation)
             loo.records().begin(), loo.records().begin() + 6));
     workloads::ApplicationModel app(
         workloads::profileByName("fluidanimate"), w.machine);
-    const ControllerOptions o = w.options(30.0, 5);
-    EnergyController ctl(w.space, &leo, prior, o);
-    stats::Rng rng(31);
-    for (int i = 0; i < 9; ++i) {
-        const std::size_t cfg = ctl.nextConfig(rng);
-        const auto &ra = w.space.assignment(cfg);
-        ctl.recordMeasurement({cfg, w.monitor.measureRate(app, ra, rng),
-                               w.meter.read(app, ra, rng)});
-    }
-    ASSERT_NE(ctl.warmPerfFit(), nullptr);
-    linalg::ByteWriter wtr;
-    ctl.saveState(wtr);
-    const std::string blob = wtr.take();
+    for (const auto policy : {runtime::ChangePointPolicy::Off,
+                              runtime::ChangePointPolicy::ColdRefit}) {
+        SCOPED_TRACE(policy == runtime::ChangePointPolicy::Off
+                         ? "policy off"
+                         : "policy coldrefit");
+        ControllerOptions o = w.options(30.0, 5);
+        o.changePointPolicy = policy;
+        EnergyController ctl(w.space, &leo, prior, o);
+        stats::Rng rng(31);
+        for (int i = 0; i < 9; ++i) {
+            const std::size_t cfg = ctl.nextConfig(rng);
+            const auto &ra = w.space.assignment(cfg);
+            ctl.recordMeasurement(
+                {cfg, w.monitor.measureRate(app, ra, rng),
+                 w.meter.read(app, ra, rng)});
+        }
+        ASSERT_NE(ctl.warmPerfFit(), nullptr);
+        linalg::ByteWriter wtr;
+        ctl.saveState(wtr);
+        const std::string blob = wtr.take();
 
-    EnergyController twin(w.space, &leo, prior, o);
-    for (std::size_t cut = 0; cut < blob.size(); ++cut) {
-        const std::string part(blob, 0, cut);
-        linalg::ByteReader rdr(part);
-        ASSERT_FALSE(twin.restoreState(rdr)) << "cut at " << cut;
-        ASSERT_EQ(twin.state(), EnergyController::State::Sampling)
-            << "cut at " << cut;
-        ASSERT_FALSE(twin.hasEstimates()) << "cut at " << cut;
+        EnergyController twin(w.space, &leo, prior, o);
+        for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+            const std::string part(blob, 0, cut);
+            linalg::ByteReader rdr(part);
+            ASSERT_FALSE(twin.restoreState(rdr)) << "cut at " << cut;
+            ASSERT_EQ(twin.state(), EnergyController::State::Sampling)
+                << "cut at " << cut;
+            ASSERT_FALSE(twin.hasEstimates()) << "cut at " << cut;
+        }
+        linalg::ByteReader whole(blob);
+        EXPECT_TRUE(twin.restoreState(whole));
+        EXPECT_TRUE(whole.atEnd());
+        EXPECT_EQ(twin.state(), ctl.state());
+        linalg::ByteWriter again;
+        twin.saveState(again);
+        EXPECT_EQ(again.bytes(), blob);
     }
-    linalg::ByteReader whole(blob);
-    EXPECT_TRUE(twin.restoreState(whole));
-    EXPECT_TRUE(whole.atEnd());
-    EXPECT_EQ(twin.state(), ctl.state());
 }
 
 /**
- * The blob opens with its format version. A blob of the previous
- * format (v1, which also carried two per-window refitter states) fails
- * closed: the controller, though it held a restored run, drops to
- * fresh Sampling state with no estimates or fits left over.
+ * The blob opens with its format version. A blob of an earlier format
+ * (v1 also carried two per-window refitter states, v2 the detectors'
+ * run-length arrays) fails closed, with the change-point policy Off
+ * and with ColdRefit, whose blob ends in the detectors: the
+ * controller, though it held a restored run, drops to fresh Sampling
+ * state with no estimates or fits left over.
  */
 TEST(Controller, RestoreRejectsOlderFormatVersion)
 {
@@ -523,32 +644,43 @@ TEST(Controller, RestoreRejectsOlderFormatVersion)
     auto prior = w.store.without("fluidanimate");
     workloads::ApplicationModel app(
         workloads::profileByName("fluidanimate"), w.machine);
-    const ControllerOptions o = w.options(30.0, 5);
-    EnergyController ctl(w.space, &leo, prior, o);
-    stats::Rng rng(31);
-    while (ctl.state() == EnergyController::State::Sampling) {
-        const std::size_t cfg = ctl.nextConfig(rng);
-        const auto &ra = w.space.assignment(cfg);
-        ctl.recordMeasurement({cfg, w.monitor.measureRate(app, ra, rng),
-                               w.meter.read(app, ra, rng)});
+    for (const auto policy : {runtime::ChangePointPolicy::Off,
+                              runtime::ChangePointPolicy::ColdRefit}) {
+        SCOPED_TRACE(policy == runtime::ChangePointPolicy::Off
+                         ? "policy off"
+                         : "policy coldrefit");
+        ControllerOptions o = w.options(30.0, 5);
+        o.changePointPolicy = policy;
+        EnergyController ctl(w.space, &leo, prior, o);
+        stats::Rng rng(31);
+        while (ctl.state() == EnergyController::State::Sampling) {
+            const std::size_t cfg = ctl.nextConfig(rng);
+            const auto &ra = w.space.assignment(cfg);
+            ctl.recordMeasurement(
+                {cfg, w.monitor.measureRate(app, ra, rng),
+                 w.meter.read(app, ra, rng)});
+        }
+        linalg::ByteWriter wtr;
+        ctl.saveState(wtr);
+        const std::string blob = wtr.take();
+        // The version is the leading little-endian u32.
+        ASSERT_EQ(blob.substr(0, 4), std::string("\x03\0\0\0", 4));
+
+        EnergyController twin(w.space, &leo, prior, o);
+        for (const char version : {1, 2}) {
+            linalg::ByteReader current(blob);
+            ASSERT_TRUE(twin.restoreState(current));
+            ASSERT_TRUE(twin.hasEstimates());
+            ASSERT_NE(twin.warmPerfFit(), nullptr);
+
+            std::string old_blob = blob;
+            old_blob[0] = version;
+            linalg::ByteReader old(old_blob);
+            EXPECT_FALSE(twin.restoreState(old));
+            EXPECT_EQ(twin.state(), EnergyController::State::Sampling);
+            EXPECT_FALSE(twin.hasEstimates());
+            EXPECT_EQ(twin.warmPerfFit(), nullptr);
+            EXPECT_TRUE(twin.observations().indices.empty());
+        }
     }
-    linalg::ByteWriter wtr;
-    ctl.saveState(wtr);
-    std::string blob = wtr.take();
-    // The version is the leading little-endian u32.
-    ASSERT_EQ(blob.substr(0, 4), std::string("\x02\0\0\0", 4));
-
-    EnergyController twin(w.space, &leo, prior, o);
-    linalg::ByteReader current(blob);
-    ASSERT_TRUE(twin.restoreState(current));
-    ASSERT_TRUE(twin.hasEstimates());
-    ASSERT_NE(twin.warmPerfFit(), nullptr);
-
-    blob[0] = 1;
-    linalg::ByteReader old(blob);
-    EXPECT_FALSE(twin.restoreState(old));
-    EXPECT_EQ(twin.state(), EnergyController::State::Sampling);
-    EXPECT_FALSE(twin.hasEstimates());
-    EXPECT_EQ(twin.warmPerfFit(), nullptr);
-    EXPECT_TRUE(twin.observations().indices.empty());
 }

@@ -9,12 +9,15 @@
  *  - TraceTable parsing rejects malformed input loudly (missing
  *    columns, non-integer indices, non-finite cells, empty segments)
  *    and tolerates comments, headers and CRLF endings;
- *  - TraceApplicationModel fills missing configs deterministically
- *    per interpolation policy and replays seeded noise bit-exactly;
+ *  - TraceApplicationModel fills missing configs by index-linear
+ *    interpolation and replays measured rows bit-exactly;
  *  - Spec round-trips through its canonical text form (counts
  *    exactly), parses JSON through the same field setters as text,
  *    rejects hostile values in both forms, and expands grids as a
  *    pure cross product;
+ *  - every cut, bit-flipped or line-swapped copy of the shipped
+ *    traces and of two specs throws leo::Error or parses — a spec to
+ *    canonical text that re-renders as itself;
  *  - the ChangePointDetector stays quiet on stationary residual
  *    streams, fires within a few windows of a genuine step, and
  *    centers out persistent fit bias learned during warmup;
@@ -30,10 +33,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "estimators/leo.hh"
@@ -53,11 +59,8 @@ using linalg::Vector;
 using platform::ConfigSpace;
 using platform::Machine;
 using runtime::ChangePointDetector;
-using runtime::ChangePointMethod;
 using runtime::ChangePointOptions;
 using workloads::TraceApplicationModel;
-using workloads::TraceInterpolation;
-using workloads::TraceModelOptions;
 using workloads::TraceTable;
 
 namespace
@@ -251,12 +254,14 @@ TEST(TraceModel, InterpolationPolicies)
     TraceTable t;
     t.segments.push_back({0, {0, last}, {10.0, 30.0}, {100.0, 140.0}});
 
-    TraceModelOptions lin;
-    lin.interpolation = TraceInterpolation::Linear;
-    const TraceApplicationModel ml(t, w.space, lin);
+    // The one fill policy: index-linear between measured rows, which
+    // replay bit-exactly.
+    const TraceApplicationModel ml(t, w.space);
     const Vector &pl = ml.segmentPerformance(0);
     EXPECT_EQ(pl[0], 10.0);
     EXPECT_EQ(pl[last], 30.0);
+    EXPECT_EQ(ml.segmentPower(0)[0], 100.0);
+    EXPECT_EQ(ml.segmentPower(0)[last], 140.0);
     for (std::size_t c = 1; c < last; ++c) {
         const double expect =
             10.0 + (30.0 - 10.0) * static_cast<double>(c) /
@@ -264,54 +269,14 @@ TEST(TraceModel, InterpolationPolicies)
         EXPECT_NEAR(pl[c], expect, 1e-12) << "config " << c;
     }
 
-    TraceModelOptions near;
-    near.interpolation = TraceInterpolation::Nearest;
-    const TraceApplicationModel mn(t, w.space, near);
-    const Vector &pn = mn.segmentPerformance(0);
-    EXPECT_EQ(pn[1], 10.0);        // Closer to row 0.
-    EXPECT_EQ(pn[last - 1], 30.0); // Closer to the last row.
-
-    TraceModelOptions hold;
-    hold.interpolation = TraceInterpolation::Hold;
-    const TraceApplicationModel mh(t, w.space, hold);
-    const Vector &ph = mh.segmentPerformance(0);
-    // Hold carries the last row at-or-below forward.
-    for (std::size_t c = 0; c < last; ++c)
-        EXPECT_EQ(ph[c], 10.0) << "config " << c;
-    EXPECT_EQ(ph[last], 30.0);
-}
-
-TEST(TraceModel, NoiseReplayIsDeterministicPerSeed)
-{
-    World w;
-    const std::size_t last = w.space.size() - 1;
-    TraceTable t;
-    t.segments.push_back({0, {0, last}, {10.0, 30.0}, {100.0, 140.0}});
-
-    TraceModelOptions a;
-    a.noiseRelative = 0.05;
-    a.noiseSeed = 123;
-    const TraceApplicationModel ma(t, w.space, a);
-    const TraceApplicationModel mb(t, w.space, a);
-    for (std::size_t c = 0; c <= last; ++c) {
-        EXPECT_EQ(ma.segmentPerformance(0)[c],
-                  mb.segmentPerformance(0)[c]);
-        EXPECT_EQ(ma.segmentPower(0)[c], mb.segmentPower(0)[c]);
-    }
-
-    TraceModelOptions other = a;
-    other.noiseSeed = 124;
-    const TraceApplicationModel mc(t, w.space, other);
-    bool any_differ = false;
-    for (std::size_t c = 0; c <= last; ++c)
-        any_differ = any_differ || ma.segmentPerformance(0)[c] !=
-                                       mc.segmentPerformance(0)[c];
-    EXPECT_TRUE(any_differ);
-
-    // Zero noise replays the table rows bit-exactly.
-    const TraceApplicationModel m0(t, w.space);
-    EXPECT_EQ(m0.segmentPerformance(0)[0], 10.0);
-    EXPECT_EQ(m0.segmentPower(0)[last], 140.0);
+    // Before the first and past the last measured row the fill
+    // clamps to that row.
+    TraceTable inner;
+    inner.segments.push_back({0, {1, last - 1}, {10.0, 30.0},
+                              {100.0, 140.0}});
+    const TraceApplicationModel mi(inner, w.space);
+    EXPECT_EQ(mi.segmentPerformance(0)[0], 10.0);
+    EXPECT_EQ(mi.segmentPerformance(0)[last], 30.0);
 }
 
 TEST(TraceModel, SegmentSwitchingFollowsWorkUnits)
@@ -352,7 +317,6 @@ TEST(SpecDsl, CanonicalTextRoundTrips)
     spec.frames = 100;
     spec.seed = 99;
     spec.changePointPolicy = runtime::ChangePointPolicy::ColdRefit;
-    spec.changePointMethod = runtime::ChangePointMethod::Bayesian;
     spec.faults.nanProb = 0.05;
     spec.faults.outlierProb = 0.02;
     spec.faults.outlierScale = 25.0;
@@ -368,8 +332,6 @@ TEST(SpecDsl, CanonicalTextRoundTrips)
     EXPECT_EQ(back.phases[1].scale, 0.75);
     EXPECT_EQ(back.changePointPolicy,
               runtime::ChangePointPolicy::ColdRefit);
-    EXPECT_EQ(back.changePointMethod,
-              runtime::ChangePointMethod::Bayesian);
     EXPECT_EQ(back.faults.outlierScale, 25.0);
     EXPECT_EQ(back.arrivals.tenants, 4u);
     EXPECT_EQ(back.arrivals.rateSpread, 0.2);
@@ -394,7 +356,7 @@ TEST(SpecDsl, JsonParses)
 {
     const scenario::Spec spec = scenario::Spec::fromString(
         "{\"name\": \"j\", \"workload\": \"phased\", \"target\": 2.0,"
-        " \"seed\": 5, \"changepoint\": \"priorreset\","
+        " \"seed\": 5, \"changepoint\": \"coldrefit\","
         " \"phases\": [{\"app\": \"x264\", \"frames\": 30,"
         "               \"scale\": 0.5}],"
         " \"fault\": {\"dropout\": 0.1},"
@@ -404,7 +366,7 @@ TEST(SpecDsl, JsonParses)
     EXPECT_EQ(spec.workload, scenario::WorkloadKind::Phased);
     EXPECT_EQ(spec.targetRate, 2.0);
     EXPECT_EQ(spec.changePointPolicy,
-              runtime::ChangePointPolicy::PriorReset);
+              runtime::ChangePointPolicy::ColdRefit);
     ASSERT_EQ(spec.phases.size(), 1u);
     EXPECT_EQ(spec.phases[0].scale, 0.5);
     EXPECT_EQ(spec.faults.dropoutProb, 0.1);
@@ -463,6 +425,81 @@ TEST(SpecDsl, HostileValuesThrowInBothForms)
     for (const char *text : cases)
         EXPECT_THROW(scenario::Spec::fromString(text), FatalError)
             << text;
+}
+
+/**
+ * The canonical text carries every spec the parser accepts: a value
+ * the text grammar cannot hold back (a second token, a blank, '#', a
+ * control character, an empty value, a phase scale rescaled out of
+ * range) is rejected in both forms, and a trace body keeps its lines
+ * whatever they say.
+ */
+TEST(SpecDsl, TextFormCarriesEveryAcceptedSpec)
+{
+    const char *rejected[] = {
+        "seed 42 43\n",
+        "trace_file /data/my traces/a.csv\n",
+        "name two words\n",
+        "app x264 extra\n",
+        "changepoint off coldrefit\n",
+        "fault.nan 0.1 0.2\n",
+        "trace_inline <<END extra\n0,1.0,100\nEND\n",
+        "name a\x01z\n",
+        "phase x\x7f" "264 frames=5\n",
+        "phase x264 frames=5 scale=1e300\nphase_scale 1e300\n",
+        "phase x264 frames=5 scale=1e-300\nphase_scale 1e-300\n",
+        "{\"name\": \"two words\"}",
+        "{\"app\": \"x264 extra\"}",
+        "{\"name\": \"a#b\"}",
+        "{\"name\": \"\"}",
+        "{\"name\": \"tab\\there\"}",
+        "{\"name\": \"line\\nbreak\"}",
+        "{\"trace_file\": \"/data/my traces/a.csv\"}",
+        "{\"phases\": [{\"app\": \"x 264\", \"frames\": 5}]}",
+    };
+    for (const char *text : rejected)
+        EXPECT_THROW(scenario::Spec::fromString(text), FatalError)
+            << text;
+
+    // Bodies whose lines read as the default delimiter, or as its
+    // first fallbacks, close at their own end; CRLF bodies are stored
+    // as LF in both forms.
+    struct Body
+    {
+        const char *json;
+        std::string traceText;
+    };
+    const Body bodies[] = {
+        {"{\"trace_inline\": \"0,1.0,100\\nEND\\n1,2.0,110\\n\"}",
+         "0,1.0,100\nEND\n1,2.0,110\n"},
+        {"{\"trace_inline\": \"END\\nEND1\\n  END2 # x\\n\"}",
+         "END\nEND1\n  END2 # x\n"},
+        {"{\"trace_inline\": \"0,1.0,100\\r\\n1,2.0,110\\r\\r\"}",
+         "0,1.0,100\n1,2.0,110"},
+    };
+    for (const Body &b : bodies) {
+        SCOPED_TRACE(b.json);
+        const scenario::Spec spec = scenario::Spec::fromString(b.json);
+        EXPECT_EQ(spec.traceText, b.traceText);
+        const std::string text = spec.toString();
+        const scenario::Spec back = scenario::Spec::fromString(text);
+        EXPECT_EQ(back.toString(), text);
+        const std::string body = b.traceText.back() == '\n'
+                                     ? b.traceText
+                                     : b.traceText + "\n";
+        EXPECT_EQ(back.traceText, body);
+    }
+    const scenario::Spec crlf = scenario::Spec::fromString(
+        "trace_inline <<EOF\r\n0,1.0,100\r\n1,2.0,110\r\r\nEOF\r\n");
+    EXPECT_EQ(crlf.traceText, "0,1.0,100\n1,2.0,110\n");
+
+    // Every fault field off its default survives, a value only the
+    // fault injector rejects included.
+    const scenario::Spec faulty = scenario::Spec::fromString(
+        scenario::Spec::fromString("fault nan=-0.5 outlier_scale=20\n")
+            .toString());
+    EXPECT_EQ(faulty.faults.nanProb, -0.5);
+    EXPECT_EQ(faulty.faults.outlierScale, 20.0);
 }
 
 TEST(SpecDsl, CountsRoundTripExactly)
@@ -534,6 +571,229 @@ TEST(SpecDsl, SetFieldRoutesFaultAndPhaseScale)
     EXPECT_EQ(spec.phases[1].scale, 1.0);
     EXPECT_THROW(scenario::setField(spec, "fault.gamma_rays", "1"),
                  FatalError);
+}
+
+// ------------------------------------------------- Hostile input bytes
+
+namespace
+{
+
+/** A text spec that uses every directive of the text grammar. */
+const char *const kEveryDirectiveText =
+    "# every directive of the text grammar\n"
+    "name mutant\n"
+    "workload phased\n"
+    "app kmeans\n"
+    "target 2.5\n"
+    "frames 120\n"
+    "seed 77\n"
+    "changepoint coldrefit\n"
+    "fault nan=0.05 inf=0.01 dropout=0.02 outlier=0.03 "
+    "outlier_scale=20 stale=0.04 seed=9\n"
+    "fault.nan 0.06\n"
+    "phase x264 frames=60 scale=1.0\n"
+    "phase swaptions frames=40 scale=0.75\n"
+    "phase_scale 0.5\n"
+    "tenants 3 spacing=4 rate_spread=0.1\n"
+    "trace_file examples/traces/web_requests.csv\n"
+    "trace_inline <<END\n"
+    "segment,40\n"
+    "0,1.0,100\n"
+    "END\n";
+
+/** A JSON spec that uses every key of the JSON form. */
+const char *const kEveryKeyJson =
+    "{\n"
+    "  \"name\": \"mutant\",\n"
+    "  \"workload\": \"trace\",\n"
+    "  \"app\": \"lud\",\n"
+    "  \"target\": 1.5,\n"
+    "  \"frames\": 90,\n"
+    "  \"seed\": 12,\n"
+    "  \"changepoint\": \"off\",\n"
+    "  \"fault\": {\"nan\": 0.05, \"inf\": 0.01, \"dropout\": 0.02,\n"
+    "            \"outlier\": 0.03, \"outlier_scale\": 20,\n"
+    "            \"stale\": 0.04, \"seed\": 9},\n"
+    "  \"fault.stale\": 0.05,\n"
+    "  \"phases\": [{\"app\": \"x264\", \"frames\": 30, \"scale\": 0.5},\n"
+    "             {\"app\": \"lud\", \"frames\": 20, \"scale\": 2}],\n"
+    "  \"tenants\": {\"count\": 2, \"spacing\": 3, \"rate_spread\": 0.2},\n"
+    "  \"trace_file\": \"a.csv\",\n"
+    "  \"trace_inline\": \"segment,40\\n0,1.0,100\\nEND\\n1,2.0,120\\n\"\n"
+    "}\n";
+
+/** A spec mutant throws leo::Error, or its canonical text parses
+ *  back to the same canonical text. */
+::testing::AssertionResult
+specMutantHolds(const std::string &text, std::size_t *accepted)
+{
+    std::string canonical;
+    try {
+        canonical = scenario::Spec::fromString(text).toString();
+    } catch (const Error &) {
+        return ::testing::AssertionSuccess();
+    }
+    ++*accepted;
+    try {
+        const std::string again =
+            scenario::Spec::fromString(canonical).toString();
+        if (again != canonical)
+            return ::testing::AssertionFailure()
+                   << "canonical text\n"
+                   << canonical << "re-renders as\n"
+                   << again;
+    } catch (const Error &e) {
+        return ::testing::AssertionFailure()
+               << "canonical text\n"
+               << canonical << "fails to parse: " << e.what();
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** A trace mutant throws leo::Error, or parses to a table that keeps
+ *  the documented invariants. */
+::testing::AssertionResult
+traceMutantHolds(const std::string &text, std::size_t *accepted)
+{
+    TraceTable t;
+    try {
+        t = TraceTable::fromString(text);
+    } catch (const Error &) {
+        return ::testing::AssertionSuccess();
+    }
+    ++*accepted;
+    if (t.segments.empty())
+        return ::testing::AssertionFailure() << "no segments";
+    for (const auto &seg : t.segments) {
+        const std::size_t rows = seg.indices.size();
+        if (rows == 0 || seg.performance.size() != rows ||
+            seg.power.size() != rows)
+            return ::testing::AssertionFailure() << "ragged segment";
+        for (std::size_t i = 0; i < rows; ++i) {
+            if (i > 0 && seg.indices[i] <= seg.indices[i - 1])
+                return ::testing::AssertionFailure()
+                       << "indices not strictly increasing";
+            if (!std::isfinite(seg.performance[i]) ||
+                seg.performance[i] <= 0.0 ||
+                !std::isfinite(seg.power[i]) || seg.power[i] <= 0.0)
+                return ::testing::AssertionFailure()
+                       << "unusable cell in row " << i;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** @return The lines of @p text (split on '\n', which they keep). */
+std::vector<std::string>
+linesOf(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::size_t at = 0;
+    while (at < text.size()) {
+        const std::size_t end = text.find('\n', at);
+        const std::size_t next =
+            end == std::string::npos ? text.size() : end + 1;
+        lines.push_back(text.substr(at, next - at));
+        at = next;
+    }
+    return lines;
+}
+
+/**
+ * Feed every mutant of @p text to @p holds: the text cut at every
+ * offset, 2000 seeded trials of 1-4 bit flips, and 2000 seeded swaps
+ * of two distinct lines. Prints the accepted share per mutation.
+ */
+template <typename Holds>
+void
+mutateAll(const std::string &label, const std::string &text,
+          Holds holds, std::uint64_t seed)
+{
+    std::size_t accepted = 0;
+    for (std::size_t cut = 0; cut <= text.size(); ++cut)
+        ASSERT_TRUE(holds(text.substr(0, cut), &accepted))
+            << label << " cut at " << cut;
+    const std::size_t cuts = accepted;
+
+    constexpr std::size_t kTrials = 2000;
+    stats::Rng pick(seed);
+    const auto bits = static_cast<std::int64_t>(8 * text.size());
+    accepted = 0;
+    for (std::size_t trial = 0; trial < kTrials; ++trial) {
+        std::string mutated = text;
+        const std::int64_t flips = pick.uniformInt(1, 4);
+        for (std::int64_t k = 0; k < flips; ++k) {
+            const std::int64_t bit = pick.uniformInt(0, bits - 1);
+            mutated[static_cast<std::size_t>(bit / 8)] ^=
+                static_cast<char>(1 << (bit % 8));
+        }
+        ASSERT_TRUE(holds(mutated, &accepted))
+            << label << " bit-flip trial " << trial;
+    }
+    const std::size_t flipped = accepted;
+
+    const std::vector<std::string> lines = linesOf(text);
+    ASSERT_GE(lines.size(), 2u) << label;
+    const auto last = static_cast<std::int64_t>(lines.size()) - 1;
+    accepted = 0;
+    for (std::size_t trial = 0; trial < kTrials; ++trial) {
+        std::vector<std::string> swapped = lines;
+        const std::int64_t i = pick.uniformInt(0, last);
+        std::int64_t j = pick.uniformInt(0, last - 1);
+        if (j >= i)
+            ++j;
+        std::swap(swapped[static_cast<std::size_t>(i)],
+                  swapped[static_cast<std::size_t>(j)]);
+        std::string mutated;
+        for (const std::string &line : swapped)
+            mutated += line;
+        ASSERT_TRUE(holds(mutated, &accepted))
+            << label << " line-swap trial " << trial;
+    }
+    std::printf("%s mutants accepted: %zu of %zu cuts, %zu of %zu bit "
+                "flips, %zu of %zu line swaps\n",
+                label.c_str(), cuts, text.size() + 1, flipped, kTrials,
+                accepted, kTrials);
+}
+
+/** @return The whole file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+} // namespace
+
+/**
+ * Hostile trace bytes: every mutant of the two shipped traces throws
+ * leo::Error or parses to a table whose rows are sorted, unique and
+ * finite and positive.
+ */
+TEST(HostileInput, TraceMutantsFailLoudlyOrParseValid)
+{
+    const std::string dir = LEO_EXAMPLE_TRACES_DIR;
+    mutateAll("web_requests.csv", readFile(dir + "/web_requests.csv"),
+              traceMutantHolds, 101);
+    mutateAll("batch_phases.json", readFile(dir + "/batch_phases.json"),
+              traceMutantHolds, 102);
+}
+
+/**
+ * Hostile spec bytes: every mutant of a text spec and a JSON spec
+ * that together use every directive throws leo::Error or parses to a
+ * spec whose canonical text parses back to the same canonical text.
+ */
+TEST(HostileInput, SpecMutantsFailLoudlyOrRoundTrip)
+{
+    std::size_t unused = 0;
+    ASSERT_TRUE(specMutantHolds(kEveryDirectiveText, &unused));
+    ASSERT_TRUE(specMutantHolds(kEveryKeyJson, &unused));
+    ASSERT_EQ(unused, 2u) << "the unmutated specs must parse";
+    mutateAll("text spec", kEveryDirectiveText, specMutantHolds, 103);
+    mutateAll("JSON spec", kEveryKeyJson, specMutantHolds, 104);
 }
 
 // ------------------------------------------------ Scenario materialize
@@ -715,10 +975,9 @@ TEST(ScenarioRun, OffPolicyIgnoresDetectorSettings)
     scenario::Scenario plain_sc(spec, w.machine, w.space);
     const auto plain = scenario::runScenario(plain_sc, &leo, prior, base);
 
-    spec.changePointMethod = runtime::ChangePointMethod::Bayesian;
+    base.changePoint.cusumDrift = 0.0;
     base.changePoint.cusumThreshold = 0.1;
-    base.changePoint.hazard = 0.5;
-    base.changePoint.starveWindows = 1;
+    base.changePoint.warmupWindows = 1;
     scenario::Scenario tuned_sc(spec, w.machine, w.space);
     const auto tuned = scenario::runScenario(tuned_sc, &leo, prior, base);
 
@@ -759,7 +1018,6 @@ TEST(ScenarioRun, LeoAdaptsToPhaseChange)
     const auto prior = w.store.without("fluidanimate");
     runtime::ControllerOptions base;
     base.sampleBudget = 6;
-    base.driftWindow = 3;
     const auto r = scenario::runScenario(sc, &leo, prior, base);
     // The phase change must have been noticed.
     EXPECT_GE(r.reestimations, 1u);
@@ -887,22 +1145,6 @@ TEST(ChangePoint, DetectsStepWithinAFewWindows)
     EXPECT_GE(det.lastDetectionLatency(), 1u);
 }
 
-TEST(ChangePoint, BayesianQuietThenDetects)
-{
-    ChangePointOptions opt;
-    opt.method = ChangePointMethod::Bayesian;
-    ChangePointDetector det;
-    det.configure(opt);
-    stats::Rng rng(406);
-    for (std::size_t i = 0; i < 300; ++i)
-        ASSERT_FALSE(det.observe(0.5 * rng.gaussian()))
-            << "false alarm at window " << i;
-    bool fired = false;
-    for (std::size_t i = 0; i < 8 && !fired; ++i)
-        fired = det.observe(4.0 + 0.5 * rng.gaussian());
-    EXPECT_TRUE(fired);
-}
-
 TEST(ChangePoint, WarmupCentersOutPersistentFitBias)
 {
     // A constant 2.5-sigma residual is static fit bias, not a phase
@@ -937,32 +1179,35 @@ TEST(ChangePoint, NonFiniteResidualsAreIgnored)
 
 TEST(ChangePoint, SerializationRoundTripsMidStream)
 {
-    for (const auto method :
-         {ChangePointMethod::Cusum, ChangePointMethod::Bayesian}) {
-        ChangePointOptions opt;
-        opt.method = method;
-        ChangePointDetector a;
-        a.configure(opt);
-        stats::Rng rng(407);
-        std::vector<double> head, tail;
-        for (std::size_t i = 0; i < 30; ++i)
-            head.push_back(0.5 * rng.gaussian());
-        for (std::size_t i = 0; i < 30; ++i)
-            tail.push_back(2.0 + 0.5 * rng.gaussian());
+    ChangePointOptions opt;
+    ChangePointDetector a;
+    a.configure(opt);
+    stats::Rng rng(407);
+    std::vector<double> head, tail;
+    for (std::size_t i = 0; i < 30; ++i)
+        head.push_back(0.5 * rng.gaussian());
+    for (std::size_t i = 0; i < 30; ++i)
+        tail.push_back(2.0 + 0.5 * rng.gaussian());
 
-        for (const double r : head)
-            a.observe(r);
-        linalg::ByteWriter bw;
-        a.save(bw);
-        ChangePointDetector b;
-        b.configure(opt);
-        linalg::ByteReader br(bw.bytes());
-        ASSERT_TRUE(b.restore(br));
-        EXPECT_EQ(b.windowsObserved(), a.windowsObserved());
-        // The restored detector fires in lockstep with the original.
-        for (const double r : tail)
-            EXPECT_EQ(a.observe(r), b.observe(r));
-    }
+    for (const double r : head)
+        a.observe(r);
+    linalg::ByteWriter bw;
+    a.save(bw);
+    ChangePointDetector b;
+    b.configure(opt);
+    linalg::ByteReader br(bw.bytes());
+    ASSERT_TRUE(b.restore(br));
+    EXPECT_TRUE(br.atEnd());
+    EXPECT_EQ(b.windowsObserved(), a.windowsObserved());
+    // The restored detector fires in lockstep with the original.
+    for (const double r : tail)
+        EXPECT_EQ(a.observe(r), b.observe(r));
+
+    // A short blob fails and leaves the detector empty.
+    const std::string cut = bw.bytes().substr(0, bw.size() - 1);
+    linalg::ByteReader short_r(cut);
+    EXPECT_FALSE(b.restore(short_r));
+    EXPECT_EQ(b.windowsObserved(), 0u);
 }
 
 // ------------------------------------------------- Sanitize regression

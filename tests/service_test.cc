@@ -470,12 +470,12 @@ TEST(Service, ConcurrentSubmitAccountsForEverySample)
     World w;
     estimators::LeoEstimator leo;
     parallel::ThreadPool pool(2);
-    ServiceOptions opt = w.serviceOptions(4);
-    opt.queueCapacity = 64; // Small ring: force some drops.
-    Service svc(w.space, leo, w.prior, pool, opt);
+    Service svc(w.space, leo, w.prior, pool, w.serviceOptions(4));
 
+    // More samples per producer than a shard's 1024 queue slots
+    // (kQueueCapacity in service.cc): force some drops.
     constexpr std::size_t kProducers = 4;
-    constexpr std::size_t kPerProducer = 200;
+    constexpr std::size_t kPerProducer = 1500;
     std::vector<std::uint64_t> ids;
     for (std::size_t t = 0; t < kProducers; ++t) {
         const auto id = svc.admit(w.tenant(t));
@@ -502,6 +502,7 @@ TEST(Service, ConcurrentSubmitAccountsForEverySample)
     const std::uint64_t processed =
         snap.counterOr(obs::names::kServiceWindowsProcessed);
     EXPECT_EQ(enqueued + dropped, kProducers * kPerProducer);
+    EXPECT_GT(dropped, 0u);
     EXPECT_EQ(processed, enqueued);
 }
 
@@ -637,7 +638,7 @@ INSTANTIATE_TEST_SUITE_P(FaultSweep, ServiceSnapshotProperty,
 namespace
 {
 
-/** Byte offsets into a service snapshot (format v4). */
+/** Byte offsets into a service snapshot (format v5). */
 struct SnapshotLayout
 {
     /** The first prior table entry, [begin, end). */
@@ -743,6 +744,15 @@ TEST(Service, RestoreRejectsCorruptSnapshot)
         SCOPED_TRACE("version word");
         std::string bad = blob;
         bad[0] = static_cast<char>(bad[0] ^ 0x7f);
+        expectRejected(bad);
+    }
+    {
+        // So does the previous format, v4, whose controllers carried
+        // the change-point detectors' run-length arrays.
+        SCOPED_TRACE("previous format version");
+        ASSERT_EQ(blob.substr(0, 4), std::string("\x05\0\0\0", 4));
+        std::string bad = blob;
+        bad[0] = 4;
         expectRejected(bad);
     }
     {
@@ -1186,7 +1196,6 @@ planningOptions(const World &w, std::size_t shards)
 {
     ServiceOptions o = w.serviceOptions(shards);
     o.globalPlanning = true;
-    o.planningHorizonSeconds = 2.0;
     return o;
 }
 

@@ -18,6 +18,14 @@
 namespace leo::support
 {
 
+namespace
+{
+
+/** The estimator's sigma^2 floor (kMinSigma2 in estimators/leo.cc). */
+constexpr double kMinSigma2 = 1e-8;
+
+} // namespace
+
 OracleFit
 referenceFit(const estimators::LeoOptions &opt,
              const std::vector<linalg::Vector> &prior,
@@ -187,7 +195,7 @@ referenceFit(const estimators::LeoOptions &opt,
             }
         }
         const double sigma2_new =
-            std::max(noise_accum / total_obs, opt.minSigma2);
+            std::max(noise_accum / total_obs, kMinSigma2);
 
         // Convergence on the target prediction, as in the estimator.
         const Vector &pred = have_obs ? target_post.mean : mu_new;

@@ -52,8 +52,9 @@ struct OracleFit
 /**
  * Fit one metric cold with the reference loop.
  *
- * Reads opt.init, hyperPi, hyperPsiScale, maxIterations, tolerance,
- * initSigma2 and minSigma2; the remaining options do not apply.
+ * Reads opt.init, hyperPi, hyperPsiScale, maxIterations, tolerance
+ * and initSigma2, and floors sigma^2 at the estimator's 1e-8; the
+ * remaining options do not apply.
  *
  * @param prior    Fully observed prior vectors (>= 1).
  * @param obs_idx  Observed target indices (may be empty).

@@ -6,12 +6,15 @@
 # and the fault-injection / sanitization / graceful-degradation path:
 # a heap error or UB triggered by corrupted telemetry fails the run.
 # csv_test, workloads_test and scenario_test feed hostile text to the
-# shared field parsers (src/workloads/fields.hh); the preset's
-# float-cast-overflow check fails the run if any of them still reaches
-# a double-to-integer cast. estimators_test, runtime_test and
-# service_test feed hostile snapshot bytes to the restore paths: fit
-# blobs with corrupt shapes and units, controller and service blobs
-# cut at every offset, and 2000 bit-flipped service blobs.
+# shared field parsers (src/workloads/fields.hh); scenario_test also
+# cuts, bit-flips and line-swaps the shipped traces and two specs. The
+# preset's float-cast-overflow check fails the run if any of them
+# still reaches a double-to-integer cast. estimators_test,
+# runtime_test and service_test feed hostile snapshot bytes to the
+# restore paths: fit blobs with corrupt shapes and units, controller
+# and service blobs cut at every offset, and 2000 bit-flipped service
+# blobs. active_sampling_test feeds zero, negative, NaN and infinite
+# readings to the variance-guided sampler.
 #
 # Usage: tools/run_asan_tests.sh [build-dir]
 #   build-dir  defaults to build-asan (kept separate from the plain
@@ -25,7 +28,7 @@ cmake -B "$build_dir" -S "$src_dir" \
     -DLEO_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j \
-    --target robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test
+    --target robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test active_sampling_test
 
 # ASAN/UBSAN_OPTIONS: fail the script on any report. UBSan keeps going
 # within a binary so one finding does not mask another, but a
@@ -35,7 +38,7 @@ asan="abort_on_error=0 exitcode=66 ${ASAN_OPTIONS:-}"
 ubsan="halt_on_error=0 exitcode=66 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
-for t in robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test; do
+for t in robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test active_sampling_test; do
     ASAN_OPTIONS="$asan" UBSAN_OPTIONS="$ubsan" \
         "$build_dir/tests/$t" 2>&1 | tee -a "$log"
 done
@@ -44,4 +47,4 @@ if grep -q 'runtime error:' "$log"; then
     exit 66
 fi
 
-echo "ASan+UBSan run clean: robustness_test + optimizer_test + runtime_test + lowrank_test + service_test + global_test + scenario_test + simplex_stress_test + csv_test + workloads_test + estimators_test"
+echo "ASan+UBSan run clean: robustness_test + optimizer_test + runtime_test + lowrank_test + service_test + global_test + scenario_test + simplex_stress_test + csv_test + workloads_test + estimators_test + active_sampling_test"
