@@ -94,22 +94,17 @@ VarianceGuidedSampler::collect(const MeasureFn &measure,
     }
 
     const LeoEstimator estimator;
-    // One prior basis, one workspace and one previous fit serve every
-    // guidance round: refits skip the prior-invariant work, reuse the
-    // arena's buffers and warm-start EM from the previous round's
-    // parameters.
+    // One prior basis and one workspace serve every guidance round:
+    // refits skip the prior-invariant work and reuse the arena's
+    // buffers.
     std::shared_ptr<const PriorBasis> basis;
     linalg::Workspace ws;
-    LeoFit fit;
-    bool have_fit = false;
     while (obs.size() < budget) {
         samplingObs().rounds.add(1);
         if (!basis)
             basis = std::make_shared<const PriorBasis>(prior);
-        const LeoFit *warm = have_fit ? &fit : nullptr;
-        fit = estimator.fitMetric(basis, obs.indices, obs.performance,
-                                  &ws, warm);
-        have_fit = true;
+        const LeoFit fit = estimator.fitMetric(basis, obs.indices,
+                                               obs.performance, &ws);
 
         // Rank unobserved configurations by predictive variance,
         // read one candidate at a time from the fit's factors

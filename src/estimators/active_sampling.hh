@@ -8,11 +8,9 @@
  * certain, so the sampler can spend its measurement budget there.
  * Probes proceed in batches — seed with four random configurations,
  * fit, measure the four highest-variance unobserved configurations,
- * refit, repeat. Successive rounds differ by only a few
- * observations, so each guidance refit warm-starts EM from the
- * previous round's parameters (typically 1-2 iterations instead of
- * 3-4). The abl02_active_sampling bench quantifies the accuracy gain
- * over random sampling at equal budget.
+ * refit, repeat. Every round refits cold on one shared prior basis
+ * through one workspace. The abl02_active_sampling bench quantifies
+ * the accuracy gain over random sampling at equal budget.
  */
 
 #ifndef LEO_ESTIMATORS_ACTIVE_SAMPLING_HH

@@ -16,9 +16,8 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
     std::vector<EstimateRequest> requests = std::move(requests_);
     requests_.clear();
     std::vector<MetricEstimate> results(requests.size());
-    // Shared bases, warm starts and fit-out plumbing only exist on
-    // LeoEstimator; other estimators silently take the plain
-    // interface.
+    // Shared bases and fit-out plumbing only exist on LeoEstimator;
+    // other estimators silently take the plain interface.
     const auto *as_leo = dynamic_cast<const LeoEstimator *>(&estimator_);
     parallel::parallelFor(pool_, requests.size(), [&](std::size_t i) {
         const EstimateRequest &r = requests[i];
@@ -31,11 +30,10 @@ EstimatorBatch::run(const platform::ConfigSpace &space)
             r.priorBasis
                 ? as_leo->estimateMetric(space, r.priorBasis,
                                          r.obsIndices, r.obsValues,
-                                         /*ws=*/nullptr, r.warmStart,
-                                         r.fitOut)
+                                         /*ws=*/nullptr, r.fitOut)
                 : as_leo->estimateMetric(space, r.prior, r.obsIndices,
                                          r.obsValues, /*ws=*/nullptr,
-                                         r.warmStart, r.fitOut);
+                                         r.fitOut);
     });
     return results;
 }

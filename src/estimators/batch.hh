@@ -42,15 +42,8 @@ struct EstimateRequest
     /** Observed values at those indices. */
     linalg::Vector obsValues;
     /**
-     * Previous fit to warm-start this request's EM from (LEO
-     * estimators only; ignored by others and by invalid fits). The
-     * pointed-to fit must outlive run().
-     */
-    const LeoFit *warmStart = nullptr;
-    /**
-     * When non-null, receives this request's full fit so the caller
-     * can warm-start the next batch (LEO estimators only). Distinct
-     * requests must point at distinct fits.
+     * When non-null, receives this request's full fit (LEO estimators
+     * only). Distinct requests must point at distinct fits.
      */
     LeoFit *fitOut = nullptr;
 };

@@ -15,8 +15,9 @@ namespace
 
 /** Format version; bump when the field list changes. v4 replaced
  *  the basis rows with their count q, the prior fingerprint and the
- *  observed units. */
-constexpr std::uint32_t kFitVersion = 4;
+ *  observed units; v5 dropped mu and the init flag after the scale
+ *  (every fit now starts from the cold init). */
+constexpr std::uint32_t kFitVersion = 5;
 
 /** True iff units is strictly increasing and below n. */
 bool
@@ -35,7 +36,6 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
 {
     w.u32(kFitVersion);
     w.vec(fit.prediction);
-    w.vec(fit.mu);
     w.f64(fit.sigma2);
     w.u64(fit.iterations);
     w.u8(fit.converged ? 1 : 0);
@@ -43,7 +43,6 @@ saveFit(linalg::ByteWriter &w, const LeoFit &fit)
     for (double v : fit.logLikelihoodTrace)
         w.f64(v);
     w.f64(fit.scale);
-    w.u8(fit.warmStarted ? 1 : 0);
     w.u64(fit.rank());
     w.u64(fit.priorFingerprint);
     w.indexVec(fit.observedUnits);
@@ -62,7 +61,6 @@ loadFit(linalg::ByteReader &r,
         return fit;
     }
     fit.prediction = r.vec();
-    fit.mu = r.vec();
     fit.sigma2 = r.f64();
     fit.iterations = static_cast<std::size_t>(r.u64());
     const std::uint8_t converged = r.u8();
@@ -71,8 +69,6 @@ loadFit(linalg::ByteReader &r,
     for (std::uint64_t i = 0; i < traces && r.ok(); ++i)
         fit.logLikelihoodTrace.push_back(r.f64());
     fit.scale = r.f64();
-    const std::uint8_t warm = r.u8();
-    fit.warmStarted = warm != 0;
     const std::uint64_t q = r.u64();
     fit.priorFingerprint = r.u64();
     fit.observedUnits = r.indexVec();
@@ -81,10 +77,10 @@ loadFit(linalg::ByteReader &r,
     fit.varCore = r.mat();
     if (!r.ok())
         return LeoFit{};
-    // Flags are 0 or 1, so an accepted blob re-saves to its own bytes.
-    // A fit without factors needs no basis; one with factors shares
-    // the basis it was saved with and refactors its kept block, whose
-    // directions must add up to the saved rank.
+    // The converged flag is 0 or 1, so an accepted blob re-saves to
+    // its own bytes. A fit without factors needs no basis; one with
+    // factors shares the basis it was saved with and refactors its
+    // kept block, whose directions must add up to the saved rank.
     bool shapes_ok = fit.coeff.empty() && fit.varCore.empty();
     if (q > 0) {
         shapes_ok = prior != nullptr &&
@@ -103,10 +99,10 @@ loadFit(linalg::ByteReader &r,
                         fit.coeff.rows() == q && fit.coeff.cols() == q &&
                         fit.varCore.rows() == q &&
                         fit.varCore.cols() == q &&
-                        fit.prediction.size() == n && fit.mu.size() == n;
+                        fit.prediction.size() == n;
         }
     }
-    if (converged > 1 || warm > 1 || !shapes_ok) {
+    if (converged > 1 || !shapes_ok) {
         r.fail();
         return LeoFit{};
     }

@@ -3,12 +3,13 @@
  * Bit-exact serialization of LeoFit.
  *
  * The snapshot/restore path of the multi-tenant service (and the
- * runtime controller underneath it) persists the warm-start state a
- * session accumulated — for a LEO session that is a pair of LeoFits,
- * including the covariance factors, the fit's only variance source
- * (LeoFit::predictiveVarianceAt). Round trips are exact: a restored
- * fit warm-starts EM from bitwise-identical theta, so a resumed
- * session reproduces the uninterrupted run's schedule bit for bit.
+ * runtime controller underneath it) persists the fits behind a
+ * session's current estimates — for a LEO session that is a pair of
+ * LeoFits, including the covariance factors, the fit's only variance
+ * source (LeoFit::predictiveVarianceAt), which the change-point
+ * detector reads. Round trips are exact: a restored fit scores
+ * residuals with bitwise-identical variances, so a resumed session
+ * reproduces the uninterrupted run's schedule bit for bit.
  *
  * A fit's basis Q = [Q_p; Q_o] is not written, and no fit holds it.
  * Q_p is the rows of the PriorBasis the fit shares with every fit on
@@ -47,7 +48,7 @@ void saveFit(linalg::ByteWriter &w, const LeoFit &fit);
  *  - `prior` is non-null and its fingerprint is the saved one;
  *  - the observed units strictly increase and are below prior->dim();
  *  - the prior rank plus the refactored kept directions is the saved
- *    q, under q x q cores and n-entry prediction and mu.
+ *    q, under q x q cores and an n-entry prediction.
  * A fit with no factors round-trips without a basis (`prior` may be
  * null). Callers validate r.ok() once at the end of their restore.
  */

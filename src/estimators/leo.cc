@@ -40,8 +40,6 @@ struct EmObs
 {
     obs::Counter fits =
         obs::Registry::global().counter(obs::names::kEmFitsCompleted);
-    obs::Counter warm =
-        obs::Registry::global().counter(obs::names::kEmFitsWarm);
     obs::Counter iters =
         obs::Registry::global().counter(obs::names::kEmIterationsRun);
     obs::Counter ridge =
@@ -73,7 +71,7 @@ emObs()
 constexpr double kPivotTol = 1e-12;
 
 /** Floor on sigma^2 (normalized space) that keeps the E-step well
- *  posed; a warm fit below it falls back to the cold init. */
+ *  posed. */
 constexpr double kMinSigma2 = 1e-8;
 
 /**
@@ -222,112 +220,6 @@ observedColumnInto(double *out, const PriorBasis &prior,
 }
 
 /**
- * Apply L_k^-1 in place to `kept` rows of length `len`, row c at
- * rows + c * len: subtract the earlier rows, then scale by the pivot
- * (the warm rotation's forward substitution).
- */
-void
-solveKeptRows(double *rows, std::size_t len, const KeptBlock &kb)
-{
-    for (std::size_t c = 0; c < kb.units.size(); ++c) {
-        double *row = rows + c * len;
-        for (std::size_t c2 = 0; c2 < c; ++c2)
-            linalg::axpyN(row, rows + c2 * len, -kb.l.at(c, c2), len);
-        const double inv = 1.0 / kb.l.at(c, c);
-        for (std::size_t j = 0; j < len; ++j)
-            row[j] *= inv;
-    }
-}
-
-/**
- * g = Q x (length q) from the factors:
- * [Q_p x; L_k^-1 (x[units] - W_k Q_p x)]. The prior half is the same
- * dot products a materialized basis would take.
- */
-void
-projectInto(linalg::Vector &g, const PriorBasis &prior,
-            const KeptBlock &kb, const linalg::Vector &x)
-{
-    const std::size_t r = prior.rank();
-    const std::size_t kept = kb.units.size();
-    linalg::Vector gp(r);
-    linalg::gemvInto(gp, prior.rows(), x);
-    for (std::size_t k = 0; k < r; ++k)
-        g[k] = gp[k];
-    for (std::size_t c = 0; c < kept; ++c) {
-        double v = x[kb.units[c]] -
-                   linalg::dotN(kb.w.data() + c * r, gp.data(), r);
-        for (std::size_t c2 = 0; c2 < c; ++c2)
-            v -= kb.l.at(c, c2) * g[r + c2];
-        g[r + c] = v / kb.l.at(c, c);
-    }
-}
-
-/**
- * C0 = R C_w R' for a warm fit whose basis leads with this fit's
- * prior block. Both observed blocks are orthogonal to Q_p, so
- * R = Q Q_w' = blockdiag(I_r, R_o) with
- * R_o = Q_o Q_ow' = L_k^-1 (E_k' - W_k Q_p) Q_ow' = L_k^-1 E_k' Q_ow':
- * the warm observed columns at this fit's kept units, evaluated from
- * the warm fit's factors, and one forward substitution, with no
- * n-length product. The prior block of C_w carries over; only the
- * observed rows and columns rotate.
- */
-void
-rotateSharedPriorBlock(linalg::Matrix &cmat, const LeoFit &warm,
-                       std::size_t rp, const KeptBlock &kb,
-                       linalg::Workspace &arena)
-{
-    const std::size_t kept = kb.units.size();
-    const std::size_t q = rp + kept;
-    const std::size_t qw = warm.rank();
-    const std::size_t sw = qw - rp;
-    const linalg::Matrix &cw = warm.coeff;
-
-    linalg::Matrix &ro = arena.matrix("lr.ro", kept, sw);
-    for (std::size_t c = 0; c < kept; ++c)
-        observedColumnInto(ro.data() + c * sw, *warm.prior, warm.kept,
-                           kb.units[c]);
-    solveKeptRows(ro.data(), sw, kb);
-
-    // rc = R C_w (q x qw): prior rows copied, observed rows rotated.
-    linalg::Matrix &rc = arena.matrix("lr.rotc", q, qw);
-    rc.fill(0.0);
-    for (std::size_t i = 0; i < rp; ++i)
-        for (std::size_t k = 0; k < qw; ++k)
-            rc.at(i, k) = cw.at(i, k);
-    for (std::size_t c = 0; c < kept; ++c)
-        for (std::size_t c2 = 0; c2 < sw; ++c2)
-            linalg::axpyN(rc.data() + (rp + c) * qw,
-                          cw.data() + (rp + c2) * qw, ro.at(c, c2), qw);
-
-    // cmat = rc R' (q x q).
-    cmat.resize(q, q);
-    for (std::size_t i = 0; i < q; ++i) {
-        const double *rci = rc.data() + i * qw;
-        for (std::size_t k = 0; k < rp; ++k)
-            cmat.at(i, k) = rci[k];
-        for (std::size_t c = 0; c < kept; ++c)
-            cmat.at(i, rp + c) =
-                linalg::dotN(rci + rp, ro.data() + c * sw, sw);
-    }
-}
-
-/**
- * True iff the warm fit ran on a prior basis with this one's content:
- * the same fingerprint (a hash of n, Q_p and R) and rank. Compared by
- * content, never by object identity, so a live fit, one restored by
- * loadFit and a replay on a rebuilt basis all take the same warm
- * branch.
- */
-bool
-sharesPriorBlock(const LeoFit &warm, const PriorBasis &prior)
-{
-    return warm.prior->fingerprint() == prior.fingerprint() &&
-           warm.prior->rank() == prior.rank();
-}
-
-/**
  * True iff the fit carries a complete factored basis: a prior basis
  * and a kept block whose ranks add up to the order of its cores.
  */
@@ -365,9 +257,9 @@ hasBasis(const LeoFit &fit)
  * and the observed block is factored in s dimensions
  * (observeUnits), so the EM runs on P = [P_p' | L] and prior
  * coordinates [R | 0] without an n-length sweep before the loop. Q
- * itself is never formed: the prediction and mu expand through the
- * kept block (expandInto), a warm theta projects through it
- * (projectInto), and the fit keeps the block and shares the prior.
+ * itself is never formed: the prediction expands through the kept
+ * block (expandInto), and the fit keeps the block and shares the
+ * prior.
  *
  * When the prior and the observed directions span all of R^n, q = n
  * and Q is a full basis: the same algebra, only no cheaper than a
@@ -384,8 +276,7 @@ fitLowRank(const LeoOptions &opt,
            const std::shared_ptr<const PriorBasis> &shared,
            const std::vector<std::size_t> &obs_idx,
            const linalg::Vector &x_obs, double scale,
-           linalg::Workspace *ws, const LeoFit *warm,
-           std::size_t (*counter)())
+           linalg::Workspace *ws, std::size_t (*counter)())
 {
     using linalg::Matrix;
     using linalg::Vector;
@@ -414,8 +305,7 @@ fitLowRank(const LeoOptions &opt,
     require(q >= 1, "LeoEstimator: empty low-rank basis");
 
     // The kept units' rows of W and L: all the fit needs of Q_o, for
-    // the warm re-expression, the prediction and mu after the loop
-    // and LeoFit::kept.
+    // the prediction after the loop and LeoFit::kept.
     KeptBlock kb = keptBlockOf(prior, ob);
 
     // P (s x q): row j holds the coordinates of e_{obs_j} in the
@@ -440,70 +330,35 @@ fitLowRank(const LeoOptions &opt,
     }
 
     // ---- Initialization -------------------------------------------
-    // A warm fit must carry finite factors on this space; anything
-    // else falls back to the cold init.
-    const bool warm_ok =
-        warm != nullptr && hasBasis(*warm) && warm->prior->dim() == n &&
-        warm->coeff.cols() == warm->rank() && warm->mu.size() == n &&
-        warm->alphaDiag > 0.0 && warm->sigma2 >= kMinSigma2 &&
-        warm->mu.allFinite() && warm->kept.w.allFinite() &&
-        warm->kept.l.allFinite() && warm->coeff.allFinite();
-
+    // Exactly the dense init in coordinates: the mean of the shape
+    // coordinates is the coordinates of the mean shape, the residual
+    // Gram matrix is the projected dense one, and the isotropic Psi
+    // lands in alpha. The prior-only parts live in the PriorBasis; the
+    // observed block starts at zero.
     Vector g(q, 0.0);
     Matrix &cmat = arena.matrix("lr.c", q, q);
     cmat.resize(q, q);
-    double alpha = 0.0;
-    double sigma2 = opt.initSigma2;
-    if (warm_ok) {
-        // Re-express the warm theta in the fresh basis: g = Q mu_w,
-        // C0 = R C_w R' with R = Q Q_w'. Old directions missing from
-        // the new span project away; since EM re-estimates from the
-        // init, the loss only perturbs the starting point.
-        projectInto(g, prior, kb, warm->mu);
-        if (sharesPriorBlock(*warm, prior)) {
-            rotateSharedPriorBlock(cmat, *warm, rp, kb, arena);
-        } else {
-            // A warm fit on another prior: no workload's controller
-            // changes prior, so this generic product runs on
-            // materialized bases.
-            const Matrix qmat = observedBasis(prior, kb);
-            const Matrix qwarm = warm->basis();
-            Matrix &rmat = arena.matrix("lr.rot", q, qwarm.rows());
-            Matrix &rc = arena.matrix("lr.rotc", q, qwarm.rows());
-            linalg::abtInto(rmat, qmat, qwarm);
-            Matrix::multiplyInto(rc, rmat, warm->coeff);
-            linalg::abtInto(cmat, rc, rmat);
-        }
-        alpha = warm->alphaDiag;
-        sigma2 = warm->sigma2;
-    } else {
-        // Cold init, exactly the dense init in coordinates: the mean
-        // of the shape coordinates is the coordinates of the mean
-        // shape, the residual Gram matrix is the projected dense one,
-        // and the isotropic Psi lands in alpha. The prior-only parts
-        // live in the PriorBasis; the observed block starts at zero.
-        cmat.fill(0.0);
-        const Matrix *gram0 = &prior.residualGram();
-        if (opt.init == EmInit::Offline) {
-            for (std::size_t k = 0; k < rp; ++k)
-                g[k] = prior.meanCoords()[k];
-        } else {
-            Matrix &gram_r = arena.matrix("lr.gram0", rp, rp);
-            Matrix::gramInto(gram_r, prior.coords());
-            gram0 = &gram_r;
-        }
+    cmat.fill(0.0);
+    const Matrix *gram0 = &prior.residualGram();
+    if (opt.init == EmInit::Offline) {
         for (std::size_t k = 0; k < rp; ++k)
-            for (std::size_t k2 = 0; k2 < rp; ++k2)
-                cmat.at(k, k2) = gram0->at(k, k2);
-        cmat.outerAddInto(opt.hyperPi, g, g);
-        cmat /= m_total + 1.0;
-        alpha = opt.hyperPsiScale / (m_total + 1.0);
+            g[k] = prior.meanCoords()[k];
+    } else {
+        Matrix &gram_r = arena.matrix("lr.gram0", rp, rp);
+        Matrix::gramInto(gram_r, prior.coords());
+        gram0 = &gram_r;
     }
+    for (std::size_t k = 0; k < rp; ++k)
+        for (std::size_t k2 = 0; k2 < rp; ++k2)
+            cmat.at(k, k2) = gram0->at(k, k2);
+    cmat.outerAddInto(opt.hyperPi, g, g);
+    cmat /= m_total + 1.0;
+    double alpha = opt.hyperPsiScale / (m_total + 1.0);
+    double sigma2 = opt.initSigma2;
 
     // ---- EM iterations --------------------------------------------
     LeoFit fit;
     fit.scale = scale;
-    fit.warmStarted = warm_ok;
     fit.logLikelihoodTrace.reserve(opt.maxIterations);
 
     EmObs &eo = emObs();
@@ -756,8 +611,6 @@ fitLowRank(const LeoOptions &opt,
     // leo-lint: hot-end
 
     eo.fits.add(1);
-    if (warm_ok)
-        eo.warm.add(1);
     eo.iters.add(fit.iterations);
     eo.basis_cols.set(static_cast<double>(q));
 
@@ -777,7 +630,6 @@ fitLowRank(const LeoOptions &opt,
 
     // The posterior variance stays factored in varCore;
     // LeoFit::predictiveVarianceAt reads one configuration at a time.
-    expandInto(fit.mu, prior, kb, g);
     fit.sigma2 = sigma2;
     fit.prior = shared;
     fit.kept = std::move(kb);
@@ -972,7 +824,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const linalg::Vector &obs_vals) const
 {
     return estimateMetric(space, prior, obs_idx, obs_vals, nullptr,
-                          nullptr, nullptr);
+                          nullptr);
 }
 
 MetricEstimate
@@ -980,15 +832,14 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::vector<linalg::Vector> &prior,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
-                             linalg::Workspace *ws, const LeoFit *warm,
-                             LeoFit *fit_out) const
+                             linalg::Workspace *ws, LeoFit *fit_out) const
 {
     // An empty prior leaves no basis to build; it degrades below like
     // any other unbuildable prior.
     require(prior.empty() || prior.front().size() == space.size(),
             "LeoEstimator: prior/space size mismatch");
     return estimateMetric(space, nullptr, prior, obs_idx, obs_vals, ws,
-                          warm, fit_out);
+                          fit_out);
 }
 
 MetricEstimate
@@ -996,11 +847,10 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::vector<linalg::Vector> &prior,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
-                             linalg::Workspace *ws, const LeoFit *warm,
+                             linalg::Workspace *ws, const LeoFit *,
                              LeoFit *fit_out, CovarianceRep) const
 {
-    return estimateMetric(space, prior, obs_idx, obs_vals, ws, warm,
-                          fit_out);
+    return estimateMetric(space, prior, obs_idx, obs_vals, ws, fit_out);
 }
 
 MetricEstimate
@@ -1008,13 +858,12 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::shared_ptr<const PriorBasis> &prior,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
-                             linalg::Workspace *ws, const LeoFit *warm,
-                             LeoFit *fit_out) const
+                             linalg::Workspace *ws, LeoFit *fit_out) const
 {
     require(prior != nullptr, "LeoEstimator: null prior basis");
     require(prior->dim() == space.size(),
             "LeoEstimator: prior/space size mismatch");
-    return estimateMetric(space, prior, {}, obs_idx, obs_vals, ws, warm,
+    return estimateMetric(space, prior, {}, obs_idx, obs_vals, ws,
                           fit_out);
 }
 
@@ -1024,8 +873,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                              const std::vector<linalg::Vector> &raw,
                              const std::vector<std::size_t> &obs_idx,
                              const linalg::Vector &obs_vals,
-                             linalg::Workspace *ws, const LeoFit *warm,
-                             LeoFit *fit_out) const
+                             linalg::Workspace *ws, LeoFit *fit_out) const
 {
     obs::Span span(obs::names::kEmFitSpan, "em");
     MetricEstimate est;
@@ -1064,7 +912,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
 
     if (basis != nullptr) {
         try {
-            LeoFit fit = fitWith(basis, idx, vals, ws, warm);
+            LeoFit fit = fitWith(basis, idx, vals, ws);
             traceFit(span, *basis, fit);
             if (fit.prediction.allFinite()) {
                 est.iterations = fit.iterations;
@@ -1085,10 +933,10 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
         }
 
         // The EM fit failed (singular covariance even after the
-        // Cholesky jitter schedule) or went non-finite. Retry cold
-        // with a heavy NIW ridge — a deliberately over-regularized
-        // fit that trades statistical efficiency for existence
-        // (DESIGN.md "Failure model and degradation policy").
+        // Cholesky jitter schedule) or went non-finite. Retry with a
+        // heavy NIW ridge — a deliberately over-regularized fit that
+        // trades statistical efficiency for existence (DESIGN.md
+        // "Failure model and degradation policy").
         emObs().ridge.add(1);
         try {
             LeoOptions ridge = options_;
@@ -1096,8 +944,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
                 std::max(options_.hyperPsiScale * 100.0, 1.0);
             ridge.initSigma2 = std::max(options_.initSigma2, 1e-2);
             const LeoEstimator heavy(ridge);
-            LeoFit fit =
-                heavy.fitWith(basis, idx, vals, nullptr, nullptr);
+            LeoFit fit = heavy.fitWith(basis, idx, vals, nullptr);
             if (fit.prediction.allFinite()) {
                 est.iterations = fit.iterations;
                 est.reliable = false;
@@ -1117,7 +964,7 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
     // Last resort: the prior mean shape, anchored to the observed
     // scale when any observation survived, or with no usable prior a
     // flat guess at the observed mean. Always finite; never updates
-    // fit_out (the caller's warm state stays intact).
+    // fit_out.
     try {
         linalg::Vector shape = basis != nullptr
                                    ? averageShape(basis->shapes())
@@ -1139,20 +986,12 @@ LeoEstimator::estimateMetric(const platform::ConfigSpace &space,
 LeoFit
 LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
                         const std::vector<std::size_t> &obs_idx,
-                        const linalg::Vector &obs_vals) const
-{
-    return fitMetric(prior, obs_idx, obs_vals, nullptr, nullptr);
-}
-
-LeoFit
-LeoEstimator::fitMetric(const std::vector<linalg::Vector> &prior,
-                        const std::vector<std::size_t> &obs_idx,
                         const linalg::Vector &obs_vals,
-                        linalg::Workspace *ws, const LeoFit *warm) const
+                        linalg::Workspace *ws) const
 {
     obs::Span span(obs::names::kEmFitSpan, "em");
     const auto basis = std::make_shared<const PriorBasis>(prior);
-    LeoFit fit = fitWith(basis, obs_idx, obs_vals, ws, warm);
+    LeoFit fit = fitWith(basis, obs_idx, obs_vals, ws);
     traceFit(span, *basis, fit);
     return fit;
 }
@@ -1161,11 +1000,11 @@ LeoFit
 LeoEstimator::fitMetric(const std::shared_ptr<const PriorBasis> &prior,
                         const std::vector<std::size_t> &obs_idx,
                         const linalg::Vector &obs_vals,
-                        linalg::Workspace *ws, const LeoFit *warm) const
+                        linalg::Workspace *ws) const
 {
     require(prior != nullptr, "LeoEstimator: null prior basis");
     obs::Span span(obs::names::kEmFitSpan, "em");
-    LeoFit fit = fitWith(prior, obs_idx, obs_vals, ws, warm);
+    LeoFit fit = fitWith(prior, obs_idx, obs_vals, ws);
     traceFit(span, *prior, fit);
     return fit;
 }
@@ -1174,7 +1013,7 @@ LeoFit
 LeoEstimator::fitWith(const std::shared_ptr<const PriorBasis> &prior,
                       const std::vector<std::size_t> &obs_idx_in,
                       const linalg::Vector &obs_vals_in,
-                      linalg::Workspace *ws, const LeoFit *warm) const
+                      linalg::Workspace *ws) const
 {
     require(obs_idx_in.size() == obs_vals_in.size(),
             "LeoEstimator: observation index/value mismatch");
@@ -1198,7 +1037,7 @@ LeoEstimator::fitWith(const std::shared_ptr<const PriorBasis> &prior,
     linalg::Vector x_obs(s);
     for (std::size_t j = 0; j < s; ++j)
         x_obs[j] = obs_vals[j] / scale;
-    return fitLowRank(options_, prior, obs_idx, x_obs, scale, ws, warm,
+    return fitLowRank(options_, prior, obs_idx, x_obs, scale, ws,
                       alloc_counter);
 }
 

@@ -70,8 +70,8 @@ enum class EmInit
  * Sigma = alpha I + Q' C Q of DESIGN.md section 7.2 is the only one,
  * so Auto is the only value.
  *
- * Kept only because perfbench/ compiles against it; it goes with the
- * warm-start deletion, which must change perfbench.
+ * Pinned by perfbench/, whose replay passes it to the one overload
+ * that takes it; it goes with the next change to perfbench.
  */
 enum class CovarianceRep
 {
@@ -97,8 +97,8 @@ struct LeoOptions
      *  fit floors sigma^2 at kMinSigma2 (leo.cc). */
     double initSigma2 = 1e-2;
     /** No effect: a fit is serial, and batches fan out instead
-     *  (EstimatorBatch). Kept only because perfbench/ sets it, until
-     *  the warm-start deletion changes perfbench. */
+     *  (EstimatorBatch). Pinned by perfbench/, which sets it, until
+     *  the next change to perfbench. */
     std::size_t threads = 0;
 };
 
@@ -107,8 +107,8 @@ struct LeoOptions
  * dimensions (DESIGN.md section 7.2). Its rows are
  * Q_o = L_k^-1 (E_k' - W_k Q_p), with E_k the unit vectors of the kept
  * configurations, and are never formed on the fit path: the
- * prediction and mu expand through W_k and L_k, and single columns of
- * Q come from the column evaluator behind predictiveVarianceAt.
+ * prediction expands through W_k and L_k, and single columns of Q
+ * come from the column evaluator behind predictiveVarianceAt.
  */
 struct KeptBlock
 {
@@ -128,8 +128,6 @@ struct LeoFit
 {
     /** Predicted values in raw units, every configuration. */
     linalg::Vector prediction;
-    /** Fitted mean mu (normalized space). */
-    linalg::Vector mu;
     /** Fitted noise variance sigma^2 (normalized space). */
     double sigma2 = 0.0;
     /** EM iterations executed. */
@@ -142,9 +140,6 @@ struct LeoFit
     std::vector<double> logLikelihoodTrace;
     /** Scale anchor used to de-normalize the prediction. */
     double scale = 1.0;
-    /** True iff this fit was initialized from a previous fit's
-     *  parameters rather than the cold Offline/Zero init. */
-    bool warmStarted = false;
     /** Heap allocations observed inside the EM iteration loop when a
      *  counter is registered via setAllocationCounter (0 otherwise).
      *  The fit keeps this at zero. */
@@ -249,7 +244,7 @@ linalg::Matrix observedBasis(const PriorBasis &prior,
  * Q = [Q_p; Q_o] of a kept block on `prior`, without forming Q_o:
  * Q' t = Q_p' (t_p - W_k' y) + E_k y with y = L_k^-T t_o, one pass
  * over the prior rows plus a scatter of the kept values. Fits expand
- * their prediction and mu this way; the result equals
+ * their prediction this way; the result equals
  * observedBasis(prior, kept)' t to rounding.
  */
 void expandInto(linalg::Vector &x, const PriorBasis &prior,
@@ -276,36 +271,37 @@ class LeoEstimator : public Estimator
         const linalg::Vector &obs_vals) const override;
 
     /**
-     * Warm-refit variant of estimateMetric for incremental callers
-     * (active sampling, the runtime controller): same result contract,
-     * plus workspace reuse and warm starting across calls. Builds a
-     * PriorBasis from `prior` and runs the shared-basis overload
-     * below, so both produce the same bits.
+     * Workspace variant of estimateMetric for callers that fit
+     * repeatedly (the runtime controller, the service's batches):
+     * same result contract, plus scratch reuse across calls and the
+     * full fit on request. Builds a PriorBasis from `prior` and runs
+     * the shared-basis overload below, so both produce the same bits.
+     * Every fit runs cold from the EmInit init, so its bits depend on
+     * the prior and the observations only.
      *
      * @param ws      Scratch arena reused across calls (may be null).
-     * @param warm    Previous fit on the same space to start EM from
-     *                (may be null; invalid fits fall back to cold).
-     * @param fit_out When non-null, receives the full fit so the
-     *                caller can warm-start the next call.
+     * @param fit_out When non-null, receives the full fit (its
+     *                factors carry the predictive variance).
      */
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,
         const std::vector<linalg::Vector> &prior,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out = nullptr) const;
+        LeoFit *fit_out = nullptr) const;
 
-    /** The warm-refit overload with a trailing CovarianceRep, which
-     *  it ignores; kept only because perfbench/ calls it. */
+    /** The workspace overload with a prior fit and a CovarianceRep,
+     *  both ignored: pinned by perfbench/, whose replay calls it,
+     *  until the next change to perfbench. */
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,
         const std::vector<linalg::Vector> &prior,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out, CovarianceRep) const;
+        const LeoFit *ignored, LeoFit *fit_out, CovarianceRep) const;
 
     /**
-     * Shared-basis variant: the warm-refit overload with the
+     * Shared-basis variant: the workspace overload with the
      * prior-invariant work already done. `prior` is only read, so
      * one basis may serve concurrent fits, and the fit written to
      * `fit_out` shares ownership of it (LeoFit::prior).
@@ -317,7 +313,7 @@ class LeoEstimator : public Estimator
         const std::shared_ptr<const PriorBasis> &prior,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out = nullptr) const;
+        LeoFit *fit_out = nullptr) const;
 
     /**
      * Run the full EM fit for one metric and return everything
@@ -325,44 +321,27 @@ class LeoEstimator : public Estimator
      * fitted in configuration-index order whatever order they arrive
      * in, so a permuted set fits to the same bits.
      *
+     * With a persistent `ws` the EM iteration loop performs no heap
+     * allocations: buffers are acquired up front and reused across
+     * calls, and the arena never changes the bits.
+     *
      * @param prior    Fully observed prior vectors (>= 1).
      * @param obs_idx  Observed target indices (may be empty, in which
      *                 case the fit degenerates to the offline shape).
      * @param obs_vals Observed target values.
-     */
-    LeoFit fitMetric(const std::vector<linalg::Vector> &prior,
-                     const std::vector<std::size_t> &obs_idx,
-                     const linalg::Vector &obs_vals) const;
-
-    /**
-     * Workspace-and-warm-start variant of fitMetric.
-     *
-     * With a persistent `ws` the EM iteration loop performs no heap
-     * allocations (buffers are acquired up front and reused across
-     * calls), and with a valid `warm` fit the EM starts from the
-     * previous theta instead of the cold init — typically converging
-     * in 1-2 iterations instead of 3-4 on incremental refits. A warm
-     * fit whose shapes don't match this problem (or whose parameters
-     * are not finite) is silently ignored.
-     *
-     * Identical theta-zero implies identical output bits: warm fits
-     * differ from cold fits only through the initialization.
-     *
-     * @param ws   Scratch arena (null = a fit-local arena).
-     * @param warm Previous LeoFit to start from (null = cold init).
+     * @param ws       Scratch arena (null = a fit-local arena).
      */
     LeoFit fitMetric(const std::vector<linalg::Vector> &prior,
                      const std::vector<std::size_t> &obs_idx,
                      const linalg::Vector &obs_vals,
-                     linalg::Workspace *ws, const LeoFit *warm) const;
+                     linalg::Workspace *ws = nullptr) const;
 
-    /** Shared-basis variant of the workspace-and-warm-start
-     *  fitMetric; bitwise equal to it for the same prior. The fit
-     *  shares ownership of `prior` (non-null). */
+    /** Shared-basis variant of fitMetric; bitwise equal to it for the
+     *  same prior. The fit shares ownership of `prior` (non-null). */
     LeoFit fitMetric(const std::shared_ptr<const PriorBasis> &prior,
                      const std::vector<std::size_t> &obs_idx,
                      const linalg::Vector &obs_vals,
-                     linalg::Workspace *ws, const LeoFit *warm) const;
+                     linalg::Workspace *ws = nullptr) const;
 
   private:
     /**
@@ -377,14 +356,14 @@ class LeoEstimator : public Estimator
         const std::vector<linalg::Vector> &raw,
         const std::vector<std::size_t> &obs_idx,
         const linalg::Vector &obs_vals, linalg::Workspace *ws,
-        const LeoFit *warm, LeoFit *fit_out) const;
+        LeoFit *fit_out) const;
 
     /** The fit itself (validate, order, normalize, run EM), without
      *  the span. */
     LeoFit fitWith(const std::shared_ptr<const PriorBasis> &prior,
                    const std::vector<std::size_t> &obs_idx,
                    const linalg::Vector &obs_vals,
-                   linalg::Workspace *ws, const LeoFit *warm) const;
+                   linalg::Workspace *ws) const;
 
     LeoOptions options_;
 };

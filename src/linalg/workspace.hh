@@ -33,7 +33,7 @@ namespace leo::linalg
  *    moves existing ones.
  *  - Re-acquiring a key with the *same* shape returns the buffer with
  *    its previous contents intact — callers must overwrite what they
- *    read, and get cross-call reuse (warm refits) for free.
+ *    read, and get cross-call reuse (repeated fits) for free.
  *  - Re-acquiring a key with a *different* shape discards the old
  *    contents and counts as a new allocation.
  *  - Not thread-safe: one fit (or one owner) at a time. Concurrent

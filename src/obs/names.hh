@@ -26,7 +26,6 @@ namespace leo::obs::names
 
 // ---- em: the LEO EM estimator (src/estimators/leo.cc) ----------- //
 inline constexpr const char *kEmFitsCompleted = "leo.em.fits.completed";
-inline constexpr const char *kEmFitsWarm = "leo.em.fits.warm";
 inline constexpr const char *kEmIterationsRun = "leo.em.iterations.run";
 inline constexpr const char *kEmRidgeRetried = "leo.em.ridge.retried";
 inline constexpr const char *kEmIterMs = "leo.em.iter.ms";

@@ -47,8 +47,8 @@ enum class ChangePointPolicy
     /** Detection disabled; the legacy drift trigger runs. The whole
      *  pipeline is bitwise identical to pre-detector behavior. */
     Off,
-    /** Discard estimates, warm fits and observation history, then
-     *  re-sample and fit cold — the right reaction to a genuine
+    /** Discard the fits and the observation history, then re-sample
+     *  and refit — the right reaction to a genuine
      *  phase change (the old posterior describes dead behavior). */
     ColdRefit
 };

@@ -48,8 +48,9 @@ constexpr std::size_t kStarveWindows = 8;
 
 /** Snapshot format version; bump when the field list changes.
  *  v2 dropped the two per-window refitter states; v3 dropped the
- *  detectors' run-length arrays. */
-constexpr std::uint32_t kControllerStateVersion = 3;
+ *  detectors' run-length arrays; v4 carries its fits in fit format v5
+ *  (no mu). */
+constexpr std::uint32_t kControllerStateVersion = 4;
 
 } // namespace
 
@@ -223,8 +224,8 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
             changepoint_latency_.record(
                 static_cast<double>(latency));
             ++reestimations_;
-            // The old posterior describes dead behavior: drop the
-            // warm fits so the next EM runs from the cold init.
+            // The old posterior describes dead behavior: drop its
+            // fits until the refit replaces them.
             have_fits_ = false;
             perf_fit_ = estimators::LeoFit{};
             power_fit_ = estimators::LeoFit{};
@@ -439,12 +440,10 @@ EnergyController::fitUnguarded()
 {
     if (estimator_ == nullptr)
         return;
-    // LEO fits reuse one workspace across re-estimations and, after
-    // the first fit, warm-start EM from the previous parameters — a
-    // phase change shifts the observations, not the problem shape,
-    // so the previous theta is a strong init (typically 1-2 EM
-    // iterations instead of 3-4). Other estimators take the generic
-    // interface.
+    // LEO fits reuse one workspace across re-estimations and keep
+    // their fits for the change-point variance; every fit runs cold,
+    // so a refit depends on the prior and observations only. Other
+    // estimators take the generic interface.
     const auto *as_leo =
         dynamic_cast<const estimators::LeoEstimator *>(estimator_);
     if (as_leo) {
@@ -456,14 +455,13 @@ EnergyController::fitUnguarded()
                                 estimators::Metric metric,
                                 const linalg::Vector &vals,
                                 estimators::LeoFit &fit) {
-            const estimators::LeoFit *warm = have_fits_ ? &fit : nullptr;
             return basis ? as_leo->estimateMetric(
                                space_, basis, observations_.indices,
-                               vals, &fit_ws_, warm, &fit)
+                               vals, &fit_ws_, &fit)
                          : as_leo->estimateMetric(
                                space_, priorVectors(prior_, metric),
                                observations_.indices, vals, &fit_ws_,
-                               warm, &fit);
+                               &fit);
         };
         estimators::MetricEstimate perf =
             fitOne(bases.perf, estimators::Metric::Performance,

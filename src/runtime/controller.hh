@@ -51,7 +51,7 @@ struct ControllerOptions
      * identical to pre-detector behavior. ColdRefit replaces that
      * trigger with an online change-point detector scoring
      * standardized residuals against the current fit's predictive
-     * distribution: detection discards the warm fits and re-samples
+     * distribution: detection discards the fits and re-samples
      * immediately instead of waiting out the fixed window.
      */
     ChangePointPolicy changePointPolicy = ChangePointPolicy::Off;
@@ -153,14 +153,21 @@ class EnergyController
         return observations_;
     }
 
-    /** @return Warm-start fit for a deferred performance fit (null
-     *  until a first fit completed), valid until the next fit. */
+    /**
+     * @return The LEO performance fit behind the current estimates
+     * (null before the first fit and after a change-point), valid
+     * until the next fit. The change-point detector reads its
+     * predictive variance and saveState() writes it. The name is
+     * pinned by perfbench/, which calls it, until the next change to
+     * perfbench.
+     */
     const estimators::LeoFit *warmPerfFit() const
     {
         return have_fits_ ? &perf_fit_ : nullptr;
     }
 
-    /** @return Warm-start fit for a deferred power fit. */
+    /** @return The LEO power fit behind the current estimates, as
+     *  the accessor above; its name is pinned the same way. */
     const estimators::LeoFit *warmPowerFit() const
     {
         return have_fits_ ? &power_fit_ : nullptr;
@@ -168,9 +175,9 @@ class EnergyController
 
     /**
      * Complete a deferred fit: install externally computed estimates
-     * and warm fits, then replan and switch to Controlling — the
+     * and their fits, then replan and switch to Controlling — the
      * exact sequence the inline fit runs, so a deferred fit computed
-     * with the same inputs (observations(), warm fits) yields a
+     * on the same inputs (the prior and observations()) yields a
      * bitwise-identical schedule.
      * Estimates that come back unusable (wrong size or non-finite)
      * engage the same degradation policy as an inline fit failure.
@@ -178,7 +185,8 @@ class EnergyController
      *
      * @param perf      Performance estimate from the external fit.
      * @param power     Power estimate from the external fit.
-     * @param perf_fit  Full performance fit (warm state for next time).
+     * @param perf_fit  Full performance fit (its variance feeds the
+     *                  change-point detector).
      * @param power_fit Full power fit.
      */
     void applyExternalFit(estimators::MetricEstimate perf,
@@ -188,7 +196,7 @@ class EnergyController
 
     /**
      * Serialize the complete control state — observations, probe
-     * plan, estimates, warm fits, drift/boost bookkeeping and
+     * plan, estimates and their fits, drift/boost bookkeeping and
      * degradation counters — so a controller constructed with the
      * same space, estimator, prior and options can resume the run bit
      * for bit (see restoreState()). Into an empty writer the blob is
@@ -331,8 +339,8 @@ class EnergyController
      *  and reused by every refit. A metric whose prior cannot be built
      *  has a null basis. */
     std::shared_ptr<const estimators::PriorBases> bases_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, passed or rebuilt on construction
-    /** Previous LEO fits: drift-triggered re-estimations warm-start
-     *  EM from these instead of the cold init. */
+    /** The LEO fits behind perf_ and power_: the change-point
+     *  detector's predictive variance. */
     estimators::LeoFit perf_fit_;
     estimators::LeoFit power_fit_;
     bool have_fits_ = false;

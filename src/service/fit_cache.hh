@@ -4,14 +4,12 @@
  *
  * Tenants of the same application frequently finish their probe
  * plans with identical observation multisets (replayed traces, A/B
- * fleets, restarted instances). A cold LEO fit is a pure function of
- * (prior, observations), so its result can be shared: the cache keys
- * on (app id, prior version, Observations::contentHash) and returns
- * the previously computed estimate + fit pair.
- *
- * Only *cold* fits are cached. A warm-started fit also depends on the
- * tenant's private EM history, which the key does not capture —
- * caching one would alias different results under one key.
+ * fleets, restarted instances, tenants re-probing after the same
+ * phase change). Every LEO fit runs cold from the Offline init, so it
+ * is a pure function of (prior, observations) and its result can be
+ * shared, a refit's as much as a first fit's: the cache keys on
+ * (app id, prior version, Observations::contentHash) and returns the
+ * previously computed estimate + fit pair.
  *
  * Eviction is deterministic: least-recently-used by a logical use
  * counter (no wall clock), ties broken by key order. Storage is a
@@ -33,7 +31,7 @@
 namespace leo::service
 {
 
-/** Identity of one cold fit (both metrics). */
+/** Identity of one fit (both metrics). */
 struct FitCacheKey
 {
     /** Application id the tenant registered under. */
@@ -50,7 +48,7 @@ struct FitCacheKey
     }
 };
 
-/** Cached result of one cold fit: both estimates and warm states. */
+/** Cached result of one fit: both estimates and both full fits. */
 struct CachedFit
 {
     estimators::MetricEstimate perfEstimate;

@@ -27,8 +27,9 @@ namespace
  *  and saves fits without their basis (fit_io v4); v4 saves each
  *  controller without its refitter states (controller state v2); v5
  *  saves its change-point detectors without run-length arrays
- *  (controller state v3). */
-constexpr std::uint32_t kSnapshotVersion = 5;
+ *  (controller state v3); v6 saves fits without mu (controller state
+ *  v4, fit format v5). */
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /** Per-shard inbound queue slots (a power of 2): a full queue
  *  rejects submit() — backpressure, not blocking. */
@@ -346,39 +347,34 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     obs::Span span(obs::names::kServiceFitSpan, "service");
     span.arg("tenants", static_cast<double>(pending.size()));
 
-    // Cache pass: cold fits are pure functions of the key, so a hit
-    // hands the tenant a previously computed result — bitwise what
-    // its own fit would have produced.
+    // Cache pass: every fit, a refit included, is a pure function of
+    // the key, so a hit hands the tenant a previously computed result
+    // — bitwise what its own fit would have produced.
     struct Job
     {
         Session *sess = nullptr;
         FitCacheKey key;
-        bool cold = false;
     };
     std::vector<Job> jobs;
     jobs.reserve(pending.size());
     for (const std::uint64_t id : pending) {
         Session &sess = *sessions_.at(id);
         runtime::EnergyController &ctl = *sess.controller;
-        const bool cold = ctl.warmPerfFit() == nullptr;
         FitCacheKey key;
         key.appId = sess.config.appId;
         key.priorVersion = sess.priorVersion;
         key.obsHash =
             ctl.observations().contentHash(space_.size());
-        if (cold) {
-            if (const CachedFit *hit = cache_.lookup(key)) {
-                ctl.applyExternalFit(hit->perfEstimate,
-                                     hit->powerEstimate,
-                                     hit->perfFit, hit->powerFit);
-                ++report.cacheHits;
-                ++report.tenantsFitted;
-                cache_hits_.add(1);
-                continue;
-            }
-            cache_misses_.add(1);
+        if (const CachedFit *hit = cache_.lookup(key)) {
+            ctl.applyExternalFit(hit->perfEstimate, hit->powerEstimate,
+                                 hit->perfFit, hit->powerFit);
+            ++report.cacheHits;
+            ++report.tenantsFitted;
+            cache_hits_.add(1);
+            continue;
         }
-        jobs.push_back(Job{&sess, std::move(key), cold});
+        cache_misses_.add(1);
+        jobs.push_back(Job{&sess, std::move(key)});
     }
     if (jobs.empty())
         return;
@@ -386,10 +382,10 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     // One shared batch for the whole fleet: the per-tenant q-space
     // EM work shares a single parallel region instead of N tiny
     // ones. Requests mirror the controller's inline fit inputs
-    // exactly (observations, warm fits), so
-    // applyExternalFit reproduces the inline schedule bit for bit;
-    // the pinned bases stand in for the prior vectors, which a fit
-    // through a basis reproduces bitwise.
+    // exactly (the prior and the observations), so applyExternalFit
+    // reproduces the inline schedule bit for bit; the pinned bases
+    // stand in for the prior vectors, which a fit through a basis
+    // reproduces bitwise.
     estimators::EstimatorBatch batch(estimator_, pool_);
     std::vector<estimators::LeoFit> perf_fits(jobs.size());
     std::vector<estimators::LeoFit> power_fits(jobs.size());
@@ -404,7 +400,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
                 *sess.prior, estimators::Metric::Performance);
         perf_req.obsIndices = ctl.observations().indices;
         perf_req.obsValues = ctl.observations().performance;
-        perf_req.warmStart = ctl.warmPerfFit();
         perf_req.fitOut = &perf_fits[i];
         batch.add(std::move(perf_req));
 
@@ -415,7 +410,6 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
                 *sess.prior, estimators::Metric::Power);
         power_req.obsIndices = ctl.observations().indices;
         power_req.obsValues = ctl.observations().power;
-        power_req.warmStart = ctl.warmPowerFit();
         power_req.fitOut = &power_fits[i];
         batch.add(std::move(power_req));
     }
@@ -439,11 +433,9 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
                 std::move(results[2 * i]);
             estimators::MetricEstimate power =
                 std::move(results[2 * i + 1]);
-            // Cache only cold, reliable fits: warm fits depend on
-            // private EM history the key does not capture, and an
-            // unreliable fit is a degradation artifact nobody
-            // should inherit.
-            if (jobs[i].cold && perf.reliable && power.reliable) {
+            // Cache only reliable fits: an unreliable fit is a
+            // degradation artifact nobody should inherit.
+            if (perf.reliable && power.reliable) {
                 CachedFit entry;
                 entry.perfEstimate = perf;
                 entry.powerEstimate = power;

@@ -14,16 +14,17 @@
  *    batch sorted by (tenant, sequence) so producer interleaving
  *    never reaches a controller — per-tenant schedules are
  *    bitwise-identical at any shard or thread count.
- *  - **Batched warm refits.** Tenant controllers run with
- *    deferFits: a completed probe plan parks the session, the tick
- *    collects every parked tenant and runs all their EM fits through
- *    one EstimatorBatch on the shared pool — one parallel region for
- *    the whole fleet instead of N tiny ones — then hands each result
+ *  - **Batched fits.** Tenant controllers run with deferFits: a
+ *    completed probe plan parks the session, the tick collects every
+ *    parked tenant and runs all their EM fits through one
+ *    EstimatorBatch on the shared pool — one parallel region for the
+ *    whole fleet instead of N tiny ones — then hands each result
  *    back through applyExternalFit() (bitwise identical to the
  *    inline fit, see controller.hh).
- *  - **Fit cache + shared prior.** Cold fits are pure functions of
- *    (app id, prior version, observation hash);
- *    FitCache shares them across tenants. The offline prior is one
+ *  - **Fit cache + shared prior.** Every fit, refits included, runs
+ *    cold, so it is a pure function of (app id, prior version,
+ *    observation hash); FitCache shares them across tenants. The
+ *    offline prior is one
  *    shared immutable snapshot; refreshPrior() stages a new one from
  *    any thread and tick() installs it at the next boundary (running
  *    sessions keep the prior they started with — a fit must never
@@ -93,7 +94,7 @@ struct ServiceOptions
     std::size_t shards = 4;
     /** Admission limit; admit() beyond it is rejected. */
     std::size_t maxTenants = 256;
-    /** Cold-fit cache entries (0 disables the cache). No shipped
+    /** Fit cache entries (0 disables the cache). No shipped
      *  caller changes it: tests set 0 to compare cached against
      *  uncached runs. */
     std::size_t fitCacheCapacity = 64;

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "estimators/active_sampling.hh"
 #include "linalg/error.hh"
@@ -219,4 +221,66 @@ TEST(ActiveSampling, FactoredVarianceMatchesExpandedPath)
     const std::vector<std::size_t> expanded_picks = {
         22, 1, 23, 0, 9, 8, 10, 11, 31, 30, 29, 28, 15, 16};
     EXPECT_EQ(obs.indices, expanded_picks);
+}
+
+/**
+ * Every guidance round refits cold, through the sampler's shared basis
+ * and reused workspace, so each round's refit is the fresh fit on the
+ * observations so far: ranking the unobserved configurations by a
+ * fresh fit's predictive variance, as the sampler ranks them, picks
+ * exactly the batch the sampler measured next, in every round.
+ */
+TEST(ActiveSampling, GuidanceRefitEqualsFreshFit)
+{
+    constexpr std::size_t kSeed = 4;
+    constexpr std::size_t kBatch = 4;
+    constexpr std::size_t kBudget = 20;
+    for (const char *name : {"kmeans", "swish", "x264", "bodytrack"}) {
+        SCOPED_TRACE(name);
+        World w;
+        workloads::ApplicationModel app(workloads::profileByName(name),
+                                        w.machine);
+        const auto prior = estimators::priorVectors(
+            w.store.without(name), estimators::Metric::Performance);
+        estimators::VarianceGuidedSampler sampler;
+        stats::Rng sel(23);
+        const auto obs =
+            sampler.collect(w.measureFn(app), prior, kBudget, sel);
+        ASSERT_EQ(obs.size(), kBudget);
+
+        const estimators::LeoEstimator fresh;
+        const std::size_t n = w.space.size();
+        for (std::size_t have = kSeed; have < kBudget; have += kBatch) {
+            SCOPED_TRACE("round at " + std::to_string(have));
+            const std::vector<std::size_t> idx(
+                obs.indices.begin(),
+                obs.indices.begin() + static_cast<std::ptrdiff_t>(have));
+            linalg::Vector vals(have);
+            for (std::size_t j = 0; j < have; ++j)
+                vals[j] = obs.performance[j];
+            const estimators::LeoFit fit =
+                fresh.fitMetric(prior, idx, vals);
+
+            std::vector<std::size_t> order;
+            std::vector<double> variance(n, 0.0);
+            for (std::size_t c = 0; c < n; ++c) {
+                if (std::find(idx.begin(), idx.end(), c) != idx.end())
+                    continue;
+                order.push_back(c);
+                variance[c] = fit.predictiveVarianceAt(c);
+            }
+            std::sort(order.begin(), order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          return variance[a] > variance[b];
+                      });
+            const std::vector<std::size_t> want(
+                order.begin(),
+                order.begin() + static_cast<std::ptrdiff_t>(kBatch));
+            const std::vector<std::size_t> got(
+                obs.indices.begin() + static_cast<std::ptrdiff_t>(have),
+                obs.indices.begin() +
+                    static_cast<std::ptrdiff_t>(have + kBatch));
+            EXPECT_EQ(got, want);
+        }
+    }
 }

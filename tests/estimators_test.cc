@@ -517,7 +517,8 @@ TEST(Leo, EmptyPriorDegradesToSanitizedObservedMean)
 TEST(Leo, RejectsBadInputs)
 {
     estimators::LeoEstimator leo;
-    EXPECT_THROW(leo.fitMetric({}, {}, Vector{}), FatalError);
+    EXPECT_THROW(leo.fitMetric(std::vector<Vector>{}, {}, Vector{}),
+                 FatalError);
     std::vector<Vector> ragged{Vector(4, 1.0), Vector(5, 1.0)};
     EXPECT_THROW(leo.fitMetric(ragged, {}, Vector{}), FatalError);
     std::vector<Vector> ok{Vector(4, 1.0)};
@@ -602,7 +603,6 @@ expectFitsExactlyEqual(const estimators::LeoFit &a,
                        const std::string &what)
 {
     expectExactlyEqual(a.prediction, b.prediction, what + ".prediction");
-    expectExactlyEqual(a.mu, b.mu, what + ".mu");
     EXPECT_EQ(a.sigma2, b.sigma2) << what;
     EXPECT_EQ(a.iterations, b.iterations) << what;
     EXPECT_EQ(a.converged, b.converged) << what;
@@ -612,7 +612,6 @@ expectFitsExactlyEqual(const estimators::LeoFit &a,
         EXPECT_EQ(a.logLikelihoodTrace[i], b.logLikelihoodTrace[i])
             << what << ".trace[" << i << "]";
     EXPECT_EQ(a.scale, b.scale) << what;
-    EXPECT_EQ(a.warmStarted, b.warmStarted) << what;
     // The shared prior is compared by content, never by pointer.
     EXPECT_EQ(a.prior == nullptr, b.prior == nullptr) << what;
     if (a.prior && b.prior) {
@@ -654,14 +653,13 @@ makeFitProblem(std::size_t n_obs, const std::string &app_name = "kmeans")
 }
 
 /**
- * Fit every problem through one EstimatorBatch on `pool`, optionally
- * warm-started from warm[i], and return the full fits.
+ * Fit every problem through one EstimatorBatch on `pool` and return
+ * the full fits.
  */
 std::vector<estimators::LeoFit>
 batchFits(const estimators::LeoEstimator &est,
           const std::vector<FitProblem> &problems,
-          parallel::ThreadPool &pool,
-          const std::vector<estimators::LeoFit> *warm = nullptr)
+          parallel::ThreadPool &pool)
 {
     const ConfigSpace space = ConfigSpace::coreOnly(Machine{});
     std::vector<estimators::LeoFit> fits(problems.size());
@@ -671,7 +669,6 @@ batchFits(const estimators::LeoEstimator &est,
         req.prior = problems[i].prior;
         req.obsIndices = problems[i].idx;
         req.obsValues = problems[i].vals;
-        req.warmStart = warm ? &(*warm)[i] : nullptr;
         req.fitOut = &fits[i];
         batch.add(std::move(req));
     }
@@ -751,8 +748,12 @@ TEST(EstimatorBatch, MatchesIndividualFitsExactly)
 
     parallel::ThreadPool pool(3);
     estimators::EstimatorBatch batch(leo, pool);
-    for (const auto &r : requests)
-        batch.add(r);
+    std::vector<estimators::LeoFit> fits(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        estimators::EstimateRequest r = requests[i];
+        r.fitOut = &fits[i];
+        batch.add(std::move(r));
+    }
     auto batched = batch.run(w.space);
     ASSERT_EQ(batched.size(), requests.size());
     EXPECT_EQ(batch.size(), 0u); // run() clears the queue
@@ -763,6 +764,12 @@ TEST(EstimatorBatch, MatchesIndividualFitsExactly)
                                        requests[i].obsValues);
         expectExactlyEqual(batched[i].values, solo.values, "batch");
         EXPECT_EQ(batched[i].iterations, solo.iterations);
+        // fitOut carries the direct fit, every field.
+        expectFitsExactlyEqual(
+            fits[i],
+            leo.fitMetric(requests[i].prior, requests[i].obsIndices,
+                          requests[i].obsValues),
+            "batch fitOut " + std::to_string(i));
     }
 }
 
@@ -780,92 +787,66 @@ heapAllocCount()
 
 } // namespace
 
-TEST(LeoHotLoop, WarmStartSameThetaMatchesAcrossPaths)
+/**
+ * The raw-vector overload that perfbench/ calls keeps a prior-fit and
+ * a CovarianceRep parameter and ignores both: handed an earlier fit it
+ * returns, bit for bit, what it returns handed null, which is the
+ * plain workspace overload's fit.
+ */
+TEST(Leo, PerfbenchOverloadIgnoresItsFitArgument)
 {
-    // Warm starting only changes the EM initialization, so for the
-    // same warm theta a fit through a persistent workspace and one
-    // through a fit-local arena must agree exactly.
+    const FitProblem first = makeFitProblem(8);
     const FitProblem p = makeFitProblem(12);
     const estimators::LeoEstimator est;
+    const ConfigSpace space = ConfigSpace::coreOnly(Machine{});
+    const estimators::LeoFit earlier =
+        est.fitMetric(first.prior, first.idx, first.vals);
 
     linalg::Workspace ws;
-    const estimators::LeoFit cold =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, nullptr);
-    EXPECT_FALSE(cold.warmStarted);
-    expectFitsExactlyEqual(cold, est.fitMetric(p.prior, p.idx, p.vals),
-                           "cold");
-
-    const estimators::LeoFit warm_ws =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, &cold);
-    EXPECT_TRUE(warm_ws.warmStarted);
-    expectFitsExactlyEqual(
-        warm_ws, est.fitMetric(p.prior, p.idx, p.vals, nullptr, &cold),
-        "warm");
-
-    // An incompatible warm fit silently falls back to the cold init.
-    estimators::LeoFit bogus;
-    bogus.mu = Vector(3, 1.0);
-    bogus.prior = std::make_shared<const estimators::PriorBasis>(
-        std::vector<Vector>{Vector{1.0, 2.0, 3.0}});
-    bogus.coeff = Matrix(1, 1, 0.1);
-    bogus.alphaDiag = 0.01;
-    bogus.sigma2 = 0.01;
-    const estimators::LeoFit fallback =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, &bogus);
-    EXPECT_FALSE(fallback.warmStarted);
-    expectFitsExactlyEqual(fallback, cold, "fallback");
-}
-
-TEST(LeoHotLoop, WarmFitBitwiseIdenticalAcrossThreadCounts)
-{
-    // The determinism guarantee extended to warm refits: a batch of
-    // warm fits gives the same bits on 1, 2 and 8 threads.
-    const std::vector<FitProblem> problems = fourProblems();
-    const estimators::LeoEstimator seed_est;
-    std::vector<estimators::LeoFit> seeds;
-    for (const FitProblem &p : problems)
-        seeds.push_back(seed_est.fitMetric(p.prior, p.idx, p.vals));
-
-    estimators::LeoOptions o;
-    o.maxIterations = 8;
-    const estimators::LeoEstimator est(o);
-    parallel::ThreadPool inline_pool(0);
-    const auto serial = batchFits(est, problems, inline_pool, &seeds);
-    for (std::size_t i = 0; i < problems.size(); ++i)
-        EXPECT_TRUE(serial[i].warmStarted) << i;
-    for (std::size_t threads : {2u, 8u}) {
-        parallel::ThreadPool pool(threads - 1);
-        const auto fits = batchFits(est, problems, pool, &seeds);
-        for (std::size_t i = 0; i < problems.size(); ++i)
-            expectFitsExactlyEqual(fits[i], serial[i],
-                                   std::to_string(threads) +
-                                       " threads, fit " +
-                                       std::to_string(i));
-    }
+    estimators::LeoFit with_null, with_fit, plain;
+    const auto a = est.estimateMetric(space, p.prior, p.idx, p.vals, &ws,
+                                      nullptr, &with_null,
+                                      estimators::CovarianceRep::Auto);
+    const auto b = est.estimateMetric(space, p.prior, p.idx, p.vals, &ws,
+                                      &earlier, &with_fit,
+                                      estimators::CovarianceRep::Auto);
+    const auto c =
+        est.estimateMetric(space, p.prior, p.idx, p.vals, nullptr, &plain);
+    expectExactlyEqual(b.values, a.values, "with a fit");
+    expectExactlyEqual(c.values, a.values, "plain");
+    expectFitsExactlyEqual(with_fit, with_null, "with a fit");
+    expectFitsExactlyEqual(plain, with_null, "plain");
 }
 
 TEST(LeoHotLoop, SerialIterationLoopIsAllocationFree)
 {
     // The tentpole guarantee: once the workspace is bound, the EM
-    // iteration loop performs zero heap allocations — on a cold fit
-    // with a fresh arena (buffers are acquired in the prologue), on
-    // the warm refit reusing it, and with or without observations.
+    // iteration loop performs zero heap allocations — on a fit with a
+    // fresh arena (buffers are acquired in the prologue), on a second
+    // fit reusing it, and with or without observations. The arena
+    // never changes the bits: each fit equals one through a fit-local
+    // arena.
     const FitProblem p = makeFitProblem(12);
     const estimators::LeoEstimator est;
 
     estimators::setAllocationCounter(&heapAllocCount);
     linalg::Workspace ws;
-    const estimators::LeoFit cold =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, nullptr);
-    const estimators::LeoFit warm =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, &cold);
+    const estimators::LeoFit first =
+        est.fitMetric(p.prior, p.idx, p.vals, &ws);
+    const estimators::LeoFit again =
+        est.fitMetric(p.prior, p.idx, p.vals, &ws);
     const estimators::LeoFit no_obs =
-        est.fitMetric(p.prior, {}, Vector(0), &ws, nullptr);
+        est.fitMetric(p.prior, {}, Vector(0), &ws);
     estimators::setAllocationCounter(nullptr);
 
-    EXPECT_EQ(cold.loopAllocations, 0u);
-    EXPECT_EQ(warm.loopAllocations, 0u);
+    EXPECT_EQ(first.loopAllocations, 0u);
+    EXPECT_EQ(again.loopAllocations, 0u);
     EXPECT_EQ(no_obs.loopAllocations, 0u);
+    const estimators::LeoFit fresh = est.fitMetric(p.prior, p.idx, p.vals);
+    expectFitsExactlyEqual(first, fresh, "first");
+    expectFitsExactlyEqual(again, fresh, "again");
+    expectFitsExactlyEqual(
+        no_obs, est.fitMetric(p.prior, {}, Vector(0)), "no_obs");
 
     // The hook actually measures: a direct call to the replaced
     // operator new (which, unlike a new-expression, may not be
@@ -875,71 +856,13 @@ TEST(LeoHotLoop, SerialIterationLoopIsAllocationFree)
     EXPECT_GT(heapAllocCount(), before);
 }
 
-TEST(LeoHotLoop, WarmRefitConvergesInFewerIterations)
-{
-    // The point of warm starting: an incremental refit (a few extra
-    // observations on the same target) resumes near the optimum.
-    const FitProblem p = makeFitProblem(16);
-    std::vector<std::size_t> idx8(p.idx.begin(), p.idx.begin() + 8);
-    Vector vals8(8);
-    for (std::size_t j = 0; j < 8; ++j)
-        vals8[j] = p.vals[j];
-
-    estimators::LeoOptions o;
-    o.maxIterations = 8;
-    const estimators::LeoEstimator est(o);
-    linalg::Workspace ws;
-
-    const estimators::LeoFit first =
-        est.fitMetric(p.prior, idx8, vals8, &ws, nullptr);
-    const estimators::LeoFit cold =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, nullptr);
-    const estimators::LeoFit warm =
-        est.fitMetric(p.prior, p.idx, p.vals, &ws, &first);
-
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_TRUE(warm.converged);
-    EXPECT_LE(warm.iterations, cold.iterations);
-}
-
-TEST(LeoHotLoop, BatchWarmStartMatchesDirectWarmFit)
-{
-    // EstimateRequest::warmStart/fitOut plumb the same machinery
-    // through the batch API.
-    const FitProblem p = makeFitProblem(12);
-    const estimators::LeoEstimator est;
-
-    const estimators::LeoFit seed_fit =
-        est.fitMetric(p.prior, p.idx, p.vals);
-
-    CoreOnlyWorld w;
-    parallel::ThreadPool pool(0);
-    estimators::EstimatorBatch batch(est, pool);
-    estimators::LeoFit batch_fit;
-    estimators::EstimateRequest req;
-    req.prior = p.prior;
-    req.obsIndices = p.idx;
-    req.obsValues = p.vals;
-    req.warmStart = &seed_fit;
-    req.fitOut = &batch_fit;
-    batch.add(std::move(req));
-    const auto results = batch.run(w.space);
-
-    const estimators::LeoFit direct =
-        est.fitMetric(p.prior, p.idx, p.vals, nullptr, &seed_fit);
-    ASSERT_EQ(results.size(), 1u);
-    expectExactlyEqual(results[0].values, direct.prediction,
-                       "batch warm prediction");
-    expectFitsExactlyEqual(batch_fit, direct, "batch fitOut");
-}
-
 // --------------------------------------------------- fit round trip
 
 /**
  * saveFit/loadFit round-trip every field bit for bit, with a dense
  * (full-rank, q = n) and a low-rank (q << n) factored Sigma alike —
- * the warm-start continuation from a loaded fit is indistinguishable
- * from one using the original. The blob carries no basis rows:
+ * a loaded fit answers every variance query as the original does.
+ * The blob carries no basis rows:
  * loadFit shares the prior basis it is handed and refactors the kept
  * block from it.
  */
@@ -988,16 +911,10 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
         EXPECT_TRUE(rdr.atEnd());
         ASSERT_NO_FATAL_FAILURE(
             expectFitsExactlyEqual(fit, loaded, "loaded"));
-
-        // Warm-starting from the loaded fit matches warm-starting
-        // from the original.
-        const auto warm_orig = leo.fitMetric(
-            prior, obs.indices, obs.performance, nullptr, &fit);
-        const auto warm_loaded = leo.fitMetric(
-            prior, obs.indices, obs.performance, nullptr, &loaded);
-        EXPECT_TRUE(warm_orig.warmStarted);
-        ASSERT_NO_FATAL_FAILURE(
-            expectFitsExactlyEqual(warm_orig, warm_loaded, "warm"));
+        for (std::size_t c = 0; c < space.size(); ++c)
+            ASSERT_EQ(loaded.predictiveVarianceAt(c),
+                      fit.predictiveVarianceAt(c))
+                << "config " << c;
 
         // A truncated blob fails closed.
         blob.resize(blob.size() / 2);
@@ -1013,7 +930,9 @@ TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
  * empty. Version 1 carried a dense Sigma and a low-rank flag
  * alongside the factors; version 2 carried the expanded variance
  * vector that fits no longer compute; version 3 carried the basis
- * rows themselves.
+ * rows themselves; version 4 carried EM's mean mu and the
+ * warm-start flag. The v4 blob below is one the v4 reader accepted,
+ * and a current blob stamped 4 fails the same way.
  */
 TEST(FitIo, RejectsVersionOneBlob)
 {
@@ -1066,8 +985,34 @@ TEST(FitIo, RejectsVersionOneBlob)
     v3.f64(0.03);                   // alphaDiag
     v3.mat(Matrix(1, 1, 0.1));      // varCore
 
-    for (linalg::ByteWriter *w : {&wtr, &v2, &v3}) {
-        const std::string blob = w->take();
+    linalg::ByteWriter v4;
+    v4.u32(4);
+    v4.vec(Vector(4, 2.0));         // prediction
+    v4.vec(Vector(4, 1.0));         // mu
+    v4.f64(0.01);                   // sigma2
+    v4.u64(3);                      // iterations
+    v4.u8(1);                       // converged
+    v4.u64(0);                      // empty log-likelihood trace
+    v4.f64(1.0);                    // scale
+    v4.u8(0);                       // warmStarted
+    v4.u64(0);                      // q: no factors
+    v4.u64(0);                      // prior fingerprint
+    v4.indexVec({});                // observed units
+    v4.mat(Matrix());               // coeff
+    v4.f64(0.0);                    // alphaDiag
+    v4.mat(Matrix());               // varCore
+
+    estimators::LeoFit bare;
+    bare.prediction = Vector(4, 2.0);
+    bare.sigma2 = 0.01;
+    linalg::ByteWriter current;
+    estimators::saveFit(current, bare);
+    std::string stamped = current.take();
+    ASSERT_EQ(static_cast<unsigned char>(stamped[0]), 5u);
+    stamped[0] = 4;
+
+    for (const std::string &blob :
+         {wtr.take(), v2.take(), v3.take(), v4.take(), stamped}) {
         linalg::ByteReader rdr(blob);
         const estimators::LeoFit fit = estimators::loadFit(rdr, nullptr);
         EXPECT_FALSE(rdr.ok());
@@ -1094,8 +1039,7 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
     const FitProblem p = makeFitProblem(4);
     const auto basis = std::make_shared<const estimators::PriorBasis>(p.prior);
     const estimators::LeoEstimator est;
-    const estimators::LeoFit good =
-        est.fitMetric(basis, p.idx, p.vals, nullptr, nullptr);
+    const estimators::LeoFit good = est.fitMetric(basis, p.idx, p.vals);
     const std::size_t n = basis->dim();
     const std::size_t q = good.rank();
     ASSERT_LT(q, n);
@@ -1190,12 +1134,14 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
          [](estimators::LeoFit &f, std::size_t dim) {
              f.prediction = Vector(dim - 1, 2.0);
          }},
-        {"mu longer than n",
+        {"prediction longer than n",
          [](estimators::LeoFit &f, std::size_t dim) {
-             f.mu = Vector(dim + 1, 1.0);
+             f.prediction = Vector(dim + 1, 2.0);
          }},
-        {"mu missing",
-         [](estimators::LeoFit &f, std::size_t) { f.mu = Vector(); }},
+        {"prediction missing",
+         [](estimators::LeoFit &f, std::size_t) {
+             f.prediction = Vector();
+         }},
         {"varCore alone",
          [](estimators::LeoFit &f, std::size_t) { f.coeff = Matrix(); }},
     };
@@ -1214,11 +1160,10 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
         linalg::ByteWriter wtr;
         estimators::saveFit(wtr, good);
         std::string blob = wtr.take();
-        // version, prediction, mu, sigma2, iterations, converged,
-        // the trace, scale and warmStarted, then q.
-        const std::size_t at = 4 + 2 * (8 + 8 * n) + 8 + 8 + 1 + 8 +
-                               8 * good.logLikelihoodTrace.size() + 8 +
-                               1;
+        // version, prediction, sigma2, iterations, converged, the
+        // trace and scale, then q.
+        const std::size_t at = 4 + (8 + 8 * n) + 8 + 8 + 1 + 8 +
+                               8 * good.logLikelihoodTrace.size() + 8;
         ASSERT_EQ(static_cast<unsigned char>(blob[at]), q);
         blob[at] = 0;
         linalg::ByteReader rdr(blob);
@@ -1232,8 +1177,8 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
         linalg::ByteWriter wtr;
         estimators::saveFit(wtr, good);
         std::string blob = wtr.take();
-        // version, prediction, mu, sigma2, iterations, then converged.
-        const std::size_t at = 4 + 2 * (8 + 8 * n) + 8 + 8;
+        // version, prediction, sigma2, iterations, then converged.
+        const std::size_t at = 4 + (8 + 8 * n) + 8 + 8;
         ASSERT_EQ(blob[at], good.converged ? 1 : 0);
         blob[at] = 2;
         linalg::ByteReader rdr(blob);
@@ -1244,7 +1189,6 @@ TEST(FitIo, RejectsInconsistentFactorShapes)
     // Factor-less fits round-trip, value-initialized or not.
     estimators::LeoFit bare;
     bare.prediction = Vector(4, 2.0);
-    bare.mu = Vector(4, 1.0);
     bare.sigma2 = 0.01;
     bare.scale = 3.0;
     for (const estimators::LeoFit &f : {estimators::LeoFit{}, bare}) {

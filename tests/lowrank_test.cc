@@ -9,12 +9,12 @@
  * matrix, so the two agree to accumulated rounding, not to the bit:
  *
  *  - Relative L2 agreement with the oracle is pinned at documented
- *    tolerances: 1e-6 on predictions and means, 1e-4 on variances and
+ *    tolerances: 1e-6 on predictions, 1e-4 on variances and
  *    on deliberately ill-conditioned and rank-deficient problems (the
  *    subspace rotation amplifies rounding roughly by the covariance
  *    condition number).
  *  - Where one fit is compared with itself through another entry
- *    point (shared basis, restored warm fit, permuted observations),
+ *    point (shared basis, restored fit, permuted observations),
  *    equality is asserted at 0 ULP.
  *
  * Every fit in this file sets tolerance = 0 so fit and oracle run
@@ -266,7 +266,6 @@ TEST_P(LowRankGrid, MatchesDensePath)
 
     // Documented equivalence bound for well-conditioned problems.
     EXPECT_LT(relL2(fd.prediction, fl.prediction), 1e-6);
-    EXPECT_LT(relL2(fd.mu, fl.mu), 1e-6);
     EXPECT_LT(relL2(fd.predictionVariance, variance), 1e-4);
     EXPECT_NEAR(fl.sigma2, fd.sigma2,
                 1e-6 * fd.sigma2 + 1e-12);
@@ -352,60 +351,6 @@ TEST(LowRankEquivalence, DuplicateObservationIndices)
     EXPECT_NEAR(fl.sigma2, fd.sigma2, 1e-6 * fd.sigma2 + 1e-12);
 }
 
-// ------------------------------------------------------- Warm starts
-
-TEST(LowRankWarm, WarmStartResumesAndStaysEquivalent)
-{
-    auto prior = makePrior(10, 512, 10, 53);
-    std::vector<std::size_t> idx;
-    Vector vals;
-    makeObservations(prior, 10, 57, idx, vals);
-
-    const LeoEstimator est(gridOptions());
-    linalg::Workspace ws;
-    const LeoFit cold = est.fitMetric(prior, idx, vals, &ws, nullptr);
-
-    // Add one observation and refit warm; the warm fit must converge
-    // to (essentially) the cold refit of the same problem.
-    std::vector<std::size_t> idx2 = idx;
-    idx2.push_back((idx.back() + 101) % 512);
-    Vector vals2(idx2.size());
-    for (std::size_t j = 0; j + 1 < idx2.size(); ++j)
-        vals2[j] = vals[j];
-    vals2[idx2.size() - 1] = 40.0 * prior[0][idx2.back()];
-
-    const LeoFit warm = est.fitMetric(prior, idx2, vals2, &ws, &cold);
-    EXPECT_TRUE(warm.warmStarted);
-    const LeoFit cold2 = est.fitMetric(prior, idx2, vals2);
-    EXPECT_LT(relL2(cold2.prediction, warm.prediction), 5e-3);
-}
-
-TEST(LowRankWarm, DenseWarmFitIsIgnoredByLowRankPath)
-{
-    // A warm fit carrying a theta but no factors (the service
-    // installs factor-less fits when a batched fit fails) must not
-    // poison the init: the fit falls back to cold, bit for bit, and
-    // stays finite.
-    auto prior = makePrior(6, 256, 6, 61);
-    const std::vector<std::size_t> idx{4, 80};
-    const Vector vals{12.0, 13.0};
-    const support::OracleFit fd = oracleFit(prior, idx, vals);
-    LeoFit dense;
-    dense.prediction = fd.prediction;
-    dense.mu = fd.mu;
-    dense.sigma2 = fd.sigma2;
-    dense.scale = fd.scale;
-
-    const LeoEstimator lowrank(gridOptions());
-    const LeoFit fl =
-        lowrank.fitMetric(prior, idx, vals, nullptr, &dense);
-    EXPECT_FALSE(fl.warmStarted);
-    EXPECT_TRUE(fl.prediction.allFinite());
-    const LeoFit cold = lowrank.fitMetric(prior, idx, vals);
-    for (std::size_t j = 0; j < cold.prediction.size(); ++j)
-        ASSERT_EQ(fl.prediction[j], cold.prediction[j]) << j;
-}
-
 // ----------------------------------------------- Allocation contract
 
 TEST(LowRankHotLoop, SerialLoopIsAllocationFree)
@@ -418,10 +363,10 @@ TEST(LowRankHotLoop, SerialLoopIsAllocationFree)
     const LeoEstimator est(gridOptions());
     linalg::Workspace ws;
     // Prime the arena, then audit a second fit's loop.
-    (void)est.fitMetric(prior, idx, vals, &ws, nullptr);
+    (void)est.fitMetric(prior, idx, vals, &ws);
     estimators::setAllocationCounter(
         +[]() -> std::size_t { return g_heap_allocs.load(); });
-    const LeoFit fit = est.fitMetric(prior, idx, vals, &ws, nullptr);
+    const LeoFit fit = est.fitMetric(prior, idx, vals, &ws);
     estimators::setAllocationCounter(nullptr);
     EXPECT_EQ(fit.loopAllocations, 0u);
 }
@@ -477,11 +422,11 @@ TEST(LowRankVariance, OnDemandMatchesExpandedBitwise)
 // ------------------------------------------- expansion from the factors
 
 /**
- * No fit forms Q_o: the prediction and mu expand through the kept
- * block (estimators::expandInto). The expansion must still be Q' t of
- * the basis the fit materializes, to rounding, for any coordinates t
- * and for the fit's own vectors — cold and warm, with the basis a
- * small share of n (256, 1024) and all of it (32).
+ * No fit forms Q_o: the prediction expands through the kept block
+ * (estimators::expandInto). The expansion must still be Q' t of the
+ * basis the fit materializes, to rounding, for any coordinates t and
+ * for the fit's own prediction — on two fits whose kept units differ,
+ * with the basis a small share of n (256, 1024) and all of it (32).
  */
 TEST(LowRankExpansion, PredictionAndMuMatchMaterializedBasis)
 {
@@ -499,17 +444,15 @@ TEST(LowRankExpansion, PredictionAndMuMatchMaterializedBasis)
         const LeoEstimator est(gridOptions());
         const auto basis =
             std::make_shared<const estimators::PriorBasis>(prior);
-        const LeoFit cold =
-            est.fitMetric(basis, idx, vals, nullptr, nullptr);
-        // The warm refit swaps one probe, so its kept units differ
-        // from the warm fit's.
+        const LeoFit first = est.fitMetric(basis, idx, vals);
+        // The refit swaps one probe, so its kept units differ from
+        // the first fit's.
         idx[0] = (idx[0] + c.n / 2 + 1) % c.n;
         vals[0] = 40.0 * prior.front()[idx[0]];
-        const LeoFit warm = est.fitMetric(basis, idx, vals, nullptr, &cold);
-        ASSERT_TRUE(warm.warmStarted);
+        const LeoFit refit = est.fitMetric(basis, idx, vals);
 
         stats::Rng rng(405 + c.n);
-        for (const LeoFit *fit : {&cold, &warm}) {
+        for (const LeoFit *fit : {&first, &refit}) {
             const Matrix q = fit->basis();
             ASSERT_EQ(q.rows(), fit->rank());
             if (c.n == 32) {
@@ -526,22 +469,19 @@ TEST(LowRankExpansion, PredictionAndMuMatchMaterializedBasis)
             estimators::expandInto(got, *fit->prior, fit->kept, t);
             EXPECT_LE(relL2(want, got), 1e-13);
 
-            // The fit's own vectors: mu and the unclamped prediction
-            // are Q' t for their coordinates t = Q x.
+            // The fit's own unclamped prediction is Q' t for its
+            // coordinates t = Q x.
             Vector pred = fit->prediction;
             for (std::size_t j = 0; j < pred.size(); ++j) {
                 ASSERT_GT(pred[j], 0.0);
                 pred[j] /= fit->scale;
             }
-            const Vector &pred_ref = pred;
-            for (const Vector *x : {&fit->mu, &pred_ref}) {
-                Vector coords, back;
-                linalg::gemvInto(coords, q, *x);
-                linalg::gemvTransInto(back, q, coords);
-                EXPECT_LE(relL2(*x, back), 1e-13);
-                estimators::expandInto(got, *fit->prior, fit->kept, coords);
-                EXPECT_LE(relL2(*x, got), 1e-13);
-            }
+            Vector coords, back;
+            linalg::gemvInto(coords, q, pred);
+            linalg::gemvTransInto(back, q, coords);
+            EXPECT_LE(relL2(pred, back), 1e-13);
+            estimators::expandInto(got, *fit->prior, fit->kept, coords);
+            EXPECT_LE(relL2(pred, got), 1e-13);
         }
     }
 }
@@ -583,7 +523,6 @@ void
 expectFitsBitwise(const LeoFit &a, const LeoFit &b)
 {
     expectSameBits(a.prediction, b.prediction, "prediction");
-    expectSameBits(a.mu, b.mu, "mu");
     EXPECT_EQ(bitsOf(a.sigma2), bitsOf(b.sigma2));
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.converged, b.converged);
@@ -592,7 +531,6 @@ expectFitsBitwise(const LeoFit &a, const LeoFit &b)
         EXPECT_EQ(bitsOf(a.logLikelihoodTrace[i]),
                   bitsOf(b.logLikelihoodTrace[i]));
     EXPECT_EQ(bitsOf(a.scale), bitsOf(b.scale));
-    EXPECT_EQ(a.warmStarted, b.warmStarted);
     // The shared prior is compared by content, never by pointer.
     ASSERT_EQ(a.prior == nullptr, b.prior == nullptr);
     if (a.prior) {
@@ -864,8 +802,9 @@ TEST(PriorBasis, DropDecisionsMatchReference)
 
 /**
  * The one-fit-path guarantee: a fit through a shared basis is the
- * fit from the raw prior vectors, bit for bit — cold and warm, with
- * a basis that is a small or a large share of n.
+ * fit from the raw prior vectors, bit for bit — a first fit and a
+ * refit with one more probe through a reused workspace, with a basis
+ * that is a small or a large share of n.
  */
 TEST(PriorBasis, SharedBasisFitMatchesRawVectorsBitwise)
 {
@@ -880,83 +819,35 @@ TEST(PriorBasis, SharedBasisFitMatchesRawVectorsBitwise)
         const auto basis =
             std::make_shared<const estimators::PriorBasis>(prior);
 
-        LeoFit raw_cold, shared_cold;
-        const auto raw_est = est.estimateMetric(
-            space, prior, idx, vals, nullptr, nullptr, &raw_cold);
+        LeoFit raw_first, shared_first;
+        linalg::Workspace ws;
+        const auto raw_est =
+            est.estimateMetric(space, prior, idx, vals, &ws, &raw_first);
         const auto shared_est = est.estimateMetric(
-            space, basis, idx, vals, nullptr, nullptr, &shared_cold);
-        expectSameBits(raw_est.values, shared_est.values, "cold values");
-        expectFitsBitwise(raw_cold, shared_cold);
+            space, basis, idx, vals, nullptr, &shared_first);
+        expectSameBits(raw_est.values, shared_est.values, "first values");
+        expectFitsBitwise(raw_first, shared_first);
 
-        // Warm refit with one more observation.
+        // Refit with one more observation.
         idx.push_back((idx.back() + 77) % 256);
         vals.push_back(40.0 * prior.front()[idx.back()]);
-        LeoFit raw_warm, shared_warm;
-        linalg::Workspace ws;
-        est.estimateMetric(space, prior, idx, vals, &ws, &raw_cold,
-                           &raw_warm);
+        LeoFit raw_refit, shared_refit;
+        est.estimateMetric(space, prior, idx, vals, &ws, &raw_refit);
         est.estimateMetric(space, basis, idx, vals, nullptr,
-                           &shared_cold, &shared_warm);
-        EXPECT_TRUE(raw_warm.warmStarted);
-        expectFitsBitwise(raw_warm, shared_warm);
+                           &shared_refit);
+        expectFitsBitwise(raw_refit, shared_refit);
 
         // fitMetric takes the same path.
-        expectFitsBitwise(est.fitMetric(prior, idx, vals, nullptr,
-                                        &raw_cold),
-                          est.fitMetric(basis, idx, vals, &ws,
-                                        &shared_cold));
+        expectFitsBitwise(est.fitMetric(prior, idx, vals),
+                          est.fitMetric(basis, idx, vals, &ws));
     }
 }
 
 /**
- * The warm branch is chosen by content: a fit restored by
- * saveFit/loadFit warm-starts to the same bits as the live fit.
- */
-TEST(PriorBasis, WarmStartFromRestoredFitMatchesLiveFit)
-{
-    auto prior = makePrior(10, 512, 10, 321);
-    std::vector<std::size_t> idx;
-    Vector vals;
-    makeObservations(prior, 12, 323, idx, vals);
-    const LeoEstimator est(gridOptions());
-    const auto basis = std::make_shared<const estimators::PriorBasis>(prior);
-    const LeoFit cold = est.fitMetric(basis, idx, vals, nullptr, nullptr);
-    // The fit shares the prior block, and its basis leads with it.
-    EXPECT_EQ(cold.prior, basis);
-    const Matrix cold_basis = cold.basis();
-    ASSERT_GE(cold_basis.rows(), basis->rank());
-    for (std::size_t k = 0; k < basis->rank(); ++k)
-        for (std::size_t j = 0; j < 512; ++j)
-            ASSERT_EQ(bitsOf(cold_basis.at(k, j)),
-                      bitsOf(basis->rows().at(k, j)));
-
-    linalg::ByteWriter wr;
-    estimators::saveFit(wr, cold);
-    const std::string blob = wr.take();
-    linalg::ByteReader rd(blob);
-    const LeoFit loaded = estimators::loadFit(rd, basis);
-    ASSERT_TRUE(rd.ok());
-
-    std::vector<std::size_t> idx2 = idx;
-    Vector vals2 = vals;
-    idx2.push_back((idx.front() + 201) % 512);
-    vals2.push_back(40.0 * prior.front()[idx2.back()]);
-    const LeoFit from_live =
-        est.fitMetric(basis, idx2, vals2, nullptr, &cold);
-    const LeoFit from_loaded =
-        est.fitMetric(prior, idx2, vals2, nullptr, &loaded);
-    EXPECT_TRUE(from_live.warmStarted);
-    expectFitsBitwise(from_live, from_loaded);
-
-    // And a warm start stays close to the cold refit it shortcuts.
-    const LeoFit cold2 = est.fitMetric(prior, idx2, vals2);
-    EXPECT_LT(relL2(cold2.prediction, from_live.prediction), 5e-3);
-}
-
-/**
  * A fit shares its prior basis and keeps only s-dimensional factors:
- * at n = 1024 no member it owns has n columns (the prediction and mu
- * are its only n-vectors), so a q x n basis cannot creep back in.
+ * at n = 1024 no member it owns has n columns (the prediction is its
+ * only n-vector), so a q x n basis cannot creep back in. The basis it
+ * materializes leads with the shared prior rows, bit for bit.
  */
 TEST(PriorBasis, FitHoldsNoConfigurationLengthMatrix)
 {
@@ -967,16 +858,19 @@ TEST(PriorBasis, FitHoldsNoConfigurationLengthMatrix)
     makeObservations(prior, 20, 363, idx, vals);
     const LeoEstimator est(gridOptions());
     const auto basis = std::make_shared<const estimators::PriorBasis>(prior);
-    const LeoFit cold = est.fitMetric(basis, idx, vals, nullptr, nullptr);
+    const LeoFit first = est.fitMetric(basis, idx, vals);
     idx.push_back((idx.front() + 500) % n);
     vals.push_back(40.0 * prior.front()[idx.back()]);
-    const LeoFit warm = est.fitMetric(basis, idx, vals, nullptr, &cold);
-    ASSERT_TRUE(warm.warmStarted);
-    for (const LeoFit *fit : {&cold, &warm}) {
+    const LeoFit refit = est.fitMetric(basis, idx, vals);
+    for (const LeoFit *fit : {&first, &refit}) {
         EXPECT_EQ(fit->prior, basis);
         ASSERT_EQ(fit->prediction.size(), n);
-        ASSERT_EQ(fit->mu.size(), n);
         ASSERT_GT(fit->rank(), basis->rank());
+        const Matrix q = fit->basis();
+        for (std::size_t k = 0; k < basis->rank(); ++k)
+            for (std::size_t j = 0; j < n; ++j)
+                ASSERT_EQ(bitsOf(q.at(k, j)),
+                          bitsOf(basis->rows().at(k, j)));
         for (const Matrix *m : {&fit->kept.w, &fit->kept.l, &fit->coeff,
                                 &fit->varCore}) {
             EXPECT_LT(m->rows(), n);
@@ -1061,10 +955,10 @@ TEST(PriorBasis, PermutedObservationsFitIdentically)
 
     const LeoEstimator est(gridOptions());
     LeoFit fwd, rev;
-    const auto a = est.estimateMetric(space, prior, idx, vals, nullptr,
-                                      nullptr, &fwd);
+    const auto a =
+        est.estimateMetric(space, prior, idx, vals, nullptr, &fwd);
     const auto b = est.estimateMetric(space, prior, rev_idx, rev_vals,
-                                      nullptr, nullptr, &rev);
+                                      nullptr, &rev);
     expectSameBits(a.values, b.values, "values");
     expectFitsBitwise(fwd, rev);
     expectFitsBitwise(est.fitMetric(prior, idx, vals),

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,7 +145,7 @@ TEST(Controller, DriftTriggersReestimation)
 /**
  * A standalone controller builds its prior bases inside its first
  * LEO fit — never at construction — and reuses them for the
- * drift-triggered warm refit: one build per metric in total.
+ * drift-triggered refit: one build per metric in total.
  */
 TEST(Controller, BuildsOnePriorBasisPerMetricAcrossRefits)
 {
@@ -172,7 +173,9 @@ TEST(Controller, BuildsOnePriorBasisPerMetricAcrossRefits)
     while (ctl.state() == EnergyController::State::Sampling)
         step(1.0);
     EXPECT_EQ(built() - before, 2u);
-    ASSERT_FALSE(ctl.warmPerfFit()->warmStarted);
+    ASSERT_NE(ctl.warmPerfFit(), nullptr);
+    const auto perf_basis = ctl.warmPerfFit()->prior;
+    const auto power_basis = ctl.warmPowerFit()->prior;
 
     for (int i = 0; i < 6; ++i)
         step(1.0);
@@ -183,9 +186,76 @@ TEST(Controller, BuildsOnePriorBasisPerMetricAcrossRefits)
     ASSERT_EQ(ctl.reestimations(), 1u);
     while (ctl.state() == EnergyController::State::Sampling)
         step(1.6);
-    EXPECT_TRUE(ctl.warmPerfFit()->warmStarted);
-    EXPECT_TRUE(ctl.warmPowerFit()->warmStarted);
+    EXPECT_EQ(ctl.warmPerfFit()->prior, perf_basis);
+    EXPECT_EQ(ctl.warmPowerFit()->prior, power_basis);
     EXPECT_EQ(built() - before, 2u);
+}
+
+/**
+ * Every fit runs cold, so a refit is a pure function of the prior and
+ * its observations: after a drift-triggered re-probe, both estimates
+ * and both fits equal a fresh fit on observations() and the same
+ * basis bit for bit, though the controller's arena and fits have
+ * served a fit before.
+ */
+TEST(Controller, RefitEqualsFreshFit)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    const auto bases = estimators::PriorBases::build(prior);
+    EnergyController ctl(w.space, &leo, prior, w.options(30.0, 5),
+                         bases);
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    auto step = [&](double speedup) {
+        const std::size_t cfg = ctl.nextConfig(w.rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, speedup * app.heartbeatRate(ra),
+                               app.powerWatts(ra)});
+    };
+    while (ctl.state() == EnergyController::State::Sampling)
+        step(1.0);
+    for (int i = 0; i < 6; ++i)
+        step(1.0);
+    for (int i = 0;
+         i < 5 && ctl.state() == EnergyController::State::Controlling;
+         ++i)
+        step(1.6);
+    ASSERT_EQ(ctl.reestimations(), 1u);
+    while (ctl.state() == EnergyController::State::Sampling)
+        step(1.6);
+    ASSERT_TRUE(ctl.hasEstimates());
+
+    const telemetry::Observations &obs = ctl.observations();
+    estimators::LeoFit perf_fit, power_fit;
+    const auto perf = leo.estimateMetric(w.space, bases->perf,
+                                         obs.indices, obs.performance,
+                                         nullptr, &perf_fit);
+    const auto power = leo.estimateMetric(
+        w.space, bases->power, obs.indices, obs.power, nullptr, &power_fit);
+    const auto sameBits = [](const Vector &a, const Vector &b,
+                             const char *what) {
+        ASSERT_EQ(a.size(), b.size()) << what;
+        for (std::size_t c = 0; c < a.size(); ++c)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(a[c]),
+                      std::bit_cast<std::uint64_t>(b[c]))
+                << what << " config " << c;
+    };
+    sameBits(ctl.performanceEstimate(), perf.values, "perf estimate");
+    sameBits(ctl.powerEstimate(), power.values, "power estimate");
+    for (const auto &[live, fresh] :
+         {std::pair{ctl.warmPerfFit(), &perf_fit},
+          std::pair{ctl.warmPowerFit(), &power_fit}}) {
+        ASSERT_NE(live, nullptr);
+        EXPECT_EQ(live->iterations, fresh->iterations);
+        EXPECT_EQ(live->kept.units, fresh->kept.units);
+        for (std::size_t c = 0; c < w.space.size(); ++c)
+            ASSERT_EQ(
+                std::bit_cast<std::uint64_t>(live->predictiveVarianceAt(c)),
+                std::bit_cast<std::uint64_t>(fresh->predictiveVarianceAt(c)))
+                << "config " << c;
+    }
 }
 
 TEST(Controller, GradientAscentMeetsDemand)
@@ -431,8 +501,8 @@ TEST(Controller, StandaloneSaveAllocatesOnce)
  * A fit shares its prior basis instead of copying it, so a copy
  * outlives the controller and the PriorBases that built it: it keeps
  * the basis alive, answers variance queries with the same bits, and
- * warm-starts a fit on an equal-content basis to the bits the live fit
- * gave on the original one.
+ * a fit on an equal-content basis gives the bits the live fit gave on
+ * the original one.
  */
 TEST(Controller, FitOutlivesItsControllerAndBases)
 {
@@ -447,7 +517,7 @@ TEST(Controller, FitOutlivesItsControllerAndBases)
     std::vector<std::size_t> idx;
     Vector vals;
     std::vector<double> variance;
-    estimators::LeoFit live_warm;
+    estimators::LeoFit live_refit;
     {
         auto bases = estimators::PriorBases::build(prior);
         EnergyController ctl(w.space, &leo, prior, w.options(30.0, 5),
@@ -470,15 +540,13 @@ TEST(Controller, FitOutlivesItsControllerAndBases)
         const std::size_t extra = (idx.back() + 7) % w.space.size();
         idx.push_back(extra);
         vals.push_back(app.heartbeatRate(w.space.assignment(extra)));
-        live_warm = leo.fitMetric(bases->perf, idx, vals, nullptr,
-                                  ctl.warmPerfFit());
-        ASSERT_TRUE(live_warm.warmStarted);
+        live_refit = leo.fitMetric(bases->perf, idx, vals);
     }
     // The controller and its bases are gone; the copy and the live
     // refit hold the last references to the perf basis.
     ASSERT_FALSE(weak.expired());
     EXPECT_EQ(copy.prior.use_count(), 2);
-    EXPECT_EQ(live_warm.prior, copy.prior);
+    EXPECT_EQ(live_refit.prior, copy.prior);
     for (std::size_t c = 0; c < w.space.size(); ++c)
         EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.predictiveVarianceAt(c)),
                   std::bit_cast<std::uint64_t>(variance[c]))
@@ -488,29 +556,24 @@ TEST(Controller, FitOutlivesItsControllerAndBases)
         estimators::priorVectors(prior, estimators::Metric::Performance));
     ASSERT_NE(rebuilt, copy.prior);
     ASSERT_EQ(rebuilt->fingerprint(), copy.prior->fingerprint());
-    const estimators::LeoFit warm =
-        leo.fitMetric(rebuilt, idx, vals, nullptr, &copy);
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_EQ(warm.iterations, live_warm.iterations);
-    for (std::size_t c = 0; c < w.space.size(); ++c) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.prediction[c]),
-                  std::bit_cast<std::uint64_t>(live_warm.prediction[c]))
+    const estimators::LeoFit refit = leo.fitMetric(rebuilt, idx, vals);
+    EXPECT_EQ(refit.iterations, live_refit.iterations);
+    for (std::size_t c = 0; c < w.space.size(); ++c)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(refit.prediction[c]),
+                  std::bit_cast<std::uint64_t>(live_refit.prediction[c]))
             << "config " << c;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.mu[c]),
-                  std::bit_cast<std::uint64_t>(live_warm.mu[c]))
-            << "config " << c;
-    }
-    ASSERT_EQ(warm.rank(), live_warm.rank());
-    for (std::size_t a = 0; a < warm.rank(); ++a)
-        for (std::size_t b = 0; b < warm.rank(); ++b) {
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.coeff(a, b)),
-                      std::bit_cast<std::uint64_t>(live_warm.coeff(a, b)));
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(warm.varCore(a, b)),
-                      std::bit_cast<std::uint64_t>(live_warm.varCore(a, b)));
+    ASSERT_EQ(refit.rank(), live_refit.rank());
+    for (std::size_t a = 0; a < refit.rank(); ++a)
+        for (std::size_t b = 0; b < refit.rank(); ++b) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(refit.coeff(a, b)),
+                      std::bit_cast<std::uint64_t>(live_refit.coeff(a, b)));
+            ASSERT_EQ(
+                std::bit_cast<std::uint64_t>(refit.varCore(a, b)),
+                std::bit_cast<std::uint64_t>(live_refit.varCore(a, b)));
         }
 
     copy = estimators::LeoFit{};
-    live_warm = estimators::LeoFit{};
+    live_refit = estimators::LeoFit{};
     EXPECT_TRUE(weak.expired());
 }
 
@@ -664,10 +727,10 @@ TEST(Controller, RestoreRejectsOlderFormatVersion)
         ctl.saveState(wtr);
         const std::string blob = wtr.take();
         // The version is the leading little-endian u32.
-        ASSERT_EQ(blob.substr(0, 4), std::string("\x03\0\0\0", 4));
+        ASSERT_EQ(blob.substr(0, 4), std::string("\x04\0\0\0", 4));
 
         EnergyController twin(w.space, &leo, prior, o);
-        for (const char version : {1, 2}) {
+        for (const char version : {1, 2, 3}) {
             linalg::ByteReader current(blob);
             ASSERT_TRUE(twin.restoreState(current));
             ASSERT_TRUE(twin.hasEstimates());

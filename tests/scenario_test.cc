@@ -1275,7 +1275,7 @@ TEST(LeoFit, PredictiveVarianceAtEveryConfig)
     estimators::LeoFit fit;
     const auto est = leo.estimateMetric(w.space, prior, obs,
                                         gt.performance.gather(obs),
-                                        nullptr, nullptr, &fit);
+                                        nullptr, &fit);
     ASSERT_TRUE(est.reliable);
     for (std::size_t c = 0; c < w.space.size(); ++c) {
         const double v = fit.predictiveVarianceAt(c);

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -398,6 +399,132 @@ TEST(Service, CacheHitMatchesOwnFitWhateverTheSampleOrder)
     EXPECT_TRUE(wc.take() == wp.take());
 }
 
+namespace
+{
+
+/** One session's estimates as a snapshot carries them. */
+struct SessionEstimates
+{
+    linalg::Vector perf;
+    linalg::Vector power;
+};
+
+/**
+ * Read every session's estimates out of a snapshot by restoring its
+ * controller state into a standalone controller on `w`'s prior (the
+ * blob of each session ends where the next one starts).
+ */
+std::vector<SessionEstimates>
+snapshotEstimates(const std::string &blob, const World &w,
+                  const estimators::LeoEstimator &leo)
+{
+    std::vector<SessionEstimates> out;
+    linalg::ByteReader r(blob);
+    (void)r.u32();
+    for (int i = 0; i < 4; ++i) // space, shards, next id, live version
+        (void)r.u64();
+    const std::uint64_t versions = r.u64();
+    for (std::uint64_t v = 0; v < versions && r.ok(); ++v) {
+        (void)r.u64(); // version
+        const std::uint64_t apps = r.u64();
+        for (std::uint64_t a = 0; a < apps && r.ok(); ++a) {
+            (void)r.str();
+            (void)r.vec();
+            (void)r.vec();
+        }
+    }
+    const std::uint64_t sessions = r.u64();
+    for (std::uint64_t i = 0; i < sessions && r.ok(); ++i) {
+        (void)r.u64(); // id
+        (void)r.str(); // app id
+        runtime::ControllerOptions copts = w.serviceOptions(1).controller;
+        copts.targetRate = r.f64();
+        copts.deferFits = true;
+        (void)r.f64(); // deadline
+        for (int k = 0; k < 4; ++k) // seed, sequence, windows, version
+            (void)r.u64();
+        (void)r.str(); // rng engine
+        runtime::EnergyController ctl(w.space, &leo, *w.prior, copts);
+        EXPECT_TRUE(ctl.restoreState(r)) << "session " << i;
+        out.push_back({ctl.performanceEstimate(), ctl.powerEstimate()});
+    }
+    EXPECT_TRUE(r.ok());
+    return out;
+}
+
+} // namespace
+
+/**
+ * Every fit runs cold, so a refit is as shareable as a first fit. Two
+ * tenants of one application, seed and noise-free measurement stream,
+ * the later one a window behind, speed up together and re-probe: the
+ * later tenant's refit is served from the cache, and its estimates
+ * equal the earlier tenant's bit for bit.
+ */
+TEST(Service, RefitIsServedFromFitCache)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    parallel::ThreadPool pool(0);
+    Service svc(w.space, leo, w.prior, pool, w.serviceOptions(2));
+    const auto a = svc.admit(w.tenant(0));
+    const auto b = svc.admit(w.tenant(0));
+    ASSERT_TRUE(a.has_value() && b.has_value());
+
+    // Local window k of either tenant runs 1.6x faster from kDriftAt
+    // on; tenant b starts one round after tenant a.
+    constexpr std::size_t kDriftAt = 16;
+    constexpr std::size_t kRounds = 48;
+    const auto sample = [&](std::size_t cfg, std::size_t k) {
+        const double speed = k >= kDriftAt ? 1.6 : 1.0;
+        return telemetry::Sample{cfg, speed * w.gt.performance[cfg],
+                                 w.gt.power[cfg]};
+    };
+    std::vector<service::TickReport> fit_ticks;
+    std::vector<std::string> snapshots;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        ASSERT_TRUE(svc.submit(*a, sample(svc.nextConfig(*a), round)));
+        if (round >= 1) {
+            ASSERT_TRUE(
+                svc.submit(*b, sample(svc.nextConfig(*b), round - 1)));
+        }
+        const service::TickReport report = svc.tick();
+        ASSERT_LE(report.tenantsFitted, 1u) << "round " << round;
+        if (report.tenantsFitted == 0)
+            continue;
+        fit_ticks.push_back(report);
+        linalg::ByteWriter wr;
+        svc.saveSnapshot(wr);
+        snapshots.push_back(wr.take());
+    }
+
+    // a's first fit, b's, a's refit, b's refit: the first of each pair
+    // misses, the second hits.
+    ASSERT_EQ(fit_ticks.size(), 4u);
+    for (std::size_t f = 0; f < fit_ticks.size(); ++f)
+        EXPECT_EQ(fit_ticks[f].cacheHits, f % 2) << "fit " << f;
+    const auto snap = svc.metrics().snapshot();
+    EXPECT_EQ(snap.counterOr(obs::names::kServiceCacheHits), 2u);
+    EXPECT_EQ(snap.counterOr(obs::names::kServiceCacheMisses), 2u);
+
+    // After b's refit both tenants hold the refit's estimates, and
+    // they differ from the first fit's.
+    const auto first = snapshotEstimates(snapshots[1], w, leo);
+    const auto refit = snapshotEstimates(snapshots[3], w, leo);
+    ASSERT_EQ(first.size(), 2u);
+    ASSERT_EQ(refit.size(), 2u);
+    const auto sameBits = [](const linalg::Vector &x,
+                             const linalg::Vector &y) {
+        return x.size() == y.size() &&
+               std::memcmp(x.data(), y.data(),
+                           x.size() * sizeof(double)) == 0;
+    };
+    ASSERT_EQ(refit[0].perf.size(), w.space.size());
+    EXPECT_TRUE(sameBits(refit[1].perf, refit[0].perf));
+    EXPECT_TRUE(sameBits(refit[1].power, refit[0].power));
+    EXPECT_FALSE(sameBits(refit[0].perf, first[0].perf));
+}
+
 /**
  * Prior bases are built once per metric per prior version — in the
  * constructor and in refreshPrior() — and pinned by every session:
@@ -638,7 +765,7 @@ INSTANTIATE_TEST_SUITE_P(FaultSweep, ServiceSnapshotProperty,
 namespace
 {
 
-/** Byte offsets into a service snapshot (format v5). */
+/** Byte offsets into a service snapshot (format v6). */
 struct SnapshotLayout
 {
     /** The first prior table entry, [begin, end). */
@@ -746,13 +873,15 @@ TEST(Service, RestoreRejectsCorruptSnapshot)
         bad[0] = static_cast<char>(bad[0] ^ 0x7f);
         expectRejected(bad);
     }
-    {
-        // So does the previous format, v4, whose controllers carried
-        // the change-point detectors' run-length arrays.
-        SCOPED_TRACE("previous format version");
-        ASSERT_EQ(blob.substr(0, 4), std::string("\x05\0\0\0", 4));
+    // So do the previous formats: v4, whose controllers carried the
+    // change-point detectors' run-length arrays, and v5, whose fits
+    // carried mu.
+    ASSERT_EQ(blob.substr(0, 4), std::string("\x06\0\0\0", 4));
+    for (const char version : {4, 5}) {
+        SCOPED_TRACE("previous format version " +
+                     std::to_string(static_cast<int>(version)));
         std::string bad = blob;
-        bad[0] = 4;
+        bad[0] = version;
         expectRejected(bad);
     }
     {

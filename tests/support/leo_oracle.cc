@@ -230,7 +230,6 @@ referenceFit(const estimators::LeoOptions &opt,
         fit.predictionVariance[j] =
             (target_post.cov.at(j, j) + sigma2) * scale * scale;
     }
-    fit.mu = std::move(mu);
     fit.sigma = std::move(sigma_m);
     fit.sigma2 = sigma2;
     return fit;

@@ -33,8 +33,6 @@ struct OracleFit
     linalg::Vector prediction;
     /** Posterior predictive variance (raw units squared). */
     linalg::Vector predictionVariance;
-    /** Fitted mean mu (normalized space). */
-    linalg::Vector mu;
     /** Fitted covariance Sigma (n x n, normalized space). */
     linalg::Matrix sigma;
     /** Fitted noise variance sigma^2 (normalized space). */
