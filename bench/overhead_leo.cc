@@ -18,7 +18,9 @@
  * Every fit runs cold from the Offline init. BM_PriorBasisBuild
  * times the stage a controller's first decision runs before its fit:
  * one metric's PriorBasis (normalize, orthonormalize and factor the
- * prior shapes).
+ * prior shapes). BM_EmKernel times each dense kernel of one EM
+ * iteration at the fit's shapes, through the dispatched entry and
+ * through the portable build.
  *
  * Every fit row also reports per-EM-iteration time (ms_per_iter), and
  * the binary always writes machine-readable results to
@@ -40,12 +42,14 @@
  * mode exists to measure the bare pipeline for the overhead gate).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -54,6 +58,8 @@
 
 #include "estimators/leo.hh"
 #include "estimators/prior_basis.hh"
+#include "linalg/cholesky.hh"
+#include "linalg/kernels.hh"
 #include "linalg/workspace.hh"
 #include "optimizer/schedule.hh"
 #include "platform/config_space.hh"
@@ -268,6 +274,138 @@ BM_PriorBasisBuild(benchmark::State &state)
     state.counters["apps"] = static_cast<double>(apps);
 }
 
+/** The dense kernels one EM iteration runs (BM_EmKernel rows). */
+enum class EmKernel
+{
+    MultiplyPc, ///< P C: s x q by q x q
+    MultiplyW,  ///< W = Z (C + beta I)^-1: m x q by q x q
+    MultiplyA,  ///< A = (P C) P': s x q by q x s
+    GramY,      ///< Y' Y for the target's posterior core: Y is s x q
+    GramR,      ///< R' R for the M-step: R is m x q
+    FactorC,    ///< factor C + beta I: q x q
+    FactorA,    ///< factor A: s x s
+    InverseC,   ///< (C + beta I)^-1 from its factor: q x q
+    SolveY,     ///< Y = L_A^-1 B: s x s factor, s x q right-hand side
+};
+
+/**
+ * One EM kernel at the fit's shapes: order q (the row argument),
+ * s = 20 probes and m = q - 20 prior applications, so q = 40 pairs
+ * with m = 20 and q = 44 with m = 24. `portable` times the portable
+ * build through linalg::detail; otherwise the public entry the fit
+ * calls, which runs the build the host's CPU picks. Inputs are
+ * random SPD cores and dense factors; SolveY restores its right-hand
+ * side each iteration, so its rows include an s x q copy.
+ */
+void
+BM_EmKernel(benchmark::State &state, EmKernel kernel, bool portable)
+{
+    using linalg::Matrix;
+    using linalg::detail::Isa;
+    namespace detail = linalg::detail;
+    const std::size_t q = static_cast<std::size_t>(state.range(0));
+    const std::size_t s = 20;
+    const std::size_t m = q - s;
+    stats::Rng rng(23);
+    auto random = [&](std::size_t rows, std::size_t cols) {
+        Matrix x(rows, cols);
+        for (std::size_t i = 0; i < rows * cols; ++i)
+            x.data()[i] = rng.gaussian();
+        return x;
+    };
+    auto spd = [&](std::size_t n) {
+        Matrix g;
+        Matrix::gramInto(g, random(n + 4, n));
+        g.addToDiagonal(static_cast<double>(n));
+        return g;
+    };
+    const Matrix p = random(s, q);
+    const Matrix c = spd(q);
+    const Matrix a = spd(s);
+    const Matrix z = random(m, q);
+    const Matrix y = random(s, q);
+    Matrix pc, pt, out, scratch;
+    Matrix::multiplyInto(pc, p, c);
+    p.transposeInto(pt);
+    linalg::Cholesky chol_c, chol_a;
+    chol_c.factorize(c, 0.5);
+    chol_a.factorize(a);
+    const Matrix &lc = chol_c.factor();
+    const Matrix &la = chol_a.factor();
+    Matrix inv_c;
+    linalg::Workspace ws;
+    chol_c.inverseInto(inv_c, ws);
+    linalg::Cholesky timed;
+
+    auto time = [&](auto &&dispatched, auto &&port) {
+        for (auto _ : state) {
+            if (portable)
+                port();
+            else
+                dispatched();
+            benchmark::DoNotOptimize(out.data());
+            benchmark::DoNotOptimize(timed.factor().data());
+            benchmark::ClobberMemory();
+        }
+    };
+    switch (kernel) {
+    case EmKernel::MultiplyPc:
+        time([&] { Matrix::multiplyInto(out, p, c); },
+             [&] { detail::multiplyInto(Isa::Portable, out, p, c); });
+        break;
+    case EmKernel::MultiplyW:
+        time([&] { Matrix::multiplyInto(out, z, inv_c); },
+             [&] { detail::multiplyInto(Isa::Portable, out, z, inv_c); });
+        break;
+    case EmKernel::MultiplyA:
+        time([&] { Matrix::multiplyInto(out, pc, pt); },
+             [&] { detail::multiplyInto(Isa::Portable, out, pc, pt); });
+        break;
+    case EmKernel::GramY:
+        time([&] { Matrix::gramInto(out, y); },
+             [&] { detail::gramInto(Isa::Portable, out, y); });
+        break;
+    case EmKernel::GramR:
+        time([&] { Matrix::gramInto(out, z); },
+             [&] { detail::gramInto(Isa::Portable, out, z); });
+        break;
+    case EmKernel::FactorC:
+        timed.reserve(q);
+        time([&] { timed.factorize(c, 0.5); },
+             [&] {
+                 detail::choleskyInto(Isa::Portable, out, c, 0.5, 0.0);
+             });
+        break;
+    case EmKernel::FactorA:
+        timed.reserve(s);
+        time([&] { timed.factorize(a); },
+             [&] { detail::choleskyInto(Isa::Portable, out, a, 0.0, 0.0); });
+        break;
+    case EmKernel::InverseC:
+        time([&] { chol_c.inverseInto(out, ws); },
+             [&] {
+                 detail::choleskyInverseInto(Isa::Portable, out, scratch,
+                                             lc);
+             });
+        break;
+    case EmKernel::SolveY:
+        out = y;
+        time(
+            [&] {
+                std::copy(y.data(), y.data() + s * q, out.data());
+                chol_a.solveLowerInPlace(out);
+            },
+            [&] {
+                std::copy(y.data(), y.data() + s * q, out.data());
+                detail::forwardSolveInPlace(Isa::Portable, la, out);
+            });
+        break;
+    }
+    state.counters["q"] = static_cast<double>(q);
+    state.counters["lanes"] = static_cast<double>(
+        detail::simdLanes(portable ? Isa::Portable : detail::activeIsa()));
+}
+
 void
 BM_HullWalk(benchmark::State &state)
 {
@@ -356,6 +494,33 @@ main(int argc, char **argv)
         args.push_back(out.data());
         args.push_back(fmt.data());
     }
+    // BM_EmKernel/<kernel>/<q>: the public (dispatched) entry, and
+    // BM_EmKernel/<kernel>_portable/<q>: the portable build.
+    const std::pair<const char *, EmKernel> em_kernels[] = {
+        {"multiply_pc", EmKernel::MultiplyPc},
+        {"multiply_w", EmKernel::MultiplyW},
+        {"multiply_a", EmKernel::MultiplyA},
+        {"gram_y", EmKernel::GramY},
+        {"gram_r", EmKernel::GramR},
+        {"factor_c", EmKernel::FactorC},
+        {"factor_a", EmKernel::FactorA},
+        {"inverse_c", EmKernel::InverseC},
+        {"solve_y", EmKernel::SolveY},
+    };
+    for (const auto &[name, kernel] : em_kernels) {
+        for (const bool portable : {false, true}) {
+            std::string row = "BM_EmKernel/";
+            row += name;
+            if (portable)
+                row += "_portable";
+            benchmark::RegisterBenchmark(row.c_str(), BM_EmKernel, kernel,
+                                         portable)
+                ->Arg(40)
+                ->Arg(44)
+                ->Unit(benchmark::kMicrosecond);
+        }
+    }
+
     int ac = static_cast<int>(args.size());
     benchmark::Initialize(&ac, args.data());
     if (benchmark::ReportUnrecognizedArguments(ac, args.data()))

@@ -372,6 +372,8 @@ fitLowRank(const LeoOptions &opt,
     Matrix &gramq = arena.matrix("lr.gram", q, q);
     Matrix &cnew = arena.matrix("lr.cnew", q, q);
     Matrix &pc = arena.matrix("lr.pc", s, q);
+    Matrix &pt = arena.matrix("lr.pt", q, s);
+    p.transposeInto(pt);
     Matrix &amat = arena.matrix("lr.amat", s, s);
     Matrix &ymat = arena.matrix("lr.ymat", s, q);
     Matrix &linv = arena.matrix("lr.linv", s, s);
@@ -388,10 +390,12 @@ fitLowRank(const LeoOptions &opt,
     Vector pg(s, 0.0);
     Vector prev_pred = g;
 
-    linalg::Cholesky chol;
+    // The factors come from the arena as well, so a refit through a
+    // kept workspace reuses their storage.
+    linalg::Cholesky &chol = arena.cholesky("lr.chol");
     chol.reserve(q);
     linalg::Cholesky::reserveInverseScratch(arena, q);
-    linalg::Cholesky chol_obs;
+    linalg::Cholesky &chol_obs = arena.cholesky("lr.chol_obs");
     if (have_obs)
         chol_obs.reserve(s);
 
@@ -404,7 +408,7 @@ fitLowRank(const LeoOptions &opt,
     // factor of A in chol_obs and w = A^-1 r.
     const auto conditionTarget = [&](double beta) {
         Matrix::multiplyInto(pc, p, cmat);
-        linalg::abtInto(amat, pc, p);
+        Matrix::multiplyInto(amat, pc, pt);
         amat.addToDiagonal(beta);
         // Duplicate observation indices couple through the alpha I
         // part of Sigma off the diagonal too: Sigma_Omega[j][j2]
@@ -473,11 +477,12 @@ fitLowRank(const LeoOptions &opt,
         // because x_i - mu is in span(Q'), so the rows of
         // W = (R - 1 g')(C + beta I)^-1 carry every app's solve. zc
         // holds the differences dq_i until each row is overwritten
-        // with the posterior mean.
+        // with the posterior mean. invq is exactly symmetric, so the
+        // product is the one against its transpose, bit for bit.
         for (std::size_t i = 0; i < m_prior; ++i)
             for (std::size_t k = 0; k < q; ++k)
                 zc.at(i, k) = coords.at(i, k) - g[k];
-        linalg::abtInto(wmat, zc, invq);
+        Matrix::multiplyInto(wmat, zc, invq);
         double wq2_sum = 0.0;
         for (std::size_t i = 0; i < m_prior; ++i) {
             const double *wi = wmat.data() + i * q;

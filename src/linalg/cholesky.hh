@@ -29,10 +29,10 @@ class Workspace;
  *
  * Hot loops instead default-construct once, reserve(), and then
  * factorize() each iteration: that path reuses the factor storage,
- * skips the constructor's symmetry check, and runs a cache-blocked
- * right-looking factorization that is bitwise identical to the
- * constructor's naive left-looking one (per-entry increasing-k
- * update order is preserved).
+ * skips the constructor's symmetry check, and runs a register-tiled
+ * factorization at the host's vector width that is bitwise identical
+ * to the constructor's naive left-looking one (per-entry
+ * increasing-k update order is preserved).
  */
 class Cholesky
 {
@@ -53,8 +53,8 @@ class Cholesky
     explicit Cholesky(const Matrix &a, double max_jitter = 1e-6);
 
     /**
-     * Pre-size the internal buffers for an n x n factorization so a
-     * later factorize(n x n) call does not allocate.
+     * Pre-size the factor for an n x n factorization so a later
+     * factorize(n x n) call does not allocate.
      */
     void reserve(std::size_t n);
 
@@ -62,9 +62,9 @@ class Cholesky
      * Re-factor in place: factorize a + added_diag I, reusing the
      * existing storage (allocation-free after reserve()).
      *
-     * Unlike the constructor this skips the symmetry check — the
-     * caller guarantees an exactly symmetric a — and uses the
-     * blocked kernel. The jitter retry schedule matches the
+     * Unlike the constructor this skips the symmetry check and reads
+     * only a's lower triangle, and it uses the tiled kernel. The
+     * jitter retry schedule matches the
      * constructor, and the resulting factor is bitwise identical to
      * `Cholesky(a', max_jitter)` for a' = a + added_diag I.
      *
@@ -107,14 +107,13 @@ class Cholesky
     /**
      * Allocation-free explicit inverse into a caller buffer.
      *
-     * Computes K = L^-1 by cache-blocked panel substitution, then
-     * A^-1 = K' K with a blocked multiply that skips K's structural
+     * Computes K = L^-1 by tiled forward substitution, then
+     * A^-1 = K' K with a tiled product that skips K's structural
      * zeros, and mirrors the lower triangle. Bitwise identical to
      * inverse() (same per-entry accumulation order), several times
-     * faster at n ~ 1000, and allocation-free once `ws` holds the
-     * scratch buffers (keys "chol.*" — give each recurring
-     * inverseInto call site a workspace of its own, or shapes will
-     * thrash).
+     * faster, and allocation-free once `ws` holds the scratch buffer
+     * (key "chol.k" — give each recurring inverseInto call site a
+     * workspace of its own, or shapes will thrash).
      *
      * @param inv Output buffer (re-shaped as needed).
      * @param ws  Scratch arena for the triangular-inverse panels.
@@ -122,7 +121,7 @@ class Cholesky
     void inverseInto(Matrix &inv, Workspace &ws) const;
 
     /**
-     * Pre-acquire the "chol.*" scratch buffers an n x n inverseInto
+     * Pre-acquire the "chol.k" scratch buffer an n x n inverseInto
      * will use, so a hot loop's first inverseInto call performs no
      * allocations.
      */
@@ -147,7 +146,7 @@ class Cholesky
     /**
      * In-place forward substitution on a matrix right-hand side:
      * b <- L^-1 b. Each column is bitwise solveLower() of that column;
-     * the row-wise sweep vectorizes across the columns.
+     * the row-wise sweep runs across the columns at vector width.
      */
     void solveLowerInPlace(Matrix &b) const;
 
@@ -167,16 +166,7 @@ class Cholesky
     /** Attempt the factorization; @return true on success. */
     bool tryFactor(const Matrix &a, double jitter);
 
-    /**
-     * Blocked right-looking variant of tryFactor (bitwise identical
-     * result); reuses l_'s and panelT_'s storage.
-     */
-    bool tryFactorBlocked(const Matrix &a, double added_diag,
-                          double jitter);
-
     Matrix l_;
-    /** Transposed-panel scratch for the blocked factorization. */
-    Matrix panelT_;
     double jitter_ = 0.0;
 };
 

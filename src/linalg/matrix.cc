@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/kernels.hh"
+
 namespace leo::linalg
 {
 
@@ -367,82 +369,20 @@ Matrix::multiplyInto(Matrix &out, const Matrix &a, const Matrix &b)
     require(a.cols() == b.rows(),
             "multiplyInto dimension mismatch");
     require(&out != &a && &out != &b, "multiplyInto aliased output");
-    const std::size_t m = a.rows();
-    const std::size_t kk = a.cols();
-    const std::size_t n = b.cols();
-    out.resize(m, n);
-    out.fill(0.0);
-    // Same tiling and increasing-k accumulation as multiply(). The
-    // inner saxpy runs over restrict-qualified row pointers — out
-    // never aliases b (asserted above), and telling the compiler so
-    // is what lets it vectorize the j-loop.
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-        const std::size_t i1 = std::min(m, i0 + kBlock);
-        for (std::size_t k0 = 0; k0 < kk; k0 += kBlock) {
-            const std::size_t k1 = std::min(kk, k0 + kBlock);
-            for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
-                const std::size_t j1 = std::min(n, j0 + kBlock);
-                for (std::size_t i = i0; i < i1; ++i) {
-                    double *__restrict oi = &out.data_[i * n];
-                    for (std::size_t k = k0; k < k1; ++k) {
-                        const double a_ik = a.at(i, k);
-                        const double *__restrict bk =
-                            &b.data_[k * n];
-                        for (std::size_t j = j0; j < j1; ++j)
-                            oi[j] += a_ik * bk[j];
-                    }
-                }
-            }
-        }
-    }
+    // Register tiles at the host's vector width; every entry is summed
+    // from +0.0 in increasing k, as multiply() sums it (kernels.cc).
+    detail::multiplyInto(detail::activeIsa(), out, a, b);
 }
 
 void
 Matrix::gramInto(Matrix &out, const Matrix &a)
 {
     require(&out != &a, "gramInto aliased output");
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    out.resize(n, n);
-    // out(i, j) = sum_k a(k, i) a(k, j) with k ascending — the same
-    // per-entry order as gram()'s column dots — accumulated in a
-    // register instead of staging the transpose or sweeping the
-    // output once per row. The EM loop calls this with very few rows
-    // (its per-chunk residual blocks), where the short dot products
-    // are far cheaper than m full passes over the n x n output.
-    // Four adjacent output columns share each strided a(k, i) load
-    // through a restrict-qualified row cursor; each entry keeps its
-    // own ascending-k accumulator, so the result is bitwise identical
-    // to the scalar loop.
-    const double *const ap = a.data_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t j = 0;
-        for (; j + 4 <= i + 1; j += 4) {
-            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            const double *__restrict row = ap;
-            for (std::size_t k = 0; k < m; ++k, row += n) {
-                const double aki = row[i];
-                a0 += aki * row[j];
-                a1 += aki * row[j + 1];
-                a2 += aki * row[j + 2];
-                a3 += aki * row[j + 3];
-            }
-            out.at(i, j) = a0;
-            out.at(i, j + 1) = a1;
-            out.at(i, j + 2) = a2;
-            out.at(i, j + 3) = a3;
-        }
-        for (; j <= i; ++j) {
-            double acc = 0.0;
-            const double *__restrict row = ap;
-            for (std::size_t k = 0; k < m; ++k, row += n)
-                acc += row[i] * row[j];
-            out.at(i, j) = acc;
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < i; ++j)
-            out.at(j, i) = out.at(i, j);
+    // out(i, j) = sum_k a(k, i) a(k, j) from +0.0 in increasing k, the
+    // per-entry order of gram()'s column dots, without staging the
+    // transpose: register tiles of the lower triangle at the host's
+    // vector width, then the mirror (kernels.cc).
+    detail::gramInto(detail::activeIsa(), out, a);
 }
 
 Matrix

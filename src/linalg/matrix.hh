@@ -208,10 +208,9 @@ class Matrix
 
     /**
      * Into-buffer variant of gram(): out = a' * a, overwriting out,
-     * without materializing a.transpose(). Accumulates the lower
-     * triangle as rank-1 row updates in row order — the same
-     * increasing-k order gram() uses, hence bitwise identical — then
-     * mirrors. out must not alias a.
+     * without materializing a.transpose(). Sums each lower-triangle
+     * entry in the increasing-k order gram() uses, hence bitwise
+     * identical, then mirrors. out must not alias a.
      */
     static void gramInto(Matrix &out, const Matrix &a);
 

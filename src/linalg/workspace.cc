@@ -20,12 +20,20 @@ Workspace::matrix(const std::string &key, std::size_t rows,
     return m;
 }
 
+Cholesky &
+Workspace::cholesky(const std::string &key)
+{
+    return factors_[key];
+}
+
 std::size_t
 Workspace::bytes() const
 {
     std::size_t doubles = 0;
     for (const auto &kv : matrices_)
         doubles += kv.second.rows() * kv.second.cols();
+    for (const auto &kv : factors_)
+        doubles += kv.second.dim() * kv.second.dim();
     return doubles * sizeof(double);
 }
 
@@ -33,6 +41,7 @@ void
 Workspace::clear()
 {
     matrices_.clear();
+    factors_.clear();
 }
 
 } // namespace leo::linalg

@@ -8,7 +8,8 @@
  * with the same key and shape returns the existing storage untouched,
  * so a loop that acquires its buffers up front never allocates while
  * iterating, and a caller that keeps the Workspace alive across fits
- * pays the allocation cost only once.
+ * pays the allocation cost only once. The fit's Cholesky factors live
+ * here too, so a refit through a kept Workspace reuses their storage.
  */
 
 #ifndef LEO_LINALG_WORKSPACE_HH
@@ -18,6 +19,7 @@
 #include <map>
 #include <string>
 
+#include "linalg/cholesky.hh"
 #include "linalg/matrix.hh"
 
 namespace leo::linalg
@@ -52,6 +54,13 @@ class Workspace
                    std::size_t cols);
 
     /**
+     * Acquire (or reuse) a Cholesky factorization slot. Its factor
+     * storage persists across acquisitions, so reserve() allocates
+     * only when the order grows; factorize() overwrites the rest.
+     */
+    Cholesky &cholesky(const std::string &key);
+
+    /**
      * @return Number of buffer (re-)creations so far. Stable across
      *         calls that only reuse buffers — the allocation-free
      *         property the estimator tests assert.
@@ -60,16 +69,17 @@ class Workspace
 
     /**
      * @return Total payload held by the arena, in bytes (the double
-     *         storage of every live buffer; map overhead excluded).
-     *         Exported as the `em.workspace.bytes` gauge.
+     *         storage of every live buffer and factor; map overhead
+     *         excluded). Exported as the `em.workspace.bytes` gauge.
      */
     std::size_t bytes() const;
 
-    /** Drop every buffer (references become dangling). */
+    /** Drop every buffer and factor (references become dangling). */
     void clear();
 
   private:
     std::map<std::string, Matrix> matrices_;
+    std::map<std::string, Cholesky> factors_;
     std::size_t allocations_ = 0;
 };
 

@@ -37,6 +37,11 @@ inline constexpr const char *kEmPriorBasisSpan = "leo.em.prior_basis";
 inline constexpr const char *kEmPriorBasisBuilt =
     "leo.em.prior_basis.built";
 
+// ---- linalg: the dense kernels (src/linalg/kernels.cc) ---------- //
+/** Doubles per vector in the kernel build the process runs: 4 for
+ *  AVX2, 2 for the portable build (SSE2 on x86-64). */
+inline constexpr const char *kLinalgSimdLanes = "leo.linalg.simd.lanes";
+
 // ---- sanitize: estimator input sanitization --------------------- //
 inline constexpr const char *kSanitizeSamplesRejected =
     "leo.sanitize.samples.rejected";

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 
 #include "linalg/cholesky.hh"
 #include "linalg/error.hh"
+#include "linalg/kernels.hh"
 #include "linalg/least_squares.hh"
 #include "linalg/matrix.hh"
 #include "linalg/poly_features.hh"
@@ -20,6 +22,7 @@
 #include "linalg/simplex.hh"
 #include "linalg/vector.hh"
 #include "linalg/workspace.hh"
+#include "obs/obs.hh"
 #include "stats/rng.hh"
 
 using namespace leo;
@@ -631,6 +634,20 @@ TEST(Workspace, ReusesBuffersByKeyAndShape)
     EXPECT_EQ(ws.allocations(), 2u);
 }
 
+TEST(Workspace, KeepsFactorsByKey)
+{
+    linalg::Workspace ws;
+    linalg::Cholesky &c = ws.cholesky("c");
+    c.factorize(Matrix{{4.0, 2.0}, {2.0, 3.0}});
+    // Same key: the same factor, its storage counted in bytes().
+    EXPECT_EQ(&ws.cholesky("c"), &c);
+    EXPECT_NE(&ws.cholesky("d"), &c);
+    EXPECT_EQ(ws.cholesky("c").factor().at(0, 0), 2.0);
+    EXPECT_EQ(ws.bytes(), 4 * sizeof(double));
+    ws.clear();
+    EXPECT_EQ(ws.bytes(), 0u);
+}
+
 TEST(IntoKernels, MultiplyIntoMatchesMultiplyToZeroUlp)
 {
     stats::Rng rng(3111);
@@ -837,6 +854,350 @@ TEST(IntoKernels, LargeProblemMatchesNaiveKernelsToZeroUlp)
     blocked.inverseInto(inv_buf, ws);
     expectBitwiseEqual(inv_buf, reference.inverse(),
                        "inverseInto n=1030");
+}
+
+// -------------------------------------------- Kernel instantiations
+
+namespace leo::linalg::detail
+{
+
+/** gtest names the build in failure messages and test lists. */
+void
+PrintTo(Isa isa, std::ostream *os)
+{
+    *os << (isa == Isa::Avx2 ? "Avx2" : "Portable");
+}
+
+} // namespace leo::linalg::detail
+
+namespace
+{
+
+using linalg::detail::Isa;
+
+/**
+ * Every tile tail of both builds: 0-9 cover each remainder of the
+ * 4-row blocks and of the 1-, 2-, 4-, 8- and 16-column tiles, 15-17
+ * and 63-65 straddle a full tile and the 64-wide panel, 20, 37, 40
+ * and 44 are EM orders, and 130 spans three panels.
+ */
+const std::size_t kTailDims[] = {0,  1,  2,  3,  4,  5,  6,
+                                 7,  8,  9,  15, 16, 17, 20,
+                                 37, 40, 44, 63, 64, 65, 130};
+
+/** The EM's (rows, inner, cols) products at s = 20, q = 40 and 44,
+ *  m = 20 and 24: P C, W = Z (C + beta I)^-1 and A = (P C) P'. */
+const std::size_t kEmProducts[][3] = {
+    {20, 40, 40}, {20, 44, 44}, {24, 40, 40}, {24, 44, 44},
+    {20, 40, 20}, {20, 44, 20}};
+
+/** The EM's Gram shapes (rows, cols): Y' Y and the residual R' R. */
+const std::size_t kEmGrams[][2] = {{20, 40}, {20, 44}, {24, 40}, {24, 44}};
+
+/** Bit-for-bit equality: -0.0 differs from +0.0 here, unlike ==. */
+void
+expectSameBits(const Matrix &got, const Matrix &want, const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (std::size_t r = 0; r < got.rows(); ++r)
+        for (std::size_t c = 0; c < got.cols(); ++c)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.at(r, c)),
+                      std::bit_cast<std::uint64_t>(want.at(r, c)))
+                << what << " differs at (" << r << ", " << c << "): "
+                << got.at(r, c) << " vs " << want.at(r, c);
+}
+
+/** A rows x cols buffer of NaN: a kernel that leaves an entry
+ *  unwritten fails the bit comparison. */
+Matrix
+dirty(std::size_t rows, std::size_t cols)
+{
+    return Matrix(rows, cols, std::nan(""));
+}
+
+/** The top-left rows x cols block of m. */
+Matrix
+block(const Matrix &m, std::size_t rows, std::size_t cols)
+{
+    Matrix out(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            out.at(r, c) = m.at(r, c);
+    return out;
+}
+
+/** Scalar Gram reference: every entry from +0.0, k ascending. */
+Matrix
+naiveGram(const Matrix &a)
+{
+    const std::size_t n = a.cols();
+    Matrix out(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < a.rows(); ++k)
+                acc += a.at(k, i) * a.at(k, j);
+            out.at(i, j) = acc;
+        }
+    return out;
+}
+
+/** Scalar factor reference: the naive left-looking loop on the lower
+ *  triangle of a, with the diagonal additions applied first. */
+bool
+naiveCholesky(Matrix &l, const Matrix &a, double added, double jitter)
+{
+    const std::size_t n = a.rows();
+    l = Matrix(n, n, 0.0);
+    for (std::size_t j = 0; j < n; ++j) {
+        double d = a.at(j, j);
+        if (added != 0.0)
+            d += added;
+        if (jitter > 0.0)
+            d += jitter;
+        for (std::size_t k = 0; k < j; ++k)
+            d -= l.at(j, k) * l.at(j, k);
+        if (!(d > 0.0) || !std::isfinite(d))
+            return false;
+        const double ljj = std::sqrt(d);
+        l.at(j, j) = ljj;
+        const double inv = 1.0 / ljj;
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double acc = a.at(i, j);
+            for (std::size_t k = 0; k < j; ++k)
+                acc -= l.at(i, k) * l.at(j, k);
+            l.at(i, j) = acc * inv;
+        }
+    }
+    return true;
+}
+
+/** Scalar inverse reference: K = L^-1 row by row, then K' K as a sum
+ *  of outer products, both skipping zero multipliers, mirrored. */
+Matrix
+naiveInverse(const Matrix &l)
+{
+    const std::size_t n = l.rows();
+    Matrix k(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        k.at(i, i) = 1.0;
+        for (std::size_t p = 0; p < i; ++p) {
+            const double lip = l.at(i, p);
+            if (lip == 0.0)
+                continue;
+            for (std::size_t j = 0; j <= p; ++j)
+                k.at(i, j) -= lip * k.at(p, j);
+        }
+        const double inv_lii = 1.0 / l.at(i, i);
+        for (std::size_t j = 0; j <= i; ++j)
+            k.at(i, j) *= inv_lii;
+    }
+    Matrix inv(n, n, 0.0);
+    for (std::size_t p = 0; p < n; ++p)
+        for (std::size_t i = 0; i <= p; ++i) {
+            const double kpi = k.at(p, i);
+            if (kpi == 0.0)
+                continue;
+            for (std::size_t j = 0; j <= i; ++j)
+                inv.at(i, j) += kpi * k.at(p, j);
+        }
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            inv.at(j, i) = inv.at(i, j);
+    return inv;
+}
+
+/** Scalar forward-substitution reference, column by column. */
+Matrix
+naiveForward(const Matrix &l, const Matrix &b)
+{
+    Matrix y = b;
+    for (std::size_t c = 0; c < b.cols(); ++c)
+        for (std::size_t i = 0; i < l.rows(); ++i) {
+            double acc = b.at(i, c);
+            for (std::size_t k = 0; k < i; ++k)
+                acc -= l.at(i, k) * y.at(k, c);
+            y.at(i, c) = acc / l.at(i, i);
+        }
+    return y;
+}
+
+/** SPD with an upper triangle that disagrees with its lower one: the
+ *  factor must read the lower triangle only. */
+Matrix
+lopsidedSpd(std::size_t n, stats::Rng &rng)
+{
+    Matrix a = randomSpd(n, rng);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i + 1; j < n; ++j)
+            a.at(i, j) += 0.5;
+    return a;
+}
+
+/** Tridiagonal SPD with some zero couplings: its factor and inverse
+ *  hold exact zeros, so the kernels' zero skips matter. */
+Matrix
+sparseSpd(std::size_t n)
+{
+    Matrix a(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        a.at(i, i) = 4.0 + static_cast<double>(i % 3);
+        if (i + 1 < n) {
+            const double off =
+                i % 5 == 2 ? 0.0 : -1.0 - 0.01 * static_cast<double>(i);
+            a.at(i, i + 1) = off;
+            a.at(i + 1, i) = off;
+        }
+    }
+    return a;
+}
+
+std::string
+shapeName(const char *what, std::size_t a, std::size_t b,
+          std::size_t c = 0)
+{
+    return std::string(what) + " " + std::to_string(a) + "x" +
+           std::to_string(b) + (c ? "x" + std::to_string(c) : "");
+}
+
+/** Runs one instantiation; the AVX2 half skips on a host without it. */
+class KernelIsa : public ::testing::TestWithParam<Isa>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == Isa::Avx2 && !linalg::detail::hostHasAvx2())
+            GTEST_SKIP() << "the host CPU has no AVX2";
+    }
+};
+
+} // namespace
+
+TEST_P(KernelIsa, MultiplyMatchesScalarOrderToZeroUlp)
+{
+    stats::Rng rng(4101);
+    const Matrix a0 = randomMatrix(130, 130, rng);
+    const Matrix b0 = randomMatrix(130, 130, rng);
+    auto check = [&](std::size_t m, std::size_t kk, std::size_t n) {
+        const Matrix a = block(a0, m, kk);
+        const Matrix b = block(b0, kk, n);
+        Matrix out = dirty(m, n);
+        linalg::detail::multiplyInto(GetParam(), out, a, b);
+        expectSameBits(out, naiveMultiply(a, b),
+                       shapeName("multiply", m, kk, n));
+    };
+    for (std::size_t m : kTailDims)
+        for (std::size_t kk : kTailDims)
+            for (std::size_t n : kTailDims)
+                check(m, kk, n);
+    for (const auto &s : kEmProducts)
+        check(s[0], s[1], s[2]);
+}
+
+TEST_P(KernelIsa, GramMatchesScalarOrderToZeroUlp)
+{
+    stats::Rng rng(4202);
+    const Matrix a0 = randomMatrix(130, 130, rng);
+    auto check = [&](std::size_t m, std::size_t n) {
+        const Matrix a = block(a0, m, n);
+        Matrix out = dirty(n, n);
+        linalg::detail::gramInto(GetParam(), out, a);
+        expectSameBits(out, naiveGram(a), shapeName("gram", m, n));
+    };
+    for (std::size_t m : kTailDims)
+        for (std::size_t n : kTailDims)
+            check(m, n);
+    for (const auto &s : kEmGrams)
+        check(s[0], s[1]);
+}
+
+TEST_P(KernelIsa, FactorMatchesScalarOrderToZeroUlp)
+{
+    stats::Rng rng(4303);
+    auto check = [&](const Matrix &a, double added, double jitter,
+                     const std::string &what) {
+        Matrix want;
+        const bool ok = naiveCholesky(want, a, added, jitter);
+        Matrix l = dirty(a.rows(), a.rows());
+        ASSERT_EQ(linalg::detail::choleskyInto(GetParam(), l, a, added,
+                                               jitter),
+                  ok)
+            << what;
+        if (ok)
+            expectSameBits(l, want, what);
+    };
+    for (std::size_t n : kTailDims) {
+        const Matrix a = lopsidedSpd(n, rng);
+        check(a, 0.0, 0.0, "factor n=" + std::to_string(n));
+        check(a, 0.037, 1e-9, "jittered factor n=" + std::to_string(n));
+        check(sparseSpd(n), 0.0, 0.0,
+              "sparse factor n=" + std::to_string(n));
+    }
+    // A pivot that is not positive fails the same way on both paths.
+    Matrix bad = randomSpd(9, rng);
+    bad.at(6, 6) = -1.0;
+    check(bad, 0.0, 0.0, "indefinite");
+}
+
+TEST_P(KernelIsa, InverseMatchesScalarOrderToZeroUlp)
+{
+    stats::Rng rng(4404);
+    auto check = [&](const Matrix &a, const std::string &what) {
+        const linalg::Cholesky chol(a, 1e-6);
+        Matrix inv = dirty(a.rows(), a.rows());
+        Matrix k = dirty(a.rows(), a.rows());
+        linalg::detail::choleskyInverseInto(GetParam(), inv, k,
+                                            chol.factor());
+        expectSameBits(inv, naiveInverse(chol.factor()), what);
+    };
+    for (std::size_t n : kTailDims) {
+        check(randomSpd(n, rng), "inverse n=" + std::to_string(n));
+        check(sparseSpd(n), "sparse inverse n=" + std::to_string(n));
+    }
+}
+
+TEST_P(KernelIsa, ForwardSolveMatchesScalarOrderToZeroUlp)
+{
+    stats::Rng rng(4505);
+    const Matrix b0 = randomMatrix(130, 130, rng);
+    for (std::size_t n : kTailDims) {
+        const linalg::Cholesky chol(randomSpd(n, rng), 1e-6);
+        for (std::size_t m : kTailDims) {
+            const Matrix b = block(b0, n, m);
+            Matrix x = b;
+            linalg::detail::forwardSolveInPlace(GetParam(), chol.factor(),
+                                                x);
+            expectSameBits(x, naiveForward(chol.factor(), b),
+                           shapeName("forward solve", n, m));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Builds, KernelIsa,
+                         ::testing::Values(Isa::Portable, Isa::Avx2),
+                         ::testing::PrintToStringParamName());
+
+/**
+ * The process runs the AVX2 build exactly when the CPU reports AVX2,
+ * and the registry's leo.linalg.simd.lanes gauge names it: 4 lanes
+ * for AVX2, 2 for the portable (SSE2) build on x86-64.
+ */
+TEST(KernelDispatch, LanesGaugeNamesTheActiveBuild)
+{
+    namespace detail = linalg::detail;
+    EXPECT_EQ(detail::activeIsa() == Isa::Avx2, detail::hostHasAvx2());
+#if defined(__x86_64__)
+    const bool avx2 = __builtin_cpu_supports("avx2");
+    EXPECT_EQ(detail::hostHasAvx2(), avx2);
+    EXPECT_EQ(detail::simdLanes(detail::activeIsa()), avx2 ? 4u : 2u);
+#endif
+    obs::Registry &reg = obs::Registry::global();
+    if (!reg.enabled())
+        GTEST_SKIP() << "LEO_OBS=off: the registry is a null sink";
+    EXPECT_EQ(reg.gauge(obs::names::kLinalgSimdLanes).value(),
+              static_cast<double>(detail::simdLanes(detail::activeIsa())));
 }
 
 // ------------------------------------------------------- Byte codec
