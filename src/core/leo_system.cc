@@ -75,14 +75,4 @@ LeoSystem::minimizeEnergy(
         machine_.spec().idleSystemPowerW, constraint);
 }
 
-runtime::EnergyController
-LeoSystem::makeController(double target_rate) const
-{
-    runtime::ControllerOptions copts;
-    copts.targetRate = target_rate;
-    copts.sampleBudget = options_.sampleBudget;
-    copts.idlePower = machine_.spec().idleSystemPowerW;
-    return runtime::EnergyController(space_, &leo_, prior_, copts);
-}
-
 } // namespace leo::core

@@ -20,7 +20,6 @@
 #include "estimators/online.hh"
 #include "optimizer/schedule.hh"
 #include "platform/config_space.hh"
-#include "runtime/controller.hh"
 #include "telemetry/profile_store.hh"
 #include "telemetry/sampler.hh"
 
@@ -106,20 +105,6 @@ class LeoSystem
     optimizer::Schedule minimizeEnergy(
         const estimators::Estimate &estimate,
         const optimizer::PerformanceConstraint &constraint) const;
-
-    /**
-     * Build a closed-loop controller for a performance demand, wired
-     * to this system's estimator and prior database.
-     *
-     * @param target_rate Demand in heartbeats/s.
-     */
-    runtime::EnergyController makeController(double target_rate) const;
-
-    /** @return The underlying LEO estimator. */
-    const estimators::LeoEstimator &leoEstimator() const
-    {
-        return leo_;
-    }
 
   private:
     platform::Machine machine_;

@@ -124,11 +124,6 @@ class FaultyPowerMeter : public telemetry::PowerMeter
                 const platform::ResourceAssignment &ra,
                 stats::Rng &rng) const override;
 
-    double intervalSeconds() const override
-    {
-        return inner_.intervalSeconds();
-    }
-
     /** @return The injector (fault counters). */
     const FaultInjector &injector() const { return injector_; }
 

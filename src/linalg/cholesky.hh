@@ -22,17 +22,12 @@ class Workspace;
 /**
  * Lower-triangular Cholesky factorization A = L L'.
  *
- * The factorization is computed once at construction; solves against
- * multiple right-hand sides reuse the factor. If the input is not
- * positive definite the constructor retries with growing diagonal
- * jitter up to maxJitter before giving up with fatal().
- *
- * Hot loops instead default-construct once, reserve(), and then
- * factorize() each iteration: that path reuses the factor storage,
- * skips the constructor's symmetry check, and runs a register-tiled
- * factorization at the host's vector width that is bitwise identical
- * to the constructor's naive left-looking one (per-entry
- * increasing-k update order is preserved).
+ * Default-construct once, reserve(), and then factorize() each
+ * iteration: the factor storage is reused, and the register-tiled
+ * factorization runs at the host's vector width with the per-entry
+ * increasing-k update order of the naive left-looking loop. If the
+ * input is not positive definite, factorize() retries with growing
+ * diagonal jitter before giving up with fatal().
  */
 class Cholesky
 {
@@ -44,34 +39,24 @@ class Cholesky
     Cholesky() = default;
 
     /**
-     * Factorize an SPD matrix.
-     *
-     * @param a          Symmetric positive-definite matrix.
-     * @param max_jitter Largest diagonal jitter to try when the bare
-     *                   factorization fails (0 disables jitter).
-     */
-    explicit Cholesky(const Matrix &a, double max_jitter = 1e-6);
-
-    /**
      * Pre-size the factor for an n x n factorization so a later
      * factorize(n x n) call does not allocate.
      */
     void reserve(std::size_t n);
 
     /**
-     * Re-factor in place: factorize a + added_diag I, reusing the
-     * existing storage (allocation-free after reserve()).
+     * Factorize a + added_diag I in place, reusing the existing
+     * storage (allocation-free after reserve()).
      *
-     * Unlike the constructor this skips the symmetry check and reads
-     * only a's lower triangle, and it uses the tiled kernel. The
-     * jitter retry schedule matches the
-     * constructor, and the resulting factor is bitwise identical to
-     * `Cholesky(a', max_jitter)` for a' = a + added_diag I.
+     * Reads only a's lower triangle. When the factorization fails it
+     * retries with jitter max_jitter * 1e-6, then ten times that, up
+     * to max_jitter, added to the diagonal.
      *
      * @param a          Symmetric positive-definite matrix.
      * @param added_diag Constant added to the diagonal before
      *                   factoring (e.g. a noise variance).
-     * @param max_jitter Largest diagonal jitter to retry with.
+     * @param max_jitter Largest diagonal jitter to retry with
+     *                   (0 disables jitter).
      */
     void factorize(const Matrix &a, double added_diag = 0.0,
                    double max_jitter = 1e-6);
@@ -79,41 +64,18 @@ class Cholesky
     /** @return The lower-triangular factor L. */
     const Matrix &factor() const { return l_; }
 
-    /** @return The jitter that was added to the diagonal (usually 0). */
-    double jitterUsed() const { return jitter_; }
-
     /** @return The dimension of the factored matrix. */
     std::size_t dim() const { return l_.rows(); }
-
-    /**
-     * Solve A x = b.
-     *
-     * @param b Right-hand side.
-     * @return x = A^-1 b.
-     */
-    Vector solve(const Vector &b) const;
-
-    /**
-     * Solve A X = B for a matrix right-hand side.
-     *
-     * @param b Right-hand side with dim() rows.
-     * @return X = A^-1 B.
-     */
-    Matrix solve(const Matrix &b) const;
-
-    /** @return The explicit inverse A^-1 (SPD). */
-    Matrix inverse() const;
 
     /**
      * Allocation-free explicit inverse into a caller buffer.
      *
      * Computes K = L^-1 by tiled forward substitution, then
      * A^-1 = K' K with a tiled product that skips K's structural
-     * zeros, and mirrors the lower triangle. Bitwise identical to
-     * inverse() (same per-entry accumulation order), several times
-     * faster, and allocation-free once `ws` holds the scratch buffer
-     * (key "chol.k" — give each recurring inverseInto call site a
-     * workspace of its own, or shapes will thrash).
+     * zeros, and mirrors the lower triangle. Allocation-free once
+     * `ws` holds the scratch buffer (key "chol.k" — give each
+     * recurring inverseInto call site a workspace of its own, or
+     * shapes will thrash).
      *
      * @param inv Output buffer (re-shaped as needed).
      * @param ws  Scratch arena for the triangular-inverse panels.
@@ -130,44 +92,22 @@ class Cholesky
     /** @return log det A = 2 sum_i log L[i][i]. */
     double logDet() const;
 
-    /**
-     * Forward substitution: solve L y = b.
-     *
-     * Exposed for whitening operations in sampling code.
-     */
-    Vector solveLower(const Vector &b) const;
-
-    /**
-     * In-place forward substitution: b <- L^-1 b. Bitwise identical
-     * to solveLower() without the result allocation.
-     */
+    /** In-place forward substitution: b <- L^-1 b. */
     void solveLowerInPlace(Vector &b) const;
 
     /**
      * In-place forward substitution on a matrix right-hand side:
-     * b <- L^-1 b. Each column is bitwise solveLower() of that column;
-     * the row-wise sweep runs across the columns at vector width.
+     * b <- L^-1 b. Each column is bitwise the vector
+     * solveLowerInPlace() of that column; the row-wise sweep runs
+     * across the columns at vector width.
      */
     void solveLowerInPlace(Matrix &b) const;
 
-    /**
-     * In-place SPD solve: b <- A^-1 b. Bitwise identical to
-     * solve(const Vector &) without the temporaries.
-     */
+    /** In-place SPD solve: b <- A^-1 b. */
     void solveInPlace(Vector &b) const;
 
-    /**
-     * In-place SPD solve on a matrix right-hand side: b <- A^-1 b.
-     * solve(const Matrix &) is this applied to a copy.
-     */
-    void solveInPlace(Matrix &b) const;
-
   private:
-    /** Attempt the factorization; @return true on success. */
-    bool tryFactor(const Matrix &a, double jitter);
-
     Matrix l_;
-    double jitter_ = 0.0;
 };
 
 } // namespace leo::linalg

@@ -211,7 +211,7 @@ struct FactorRow
  * structural zero; row i >= j is the forward substitution of the
  * unit vectors, 1.0 at (i, i) less l(i, p) K(p, .) for p in [j, i)
  * (skipping l(i, p) == 0.0), then times 1 / l(i, i). Column c > j
- * also takes the terms p in [j, c), which inverse() never runs: they
+ * also takes the terms p in [j, c), which the scalar loop never runs: they
  * multiply K's structural zeros, so they are exact no-ops on an
  * accumulator still at +0.0 or 1.0.
  */
@@ -359,7 +359,7 @@ choleskyKernel(double *u, std::size_t n)
 
 /**
  * inv = K' K with K = L^-1 in k. Phase 2 sums inv(i, j) over p >= i
- * with inverse()'s kpi == 0 skip; a row block of 4 starts every row
+ * with the scalar loop's kpi == 0 skip; a row block of 4 starts every row
  * at its first row i, since K(p, i + r) for p < i + r is a structural
  * zero that the skip drops.
  */

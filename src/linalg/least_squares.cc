@@ -1,14 +1,12 @@
 /**
  * @file
- * Implementation of Householder-QR least squares and ridge regression.
+ * Implementation of Householder-QR least squares.
  */
 
 #include "linalg/least_squares.hh"
 
 #include <cmath>
 #include <vector>
-
-#include "linalg/cholesky.hh"
 
 namespace leo::linalg
 {
@@ -109,28 +107,6 @@ leastSquares(const Matrix &x, const Vector &y, double tol)
     }
     result.residualSumSquares = rss;
     return result;
-}
-
-Vector
-ridgeRegression(const Matrix &x, const Vector &y, double lambda)
-{
-    require(lambda > 0.0, "ridgeRegression requires lambda > 0");
-    const std::size_t n = x.cols();
-    require(y.size() == x.rows(), "ridgeRegression dimension mismatch");
-
-    Matrix xtx(n, n, 0.0);
-    for (std::size_t i = 0; i < x.rows(); ++i)
-        for (std::size_t a = 0; a < n; ++a)
-            for (std::size_t b = 0; b < n; ++b)
-                xtx.at(a, b) += x.at(i, a) * x.at(i, b);
-    xtx.addToDiagonal(lambda);
-
-    Vector xty(n, 0.0);
-    for (std::size_t i = 0; i < x.rows(); ++i)
-        for (std::size_t a = 0; a < n; ++a)
-            xty[a] += x.at(i, a) * y[i];
-
-    return Cholesky(xtx).solve(xty);
 }
 
 } // namespace leo::linalg

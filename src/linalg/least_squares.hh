@@ -46,14 +46,6 @@ struct LeastSquaresResult
 LeastSquaresResult leastSquares(const Matrix &x, const Vector &y,
                                 double tol = 1e-10);
 
-/**
- * Ridge-regularized least squares: min_w ||Xw - y||^2 + lambda ||w||^2.
- *
- * Solved through the normal equations with a Cholesky factorization;
- * always well posed for lambda > 0.
- */
-Vector ridgeRegression(const Matrix &x, const Vector &y, double lambda);
-
 } // namespace leo::linalg
 
 #endif // LEO_LINALG_LEAST_SQUARES_HH

@@ -29,34 +29,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
     }
 }
 
-Matrix
-Matrix::identity(std::size_t d)
-{
-    Matrix m(d, d, 0.0);
-    for (std::size_t i = 0; i < d; ++i)
-        m.at(i, i) = 1.0;
-    return m;
-}
-
-Matrix
-Matrix::diag(const Vector &x)
-{
-    Matrix m(x.size(), x.size(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i)
-        m.at(i, i) = x[i];
-    return m;
-}
-
-Matrix
-Matrix::outer(const Vector &x, const Vector &y)
-{
-    Matrix m(x.size(), y.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        for (std::size_t j = 0; j < y.size(); ++j)
-            m.at(i, j) = x[i] * y[j];
-    return m;
-}
-
 double &
 Matrix::operator()(std::size_t r, std::size_t c)
 {
@@ -71,40 +43,12 @@ Matrix::operator()(std::size_t r, std::size_t c) const
     return data_[r * cols_ + c];
 }
 
-Vector
-Matrix::row(std::size_t r) const
-{
-    require(r < rows_, "Matrix row out of range");
-    Vector v(cols_);
-    for (std::size_t c = 0; c < cols_; ++c)
-        v[c] = at(r, c);
-    return v;
-}
-
-Vector
-Matrix::col(std::size_t c) const
-{
-    require(c < cols_, "Matrix col out of range");
-    Vector v(rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        v[r] = at(r, c);
-    return v;
-}
-
 void
 Matrix::setRow(std::size_t r, const Vector &v)
 {
     require(r < rows_ && v.size() == cols_, "setRow dimension mismatch");
     for (std::size_t c = 0; c < cols_; ++c)
         at(r, c) = v[c];
-}
-
-void
-Matrix::setCol(std::size_t c, const Vector &v)
-{
-    require(c < cols_ && v.size() == rows_, "setCol dimension mismatch");
-    for (std::size_t r = 0; r < rows_; ++r)
-        at(r, c) = v[r];
 }
 
 Matrix &
@@ -118,88 +62,12 @@ Matrix::operator+=(const Matrix &other)
 }
 
 Matrix &
-Matrix::operator-=(const Matrix &other)
-{
-    require(rows_ == other.rows_ && cols_ == other.cols_,
-            "Matrix -= dimension mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] -= other.data_[i];
-    return *this;
-}
-
-Matrix &
-Matrix::operator*=(double s)
-{
-    for (double &v : data_)
-        v *= s;
-    return *this;
-}
-
-Matrix &
 Matrix::operator/=(double s)
 {
     require(s != 0.0, "Matrix /= by zero");
     for (double &v : data_)
         v /= s;
     return *this;
-}
-
-Matrix
-Matrix::transpose() const
-{
-    Matrix t(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            t.at(c, r) = at(r, c);
-    return t;
-}
-
-double
-Matrix::trace() const
-{
-    require(rows_ == cols_, "trace of non-square matrix");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < rows_; ++i)
-        acc += at(i, i);
-    return acc;
-}
-
-double
-Matrix::frobeniusNorm() const
-{
-    double acc = 0.0;
-    for (double v : data_)
-        acc += v * v;
-    return std::sqrt(acc);
-}
-
-Vector
-Matrix::diagonal() const
-{
-    require(rows_ == cols_, "diagonal of non-square matrix");
-    Vector v(rows_);
-    for (std::size_t i = 0; i < rows_; ++i)
-        v[i] = at(i, i);
-    return v;
-}
-
-bool
-Matrix::allFinite() const
-{
-    return std::all_of(data_.begin(), data_.end(),
-                       [](double v) { return std::isfinite(v); });
-}
-
-bool
-Matrix::isSymmetric(double tol) const
-{
-    if (rows_ != cols_)
-        return false;
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = r + 1; c < cols_; ++c)
-            if (std::abs(at(r, c) - at(c, r)) > tol)
-                return false;
-    return true;
 }
 
 void
@@ -221,27 +89,6 @@ Matrix::addToDiagonal(double s)
     require(rows_ == cols_, "addToDiagonal of non-square matrix");
     for (std::size_t i = 0; i < rows_; ++i)
         at(i, i) += s;
-}
-
-Matrix
-Matrix::gather(const std::vector<std::size_t> &idx) const
-{
-    return gather(idx, idx);
-}
-
-Matrix
-Matrix::gather(const std::vector<std::size_t> &row_idx,
-               const std::vector<std::size_t> &col_idx) const
-{
-    Matrix out(row_idx.size(), col_idx.size());
-    for (std::size_t r = 0; r < row_idx.size(); ++r) {
-        require(row_idx[r] < rows_, "gather row index out of range");
-        for (std::size_t c = 0; c < col_idx.size(); ++c) {
-            require(col_idx[c] < cols_, "gather col index out of range");
-            out.at(r, c) = at(row_idx[r], col_idx[c]);
-        }
-    }
-    return out;
 }
 
 void
@@ -332,37 +179,6 @@ Matrix::multiply(const Matrix &a, const Matrix &b)
     return out;
 }
 
-Matrix
-Matrix::syrk(const Matrix &a)
-{
-    const std::size_t m = a.rows();
-    const std::size_t kk = a.cols();
-    Matrix out(m, m);
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
-        const std::size_t i1 = std::min(m, i0 + kBlock);
-        for (std::size_t j0 = 0; j0 <= i0; j0 += kBlock) {
-            const std::size_t j1 = std::min(m, j0 + kBlock);
-            for (std::size_t i = i0; i < i1; ++i) {
-                const std::size_t j_hi = std::min(j1, i + 1);
-                for (std::size_t j = j0; j < j_hi; ++j) {
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < kk; ++k)
-                        acc += a.at(i, k) * a.at(j, k);
-                    out.at(i, j) = acc;
-                    out.at(j, i) = acc;
-                }
-            }
-        }
-    }
-    return out;
-}
-
-Matrix
-Matrix::gram(const Matrix &a)
-{
-    return syrk(a.transpose());
-}
-
 void
 Matrix::multiplyInto(Matrix &out, const Matrix &a, const Matrix &b)
 {
@@ -383,40 +199,6 @@ Matrix::gramInto(Matrix &out, const Matrix &a)
     // transpose: register tiles of the lower triangle at the host's
     // vector width, then the mirror (kernels.cc).
     detail::gramInto(detail::activeIsa(), out, a);
-}
-
-Matrix
-operator+(Matrix a, const Matrix &b)
-{
-    a += b;
-    return a;
-}
-
-Matrix
-operator-(Matrix a, const Matrix &b)
-{
-    a -= b;
-    return a;
-}
-
-Matrix
-operator*(Matrix a, double s)
-{
-    a *= s;
-    return a;
-}
-
-Matrix
-operator*(double s, Matrix a)
-{
-    a *= s;
-    return a;
-}
-
-Matrix
-operator*(const Matrix &a, const Matrix &b)
-{
-    return Matrix::multiply(a, b);
 }
 
 Vector

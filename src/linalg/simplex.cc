@@ -39,8 +39,14 @@ lpObs()
  *
  *     min c' x  s.t.  A x = b,  x >= 0,  b >= 0,
  *
- * with an explicit basis. Pivoting uses Bland's rule, which is slow
- * but cannot cycle; all LEO programs are small (|C| + 2 columns).
+ * with an explicit basis. Pivoting uses Bland's rule (smallest
+ * improving column, smallest basic index among ratio ties). Bland's
+ * rule cannot cycle in exact arithmetic; in floating point it relies
+ * on the tableau staying canonical, so every pivot eliminates each
+ * nonzero entry of the pivot column and stores an exact zero there:
+ * reducedCost() reads the basic columns as exact unit vectors, and a
+ * tableau that drifts from that form can step millions of pivots
+ * into the safety valve (GlobalPlanRegression in global_test).
  */
 class Tableau
 {
@@ -58,7 +64,8 @@ class Tableau
         const std::size_t m = a_.rows();
         const std::size_t n = a_.cols();
         // Upper bound on iterations: C(n, m) explodes, but Bland's
-        // rule terminates; keep a generous safety valve.
+        // rule on a canonical tableau terminates; keep a generous
+        // safety valve against round-off.
         const std::size_t max_iters = 10000 + 100 * n * (m + 1);
 
         for (std::size_t iter = 0; iter < max_iters; ++iter) {
@@ -95,7 +102,8 @@ class Tableau
 
             pivot(leaving, entering);
         }
-        // Should be unreachable with Bland's rule.
+        // The safety valve tripped; callers read Unbounded as "no
+        // plan" and fall back.
         return LpStatus::Unbounded;
     }
 
@@ -123,11 +131,13 @@ class Tableau
             if (i == row)
                 continue;
             const double f = a_.at(i, col);
-            if (std::abs(f) < kEps)
+            if (f == 0.0)
                 continue;
             for (std::size_t j = 0; j < n; ++j)
                 a_.at(i, j) -= f * a_.at(row, j);
             b_[i] -= f * b_[row];
+            // The entering column becomes an exact unit vector.
+            a_.at(i, col) = 0.0;
         }
         basis_[row] = col;
     }

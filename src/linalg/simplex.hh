@@ -51,7 +51,8 @@ struct LpSolution
  *     min c' x  s.t.  Aeq x = beq,  Aub x <= bub,  x >= 0.
  *
  * Either constraint block may be empty. Solved with a dense two-phase
- * simplex using Bland's rule (no cycling).
+ * simplex using Bland's rule, with every pivot keeping the tableau
+ * canonical (simplex.cc).
  */
 class LinearProgram
 {
@@ -67,9 +68,6 @@ class LinearProgram
 
     /** Append an inequality constraint a' x <= b. */
     void addInequality(const Vector &a, double b);
-
-    /** @return Number of decision variables. */
-    std::size_t numVars() const { return num_vars_; }
 
     /**
      * Solve the program.

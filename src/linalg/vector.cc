@@ -48,15 +48,6 @@ Vector::operator+=(const Vector &other)
 }
 
 Vector &
-Vector::operator-=(const Vector &other)
-{
-    require(size() == other.size(), "Vector -= dimension mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] -= other.data_[i];
-    return *this;
-}
-
-Vector &
 Vector::operator*=(double s)
 {
     for (double &v : data_)
@@ -87,13 +78,6 @@ Vector::mean() const
 }
 
 double
-Vector::min() const
-{
-    require(!data_.empty(), "min() of empty vector");
-    return *std::min_element(data_.begin(), data_.end());
-}
-
-double
 Vector::max() const
 {
     require(!data_.empty(), "max() of empty vector");
@@ -106,14 +90,6 @@ Vector::argmax() const
     require(!data_.empty(), "argmax() of empty vector");
     return static_cast<std::size_t>(
         std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
-std::size_t
-Vector::argmin() const
-{
-    require(!data_.empty(), "argmin() of empty vector");
-    return static_cast<std::size_t>(
-        std::min_element(data_.begin(), data_.end()) - data_.begin());
 }
 
 double
@@ -129,16 +105,6 @@ Vector::squaredNorm() const
     for (double v : data_)
         acc += v * v;
     return acc;
-}
-
-Vector
-Vector::cwiseProduct(const Vector &other) const
-{
-    require(size() == other.size(), "cwiseProduct dimension mismatch");
-    Vector out(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out[i] = data_[i] * other.data_[i];
-    return out;
 }
 
 Vector
@@ -168,15 +134,6 @@ Vector::resize(std::size_t n)
     data_.assign(n, 0.0);
 }
 
-void
-Vector::addScaled(double scale, const Vector &other)
-{
-    require(size() == other.size(),
-            "Vector::addScaled dimension mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] += scale * other.data_[i];
-}
-
 bool
 Vector::allFinite() const
 {
@@ -185,37 +142,9 @@ Vector::allFinite() const
 }
 
 Vector
-operator+(Vector a, const Vector &b)
-{
-    a += b;
-    return a;
-}
-
-Vector
-operator-(Vector a, const Vector &b)
-{
-    a -= b;
-    return a;
-}
-
-Vector
 operator*(Vector a, double s)
 {
     a *= s;
-    return a;
-}
-
-Vector
-operator*(double s, Vector a)
-{
-    a *= s;
-    return a;
-}
-
-Vector
-operator/(Vector a, double s)
-{
-    a /= s;
     return a;
 }
 

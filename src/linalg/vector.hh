@@ -3,8 +3,7 @@
  * Dense real-valued vector used throughout LEO.
  *
  * The notation follows Section 3 of the paper: vectors are elements
- * of R^d, the L2 norm is written ||x||_2, and diag(x) produces a
- * diagonal matrix (see Matrix::diag).
+ * of R^d and the L2 norm is written ||x||_2.
  */
 
 #ifndef LEO_LINALG_VECTOR_HH
@@ -78,8 +77,6 @@ class Vector
 
     /** In-place addition. */
     Vector &operator+=(const Vector &other);
-    /** In-place subtraction. */
-    Vector &operator-=(const Vector &other);
     /** In-place scaling. */
     Vector &operator*=(double s);
     /** In-place division by a scalar. */
@@ -89,21 +86,14 @@ class Vector
     double sum() const;
     /** @return The arithmetic mean of all components. */
     double mean() const;
-    /** @return The smallest component. */
-    double min() const;
     /** @return The largest component. */
     double max() const;
     /** @return The index of the largest component. */
     std::size_t argmax() const;
-    /** @return The index of the smallest component. */
-    std::size_t argmin() const;
     /** @return The L2 norm ||x||_2. */
     double norm() const;
     /** @return The squared L2 norm ||x||_2^2. */
     double squaredNorm() const;
-
-    /** @return A copy with every component multiplied elementwise. */
-    Vector cwiseProduct(const Vector &other) const;
 
     /**
      * Gather a sub-vector.
@@ -137,15 +127,6 @@ class Vector
      */
     void resize(std::size_t n);
 
-    /**
-     * In-place axpy: this += scale * other.
-     *
-     * Bitwise identical to `*this += scale * other` without the
-     * temporary (each component adds the product (other[i] * scale)
-     * in one rounding step either way).
-     */
-    void addScaled(double scale, const Vector &other);
-
     /** @return True iff all components are finite. */
     bool allFinite() const;
 
@@ -153,16 +134,8 @@ class Vector
     std::vector<double> data_;
 };
 
-/** Component-wise sum of two vectors. */
-Vector operator+(Vector a, const Vector &b);
-/** Component-wise difference of two vectors. */
-Vector operator-(Vector a, const Vector &b);
 /** Scale a vector by a scalar. */
 Vector operator*(Vector a, double s);
-/** Scale a vector by a scalar. */
-Vector operator*(double s, Vector a);
-/** Divide a vector by a scalar. */
-Vector operator/(Vector a, double s);
 
 /**
  * Inner product of two vectors.

@@ -37,11 +37,4 @@ Workspace::bytes() const
     return doubles * sizeof(double);
 }
 
-void
-Workspace::clear()
-{
-    matrices_.clear();
-    factors_.clear();
-}
-
 } // namespace leo::linalg

@@ -30,7 +30,8 @@ namespace leo::linalg
  *
  * Ownership rules:
  *  - The arena owns every buffer; references stay valid until the
- *    buffer is re-shaped (same key, different shape) or clear() runs.
+ *    buffer is re-shaped (same key, different shape) or the arena is
+ *    destroyed.
  *    The node-based map guarantees that acquiring new buffers never
  *    moves existing ones.
  *  - Re-acquiring a key with the *same* shape returns the buffer with
@@ -73,9 +74,6 @@ class Workspace
      *         excluded). Exported as the `em.workspace.bytes` gauge.
      */
     std::size_t bytes() const;
-
-    /** Drop every buffer and factor (references become dangling). */
-    void clear();
 
   private:
     std::map<std::string, Matrix> matrices_;

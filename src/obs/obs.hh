@@ -6,7 +6,7 @@
  *
  *  - registry.hh — named counters / gauges / fixed-bucket histograms
  *    with per-thread sharded lock-free storage, deterministic
- *    snapshot merging, and JSON/NDJSON export.
+ *    snapshot merging, and JSON export.
  *  - trace.hh — RAII scoped spans collected into a bounded buffer
  *    and exported in Chrome trace_event format (Perfetto-loadable).
  *

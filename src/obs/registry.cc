@@ -262,27 +262,6 @@ Registry::gaugeSet(std::size_t slot, double v)
     cell.seq.store(seq, std::memory_order_release);
 }
 
-double
-Registry::gaugeValue(std::size_t slot) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    double value = 0.0;
-    std::uint64_t best = 0;
-    for (const Shard &s : shards_) {
-        const auto *block = Shard::peekBlock(s.gauges, slot);
-        if (!block)
-            continue;
-        const auto &cell = block->v[slot % kBlock];
-        const std::uint64_t seq =
-            cell.seq.load(std::memory_order_acquire);
-        if (seq > best) {
-            best = seq;
-            value = cell.value.load(std::memory_order_relaxed);
-        }
-    }
-    return value;
-}
-
 void
 Registry::histRecord(const detail::HistDesc &desc, double v)
 {
@@ -437,12 +416,6 @@ Gauge::set(double v) const
     registry_->gaugeSet(slot_, v);
 }
 
-double
-Gauge::value() const
-{
-    return registry_ ? registry_->gaugeValue(slot_) : 0.0;
-}
-
 void
 Histogram::record(double v) const
 {
@@ -541,32 +514,6 @@ snapshotJson(const Registry &reg)
         entry(i, snap.histograms[i].name,
               histogramJson(snap.histograms[i]));
     out += snap.histograms.empty() ? "}\n}" : "\n  }\n}";
-    return out;
-}
-
-std::string
-snapshotNdjson(const Registry &reg)
-{
-    const Snapshot snap = reg.snapshot();
-    std::string out;
-    const auto line = [&out](const char *type, const std::string &name,
-                             const char *field, const std::string &value) {
-        out.append("{\"type\": \"")
-            .append(type)
-            .append("\", \"name\": \"")
-            .append(jsonEscape(name))
-            .append("\", \"")
-            .append(field)
-            .append("\": ")
-            .append(value)
-            .append("}\n");
-    };
-    for (const auto &c : snap.counters)
-        line("counter", c.first, "value", std::to_string(c.second));
-    for (const auto &g : snap.gauges)
-        line("gauge", g.first, "value", fmtDouble(g.second));
-    for (const HistogramSnapshot &h : snap.histograms)
-        line("histogram", h.name, "data", histogramJson(h));
     return out;
 }
 

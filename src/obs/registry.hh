@@ -95,7 +95,7 @@ class Counter
 /**
  * A last-write-wins gauge. Writes are globally sequenced with a
  * relaxed atomic ticket so the merge is well defined (the highest
- * ticket wins); reads merge across shards.
+ * ticket wins); the snapshot merges across shards.
  */
 class Gauge
 {
@@ -104,9 +104,6 @@ class Gauge
 
     /** Record the current value. */
     void set(double v) const;
-
-    /** @return The most recently set value (0 when never set). */
-    double value() const;
 
   private:
     friend class Registry;
@@ -267,7 +264,6 @@ class Registry
     void counterAdd(std::size_t slot, std::uint64_t n);
     std::uint64_t counterValue(std::size_t slot) const;
     void gaugeSet(std::size_t slot, double v);
-    double gaugeValue(std::size_t slot) const;
     void histRecord(const detail::HistDesc &desc, double v);
 
     const std::uint64_t id_;
@@ -292,9 +288,6 @@ Histogram::live() const
 
 /** Render a snapshot of `reg` as a pretty-printed JSON object. */
 std::string snapshotJson(const Registry &reg = Registry::global());
-
-/** Render a snapshot as NDJSON: one instrument object per line. */
-std::string snapshotNdjson(const Registry &reg = Registry::global());
 
 /**
  * RAII millisecond timer: records the scope's wall time into a

@@ -115,8 +115,9 @@ struct GlobalSchedule
  * planMinimalEnergy plan and the result is marked infeasible.
  *
  * Deterministic: apps, frontier points, and intervals are iterated
- * in fixed order and the simplex uses Bland's rule, so equal inputs
- * produce bit-equal plans regardless of thread or shard count.
+ * in fixed order and the LP is solved serially with a fixed pivoting
+ * rule (Bland's), so equal inputs produce bit-equal plans regardless
+ * of thread or shard count.
  *
  * @param demands    One entry per app (deadlines must be > 0).
  * @param idle_power Watts consumed by the idle machine.

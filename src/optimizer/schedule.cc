@@ -129,51 +129,6 @@ planMinimalEnergy(const linalg::Vector &performance,
     return plan;
 }
 
-Schedule
-planRaceToIdle(const linalg::Vector &performance,
-               const linalg::Vector &power, double idle_power,
-               const PerformanceConstraint &constraint)
-{
-    require(performance.size() == power.size() && !performance.empty(),
-            "planRaceToIdle: bad vectors");
-    require(constraint.deadlineSeconds > 0.0,
-            "planRaceToIdle: deadline must be > 0");
-
-    // All resources allocated: by the flattening convention the
-    // all-cores / all-threads / all-controllers / top-speed knob
-    // setting is the final configuration.
-    const std::size_t race_cfg = performance.size() - 1;
-    const double rate = performance[race_cfg];
-
-    Schedule plan;
-    const double busy =
-        rate > 0.0 ? constraint.work / rate
-                   : constraint.deadlineSeconds;
-    if (busy >= constraint.deadlineSeconds) {
-        plan.parts.push_back(
-            {race_cfg, constraint.deadlineSeconds});
-        plan.predictedEnergy =
-            power[race_cfg] * constraint.deadlineSeconds;
-        // An exactly-on-time run (busy == deadline, up to the same
-        // epsilon planMinimalEnergy uses for its feasibility check)
-        // is feasible — it just has no idle tail to append. Zero
-        // rate is only feasible when there is no work, matching
-        // planMinimalEnergy's target_rate <= fastest * (1 + eps).
-        plan.feasible =
-            (rate > 0.0 || constraint.work == 0.0) &&
-            busy <= constraint.deadlineSeconds * (1.0 + 1e-12);
-        return plan;
-    }
-    plan.parts.push_back({race_cfg, busy});
-    plan.parts.push_back(
-        {kIdleConfig, constraint.deadlineSeconds - busy});
-    plan.predictedEnergy =
-        power[race_cfg] * busy +
-        idle_power * (constraint.deadlineSeconds - busy);
-    plan.feasible = true;
-    return plan;
-}
-
 ExecutionResult
 executeSchedule(const Schedule &schedule,
                 const linalg::Vector &true_performance,

@@ -72,15 +72,6 @@ Schedule planMinimalEnergy(const linalg::Vector &performance,
                            double idle_power,
                            const PerformanceConstraint &constraint);
 
-/**
- * The race-to-idle heuristic (Section 6.2): run the configuration
- * with all resources allocated (by convention the final configuration
- * index), then idle.
- */
-Schedule planRaceToIdle(const linalg::Vector &performance,
-                        const linalg::Vector &power, double idle_power,
-                        const PerformanceConstraint &constraint);
-
 /** Outcome of executing a schedule against the true application. */
 struct ExecutionResult
 {

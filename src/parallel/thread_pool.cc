@@ -143,11 +143,4 @@ ThreadPool::global()
     return pool;
 }
 
-ThreadPool &
-ThreadPool::serial()
-{
-    static ThreadPool pool(0);
-    return pool;
-}
-
 } // namespace leo::parallel

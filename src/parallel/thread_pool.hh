@@ -123,9 +123,6 @@ class ThreadPool
      */
     static ThreadPool &global();
 
-    /** A process-wide zero-worker pool: everything runs inline. */
-    static ThreadPool &serial();
-
   private:
     /** A queued task plus its enqueue timestamp (for the
      *  `pool.wait.ms` observability histogram). */

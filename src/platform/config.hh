@@ -11,7 +11,6 @@
 #ifndef LEO_PLATFORM_CONFIG_HH
 #define LEO_PLATFORM_CONFIG_HH
 
-#include <compare>
 #include <cstddef>
 #include <string>
 
@@ -36,8 +35,6 @@ struct Config
 
     /** Total logical threads the application may run. */
     unsigned threads() const { return cores * threadsPerCore; }
-
-    auto operator<=>(const Config &) const = default;
 
     /** @return A compact human-readable rendering, e.g. "8c x2 2m s12". */
     std::string describe() const;

@@ -5,7 +5,6 @@
 
 #include "platform/config_space.hh"
 
-#include <algorithm>
 #include <sstream>
 
 namespace leo::platform
@@ -91,24 +90,6 @@ ConfigSpace::knobs(std::size_t c) const
 {
     require(c < knobs_.size(), "ConfigSpace index out of range");
     return knobs_[c];
-}
-
-std::optional<Config>
-ConfigSpace::config(std::size_t c) const
-{
-    require(c < assignments_.size(), "ConfigSpace index out of range");
-    if (configs_.empty())
-        return std::nullopt;
-    return configs_[c];
-}
-
-std::optional<std::size_t>
-ConfigSpace::indexOf(const Config &cfg) const
-{
-    const auto it = std::find(configs_.begin(), configs_.end(), cfg);
-    if (it == configs_.end())
-        return std::nullopt;
-    return static_cast<std::size_t>(it - configs_.begin());
 }
 
 std::string

@@ -13,7 +13,6 @@
 #ifndef LEO_PLATFORM_CONFIG_SPACE_HH
 #define LEO_PLATFORM_CONFIG_SPACE_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,17 +66,6 @@ class ConfigSpace
 
     /** @return Number of raw knobs per configuration. */
     std::size_t numKnobs() const { return num_knobs_; }
-
-    /** @return The knob encoding of configuration c (when available). */
-    std::optional<Config> config(std::size_t c) const;
-
-    /**
-     * Find the index of a knob configuration.
-     *
-     * @return The index, or nullopt when the space is not knob-based
-     *         (core-only spaces) or the config is absent.
-     */
-    std::optional<std::size_t> indexOf(const Config &cfg) const;
 
     /** @return A short name for the space ("full1024", "cores32", ...). */
     const std::string &name() const { return name_; }

@@ -53,19 +53,6 @@ Machine::frequencyGHz(unsigned speed_idx, unsigned active_cores) const
            share * (spec_.turboPeakGHz - spec_.turboAllCoreGHz);
 }
 
-double
-Machine::voltage(unsigned speed_idx) const
-{
-    require(speed_idx < spec_.speedSettings(),
-            "Machine: speed index out of range");
-    if (speed_idx < spec_.dvfsSteps) {
-        const double t = static_cast<double>(speed_idx) /
-                         static_cast<double>(spec_.dvfsSteps - 1);
-        return spec_.minVoltage + t * (spec_.maxVoltage - spec_.minVoltage);
-    }
-    return spec_.maxVoltage + spec_.turboVoltageBumpV;
-}
-
 ResourceAssignment
 Machine::assignment(const Config &cfg) const
 {
@@ -105,14 +92,6 @@ Machine::coreOnlyAssignment(unsigned logical_cores) const
     ra.activeSockets =
         (physical + spec_.coresPerSocket - 1) / spec_.coresPerSocket;
     return ra;
-}
-
-void
-Machine::apply(const Config &cfg) const
-{
-    // Simulation: validate only. A hardware backend would program
-    // sched_setaffinity, numactl membind and the cpufreq governor.
-    require(valid(cfg), "Machine: cannot apply invalid configuration");
 }
 
 bool

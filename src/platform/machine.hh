@@ -75,11 +75,10 @@ struct MachineSpec
 /**
  * The simulated machine.
  *
- * Stateless except for its spec: translation from knobs to physical
- * resources plus the electrical helper functions used by the workload
- * power models. apply() exists to keep the runtime control loop
- * shaped exactly like the real system (where it would set affinity
- * masks, numactl policy and cpufrequtils governors).
+ * Stateless except for its spec: translates knobs into the physical
+ * resources that the workload models consume. The power models read
+ * the spec's electrical constants (the V/f curve among them)
+ * directly.
  */
 class Machine
 {
@@ -100,9 +99,6 @@ class Machine
      */
     double frequencyGHz(unsigned speed_idx, unsigned active_cores) const;
 
-    /** Core voltage at a speed setting (linear V/f curve). */
-    double voltage(unsigned speed_idx) const;
-
     /**
      * Translate a knob configuration into physical resources.
      *
@@ -117,13 +113,6 @@ class Machine
      * hyperthread siblings engaged past 16.
      */
     ResourceAssignment coreOnlyAssignment(unsigned logical_cores) const;
-
-    /**
-     * Actuate a configuration. In the simulator this only validates
-     * the knobs; on real hardware this is where affinity masks,
-     * numactl and cpufrequtils calls would go.
-     */
-    void apply(const Config &cfg) const;
 
     /** @return True iff the knobs are inside the machine's ranges. */
     bool valid(const Config &cfg) const;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of scenario materialization and the runners.
+ * Implementation of scenario materialization and the runner.
  */
 
 #include "scenario/scenario.hh"
@@ -240,99 +240,6 @@ runScenario(Scenario &scenario,
     result.faultsInjected = monitor.injector().faultsInjected() +
                             meter.injector().faultsInjected();
     return result;
-}
-
-ServiceRunResult
-runScenarioService(
-    Scenario &scenario, const estimators::LeoEstimator &estimator,
-    std::shared_ptr<const telemetry::ProfileStore> prior,
-    parallel::ThreadPool &pool, ServiceRunOptions options)
-{
-    const Spec &spec = scenario.spec();
-    service::ServiceOptions sopts = options.service;
-    sopts.controller = scenario.controllerOptions(sopts.controller);
-
-    auto svc = std::make_unique<service::Service>(
-        scenario.space(), estimator, prior, pool, sopts);
-
-    const std::size_t tenants = spec.arrivals.tenants;
-    require(tenants > 0, "runScenarioService: zero tenants");
-    const std::string app_label = scenario.behaviorAt(0).name();
-
-    const telemetry::HeartbeatMonitor base_monitor;
-    const telemetry::WattsUpMeter base_meter;
-    // Per-tenant fault decorators and measurement-noise streams:
-    // tenant t's samples are a pure function of (spec, t), so
-    // schedules are independent of tenant count and drive order.
-    std::vector<std::unique_ptr<faults::FaultyHeartbeatMonitor>>
-        monitors;
-    std::vector<std::unique_ptr<faults::FaultyPowerMeter>> meters;
-    std::vector<stats::Rng> rngs;
-
-    ServiceRunResult out;
-    out.schedules.resize(tenants);
-    std::size_t admitted = 0;
-
-    for (std::size_t w = 0; w < spec.frames; ++w) {
-        while (admitted < tenants &&
-               w >= admitted * spec.arrivals.spacingWindows) {
-            service::TenantConfig tc;
-            tc.appId = app_label;
-            tc.targetRate =
-                scenario.targetRate() *
-                (1.0 + spec.arrivals.rateSpread *
-                           static_cast<double>(admitted) /
-                           static_cast<double>(tenants));
-            tc.seed = spec.seed + admitted;
-            const auto id = svc->admit(tc);
-            require(id.has_value(),
-                    "runScenarioService: admission rejected");
-            out.tenants.push_back(*id);
-            faults::FaultScenario tenant_faults = spec.faults;
-            tenant_faults.seed += admitted;
-            monitors.push_back(
-                std::make_unique<faults::FaultyHeartbeatMonitor>(
-                    base_monitor, tenant_faults));
-            meters.push_back(
-                std::make_unique<faults::FaultyPowerMeter>(
-                    base_meter, tenant_faults));
-            rngs.emplace_back(spec.seed +
-                              0x9e3779b97f4a7c15ull *
-                                  (admitted + 1));
-            ++admitted;
-        }
-
-        const workloads::ApplicationBehavior &behavior =
-            scenario.behaviorAt(w);
-        for (std::size_t t = 0; t < out.tenants.size(); ++t) {
-            const std::size_t cfg = svc->nextConfig(out.tenants[t]);
-            out.schedules[t].push_back(cfg);
-            const platform::ResourceAssignment &ra =
-                scenario.space().assignment(cfg);
-            telemetry::Sample s;
-            s.configIndex = cfg;
-            s.heartbeatRate =
-                monitors[t]->measureRate(behavior, ra, rngs[t]);
-            s.powerWatts = meters[t]->read(behavior, ra, rngs[t]);
-            svc->submit(out.tenants[t], s);
-        }
-        svc->tick();
-        ++out.windowsProcessed;
-
-        if (options.snapshotAtWindow != 0 &&
-            w + 1 == options.snapshotAtWindow) {
-            linalg::ByteWriter bw;
-            svc->saveSnapshot(bw);
-            auto fresh = std::make_unique<service::Service>(
-                scenario.space(), estimator, prior, pool, sopts);
-            linalg::ByteReader br(bw.bytes());
-            require(fresh->restoreSnapshot(br),
-                    "runScenarioService: snapshot restore failed");
-            svc = std::move(fresh);
-            out.restored = true;
-        }
-    }
-    return out;
 }
 
 } // namespace leo::scenario

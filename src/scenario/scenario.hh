@@ -1,6 +1,6 @@
 /**
  * @file
- * Scenario materialization and closed-loop runners.
+ * Scenario materialization and the closed-loop runner.
  *
  * A Scenario binds a Spec (scenario/spec.hh) to a concrete machine
  * and configuration space: it builds the workload backend (analytic
@@ -8,24 +8,13 @@
  * demand, precomputes per-phase ground truth for oracle controllers,
  * and exposes the per-frame behavior the runners drive.
  *
- * Two runners consume a Scenario:
- *
- *  - runScenario() is the single-tenant closed loop, and the only
- *    one in the repository: the Section 6.6 experiment (fig13, tab01,
- *    examples/phase_adaptive) is a two-phase Spec run through it.
- *    Every frame the controller picks a configuration, sees noisy
- *    telemetry through the scenario's fault decorators, and the
- *    runner accounts the frame's true time and energy, including
- *    slack idling within the frame period ("pace to idle") and late
- *    frames when the chosen configuration is too slow.
- *
- *  - runScenarioService() drives the scenario through leo::service:
- *    tenants arrive per the spec's ArrivalSpec, every tenant replays
- *    the same workload with its own measurement-noise and fault
- *    streams, and the per-tenant config schedules come back for
- *    determinism assertions. An optional mid-run snapshot round-trip
- *    (save into a fresh service, restore, continue) exercises the
- *    service's resume-bit-for-bit contract under trace workloads.
+ * runScenario() is the single-tenant closed loop: the Section 6.6
+ * experiment (fig13, tab01, examples/phase_adaptive) is a two-phase
+ * Spec run through it. Every frame the controller picks a
+ * configuration, sees noisy telemetry through the scenario's fault
+ * decorators, and the runner accounts the frame's true time and
+ * energy, including slack idling within the frame period ("pace to
+ * idle") and late frames when the chosen configuration is too slow.
  */
 
 #ifndef LEO_SCENARIO_SCENARIO_HH
@@ -37,7 +26,6 @@
 #include "platform/machine.hh"
 #include "runtime/controller.hh"
 #include "scenario/spec.hh"
-#include "service/service.hh"
 #include "workloads/ground_truth.hh"
 #include "workloads/trace.hh"
 
@@ -71,17 +59,13 @@ class Scenario
     /** @return The configuration space. */
     const platform::ConfigSpace &space() const { return space_; }
 
-    /** Resolved performance demand (auto-resolved when the spec said
-     *  0: half the peak rate of the first phase/segment). */
-    double targetRate() const { return target_; }
-
     /** @return Frames the scenario runs. */
     std::size_t totalFrames() const { return total_frames_; }
     /** @return Number of phases (trace: segments). */
     std::size_t numPhases() const { return truths_.size(); }
     /** @return Phase index containing a global frame; frames past
-     *  the end stay in the last phase (service runs may outlast
-     *  the spec's frame count). */
+     *  the end stay in the last phase (a caller may run past the
+     *  spec's frame count). */
     std::size_t phaseIndexAt(std::size_t frame) const;
 
     /**
@@ -97,8 +81,10 @@ class Scenario
 
     /**
      * Controller options with the scenario applied: the resolved
-     * demand, the machine's idle power, and the spec's change-point
-     * policy/method. Everything else passes through from @p base.
+     * demand (when the spec said 0, half the peak rate of the first
+     * phase/segment), the machine's idle power, and the spec's
+     * change-point policy. Everything else passes through from
+     * @p base.
      */
     runtime::ControllerOptions controllerOptions(
         runtime::ControllerOptions base = {}) const;
@@ -174,46 +160,6 @@ RunResult runScenario(Scenario &scenario,
                       const estimators::Estimator *estimator,
                       const telemetry::ProfileStore &prior,
                       runtime::ControllerOptions base = {});
-
-/** Knobs of the service-driven runner. */
-struct ServiceRunOptions
-{
-    /** After this many windows, snapshot the service, restore into a
-     *  fresh one and continue there (0 = never). No shipped caller
-     *  sets it: it stays as the only mid-run restore a scenario-driven
-     *  fleet run gets. */
-    std::size_t snapshotAtWindow = 0;
-    /** Service knobs; the controller template inherits the
-     *  scenario's demand and change-point policy. */
-    service::ServiceOptions service;
-};
-
-/** Result of a service-driven scenario run. */
-struct ServiceRunResult
-{
-    /** Tenant ids in admission order. */
-    std::vector<std::uint64_t> tenants;
-    /** Config schedule per tenant (admission order); tenant t's
-     *  schedule starts at its admission window. */
-    std::vector<std::vector<std::size_t>> schedules;
-    /** Windows driven. */
-    std::size_t windowsProcessed = 0;
-    /** True iff the snapshot round-trip ran. */
-    bool restored = false;
-};
-
-/**
- * Drive a scenario's tenant population through leo::service.
- *
- * Tenant t is admitted at window t * spacingWindows with demand
- * target * (1 + rateSpread * t / tenants), its own seed and its own
- * fault stream. Deterministic: the schedules depend only on the spec
- * and the service options, never on shard or thread count.
- */
-ServiceRunResult runScenarioService(
-    Scenario &scenario, const estimators::LeoEstimator &estimator,
-    std::shared_ptr<const telemetry::ProfileStore> prior,
-    parallel::ThreadPool &pool, ServiceRunOptions options = {});
 
 } // namespace leo::scenario
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -356,96 +355,6 @@ Spec::fromString(const std::string &text)
 {
     return fields::looksLikeJson(text) ? fromJsonDoc(text)
                                        : fromTextDoc(text);
-}
-
-Spec
-Spec::fromFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    require(in.good(), "scenario: cannot read '" + path + "'");
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return fromString(buf.str());
-}
-
-std::string
-Spec::toString() const
-{
-    std::string out;
-    out += "name " + name + "\n";
-    out += "workload ";
-    out += workload == WorkloadKind::Analytic ? "analytic"
-           : workload == WorkloadKind::Phased ? "phased"
-                                              : "trace";
-    out += "\n";
-    out += "app " + app + "\n";
-    out += "target " + formatNumber(targetRate) + "\n";
-    out += "frames " + std::to_string(frames) + "\n";
-    out += "seed " + std::to_string(seed) + "\n";
-    out += "changepoint ";
-    out += changePointPolicy == runtime::ChangePointPolicy::Off
-               ? "off"
-               : "coldrefit";
-    out += "\n";
-    // Every fault field off its default, so a value the fault
-    // injector would reject (a negative probability, say) survives
-    // the round trip and is rejected there too.
-    const faults::FaultScenario none;
-    std::string fault;
-    if (faults.nanProb != none.nanProb)
-        fault += " nan=" + formatNumber(faults.nanProb);
-    if (faults.infProb != none.infProb)
-        fault += " inf=" + formatNumber(faults.infProb);
-    if (faults.dropoutProb != none.dropoutProb)
-        fault += " dropout=" + formatNumber(faults.dropoutProb);
-    if (faults.outlierProb != none.outlierProb)
-        fault += " outlier=" + formatNumber(faults.outlierProb);
-    if (faults.outlierProb != none.outlierProb ||
-        faults.outlierScale != none.outlierScale)
-        fault += " outlier_scale=" + formatNumber(faults.outlierScale);
-    if (faults.staleProb != none.staleProb)
-        fault += " stale=" + formatNumber(faults.staleProb);
-    if (faults.seed != none.seed)
-        fault += " seed=" + std::to_string(faults.seed);
-    if (!fault.empty())
-        out += "fault" + fault + "\n";
-    for (const PhaseSpec &ph : phases) {
-        out += "phase " + ph.app +
-               " frames=" + std::to_string(ph.frames) +
-               " scale=" + formatNumber(ph.scale) + "\n";
-    }
-    if (!traceFile.empty())
-        out += "trace_file " + traceFile + "\n";
-    if (!traceText.empty()) {
-        // The first of END, END1, END2, ... that no body line reads
-        // as, so the heredoc closes where the body does.
-        std::vector<std::string> lines;
-        std::stringstream body(traceText);
-        for (std::string line; std::getline(body, line);)
-            lines.push_back(fields::stripLine(line));
-        std::string delim = "END";
-        for (std::size_t k = 1; std::find(lines.begin(), lines.end(),
-                                          delim) != lines.end();
-             ++k)
-            delim = "END" + std::to_string(k);
-        out += "trace_inline <<" + delim + "\n";
-        out += traceText;
-        if (traceText.back() != '\n')
-            out += '\n';
-        out += delim + "\n";
-    }
-    if (arrivals.tenants != 1 || arrivals.spacingWindows != 0 ||
-        arrivals.rateSpread != 0.0) {
-        out += "tenants " + std::to_string(arrivals.tenants);
-        if (arrivals.spacingWindows != 0)
-            out += " spacing=" +
-                   std::to_string(arrivals.spacingWindows);
-        if (arrivals.rateSpread != 0.0)
-            out +=
-                " rate_spread=" + formatNumber(arrivals.rateSpread);
-        out += "\n";
-    }
-    return out;
 }
 
 std::vector<Spec>

@@ -9,10 +9,9 @@
  * sensor-fault scenario corrupts its telemetry, what performance
  * demand it paces, how tenants arrive when run through the service,
  * and which controller adaptation policy watches for phase changes.
- * Specs parse from a small line-based text grammar or from JSON,
- * render back to canonical text (round-trip stable), and expand into
- * combinatorial grids — so robustness/property tests and the
- * change-point bench enumerate generated scenarios instead of
+ * Specs parse from a small line-based text grammar or from JSON and
+ * expand into combinatorial grids — so robustness/property tests and
+ * the change-point bench enumerate generated scenarios instead of
  * hand-written ones.
  *
  * Text grammar (one directive per line; '#' comments; CRLF ok):
@@ -36,11 +35,10 @@
  *
  * A directive without options takes exactly one value. Free-text
  * values (name, app, trace_file, a phase's app) are one token: no
- * blank, '#' or control character, in either form. toString() closes
- * a heredoc with the first of END, END1, END2, ... that no body line
- * reads as, and a body is stored without carriage returns at line
- * ends, so every spec the parser accepts renders to text that parses
- * back to the same rendering.
+ * blank, '#' or control character, in either form. A heredoc body is
+ * stored without carriage returns at line ends. The tenants directive
+ * sets the arrival pattern that the tests' service-driven runner
+ * (tests/support/scenario_runner.hh) reads.
  *
  * JSON uses the same keys: {"name": ..., "workload": "phased",
  * "target": 4.0, "phases": [{"app": "x264", "frames": 60,
@@ -90,7 +88,9 @@ struct PhaseSpec
     std::size_t frames = 0;
 };
 
-/** Tenant arrival pattern for service-driven runs. */
+/** Tenant arrival pattern for service-driven runs (read by the
+ *  tests' runner; no program drives a scenario through the
+ *  service). */
 struct ArrivalSpec
 {
     /** Tenants admitted over the run. */
@@ -140,11 +140,6 @@ struct Spec
      */
     static Spec fromString(const std::string &text);
 
-    /** Parse a spec file. @throws leo::FatalError when unreadable. */
-    static Spec fromFile(const std::string &path);
-
-    /** Canonical text rendering; fromString(toString()) == *this. */
-    std::string toString() const;
 };
 
 /**

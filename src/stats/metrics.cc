@@ -6,7 +6,6 @@
 #include "stats/metrics.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/error.hh"
 
@@ -32,83 +31,6 @@ accuracy(const linalg::Vector &estimate, const linalg::Vector &truth)
         return num == 0.0 ? 1.0 : 0.0;
     }
     return std::max(1.0 - num / den, 0.0);
-}
-
-double
-rmse(const linalg::Vector &estimate, const linalg::Vector &truth)
-{
-    require(estimate.size() == truth.size() && !truth.empty(),
-            "rmse: dimension mismatch or empty input");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-        const double e = estimate[i] - truth[i];
-        acc += e * e;
-    }
-    return std::sqrt(acc / static_cast<double>(truth.size()));
-}
-
-double
-meanAbsoluteError(const linalg::Vector &estimate,
-                  const linalg::Vector &truth)
-{
-    require(estimate.size() == truth.size() && !truth.empty(),
-            "meanAbsoluteError: dimension mismatch or empty input");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < truth.size(); ++i)
-        acc += std::abs(estimate[i] - truth[i]);
-    return acc / static_cast<double>(truth.size());
-}
-
-double
-meanAbsolutePercentageError(const linalg::Vector &estimate,
-                            const linalg::Vector &truth)
-{
-    require(estimate.size() == truth.size() && !truth.empty(),
-            "meanAbsolutePercentageError: bad input");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < truth.size(); ++i) {
-        require(truth[i] != 0.0,
-                "meanAbsolutePercentageError: zero truth entry");
-        acc += std::abs((estimate[i] - truth[i]) / truth[i]);
-    }
-    return acc / static_cast<double>(truth.size());
-}
-
-double
-pearsonCorrelation(const linalg::Vector &a, const linalg::Vector &b)
-{
-    require(a.size() == b.size() && a.size() >= 2,
-            "pearsonCorrelation: bad input");
-    const double ma = a.mean();
-    const double mb = b.mean();
-    double sab = 0.0, saa = 0.0, sbb = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double da = a[i] - ma;
-        const double db = b[i] - mb;
-        sab += da * db;
-        saa += da * da;
-        sbb += db * db;
-    }
-    if (saa == 0.0 || sbb == 0.0)
-        return 0.0;
-    return sab / std::sqrt(saa * sbb);
-}
-
-double
-sampleVariance(const linalg::Vector &v)
-{
-    require(v.size() >= 2, "sampleVariance needs >= 2 points");
-    const double m = v.mean();
-    double acc = 0.0;
-    for (double x : v)
-        acc += (x - m) * (x - m);
-    return acc / static_cast<double>(v.size() - 1);
-}
-
-double
-sampleStddev(const linalg::Vector &v)
-{
-    return std::sqrt(sampleVariance(v));
 }
 
 } // namespace leo::stats

@@ -28,27 +28,6 @@ namespace leo::stats
 double accuracy(const linalg::Vector &estimate,
                 const linalg::Vector &truth);
 
-/** Root mean squared error between two vectors. */
-double rmse(const linalg::Vector &estimate, const linalg::Vector &truth);
-
-/** Mean absolute error between two vectors. */
-double meanAbsoluteError(const linalg::Vector &estimate,
-                         const linalg::Vector &truth);
-
-/** Mean absolute percentage error (truth entries must be nonzero). */
-double meanAbsolutePercentageError(const linalg::Vector &estimate,
-                                   const linalg::Vector &truth);
-
-/** Pearson correlation coefficient of two vectors. */
-double pearsonCorrelation(const linalg::Vector &a,
-                          const linalg::Vector &b);
-
-/** Sample variance (denominator n - 1). */
-double sampleVariance(const linalg::Vector &v);
-
-/** Sample standard deviation. */
-double sampleStddev(const linalg::Vector &v);
-
 } // namespace leo::stats
 
 #endif // LEO_STATS_METRICS_HH

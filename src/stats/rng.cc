@@ -35,20 +35,6 @@ Rng::gaussian(double mean, double stddev)
     return d(engine_);
 }
 
-double
-Rng::logNormal(double mu, double sigma)
-{
-    std::lognormal_distribution<double> d(mu, sigma);
-    return d(engine_);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    std::bernoulli_distribution d(p);
-    return d(engine_);
-}
-
 std::vector<std::size_t>
 Rng::sampleWithoutReplacement(std::size_t n, std::size_t k)
 {
@@ -63,12 +49,6 @@ Rng::sampleWithoutReplacement(std::size_t n, std::size_t k)
     }
     pool.resize(k);
     return pool;
-}
-
-void
-Rng::shuffle(std::vector<std::size_t> &v)
-{
-    std::shuffle(v.begin(), v.end(), engine_);
 }
 
 Rng

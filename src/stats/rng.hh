@@ -40,21 +40,12 @@ class Rng
     /** @return A draw from N(mean, stddev^2). */
     double gaussian(double mean = 0.0, double stddev = 1.0);
 
-    /** @return A draw from LogNormal(mu, sigma) (of the underlying normal). */
-    double logNormal(double mu, double sigma);
-
-    /** @return True with probability p. */
-    bool bernoulli(double p);
-
     /**
      * Sample k distinct values from {0, ..., n-1} without
      * replacement (partial Fisher-Yates), in random order.
      */
     std::vector<std::size_t> sampleWithoutReplacement(std::size_t n,
                                                       std::size_t k);
-
-    /** Shuffle a vector of indices in place. */
-    void shuffle(std::vector<std::size_t> &v);
 
     /** Fork an independent generator (for parallel sub-streams). */
     Rng fork();

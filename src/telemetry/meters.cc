@@ -32,20 +32,6 @@ WattsUpMeter::read(const workloads::ApplicationBehavior &model,
     return std::max(reading, 0.0);
 }
 
-RaplMeter::RaplMeter(double noise_watts) : noise_watts_(noise_watts)
-{
-    require(noise_watts_ >= 0.0, "RaplMeter: negative noise");
-}
-
-double
-RaplMeter::read(const workloads::ApplicationBehavior &model,
-                const platform::ResourceAssignment &ra,
-                stats::Rng &rng) const
-{
-    const double truth = model.chipPowerWatts(ra);
-    return std::max(truth + rng.gaussian(0.0, noise_watts_), 0.0);
-}
-
 HeartbeatMonitor::HeartbeatMonitor(double relative_noise)
     : relative_noise_(relative_noise)
 {

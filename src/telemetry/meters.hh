@@ -3,12 +3,11 @@
  * Simulated power meters and the heartbeat monitor.
  *
  * The testbed of Section 6.1 is instrumented with a WattsUp wall
- * meter (total system power at 1 s intervals), Intel RAPL chip-power
- * counters, and the Application Heartbeats library for performance
- * feedback. These classes reproduce those interfaces over the
- * application models, injecting the measurement noise that the first
- * layer of the hierarchical model (Figure 3, "filtration layer")
- * exists to absorb.
+ * meter (total system power at 1 s intervals) and the Application
+ * Heartbeats library for performance feedback. These classes
+ * reproduce those interfaces over the application models, injecting
+ * the measurement noise that the first layer of the hierarchical
+ * model (Figure 3, "filtration layer") exists to absorb.
  */
 
 #ifndef LEO_TELEMETRY_METERS_HH
@@ -41,9 +40,6 @@ class PowerMeter
     virtual double read(const workloads::ApplicationBehavior &model,
                         const platform::ResourceAssignment &ra,
                         stats::Rng &rng) const = 0;
-
-    /** @return The meter's sampling interval in seconds. */
-    virtual double intervalSeconds() const = 0;
 };
 
 /**
@@ -64,31 +60,9 @@ class WattsUpMeter : public PowerMeter
                 const platform::ResourceAssignment &ra,
                 stats::Rng &rng) const override;
 
-    double intervalSeconds() const override { return 1.0; }
-
   private:
     double relative_noise_;
     double quantum_;
-};
-
-/**
- * RAPL-style chip meter: package power only (no platform overheads),
- * fine-grained interval, small absolute noise.
- */
-class RaplMeter : public PowerMeter
-{
-  public:
-    /** @param noise_watts 1-sigma absolute error of a reading. */
-    explicit RaplMeter(double noise_watts = 0.4);
-
-    double read(const workloads::ApplicationBehavior &model,
-                const platform::ResourceAssignment &ra,
-                stats::Rng &rng) const override;
-
-    double intervalSeconds() const override { return 0.001; }
-
-  private:
-    double noise_watts_;
 };
 
 /**

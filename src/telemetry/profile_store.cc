@@ -51,13 +51,6 @@ ProfileStore::spaceSize() const
     return records_.empty() ? 0 : records_.front().performance.size();
 }
 
-const ApplicationRecord &
-ProfileStore::record(std::size_t i) const
-{
-    require(i < records_.size(), "ProfileStore index out of range");
-    return records_[i];
-}
-
 bool
 ProfileStore::contains(const std::string &name) const
 {

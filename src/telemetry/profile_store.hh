@@ -69,9 +69,6 @@ class ProfileStore
     /** @return Number of configurations per record. */
     std::size_t spaceSize() const;
 
-    /** @return Record i. */
-    const ApplicationRecord &record(std::size_t i) const;
-
     /** @return All records. */
     const std::vector<ApplicationRecord> &records() const
     {

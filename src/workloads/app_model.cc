@@ -185,13 +185,6 @@ ApplicationModel::chipPowerRaw(
 }
 
 double
-ApplicationModel::chipPowerWatts(
-    const platform::ResourceAssignment &ra) const
-{
-    return chipPowerRaw(ra) * texture(ra, 0x77a3);
-}
-
-double
 ApplicationModel::powerWatts(const platform::ResourceAssignment &ra) const
 {
     const platform::MachineSpec &spec = machine_.spec();

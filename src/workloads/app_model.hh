@@ -113,10 +113,6 @@ class ApplicationBehavior
     virtual double
     powerWatts(const platform::ResourceAssignment &ra) const = 0;
 
-    /** True chip ("RAPL") power: sockets only, no platform share. */
-    virtual double
-    chipPowerWatts(const platform::ResourceAssignment &ra) const = 0;
-
     /** Wall power of the idle system. */
     virtual double idlePowerWatts() const = 0;
 };
@@ -159,13 +155,6 @@ class ApplicationModel : public ApplicationBehavior
     double
     powerWatts(const platform::ResourceAssignment &ra) const override;
 
-    /**
-     * True chip ("RAPL") power: both sockets, excluding platform
-     * overheads (fans, disks, DRAM, PSU loss).
-     */
-    double chipPowerWatts(
-        const platform::ResourceAssignment &ra) const override;
-
     /** Wall power of the idle system. */
     double idlePowerWatts() const override;
 
@@ -180,7 +169,7 @@ class ApplicationModel : public ApplicationBehavior
     };
     PerfBreakdown perf(const platform::ResourceAssignment &ra) const;
 
-    /** Chip power excluding texture; helper for both power queries. */
+    /** Chip power (both sockets) before the texture ripple. */
     double chipPowerRaw(const platform::ResourceAssignment &ra) const;
 
     /** Deterministic ripple factor in [1-amp, 1+amp]. */

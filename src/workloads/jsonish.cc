@@ -9,13 +9,6 @@
 namespace leo::workloads::jsonish
 {
 
-bool
-Value::asBool() const
-{
-    require(kind_ == Kind::Bool, "jsonish: value is not a boolean");
-    return bool_;
-}
-
 const std::string &
 Value::numberText() const
 {
@@ -67,11 +60,10 @@ Value::makeNull()
 }
 
 Value
-Value::makeBool(bool b)
+Value::makeBool()
 {
     Value v;
     v.kind_ = Kind::Bool;
-    v.bool_ = b;
     return v;
 }
 
@@ -194,10 +186,10 @@ class Parser
             return Value::makeString(parseString());
         case 't':
             parseKeyword("true");
-            return Value::makeBool(true);
+            return Value::makeBool();
         case 'f':
             parseKeyword("false");
-            return Value::makeBool(false);
+            return Value::makeBool();
         case 'n':
             parseKeyword("null");
             return Value::makeNull();

@@ -54,15 +54,10 @@ class Value
     /** @return This value's kind. */
     Kind kind() const { return kind_; }
 
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }
     bool isObject() const { return kind_ == Kind::Object; }
 
-    /** @return The boolean payload (kind must be Bool). */
-    bool asBool() const;
     /** @return A number's source text, exactly as written (kind must
      *  be Number). Read it with the workloads/fields.hh parsers,
      *  which own the range checks, so a count never passes through
@@ -80,9 +75,10 @@ class Value
     /** @return The member (kind must be Object; key must exist). */
     const Value &at(const std::string &key) const;
 
-    /** Factory helpers used by the parser. */
+    /** Factory helpers used by the parser. A boolean keeps only its
+     *  kind: no reader takes its value. */
     static Value makeNull();
-    static Value makeBool(bool b);
+    static Value makeBool();
     static Value makeNumber(std::string text);
     static Value makeString(std::string s);
     static Value makeArray(std::vector<Value> items);
@@ -90,7 +86,6 @@ class Value
 
   private:
     Kind kind_ = Kind::Null;
-    bool bool_ = false;
     /** String payload, or a number's source text. */
     std::string string_;
     std::vector<Value> items_;

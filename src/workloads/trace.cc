@@ -220,15 +220,6 @@ TraceTable::maxIndex() const
     return m;
 }
 
-std::size_t
-TraceTable::totalWorkUnits() const
-{
-    std::size_t total = 0;
-    for (const auto &seg : segments)
-        total += seg.workUnits;
-    return total;
-}
-
 TraceApplicationModel::TraceApplicationModel(
     TraceTable table, const platform::ConfigSpace &space,
     TraceModelOptions options)
@@ -275,15 +266,6 @@ TraceApplicationModel::powerWatts(
 }
 
 double
-TraceApplicationModel::chipPowerWatts(
-    const platform::ResourceAssignment &ra) const
-{
-    // Traces measure wall power; attribute everything above the idle
-    // baseline to the chips.
-    return std::max(powerWatts(ra) - options_.idlePowerWatts, 0.0);
-}
-
-double
 TraceApplicationModel::idlePowerWatts() const
 {
     return options_.idlePowerWatts;
@@ -292,14 +274,7 @@ TraceApplicationModel::idlePowerWatts() const
 void
 TraceApplicationModel::setWorkUnit(std::size_t unit)
 {
-    unit_ = unit;
     active_ = segmentAt(unit);
-}
-
-void
-TraceApplicationModel::advance(std::size_t units)
-{
-    setWorkUnit(unit_ + units);
 }
 
 std::size_t

@@ -102,8 +102,6 @@ struct TraceTable
     /** @return The largest config index appearing in any segment. */
     std::size_t maxIndex() const;
 
-    /** @return Total work units across bounded segments. */
-    std::size_t totalWorkUnits() const;
 };
 
 /** Construction knobs for TraceApplicationModel. */
@@ -121,9 +119,9 @@ struct TraceModelOptions
  *
  * Dense per-segment performance/power vectors are materialized once
  * at construction (interpolation), so queries are pure table lookups
- * and bitwise reproducible. The model carries a work-unit
- * clock: setWorkUnit() (or advance()) selects the active segment,
- * mirroring how the phased runner advances frames.
+ * and bitwise reproducible. The model carries a work-unit clock:
+ * setWorkUnit() selects the active segment, mirroring how the phased
+ * runner advances frames.
  */
 class TraceApplicationModel : public ApplicationBehavior
 {
@@ -146,18 +144,11 @@ class TraceApplicationModel : public ApplicationBehavior
         const platform::ResourceAssignment &ra) const override;
     double
     powerWatts(const platform::ResourceAssignment &ra) const override;
-    double chipPowerWatts(
-        const platform::ResourceAssignment &ra) const override;
     double idlePowerWatts() const override;
 
-    /** Move the work-unit clock (absolute). */
+    /** Move the work-unit clock (absolute): the segment it sits in
+     *  answers the rate and power queries. */
     void setWorkUnit(std::size_t unit);
-    /** Advance the work-unit clock by @p units. */
-    void advance(std::size_t units = 1);
-    /** @return The current work-unit clock. */
-    std::size_t workUnit() const { return unit_; }
-    /** @return Index of the segment the clock sits in. */
-    std::size_t activeSegment() const { return active_; }
     /** @return Number of segments. */
     std::size_t numSegments() const { return perf_.size(); }
     /** @return The segment active at an arbitrary work unit. */
@@ -180,7 +171,6 @@ class TraceApplicationModel : public ApplicationBehavior
     std::vector<linalg::Vector> power_; //!< [segment] dense watts.
     std::vector<std::size_t> starts_;   //!< Segment start work units.
     std::map<std::array<std::uint64_t, 7>, std::size_t> lookup_;
-    std::size_t unit_ = 0;
     std::size_t active_ = 0;
 };
 

@@ -95,17 +95,6 @@ TEST(LeoSystem, EstimateWithoutExclusionUsesWholePrior)
     EXPECT_GE(acc_with, acc_without - 0.05);
 }
 
-TEST(LeoSystem, MakeControllerWired)
-{
-    auto sys = smallSystem(5);
-    auto ctl = sys.makeController(25.0);
-    EXPECT_EQ(ctl.state(),
-              runtime::EnergyController::State::Sampling);
-    EXPECT_EQ(ctl.options().sampleBudget, 5u);
-    EXPECT_DOUBLE_EQ(ctl.options().idlePower,
-                     sys.machine().spec().idleSystemPowerW);
-}
-
 TEST(LeoSystem, RejectsMismatchedPrior)
 {
     platform::Machine machine;

@@ -4,7 +4,9 @@
  * Online (polynomial regression) and Offline (prior mean).
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 
@@ -21,6 +23,7 @@
 #include "platform/config_space.hh"
 #include "obs/obs.hh"
 #include "stats/metrics.hh"
+#include "support/dense.hh"
 #include "support/mvn.hh"
 #include "telemetry/sampler.hh"
 #include "workloads/ground_truth.hh"
@@ -242,7 +245,8 @@ TEST(Online, PredictionsNonNegative)
     estimators::OnlineEstimator online;
     auto est = online.estimateMetric(w.space, {}, obs.indices,
                                      obs.performance);
-    EXPECT_GE(est.values.min(), 0.0);
+    EXPECT_GE(*std::min_element(est.values.begin(), est.values.end()),
+              0.0);
 }
 
 // ------------------------------------------------------------------ LEO
@@ -387,10 +391,19 @@ TEST(Leo, ZeroObservationsEqualsOfflineShape)
     auto fit = leo.fitMetric(prior, {}, Vector{});
     Vector offline_shape =
         estimators::OfflineEstimator::meanShape(prior);
-    // Same shape up to the gentle EM smoothing: high correlation.
-    EXPECT_GT(stats::pearsonCorrelation(fit.prediction,
-                                        offline_shape),
-              0.99);
+    // Same shape up to the gentle EM smoothing: high (Pearson)
+    // correlation.
+    const double mean_fit = fit.prediction.mean();
+    const double mean_off = offline_shape.mean();
+    double sxy = 0.0, sxx = 0.0, syy = 0.0;
+    for (std::size_t j = 0; j < offline_shape.size(); ++j) {
+        const double dx = fit.prediction[j] - mean_fit;
+        const double dy = offline_shape[j] - mean_off;
+        sxy += dx * dy;
+        sxx += dx * dx;
+        syy += dy * dy;
+    }
+    EXPECT_GT(sxy / std::sqrt(sxx * syy), 0.99);
 }
 
 TEST(Leo, LearnedSigmaCapturesConfigCorrelation)
@@ -413,7 +426,7 @@ TEST(Leo, LearnedSigmaCapturesConfigCorrelation)
         return s(i, j) / std::sqrt(s(i, i) * s(j, j));
     };
     EXPECT_GT(corr(10, 11), corr(2, 30));
-    EXPECT_TRUE(s.isSymmetric(1e-8));
+    EXPECT_TRUE(support::isSymmetric(s, 1e-8));
 }
 
 TEST(Leo, CovarianceMaterializesTheFactors)
@@ -438,7 +451,7 @@ TEST(Leo, CovarianceMaterializesTheFactors)
     ASSERT_EQ(q, fit.rank());
     ASSERT_EQ(s.rows(), n);
     ASSERT_EQ(s.cols(), n);
-    EXPECT_TRUE(s.isSymmetric(0.0));
+    EXPECT_TRUE(support::isSymmetric(s, 0.0));
     for (std::size_t j = 0; j < n; ++j) {
         double quad = 0.0;
         for (std::size_t a = 0; a < q; ++a)
@@ -564,7 +577,9 @@ TEST(Estimator, EstimateRunsBothMetrics)
     EXPECT_TRUE(est.performance.reliable);
     EXPECT_TRUE(est.power.reliable);
     // Power estimates stay in a physically sane band.
-    EXPECT_GT(est.power.values.min(), 50.0);
+    EXPECT_GT(*std::min_element(est.power.values.begin(),
+                                est.power.values.end()),
+              50.0);
     EXPECT_LT(est.power.values.max(), 500.0);
 }
 
@@ -717,8 +732,8 @@ TEST(LeoParallel, SharedGlobalPoolMatchesSerial)
     // The process-wide pool runs the identical computations.
     const estimators::LeoEstimator leo;
     const std::vector<FitProblem> problems = fourProblems();
-    const auto serial =
-        batchFits(leo, problems, parallel::ThreadPool::serial());
+    parallel::ThreadPool inline_pool(0);
+    const auto serial = batchFits(leo, problems, inline_pool);
     const auto pooled =
         batchFits(leo, problems, parallel::ThreadPool::global());
     for (std::size_t i = 0; i < problems.size(); ++i)

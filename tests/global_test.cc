@@ -6,10 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "linalg/error.hh"
+#include "obs/obs.hh"
 #include "optimizer/global.hh"
+#include "platform/config_space.hh"
 #include "stats/rng.hh"
+#include "workloads/ground_truth.hh"
+#include "workloads/suite.hh"
 
 using namespace leo;
 using linalg::Vector;
@@ -354,4 +360,101 @@ TEST(GreedyBaseline, CapStarvationMakesGreedyInfeasible)
         EXPECT_GE(greedy.predictedEnergy,
                   global.predictedEnergy * (1.0 - 1e-9));
     }
+}
+
+// ------------------------------------------- 16-tenant LP regression
+
+namespace
+{
+
+/**
+ * The fleet LP repro: 16 suite applications on the 256-configuration
+ * reduced space. App a has deadline 1 + (a mod 4) s and work
+ * (1.2 / 16) * its peak rate * its deadline, so the interval LP has
+ * 20 rows and about 1600 frontier columns.
+ */
+std::vector<TenantDemand>
+sixteenTenants(const platform::Machine &machine)
+{
+    const auto space = platform::ConfigSpace::reducedFactorial(machine, 2, 2);
+    const auto suite = workloads::standardSuite();
+    constexpr std::size_t kApps = 16;
+    std::vector<TenantDemand> demands;
+    for (std::size_t a = 0; a < kApps; ++a) {
+        const workloads::ApplicationModel app(suite[a], machine);
+        const auto gt = workloads::computeGroundTruth(app, space);
+        const double deadline = 1.0 + static_cast<double>(a % 4);
+        const double work = (1.2 / static_cast<double>(kApps)) *
+                            gt.performance.max() * deadline;
+        demands.push_back(
+            TenantDemand{gt.performance, gt.power, {work, deadline}});
+    }
+    return demands;
+}
+
+/** Plan the repro and check it: feasible, every app's work inside
+ *  its deadline, the cap held per interval, and a bounded number of
+ *  simplex pivots. */
+void
+expectSolvesWithinPivotBudget(double cap)
+{
+    const platform::Machine machine;
+    const double idle = machine.spec().idleSystemPowerW;
+    const auto demands = sixteenTenants(machine);
+    GlobalPlanOptions o;
+    o.powerCapWatts = cap;
+
+    const obs::Counter pivots =
+        obs::Registry::global().counter(obs::names::kLpPivotsStepped);
+    const std::uint64_t before = pivots.value();
+    const GlobalSchedule g =
+        optimizer::planGlobalSchedule(demands, idle, o);
+    const std::uint64_t stepped = pivots.value() - before;
+
+    ASSERT_TRUE(g.feasible);
+    ASSERT_EQ(g.perTenant.size(), demands.size());
+    for (std::size_t a = 0; a < demands.size(); ++a) {
+        const auto &c = demands[a].constraint;
+        EXPECT_TRUE(g.perTenant[a].feasible) << "app " << a;
+        EXPECT_NEAR(workDelivered(g.perTenant[a], demands[a].performance),
+                    c.work, 1e-6 * (1.0 + c.work))
+            << "app " << a;
+        EXPECT_LE(busySeconds(g.perTenant[a]),
+                  c.deadlineSeconds * (1.0 + 1e-9))
+            << "app " << a;
+    }
+    double prev = 0.0;
+    for (const auto &iv : g.intervals) {
+        const double len = iv.endSeconds - prev;
+        EXPECT_LE(iv.busySeconds, len * (1.0 + 1e-9));
+        if (std::isfinite(cap)) {
+            EXPECT_LE((iv.activeEnergyJoules +
+                       idle * (len - iv.busySeconds)) /
+                          len,
+                      cap * (1.0 + 1e-9));
+        }
+        prev = iv.endSeconds;
+    }
+    if (obs::Registry::global().enabled()) {
+        EXPECT_LE(stepped, 20000u);
+    }
+}
+
+} // namespace
+
+/**
+ * The simplex must keep its tableau canonical: a pivot that leaves
+ * entries below 1e-9 in the pivot column lets the basic columns
+ * drift, and on this program Bland's rule then steps millions of
+ * pivots into the iteration valve, whose Unbounded the planner reads
+ * as infeasible. A canonical tableau solves it in a few thousand.
+ */
+TEST(GlobalPlanRegression, SixteenTenantsUncapped)
+{
+    expectSolvesWithinPivotBudget(kNoPowerCap);
+}
+
+TEST(GlobalPlanRegression, SixteenTenantsAt162Watts)
+{
+    expectSolvesWithinPivotBudget(162.0);
 }

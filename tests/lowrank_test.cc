@@ -119,7 +119,7 @@ makePrior(std::size_t m, std::size_t n, std::size_t rank,
         Vector y(n, 0.0);
         for (std::size_t r = 0; r < rank; ++r) {
             const double c = rng.uniform(0.2, 1.0);
-            y.addScaled(c, latents[r]);
+            y += latents[r] * c;
         }
         // Lift into positive territory and add measurement noise.
         double lo = y[0];
@@ -222,8 +222,8 @@ TEST(LowRankBasis, DropsDependentVectors)
         ASSERT_TRUE(basis.appendVector(x));
     // An exact linear combination adds no direction.
     Vector combo(32, 0.0);
-    combo.addScaled(0.5, prior[0]);
-    combo.addScaled(2.0, prior[2]);
+    combo += prior[0] * 0.5;
+    combo += prior[2] * 2.0;
     EXPECT_FALSE(basis.appendVector(combo));
     EXPECT_EQ(basis.size(), 4u);
     // A repeated unit direction is likewise dropped.
@@ -720,8 +720,8 @@ TEST(PriorBasis, MatchesReferenceBuildOnSuitePriors)
             store.without(store.records().front().name),
             estimators::Metric::Performance);
         Vector combo(space.size(), 0.0);
-        combo.addScaled(0.5, prior[2]);
-        combo.addScaled(2.0, prior[5]);
+        combo += prior[2] * 0.5;
+        combo += prior[5] * 2.0;
         prior.insert(prior.begin() + 1, prior[0]);
         prior.insert(prior.begin() + 4, combo);
         expectMatchesReference(prior);
@@ -748,19 +748,22 @@ TEST(PriorBasis, DropDecisionsMatchReference)
     Vector off(n);
     for (std::size_t j = 0; j < n; ++j)
         off[j] = std::cos(0.37 * static_cast<double>(j * j % 97));
-    for (int pass = 0; pass < 2; ++pass)
-        off = off - support::expansionOf(
-                        span.rows, support::coordinatesOf(span.rows, off));
+    for (int pass = 0; pass < 2; ++pass) {
+        const Vector in_span = support::expansionOf(
+            span.rows, support::coordinatesOf(span.rows, off));
+        for (std::size_t j = 0; j < n; ++j)
+            off[j] -= in_span[j];
+    }
     off /= std::sqrt(linalg::dot(off, off));
 
     Vector combo(n, 0.0);
-    combo.addScaled(0.5, base[0]);
-    combo.addScaled(2.0, base[2]);
-    combo.addScaled(-0.25, base[4]);
+    combo += base[0] * 0.5;
+    combo += base[2] * 2.0;
+    combo += base[4] * -0.25;
     const double combo_norm = std::sqrt(linalg::dot(combo, combo));
     const auto lifted = [&](double ratio) {
         Vector v = combo;
-        v.addScaled(ratio * combo_norm, off);
+        v += off * (ratio * combo_norm);
         return v;
     };
     struct Probe

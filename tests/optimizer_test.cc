@@ -278,24 +278,6 @@ TEST(Execute, UnderestimatedPerformanceWastesEnergyButMeets)
     EXPECT_LT(result.completionSeconds, 10.0);
 }
 
-TEST(Execute, RaceToIdlePlansAllResources)
-{
-    Vector perf{1.0, 3.0};
-    Vector power{100.0, 250.0};
-    PerformanceConstraint c{6.0, 10.0};
-    auto plan = optimizer::planRaceToIdle(perf, power, 85.0, c);
-    ASSERT_EQ(plan.parts.size(), 2u);
-    EXPECT_EQ(plan.parts[0].configIndex, 1u);
-    EXPECT_NEAR(plan.parts[0].seconds, 2.0, 1e-9);
-    EXPECT_EQ(plan.parts[1].configIndex, kIdleConfig);
-
-    auto result =
-        optimizer::executeSchedule(plan, perf, power, 85.0, c);
-    EXPECT_TRUE(result.deadlineMet);
-    // 2 s at 250 W + 8 s at 85 W.
-    EXPECT_NEAR(result.energyJoules, 2 * 250.0 + 8 * 85.0, 1e-6);
-}
-
 TEST(Execute, RaceToIdleWastesEnergyVsOptimal)
 {
     // The Section 2 story: with a convex tradeoff, racing costs more
@@ -307,9 +289,11 @@ TEST(Execute, RaceToIdleWastesEnergyVsOptimal)
     auto optimal = optimizer::executeSchedule(
         optimizer::planMinimalEnergy(perf, power, idle, c), perf,
         power, idle, c);
-    auto race = optimizer::executeSchedule(
-        optimizer::planRaceToIdle(perf, power, idle, c), perf, power,
-        idle, c);
+    // Race as the Fig. 10 driver runs it (experiments/energy.cc): the
+    // all-resources configuration, the last index, for the deadline.
+    optimizer::Schedule plan;
+    plan.parts.push_back({perf.size() - 1, c.deadlineSeconds});
+    auto race = optimizer::executeSchedule(plan, perf, power, idle, c);
     EXPECT_TRUE(optimal.deadlineMet);
     EXPECT_TRUE(race.deadlineMet);
     EXPECT_GT(race.energyJoules, optimal.energyJoules);
@@ -474,10 +458,7 @@ TEST(Degenerate, ZeroWorkIsFreeAndFeasible)
     auto plan = optimizer::planMinimalEnergy(perf, power, 85.0, c);
     EXPECT_TRUE(plan.feasible);
     EXPECT_NEAR(plan.predictedEnergy, 85.0 * 10.0, 1e-9);
-
-    auto race = optimizer::planRaceToIdle(perf, power, 85.0, c);
-    EXPECT_TRUE(race.feasible);
-    auto run = optimizer::executeSchedule(race, perf, power, 85.0, c);
+    auto run = optimizer::executeSchedule(plan, perf, power, 85.0, c);
     EXPECT_TRUE(run.deadlineMet);
 }
 
@@ -501,41 +482,6 @@ TEST(Degenerate, IdleCheaperThanEveryConfig)
     EXPECT_TRUE(std::isfinite(plan.predictedEnergy));
     auto run = optimizer::executeSchedule(plan, perf, power, idle, c);
     EXPECT_TRUE(run.deadlineMet);
-}
-
-TEST(Degenerate, RaceToIdleExactDeadlineIsFeasible)
-{
-    // busy == deadline exactly: work 20 at rate 2 over a 10 s window.
-    // The old `busy >= deadline` branch marked this infeasible; the
-    // plan must be feasible with no idle tail, matching
-    // planMinimalEnergy's epsilon.
-    Vector perf{1.0, 2.0};
-    Vector power{100.0, 150.0};
-    PerformanceConstraint c{20.0, 10.0};
-
-    auto race = optimizer::planRaceToIdle(perf, power, 85.0, c);
-    EXPECT_TRUE(race.feasible);
-    ASSERT_EQ(race.parts.size(), 1u);
-    EXPECT_EQ(race.parts[0].configIndex, 1u);
-    EXPECT_NEAR(race.parts[0].seconds, 10.0, 1e-12);
-
-    auto exact = optimizer::planMinimalEnergy(perf, power, 85.0, c);
-    EXPECT_EQ(race.feasible, exact.feasible);
-
-    // Just past the deadline stays infeasible.
-    PerformanceConstraint over{20.0 + 1e-6, 10.0};
-    EXPECT_FALSE(
-        optimizer::planRaceToIdle(perf, power, 85.0, over).feasible);
-
-    // Zero rate with zero work: trivially feasible; with work: not.
-    Vector zperf{0.0};
-    Vector zpower{100.0};
-    PerformanceConstraint none{0.0, 10.0};
-    EXPECT_TRUE(
-        optimizer::planRaceToIdle(zperf, zpower, 85.0, none).feasible);
-    PerformanceConstraint some{1.0, 10.0};
-    EXPECT_FALSE(
-        optimizer::planRaceToIdle(zperf, zpower, 85.0, some).feasible);
 }
 
 // --------------------------------------- Guarded-executor boundaries
@@ -613,8 +559,9 @@ TEST(GuardedBoundary, ZeroRateFrontierWithZeroWorkIdlesOut)
 
 // ------------------------------------ Planner feasibility consistency
 
-// Satellite check: planMinimalEnergy, planRaceToIdle and the global
-// planner must agree on feasibility across degenerate constraints.
+// Satellite check: planMinimalEnergy and the global planner (hull
+// fast path and forced LP) must agree on feasibility across
+// degenerate constraints.
 // The grid stays outside the planners' epsilon disagreement band
 // (relative over-capacity between ~1e-12 and the LP's ~1e-7
 // feasibility tolerance), where the hull walk and the simplex are
@@ -637,8 +584,6 @@ TEST(FeasibilityConsistency, DegenerateConstraintGrid)
         PerformanceConstraint c{work, deadline};
         const auto minimal =
             optimizer::planMinimalEnergy(perf, power, idle, c);
-        const auto race =
-            optimizer::planRaceToIdle(perf, power, idle, c);
         optimizer::TenantDemand demand{perf, power, c};
         const auto fast =
             optimizer::planGlobalSchedule({demand}, idle, {});
@@ -647,7 +592,6 @@ TEST(FeasibilityConsistency, DegenerateConstraintGrid)
         const auto lp =
             optimizer::planGlobalSchedule({demand}, idle, force);
 
-        EXPECT_EQ(minimal.feasible, race.feasible) << "work " << work;
         EXPECT_EQ(minimal.feasible, fast.feasible) << "work " << work;
         EXPECT_EQ(minimal.feasible, lp.feasible) << "work " << work;
     }
@@ -662,9 +606,6 @@ TEST(FeasibilityConsistency, DegenerateConstraintGrid)
         EXPECT_EQ(optimizer::planMinimalEnergy(zperf, zpower, idle, c)
                       .feasible,
                   want);
-        EXPECT_EQ(
-            optimizer::planRaceToIdle(zperf, zpower, idle, c).feasible,
-            want);
         optimizer::TenantDemand demand{zperf, zpower, c};
         EXPECT_EQ(
             optimizer::planGlobalSchedule({demand}, idle, {}).feasible,

@@ -112,7 +112,6 @@ TEST(ThreadPool, DefaultConcurrencyPositive)
 {
     EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
     EXPECT_GE(ThreadPool::global().concurrency(), 1u);
-    EXPECT_EQ(ThreadPool::serial().workerCount(), 0u);
 }
 
 // ------------------------------------------------------------ parallelFor

@@ -297,9 +297,14 @@ TEST(RobustEstimators, FaultSweepNeverThrowsAndStaysFinite)
                 EXPECT_TRUE(est.performance.values.allFinite());
                 EXPECT_TRUE(est.power.values.allFinite());
                 // A finite estimate must also plan without throwing.
-                const auto frontier = optimizer::paretoFrontier(
-                    est.performance.values + Vector(w.space.size(), 1e-9),
-                    est.power.values + Vector(w.space.size(), 1e-9));
+                Vector perf = est.performance.values;
+                Vector power = est.power.values;
+                for (std::size_t c = 0; c < w.space.size(); ++c) {
+                    perf[c] += 1e-9;
+                    power[c] += 1e-9;
+                }
+                const auto frontier =
+                    optimizer::paretoFrontier(perf, power);
                 EXPECT_FALSE(frontier.empty());
             }
         }

@@ -25,7 +25,8 @@
  *    every frame from the scenario's own behavior (rate, power,
  *    busy-plus-idle energy, per-phase sums), and reproduces the
  *    Section 6.6 properties on the two-phase fluidanimate spec;
- *  - runScenarioService schedules are a pure function of the spec —
+ *  - the service-driven runner's schedules (support::runScenarioService)
+ *    are a pure function of the spec —
  *    independent of shard count, worker count and mid-run snapshot
  *    round-trips.
  */
@@ -49,6 +50,7 @@
 #include "runtime/changepoint.hh"
 #include "scenario/scenario.hh"
 #include "scenario/spec.hh"
+#include "support/scenario_runner.hh"
 #include "telemetry/profile_store.hh"
 #include "workloads/ground_truth.hh"
 #include "workloads/suite.hh"
@@ -123,7 +125,6 @@ TEST(TraceParse, CsvTolerantOfHeaderCommentsCrlf)
     EXPECT_EQ(t.segments[0].performance[1], 30.0);
     EXPECT_EQ(t.segments[1].power[0], 90.0);
     EXPECT_EQ(t.maxIndex(), w.space.size() - 1);
-    EXPECT_EQ(t.totalWorkUnits(), 40u);
 }
 
 TEST(TraceParse, MissingColumnThrows)
@@ -287,22 +288,22 @@ TEST(TraceModel, SegmentSwitchingFollowsWorkUnits)
     ASSERT_EQ(m.numSegments(), 2u);
     const auto &ra0 = w.space.assignment(0);
 
+    // Segment 0 replays rate 10 at config 0, segment 1 rate 5.
     m.setWorkUnit(0);
-    EXPECT_EQ(m.activeSegment(), 0u);
     EXPECT_EQ(m.heartbeatRate(ra0), 10.0);
 
     m.setWorkUnit(39);
-    EXPECT_EQ(m.activeSegment(), 0u);
-    m.advance();
-    EXPECT_EQ(m.workUnit(), 40u);
-    EXPECT_EQ(m.activeSegment(), 1u);
+    EXPECT_EQ(m.heartbeatRate(ra0), 10.0);
+    m.setWorkUnit(40);
     EXPECT_EQ(m.heartbeatRate(ra0), 5.0);
 
     // The unbounded terminal segment runs forever.
     m.setWorkUnit(100000);
-    EXPECT_EQ(m.activeSegment(), 1u);
+    EXPECT_EQ(m.heartbeatRate(ra0), 5.0);
     EXPECT_EQ(m.segmentAt(0), 0u);
+    EXPECT_EQ(m.segmentAt(39), 0u);
     EXPECT_EQ(m.segmentAt(40), 1u);
+    EXPECT_EQ(m.segmentAt(100000), 1u);
 }
 
 // --------------------------------------------------------- Scenario DSL
@@ -323,9 +324,9 @@ TEST(SpecDsl, CanonicalTextRoundTrips)
     spec.faults.seed = 7;
     spec.arrivals = {4, 8, 0.2};
 
-    const std::string text = spec.toString();
+    const std::string text = support::specToString(spec);
     const scenario::Spec back = scenario::Spec::fromString(text);
-    EXPECT_EQ(back.toString(), text);
+    EXPECT_EQ(support::specToString(back), text);
     EXPECT_EQ(back.name, "round_trip");
     ASSERT_EQ(back.phases.size(), 2u);
     EXPECT_EQ(back.phases[1].app, "kmeans");
@@ -481,9 +482,9 @@ TEST(SpecDsl, TextFormCarriesEveryAcceptedSpec)
         SCOPED_TRACE(b.json);
         const scenario::Spec spec = scenario::Spec::fromString(b.json);
         EXPECT_EQ(spec.traceText, b.traceText);
-        const std::string text = spec.toString();
+        const std::string text = support::specToString(spec);
         const scenario::Spec back = scenario::Spec::fromString(text);
-        EXPECT_EQ(back.toString(), text);
+        EXPECT_EQ(support::specToString(back), text);
         const std::string body = b.traceText.back() == '\n'
                                      ? b.traceText
                                      : b.traceText + "\n";
@@ -495,9 +496,9 @@ TEST(SpecDsl, TextFormCarriesEveryAcceptedSpec)
 
     // Every fault field off its default survives, a value only the
     // fault injector rejects included.
-    const scenario::Spec faulty = scenario::Spec::fromString(
-        scenario::Spec::fromString("fault nan=-0.5 outlier_scale=20\n")
-            .toString());
+    const scenario::Spec faulty =
+        scenario::Spec::fromString(support::specToString(
+            scenario::Spec::fromString("fault nan=-0.5 outlier_scale=20\n")));
     EXPECT_EQ(faulty.faults.nanProb, -0.5);
     EXPECT_EQ(faulty.faults.outlierScale, 20.0);
 }
@@ -510,11 +511,11 @@ TEST(SpecDsl, CountsRoundTripExactly)
     spec.frames = 9007199254740993ull;
     spec.faults.seed = 18446744073709551615ull;
     const scenario::Spec back =
-        scenario::Spec::fromString(spec.toString());
+        scenario::Spec::fromString(support::specToString(spec));
     EXPECT_EQ(back.seed, 9007199254740993ull);
     EXPECT_EQ(back.frames, 9007199254740993ull);
     EXPECT_EQ(back.faults.seed, 18446744073709551615ull);
-    EXPECT_EQ(back.toString(), spec.toString());
+    EXPECT_EQ(support::specToString(back), support::specToString(spec));
 
     const scenario::Spec json = scenario::Spec::fromString(
         "{\"seed\": 9007199254740993, \"target\": 0.1}");
@@ -538,7 +539,7 @@ TEST(SpecDsl, InlineTraceHeredoc)
     EXPECT_EQ(sc.totalFrames(), 20u);
     EXPECT_EQ(sc.numPhases(), 1u);
     // Auto target: half the peak rate (flat 2.0 everywhere).
-    EXPECT_EQ(sc.targetRate(), 1.0);
+    EXPECT_EQ(sc.controllerOptions().targetRate, 1.0);
 }
 
 TEST(SpecDsl, ExpandGridIsCrossProduct)
@@ -629,14 +630,15 @@ specMutantHolds(const std::string &text, std::size_t *accepted)
 {
     std::string canonical;
     try {
-        canonical = scenario::Spec::fromString(text).toString();
+        canonical =
+            support::specToString(scenario::Spec::fromString(text));
     } catch (const Error &) {
         return ::testing::AssertionSuccess();
     }
     ++*accepted;
     try {
         const std::string again =
-            scenario::Spec::fromString(canonical).toString();
+            support::specToString(scenario::Spec::fromString(canonical));
         if (again != canonical)
             return ::testing::AssertionFailure()
                    << "canonical text\n"
@@ -857,8 +859,8 @@ TEST(Scenario, PhaseIndexAtBoundaries)
     EXPECT_EQ(sc.phaseIndexAt(49), 0u);
     EXPECT_EQ(sc.phaseIndexAt(50), 1u);
     EXPECT_EQ(sc.phaseIndexAt(99), 1u);
-    // Past the end holds the last phase (runScenarioService may run
-    // more windows than the spec has frames).
+    // Past the end holds the last phase (the service-driven runner
+    // may run more windows than the spec has frames).
     EXPECT_EQ(sc.phaseIndexAt(100), 1u);
     // Phase 2 needs 2/3 the resources: 3/2 the heartbeat rate.
     for (std::size_t c = 0; c < w.space.size(); ++c)
@@ -877,7 +879,7 @@ TEST(Scenario, AutoTargetIsHalfFirstPhasePeak)
     workloads::ApplicationModel m(
         workloads::profileByName("swaptions"), w.machine);
     const auto gt = workloads::computeGroundTruth(m, w.space);
-    EXPECT_EQ(sc.targetRate(), 0.5 * gt.performance.max());
+    EXPECT_EQ(sc.controllerOptions().targetRate, 0.5 * gt.performance.max());
 }
 
 // ------------------------------------------------------ The frame loop
@@ -920,7 +922,7 @@ TEST(ScenarioRun, FrameAccountingMatchesBehavior)
     base.sampleBudget = 6;
     const auto r = scenario::runScenario(sc, &leo, prior, base);
 
-    const double target = sc.targetRate();
+    const double target = sc.controllerOptions().targetRate;
     const double period = 1.0 / target;
     const double idle = w.machine.spec().idleSystemPowerW;
     ASSERT_EQ(r.trace.size(), sc.totalFrames());
@@ -1305,18 +1307,18 @@ TEST(ScenarioService, SchedulesInvariantToShardsWorkersSnapshot)
 
     scenario::Scenario sc_a(spec, w.machine, w.space);
     parallel::ThreadPool pool_a(0);
-    scenario::ServiceRunOptions opt_a;
+    support::ServiceRunOptions opt_a;
     opt_a.service.shards = 1;
     const auto a =
-        scenario::runScenarioService(sc_a, leo, prior, pool_a, opt_a);
+        support::runScenarioService(sc_a, leo, prior, pool_a, opt_a);
 
     scenario::Scenario sc_b(spec, w.machine, w.space);
     parallel::ThreadPool pool_b(2);
-    scenario::ServiceRunOptions opt_b;
+    support::ServiceRunOptions opt_b;
     opt_b.service.shards = 4;
     opt_b.snapshotAtWindow = 12; // Mid-run save/restore round-trip.
     const auto b =
-        scenario::runScenarioService(sc_b, leo, prior, pool_b, opt_b);
+        support::runScenarioService(sc_b, leo, prior, pool_b, opt_b);
 
     EXPECT_FALSE(a.restored);
     EXPECT_TRUE(b.restored);

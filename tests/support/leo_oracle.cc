@@ -13,6 +13,7 @@
 #include "estimators/normalization.hh"
 #include "linalg/cholesky.hh"
 #include "linalg/error.hh"
+#include "support/dense.hh"
 #include "support/mvn.hh"
 
 namespace leo::support
@@ -23,6 +24,16 @@ namespace
 
 /** The estimator's sigma^2 floor (kMinSigma2 in estimators/leo.cc). */
 constexpr double kMinSigma2 = 1e-8;
+
+/** @return a - b, component by component. */
+linalg::Vector
+minus(const linalg::Vector &a, const linalg::Vector &b)
+{
+    linalg::Vector d(a.size());
+    for (std::size_t j = 0; j < a.size(); ++j)
+        d[j] = a[j] - b[j];
+    return d;
+}
 
 } // namespace
 
@@ -87,8 +98,8 @@ referenceFit(const estimators::LeoOptions &opt,
     for (std::size_t i = 0; i < m_prior; ++i)
         for (std::size_t j = 0; j < n; ++j)
             resid.at(i, j) = shapes[i][j] - mu[j];
-    Matrix sigma_m = Matrix::gram(resid);
-    sigma_m += opt.hyperPi * Matrix::outer(mu, mu);
+    Matrix sigma_m = gram(resid);
+    sigma_m.addScaled(opt.hyperPi, outer(mu, mu));
     sigma_m.addToDiagonal(opt.hyperPsiScale);
     sigma_m /= m_total + 1.0;
     double sigma2 = opt.initSigma2;
@@ -110,15 +121,17 @@ referenceFit(const estimators::LeoOptions &opt,
         //   z_i    = x_i - sigma^2 (Sigma + sigma^2 I)^-1 (x_i - mu)
         Matrix a = sigma_m;
         a.addToDiagonal(sigma2);
-        const linalg::Cholesky chol(a, 1e-6);
-        const Matrix inv = chol.inverse();
+        const linalg::Cholesky chol = cholesky(a, 1e-6);
+        const Matrix inv = inverse(chol);
         std::vector<Vector> z(m_prior);
         Vector ll_quad(m_prior);
         for (std::size_t i = 0; i < m_prior; ++i) {
-            const Vector d = shapes[i] - mu;
+            const Vector d = minus(shapes[i], mu);
             const Vector w = inv * d;
             ll_quad[i] = linalg::dot(d, w);
-            z[i] = shapes[i] - sigma2 * w;
+            z[i] = Vector(n);
+            for (std::size_t j = 0; j < n; ++j)
+                z[i][j] = shapes[i][j] - sigma2 * w[j];
         }
 
         // Marginal log-likelihood of everything observed under the
@@ -129,13 +142,16 @@ referenceFit(const estimators::LeoOptions &opt,
         for (std::size_t i = 0; i < m_prior; ++i)
             ll -= 0.5 * ll_quad[i];
         if (have_obs) {
-            Matrix a_obs = sigma_m.gather(obs_idx);
+            Matrix a_obs(s, s);
+            for (std::size_t j = 0; j < s; ++j)
+                for (std::size_t k = 0; k < s; ++k)
+                    a_obs.at(j, k) = sigma_m.at(obs_idx[j], obs_idx[k]);
             a_obs.addToDiagonal(sigma2);
-            const linalg::Cholesky chol_obs(a_obs, 1e-8);
+            const linalg::Cholesky chol_obs = cholesky(a_obs, 1e-8);
             Vector d(s);
             for (std::size_t j = 0; j < s; ++j)
                 d[j] = x_obs[j] - mu[obs_idx[j]];
-            const Vector w = chol_obs.solveLower(d);
+            const Vector w = solveLower(chol_obs, d);
             ll -= 0.5 * (static_cast<double>(s) * log2pi +
                          chol_obs.logDet() + w.squaredNorm());
         }
@@ -158,7 +174,7 @@ referenceFit(const estimators::LeoOptions &opt,
         // inside the bracket per Yu et al. '05 — see DESIGN.md).
         // sum_i C_i over the fully observed apps is m_prior * C_full.
         Matrix s_accum(n, n, 0.0);
-        s_accum += (-sigma2 * sigma2 * mp) * inv;
+        s_accum.addScaled(-sigma2 * sigma2 * mp, inv);
         s_accum.addToDiagonal(sigma2 * mp);
         if (have_obs)
             s_accum += target_post.cov;
@@ -166,12 +182,12 @@ referenceFit(const estimators::LeoOptions &opt,
         for (std::size_t i = 0; i < m_prior; ++i)
             for (std::size_t j = 0; j < n; ++j)
                 zres.at(i, j) = z[i][j] - mu_new[j];
-        s_accum += Matrix::gram(zres);
+        s_accum += gram(zres);
         if (have_obs) {
-            const Vector d = target_post.mean - mu_new;
-            s_accum += Matrix::outer(d, d);
+            const Vector d = minus(target_post.mean, mu_new);
+            s_accum += outer(d, d);
         }
-        s_accum += opt.hyperPi * Matrix::outer(mu_new, mu_new);
+        s_accum.addScaled(opt.hyperPi, outer(mu_new, mu_new));
         s_accum.addToDiagonal(opt.hyperPsiScale);
         s_accum /= m_total + 1.0;
         s_accum.symmetrize();
@@ -200,7 +216,7 @@ referenceFit(const estimators::LeoOptions &opt,
         // Convergence on the target prediction, as in the estimator.
         const Vector &pred = have_obs ? target_post.mean : mu_new;
         const double dpred =
-            (pred - prev_pred).norm() / (prev_pred.norm() + 1e-12);
+            minus(pred, prev_pred).norm() / (prev_pred.norm() + 1e-12);
         prev_pred = pred;
 
         mu = std::move(mu_new);

@@ -8,12 +8,14 @@
 #include <cmath>
 #include <numbers>
 
+#include "support/dense.hh"
+
 namespace leo::support
 {
 
 MultivariateNormal::MultivariateNormal(linalg::Vector mean,
                                        const linalg::Matrix &cov)
-    : mean_(std::move(mean)), chol_(cov, 1e-8)
+    : mean_(std::move(mean)), chol_(cholesky(cov, 1e-8))
 {
     require(mean_.size() == cov.rows(),
             "MultivariateNormal dimension mismatch");
@@ -42,8 +44,10 @@ double
 MultivariateNormal::logPdf(const linalg::Vector &x) const
 {
     require(x.size() == dim(), "logPdf dimension mismatch");
-    const linalg::Vector d = x - mean_;
-    const linalg::Vector w = chol_.solveLower(d);
+    linalg::Vector d(dim());
+    for (std::size_t i = 0; i < dim(); ++i)
+        d[i] = x[i] - mean_[i];
+    const linalg::Vector w = solveLower(chol_, d);
     const double quad = w.squaredNorm();
     const double n = static_cast<double>(dim());
     return -0.5 * (n * std::log(2.0 * std::numbers::pi) +
@@ -76,9 +80,12 @@ conditionOnObservations(const linalg::Vector &mu,
     }
 
     // K = Sigma[obs, obs] + sigma^2 I   (s x s)
-    linalg::Matrix k = sigma_m.gather(obs_idx);
+    linalg::Matrix k(s, s);
+    for (std::size_t a = 0; a < s; ++a)
+        for (std::size_t b = 0; b < s; ++b)
+            k.at(a, b) = sigma_m.at(obs_idx[a], obs_idx[b]);
     k.addToDiagonal(noise_var);
-    linalg::Cholesky chol(k, 1e-8);
+    const linalg::Cholesky chol = cholesky(k, 1e-8);
 
     // Residual r = y_obs - mu[obs].
     linalg::Vector r(s);
@@ -86,7 +93,7 @@ conditionOnObservations(const linalg::Vector &mu,
         r[j] = y_obs[j] - mu[obs_idx[j]];
 
     // alpha = K^-1 r.
-    const linalg::Vector alpha = chol.solve(r);
+    const linalg::Vector alpha = solve(chol, r);
 
     // Cross covariance Sigma[:, obs]  (n x s).
     linalg::Matrix cross(n, s);
@@ -103,9 +110,18 @@ conditionOnObservations(const linalg::Vector &mu,
     }
 
     if (want_cov) {
-        // Cov = Sigma - cross K^-1 cross'. Accumulate per observed
+        // Cov = Sigma - cross K^-1 cross'. Column j of K^-1 cross' is
+        // K^-1 applied to row j of cross. Accumulate per observed
         // index so the inner loop streams along contiguous rows.
-        const linalg::Matrix kinv_crosst = chol.solve(cross.transpose());
+        linalg::Matrix kinv_crosst(s, n);
+        linalg::Vector row(s);
+        for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t t = 0; t < s; ++t)
+                row[t] = cross.at(j, t);
+            const linalg::Vector col = solve(chol, row);
+            for (std::size_t t = 0; t < s; ++t)
+                kinv_crosst.at(t, j) = col[t];
+        }
         post.cov = sigma_m;
         for (std::size_t t = 0; t < s; ++t) {
             for (std::size_t i = 0; i < n; ++i) {

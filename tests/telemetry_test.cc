@@ -10,10 +10,10 @@
 #include "estimators/sanitize.hh"
 #include "linalg/error.hh"
 #include "platform/config_space.hh"
-#include "stats/summary.hh"
 #include "telemetry/meters.hh"
 #include "telemetry/profile_store.hh"
 #include "telemetry/sampler.hh"
+#include "support/dense.hh"
 #include "workloads/suite.hh"
 
 using namespace leo;
@@ -43,16 +43,16 @@ TEST(Meters, WattsUpUnbiasedAndQuantized)
 
     telemetry::WattsUpMeter meter(0.01, 0.1);
     stats::Rng rng(3);
-    stats::RunningStats acc;
+    linalg::Vector readings;
     for (int i = 0; i < 3000; ++i) {
         const double r = meter.read(app, ra, rng);
-        acc.push(r);
+        readings.push_back(r);
         // 0.1 W display quantization.
         const double q = r * 10.0;
         EXPECT_NEAR(q, std::round(q), 1e-9);
     }
-    EXPECT_NEAR(acc.mean(), truth, truth * 0.002);
-    EXPECT_GT(acc.stddev(), 0.0);
+    EXPECT_NEAR(readings.mean(), truth, truth * 0.002);
+    EXPECT_GT(support::sampleStddev(readings), 0.0);
 }
 
 TEST(Meters, NoiselessWattsUpIsExact)
@@ -65,20 +65,6 @@ TEST(Meters, NoiselessWattsUpIsExact)
     EXPECT_DOUBLE_EQ(meter.read(app, ra, rng), app.powerWatts(ra));
 }
 
-TEST(Meters, RaplReadsChipPower)
-{
-    Machine m;
-    auto app = kmeansModel(m);
-    auto ra = m.assignment({8, 1, 2, 10});
-    telemetry::RaplMeter meter(0.0);
-    stats::Rng rng(1);
-    EXPECT_DOUBLE_EQ(meter.read(app, ra, rng),
-                     app.chipPowerWatts(ra));
-    // RAPL is finer-grain than the wall meter.
-    EXPECT_LT(meter.intervalSeconds(),
-              telemetry::WattsUpMeter().intervalSeconds());
-}
-
 TEST(Meters, HeartbeatMonitorUnbiased)
 {
     Machine m;
@@ -87,17 +73,17 @@ TEST(Meters, HeartbeatMonitorUnbiased)
     const double truth = app.heartbeatRate(ra);
     telemetry::HeartbeatMonitor mon(0.02);
     stats::Rng rng(5);
-    stats::RunningStats acc;
+    linalg::Vector rates;
     for (int i = 0; i < 3000; ++i)
-        acc.push(mon.measureRate(app, ra, rng));
-    EXPECT_NEAR(acc.mean(), truth, truth * 0.005);
-    EXPECT_NEAR(acc.stddev(), truth * 0.02, truth * 0.005);
+        rates.push_back(mon.measureRate(app, ra, rng));
+    EXPECT_NEAR(rates.mean(), truth, truth * 0.005);
+    EXPECT_NEAR(support::sampleStddev(rates), truth * 0.02,
+                truth * 0.005);
 }
 
 TEST(Meters, RejectNegativeNoise)
 {
     EXPECT_THROW(telemetry::WattsUpMeter(-0.1), FatalError);
-    EXPECT_THROW(telemetry::RaplMeter(-1.0), FatalError);
     EXPECT_THROW(telemetry::HeartbeatMonitor(-0.1), FatalError);
 }
 
