@@ -11,9 +11,10 @@
  *
  * is a linear program. LEO solves it geometrically by walking the
  * lower convex hull of the Pareto frontier (see leo::optimizer), which
- * is far cheaper; this general solver exists as a substrate so the
- * test suite can verify the hull walk against an independent exact
- * method, and so downstream users can pose richer allocation LPs.
+ * is far cheaper. This solver is the fleet planner's LP
+ * (optimizer/global.hh): N apps sharing one machine under a power
+ * cap, which no hull walk answers. The tests also check the hull walk
+ * against it.
  */
 
 #ifndef LEO_LINALG_SIMPLEX_HH

@@ -244,7 +244,7 @@ planGlobalSchedule(const std::vector<TenantDemand> &demands,
     validate(demands, idle_power, options);
 
     const bool capped = std::isfinite(options.powerCapWatts);
-    if (demands.size() == 1 && !capped && !options.forceLp) {
+    if (demands.size() == 1 && !capped) {
         // Single app, no cap: the program *is* Equation (1); the hull
         // walk solves it exactly (and cheaper than the simplex).
         const TenantDemand &d = demands.front();

@@ -25,8 +25,8 @@
  * The program is solved with the two-phase simplex in
  * linalg/simplex.hh. For a single app with a slack cap it reduces
  * exactly to Equation (1), so that case short-circuits to the hull
- * walk of planMinimalEnergy; the tests force the LP path and assert
- * the two agree.
+ * walk of planMinimalEnergy; planPerAppGreedy on the same one demand
+ * solves that program as an LP, and the tests assert the two agree.
  */
 
 #ifndef LEO_OPTIMIZER_GLOBAL_HH
@@ -61,11 +61,6 @@ struct GlobalPlanOptions
 {
     /** Machine-wide average-power cap (Watts); kNoPowerCap = none. */
     double powerCapWatts = kNoPowerCap;
-    /**
-     * Skip the single-app hull-walk fast path and always solve the
-     * LP. Exists so tests can assert the two paths agree.
-     */
-    bool forceLp = false;
 };
 
 /** Machine usage within one interval of the global plan. */
@@ -121,7 +116,7 @@ struct GlobalSchedule
  *
  * @param demands    One entry per app (deadlines must be > 0).
  * @param idle_power Watts consumed by the idle machine.
- * @param options    Cap and test knobs.
+ * @param options    The power cap.
  */
 GlobalSchedule planGlobalSchedule(
     const std::vector<TenantDemand> &demands, double idle_power,

@@ -1,13 +1,11 @@
 #include "scenario/spec.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
 #include "linalg/error.hh"
 #include "workloads/fields.hh"
-#include "workloads/jsonish.hh"
 
 namespace leo::scenario
 {
@@ -16,7 +14,6 @@ namespace
 {
 
 namespace fields = workloads::fields;
-using fields::formatNumber;
 
 /** Split a stripped line on runs of blanks. */
 std::vector<std::string>
@@ -27,16 +24,6 @@ tokens(const std::string &line)
     for (std::string tok; in >> tok;)
         out.push_back(std::move(tok));
     return out;
-}
-
-/** A phase scale: finite and > 0. */
-double
-parseScale(const std::string &tok, const std::string &what)
-{
-    const double s = fields::parseFinite(tok, "scenario: " + what);
-    require(s > 0.0, "scenario: " + what + " '" + tok +
-                         "' must be > 0");
-    return s;
 }
 
 /** Split "key=value"; returns false when there is no '='. */
@@ -139,88 +126,53 @@ void
 setPhaseField(PhaseSpec &ph, const std::string &key,
               const std::string &val)
 {
-    if (key == "app")
+    if (key == "app") {
         ph.app = textValue(val, "phase app");
-    else if (key == "frames")
+    } else if (key == "frames") {
         ph.frames = fields::parseCount(val, "scenario: phase frames");
-    else if (key == "scale")
-        ph.scale = parseScale(val, "phase scale");
-    else
+    } else if (key == "scale") {
+        ph.scale = fields::parseFinite(val, "scenario: phase scale");
+        require(ph.scale > 0.0,
+                "scenario: phase scale '" + val + "' must be > 0");
+    } else {
         fatal("scenario: unknown phase option '" + key + "'");
-}
-
-/** Apply one tenant-arrival option (count, spacing, rate_spread). */
-void
-setArrivalField(ArrivalSpec &a, const std::string &key,
-                const std::string &val)
-{
-    if (key == "count")
-        a.tenants = fields::parseCount(val, "scenario: tenants");
-    else if (key == "spacing")
-        a.spacingWindows =
-            fields::parseCount(val, "scenario: tenants spacing");
-    else if (key == "rate_spread")
-        a.rateSpread =
-            fields::parseFinite(val, "scenario: tenants rate_spread");
-    else
-        fatal("scenario: unknown tenants option '" + key + "'");
-}
-
-/** Every phase lasts at least one frame. */
-void
-requireFrames(const PhaseSpec &ph)
-{
-    require(ph.frames > 0, "scenario: phase '" + ph.app +
-                               "' needs frames=<n> > 0");
-}
-
-/** A JSON scalar as the text the field setters parse: a number's
- *  source text or a string's payload. */
-const std::string &
-scalarText(const workloads::jsonish::Value &v)
-{
-    return v.isNumber() ? v.numberText() : v.asString();
-}
-
-Spec
-fromJsonDoc(const std::string &text)
-{
-    namespace js = workloads::jsonish;
-    const js::Value doc = js::parse(text);
-    require(doc.isObject(), "scenario: JSON root must be an object");
-    Spec spec;
-    // Only the structure is read here; every scalar goes through the
-    // text grammar's setters, so both forms validate alike.
-    for (const auto &[key, v] : doc.members()) {
-        if (key == "phases") {
-            for (const js::Value &pv : v.items()) {
-                PhaseSpec ph;
-                for (const auto &[pk, pval] : pv.members())
-                    setPhaseField(ph, pk, scalarText(pval));
-                requireFrames(ph);
-                spec.phases.push_back(std::move(ph));
-            }
-        } else if (key == "fault") {
-            for (const auto &[fk, fv] : v.members())
-                setFaultField(spec.faults, fk, scalarText(fv));
-        } else if (key == "tenants") {
-            for (const auto &[tk, tv] : v.members())
-                setArrivalField(spec.arrivals, tk, scalarText(tv));
-        } else if (key == "trace_inline") {
-            spec.traceText = bodyText(v.asString());
-        } else {
-            // Keys are sorted, so "phase_scale" would always run
-            // before "phases" and rescale nothing.
-            require(key != "phase_scale",
-                    "scenario: JSON phases carry their own 'scale'");
-            setField(spec, key, scalarText(v));
-        }
     }
-    return spec;
+}
+
+} // namespace
+
+void
+setField(Spec &spec, const std::string &key,
+         const std::string &value)
+{
+    if (key == "name") {
+        spec.name = textValue(value, "name");
+    } else if (key == "workload") {
+        spec.workload = parseWorkload(value);
+    } else if (key == "app") {
+        spec.app = textValue(value, "app");
+    } else if (key == "target") {
+        spec.targetRate = fields::parseFinite(value, "scenario: target");
+        require(spec.targetRate >= 0.0,
+                "scenario: target '" + value +
+                    "' must be >= 0 (0 = auto)");
+    } else if (key == "frames") {
+        spec.frames = fields::parseCount(value, "scenario: frames");
+    } else if (key == "seed") {
+        spec.seed = fields::parseCount(value, "scenario: seed");
+    } else if (key == "changepoint") {
+        spec.changePointPolicy = parsePolicy(value);
+    } else if (key == "trace_file") {
+        spec.traceFile = textValue(value, "trace_file");
+    } else if (key.size() > 6 && key.compare(0, 6, "fault.") == 0) {
+        setFaultField(spec.faults, key.substr(6), value);
+    } else {
+        fatal("scenario: unknown directive '" + key + "'");
+    }
 }
 
 Spec
-fromTextDoc(const std::string &text)
+Spec::fromString(const std::string &text)
 {
     Spec spec;
     std::stringstream ss(text);
@@ -258,7 +210,8 @@ fromTextDoc(const std::string &text)
                             ": phase options are key=value");
                 setPhaseField(ph, k, v);
             }
-            requireFrames(ph);
+            require(ph.frames > 0, "scenario: phase '" + ph.app +
+                                       "' needs frames=<n> > 0");
             spec.phases.push_back(std::move(ph));
         } else if (dir == "fault") {
             for (std::size_t i = 1; i < toks.size(); ++i) {
@@ -267,16 +220,6 @@ fromTextDoc(const std::string &text)
                         "scenario: line " + std::to_string(lineno) +
                             ": fault options are key=value");
                 setFaultField(spec.faults, k, v);
-            }
-        } else if (dir == "tenants") {
-            setArrivalField(spec.arrivals, "count",
-                            wantArg("a tenant count"));
-            for (std::size_t i = 2; i < toks.size(); ++i) {
-                std::string k, v;
-                require(splitKv(toks[i], &k, &v),
-                        "scenario: line " + std::to_string(lineno) +
-                            ": tenants options are key=value");
-                setArrivalField(spec.arrivals, k, v);
             }
         } else if (dir == "trace_inline") {
             const std::string &arg = soleArg("a <<DELIM marker");
@@ -305,56 +248,6 @@ fromTextDoc(const std::string &text)
         }
     }
     return spec;
-}
-
-} // namespace
-
-void
-setField(Spec &spec, const std::string &key,
-         const std::string &value)
-{
-    if (key == "name") {
-        spec.name = textValue(value, "name");
-    } else if (key == "workload") {
-        spec.workload = parseWorkload(value);
-    } else if (key == "app") {
-        spec.app = textValue(value, "app");
-    } else if (key == "target") {
-        spec.targetRate = fields::parseFinite(value, "scenario: target");
-        require(spec.targetRate >= 0.0,
-                "scenario: target '" + value +
-                    "' must be >= 0 (0 = auto)");
-    } else if (key == "frames") {
-        spec.frames = fields::parseCount(value, "scenario: frames");
-    } else if (key == "seed") {
-        spec.seed = fields::parseCount(value, "scenario: seed");
-    } else if (key == "changepoint") {
-        spec.changePointPolicy = parsePolicy(value);
-    } else if (key == "trace_file") {
-        spec.traceFile = textValue(value, "trace_file");
-    } else if (key == "tenants") {
-        setArrivalField(spec.arrivals, "count", value);
-    } else if (key == "phase_scale") {
-        const double s = parseScale(value, "phase_scale");
-        for (PhaseSpec &ph : spec.phases) {
-            // The product must stay a scale the text form reads back.
-            ph.scale *= s;
-            if (!std::isfinite(ph.scale) || ph.scale <= 0.0)
-                fatal("scenario: phase_scale '" + value +
-                      "' takes phase '" + ph.app + "' out of range");
-        }
-    } else if (key.size() > 6 && key.compare(0, 6, "fault.") == 0) {
-        setFaultField(spec.faults, key.substr(6), value);
-    } else {
-        fatal("scenario: unknown directive '" + key + "'");
-    }
-}
-
-Spec
-Spec::fromString(const std::string &text)
-{
-    return fields::looksLikeJson(text) ? fromJsonDoc(text)
-                                       : fromTextDoc(text);
 }
 
 std::vector<Spec>

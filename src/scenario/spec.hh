@@ -1,18 +1,17 @@
 /**
  * @file
- * The scenario DSL: declarative workload x fault x phase x arrival
+ * The scenario DSL: declarative workload x fault x phase
  * compositions.
  *
  * A Spec is a plain-value description of one closed-loop experiment:
  * which workload runs (an analytic suite application, a phase
  * schedule over scaled applications, or a replayed trace), which
  * sensor-fault scenario corrupts its telemetry, what performance
- * demand it paces, how tenants arrive when run through the service,
- * and which controller adaptation policy watches for phase changes.
- * Specs parse from a small line-based text grammar or from JSON and
- * expand into combinatorial grids — so robustness/property tests and
- * the change-point bench enumerate generated scenarios instead of
- * hand-written ones.
+ * demand it paces, and which controller adaptation policy watches
+ * for phase changes. Specs parse from a small line-based text
+ * grammar and expand into combinatorial grids — so robustness/property
+ * tests and the change-point bench enumerate generated scenarios
+ * instead of hand-written ones.
  *
  * Text grammar (one directive per line; '#' comments; CRLF ok):
  *
@@ -26,8 +25,7 @@
  *     fault nan=0.05 outlier=0.05 outlier_scale=25 seed=99
  *     phase x264 frames=60 scale=1.0
  *     phase x264 frames=60 scale=0.7
- *     tenants 4 spacing=8 rate_spread=0.2
- *     trace_file examples/traces/two_phase.csv
+ *     trace_file examples/traces/web_requests.csv
  *     trace_inline <<END          # inline trace text until END
  *       segment,40
  *       0,1.0,100
@@ -35,18 +33,9 @@
  *
  * A directive without options takes exactly one value. Free-text
  * values (name, app, trace_file, a phase's app) are one token: no
- * blank, '#' or control character, in either form. A heredoc body is
- * stored without carriage returns at line ends. The tenants directive
- * sets the arrival pattern that the tests' service-driven runner
- * (tests/support/scenario_runner.hh) reads.
- *
- * JSON uses the same keys: {"name": ..., "workload": "phased",
- * "target": 4.0, "phases": [{"app": "x264", "frames": 60,
- * "scale": 1.0}], "fault": {"nan": 0.05}, "tenants": {"count": 4,
- * "spacing": 8}}. A document whose first non-space character is '{'
- * parses as JSON; every scalar in it goes through the same field
- * setters as the text form, so both forms accept the same values
- * (numbers and counts per workloads/fields.hh).
+ * blank, '#' or control character. A heredoc body is stored without
+ * carriage returns at line ends. Numbers and counts follow
+ * workloads/fields.hh.
  *
  * Grid expansion (expandGrid) takes a base Spec and a list of axes —
  * each a directive key plus the values it sweeps — and produces the
@@ -88,21 +77,6 @@ struct PhaseSpec
     std::size_t frames = 0;
 };
 
-/** Tenant arrival pattern for service-driven runs (read by the
- *  tests' runner; no program drives a scenario through the
- *  service). */
-struct ArrivalSpec
-{
-    /** Tenants admitted over the run. */
-    std::size_t tenants = 1;
-    /** Windows between consecutive admissions (0 = all at once). */
-    std::size_t spacingWindows = 0;
-    /** Relative spread of per-tenant target rates around the
-     *  scenario target: tenant t demands
-     *  target * (1 + rateSpread * t / tenants). */
-    double rateSpread = 0.0;
-};
-
 /** One declarative scenario. */
 struct Spec
 {
@@ -128,28 +102,23 @@ struct Spec
     std::uint64_t seed = 42;
     /** Sensor faults injected into the controller's telemetry. */
     faults::FaultScenario faults;
-    /** Tenant arrivals for service-driven runs. */
-    ArrivalSpec arrivals;
     /** Controller adaptation policy. */
     runtime::ChangePointPolicy changePointPolicy =
         runtime::ChangePointPolicy::Off;
 
     /**
-     * Parse a spec from text or JSON (see the file comment).
+     * Parse a spec from its text form (see the file comment).
      * @throws leo::FatalError on malformed input.
      */
     static Spec fromString(const std::string &text);
-
 };
 
 /**
  * Apply one "key value" directive to a spec — the routine behind
- * the text grammar, the JSON form's scalars and grid axes. Keys:
+ * the text grammar's single-value directives and grid axes. Keys:
  * name, workload, app, target (finite, >= 0), frames, seed,
- * changepoint, trace_file, tenants (count only), fault.<field> (nan,
- * inf, dropout, outlier, outlier_scale, stale, seed), phase_scale
- * (rescales every phase; finite, > 0, and every rescaled phase stays
- * finite and > 0).
+ * changepoint, trace_file, fault.<field> (nan, inf, dropout,
+ * outlier, outlier_scale, stale, seed).
  *
  * @throws leo::FatalError on an unknown key or unparsable value.
  */

@@ -73,14 +73,6 @@ parseCount(std::string_view token, const std::string &what)
     return n;
 }
 
-bool
-looksLikeJson(std::string_view text)
-{
-    const std::size_t i = text.find_first_not_of(" \t\r\n");
-    return i != std::string_view::npos &&
-           (text[i] == '{' || text[i] == '[');
-}
-
 std::string
 formatNumber(double x)
 {

@@ -46,10 +46,6 @@ double parseFinite(std::string_view token, const std::string &what);
 std::uint64_t parseCount(std::string_view token,
                          const std::string &what);
 
-/** @return Whether the first non-blank character of @p text opens a
- *          JSON object or array. */
-bool looksLikeJson(std::string_view text);
-
 /** @return The shortest text parseFinite() reads back as exactly
  *          @p x (std::to_chars). */
 std::string formatNumber(double x);

@@ -10,7 +10,6 @@
 
 #include "linalg/error.hh"
 #include "workloads/fields.hh"
-#include "workloads/jsonish.hh"
 
 namespace leo::workloads
 {
@@ -64,8 +63,45 @@ appendSegment(TraceTable &table, const TraceSegment &seg,
     }
 }
 
+/** Fill one dense value from sorted sparse rows: the measured row
+ *  itself, index-linear between its neighbors, clamped at the ends. */
+double
+fillValue(const std::vector<std::size_t> &idx,
+          const std::vector<double> &val, std::size_t c)
+{
+    // Find the first measured row at or above c.
+    std::size_t hi = 0;
+    while (hi < idx.size() && idx[hi] < c)
+        ++hi;
+    if (hi < idx.size() && idx[hi] == c)
+        return val[hi]; // Exact row: replay the measurement.
+    if (hi == 0)
+        return val.front(); // Before the first row: clamp.
+    if (hi == idx.size())
+        return val.back(); // Past the last row: clamp.
+    const std::size_t lo = hi - 1;
+    const double t = static_cast<double>(c - idx[lo]) /
+                     static_cast<double>(idx[hi] - idx[lo]);
+    return val[lo] + (val[hi] - val[lo]) * t;
+}
+
+/** Pack the assignment's knob effects into a lookup key. */
+std::array<std::uint64_t, 7>
+keyOf(const platform::ResourceAssignment &ra)
+{
+    return {static_cast<std::uint64_t>(ra.threads),
+            std::bit_cast<std::uint64_t>(ra.htShare),
+            static_cast<std::uint64_t>(ra.memControllers),
+            std::bit_cast<std::uint64_t>(ra.freqGHz),
+            static_cast<std::uint64_t>(ra.turbo ? 1 : 0),
+            static_cast<std::uint64_t>(ra.activeCores),
+            static_cast<std::uint64_t>(ra.activeSockets)};
+}
+
+} // namespace
+
 TraceTable
-fromCsv(const std::string &text)
+TraceTable::fromString(const std::string &text)
 {
     TraceTable table;
     TraceSegment cur;
@@ -111,93 +147,6 @@ fromCsv(const std::string &text)
     require(open, "trace: no data rows");
     closeSegment();
     return table;
-}
-
-/** One [c, perf, power] JSON row. */
-void
-pushJsonRow(TraceSegment &seg, const jsonish::Value &row)
-{
-    require(row.isArray() && row.items().size() == 3,
-            "trace: each row must be a [config, performance, power] "
-            "triple");
-    const auto &cells = row.items();
-    pushRow(seg, "trace: JSON row", cells[0].numberText(),
-            cells[1].numberText(), cells[2].numberText());
-}
-
-TraceTable
-fromJson(const std::string &text)
-{
-    const jsonish::Value doc = jsonish::parse(text);
-    TraceTable table;
-    if (doc.isArray()) {
-        TraceSegment seg;
-        for (const auto &row : doc.items())
-            pushJsonRow(seg, row);
-        appendSegment(table, seg, "trace");
-        return table;
-    }
-    require(doc.isObject() && doc.has("segments"),
-            "trace: JSON root must be a row array or an object with "
-            "'segments'");
-    const auto &segs = doc.at("segments").items();
-    require(!segs.empty(), "trace: 'segments' is empty");
-    for (const auto &sv : segs) {
-        require(sv.isObject() && sv.has("rows"),
-                "trace: each segment needs a 'rows' array");
-        TraceSegment seg;
-        if (sv.has("workUnits"))
-            seg.workUnits = fields::parseCount(
-                sv.at("workUnits").numberText(), "trace: workUnits");
-        for (const auto &row : sv.at("rows").items())
-            pushJsonRow(seg, row);
-        appendSegment(table, seg, "trace");
-    }
-    return table;
-}
-
-/** Fill one dense value from sorted sparse rows: the measured row
- *  itself, index-linear between its neighbors, clamped at the ends. */
-double
-fillValue(const std::vector<std::size_t> &idx,
-          const std::vector<double> &val, std::size_t c)
-{
-    // Find the first measured row at or above c.
-    std::size_t hi = 0;
-    while (hi < idx.size() && idx[hi] < c)
-        ++hi;
-    if (hi < idx.size() && idx[hi] == c)
-        return val[hi]; // Exact row: replay the measurement.
-    if (hi == 0)
-        return val.front(); // Before the first row: clamp.
-    if (hi == idx.size())
-        return val.back(); // Past the last row: clamp.
-    const std::size_t lo = hi - 1;
-    const double t = static_cast<double>(c - idx[lo]) /
-                     static_cast<double>(idx[hi] - idx[lo]);
-    return val[lo] + (val[hi] - val[lo]) * t;
-}
-
-/** Pack the assignment's knob effects into a lookup key. */
-std::array<std::uint64_t, 7>
-keyOf(const platform::ResourceAssignment &ra)
-{
-    return {static_cast<std::uint64_t>(ra.threads),
-            std::bit_cast<std::uint64_t>(ra.htShare),
-            static_cast<std::uint64_t>(ra.memControllers),
-            std::bit_cast<std::uint64_t>(ra.freqGHz),
-            static_cast<std::uint64_t>(ra.turbo ? 1 : 0),
-            static_cast<std::uint64_t>(ra.activeCores),
-            static_cast<std::uint64_t>(ra.activeSockets)};
-}
-
-} // namespace
-
-TraceTable
-TraceTable::fromString(const std::string &text)
-{
-    return fields::looksLikeJson(text) ? fromJson(text)
-                                       : fromCsv(text);
 }
 
 TraceTable

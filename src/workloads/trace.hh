@@ -12,10 +12,9 @@
  * work-unit clock crosses a boundary (the trace analogue of
  * fluidanimate's phases).
  *
- * Text formats (TraceTable::fromString / fromFile):
- *
- * CSV — '#' comments, blank lines and CRLF endings tolerated; an
- * optional "config,performance,power" header; "segment,<workUnits>"
+ * Text format (TraceTable::fromString / fromFile), CSV: '#'
+ * comments, blank lines and CRLF endings tolerated; an optional
+ * "config,performance,power" header; "segment,<workUnits>"
  * directives open a new segment (a first data row before any
  * directive opens an unbounded one):
  *
@@ -26,14 +25,10 @@
  *     segment,0          # 0 = unbounded (terminal segment)
  *     0,0.95,102.0
  *
- * JSON — either a bare array of [config, perf, power] rows (one
- * unbounded segment) or {"segments": [{"workUnits": n, "rows":
- * [[c, perf, power], ...]}, ...]}.
- *
- * Both forms read cells with the grammar the CSV and scenario readers
- * share (workloads/fields.hh): config indices and work-unit counts
- * are exact non-negative decimal integers, performance and power are
- * finite numbers, and a CSV line splits on every comma. Malformed
+ * Cells follow the grammar the CSV and scenario readers share
+ * (workloads/fields.hh): config indices and work-unit counts are
+ * exact non-negative decimal integers, performance and power are
+ * finite numbers, and a line splits on every comma. Malformed
  * input (missing columns, non-integer indices, non-finite or
  * non-positive cells, empty segments, duplicate configs in a
  * segment) throws leo::FatalError. Config indices are validated
@@ -84,8 +79,7 @@ struct TraceTable
     std::vector<TraceSegment> segments;
 
     /**
-     * Parse a trace from text (CSV or JSON; a document whose first
-     * non-space character is '{' or '[' is treated as JSON).
+     * Parse a trace from CSV text (see the file comment).
      *
      * @throws leo::FatalError on malformed input.
      */
@@ -101,7 +95,6 @@ struct TraceTable
 
     /** @return The largest config index appearing in any segment. */
     std::size_t maxIndex() const;
-
 };
 
 /** Construction knobs for TraceApplicationModel. */
@@ -158,9 +151,6 @@ class TraceApplicationModel : public ApplicationBehavior
     const linalg::Vector &segmentPerformance(std::size_t seg) const;
     /** Dense replayed power table of one segment. */
     const linalg::Vector &segmentPower(std::size_t seg) const;
-
-    /** @return The table the model was built from. */
-    const TraceTable &table() const { return table_; }
 
   private:
     std::size_t indexOf(const platform::ResourceAssignment &ra) const;

@@ -87,7 +87,9 @@ TEST(GlobalPlan, SingleAppForcedLpMatchesTheHullWalk)
 {
     // The interval LP reduces to Equation (1) for one app with no
     // cap; across a sweep of demands its optimum must agree with the
-    // hull walk to LP tolerance.
+    // hull walk to LP tolerance. The greedy planner solves that LP
+    // for a one-demand fleet: the same columns, the full interval
+    // budget and the same simplex call as the shared program.
     stats::Rng rng(42);
     for (int trial = 0; trial < 50; ++trial) {
         const double deadline = rng.uniform(1.0, 20.0);
@@ -95,10 +97,8 @@ TEST(GlobalPlan, SingleAppForcedLpMatchesTheHullWalk)
         const TenantDemand d = demand(work, deadline);
         const auto hull = optimizer::planMinimalEnergy(
             kPerf, kPower, kIdle, d.constraint);
-        GlobalPlanOptions force;
-        force.forceLp = true;
         const GlobalSchedule lp =
-            optimizer::planGlobalSchedule({d}, kIdle, force);
+            optimizer::planPerAppGreedy({d}, kIdle, {});
         ASSERT_TRUE(lp.feasible) << "trial " << trial;
         EXPECT_NEAR(lp.predictedEnergy, hull.predictedEnergy,
                     1e-9 * (1.0 + hull.predictedEnergy))
@@ -112,12 +112,12 @@ TEST(GlobalPlan, SingleAppForcedLpMatchesTheHullWalk)
 
 TEST(GlobalPlan, SingleAppInfeasibleDemandFallsBack)
 {
+    // The hull-walk fast path and the LP (through the greedy planner,
+    // which solves it for one demand) both fall back.
     const TenantDemand d = demand(100.0, 10.0); // rate 10 > max 4
-    for (const bool force : {false, true}) {
-        GlobalPlanOptions o;
-        o.forceLp = force;
-        const GlobalSchedule g =
-            optimizer::planGlobalSchedule({d}, kIdle, o);
+    for (const GlobalSchedule &g :
+         {optimizer::planGlobalSchedule({d}, kIdle, {}),
+          optimizer::planPerAppGreedy({d}, kIdle, {})}) {
         EXPECT_FALSE(g.feasible);
         ASSERT_EQ(g.perTenant.size(), 1u);
         EXPECT_FALSE(g.perTenant[0].feasible);

@@ -559,9 +559,9 @@ TEST(GuardedBoundary, ZeroRateFrontierWithZeroWorkIdlesOut)
 
 // ------------------------------------ Planner feasibility consistency
 
-// Satellite check: planMinimalEnergy and the global planner (hull
-// fast path and forced LP) must agree on feasibility across
-// degenerate constraints.
+// planMinimalEnergy and the global planner must agree on feasibility
+// across degenerate constraints, on the hull-walk fast path and in
+// the LP (which planPerAppGreedy solves for a one-demand fleet).
 // The grid stays outside the planners' epsilon disagreement band
 // (relative over-capacity between ~1e-12 and the LP's ~1e-7
 // feasibility tolerance), where the hull walk and the simplex are
@@ -587,17 +587,16 @@ TEST(FeasibilityConsistency, DegenerateConstraintGrid)
         optimizer::TenantDemand demand{perf, power, c};
         const auto fast =
             optimizer::planGlobalSchedule({demand}, idle, {});
-        optimizer::GlobalPlanOptions force;
-        force.forceLp = true;
-        const auto lp =
-            optimizer::planGlobalSchedule({demand}, idle, force);
+        const auto lp = optimizer::planPerAppGreedy({demand}, idle, {});
 
         EXPECT_EQ(minimal.feasible, fast.feasible) << "work " << work;
         EXPECT_EQ(minimal.feasible, lp.feasible) << "work " << work;
     }
 
     // Zero-rate configuration space: feasible iff there is no work,
-    // in all three planners.
+    // in all three planners. A two-demand fleet of such apps reaches
+    // the global planner's no-variable branch: everyone idles out a
+    // window, or the fleet falls back.
     const Vector zperf{0.0, 0.0};
     const Vector zpower{90.0, 95.0};
     for (const double work : {0.0, 1.0}) {
@@ -610,10 +609,25 @@ TEST(FeasibilityConsistency, DegenerateConstraintGrid)
         EXPECT_EQ(
             optimizer::planGlobalSchedule({demand}, idle, {}).feasible,
             want);
-        optimizer::GlobalPlanOptions force;
-        force.forceLp = true;
-        EXPECT_EQ(optimizer::planGlobalSchedule({demand}, idle, force)
-                      .feasible,
-                  want);
+        EXPECT_EQ(
+            optimizer::planPerAppGreedy({demand}, idle, {}).feasible,
+            want);
+
+        const optimizer::TenantDemand idler{zperf, zpower,
+                                            {0.0, 0.5 * deadline}};
+        const auto fleet =
+            optimizer::planGlobalSchedule({idler, demand}, idle, {});
+        EXPECT_EQ(fleet.feasible, want) << "work " << work;
+        ASSERT_EQ(fleet.perTenant.size(), 2u);
+        if (want) {
+            // Each app idles out its own window; the machine idles to
+            // the last deadline.
+            EXPECT_EQ(fleet.perTenant[0].predictedEnergy,
+                      idle * idler.constraint.deadlineSeconds);
+            EXPECT_EQ(fleet.perTenant[1].predictedEnergy,
+                      idle * deadline);
+            EXPECT_EQ(fleet.predictedEnergy, idle * deadline);
+            EXPECT_EQ(fleet.intervals.size(), 2u);
+        }
     }
 }

@@ -462,10 +462,8 @@ TEST_P(GlobalPlanProperty, SharingNeverBeatsStandaloneAndCapsHold)
 
         // Slack cap: per-tenant energy never undercuts the hull walk
         // (sharing one machine cannot beat having it exclusively).
-        optimizer::GlobalPlanOptions slack;
-        slack.forceLp = true;
         const auto shared =
-            optimizer::planGlobalSchedule(demands, idle, slack);
+            optimizer::planGlobalSchedule(demands, idle, {});
         if (shared.feasible) {
             for (std::size_t a = 0; a < demands.size(); ++a) {
                 const auto solo = optimizer::planMinimalEnergy(

@@ -86,18 +86,6 @@ specToString(const scenario::Spec &spec)
             out += '\n';
         out += delim + "\n";
     }
-    if (spec.arrivals.tenants != 1 ||
-        spec.arrivals.spacingWindows != 0 ||
-        spec.arrivals.rateSpread != 0.0) {
-        out += "tenants " + std::to_string(spec.arrivals.tenants);
-        if (spec.arrivals.spacingWindows != 0)
-            out += " spacing=" +
-                   std::to_string(spec.arrivals.spacingWindows);
-        if (spec.arrivals.rateSpread != 0.0)
-            out +=
-                " rate_spread=" + formatNumber(spec.arrivals.rateSpread);
-        out += "\n";
-    }
     return out;
 }
 
@@ -116,7 +104,7 @@ runScenarioService(
     auto svc = std::make_unique<service::Service>(
         scenario.space(), estimator, prior, pool, sopts);
 
-    const std::size_t tenants = spec.arrivals.tenants;
+    const std::size_t tenants = options.tenants;
     require(tenants > 0, "runScenarioService: zero tenants");
     const std::string app_label = scenario.behaviorAt(0).name();
 
@@ -136,11 +124,11 @@ runScenarioService(
 
     for (std::size_t w = 0; w < spec.frames; ++w) {
         while (admitted < tenants &&
-               w >= admitted * spec.arrivals.spacingWindows) {
+               w >= admitted * options.spacingWindows) {
             service::TenantConfig tc;
             tc.appId = app_label;
             tc.targetRate =
-                target * (1.0 + spec.arrivals.rateSpread *
+                target * (1.0 + options.rateSpread *
                                     static_cast<double>(admitted) /
                                     static_cast<double>(tenants));
             tc.seed = spec.seed + admitted;

@@ -5,10 +5,11 @@
  *
  * specToString() is the round-trip oracle of the spec grammar: every
  * spec the parser accepts renders to text that parses back to the
- * same rendering. runScenarioService() drives a scenario's tenants
- * through leo::service, so the tests can pin that fleet schedules
- * depend only on the spec — never on shard count, worker count or a
- * mid-run snapshot round-trip. No program needs either.
+ * same rendering. runScenarioService() drives a population of
+ * tenants running one scenario through leo::service, so the tests
+ * can pin that fleet schedules depend only on the spec and the
+ * arrival pattern — never on shard count, worker count or a mid-run
+ * snapshot round-trip. No program needs either.
  */
 
 #ifndef LEO_TESTS_SUPPORT_SCENARIO_RUNNER_HH
@@ -41,6 +42,14 @@ std::string specToString(const scenario::Spec &spec);
 /** Knobs of the service-driven runner. */
 struct ServiceRunOptions
 {
+    /** Tenants admitted over the run. */
+    std::size_t tenants = 1;
+    /** Windows between consecutive admissions (0 = all at once). */
+    std::size_t spacingWindows = 0;
+    /** Relative spread of per-tenant target rates around the
+     *  scenario target: tenant t demands
+     *  target * (1 + rateSpread * t / tenants). */
+    double rateSpread = 0.0;
     /** After this many windows, snapshot the service, restore into a
      *  fresh one and continue there (0 = never). */
     std::size_t snapshotAtWindow = 0;
@@ -64,14 +73,14 @@ struct ServiceRunResult
 };
 
 /**
- * Drive a scenario's tenant population through leo::service.
+ * Drive a tenant population through leo::service.
  *
- * Tenant t is admitted at window t * spacingWindows (the spec's
- * arrivals) with demand target * (1 + rateSpread * t / tenants), its
- * own seed, its own measurement-noise stream and its own fault
- * stream; every tenant replays the same workload. Deterministic: the
- * schedules depend only on the spec and the service options, never
- * on shard or thread count.
+ * Tenant t is admitted at window t * spacingWindows with demand
+ * target * (1 + rateSpread * t / tenants), its own seed, its own
+ * measurement-noise stream and its own fault stream; every tenant
+ * replays the scenario's workload. Deterministic: the schedules
+ * depend only on the spec and the options, never on shard or thread
+ * count.
  */
 ServiceRunResult runScenarioService(
     scenario::Scenario &scenario,

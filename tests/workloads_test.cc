@@ -330,10 +330,6 @@ TEST(Fields, LinesAndCommas)
     EXPECT_EQ(fields::splitCommas("a,1,"),
               (std::vector<std::string>{"a", "1", ""}));
     EXPECT_EQ(fields::splitCommas(""), (std::vector<std::string>{""}));
-    EXPECT_TRUE(fields::looksLikeJson(" \r\n{\"a\": 1}"));
-    EXPECT_TRUE(fields::looksLikeJson("\t[1]"));
-    EXPECT_FALSE(fields::looksLikeJson("frames 3"));
-    EXPECT_FALSE(fields::looksLikeJson(" "));
 }
 
 TEST(Fields, ParsersOwnTheRangeChecks)

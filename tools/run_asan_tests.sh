@@ -7,7 +7,7 @@
 # a heap error or UB triggered by corrupted telemetry fails the run.
 # csv_test, workloads_test and scenario_test feed hostile text to the
 # shared field parsers (src/workloads/fields.hh); scenario_test also
-# cuts, bit-flips and line-swaps the shipped traces and two specs. The
+# cuts, bit-flips and line-swaps the shipped traces and a spec. The
 # preset's float-cast-overflow check fails the run if any of them
 # still reaches a double-to-integer cast. estimators_test,
 # runtime_test and service_test feed hostile snapshot bytes to the
