@@ -3,8 +3,8 @@
  * Serial-vs-parallel wall time of the multi-application batch fit.
  *
  * Times the 25-benchmark leave-one-out EM sweep (one LEO fit per
- * target application, the workload behind Figures 5-6) through
- * estimators::EstimatorBatch at increasing pool sizes, reports the
+ * target application, the workload behind Figures 5-6) fanned out
+ * with parallel::parallelFor at increasing pool sizes, reports the
  * speedup over the zero-worker serial pool, and cross-checks that
  * every pool size produced bitwise-identical predictions — the
  * determinism guarantee of parallel/parallel_for.hh.
@@ -20,27 +20,36 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "estimators/batch.hh"
-#include "parallel/thread_pool.hh"
+#include "parallel/parallel_for.hh"
 
 using namespace leo;
 
 namespace
 {
 
-/** Wall time of one batch run in milliseconds. */
+/** One leave-one-out fit: the target's prior and its probes. */
+struct Problem
+{
+    std::vector<linalg::Vector> prior;
+    std::vector<std::size_t> indices;
+    linalg::Vector values;
+};
+
+/** Wall time of one fan-out of every problem, in milliseconds. */
 double
 timeBatch(const estimators::LeoEstimator &est,
           parallel::ThreadPool &pool,
           const platform::ConfigSpace &space,
-          const std::vector<estimators::EstimateRequest> &requests,
+          const std::vector<Problem> &problems,
           std::vector<estimators::MetricEstimate> &results)
 {
-    estimators::EstimatorBatch batch(est, pool);
-    for (const auto &r : requests)
-        batch.add(r);
+    results.assign(problems.size(), estimators::MetricEstimate{});
     const auto t0 = std::chrono::steady_clock::now();
-    results = batch.run(space);
+    parallel::parallelFor(pool, problems.size(), [&](std::size_t i) {
+        const Problem &p = problems[i];
+        results[i] =
+            est.estimateMetric(space, p.prior, p.indices, p.values);
+    });
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -78,30 +87,27 @@ main()
     const std::size_t repeats =
         experiments::envSize("LEO_BENCH_REPEATS", 3);
 
-    // One leave-one-out request per benchmark, observations drawn
+    // One leave-one-out problem per benchmark, observations drawn
     // with the standard budget of 20.
     stats::Rng rng(bench::seed());
     const telemetry::HeartbeatMonitor monitor;
     const telemetry::WattsUpMeter meter;
     const telemetry::Profiler profiler(monitor, meter);
     const telemetry::RandomSampler policy;
-    std::vector<estimators::EstimateRequest> requests;
+    std::vector<Problem> problems;
     for (const auto &profile : workloads::standardSuite()) {
         const workloads::ApplicationModel model(profile,
                                                 world.machine);
         const auto obs = profiler.sample(model, world.space, policy,
                                          20, rng);
-        estimators::EstimateRequest req;
-        req.prior = estimators::priorVectors(
-            world.store.without(profile.name),
-            estimators::Metric::Performance);
-        req.obsIndices = obs.indices;
-        req.obsValues = obs.performance;
-        requests.push_back(std::move(req));
+        problems.push_back(
+            {estimators::priorVectors(world.store.without(profile.name),
+                                      estimators::Metric::Performance),
+             obs.indices, obs.performance});
     }
     std::printf("%zu applications, %zu configurations, "
                 "hardware concurrency %zu\n\n",
-                requests.size(), world.space.size(),
+                problems.size(), world.space.size(),
                 static_cast<std::size_t>(
                     std::thread::hardware_concurrency()));
 
@@ -119,7 +125,7 @@ main()
         double best = 0.0;
         for (std::size_t r = 0; r < repeats; ++r) {
             const double ms = timeBatch(est, pool, world.space,
-                                        requests, results);
+                                        problems, results);
             if (r == 0 || ms < best)
                 best = ms;
         }

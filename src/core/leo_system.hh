@@ -59,8 +59,7 @@ class LeoSystem
      * Convenience constructor reproducing the paper's setup: the
      * dual-Xeon machine, the full 1024-configuration space, and an
      * offline database collected from the 25-benchmark suite
-     * (excluding nothing; use prior().without(name) for
-     * leave-one-out studies).
+     * (excluding nothing).
      */
     static LeoSystem withStandardSuite(
         LeoSystemOptions options = LeoSystemOptions{});
@@ -69,10 +68,6 @@ class LeoSystem
     const platform::Machine &machine() const { return machine_; }
     /** @return The configuration space. */
     const platform::ConfigSpace &space() const { return space_; }
-    /** @return The offline profile database. */
-    const telemetry::ProfileStore &prior() const { return prior_; }
-    /** @return The options. */
-    const LeoSystemOptions &options() const { return options_; }
 
     /**
      * Sample a (simulated) target application with the configured

@@ -96,9 +96,9 @@ struct LeoOptions
     /** Initial observation-noise variance (normalized space); the
      *  fit floors sigma^2 at kMinSigma2 (leo.cc). */
     double initSigma2 = 1e-2;
-    /** No effect: a fit is serial, and batches fan out instead
-     *  (EstimatorBatch). Pinned by perfbench/, which sets it, until
-     *  the next change to perfbench. */
+    /** No effect: a fit is serial, and callers fan whole fits out
+     *  with parallel::parallelFor instead. Pinned by perfbench/,
+     *  which sets it, until the next change to perfbench. */
     std::size_t threads = 0;
 };
 
@@ -261,9 +261,6 @@ class LeoEstimator : public Estimator
 
     std::string name() const override { return "leo"; }
 
-    /** @return The options in use. */
-    const LeoOptions &options() const { return options_; }
-
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,
         const std::vector<linalg::Vector> &prior,
@@ -272,7 +269,7 @@ class LeoEstimator : public Estimator
 
     /**
      * Workspace variant of estimateMetric for callers that fit
-     * repeatedly (the runtime controller, the service's batches):
+     * repeatedly (the runtime controller):
      * same result contract, plus scratch reuse across calls and the
      * full fit on request. Builds a PriorBasis from `prior` and runs
      * the shared-basis overload below, so both produce the same bits.

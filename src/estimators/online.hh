@@ -35,9 +35,6 @@ class OnlineEstimator : public Estimator
 
     std::string name() const override { return "online"; }
 
-    /** @return The polynomial degree. */
-    std::size_t degree() const { return degree_; }
-
     MetricEstimate estimateMetric(
         const platform::ConfigSpace &space,
         const std::vector<linalg::Vector> &prior,

@@ -4,15 +4,14 @@
  *
  * The leave-one-out protocol runs one independent estimation problem
  * per (application, trial, approach); those fits are fanned across
- * the shared thread pool through estimators::EstimatorBatch. All
- * randomness is forked from the master RNG in the serial order
- * before any parallel work starts, so the experiment's output is
- * identical at every thread count.
+ * the shared thread pool in one parallel region. All randomness is
+ * forked from the master RNG in the serial order before any parallel
+ * work starts, so the experiment's output is identical at every
+ * thread count.
  */
 
 #include "experiments/accuracy.hh"
 
-#include "estimators/batch.hh"
 #include "estimators/leo.hh"
 #include "estimators/offline.hh"
 #include "estimators/online.hh"
@@ -78,8 +77,8 @@ runAccuracyExperiment(estimators::Metric metric,
     const estimators::OnlineEstimator online_est;
     const estimators::OfflineEstimator offline_est;
 
-    // The batched fits fan out on the shared pool (LEO_THREADS);
-    // results are identical at every pool size.
+    // The fits fan out on the shared pool (LEO_THREADS); results are
+    // identical at every pool size.
     parallel::ThreadPool &pool = parallel::ThreadPool::global();
 
     const std::size_t n_apps = apps.size();
@@ -87,57 +86,40 @@ runAccuracyExperiment(estimators::Metric metric,
 
     // Per-(app, trial) sampling, serial and in the seed's original
     // order so every RNG fork draws the same stream regardless of
-    // the pool size; the expensive part — the fits — is batched.
-    struct Trial
-    {
-        telemetry::Observations obs;
-        bool anchored = false;
-    };
+    // the pool size; the expensive part — the fits — fans out.
     std::vector<workloads::GroundTruth> truths;
     truths.reserve(n_apps);
-    std::vector<std::vector<Trial>> trial_inputs(n_apps);
-
-    estimators::EstimatorBatch leo_batch(leo_est, pool);
-    estimators::EstimatorBatch online_batch(online_est, pool);
-    estimators::EstimatorBatch offline_batch(offline_est, pool);
+    std::vector<std::vector<linalg::Vector>> priors(n_apps);
+    // Laid out app-major, trial-minor: a * trials + t.
+    std::vector<telemetry::Observations> samples;
+    samples.reserve(n_apps * trials);
 
     for (std::size_t a = 0; a < n_apps; ++a) {
         const workloads::ApplicationProfile &profile = apps[a];
         const workloads::ApplicationModel model(profile, machine);
         truths.push_back(workloads::computeGroundTruth(model, space));
-        const std::vector<linalg::Vector> prior_vecs =
-            estimators::priorVectors(store.without(profile.name),
-                                     metric);
-
-        trial_inputs[a].reserve(trials);
+        priors[a] = estimators::priorVectors(
+            store.without(profile.name), metric);
         for (std::size_t t = 0; t < trials; ++t) {
             stats::Rng rng = master.fork();
-            Trial trial;
-            trial.obs = profiler.sample(model, space, policy,
-                                        options.sampleBudget, rng);
-            trial.anchored = !trial.obs.indices.empty();
-            const linalg::Vector &obs_vals =
-                metric == estimators::Metric::Performance
-                    ? trial.obs.performance
-                    : trial.obs.power;
-            estimators::EstimateRequest req;
-            req.prior = prior_vecs;
-            req.obsIndices = trial.obs.indices;
-            req.obsValues = obs_vals;
-            leo_batch.add(req);
-            online_batch.add(req);
-            offline_batch.add(std::move(req));
-            trial_inputs[a].push_back(std::move(trial));
+            samples.push_back(profiler.sample(
+                model, space, policy, options.sampleBudget, rng));
         }
     }
 
-    // Requests are laid out app-major, trial-minor: a * trials + t.
-    const std::vector<estimators::MetricEstimate> leo_out =
-        leo_batch.run(space);
-    const std::vector<estimators::MetricEstimate> online_out =
-        online_batch.run(space);
-    const std::vector<estimators::MetricEstimate> offline_out =
-        offline_batch.run(space);
+    // Every (approach, app, trial) fit in one parallel region, laid
+    // out approach-major: approach * fits + a * trials + t.
+    const estimators::Estimator *const approaches[] = {
+        &leo_est, &online_est, &offline_est};
+    const std::size_t fits = samples.size();
+    std::vector<estimators::MetricEstimate> out(3 * fits);
+    parallel::parallelFor(pool, out.size(), [&](std::size_t k) {
+        const telemetry::Observations &obs = samples[k % fits];
+        out[k] = approaches[k / fits]->estimateMetric(
+            space, priors[(k % fits) / trials], obs.indices,
+            metric == estimators::Metric::Performance ? obs.performance
+                                                      : obs.power);
+    });
 
     std::vector<AccuracyRow> rows;
     rows.reserve(n_apps);
@@ -150,10 +132,10 @@ runAccuracyExperiment(estimators::Metric metric,
         row.application = apps[a].name;
         for (std::size_t t = 0; t < trials; ++t) {
             const std::size_t k = a * trials + t;
-            const bool anchored = trial_inputs[a][t].anchored;
-            row.leo += score(leo_out[k], truth, anchored);
-            row.online += score(online_out[k], truth, anchored);
-            row.offline += score(offline_out[k], truth, anchored);
+            const bool anchored = !samples[k].indices.empty();
+            row.leo += score(out[k], truth, anchored);
+            row.online += score(out[fits + k], truth, anchored);
+            row.offline += score(out[2 * fits + k], truth, anchored);
         }
         const double n = static_cast<double>(trials);
         row.leo /= n;

@@ -56,13 +56,6 @@ struct FaultScenario
      *  cache / stuck register. The first reading cannot be stale. */
     double staleProb = 0.0;
 
-    /** @return True iff any fault class can fire. */
-    bool enabled() const
-    {
-        return nanProb > 0.0 || infProb > 0.0 || dropoutProb > 0.0 ||
-               outlierProb > 0.0 || staleProb > 0.0;
-    }
-
     /** @return The all-zero scenario (wrapping becomes identity). */
     static FaultScenario none() { return FaultScenario{}; }
 };

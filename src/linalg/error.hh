@@ -90,19 +90,13 @@ require(bool cond, const char *msg)
 }
 
 /**
- * Check an internal invariant; calls panic() on failure.
+ * Check an internal invariant; calls panic() on failure. The message
+ * is a literal, so a check that holds never touches the heap (see
+ * require()).
  *
  * @param cond Condition that must hold.
  * @param msg  Message used when the condition fails.
  */
-inline void
-invariant(bool cond, const std::string &msg)
-{
-    if (!cond)
-        panic(msg);
-}
-
-/** Literal-message overload of invariant(); see require(). */
 inline void
 invariant(bool cond, const char *msg)
 {

@@ -61,9 +61,6 @@ class LowRankBasis
      */
     void reset(std::size_t n, std::size_t max_rank);
 
-    /** @return The ambient dimension n. */
-    std::size_t dim() const { return n_; }
-
     /** @return The current rank q (number of basis vectors). */
     std::size_t size() const { return q_; }
 

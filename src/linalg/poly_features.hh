@@ -37,19 +37,10 @@ class PolynomialFeatures
     /** @return Number of expanded features C(d + degree, degree). */
     std::size_t numFeatures() const { return exponents_.size(); }
 
-    /** @return Number of raw predictors. */
-    std::size_t numInputs() const { return num_inputs_; }
-
-    /** @return The exponent tuples, one per feature. */
-    const std::vector<std::vector<unsigned>> &exponents() const
-    {
-        return exponents_;
-    }
-
     /**
      * Expand one raw predictor vector.
      *
-     * @param x Raw predictors, size numInputs().
+     * @param x Raw predictors, size num_inputs.
      * @return Feature vector of size numFeatures().
      */
     Vector expand(const Vector &x) const;

@@ -54,11 +54,7 @@ unpackLe(const char *in)
 
 /** True when an array of T is byte for byte its u64 wire form. */
 template <typename T>
-constexpr bool
-wireLayout()
-{
-    return kLittleEndian && sizeof(T) == 8;
-}
+constexpr bool kWireLayout = kLittleEndian && sizeof(T) == 8;
 
 } // namespace
 
@@ -111,7 +107,7 @@ template <typename T>
 void
 ByteWriter::words(const T *p, std::size_t count)
 {
-    if constexpr (wireLayout<T>()) {
+    if constexpr (kWireLayout<T>) {
         append(reinterpret_cast<const char *>(p), count * 8);
     } else {
         for (std::size_t i = 0; i < count; ++i) {
@@ -176,7 +172,7 @@ ByteReader::words(T *out, std::size_t count)
     const char *p = claim(count * 8);
     if (!p)
         return;
-    if constexpr (wireLayout<T>()) {
+    if constexpr (kWireLayout<T>) {
         if (count != 0)
             std::memcpy(out, p, count * 8);
     } else {

@@ -145,9 +145,6 @@ class Tableau
     const std::vector<std::size_t> &basis() const { return basis_; }
     const Vector &rhs() const { return b_; }
     Matrix &a() { return a_; }
-    Vector &b() { return b_; }
-    Vector &c() { return c_; }
-    std::vector<std::size_t> &basisMutable() { return basis_; }
 
   private:
     Matrix a_;

@@ -66,12 +66,7 @@ class Vector
     /** @return Pointer to the underlying contiguous storage. */
     double *data() { return data_.data(); }
 
-    /** @return The underlying std::vector. */
-    const std::vector<double> &raw() const { return data_; }
-
     /** Iterators so the vector works with range-for and algorithms. */
-    auto begin() { return data_.begin(); }
-    auto end() { return data_.end(); }
     auto begin() const { return data_.begin(); }
     auto end() const { return data_.end(); }
 

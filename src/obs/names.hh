@@ -97,26 +97,11 @@ inline constexpr const char *kProfilerSweepsRun =
 inline constexpr const char *kProfilerMeasureSpan = "leo.profiler.measure";
 
 // ---- controller: the online energy controller ------------------- //
-inline constexpr const char *kControllerFitsFailed =
-    "leo.controller.fits.failed";
-inline constexpr const char *kControllerSamplesRejected =
-    "leo.controller.samples.rejected";
-inline constexpr const char *kControllerWindowsFallback =
-    "leo.controller.windows.fallback";
 inline constexpr const char *kControllerWindowSpan =
     "leo.controller.window";
 inline constexpr const char *kControllerFitSpan = "leo.controller.fit";
-inline constexpr const char *kControllerChangepointsDetected =
-    "leo.controller.changepoints.detected";
 inline constexpr const char *kControllerChangepointLatency =
     "leo.controller.changepoint.latency.windows";
-
-// ---- scenario: trace replay and scenario runs ------------------- //
-inline constexpr const char *kScenarioRunsExecuted =
-    "leo.scenario.runs.executed";
-inline constexpr const char *kScenarioFramesSimulated =
-    "leo.scenario.frames.simulated";
-inline constexpr const char *kScenarioRunSpan = "leo.scenario.run";
 
 // ---- service: the multi-tenant serving core --------------------- //
 inline constexpr const char *kServiceTenantsAdmitted =

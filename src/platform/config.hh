@@ -33,9 +33,6 @@ struct Config
     /** Speed setting (0..14 = DVFS ladder, 15 = TurboBoost). */
     unsigned speedIdx = 0;
 
-    /** Total logical threads the application may run. */
-    unsigned threads() const { return cores * threadsPerCore; }
-
     /** @return A compact human-readable rendering, e.g. "8c x2 2m s12". */
     std::string describe() const;
 };

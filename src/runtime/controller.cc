@@ -12,6 +12,7 @@
 #include "estimators/fit_io.hh"
 #include "estimators/offline.hh"
 #include "linalg/error.hh"
+#include "obs/obs.hh"
 
 namespace leo::runtime
 {
@@ -51,6 +52,25 @@ constexpr std::size_t kStarveWindows = 8;
  *  detectors' run-length arrays; v4 carries its fits in fit format v5
  *  (no mu). */
 constexpr std::uint32_t kControllerStateVersion = 4;
+
+/** The estimator as LEO, or null: LEO fits run through the prior
+ *  bases and keep their factors for the change-point detector. */
+const estimators::LeoEstimator *
+asLeo(const estimators::Estimator *estimator)
+{
+    return dynamic_cast<const estimators::LeoEstimator *>(estimator);
+}
+
+/** Change-point detection latency in windows, one histogram for the
+ *  process (registered at first use). */
+const obs::Histogram &
+changePointLatency()
+{
+    static const obs::Histogram h = obs::Registry::global().histogram(
+        obs::names::kControllerChangepointLatency,
+        changePointLatencyBuckets());
+    return h;
+}
 
 } // namespace
 
@@ -112,7 +132,7 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
     if (s.configIndex >= space_.size() ||
         !std::isfinite(s.heartbeatRate) || s.heartbeatRate <= 0.0 ||
         !std::isfinite(s.powerWatts) || s.powerWatts <= 0.0) {
-        samples_rejected_.add(1);
+        ++samples_rejected_;
         return;
     }
 
@@ -146,8 +166,6 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
                 return;
             }
             fit();
-            replan();
-            state_ = State::Controlling;
         }
         return;
     }
@@ -155,7 +173,7 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
     // Controlling on fallback estimates: count the window and, when
     // the backoff expires, retry estimation with fresh probes.
     if (fallback_remaining_ > 0) {
-        fallback_windows_.add(1);
+        ++fallback_windows_;
         if (--fallback_remaining_ == 0 && estimator_ != nullptr) {
             beginSampling();
             return;
@@ -220,9 +238,8 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
             }
         }
         if (fired) {
-            changepoints_detected_.add(1);
-            changepoint_latency_.record(
-                static_cast<double>(latency));
+            ++changepoints_detected_;
+            changePointLatency().record(static_cast<double>(latency));
             ++reestimations_;
             // The old posterior describes dead behavior: drop its
             // fits until the refit replaces them.
@@ -352,26 +369,69 @@ EnergyController::priorBases()
 void
 EnergyController::fit()
 {
-    obs::Span span(obs::names::kControllerFitSpan, "runtime");
-    span.arg("observations",
-             static_cast<double>(observations_.size()));
-
-    // No estimator throw escapes the controller: a failed or
-    // non-finite fit engages the degradation policy instead of
-    // crashing the control loop mid-flight.
-    try {
-        fitUnguarded();
-        if (perf_.size() == space_.size() &&
-            power_.size() == space_.size() && perf_.allFinite() &&
-            power_.allFinite()) {
-            fallback_remaining_ = 0;
-            return;
-        }
-    } catch (const std::exception &) {
-        // Fall through to the fallback policy.
+    estimators::MetricEstimate perf;
+    estimators::MetricEstimate power;
+    estimators::LeoFit perf_fit;
+    estimators::LeoFit power_fit;
+    {
+        obs::Span span(obs::names::kControllerFitSpan, "runtime");
+        span.arg("observations",
+                 static_cast<double>(observations_.size()));
+        // A LEO fit builds the bases here, at the first fit, so that
+        // construction stays cheap; estimateFor() only reads them.
+        if (asLeo(estimator_) != nullptr)
+            priorBases();
+        perf = estimateFor(estimators::Metric::Performance, &fit_ws_,
+                           &perf_fit);
+        power = estimateFor(estimators::Metric::Power, &fit_ws_,
+                            &power_fit);
     }
-    fits_failed_.add(1);
-    fallbackEstimates();
+    applyExternalFit(std::move(perf), std::move(power),
+                     std::move(perf_fit), std::move(power_fit));
+}
+
+estimators::MetricEstimate
+EnergyController::estimateFor(estimators::Metric metric,
+                              linalg::Workspace *ws,
+                              estimators::LeoFit *fit_out) const
+{
+    const bool is_perf = metric == estimators::Metric::Performance;
+    const linalg::Vector &vals =
+        is_perf ? observations_.performance : observations_.power;
+    // No estimator throw escapes the controller: it reaches the
+    // caller as a failed fit, which engages the degradation policy
+    // instead of crashing the control loop mid-flight.
+    try {
+        const estimators::LeoEstimator *leo = asLeo(estimator_);
+        if (leo != nullptr) {
+            // Every fit runs cold, so it depends on the prior and the
+            // observations only. A prior the bases cannot be built
+            // from keeps the raw-vector path, which degrades inside
+            // the estimator.
+            const std::shared_ptr<const estimators::PriorBasis> basis =
+                bases_ == nullptr ? nullptr
+                : is_perf         ? bases_->perf
+                                  : bases_->power;
+            return basis ? leo->estimateMetric(space_, basis,
+                                               observations_.indices,
+                                               vals, ws, fit_out)
+                         : leo->estimateMetric(
+                               space_, priorVectors(prior_, metric),
+                               observations_.indices, vals, ws,
+                               fit_out);
+        }
+        if (estimator_ != nullptr)
+            return estimator_->estimateMetric(
+                space_, priorVectors(prior_, metric),
+                observations_.indices, vals);
+    } catch (const std::exception &) {
+        // Fall through to the failed estimate.
+    }
+    if (fit_out != nullptr)
+        *fit_out = estimators::LeoFit{};
+    estimators::MetricEstimate failed;
+    failed.reliable = false;
+    return failed;
 }
 
 void
@@ -436,56 +496,6 @@ EnergyController::fallbackEstimates()
 }
 
 void
-EnergyController::fitUnguarded()
-{
-    if (estimator_ == nullptr)
-        return;
-    // LEO fits reuse one workspace across re-estimations and keep
-    // their fits for the change-point variance; every fit runs cold,
-    // so a refit depends on the prior and observations only. Other
-    // estimators take the generic interface.
-    const auto *as_leo =
-        dynamic_cast<const estimators::LeoEstimator *>(estimator_);
-    if (as_leo) {
-        // A prior the bases cannot be built from keeps the raw-vector
-        // path, which degrades inside the estimator.
-        const estimators::PriorBases &bases = priorBases();
-        const auto fitOne = [&](const std::shared_ptr<
-                                    const estimators::PriorBasis> &basis,
-                                estimators::Metric metric,
-                                const linalg::Vector &vals,
-                                estimators::LeoFit &fit) {
-            return basis ? as_leo->estimateMetric(
-                               space_, basis, observations_.indices,
-                               vals, &fit_ws_, &fit)
-                         : as_leo->estimateMetric(
-                               space_, priorVectors(prior_, metric),
-                               observations_.indices, vals, &fit_ws_,
-                               &fit);
-        };
-        estimators::MetricEstimate perf =
-            fitOne(bases.perf, estimators::Metric::Performance,
-                   observations_.performance, perf_fit_);
-        estimators::MetricEstimate power =
-            fitOne(bases.power, estimators::Metric::Power,
-                   observations_.power, power_fit_);
-        have_fits_ = true;
-        samples_rejected_.add(perf.samplesRejected +
-                              power.samplesRejected);
-        perf_ = std::move(perf.values);
-        power_ = std::move(power.values);
-        return;
-    }
-    const estimators::EstimationInputs inputs{space_, prior_,
-                                              observations_};
-    estimators::Estimate est = estimator_->estimate(inputs);
-    samples_rejected_.add(est.performance.samplesRejected +
-                          est.power.samplesRejected);
-    perf_ = std::move(est.performance.values);
-    power_ = std::move(est.power.values);
-}
-
-void
 EnergyController::replan()
 {
     replanPreserving();
@@ -507,17 +517,13 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
                                    estimators::LeoFit perf_fit,
                                    estimators::LeoFit power_fit)
 {
-    // Mirror of fit() + the post-plan transition in
-    // recordMeasurement(), with the estimator call replaced by the
-    // caller's results. estimateMetric() never lets an estimator
-    // throw escape (it degrades internally), so the inline path's
-    // try/catch has no analogue here.
     fit_pending_ = false;
-    samples_rejected_.add(perf.samplesRejected +
-                          power.samplesRejected);
+    samples_rejected_ += perf.samplesRejected + power.samplesRejected;
     perf_fit_ = std::move(perf_fit);
     power_fit_ = std::move(power_fit);
-    have_fits_ = true;
+    // Other estimators leave the fits empty: no predictive variance
+    // for the change-point detector to read, and none to save.
+    have_fits_ = asLeo(estimator_) != nullptr;
     perf_ = std::move(perf.values);
     power_ = std::move(power.values);
     if (perf_.size() == space_.size() &&
@@ -525,7 +531,7 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
         power_.allFinite()) {
         fallback_remaining_ = 0;
     } else {
-        fits_failed_.add(1);
+        ++fits_failed_;
         fallbackEstimates();
     }
     replan();
@@ -585,16 +591,16 @@ EnergyController::writeState(linalg::ByteWriter &w) const
     w.u64(pending_config_);
     w.u8(fit_pending_ ? 1 : 0);
     w.u64(fallback_remaining_);
-    w.u64(fits_failed_.value());
-    w.u64(samples_rejected_.value());
-    w.u64(fallback_windows_.value());
+    w.u64(fits_failed_);
+    w.u64(samples_rejected_);
+    w.u64(fallback_windows_);
     // Appended only when the policy is on, so Off-policy blobs carry
     // no detector bytes. A controller restores with the same options
     // it saved with — the service already guarantees that.
     if (options_.changePointPolicy != ChangePointPolicy::Off) {
         cp_perf_.save(w);
         cp_power_.save(w);
-        w.u64(changepoints_detected_.value());
+        w.u64(changepoints_detected_);
         w.u64(starve_count_);
     }
 }
@@ -709,12 +715,10 @@ EnergyController::restoreState(linalg::ByteReader &r)
     replanPreserving();
     if (segment_ != segment)
         return failClosed();
-    // Counters restore additively; a freshly constructed controller
-    // has them at zero, so the resumed totals match the saved run.
-    fits_failed_.add(fits_failed);
-    samples_rejected_.add(samples_rejected);
-    fallback_windows_.add(fallback_windows);
-    changepoints_detected_.add(changepoints);
+    fits_failed_ = fits_failed;
+    samples_rejected_ = samples_rejected;
+    fallback_windows_ = fallback_windows;
+    changepoints_detected_ = changepoints;
     return true;
 }
 

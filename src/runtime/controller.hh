@@ -17,6 +17,7 @@
 #define LEO_RUNTIME_CONTROLLER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -26,7 +27,6 @@
 #include "estimators/leo.hh"
 #include "linalg/serialize.hh"
 #include "linalg/workspace.hh"
-#include "obs/obs.hh"
 #include "optimizer/pareto.hh"
 #include "runtime/changepoint.hh"
 #include "stats/rng.hh"
@@ -60,9 +60,10 @@ struct ControllerOptions
     /**
      * When true, a completed probe plan parks the controller in
      * fitPending() instead of fitting inline: an external owner (the
-     * multi-tenant service) collects the observation set, runs the
-     * fit in a shared batch, and hands the result back through
-     * applyExternalFit(). False keeps the self-contained inline fit.
+     * multi-tenant service) runs the controller's own estimateFor()
+     * for both metrics, alongside other tenants' fits, and hands the
+     * results back through applyExternalFit(). False keeps the
+     * self-contained inline fit.
      */
     bool deferFits = false;
 };
@@ -174,17 +175,39 @@ class EnergyController
     }
 
     /**
-     * Complete a deferred fit: install externally computed estimates
-     * and their fits, then replan and switch to Controlling — the
-     * exact sequence the inline fit runs, so a deferred fit computed
-     * on the same inputs (the prior and observations()) yields a
-     * bitwise-identical schedule.
-     * Estimates that come back unusable (wrong size or non-finite)
-     * engage the same degradation policy as an inline fit failure.
-     * Never throws.
+     * Fit one metric of observations() as this controller's next fit
+     * would: a LEO estimator fits through the controller's prior
+     * basis for the metric (the raw prior vectors when that basis is
+     * null), any other estimator through Estimator::estimateMetric.
+     * It only reads the controller, so the performance and the power
+     * fit may run at the same time on two threads; the inline fit
+     * and the service's deferred fits both run it. Never throws: a
+     * throw comes back as an empty, unreliable estimate, as does a
+     * fit without an estimator, and applyExternalFit() treats that
+     * as a failed fit.
      *
-     * @param perf      Performance estimate from the external fit.
-     * @param power     Power estimate from the external fit.
+     * @param metric  Which metric to fit.
+     * @param ws      Scratch arena of a LEO fit (null = a fit-local
+     *                arena; it never changes the bits). Concurrent
+     *                calls need distinct arenas.
+     * @param fit_out When non-null, receives the full LEO fit; it is
+     *                left empty by other estimators and by a fit that
+     *                fell back to the prior-mean shape.
+     */
+    estimators::MetricEstimate estimateFor(
+        estimators::Metric metric, linalg::Workspace *ws,
+        estimators::LeoFit *fit_out) const;
+
+    /**
+     * Install the results of estimateFor() for both metrics, then
+     * replan and switch to Controlling. The inline fit ends here
+     * too, so a deferred fit yields the inline fit's schedule bit for
+     * bit. Estimates that come back unusable (wrong size or
+     * non-finite) count in fitsFailed() and engage the degradation
+     * policy. Never throws.
+     *
+     * @param perf      Performance estimate.
+     * @param power     Power estimate.
      * @param perf_fit  Full performance fit (its variance feeds the
      *                  change-point detector).
      * @param power_fit Full power fit.
@@ -238,7 +261,7 @@ class EnergyController
      *  back to the degradation policy. */
     std::size_t fitsFailed() const
     {
-        return static_cast<std::size_t>(fits_failed_.value());
+        return static_cast<std::size_t>(fits_failed_);
     }
 
     /** @return Measurements rejected as unusable (non-finite or
@@ -246,37 +269,26 @@ class EnergyController
      *  sanitization dropped. */
     std::size_t samplesRejected() const
     {
-        return static_cast<std::size_t>(samples_rejected_.value());
+        return static_cast<std::size_t>(samples_rejected_);
     }
 
     /** @return Windows spent controlling on fallback estimates. */
     std::size_t fallbackWindows() const
     {
-        return static_cast<std::size_t>(fallback_windows_.value());
+        return static_cast<std::size_t>(fallback_windows_);
     }
 
     /** @return Change-points detected (0 with the policy Off). */
     std::size_t changePointsDetected() const
     {
-        return static_cast<std::size_t>(
-            changepoints_detected_.value());
+        return static_cast<std::size_t>(changepoints_detected_);
     }
 
-    /**
-     * This controller's private metrics registry. The degradation
-     * counters above live here (each controller counts its own
-     * events, independent of every other instance and of
-     * obs::Registry::global()); snapshot it for a health report.
-     */
-    const obs::Registry &metrics() const { return obs_; }
-
   private:
-    /** Fit the estimator from the current observations; never
-     *  throws — a failed fit engages the fallback policy. */
+    /** Fit both metrics from the current observations and install
+     *  them; never throws — a failed fit engages the fallback
+     *  policy. */
     void fit();
-
-    /** The raw estimator call (may throw). */
-    void fitUnguarded();
 
     /** Degradation policy after a failed fit: prior-mean estimates
      *  when a prior exists, race-to-idle otherwise; arms the
@@ -359,20 +371,11 @@ class EnergyController
     std::size_t pending_config_ = 0;
     /** Probe plan complete, external fit not yet applied (deferFits). */
     bool fit_pending_ = false;
-    /** Instance-local registry backing the degradation counters (must
-     *  precede the handles below — they bind to it at construction). */
-    obs::Registry obs_; // leo-lint: allow(snapshot-completeness) process-local metrics
-    obs::Counter fits_failed_ =
-        obs_.counter(obs::names::kControllerFitsFailed);
-    obs::Counter samples_rejected_ =
-        obs_.counter(obs::names::kControllerSamplesRejected);
-    obs::Counter fallback_windows_ =
-        obs_.counter(obs::names::kControllerWindowsFallback);
-    obs::Counter changepoints_detected_ =
-        obs_.counter(obs::names::kControllerChangepointsDetected);
-    obs::Histogram changepoint_latency_ = obs_.histogram( // leo-lint: allow(snapshot-completeness) process-local metric
-        obs::names::kControllerChangepointLatency,
-        changePointLatencyBuckets());
+    /** The degradation counts behind the accessors above. */
+    std::uint64_t fits_failed_ = 0;
+    std::uint64_t samples_rejected_ = 0;
+    std::uint64_t fallback_windows_ = 0;
+    std::uint64_t changepoints_detected_ = 0;
     /** Online change-point detectors over heartbeat / power
      *  residuals (idle unless options_.changePointPolicy engages
      *  them). */

@@ -244,7 +244,11 @@ Spec::fromString(const std::string &text)
             // Only CRLF-strip the body: it is raw trace text.
             spec.traceText = bodyText(body);
         } else {
-            setField(spec, dir, soleArg("a value"));
+            // setField rejects an unknown key before the value count
+            // is checked, so the error names the directive whatever
+            // follows it.
+            setField(spec, dir, wantArg("a value"));
+            soleArg("a value");
         }
     }
     return spec;

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "estimators/batch.hh"
 #include "estimators/fit_io.hh"
 #include "linalg/error.hh"
 #include "parallel/parallel_for.hh"
@@ -379,79 +378,35 @@ Service::runDeferredFits(const std::vector<std::uint64_t> &pending,
     if (jobs.empty())
         return;
 
-    // One shared batch for the whole fleet: the per-tenant q-space
-    // EM work shares a single parallel region instead of N tiny
-    // ones. Requests mirror the controller's inline fit inputs
-    // exactly (the prior and the observations), so applyExternalFit
-    // reproduces the inline schedule bit for bit; the pinned bases
-    // stand in for the prior vectors, which a fit through a basis
-    // reproduces bitwise.
-    estimators::EstimatorBatch batch(estimator_, pool_);
-    std::vector<estimators::LeoFit> perf_fits(jobs.size());
-    std::vector<estimators::LeoFit> power_fits(jobs.size());
+    // Every parked tenant's two fits share one parallel region on the
+    // pool instead of N tiny ones. Each is the tenant's own controller
+    // fit, which only reads the controller, so the installs below
+    // reproduce the inline schedule bit for bit.
+    std::vector<estimators::MetricEstimate> results(2 * jobs.size());
+    std::vector<estimators::LeoFit> fits(2 * jobs.size());
+    parallel::parallelFor(pool_, results.size(), [&](std::size_t k) {
+        results[k] = jobs[k / 2].sess->controller->estimateFor(
+            k % 2 == 0 ? estimators::Metric::Performance
+                       : estimators::Metric::Power,
+            /*ws=*/nullptr, &fits[k]);
+    });
+
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const Session &sess = *jobs[i].sess;
-        const runtime::EnergyController &ctl = *sess.controller;
-
-        estimators::EstimateRequest perf_req;
-        perf_req.priorBasis = sess.bases->perf;
-        if (perf_req.priorBasis == nullptr)
-            perf_req.prior = estimators::priorVectors(
-                *sess.prior, estimators::Metric::Performance);
-        perf_req.obsIndices = ctl.observations().indices;
-        perf_req.obsValues = ctl.observations().performance;
-        perf_req.fitOut = &perf_fits[i];
-        batch.add(std::move(perf_req));
-
-        estimators::EstimateRequest power_req;
-        power_req.priorBasis = sess.bases->power;
-        if (power_req.priorBasis == nullptr)
-            power_req.prior = estimators::priorVectors(
-                *sess.prior, estimators::Metric::Power);
-        power_req.obsIndices = ctl.observations().indices;
-        power_req.obsValues = ctl.observations().power;
-        power_req.fitOut = &power_fits[i];
-        batch.add(std::move(power_req));
-    }
-
-    std::vector<estimators::MetricEstimate> results;
-    try {
-        results = batch.run(space_);
-    } catch (const std::exception &) {
-        // A batch-level failure (estimateMetric itself degrades
-        // internally, so this is an allocation-grade surprise)
-        // reaches every tenant as an empty estimate below, engaging
-        // each controller's own degradation policy.
-        results.clear();
-    }
-
-    const bool have_results = results.size() == 2 * jobs.size();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        runtime::EnergyController &ctl = *jobs[i].sess->controller;
-        if (have_results) {
-            estimators::MetricEstimate perf =
-                std::move(results[2 * i]);
-            estimators::MetricEstimate power =
-                std::move(results[2 * i + 1]);
-            // Cache only reliable fits: an unreliable fit is a
-            // degradation artifact nobody should inherit.
-            if (perf.reliable && power.reliable) {
-                CachedFit entry;
-                entry.perfEstimate = perf;
-                entry.powerEstimate = power;
-                entry.perfFit = perf_fits[i];
-                entry.powerFit = power_fits[i];
-                cache_.insert(jobs[i].key, std::move(entry));
-            }
-            ctl.applyExternalFit(std::move(perf), std::move(power),
-                                 std::move(perf_fits[i]),
-                                 std::move(power_fits[i]));
-        } else {
-            ctl.applyExternalFit(estimators::MetricEstimate{},
-                                 estimators::MetricEstimate{},
-                                 estimators::LeoFit{},
-                                 estimators::LeoFit{});
+        estimators::MetricEstimate &perf = results[2 * i];
+        estimators::MetricEstimate &power = results[2 * i + 1];
+        // Cache only reliable fits: an unreliable fit is a
+        // degradation artifact nobody should inherit.
+        if (perf.reliable && power.reliable) {
+            CachedFit entry;
+            entry.perfEstimate = perf;
+            entry.powerEstimate = power;
+            entry.perfFit = fits[2 * i];
+            entry.powerFit = fits[2 * i + 1];
+            cache_.insert(jobs[i].key, std::move(entry));
         }
+        jobs[i].sess->controller->applyExternalFit(
+            std::move(perf), std::move(power), std::move(fits[2 * i]),
+            std::move(fits[2 * i + 1]));
         report.fitsBatched += 2;
         ++report.tenantsFitted;
     }

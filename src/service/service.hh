@@ -4,8 +4,9 @@
  *
  * The paper's controller manages exactly one application per
  * process; this module serves fleets of them from one process by
- * amortizing the shared machinery (offline prior, thread pool, EM
- * batching) across N per-tenant EnergyController sessions:
+ * amortizing the shared machinery (offline prior, thread pool, one
+ * parallel region for each tick's fits) across N per-tenant
+ * EnergyController sessions:
  *
  *  - **Sharded dispatch.** Tenants hash (tenant id mod shards) onto
  *    shards, each with its own lock-free inbound ShardQueue.
@@ -14,13 +15,14 @@
  *    batch sorted by (tenant, sequence) so producer interleaving
  *    never reaches a controller — per-tenant schedules are
  *    bitwise-identical at any shard or thread count.
- *  - **Batched fits.** Tenant controllers run with deferFits: a
+ *  - **Deferred fits.** Tenant controllers run with deferFits: a
  *    completed probe plan parks the session, the tick collects every
- *    parked tenant and runs all their EM fits through one
- *    EstimatorBatch on the shared pool — one parallel region for the
- *    whole fleet instead of N tiny ones — then hands each result
- *    back through applyExternalFit() (bitwise identical to the
- *    inline fit, see controller.hh).
+ *    parked tenant and runs each one's own fit
+ *    (EnergyController::estimateFor, both metrics) in one parallel
+ *    region on the shared pool for the whole fleet instead of N tiny
+ *    ones, then installs each result through applyExternalFit() in
+ *    id order. The inline fit runs the same two calls, so the
+ *    schedules match bit for bit.
  *  - **Fit cache + shared prior.** Every fit, refits included, runs
  *    cold, so it is a pure function of (app id, prior version,
  *    observation hash); FitCache shares them across tenants. The
@@ -31,7 +33,7 @@
  *    change under a tenant mid-run). Each prior version gets one
  *    estimators::PriorBasis per metric, built in the constructor or
  *    in refreshPrior() and pinned by every session with its prior,
- *    so a batched fit only adds its own observed directions, and
+ *    so a tenant's fit only adds its own observed directions, and
  *    the fit keeps a shared reference to the basis instead of a
  *    copy of its rows.
  *  - **Global co-scheduling.** With ServiceOptions::globalPlanning
@@ -100,7 +102,7 @@ struct ServiceOptions
     std::size_t fitCacheCapacity = 64;
     /** Template for per-tenant controllers. targetRate is replaced
      *  by each tenant's demand and deferFits is forced on (the
-     *  service owns the fit batching). */
+     *  service schedules the fits). */
     runtime::ControllerOptions controller;
     /** When true, every tick() ends by co-scheduling the whole fleet
      *  on one machine with optimizer::planGlobalSchedule; the result
@@ -132,7 +134,8 @@ struct TickReport
 {
     /** Measurement windows applied across all tenants. */
     std::size_t windowsProcessed = 0;
-    /** EM fits executed in the shared batch (2 per fitted tenant). */
+    /** EM fits run this tick (2 per tenant the cache did not
+     *  serve). */
     std::size_t fitsBatched = 0;
     /** Deferred fits satisfied from the cache. */
     std::size_t cacheHits = 0;
@@ -204,7 +207,7 @@ class Service
 
     /**
      * Drain every shard, apply the samples, and run all due fits in
-     * one shared batch. Control-plane exclusive; see the threading
+     * one parallel region. Control-plane exclusive; see the threading
      * contract.
      */
     TickReport tick();
@@ -348,7 +351,7 @@ class Service
     optimizer::GlobalSchedule global_plan_;
     std::vector<std::uint64_t> global_tenants_;
 
-    /** Instance-local metrics (mirrors the controller pattern). */
+    /** Instance-local metrics. */
     obs::Registry obs_; // leo-lint: allow(snapshot-completeness) process-local metric
     obs::Counter tenants_admitted_ = // leo-lint: allow(snapshot-completeness) process-local metric
         obs_.counter(obs::names::kServiceTenantsAdmitted);

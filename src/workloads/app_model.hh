@@ -131,9 +131,6 @@ class ApplicationModel : public ApplicationBehavior
     ApplicationModel(ApplicationProfile profile,
                      const platform::Machine &machine);
 
-    /** @return The profile this model evaluates. */
-    const ApplicationProfile &profile() const { return profile_; }
-
     /** @return The application's name. */
     const std::string &name() const override { return profile_.name; }
 

@@ -54,9 +54,6 @@ class AmdahlScaling : public ScalingCurve
     double speedup(double k) const override;
     std::string name() const override { return "amdahl"; }
 
-    /** @return The parallel fraction p. */
-    double parallelFraction() const { return p_; }
-
   private:
     double p_;
 };
@@ -78,9 +75,6 @@ class PeakedScaling : public ScalingCurve
 
     double speedup(double k) const override;
     std::string name() const override { return "peaked"; }
-
-    /** @return The peak thread count k*. */
-    double peak() const { return peak_; }
 
   private:
     AmdahlScaling base_;

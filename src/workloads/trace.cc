@@ -170,21 +170,19 @@ TraceTable::maxIndex() const
 }
 
 TraceApplicationModel::TraceApplicationModel(
-    TraceTable table, const platform::ConfigSpace &space,
+    const TraceTable &table, const platform::ConfigSpace &space,
     TraceModelOptions options)
-    : table_(std::move(table)), options_(std::move(options))
+    : options_(std::move(options))
 {
-    require(!table_.segments.empty(), "trace: no segments");
+    require(!table.segments.empty(), "trace: no segments");
     const std::size_t n = space.size();
-    require(table_.maxIndex() < n,
-            "trace: config index " +
-                std::to_string(table_.maxIndex()) +
+    require(table.maxIndex() < n,
+            "trace: config index " + std::to_string(table.maxIndex()) +
                 " is outside the space (size " + std::to_string(n) +
                 ")");
 
     std::size_t start = 0;
-    for (std::size_t s = 0; s < table_.segments.size(); ++s) {
-        const auto &seg = table_.segments[s];
+    for (const TraceSegment &seg : table.segments) {
         linalg::Vector perf(n), power(n);
         for (std::size_t c = 0; c < n; ++c) {
             perf[c] = fillValue(seg.indices, seg.performance, c);
@@ -193,6 +191,7 @@ TraceApplicationModel::TraceApplicationModel(
         perf_.push_back(std::move(perf));
         power_.push_back(std::move(power));
         starts_.push_back(start);
+        lengths_.push_back(seg.workUnits);
         start += seg.workUnits;
     }
 
@@ -230,10 +229,9 @@ std::size_t
 TraceApplicationModel::segmentAt(std::size_t unit) const
 {
     std::size_t seg = 0;
-    for (std::size_t s = 0; s < table_.segments.size(); ++s) {
-        const std::size_t wu = table_.segments[s].workUnits;
+    for (std::size_t s = 0; s < lengths_.size(); ++s) {
         seg = s;
-        if (wu == 0 || unit < starts_[s] + wu)
+        if (lengths_[s] == 0 || unit < starts_[s] + lengths_[s])
             return s;
     }
     return seg; // Past the last bounded segment: stay in it.

@@ -127,7 +127,7 @@ class TraceApplicationModel : public ApplicationBehavior
      * @throws leo::FatalError when a row's config index is outside
      *         the space.
      */
-    TraceApplicationModel(TraceTable table,
+    TraceApplicationModel(const TraceTable &table,
                           const platform::ConfigSpace &space,
                           TraceModelOptions options = {});
 
@@ -155,11 +155,12 @@ class TraceApplicationModel : public ApplicationBehavior
   private:
     std::size_t indexOf(const platform::ResourceAssignment &ra) const;
 
-    TraceTable table_;
     TraceModelOptions options_;
     std::vector<linalg::Vector> perf_;  //!< [segment] dense rates.
     std::vector<linalg::Vector> power_; //!< [segment] dense watts.
     std::vector<std::size_t> starts_;   //!< Segment start work units.
+    /** Segment lengths in work units (0 = unbounded). */
+    std::vector<std::size_t> lengths_;
     std::map<std::array<std::uint64_t, 7>, std::size_t> lookup_;
     std::size_t active_ = 0;
 };

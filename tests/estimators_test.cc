@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "estimators/batch.hh"
 #include "estimators/fit_io.hh"
 #include "estimators/leo.hh"
 #include "estimators/normalization.hh"
@@ -20,8 +19,9 @@
 #include "estimators/online.hh"
 #include "linalg/error.hh"
 #include "linalg/workspace.hh"
-#include "platform/config_space.hh"
 #include "obs/obs.hh"
+#include "parallel/parallel_for.hh"
+#include "platform/config_space.hh"
 #include "stats/metrics.hh"
 #include "support/dense.hh"
 #include "support/mvn.hh"
@@ -667,28 +667,30 @@ makeFitProblem(std::size_t n_obs, const std::string &app_name = "kmeans")
     return p;
 }
 
-/**
- * Fit every problem through one EstimatorBatch on `pool` and return
- * the full fits.
- */
-std::vector<estimators::LeoFit>
-batchFits(const estimators::LeoEstimator &est,
-          const std::vector<FitProblem> &problems,
-          parallel::ThreadPool &pool)
+/** Every problem's estimate and full fit, one parallelFor item per
+ *  problem, as the service and the accuracy sweep fan out theirs. */
+struct FanOut
+{
+    std::vector<estimators::MetricEstimate> estimates;
+    std::vector<estimators::LeoFit> fits;
+};
+
+FanOut
+fanOutFits(const estimators::LeoEstimator &est,
+           const std::vector<FitProblem> &problems,
+           parallel::ThreadPool &pool)
 {
     const ConfigSpace space = ConfigSpace::coreOnly(Machine{});
-    std::vector<estimators::LeoFit> fits(problems.size());
-    estimators::EstimatorBatch batch(est, pool);
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-        estimators::EstimateRequest req;
-        req.prior = problems[i].prior;
-        req.obsIndices = problems[i].idx;
-        req.obsValues = problems[i].vals;
-        req.fitOut = &fits[i];
-        batch.add(std::move(req));
-    }
-    (void)batch.run(space);
-    return fits;
+    FanOut out;
+    out.estimates.resize(problems.size());
+    out.fits.resize(problems.size());
+    parallel::parallelFor(pool, problems.size(), [&](std::size_t i) {
+        const FitProblem &p = problems[i];
+        out.estimates[i] = est.estimateMetric(space, p.prior, p.idx,
+                                              p.vals, nullptr,
+                                              &out.fits[i]);
+    });
+    return out;
 }
 
 /** Four distinct fit problems, one per target application. */
@@ -706,24 +708,33 @@ fourProblems()
 TEST(LeoParallel, FitBitwiseIdenticalAcrossThreadCounts)
 {
     // The acceptance bar for the parallel subsystem: a fit is serial
-    // and batches fan fits out, so a batch on 1, 2 or 8 threads runs
-    // *exactly* the same computations — same estimates, same fitted
-    // parameters, same iteration count, same per-iteration
-    // log-likelihood trace.
+    // and callers fan whole fits out, so a fan-out on 1, 2 or 8
+    // threads runs *exactly* the computations of each fit run alone —
+    // same estimates, same fitted parameters, same iteration count,
+    // same per-iteration log-likelihood trace.
     estimators::LeoOptions opt;
     opt.maxIterations = 8;
     const estimators::LeoEstimator leo(opt);
+    const ConfigSpace space = ConfigSpace::coreOnly(Machine{});
     const std::vector<FitProblem> problems = fourProblems();
-    parallel::ThreadPool inline_pool(0);
-    const auto serial = batchFits(leo, problems, inline_pool);
-    for (std::size_t threads : {2u, 8u}) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
         parallel::ThreadPool pool(threads - 1);
-        const auto fits = batchFits(leo, problems, pool);
-        for (std::size_t i = 0; i < problems.size(); ++i)
-            expectFitsExactlyEqual(fits[i], serial[i],
-                                   std::to_string(threads) +
-                                       " threads, fit " +
-                                       std::to_string(i));
+        const FanOut out = fanOutFits(leo, problems, pool);
+        for (std::size_t i = 0; i < problems.size(); ++i) {
+            const FitProblem &p = problems[i];
+            const std::string what = std::to_string(threads) +
+                                     " threads, fit " +
+                                     std::to_string(i);
+            const auto solo =
+                leo.estimateMetric(space, p.prior, p.idx, p.vals);
+            expectExactlyEqual(out.estimates[i].values, solo.values,
+                               what);
+            EXPECT_EQ(out.estimates[i].iterations, solo.iterations)
+                << what;
+            expectFitsExactlyEqual(out.fits[i],
+                                   leo.fitMetric(p.prior, p.idx, p.vals),
+                                   what);
+        }
     }
 }
 
@@ -733,59 +744,12 @@ TEST(LeoParallel, SharedGlobalPoolMatchesSerial)
     const estimators::LeoEstimator leo;
     const std::vector<FitProblem> problems = fourProblems();
     parallel::ThreadPool inline_pool(0);
-    const auto serial = batchFits(leo, problems, inline_pool);
-    const auto pooled =
-        batchFits(leo, problems, parallel::ThreadPool::global());
+    const FanOut serial = fanOutFits(leo, problems, inline_pool);
+    const FanOut pooled =
+        fanOutFits(leo, problems, parallel::ThreadPool::global());
     for (std::size_t i = 0; i < problems.size(); ++i)
-        expectFitsExactlyEqual(pooled[i], serial[i],
+        expectFitsExactlyEqual(pooled.fits[i], serial.fits[i],
                                "global pool, fit " + std::to_string(i));
-}
-
-TEST(EstimatorBatch, MatchesIndividualFitsExactly)
-{
-    CoreOnlyWorld w;
-    telemetry::Profiler prof(w.monitor, w.meter);
-    telemetry::RandomSampler pol;
-    estimators::LeoEstimator leo;
-
-    std::vector<estimators::EstimateRequest> requests;
-    for (const char *name : {"kmeans", "swish", "x264"}) {
-        auto prior = w.priorPerf(name);
-        workloads::ApplicationModel app(
-            workloads::profileByName(name), w.machine);
-        auto obs = prof.sample(app, w.space, pol, 8, w.rng);
-        estimators::EstimateRequest req;
-        req.prior = std::move(prior);
-        req.obsIndices = obs.indices;
-        req.obsValues = obs.performance;
-        requests.push_back(std::move(req));
-    }
-
-    parallel::ThreadPool pool(3);
-    estimators::EstimatorBatch batch(leo, pool);
-    std::vector<estimators::LeoFit> fits(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        estimators::EstimateRequest r = requests[i];
-        r.fitOut = &fits[i];
-        batch.add(std::move(r));
-    }
-    auto batched = batch.run(w.space);
-    ASSERT_EQ(batched.size(), requests.size());
-    EXPECT_EQ(batch.size(), 0u); // run() clears the queue
-
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        auto solo = leo.estimateMetric(w.space, requests[i].prior,
-                                       requests[i].obsIndices,
-                                       requests[i].obsValues);
-        expectExactlyEqual(batched[i].values, solo.values, "batch");
-        EXPECT_EQ(batched[i].iterations, solo.iterations);
-        // fitOut carries the direct fit, every field.
-        expectFitsExactlyEqual(
-            fits[i],
-            leo.fitMetric(requests[i].prior, requests[i].obsIndices,
-                          requests[i].obsValues),
-            "batch fitOut " + std::to_string(i));
-    }
 }
 
 // ------------------------------------------- Hot-loop memory discipline
@@ -1044,8 +1008,8 @@ TEST(FitIo, RejectsVersionOneBlob)
  * observed units, a rank the rebuild disagrees with) and one whose
  * factor shapes disagree, instead of handing back a fit whose
  * predictiveVarianceAt throws or reads another basis. A fit with no
- * factors at all — what the service installs after a failed batched
- * fit — still round-trips, with no prior.
+ * factors at all — what a controller installs after a failed fit —
+ * still round-trips, with no prior.
  */
 TEST(FitIo, RejectsInconsistentFactorShapes)
 {

@@ -450,6 +450,16 @@ TEST(RobustController, ThrowingEstimatorFallsBackToPriorMean)
     EXPECT_TRUE(ctl.performanceEstimate().allFinite());
     EXPECT_TRUE(ctl.powerEstimate().allFinite());
 
+    // The fit reports the throw as an empty, unreliable estimate and
+    // leaves no fit behind.
+    estimators::LeoFit fit;
+    fit.sigma2 = 1.0;
+    const estimators::MetricEstimate est = ctl.estimateFor(
+        estimators::Metric::Performance, nullptr, &fit);
+    EXPECT_TRUE(est.values.empty());
+    EXPECT_FALSE(est.reliable);
+    EXPECT_EQ(fit.sigma2, 0.0);
+
     // The controller rides the fallback for exactly eight windows
     // (kFallbackBackoffWindows in controller.cc), then retries with
     // fresh probes (and fails again, forever, without ever throwing).

@@ -347,14 +347,27 @@ TEST(SpecDsl, RejectsUnknownKeysAndBadValues)
                  FatalError);
     EXPECT_THROW(scenario::Spec::fromString("changepoint maybe\n"),
                  FatalError);
-    // Unknown directives, a JSON document's first line included.
-    EXPECT_THROW(scenario::Spec::fromString("tenants 3\n"), FatalError);
-    EXPECT_THROW(scenario::Spec::fromString("phase_scale 0.5\n"),
-                 FatalError);
-    EXPECT_THROW(scenario::Spec::fromString("{\"name\": \"j\"}"),
-                 FatalError);
+    // Unknown directives, a JSON document's first line included, are
+    // named as such whatever values follow them; a known one names
+    // its extra value.
+    const auto rejectsWith = [](const char *text, const char *what) {
+        try {
+            scenario::Spec::fromString(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << text << " -> " << e.what();
+        }
+    };
+    rejectsWith("tenants 3\n", "unknown directive");
+    rejectsWith("tenants 3 spacing=2\n", "unknown directive");
+    rejectsWith("bogus_key 1 2\n", "unknown directive");
+    rejectsWith("phase_scale 0.5\n", "unknown directive");
+    rejectsWith("{\"name\": \"j\"}", "unknown directive");
     EXPECT_THROW(scenario::Spec::fromString("{\n  \"frames\": 3\n}\n"),
                  FatalError);
+    rejectsWith("frames 3 4\n", "takes one value, got 2");
 }
 
 TEST(SpecDsl, HostileValuesThrowInBothForms)

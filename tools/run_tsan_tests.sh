@@ -2,9 +2,11 @@
 # Build and run the concurrency-sensitive test binaries under
 # ThreadSanitizer (the -DLEO_SANITIZE=thread preset of the top-level
 # CMakeLists.txt). This is the acceptance gate for src/parallel/ and
-# the code that fans out on it — estimator batches, the service and
-# the scenario runner: a data race in the pool, the parallel loops or
-# the batch slot writes fails the run.
+# the code that fans fits out on it: the accuracy sweep, the service
+# (each tick runs a tenant's performance and power fits, which only
+# read its controller, at the same time) and the scenario runner. A
+# data race in the pool, the parallel loops or their result-slot
+# writes fails the run.
 #
 # Usage: tools/run_tsan_tests.sh [build-dir]
 #   build-dir  defaults to build-tsan (kept separate from the plain
