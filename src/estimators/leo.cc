@@ -443,7 +443,6 @@ fitLowRank(const LeoOptions &opt,
     const double total_obs = static_cast<double>(m_prior * n + s);
     const double log2pi = std::log(2.0 * std::numbers::pi);
 
-    obs::Registry::global().prepareThread();
     eo.ws_bytes.set(static_cast<double>(arena.bytes()));
 
     // The allocation-audited region: every buffer the loop touches

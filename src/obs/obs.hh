@@ -4,9 +4,9 @@
  *
  * Two cooperating halves (see DESIGN.md "Observability"):
  *
- *  - registry.hh — named counters / gauges / fixed-bucket histograms
- *    with per-thread sharded lock-free storage, deterministic
- *    snapshot merging, and JSON export.
+ *  - registry.hh — named counters / gauges / fixed-bucket histograms,
+ *    each writing its own atomic cells without locks, deterministic
+ *    snapshots, and JSON export.
  *  - trace.hh — RAII scoped spans collected into a bounded buffer
  *    and exported in Chrome trace_event format (Perfetto-loadable).
  *

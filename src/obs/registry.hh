@@ -6,16 +6,20 @@
  * monotone **counters**, last-write-wins **gauges** and fixed-bucket
  * **histograms** — designed so the *hot path pays no locks*:
  *
- *  - Storage is sharded per thread. An increment touches only the
- *    calling thread's shard (a relaxed atomic add into a cell that
- *    no other thread writes), so writers never contend with each
- *    other. ThreadSanitizer-clean by construction.
- *  - Shards are merged at snapshot() time, in shard-creation order.
- *    Counter and histogram-bucket merges are integer sums, so the
- *    merged values are *exactly* identical at any thread count —
- *    the determinism anchor the obs tests assert. (Histogram `sum`
- *    is a floating-point total and is deterministic only up to
- *    summation order; comparisons should use counts.)
+ *  - Registration allocates every cell an instrument will ever
+ *    write: one atomic for a counter or a gauge; for a histogram,
+ *    its edges, one atomic count per bucket and atomic sum/min/max.
+ *    A handle points at those cells, so a write is one relaxed
+ *    atomic op on them (a histogram's is a few), never allocates
+ *    and never takes a lock. ThreadSanitizer-clean by construction.
+ *  - Each kind has its own name-ordered table, so a counter and a
+ *    gauge may share a name and stay two instruments, and
+ *    snapshot() reads the tables in order. Counter and bucket adds
+ *    are integer sums, so their values are *exactly* identical at
+ *    any thread count — the determinism anchor the obs tests
+ *    assert. (Histogram `sum` is a floating-point total and is
+ *    deterministic only up to summation order; comparisons should
+ *    use counts.)
  *  - A default-constructed handle is the **null sink**: every
  *    operation is a branch on a null pointer. Likewise
  *    setEnabled(false) — or the LEO_OBS=off environment variable for
@@ -40,7 +44,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -54,17 +57,21 @@ class Registry;
 
 namespace detail
 {
-/** Immutable histogram descriptor shared by handles and shards. */
-struct HistDesc
+/** One histogram's cells, all allocated at registration. */
+struct HistogramCells
 {
+    /** @param sorted_edges Strictly increasing upper bucket edges. */
+    explicit HistogramCells(std::vector<double> sorted_edges);
+
     /** Upper bucket edges, strictly increasing. A value v lands in
      *  the first bucket with v <= edges[i]; values above the last
      *  edge land in the implicit overflow bucket. */
-    std::vector<double> edges;
-    /** First bucket cell of this histogram in the shard slot space. */
-    std::size_t base = 0;
-    /** Index of this histogram's sum/min/max stat cell. */
-    std::size_t index = 0;
+    const std::vector<double> edges;
+    /** Per-bucket counts, size edges.size() + 1 (last = overflow). */
+    std::vector<std::atomic<std::uint64_t>> counts;
+    std::atomic<double> sum{0.0};
+    std::atomic<double> min;
+    std::atomic<double> max;
 };
 } // namespace detail
 
@@ -77,25 +84,25 @@ class Counter
   public:
     Counter() = default;
 
-    /** Add n to the counter (relaxed, lock-free, per-thread cell). */
+    /** Add n to the counter (relaxed, lock-free). */
     void add(std::uint64_t n = 1) const;
 
-    /** @return The merged value across every shard. */
+    /** @return The counter's current value. */
     std::uint64_t value() const;
 
   private:
     friend class Registry;
-    Counter(Registry *r, std::size_t slot) : registry_(r), slot_(slot)
+    Counter(const Registry *r, std::atomic<std::uint64_t> *cell)
+        : registry_(r), cell_(cell)
     {
     }
-    Registry *registry_ = nullptr;
-    std::size_t slot_ = 0;
+    const Registry *registry_ = nullptr;
+    std::atomic<std::uint64_t> *cell_ = nullptr;
 };
 
 /**
- * A last-write-wins gauge. Writes are globally sequenced with a
- * relaxed atomic ticket so the merge is well defined (the highest
- * ticket wins); the snapshot merges across shards.
+ * A last-write-wins gauge: set() is a plain store into the gauge's
+ * one cell.
  */
 class Gauge
 {
@@ -107,9 +114,12 @@ class Gauge
 
   private:
     friend class Registry;
-    Gauge(Registry *r, std::size_t slot) : registry_(r), slot_(slot) {}
-    Registry *registry_ = nullptr;
-    std::size_t slot_ = 0;
+    Gauge(const Registry *r, std::atomic<double> *cell)
+        : registry_(r), cell_(cell)
+    {
+    }
+    const Registry *registry_ = nullptr;
+    std::atomic<double> *cell_ = nullptr;
 };
 
 /**
@@ -131,12 +141,12 @@ class Histogram
 
   private:
     friend class Registry;
-    Histogram(Registry *r, const detail::HistDesc *desc)
-        : registry_(r), desc_(desc)
+    Histogram(const Registry *r, detail::HistogramCells *cells)
+        : registry_(r), cells_(cells)
     {
     }
-    Registry *registry_ = nullptr;
-    const detail::HistDesc *desc_ = nullptr;
+    const Registry *registry_ = nullptr;
+    detail::HistogramCells *cells_ = nullptr;
 };
 
 /**
@@ -145,7 +155,7 @@ class Histogram
  */
 std::vector<double> defaultTimeBucketsMs();
 
-/** One histogram's merged state inside a Snapshot. */
+/** One histogram's state inside a Snapshot. */
 struct HistogramSnapshot
 {
     std::string name;
@@ -160,8 +170,8 @@ struct HistogramSnapshot
 };
 
 /**
- * A deterministic point-in-time view of a Registry: instruments
- * sorted by name, shards merged in creation order.
+ * A deterministic point-in-time view of a Registry: each kind's
+ * instruments sorted by name.
  */
 struct Snapshot
 {
@@ -178,17 +188,18 @@ struct Snapshot
 };
 
 /**
- * The instrument table plus its per-thread shards.
+ * The instrument tables and the cells they own.
  *
  * Thread safe: any thread may register instruments, write through
  * handles, and snapshot concurrently. Registration and snapshot take
- * a mutex; handle writes never do.
+ * a mutex; handle writes never do. A handle is valid while its
+ * registry lives: instruments are never removed, and a table insert
+ * never moves another instrument's cells.
  */
 class Registry
 {
   public:
-    Registry();
-    ~Registry();
+    Registry() = default;
 
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
@@ -220,17 +231,8 @@ class Registry
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** @return A deterministic merged view of every instrument. */
+    /** @return A deterministic view of every instrument. */
     Snapshot snapshot() const;
-
-    /**
-     * Pre-create the calling thread's shard (and the cell blocks of
-     * every instrument registered so far), so that later hot-path
-     * writes from this thread are guaranteed allocation-free. Called
-     * automatically on first write; call explicitly before entering
-     * an allocation-audited loop.
-     */
-    void prepareThread();
 
     /**
      * The process-wide registry. Enabled by default; the LEO_OBS
@@ -241,43 +243,11 @@ class Registry
     static Registry &global();
 
   private:
-    friend class Counter;
-    friend class Gauge;
-    friend class Histogram;
-
-    struct Shard;
-    enum class Kind
-    {
-        Counter,
-        Gauge,
-        Histogram
-    };
-    struct Instrument
-    {
-        std::string name;
-        Kind kind;
-        std::size_t slot;
-        const detail::HistDesc *desc = nullptr;
-    };
-
-    Shard &shard();
-    void counterAdd(std::size_t slot, std::uint64_t n);
-    std::uint64_t counterValue(std::size_t slot) const;
-    void gaugeSet(std::size_t slot, double v);
-    void histRecord(const detail::HistDesc &desc, double v);
-
-    const std::uint64_t id_;
     std::atomic<bool> enabled_{true};
-    std::atomic<std::uint64_t> gauge_seq_{0};
     mutable std::mutex mutex_;
-    std::map<std::string, std::size_t> index_;
-    std::deque<Instrument> instruments_;
-    std::deque<detail::HistDesc> hist_descs_;
-    std::deque<Shard> shards_;
-    std::size_t num_counters_ = 0;
-    std::size_t num_gauges_ = 0;
-    std::size_t num_hist_cells_ = 0;
-    std::size_t num_hist_buckets_ = 0;
+    std::map<std::string, std::atomic<std::uint64_t>> counters_;
+    std::map<std::string, std::atomic<double>> gauges_;
+    std::map<std::string, detail::HistogramCells> histograms_;
 };
 
 inline bool

@@ -1,26 +1,26 @@
 /**
  * @file
- * Deterministic data-parallel loops on top of ThreadPool.
+ * A deterministic data-parallel loop on top of ThreadPool.
  *
- * Every primitive here guarantees *bitwise-identical results at any
- * worker count*, which is what lets the batch and service tests
- * assert exact equality between serial and parallel runs:
+ * parallelFor guarantees *bitwise-identical results at any worker
+ * count*, which is what lets the estimator and service tests assert
+ * exact equality between serial and parallel runs:
  *
- *  - Work is split into chunks whose boundaries depend only on the
- *    problem size and the caller-supplied grain — never on the
- *    worker count or on scheduling order.
- *  - Chunks may be *executed* in any order on any thread; only
+ *  - Each index is one task: body(i) runs once for every i, and
+ *    what it computes depends only on i — never on the worker count
+ *    or on scheduling order.
+ *  - Indices may be *executed* in any order on any thread; only
  *    writes to disjoint slots are used to publish results. The
- *    zero-worker inline path executes the same chunking.
+ *    zero-worker inline path runs the same bodies in index order.
  *
- * Exception behaviour: the first exception thrown by a chunk body is
+ * Exception behaviour: the first exception thrown by a body is
  * captured and rethrown in the calling thread after every in-flight
- * chunk has finished; remaining chunks still run (cancellation would
+ * body has finished; remaining indices still run (cancellation would
  * make partial results scheduling-dependent).
  *
- * Nesting: when called from inside a pool worker these loops run
- * inline (same chunking), so parallel algorithms compose without
- * deadlock or over-subscription.
+ * Nesting: when called from inside a pool worker the loop runs
+ * inline, so parallel algorithms compose without deadlock or
+ * over-subscription.
  */
 
 #ifndef LEO_PARALLEL_PARALLEL_FOR_HH
@@ -39,39 +39,26 @@ namespace leo::parallel
 {
 
 /**
- * Run body(begin, end) over [0, n) split into ceil(n / grain)
- * chunks, fanned across the pool; the calling thread participates.
+ * Run body(i) for every i in [0, n), fanned across the pool; the
+ * calling thread participates.
  *
  * The body runs concurrently on several threads and must only touch
- * disjoint state per chunk (e.g. slot writes indexed by position).
+ * disjoint state per index (e.g. slot writes indexed by position).
  *
- * @param pool  Pool whose workers help out (0 workers = inline).
- * @param n     Number of items.
- * @param grain Items per chunk (0 is treated as 1). Chunk layout is
- *              independent of the worker count — the determinism
- *              anchor.
- * @param body  Callable (std::size_t begin, std::size_t end).
+ * @param pool Pool whose workers help out (0 workers = inline).
+ * @param n    Number of items.
+ * @param body Callable (std::size_t i).
  */
 template <typename Body>
 void
-parallelForChunked(ThreadPool &pool, std::size_t n, std::size_t grain,
-                   Body &&body)
+parallelFor(ThreadPool &pool, std::size_t n, Body &&body)
 {
     if (n == 0)
         return;
-    if (grain == 0)
-        grain = 1;
-    const std::size_t chunks = (n + grain - 1) / grain;
-    auto run_chunk = [&](std::size_t c) {
-        const std::size_t begin = c * grain;
-        body(begin, std::min(n, begin + grain));
-    };
-
-    const std::size_t helpers =
-        std::min(pool.workerCount(), chunks - 1);
+    const std::size_t helpers = std::min(pool.workerCount(), n - 1);
     if (helpers == 0 || ThreadPool::insideWorker()) {
-        for (std::size_t c = 0; c < chunks; ++c)
-            run_chunk(c);
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
         return;
     }
 
@@ -86,12 +73,12 @@ parallelForChunked(ThreadPool &pool, std::size_t n, std::size_t grain,
 
     auto drain = [&]() {
         for (;;) {
-            const std::size_t c =
+            const std::size_t i =
                 shared.next.fetch_add(1, std::memory_order_relaxed);
-            if (c >= chunks)
+            if (i >= n)
                 return;
             try {
-                run_chunk(c);
+                body(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(shared.mutex);
                 if (!shared.error)
@@ -123,20 +110,6 @@ parallelForChunked(ThreadPool &pool, std::size_t n, std::size_t grain,
     }
     if (shared.error)
         std::rethrow_exception(shared.error);
-}
-
-/**
- * Run body(i) for every i in [0, n), one item per chunk.
- */
-template <typename Body>
-void
-parallelFor(ThreadPool &pool, std::size_t n, Body &&body)
-{
-    parallelForChunked(pool, n, 1,
-                       [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i)
-                               body(i);
-                       });
 }
 
 } // namespace leo::parallel

@@ -8,9 +8,9 @@
  *  - One pool per process by default (ThreadPool::global()), sized
  *    from the LEO_THREADS environment variable or, failing that,
  *    std::thread::hardware_concurrency(). Callers never block a
- *    worker waiting for other workers: the parallel_for.hh
- *    primitives make the calling thread participate, and work
- *    submitted from inside a worker runs inline
+ *    worker waiting for other workers: parallelFor
+ *    (parallel_for.hh) makes the calling thread participate and
+ *    runs inline when called from inside a worker
  *    (ThreadPool::insideWorker()), so nesting cannot deadlock and
  *    never over-subscribes the machine.
  *  - A pool with zero workers degenerates to inline execution in the
@@ -18,10 +18,9 @@
  *    have a serial mode that exercises the identical code path and
  *    (per parallel_for.hh) the identical floating-point accumulation
  *    order.
- *  - submit() returns a std::future so exceptions thrown by tasks
- *    propagate to whoever joins the result; post() is the raw
- *    fire-and-forget used by the parallel loops, which do their own
- *    exception capture.
+ *  - post() is fire-and-forget and its task must not throw:
+ *    parallelFor (parallel_for.hh) posts its helpers through it and
+ *    captures its bodies' exceptions itself.
  */
 
 #ifndef LEO_PARALLEL_THREAD_POOL_HH
@@ -31,12 +30,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace leo::parallel
@@ -45,7 +40,7 @@ namespace leo::parallel
 /**
  * A fixed-size pool of worker threads with a shared FIFO queue.
  *
- * Thread safe: any thread may post()/submit() concurrently. The
+ * Thread safe: any thread may post() concurrently. The
  * destructor drains the queue (every task already posted runs) and
  * joins all workers.
  */
@@ -78,32 +73,15 @@ class ThreadPool
      * Enqueue a fire-and-forget task.
      *
      * With zero workers the task runs inline before post() returns.
-     * The task must not throw; use submit() when exceptions need to
-     * reach the caller.
+     * The task must not throw: a worker has no caller to hand the
+     * exception to. parallelFor captures its bodies' exceptions and
+     * rethrows them in the calling thread.
      */
     void post(std::function<void()> task);
 
     /**
-     * Enqueue a task and obtain its result as a future.
-     *
-     * Exceptions thrown by the task are rethrown by future::get().
-     * With zero workers the task runs inline before submit() returns
-     * (the future is then already ready).
-     */
-    template <typename F>
-    auto submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> result = task->get_future();
-        post([task]() { (*task)(); });
-        return result;
-    }
-
-    /**
      * @return True iff the calling thread is one of this process's
-     *         pool workers (any pool). Parallel loops use this to
+     *         pool workers (any pool). parallelFor uses this to
      *         fall back to inline execution instead of blocking a
      *         worker on other workers.
      */

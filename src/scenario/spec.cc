@@ -98,25 +98,30 @@ bodyText(const std::string &raw)
     return body;
 }
 
+/** Apply one fault field. `val()` yields the value and is called
+ *  only once the field is known (see setFieldOf). */
+template <typename Value>
 void
 setFaultField(faults::FaultScenario &f, const std::string &key,
-              const std::string &val)
+              Value &&val)
 {
     if (key == "nan")
-        f.nanProb = fields::parseFinite(val, "scenario: fault nan");
+        f.nanProb = fields::parseFinite(val(), "scenario: fault nan");
     else if (key == "inf")
-        f.infProb = fields::parseFinite(val, "scenario: fault inf");
+        f.infProb = fields::parseFinite(val(), "scenario: fault inf");
     else if (key == "dropout")
-        f.dropoutProb = fields::parseFinite(val, "scenario: fault dropout");
+        f.dropoutProb =
+            fields::parseFinite(val(), "scenario: fault dropout");
     else if (key == "outlier")
-        f.outlierProb = fields::parseFinite(val, "scenario: fault outlier");
+        f.outlierProb =
+            fields::parseFinite(val(), "scenario: fault outlier");
     else if (key == "outlier_scale")
         f.outlierScale =
-            fields::parseFinite(val, "scenario: fault outlier_scale");
+            fields::parseFinite(val(), "scenario: fault outlier_scale");
     else if (key == "stale")
-        f.staleProb = fields::parseFinite(val, "scenario: fault stale");
+        f.staleProb = fields::parseFinite(val(), "scenario: fault stale");
     else if (key == "seed")
-        f.seed = fields::parseCount(val, "scenario: fault seed");
+        f.seed = fields::parseCount(val(), "scenario: fault seed");
     else
         fatal("scenario: unknown fault field '" + key + "'");
 }
@@ -139,36 +144,48 @@ setPhaseField(PhaseSpec &ph, const std::string &key,
     }
 }
 
+/** The key dispatch behind setField. `value()` yields the value and
+ *  is called only once the key is known, so an unknown key, a fault
+ *  field's included, is named as such even on a line that has no
+ *  value. */
+template <typename Value>
+void
+setFieldOf(Spec &spec, const std::string &key, Value &&value)
+{
+    if (key == "name") {
+        spec.name = textValue(value(), "name");
+    } else if (key == "workload") {
+        spec.workload = parseWorkload(value());
+    } else if (key == "app") {
+        spec.app = textValue(value(), "app");
+    } else if (key == "target") {
+        const std::string &v = value();
+        spec.targetRate = fields::parseFinite(v, "scenario: target");
+        require(spec.targetRate >= 0.0,
+                "scenario: target '" + v + "' must be >= 0 (0 = auto)");
+    } else if (key == "frames") {
+        spec.frames = fields::parseCount(value(), "scenario: frames");
+    } else if (key == "seed") {
+        spec.seed = fields::parseCount(value(), "scenario: seed");
+    } else if (key == "changepoint") {
+        spec.changePointPolicy = parsePolicy(value());
+    } else if (key == "trace_file") {
+        spec.traceFile = textValue(value(), "trace_file");
+    } else if (key.size() > 6 && key.compare(0, 6, "fault.") == 0) {
+        setFaultField(spec.faults, key.substr(6), value);
+    } else {
+        fatal("scenario: unknown directive '" + key + "'");
+    }
+}
+
 } // namespace
 
 void
 setField(Spec &spec, const std::string &key,
          const std::string &value)
 {
-    if (key == "name") {
-        spec.name = textValue(value, "name");
-    } else if (key == "workload") {
-        spec.workload = parseWorkload(value);
-    } else if (key == "app") {
-        spec.app = textValue(value, "app");
-    } else if (key == "target") {
-        spec.targetRate = fields::parseFinite(value, "scenario: target");
-        require(spec.targetRate >= 0.0,
-                "scenario: target '" + value +
-                    "' must be >= 0 (0 = auto)");
-    } else if (key == "frames") {
-        spec.frames = fields::parseCount(value, "scenario: frames");
-    } else if (key == "seed") {
-        spec.seed = fields::parseCount(value, "scenario: seed");
-    } else if (key == "changepoint") {
-        spec.changePointPolicy = parsePolicy(value);
-    } else if (key == "trace_file") {
-        spec.traceFile = textValue(value, "trace_file");
-    } else if (key.size() > 6 && key.compare(0, 6, "fault.") == 0) {
-        setFaultField(spec.faults, key.substr(6), value);
-    } else {
-        fatal("scenario: unknown directive '" + key + "'");
-    }
+    setFieldOf(spec, key,
+               [&]() -> const std::string & { return value; });
 }
 
 Spec
@@ -219,7 +236,8 @@ Spec::fromString(const std::string &text)
                 require(splitKv(toks[i], &k, &v),
                         "scenario: line " + std::to_string(lineno) +
                             ": fault options are key=value");
-                setFaultField(spec.faults, k, v);
+                setFaultField(spec.faults, k,
+                              [&]() -> const std::string & { return v; });
             }
         } else if (dir == "trace_inline") {
             const std::string &arg = soleArg("a <<DELIM marker");
@@ -244,11 +262,9 @@ Spec::fromString(const std::string &text)
             // Only CRLF-strip the body: it is raw trace text.
             spec.traceText = bodyText(body);
         } else {
-            // setField rejects an unknown key before the value count
-            // is checked, so the error names the directive whatever
-            // follows it.
-            setField(spec, dir, wantArg("a value"));
-            soleArg("a value");
+            setFieldOf(spec, dir, [&]() -> const std::string & {
+                return soleArg("a value");
+            });
         }
     }
     return spec;

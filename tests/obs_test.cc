@@ -1,16 +1,18 @@
 /**
  * @file
  * Unit tests for the leo::obs observability subsystem: the metrics
- * registry (counters, gauges, histograms, deterministic shard merge,
- * JSON export), the tracer (ring capacity, drop counting, Chrome
- * trace_event output) and the two integration guarantees the rest of
- * the pipeline relies on — the instrumented fit is bitwise identical
- * to the same fit with the registry disabled, and counter snapshots
- * are identical at any thread count that fits fan out on.
+ * registry (counters, gauges, histograms, each instrument's own
+ * cells, thread-count-invariant counts, JSON export), the tracer
+ * (ring capacity, drop counting, Chrome trace_event output) and the
+ * two integration guarantees the rest of the pipeline relies on —
+ * the instrumented fit is bitwise identical to the same fit with the
+ * registry disabled, and counter snapshots are identical at any
+ * thread count that fits fan out on.
  */
 // leo-lint: allow-file(obs-naming) — registry mechanics are tested
 // with synthetic instrument names, not the production constants.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -97,7 +99,7 @@ expectExactlyEqual(const linalg::Matrix &a, const linalg::Matrix &b,
                 << what << "(" << r << "," << c << ")";
 }
 
-/** A gauge's merged value in a snapshot of reg (NaN when absent). */
+/** A gauge's value in a snapshot of reg (NaN when absent). */
 double
 gaugeIn(const obs::Registry &reg, const std::string &name)
 {
@@ -190,8 +192,8 @@ TEST(ObsRegistry, GaugeLastWriteWins)
     g.set(2.0);
     g.set(3.0);
     EXPECT_EQ(gaugeIn(reg, "x.level.units"), 3.0);
-    // A later write from another thread (another shard) wins the
-    // merge: the global write ticket orders across shards.
+    // A later write from another thread wins too: the gauge is one
+    // cell, and set() is a plain store into it.
     std::thread t([&]() { g.set(5.0); });
     t.join();
     EXPECT_EQ(gaugeIn(reg, "x.level.units"), 5.0);
@@ -231,15 +233,134 @@ TEST(ObsRegistry, DefaultTimeBucketsAreStrictlyIncreasing)
         EXPECT_LT(e[i - 1], e[i]) << i;
 }
 
-// ---------------------------------------------- deterministic merge
+TEST(ObsRegistry, ManyInstrumentsKeepTheirOwnCells)
+{
+    // Thousands of instruments of each kind in one registry, more
+    // cells than any fixed table would hold: each reads back the
+    // value written to it and nothing else. Zero-padded names keep
+    // the snapshot's name order equal to the index order.
+    constexpr std::size_t kCounters = 5000, kGauges = 5000, kHists = 200;
+    const auto name = [](const char *kind, std::size_t i) {
+        std::string digits = std::to_string(i);
+        digits.insert(0, 5 - digits.size(), '0');
+        return std::string("many.") + kind + digits + ".units";
+    };
+    const std::vector<double> edges = obs::defaultTimeBucketsMs();
+    // Histogram i records one value, (i + 1) / 64 ms.
+    const auto hist_value = [](std::size_t i) {
+        return static_cast<double>(i + 1) / 64.0;
+    };
 
-TEST(ObsRegistry, ShardMergeIsDeterministicAcrossThreadCounts)
+    obs::Registry reg;
+    std::vector<obs::Counter> counters;
+    for (std::size_t i = 0; i < kCounters; ++i) {
+        counters.push_back(reg.counter(name("c", i)));
+        counters.back().add(i + 1);
+    }
+    for (std::size_t i = 0; i < kGauges; ++i)
+        reg.gauge(name("g", i)).set(static_cast<double>(i) + 0.5);
+    for (std::size_t i = 0; i < kHists; ++i)
+        reg.histogram(name("h", i), edges).record(hist_value(i));
+
+    const obs::Snapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.counters.size(), kCounters);
+    ASSERT_EQ(snap.gauges.size(), kGauges);
+    ASSERT_EQ(snap.histograms.size(), kHists);
+    for (std::size_t i = 0; i < kCounters; ++i) {
+        EXPECT_EQ(counters[i].value(), i + 1) << i;
+        EXPECT_EQ(snap.counters[i].first, name("c", i));
+        EXPECT_EQ(snap.counters[i].second, i + 1) << i;
+    }
+    for (std::size_t i = 0; i < kGauges; ++i) {
+        EXPECT_EQ(snap.gauges[i].first, name("g", i));
+        EXPECT_EQ(snap.gauges[i].second, static_cast<double>(i) + 0.5)
+            << i;
+    }
+    for (std::size_t i = 0; i < kHists; ++i) {
+        const obs::HistogramSnapshot &h = snap.histograms[i];
+        const double v = hist_value(i);
+        std::vector<std::uint64_t> counts(edges.size() + 1, 0);
+        counts[static_cast<std::size_t>(
+            std::lower_bound(edges.begin(), edges.end(), v) -
+            edges.begin())] = 1;
+        EXPECT_EQ(h.name, name("h", i));
+        EXPECT_EQ(h.edges, edges) << i;
+        EXPECT_EQ(h.counts, counts) << i;
+        EXPECT_EQ(h.count, 1u) << i;
+        EXPECT_EQ(h.sum, v) << i;
+        EXPECT_EQ(h.min, v) << i;
+        EXPECT_EQ(h.max, v) << i;
+    }
+}
+
+TEST(ObsRegistry, SameNameInTwoKindsAreTwoInstruments)
+{
+    // Each kind has its own names: a gauge and a histogram under a
+    // counter's name are two more instruments, and none of the three
+    // writes another's cells or the other gauge's.
+    const std::string shared = "a.events.seen";
+    obs::Registry reg;
+    const obs::Counter c = reg.counter(shared);
+    const obs::Gauge other = reg.gauge("b.level.units");
+    const obs::Gauge g = reg.gauge(shared);
+    const obs::Histogram h = reg.histogram(shared, {1.0, 2.0});
+    c.add(3);
+    other.set(2.5);
+    g.set(7.0);
+    h.record(1.5);
+
+    EXPECT_EQ(c.value(), 3u);
+    const obs::Snapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(snap.counters[0].first, shared);
+    EXPECT_EQ(snap.counters[0].second, 3u);
+    ASSERT_EQ(snap.gauges.size(), 2u);
+    EXPECT_EQ(snap.gauges[0].first, shared);
+    EXPECT_EQ(snap.gauges[0].second, 7.0);
+    EXPECT_EQ(snap.gauges[1].first, "b.level.units");
+    EXPECT_EQ(snap.gauges[1].second, 2.5);
+    ASSERT_EQ(snap.histograms.size(), 1u);
+    EXPECT_EQ(snap.histograms[0].name, shared);
+    EXPECT_EQ(snap.histograms[0].counts,
+              (std::vector<std::uint64_t>{0, 1, 0}));
+
+    // The JSON export lists the name once in each of its sections,
+    // with that section's value.
+    const std::string json = obs::snapshotJson(reg);
+    const std::size_t gauges_at = json.find("\"gauges\"");
+    const std::size_t hists_at = json.find("\"histograms\"");
+    ASSERT_NE(gauges_at, std::string::npos);
+    ASSERT_NE(hists_at, std::string::npos);
+    const std::string sections[] = {
+        json.substr(0, gauges_at),
+        json.substr(gauges_at, hists_at - gauges_at),
+        json.substr(hists_at)};
+    const std::string entries[] = {"\"a.events.seen\": 3",
+                                   "\"a.events.seen\": 7",
+                                   "\"a.events.seen\": {\"edges\": [1, 2], "
+                                   "\"counts\": [0, 1, 0]"};
+    const std::string key = "\"" + shared + "\"";
+    for (std::size_t k = 0; k < 3; ++k) {
+        const std::string &sec = sections[k];
+        const std::size_t at = sec.find(key);
+        EXPECT_NE(at, std::string::npos) << k;
+        EXPECT_EQ(sec.find(key, at + 1), std::string::npos) << k;
+        EXPECT_EQ(sec.compare(at, entries[k].size(), entries[k]), 0)
+            << k << ": " << sec;
+    }
+    EXPECT_NE(sections[1].find("\"b.level.units\": 2.5"),
+              std::string::npos);
+}
+
+// ------------------------------------------------------ determinism
+
+TEST(ObsRegistry, CountsAreIdenticalAcrossThreadCounts)
 {
     // The same total workload, partitioned across 1, 4 and 16
     // threads, must produce identical counter values and histogram
-    // bucket counts: integer sums commute, and the snapshot merges
-    // shards in creation order. This is the guarantee behind
-    // identical metric snapshots at any pool size.
+    // bucket counts: every write is an atomic add on the
+    // instrument's own cells, and integer sums commute. This is the
+    // guarantee behind identical metric snapshots at any pool size.
     constexpr std::size_t kItems = 1600;
     auto run = [](std::size_t threads) {
         obs::Registry reg;
@@ -545,7 +666,7 @@ TEST(ObsIntegration, FitCountersIdenticalAcrossThreadCounts)
     // The registry delta of six deterministic fits must be the same
     // whether parallelFor fans them across 1, 4 or 16 threads: each
     // fit is serial and bitwise thread-count-invariant, and integer
-    // counter merges are order-free.
+    // counter adds are order-free.
     const FitProblem p = makeFitProblem(12);
     const platform::Machine machine;
     const auto space = platform::ConfigSpace::coreOnly(machine);

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the parallel subsystem: ThreadPool lifecycle and
- * the deterministic parallelFor / parallelForChunked primitives.
+ * the deterministic parallelFor loop.
  */
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -19,25 +21,52 @@
 using namespace leo;
 using parallel::ThreadPool;
 
+namespace
+{
+
+/** Lets the test thread wait for the tasks it post()ed. */
+class Finished
+{
+  public:
+    /** A task's last action. */
+    void mark()
+    {
+        // Notify under the lock: the waiter may destroy this object
+        // as soon as it sees the final count.
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++count_;
+        cv_.notify_all();
+    }
+
+    /** Block until n tasks have called mark(). */
+    void waitFor(int n)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&]() { return count_ >= n; });
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    int count_ = 0;
+};
+
+} // namespace
+
 // ------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, CompletesEveryTask)
 {
-    ThreadPool pool(3);
     std::atomic<int> count{0};
-    std::vector<std::future<void>> futures;
+    Finished finished;
+    ThreadPool pool(3);
     for (int i = 0; i < 100; ++i)
-        futures.push_back(pool.submit([&count]() { ++count; }));
-    for (auto &f : futures)
-        f.get();
+        pool.post([&]() {
+            ++count;
+            finished.mark();
+        });
+    finished.waitFor(100);
     EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SubmitReturnsValue)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue)
@@ -56,14 +85,6 @@ TEST(ThreadPool, DestructorDrainsQueue)
     EXPECT_EQ(count.load(), 50);
 }
 
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ZeroWorkersRunInline)
 {
     ThreadPool pool(0);
@@ -79,33 +100,40 @@ TEST(ThreadPool, ZeroWorkersRunInline)
     // Inline execution: done before post() returns, on this thread.
     EXPECT_TRUE(ran);
     EXPECT_EQ(ran_on, caller);
-    auto f = pool.submit([]() { return 1; });
-    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
 }
 
 TEST(ThreadPool, ReentrantSubmissionDoesNotDeadlock)
 {
+    std::atomic<bool> inside{false};
+    std::atomic<int> inner{0};
+    Finished finished;
     ThreadPool pool(2);
     // A task that itself fans a loop across the same pool: the
     // nesting rule (insideWorker -> inline) must keep this from
     // blocking a worker on other workers.
-    auto f = pool.submit([&pool]() {
-        EXPECT_TRUE(ThreadPool::insideWorker());
-        std::atomic<int> inner{0};
+    pool.post([&]() {
+        inside = ThreadPool::insideWorker();
         parallel::parallelFor(pool, 64,
                               [&inner](std::size_t) { ++inner; });
-        return inner.load();
+        finished.mark();
     });
-    EXPECT_EQ(f.get(), 64);
+    finished.waitFor(1);
+    EXPECT_TRUE(inside.load());
+    EXPECT_EQ(inner.load(), 64);
 }
 
 TEST(ThreadPool, InsideWorkerFalseOnCaller)
 {
     EXPECT_FALSE(ThreadPool::insideWorker());
+    std::atomic<bool> inside{false};
+    Finished finished;
     ThreadPool pool(1);
-    auto f = pool.submit([]() { return ThreadPool::insideWorker(); });
-    EXPECT_TRUE(f.get());
+    pool.post([&]() {
+        inside = ThreadPool::insideWorker();
+        finished.mark();
+    });
+    finished.waitFor(1);
+    EXPECT_TRUE(inside.load());
 }
 
 TEST(ThreadPool, DefaultConcurrencyPositive)
@@ -122,20 +150,6 @@ TEST(ParallelFor, TouchesEveryIndexOnce)
     std::vector<int> hits(1000, 0);
     parallel::parallelFor(pool, hits.size(),
                           [&](std::size_t i) { ++hits[i]; });
-    for (int h : hits)
-        EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelFor, ChunkedCoversRangeExactly)
-{
-    ThreadPool pool(2);
-    // Awkward grain: n not divisible by grain.
-    std::vector<int> hits(97, 0);
-    parallel::parallelForChunked(
-        pool, hits.size(), 10, [&](std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i)
-                ++hits[i];
-        });
     for (int h : hits)
         EXPECT_EQ(h, 1);
 }

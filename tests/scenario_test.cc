@@ -348,8 +348,8 @@ TEST(SpecDsl, RejectsUnknownKeysAndBadValues)
     EXPECT_THROW(scenario::Spec::fromString("changepoint maybe\n"),
                  FatalError);
     // Unknown directives, a JSON document's first line included, are
-    // named as such whatever values follow them; a known one names
-    // its extra value.
+    // named as such whatever values follow them, none included; a
+    // known one names its missing or extra value.
     const auto rejectsWith = [](const char *text, const char *what) {
         try {
             scenario::Spec::fromString(text);
@@ -365,8 +365,11 @@ TEST(SpecDsl, RejectsUnknownKeysAndBadValues)
     rejectsWith("bogus_key 1 2\n", "unknown directive");
     rejectsWith("phase_scale 0.5\n", "unknown directive");
     rejectsWith("{\"name\": \"j\"}", "unknown directive");
-    EXPECT_THROW(scenario::Spec::fromString("{\n  \"frames\": 3\n}\n"),
-                 FatalError);
+    rejectsWith("{\n  \"frames\": 3\n}\n", "unknown directive");
+    rejectsWith("bogus\n", "unknown directive");
+    rejectsWith("{\n", "unknown directive");
+    rejectsWith("fault.bogus\n", "unknown fault field 'bogus'");
+    rejectsWith("frames\n", "'frames' needs a value");
     rejectsWith("frames 3 4\n", "takes one value, got 2");
 }
 

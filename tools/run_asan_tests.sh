@@ -17,6 +17,8 @@
 # readings to the variance-guided sampler. linalg_test runs both builds
 # of the dense kernels (portable and, on an AVX2 host, AVX2) over every
 # tile tail, so an out-of-range tail load or store is a report.
+# obs_test registers thousands of instruments of each kind in one
+# metrics registry, so a cell indexed past its storage is a report.
 #
 # Usage: tools/run_asan_tests.sh [build-dir]
 #   build-dir  defaults to build-asan (kept separate from the plain
@@ -30,7 +32,7 @@ cmake -B "$build_dir" -S "$src_dir" \
     -DLEO_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j \
-    --target linalg_test robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test active_sampling_test
+    --target linalg_test robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test active_sampling_test obs_test
 
 # ASAN/UBSAN_OPTIONS: fail the script on any report. UBSan keeps going
 # within a binary so one finding does not mask another, but a
@@ -40,7 +42,7 @@ asan="abort_on_error=0 exitcode=66 ${ASAN_OPTIONS:-}"
 ubsan="halt_on_error=0 exitcode=66 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
-for t in linalg_test robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test active_sampling_test; do
+for t in linalg_test robustness_test optimizer_test runtime_test lowrank_test service_test global_test scenario_test simplex_stress_test csv_test workloads_test estimators_test active_sampling_test obs_test; do
     ASAN_OPTIONS="$asan" UBSAN_OPTIONS="$ubsan" \
         "$build_dir/tests/$t" 2>&1 | tee -a "$log"
 done
@@ -49,4 +51,4 @@ if grep -q 'runtime error:' "$log"; then
     exit 66
 fi
 
-echo "ASan+UBSan run clean: linalg_test + robustness_test + optimizer_test + runtime_test + lowrank_test + service_test + global_test + scenario_test + simplex_stress_test + csv_test + workloads_test + estimators_test + active_sampling_test"
+echo "ASan+UBSan run clean: linalg_test + robustness_test + optimizer_test + runtime_test + lowrank_test + service_test + global_test + scenario_test + simplex_stress_test + csv_test + workloads_test + estimators_test + active_sampling_test + obs_test"

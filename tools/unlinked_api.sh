@@ -18,8 +18,8 @@
 #
 # Blind spots: the probe sees a function that the archives emit and
 # no binary keeps, and nothing else. It cannot see
-#  - a template that no program instantiates (ThreadPool::submit):
-#    nothing emits it;
+#  - a template that no program instantiates (parallelFor, were only
+#    tests to call it): nothing emits it;
 #  - a virtual override that nothing dispatches to: the vtable keeps
 #    it linked;
 #  - an inline or file-local constructor or destructor nothing calls
