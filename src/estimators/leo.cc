@@ -637,8 +637,6 @@ fitLowRank(const LeoOptions &opt,
     fit.sigma2 = sigma2;
     fit.prior = shared;
     fit.kept = std::move(kb);
-    fit.observedUnits = ob.units;
-    fit.priorFingerprint = prior.fingerprint();
     fit.coeff = cmat;
     fit.alphaDiag = alpha;
     fit.varCore = ct;
@@ -746,16 +744,6 @@ LeoFit::predictiveVarianceAt(std::size_t c) const
         cov += col[k] * t;
     }
     return (alphaDiag + cov + sigma2) * scale * scale;
-}
-
-KeptBlock
-observedFactors(const PriorBasis &prior,
-                const std::vector<std::size_t> &units)
-{
-    for (const std::size_t u : units)
-        require(u < prior.dim(), "observedFactors: unit out of range");
-    linalg::Workspace arena;
-    return keptBlockOf(prior, observeUnits(prior, units, arena));
 }
 
 linalg::Matrix

@@ -37,7 +37,6 @@
 #ifndef LEO_ESTIMATORS_LEO_HH
 #define LEO_ESTIMATORS_LEO_HH
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -108,7 +107,9 @@ struct LeoOptions
  * Q_o = L_k^-1 (E_k' - W_k Q_p), with E_k the unit vectors of the kept
  * configurations, and are never formed on the fit path: the
  * prediction expands through W_k and L_k, and single columns of Q
- * come from the column evaluator behind predictiveVarianceAt.
+ * come from the column evaluator behind predictiveVarianceAt. No
+ * blob stores it: the fit is a function of its prior and its
+ * observations, and a restored controller refits those.
  */
 struct KeptBlock
 {
@@ -154,15 +155,6 @@ struct LeoFit
      *  Sigma (2 GB at n = 16384); basis() and covariance()
      *  materialize them for inspection. */
     KeptBlock kept;
-    /** The distinct observed configurations, ascending (at most one
-     *  per observation), that the kept block was factored from. With
-     *  the prior basis they determine it bit for bit
-     *  (observedFactors), so a saved fit stores them in its place
-     *  (fit_io.hh). */
-    std::vector<std::size_t> observedUnits;
-    /** PriorBasis::fingerprint() of the prior basis the fit ran on
-     *  (0 for a fit without factors). */
-    std::uint64_t priorFingerprint = 0;
     /** Core C (q x q, symmetric). */
     linalg::Matrix coeff;
     /** Isotropic diagonal term alpha of the factored Sigma. */
@@ -213,19 +205,6 @@ struct LeoFit
      */
     double predictiveVarianceAt(std::size_t c) const;
 };
-
-/**
- * The kept block of a fit on `prior` whose distinct observed
- * configurations are `units`, ascending as LeoFit::observedUnits holds
- * them, factored in s dimensions (DESIGN.md section 7.2). The fit
- * factors its own block through the same code, so for a fit's own
- * units the result equals its kept block bit for bit; loadFit
- * rebuilds saved fits this way.
- *
- * @throws leo::FatalError when a unit is not below prior.dim().
- */
-KeptBlock observedFactors(const PriorBasis &prior,
-                          const std::vector<std::size_t> &units);
 
 /**
  * The basis Q = [Q_p; Q_o] (q x n) of a kept block on `prior`: the

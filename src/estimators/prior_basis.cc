@@ -5,7 +5,6 @@
 
 #include "estimators/prior_basis.hh"
 
-#include <bit>
 #include <utility>
 
 #include "estimators/estimator.hh"
@@ -16,45 +15,6 @@
 
 namespace leo::estimators
 {
-
-namespace
-{
-
-/**
- * FNV-1a over 64-bit words: n, then the bits of every entry of Q_p
- * and R in row-major order. Four interleaved lanes keep the
- * multiplies pipelined (a 1024-configuration basis hashes in tens of
- * microseconds); each step is a bijection of its lane, so changing
- * any one word always changes the result.
- */
-std::uint64_t
-fingerprintOf(std::size_t n, const linalg::Matrix &rows,
-              const linalg::Matrix &coords)
-{
-    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-    constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
-    std::uint64_t lane[4] = {kBasis, kBasis ^ 1, kBasis ^ 2, kBasis ^ 3};
-    const auto feed = [&](const double *p, std::size_t count) {
-        std::size_t i = 0;
-        for (; i + 4 <= count; i += 4)
-            for (std::size_t l = 0; l < 4; ++l)
-                lane[l] = (lane[l] ^ std::bit_cast<std::uint64_t>(p[i + l])) *
-                          kPrime;
-        for (; i < count; ++i)
-            lane[0] = (lane[0] ^ std::bit_cast<std::uint64_t>(p[i])) * kPrime;
-    };
-    lane[0] = (lane[0] ^ n) * kPrime;
-    lane[1] = (lane[1] ^ rows.rows()) * kPrime;
-    lane[2] = (lane[2] ^ coords.rows()) * kPrime;
-    feed(rows.data(), rows.rows() * rows.cols());
-    feed(coords.data(), coords.rows() * coords.cols());
-    std::uint64_t h = kBasis;
-    for (const std::uint64_t l : lane)
-        h = (h ^ l) * kPrime;
-    return h;
-}
-
-} // namespace
 
 PriorBasis::PriorBasis(std::vector<linalg::Vector> prior)
     : shapes_(std::move(prior))
@@ -102,7 +62,6 @@ PriorBasis::PriorBasis(std::vector<linalg::Vector> prior)
         for (std::size_t k = 0; k < r; ++k)
             resid.at(i, k) = coords_.at(i, k) - mean_coords_[k];
     linalg::Matrix::gramInto(resid_gram_, resid);
-    fingerprint_ = fingerprintOf(n_, rows_, coords_);
 
     span.arg("apps", static_cast<double>(m));
     span.arg("configs", static_cast<double>(n_));

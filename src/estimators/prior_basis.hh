@@ -23,7 +23,6 @@
 #define LEO_ESTIMATORS_PRIOR_BASIS_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -104,17 +103,8 @@ class PriorBasis
      *  (r x r): the prior part of the Offline cold init of C. */
     const linalg::Matrix &residualGram() const { return resid_gram_; }
 
-    /**
-     * @return A 64-bit hash of n, Q_p and R, bit for bit, computed
-     *  once at construction. Bases built from equal prior vectors
-     *  share it, so a saved fit names the basis it ran on by this
-     *  value (fit_io.hh) instead of copying Q_p.
-     */
-    std::uint64_t fingerprint() const { return fingerprint_; }
-
   private:
     std::size_t n_ = 0;
-    std::uint64_t fingerprint_ = 0;
     std::vector<linalg::Vector> shapes_;
     linalg::Matrix rows_;
     linalg::Matrix coords_;

@@ -48,9 +48,6 @@ class Matrix
     std::size_t rows() const { return rows_; }
     /** @return Number of columns. */
     std::size_t cols() const { return cols_; }
-    /** @return True iff the matrix is 0 x 0. */
-    bool empty() const { return data_.empty(); }
-
     /** Bounds-checked element access. */
     double &operator()(std::size_t r, std::size_t c);
     /** Bounds-checked element access (const). */

@@ -61,17 +61,13 @@ constexpr bool kWireLayout = kLittleEndian && sizeof(T) == 8;
 void
 ByteWriter::reserve(std::size_t more)
 {
-    if (!counting_)
-        bytes_.reserve(bytes_.size() + more);
+    bytes_.reserve(bytes_.size() + more);
 }
 
 void
 ByteWriter::append(const char *p, std::size_t n)
 {
-    if (counting_)
-        counted_ += n;
-    else
-        bytes_.append(p, n);
+    bytes_.append(p, n);
 }
 
 void
@@ -124,14 +120,6 @@ ByteWriter::vec(const Vector &v)
 {
     u64(v.size());
     words(v.data(), v.size());
-}
-
-void
-ByteWriter::mat(const Matrix &m)
-{
-    u64(m.rows());
-    u64(m.cols());
-    words(m.data(), m.rows() * m.cols());
 }
 
 void
@@ -232,24 +220,6 @@ ByteReader::vec()
     Vector v(static_cast<std::size_t>(n));
     words(v.data(), v.size());
     return v;
-}
-
-Matrix
-ByteReader::mat()
-{
-    const std::uint64_t rows = u64();
-    const std::uint64_t cols = u64();
-    // rows <= remaining / 8 / cols, by division as in fits(); a
-    // zero-column matrix of any row count holds no elements.
-    if (!ok_ ||
-        (cols != 0 && rows > (bytes_->size() - pos_) / 8 / cols)) {
-        ok_ = false;
-        return Matrix{};
-    }
-    Matrix m(static_cast<std::size_t>(rows),
-             static_cast<std::size_t>(cols));
-    words(m.data(), m.rows() * m.cols());
-    return m;
 }
 
 std::vector<std::size_t>

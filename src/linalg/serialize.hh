@@ -3,11 +3,10 @@
  * Bit-exact binary serialization primitives.
  *
  * The session snapshot/restore path (runtime controller state,
- * estimators::LeoFit including the low-rank factors, service tenant
- * sessions) needs round trips that are *exact*: a restored controller
- * must reproduce the uninterrupted run's accepted-config schedule
- * bit for bit, so every double travels as its IEEE-754 bit pattern,
- * never through a decimal conversion.
+ * service tenant sessions) needs round trips that are *exact*: a
+ * restored controller must reproduce the uninterrupted run's
+ * accepted-config schedule bit for bit, so every double travels as
+ * its IEEE-754 bit pattern, never through a decimal conversion.
  *
  * Format rules:
  *  - All integers are fixed-width little-endian, so the format is
@@ -15,14 +14,13 @@
  *  - Doubles are the 8 bytes of their bit pattern (via
  *    std::bit_cast to std::uint64_t), preserving NaN payloads and
  *    signed zeros.
- *  - Containers are a u64 length followed by the elements; a matrix
- *    is (rows, cols) followed by its row-major elements.
+ *  - Containers are a u64 length followed by the elements.
  *
  * On a little-endian host that format is the in-memory layout, so
- * vec(), mat() and indexVec() move a whole element array with one
- * append on write and one copy on read; other hosts pack byte by
- * byte. The bytes are the same either way (linalg_test's ByteCodec
- * golden test pins them).
+ * vec() and indexVec() move a whole element array with one append on
+ * write and one copy on read; other hosts pack byte by byte. The
+ * bytes are the same either way (linalg_test's ByteCodec golden test
+ * pins them).
  *
  * ByteReader never throws: a truncated or malformed buffer flips
  * ok() to false and every subsequent read returns zero values, so
@@ -39,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "linalg/matrix.hh"
 #include "linalg/vector.hh"
 
 namespace leo::linalg
@@ -49,37 +46,12 @@ namespace leo::linalg
 class ByteWriter
 {
   public:
-    /**
-     * A writer that stores nothing: every call only adds its encoded
-     * length to size(). A counting pass through the calls a save
-     * makes sizes that save's buffer exactly, with the format still
-     * defined by the one sequence of calls.
-     */
-    static ByteWriter counter()
-    {
-        ByteWriter w;
-        w.counting_ = true;
-        return w;
-    }
-
-    /** @return Bytes written so far (for a counter, bytes counted). */
-    std::size_t size() const
-    {
-        return counting_ ? counted_ : bytes_.size();
-    }
-
-    /** Make room for `more` bytes past size() in one allocation (a
-     *  counter ignores it). */
+    /** Make room for `more` bytes past those written, in one
+     *  allocation. */
     void reserve(std::size_t more);
 
     /** Append one byte. */
-    void u8(std::uint8_t v)
-    {
-        if (counting_)
-            ++counted_;
-        else
-            bytes_.push_back(static_cast<char>(v));
-    }
+    void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
 
     /** Append a 32-bit little-endian integer. */
     void u32(std::uint32_t v);
@@ -96,9 +68,6 @@ class ByteWriter
     /** Append a length-prefixed vector of doubles (bit patterns). */
     void vec(const Vector &v);
 
-    /** Append a (rows, cols)-prefixed row-major matrix. */
-    void mat(const Matrix &m);
-
     /** Append a length-prefixed vector of u64 indices. */
     void indexVec(const std::vector<std::size_t> &v);
 
@@ -109,7 +78,7 @@ class ByteWriter
     std::string take() { return std::move(bytes_); }
 
   private:
-    /** Append n raw bytes (a counter only counts them). */
+    /** Append n raw bytes. */
     void append(const char *p, std::size_t n);
 
     /** Append count 8-byte words (doubles or indices), no prefix. */
@@ -117,8 +86,6 @@ class ByteWriter
     void words(const T *p, std::size_t count);
 
     std::string bytes_;
-    bool counting_ = false;
-    std::size_t counted_ = 0;
 };
 
 /**
@@ -166,9 +133,6 @@ class ByteReader
 
     /** Read a length-prefixed vector of doubles. */
     Vector vec();
-
-    /** Read a (rows, cols)-prefixed row-major matrix. */
-    Matrix mat();
 
     /** Read a length-prefixed vector of u64 indices. */
     std::vector<std::size_t> indexVec();

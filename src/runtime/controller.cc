@@ -6,10 +6,10 @@
 #include "runtime/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <exception>
 
-#include "estimators/fit_io.hh"
 #include "estimators/offline.hh"
 #include "linalg/error.hh"
 #include "obs/obs.hh"
@@ -49,9 +49,20 @@ constexpr std::size_t kStarveWindows = 8;
 
 /** Snapshot format version; bump when the field list changes.
  *  v2 dropped the two per-window refitter states; v3 dropped the
- *  detectors' run-length arrays; v4 carries its fits in fit format v5
- *  (no mu). */
-constexpr std::uint32_t kControllerStateVersion = 4;
+ *  detectors' run-length arrays; v4 carried its fits without mu; v5
+ *  carries no fits (restore refits the observations). */
+constexpr std::uint32_t kControllerStateVersion = 5;
+
+/** True iff a and b hold the same doubles, bit for bit. */
+bool
+sameBits(const linalg::Vector &a, const linalg::Vector &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) {
+                          return std::bit_cast<std::uint64_t>(x) ==
+                                 std::bit_cast<std::uint64_t>(y);
+                      });
+}
 
 /** The estimator as LEO, or null: LEO fits run through the prior
  *  bases and keep their factors for the change-point detector. */
@@ -241,11 +252,6 @@ EnergyController::recordMeasurement(const telemetry::Sample &s)
             ++changepoints_detected_;
             changePointLatency().record(static_cast<double>(latency));
             ++reestimations_;
-            // The old posterior describes dead behavior: drop its
-            // fits until the refit replaces them.
-            have_fits_ = false;
-            perf_fit_ = estimators::LeoFit{};
-            power_fit_ = estimators::LeoFit{};
             beginSampling();
             return;
         }
@@ -331,6 +337,7 @@ EnergyController::setEstimates(linalg::Vector performance,
             "EnergyController: estimate size mismatch");
     perf_ = std::move(performance);
     power_ = std::move(power);
+    have_fits_ = false;
     fallback_remaining_ = 0;
     fit_pending_ = false;
     replan();
@@ -350,6 +357,11 @@ EnergyController::beginSampling()
     have_avg_ = false;
     fallback_remaining_ = 0;
     fit_pending_ = false;
+    // A fit belongs to the observations just cleared: drop it, so the
+    // fits are always a function of observations().
+    have_fits_ = false;
+    perf_fit_ = estimators::LeoFit{};
+    power_fit_ = estimators::LeoFit{};
     cp_perf_.reset();
     cp_power_.reset();
     state_ = State::Sampling;
@@ -460,39 +472,42 @@ EnergyController::replanPreserving()
     // paceConfig() clamps the boost against the new frontier size.
 }
 
-void
-EnergyController::fallbackEstimates()
+bool
+EnergyController::installEstimates(linalg::Vector perf,
+                                   linalg::Vector power)
 {
+    if (perf.size() == space_.size() && power.size() == space_.size() &&
+        perf.allFinite() && power.allFinite()) {
+        perf_ = std::move(perf);
+        power_ = std::move(power);
+        return true;
+    }
     // Fallback order (DESIGN.md "Failure model and degradation
     // policy"): prior-mean estimates when an offline prior exists;
     // otherwise clear the estimates so paceConfig() races the
-    // all-resources configuration (race-to-idle). Either way the
-    // backoff timer re-enters Sampling with fresh probes later.
-    bool have_fallback = false;
+    // all-resources configuration (race-to-idle).
+    perf_ = linalg::Vector{};
+    power_ = linalg::Vector{};
     if (prior_.numApplications() > 0) {
         try {
             const estimators::OfflineEstimator offline;
-            estimators::MetricEstimate perf = offline.estimateMetric(
+            estimators::MetricEstimate mean_perf = offline.estimateMetric(
                 space_,
                 priorVectors(prior_, estimators::Metric::Performance),
                 observations_.indices, observations_.performance);
-            estimators::MetricEstimate power = offline.estimateMetric(
+            estimators::MetricEstimate mean_power = offline.estimateMetric(
                 space_, priorVectors(prior_, estimators::Metric::Power),
                 observations_.indices, observations_.power);
-            if (perf.values.allFinite() && power.values.allFinite()) {
-                perf_ = std::move(perf.values);
-                power_ = std::move(power.values);
-                have_fallback = true;
+            if (mean_perf.values.allFinite() &&
+                mean_power.values.allFinite()) {
+                perf_ = std::move(mean_perf.values);
+                power_ = std::move(mean_power.values);
             }
         } catch (const std::exception &) {
-            // Prior itself unusable; race to idle below.
+            // Prior itself unusable; race to idle.
         }
     }
-    if (!have_fallback) {
-        perf_ = linalg::Vector{};
-        power_ = linalg::Vector{};
-    }
-    fallback_remaining_ = kFallbackBackoffWindows;
+    return false;
 }
 
 void
@@ -522,17 +537,14 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
     perf_fit_ = std::move(perf_fit);
     power_fit_ = std::move(power_fit);
     // Other estimators leave the fits empty: no predictive variance
-    // for the change-point detector to read, and none to save.
+    // for the change-point detector to read.
     have_fits_ = asLeo(estimator_) != nullptr;
-    perf_ = std::move(perf.values);
-    power_ = std::move(power.values);
-    if (perf_.size() == space_.size() &&
-        power_.size() == space_.size() && perf_.allFinite() &&
-        power_.allFinite()) {
+    if (installEstimates(std::move(perf.values), std::move(power.values))) {
         fallback_remaining_ = 0;
     } else {
+        // The backoff timer re-enters Sampling with fresh probes.
         ++fits_failed_;
-        fallbackEstimates();
+        fallback_remaining_ = kFallbackBackoffWindows;
     }
     replan();
     state_ = State::Controlling;
@@ -540,22 +552,6 @@ EnergyController::applyExternalFit(estimators::MetricEstimate perf,
 
 void
 EnergyController::saveState(linalg::ByteWriter &w) const
-{
-    // A standalone save (into an empty writer) is sized by a counting
-    // pass through the same calls, so the blob lands in one
-    // allocation instead of a chain of doublings. A writer that
-    // already holds bytes, such as a service snapshot, grows as it
-    // would anyway.
-    if (w.size() == 0) {
-        linalg::ByteWriter count = linalg::ByteWriter::counter();
-        writeState(count);
-        w.reserve(count.size());
-    }
-    writeState(w);
-}
-
-void
-EnergyController::writeState(linalg::ByteWriter &w) const
 {
     w.u32(kControllerStateVersion);
     w.u64(space_.size());
@@ -567,11 +563,9 @@ EnergyController::writeState(linalg::ByteWriter &w) const
     w.u64(probe_next_);
     w.vec(perf_);
     w.vec(power_);
+    // The fits are a function of the observations: restore re-derives
+    // them, so only whether they exist travels.
     w.u8(have_fits_ ? 1 : 0);
-    if (have_fits_) {
-        estimators::saveFit(w, perf_fit_);
-        estimators::saveFit(w, power_fit_);
-    }
     // The history map is unordered in memory; the blob orders it by
     // configuration index so identical states serialize identically.
     std::vector<std::pair<std::size_t, double>> hist(history_.begin(),
@@ -615,9 +609,6 @@ EnergyController::restoreState(linalg::ByteReader &r)
         beginSampling();
         perf_ = linalg::Vector{};
         power_ = linalg::Vector{};
-        perf_fit_ = estimators::LeoFit{};
-        power_fit_ = estimators::LeoFit{};
-        have_fits_ = false;
         frontier_.clear();
         return false;
     };
@@ -636,18 +627,6 @@ EnergyController::restoreState(linalg::ByteReader &r)
     perf_ = r.vec();
     power_ = r.vec();
     const std::uint8_t have_fits = r.u8();
-    have_fits_ = have_fits != 0;
-    if (have_fits_ && r.ok()) {
-        // The fits share this controller's prior bases, refactor
-        // their kept blocks from them and fail closed on any other
-        // prior.
-        const estimators::PriorBases &bases = priorBases();
-        perf_fit_ = estimators::loadFit(r, bases.perf);
-        power_fit_ = estimators::loadFit(r, bases.power);
-    } else {
-        perf_fit_ = estimators::LeoFit{};
-        power_fit_ = estimators::LeoFit{};
-    }
     history_.clear();
     // Saved in increasing index order; anything else would re-save
     // differently.
@@ -698,13 +677,15 @@ EnergyController::restoreState(linalg::ByteReader &r)
         inSpace(observations_.indices) && inSpace(probe_plan_) &&
         probe_next_ <= probe_plan_.size() &&
         (!fit_pending_ || pending_config_ < n);
-    // Flags are 0 or 1, and a sampling controller that is not waiting
-    // on a fit has a probe left to offer (or no plan yet).
+    // Flags are 0 or 1, a sampling controller that is not waiting on
+    // a fit has a probe left to offer (or no plan yet), and only a
+    // controlling LEO controller holds fits.
     const bool canonical =
         state <= 1 && have_fits <= 1 && have_avg <= 1 &&
         fit_pending <= 1 && hist_ok &&
         (state != 0 || fit_pending_ || probe_plan_.empty() ||
-         probe_next_ < probe_plan_.size());
+         probe_next_ < probe_plan_.size()) &&
+        (have_fits == 0 || (state == 1 && asLeo(estimator_) != nullptr));
     if (!r.ok() || !sizes_ok || !canonical)
         return failClosed();
     state_ = state == 0 ? State::Sampling : State::Controlling;
@@ -715,6 +696,26 @@ EnergyController::restoreState(linalg::ByteReader &r)
     replanPreserving();
     if (segment_ != segment)
         return failClosed();
+    // The blob carries no fits: re-derive them from the restored
+    // observations and install them as applyExternalFit() does. A
+    // fit is a pure function of the prior and the observations, so
+    // estimates other than the saved ones, bit for bit, mean another
+    // prior or an altered observation or estimate.
+    have_fits_ = have_fits != 0;
+    perf_fit_ = estimators::LeoFit{};
+    power_fit_ = estimators::LeoFit{};
+    if (have_fits_) {
+        const linalg::Vector saved_perf = std::move(perf_);
+        const linalg::Vector saved_power = std::move(power_);
+        priorBases();
+        estimators::MetricEstimate perf = estimateFor(
+            estimators::Metric::Performance, nullptr, &perf_fit_);
+        estimators::MetricEstimate power =
+            estimateFor(estimators::Metric::Power, nullptr, &power_fit_);
+        installEstimates(std::move(perf.values), std::move(power.values));
+        if (!sameBits(perf_, saved_perf) || !sameBits(power_, saved_power))
+            return failClosed();
+    }
     fits_failed_ = fits_failed;
     samples_rejected_ = samples_rejected;
     fallback_windows_ = fallback_windows;

@@ -92,7 +92,7 @@ class EnergyController
      * @param bases     The prior bases of `prior`, shared with every
      *                  controller on the same prior (the service passes
      *                  each session's); null builds them from `prior`
-     *                  at the first LEO fit or fit restore.
+     *                  at the first LEO fit or restored fit.
      */
     EnergyController(
         const platform::ConfigSpace &space,
@@ -155,12 +155,12 @@ class EnergyController
     }
 
     /**
-     * @return The LEO performance fit behind the current estimates
-     * (null before the first fit and after a change-point), valid
-     * until the next fit. The change-point detector reads its
-     * predictive variance and saveState() writes it. The name is
-     * pinned by perfbench/, which calls it, until the next change to
-     * perfbench.
+     * @return The LEO performance fit behind the current estimates:
+     * null outside Controlling on LEO estimates, so before the first
+     * fit and from a re-probe until its refit lands. Valid until the
+     * next fit or re-probe. The change-point detector reads its
+     * predictive variance. The name is pinned by perfbench/, which
+     * calls it, until the next change to perfbench.
      */
     const estimators::LeoFit *warmPerfFit() const
     {
@@ -219,27 +219,31 @@ class EnergyController
 
     /**
      * Serialize the complete control state — observations, probe
-     * plan, estimates and their fits, drift/boost bookkeeping and
-     * degradation counters — so a controller constructed with the
-     * same space, estimator, prior and options can resume the run bit
-     * for bit (see restoreState()). Into an empty writer the blob is
-     * sized first and written in one allocation.
+     * plan, estimates, whether LEO fits stand behind them, drift/boost
+     * bookkeeping and degradation counters — so a controller
+     * constructed with the same space, estimator, prior and options
+     * can resume the run bit for bit (see restoreState()). The fits
+     * themselves are not written: they are a function of the prior
+     * and the observations.
      */
     void saveState(linalg::ByteWriter &w) const;
 
     /**
      * Restore state written by saveState(). The controller must have
      * been constructed with the same configuration space (validated),
-     * estimator kind and options as the saved one — the blob carries
-     * runtime state, not construction parameters. The saved fits are
-     * rebuilt on this controller's prior bases (fit_io.hh), so the
-     * prior must be the saved one too: a blob whose fits ran on
-     * another prior fails closed. Never throws; on a truncated or
-     * mismatched blob (an older format version included), or one
-     * saveState() would not write (a flag byte other than 0 or 1,
-     * history out of order, indices outside the space, a sampling
-     * state with no probe left) the controller resets to fresh
-     * Sampling state and returns false.
+     * estimator kind, prior and options as the saved one — the blob
+     * carries runtime state, not construction parameters. When the
+     * saved controller held fits, restore re-derives both with
+     * estimateFor() on the restored observations (two fits, on this
+     * controller's prior bases) and installs them as
+     * applyExternalFit() would; unless the installed estimates equal
+     * the saved ones bit for bit (another prior, an altered
+     * observation or estimate) the blob fails closed. Never throws; on
+     * a truncated or mismatched blob (an older format version
+     * included), or one saveState() would not write (a flag byte other
+     * than 0 or 1, history out of order, indices outside the space, a
+     * sampling state with no probe left, fits outside Controlling) the
+     * controller resets to fresh Sampling state and returns false.
      */
     bool restoreState(linalg::ByteReader &r);
 
@@ -290,12 +294,17 @@ class EnergyController
      *  policy. */
     void fit();
 
-    /** Degradation policy after a failed fit: prior-mean estimates
-     *  when a prior exists, race-to-idle otherwise; arms the
-     *  backoff-then-retry timer. */
-    void fallbackEstimates();
+    /**
+     * Install a fit's two estimates as perf_ and power_ and return
+     * true, or, when either is unusable (wrong size or non-finite),
+     * install the degradation policy's instead and return false:
+     * prior-mean estimates when a prior exists, none otherwise
+     * (race-to-idle). applyExternalFit() and restoreState() share it.
+     */
+    bool installEstimates(linalg::Vector perf, linalg::Vector power);
 
-    /** Reset sampling state so fresh probes are drawn. */
+    /** Reset sampling state so fresh probes are drawn, and drop the
+     *  fits of the cleared observations. */
     void beginSampling();
 
     /** The prior bases, built from prior_ on first use when none were
@@ -314,9 +323,6 @@ class EnergyController
      * controller resumes its guard where the saved one left it.
      */
     void replanPreserving();
-
-    /** The field list of saveState(), written to `w` as is. */
-    void writeState(linalg::ByteWriter &w) const;
 
     /** Select the frontier configuration pacing the demand. */
     std::size_t paceConfig();
@@ -347,12 +353,13 @@ class EnergyController
     /** Scratch arena reused across LEO (re)fits. */
     linalg::Workspace fit_ws_; // leo-lint: allow(snapshot-completeness) fit scratch workspace
     /** Prior bases of the LEO fits: passed at construction, or built
-     *  at the first fit or fit restore (so construction stays cheap)
+     *  at the first fit or restored fit (so construction stays cheap)
      *  and reused by every refit. A metric whose prior cannot be built
      *  has a null basis. */
     std::shared_ptr<const estimators::PriorBases> bases_; // leo-lint: allow(snapshot-completeness) derived from the borrowed prior, passed or rebuilt on construction
-    /** The LEO fits behind perf_ and power_: the change-point
-     *  detector's predictive variance. */
+    /** The LEO fits behind perf_ and power_ (have_fits_): the
+     *  change-point detector's predictive variance. A function of
+     *  observations_, which restoreState() refits. */
     estimators::LeoFit perf_fit_;
     estimators::LeoFit power_fit_;
     bool have_fits_ = false;

@@ -11,7 +11,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "estimators/fit_io.hh"
 #include "linalg/error.hh"
 #include "parallel/parallel_for.hh"
 
@@ -23,12 +22,12 @@ namespace
 
 /** Snapshot format version; bump when the field list changes.
  *  v2 added TenantConfig::deadlineSeconds; v3 added the prior table
- *  and saves fits without their basis (fit_io v4); v4 saves each
- *  controller without its refitter states (controller state v2); v5
- *  saves its change-point detectors without run-length arrays
- *  (controller state v3); v6 saves fits without mu (controller state
- *  v4, fit format v5). */
-constexpr std::uint32_t kSnapshotVersion = 6;
+ *  and saved fits without their basis; v4 saves each controller
+ *  without its refitter states (controller state v2); v5 saves its
+ *  change-point detectors without run-length arrays (controller state
+ *  v3); v6 saved fits without mu (controller state v4); v7 saves no
+ *  fits, which restore re-derives (controller state v5). */
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 /** Per-shard inbound queue slots (a power of 2): a full queue
  *  rejects submit() — backpressure, not blocking. */
@@ -438,8 +437,7 @@ Service::saveSnapshot(linalg::ByteWriter &w)
     obs::Span span(obs::names::kServiceSnapshotSpan, "service");
     const std::size_t start = w.bytes().size();
     // Reserve the previous snapshot's size up front, so a repeat save
-    // lands in one allocation; a counting pass would format every
-    // session's engine text twice.
+    // lands in one allocation.
     w.reserve(last_snapshot_bytes_);
     // Each prior version a session pins, plus the live one, travels
     // once, ahead of the sessions that name it. Sessions on one
@@ -603,6 +601,8 @@ Service::restoreSnapshot(linalg::ByteReader &r)
         sess->prior = pinned->second.store;
         sess->bases = pinned->second.bases;
         sess->controller = makeController(*sess);
+        // A session that held fits is refitted on its pinned bases
+        // and must reproduce its saved estimates bit for bit.
         if (!sess->controller->restoreState(r))
             return fail();
         sessions_[id] = std::move(sess);

@@ -45,13 +45,13 @@
  *    shard- and thread-count independence of the replay.
  *  - **Snapshot/restore.** saveSnapshot() serializes each prior
  *    version a session pins (plus the live one) once, then every
- *    session (controller state incl. low-rank fit factors, RNG
- *    engine, sequence counters) plus undrained queue contents. A fit
- *    names its prior by fingerprint and lists its observed units
- *    instead of carrying basis rows (estimators/fit_io.hh).
- *    restoreSnapshot() into a service built over the same space,
- *    estimator and options pins each session to its own prior
- *    version and resumes every schedule bit for bit.
+ *    session (controller state, RNG engine, sequence counters) plus
+ *    undrained queue contents. A session carries its observations
+ *    and estimates but no fit: a fit is a function of the prior and
+ *    the observations. restoreSnapshot() into a service built over
+ *    the same space, estimator and options pins each session to its
+ *    own prior version, refits every session that held fits, and
+ *    resumes every schedule bit for bit.
  *
  * Threading contract: submit() is safe from any number of threads
  * concurrently with other submit() calls, with nextConfig() and with
@@ -237,19 +237,23 @@ class Service
      * carries runtime state, not construction parameters. The offline
      * priors travel in the snapshot: the constructor's prior need not
      * match. Restore builds one set of bases per saved prior version,
-     * pins each session to its own version, and reinstalls the saved
-     * live prior and version number, so every tenant resumes its
-     * schedule bit for bit, also across prior refreshes. A staged
-     * refreshPrior() is kept, and the fit cache starts empty.
+     * pins each session to its own version, re-derives the fits of
+     * every session that held them (two fits each, serially, on the
+     * calling thread), and reinstalls the saved live prior and
+     * version number, so every tenant resumes its schedule bit for
+     * bit, also across prior refreshes. A staged refreshPrior() is
+     * kept, and the fit cache starts empty.
      *
      * On failure the service is left empty and false is returned:
      * a truncated or mismatched blob, an unknown or duplicate prior
      * version, a version no session pins, a malformed profile store,
-     * a fit saved on another prior, trailing bytes, session ids or
-     * queued samples out of order, or engine text the engine would
-     * not write. With change-point detection off, every accepted blob
-     * re-saves to its own bytes; a detector that fails to restore
-     * degrades as before (EnergyController::restoreState).
+     * a session whose refit does not reproduce its saved estimates
+     * bit for bit (another prior, an altered observation or
+     * estimate), trailing bytes, session ids or queued samples out of
+     * order, or engine text the engine would not write. With
+     * change-point detection off, every accepted blob re-saves to its
+     * own bytes; a detector that fails to restore degrades as before
+     * (EnergyController::restoreState).
      */
     bool restoreSnapshot(linalg::ByteReader &r);
 

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "estimators/fit_io.hh"
 #include "estimators/leo.hh"
 #include "estimators/normalization.hh"
 #include "estimators/offline.hh"
@@ -24,6 +23,7 @@
 #include "platform/config_space.hh"
 #include "stats/metrics.hh"
 #include "support/dense.hh"
+#include "support/fit_compare.hh"
 #include "support/mvn.hh"
 #include "telemetry/sampler.hh"
 #include "workloads/ground_truth.hh"
@@ -598,50 +598,6 @@ expectExactlyEqual(const Vector &a, const Vector &b,
         ASSERT_EQ(a[i], b[i]) << what << " differs at index " << i;
 }
 
-/** Exact (bitwise) matrix equality. */
-void
-expectExactlyEqual(const Matrix &a, const Matrix &b,
-                   const std::string &what)
-{
-    ASSERT_EQ(a.rows(), b.rows()) << what;
-    ASSERT_EQ(a.cols(), b.cols()) << what;
-    for (std::size_t r = 0; r < a.rows(); ++r)
-        for (std::size_t c = 0; c < a.cols(); ++c)
-            ASSERT_EQ(a.at(r, c), b.at(r, c))
-                << what << "(" << r << "," << c << ")";
-}
-
-/** Exact equality on every field of two fits. */
-void
-expectFitsExactlyEqual(const estimators::LeoFit &a,
-                       const estimators::LeoFit &b,
-                       const std::string &what)
-{
-    expectExactlyEqual(a.prediction, b.prediction, what + ".prediction");
-    EXPECT_EQ(a.sigma2, b.sigma2) << what;
-    EXPECT_EQ(a.iterations, b.iterations) << what;
-    EXPECT_EQ(a.converged, b.converged) << what;
-    ASSERT_EQ(a.logLikelihoodTrace.size(), b.logLikelihoodTrace.size())
-        << what;
-    for (std::size_t i = 0; i < a.logLikelihoodTrace.size(); ++i)
-        EXPECT_EQ(a.logLikelihoodTrace[i], b.logLikelihoodTrace[i])
-            << what << ".trace[" << i << "]";
-    EXPECT_EQ(a.scale, b.scale) << what;
-    // The shared prior is compared by content, never by pointer.
-    EXPECT_EQ(a.prior == nullptr, b.prior == nullptr) << what;
-    if (a.prior && b.prior) {
-        EXPECT_EQ(a.prior->fingerprint(), b.prior->fingerprint()) << what;
-    }
-    EXPECT_EQ(a.kept.units, b.kept.units) << what;
-    expectExactlyEqual(a.kept.w, b.kept.w, what + ".kept.w");
-    expectExactlyEqual(a.kept.l, b.kept.l, what + ".kept.l");
-    EXPECT_EQ(a.observedUnits, b.observedUnits) << what;
-    EXPECT_EQ(a.priorFingerprint, b.priorFingerprint) << what;
-    expectExactlyEqual(a.coeff, b.coeff, what + ".coeff");
-    EXPECT_EQ(a.alphaDiag, b.alphaDiag) << what;
-    expectExactlyEqual(a.varCore, b.varCore, what + ".varCore");
-}
-
 /** A fixed-seed fit problem shared by the determinism and hot-loop
  *  tests. */
 struct FitProblem
@@ -731,7 +687,7 @@ TEST(LeoParallel, FitBitwiseIdenticalAcrossThreadCounts)
                                what);
             EXPECT_EQ(out.estimates[i].iterations, solo.iterations)
                 << what;
-            expectFitsExactlyEqual(out.fits[i],
+            support::expectFitsBitwise(out.fits[i],
                                    leo.fitMetric(p.prior, p.idx, p.vals),
                                    what);
         }
@@ -748,7 +704,7 @@ TEST(LeoParallel, SharedGlobalPoolMatchesSerial)
     const FanOut pooled =
         fanOutFits(leo, problems, parallel::ThreadPool::global());
     for (std::size_t i = 0; i < problems.size(); ++i)
-        expectFitsExactlyEqual(pooled.fits[i], serial.fits[i],
+        support::expectFitsBitwise(pooled.fits[i], serial.fits[i],
                                "global pool, fit " + std::to_string(i));
 }
 
@@ -793,8 +749,8 @@ TEST(Leo, PerfbenchOverloadIgnoresItsFitArgument)
         est.estimateMetric(space, p.prior, p.idx, p.vals, nullptr, &plain);
     expectExactlyEqual(b.values, a.values, "with a fit");
     expectExactlyEqual(c.values, a.values, "plain");
-    expectFitsExactlyEqual(with_fit, with_null, "with a fit");
-    expectFitsExactlyEqual(plain, with_null, "plain");
+    support::expectFitsBitwise(with_fit, with_null, "with a fit");
+    support::expectFitsBitwise(plain, with_null, "plain");
 }
 
 TEST(LeoHotLoop, SerialIterationLoopIsAllocationFree)
@@ -822,9 +778,9 @@ TEST(LeoHotLoop, SerialIterationLoopIsAllocationFree)
     EXPECT_EQ(again.loopAllocations, 0u);
     EXPECT_EQ(no_obs.loopAllocations, 0u);
     const estimators::LeoFit fresh = est.fitMetric(p.prior, p.idx, p.vals);
-    expectFitsExactlyEqual(first, fresh, "first");
-    expectFitsExactlyEqual(again, fresh, "again");
-    expectFitsExactlyEqual(
+    support::expectFitsBitwise(first, fresh, "first");
+    support::expectFitsBitwise(again, fresh, "again");
+    support::expectFitsBitwise(
         no_obs, est.fitMetric(p.prior, {}, Vector(0)), "no_obs");
 
     // The hook actually measures: a direct call to the replaced
@@ -833,348 +789,4 @@ TEST(LeoHotLoop, SerialIterationLoopIsAllocationFree)
     const std::size_t before = heapAllocCount();
     ::operator delete(::operator new(64));
     EXPECT_GT(heapAllocCount(), before);
-}
-
-// --------------------------------------------------- fit round trip
-
-/**
- * saveFit/loadFit round-trip every field bit for bit, with a dense
- * (full-rank, q = n) and a low-rank (q << n) factored Sigma alike —
- * a loaded fit answers every variance query as the original does.
- * The blob carries no basis rows:
- * loadFit shares the prior basis it is handed and refactors the kept
- * block from it.
- */
-TEST(FitIo, RoundTripsDenseAndLowRankBitwise)
-{
-    const Machine machine;
-    telemetry::HeartbeatMonitor monitor{0.01};
-    telemetry::WattsUpMeter meter{0.005, 0.1};
-    telemetry::Profiler profiler(monitor, meter);
-    telemetry::RandomSampler sampler;
-    const workloads::ApplicationModel app(
-        workloads::profileByName("kmeans"), machine);
-    // 24 prior shapes and 8 probes span all 32 core-only
-    // configurations; on the 256-configuration space they span 32.
-    for (const ConfigSpace &space :
-         {ConfigSpace::coreOnly(machine),
-          ConfigSpace::reducedFactorial(machine, 2, 2)}) {
-        std::vector<Vector> prior;
-        for (const auto &p : workloads::standardSuite()) {
-            if (p.name == "kmeans")
-                continue;
-            workloads::ApplicationModel m(p, machine);
-            prior.push_back(
-                workloads::computeGroundTruth(m, space).performance);
-        }
-        stats::Rng rng(41);
-        auto obs = profiler.sample(app, space, sampler, 8, rng);
-
-        const estimators::LeoEstimator leo;
-        const auto fit =
-            leo.fitMetric(prior, obs.indices, obs.performance);
-        SCOPED_TRACE("n = " + std::to_string(space.size()) +
-                     ", q = " + std::to_string(fit.rank()));
-        EXPECT_EQ(fit.rank() == space.size(), space.size() == 32);
-        // A basis built from the same vectors is the one the fit ran
-        // on, by content.
-        const auto basis =
-            std::make_shared<const estimators::PriorBasis>(prior);
-        EXPECT_EQ(fit.priorFingerprint, basis->fingerprint());
-        linalg::ByteWriter wtr;
-        estimators::saveFit(wtr, fit);
-        std::string blob = wtr.take();
-        linalg::ByteReader rdr(blob);
-        const auto loaded = estimators::loadFit(rdr, basis);
-        ASSERT_TRUE(rdr.ok());
-        EXPECT_TRUE(rdr.atEnd());
-        ASSERT_NO_FATAL_FAILURE(
-            expectFitsExactlyEqual(fit, loaded, "loaded"));
-        for (std::size_t c = 0; c < space.size(); ++c)
-            ASSERT_EQ(loaded.predictiveVarianceAt(c),
-                      fit.predictiveVarianceAt(c))
-                << "config " << c;
-
-        // A truncated blob fails closed.
-        blob.resize(blob.size() / 2);
-        linalg::ByteReader cut(blob);
-        (void)estimators::loadFit(cut, basis);
-        EXPECT_FALSE(cut.ok());
-    }
-}
-
-/**
- * Blobs in the retired formats are rejected through the
- * unknown-version path: the reader fails and the returned fit is
- * empty. Version 1 carried a dense Sigma and a low-rank flag
- * alongside the factors; version 2 carried the expanded variance
- * vector that fits no longer compute; version 3 carried the basis
- * rows themselves; version 4 carried EM's mean mu and the
- * warm-start flag. The v4 blob below is one the v4 reader accepted,
- * and a current blob stamped 4 fails the same way.
- */
-TEST(FitIo, RejectsVersionOneBlob)
-{
-    linalg::ByteWriter wtr;
-    wtr.u32(1);
-    wtr.vec(Vector(4, 2.0));         // prediction
-    wtr.vec(Vector(4, 0.1));         // predictionVariance
-    wtr.vec(Vector(4, 1.0));         // mu
-    wtr.mat(Matrix(4, 4, 0.0));      // sigma (dense)
-    wtr.f64(0.01);                   // sigma2
-    wtr.u64(3);                      // iterations
-    wtr.u8(1);                       // converged
-    wtr.u64(0);                      // empty log-likelihood trace
-    wtr.f64(1.0);                    // scale
-    wtr.u8(0);                       // warmStarted
-    wtr.u8(1);                       // lowRank
-    wtr.mat(Matrix(1, 4, 0.5));      // basisT
-    wtr.mat(Matrix(1, 1, 0.2));      // coeff
-    wtr.f64(0.03);                   // alphaDiag
-    wtr.mat(Matrix(1, 1, 0.1));      // varCore
-
-    linalg::ByteWriter v2;
-    v2.u32(2);
-    v2.vec(Vector(4, 2.0));         // prediction
-    v2.vec(Vector(4, 0.1));         // predictionVariance
-    v2.vec(Vector(4, 1.0));         // mu
-    v2.f64(0.01);                   // sigma2
-    v2.u64(3);                      // iterations
-    v2.u8(1);                       // converged
-    v2.u64(0);                      // empty log-likelihood trace
-    v2.f64(1.0);                    // scale
-    v2.u8(0);                       // warmStarted
-    v2.mat(Matrix(1, 4, 0.5));      // basisT
-    v2.mat(Matrix(1, 1, 0.2));      // coeff
-    v2.f64(0.03);                   // alphaDiag
-    v2.mat(Matrix(1, 1, 0.1));      // varCore
-
-    linalg::ByteWriter v3;
-    v3.u32(3);
-    v3.vec(Vector(4, 2.0));         // prediction
-    v3.vec(Vector(4, 1.0));         // mu
-    v3.f64(0.01);                   // sigma2
-    v3.u64(3);                      // iterations
-    v3.u8(1);                       // converged
-    v3.u64(0);                      // empty log-likelihood trace
-    v3.f64(1.0);                    // scale
-    v3.u8(0);                       // warmStarted
-    v3.mat(Matrix(1, 4, 0.5));      // basisT
-    v3.mat(Matrix(1, 1, 0.2));      // coeff
-    v3.f64(0.03);                   // alphaDiag
-    v3.mat(Matrix(1, 1, 0.1));      // varCore
-
-    linalg::ByteWriter v4;
-    v4.u32(4);
-    v4.vec(Vector(4, 2.0));         // prediction
-    v4.vec(Vector(4, 1.0));         // mu
-    v4.f64(0.01);                   // sigma2
-    v4.u64(3);                      // iterations
-    v4.u8(1);                       // converged
-    v4.u64(0);                      // empty log-likelihood trace
-    v4.f64(1.0);                    // scale
-    v4.u8(0);                       // warmStarted
-    v4.u64(0);                      // q: no factors
-    v4.u64(0);                      // prior fingerprint
-    v4.indexVec({});                // observed units
-    v4.mat(Matrix());               // coeff
-    v4.f64(0.0);                    // alphaDiag
-    v4.mat(Matrix());               // varCore
-
-    estimators::LeoFit bare;
-    bare.prediction = Vector(4, 2.0);
-    bare.sigma2 = 0.01;
-    linalg::ByteWriter current;
-    estimators::saveFit(current, bare);
-    std::string stamped = current.take();
-    ASSERT_EQ(static_cast<unsigned char>(stamped[0]), 5u);
-    stamped[0] = 4;
-
-    for (const std::string &blob :
-         {wtr.take(), v2.take(), v3.take(), v4.take(), stamped}) {
-        linalg::ByteReader rdr(blob);
-        const estimators::LeoFit fit = estimators::loadFit(rdr, nullptr);
-        EXPECT_FALSE(rdr.ok());
-        EXPECT_TRUE(fit.prediction.empty());
-        EXPECT_EQ(fit.prior, nullptr);
-        EXPECT_EQ(fit.rank(), 0u);
-    }
-}
-
-/**
- * The factors are a fit's only variance source, and the kept block is
- * refactored rather than read, so loadFit rejects a blob it cannot
- * rebuild the saved basis from (a null or different prior, corrupt
- * observed units, a rank the rebuild disagrees with) and one whose
- * factor shapes disagree, instead of handing back a fit whose
- * predictiveVarianceAt throws or reads another basis. A fit with no
- * factors at all — what a controller installs after a failed fit —
- * still round-trips, with no prior.
- */
-TEST(FitIo, RejectsInconsistentFactorShapes)
-{
-    // A real fit at q < n: only fits a PriorBasis produced can be
-    // saved, which every production fit is.
-    const FitProblem p = makeFitProblem(4);
-    const auto basis = std::make_shared<const estimators::PriorBasis>(p.prior);
-    const estimators::LeoEstimator est;
-    const estimators::LeoFit good = est.fitMetric(basis, p.idx, p.vals);
-    const std::size_t n = basis->dim();
-    const std::size_t q = good.rank();
-    ASSERT_LT(q, n);
-    ASSERT_GE(good.observedUnits.size(), 2u);
-
-    const auto roundTrip =
-        [](const estimators::LeoFit &fit,
-           const std::shared_ptr<const estimators::PriorBasis> &prior,
-           bool &ok) {
-        linalg::ByteWriter wtr;
-        estimators::saveFit(wtr, fit);
-        const std::string blob = wtr.take();
-        linalg::ByteReader rdr(blob);
-        estimators::LeoFit loaded = estimators::loadFit(rdr, prior);
-        ok = rdr.ok() && rdr.atEnd();
-        return loaded;
-    };
-    const auto expectRejected = [](const estimators::LeoFit &got,
-                                   bool ok) {
-        EXPECT_FALSE(ok);
-        EXPECT_TRUE(got.prediction.empty());
-        EXPECT_EQ(got.prior, nullptr);
-        EXPECT_TRUE(got.kept.units.empty());
-        EXPECT_TRUE(got.varCore.empty());
-    };
-    bool ok = false;
-    const estimators::LeoFit loaded = roundTrip(good, basis, ok);
-    ASSERT_TRUE(ok);
-    ASSERT_NO_FATAL_FAILURE(expectFitsExactlyEqual(good, loaded, "good"));
-    EXPECT_EQ(loaded.predictiveVarianceAt(3),
-              good.predictiveVarianceAt(3));
-
-    {
-        SCOPED_TRACE("null prior under factors");
-        const estimators::LeoFit got = roundTrip(good, nullptr, ok);
-        expectRejected(got, ok);
-    }
-    {
-        SCOPED_TRACE("another prior");
-        const auto other = std::make_shared<const estimators::PriorBasis>(
-            makeFitProblem(4, "swish").prior);
-        ASSERT_NE(other->fingerprint(), basis->fingerprint());
-        const estimators::LeoFit got = roundTrip(good, other, ok);
-        expectRejected(got, ok);
-    }
-
-    struct Case
-    {
-        const char *what;
-        void (*mutate)(estimators::LeoFit &, std::size_t n);
-    };
-    const Case cases[] = {
-        {"wrong fingerprint",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.priorFingerprint ^= 1;
-         }},
-        {"units out of order",
-         [](estimators::LeoFit &f, std::size_t) {
-             std::swap(f.observedUnits[0], f.observedUnits[1]);
-         }},
-        {"units duplicated",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.observedUnits[1] = f.observedUnits[0];
-         }},
-        {"unit not below n",
-         [](estimators::LeoFit &f, std::size_t dim) {
-             f.observedUnits.back() = dim;
-         }},
-        {"q one more than the rebuilt rows",
-         [](estimators::LeoFit &f, std::size_t) {
-             const std::size_t q1 = f.rank() + 1;
-             f.coeff = Matrix(q1, q1, 0.2);
-             f.varCore = Matrix(q1, q1, 0.1);
-         }},
-        {"varCore 1x1 under a q-row basis",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.varCore = Matrix(1, 1, 0.1);
-         }},
-        {"varCore not square",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.varCore = Matrix(f.rank(), f.rank() + 1);
-         }},
-        {"varCore missing",
-         [](estimators::LeoFit &f, std::size_t) { f.varCore = Matrix(); }},
-        {"coeff one larger than the basis",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.coeff = Matrix(f.rank() + 1, f.rank() + 1);
-         }},
-        {"coeff missing",
-         [](estimators::LeoFit &f, std::size_t) { f.coeff = Matrix(); }},
-        {"prediction shorter than n",
-         [](estimators::LeoFit &f, std::size_t dim) {
-             f.prediction = Vector(dim - 1, 2.0);
-         }},
-        {"prediction longer than n",
-         [](estimators::LeoFit &f, std::size_t dim) {
-             f.prediction = Vector(dim + 1, 2.0);
-         }},
-        {"prediction missing",
-         [](estimators::LeoFit &f, std::size_t) {
-             f.prediction = Vector();
-         }},
-        {"varCore alone",
-         [](estimators::LeoFit &f, std::size_t) { f.coeff = Matrix(); }},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.what);
-        estimators::LeoFit bad = good;
-        c.mutate(bad, n);
-        const estimators::LeoFit got = roundTrip(bad, basis, ok);
-        expectRejected(got, ok);
-    }
-
-    // saveFit writes the rank from the cores, so a q of 0 above them
-    // (cores without a basis) only arises in a blob.
-    {
-        SCOPED_TRACE("cores without a basis");
-        linalg::ByteWriter wtr;
-        estimators::saveFit(wtr, good);
-        std::string blob = wtr.take();
-        // version, prediction, sigma2, iterations, converged, the
-        // trace and scale, then q.
-        const std::size_t at = 4 + (8 + 8 * n) + 8 + 8 + 1 + 8 +
-                               8 * good.logLikelihoodTrace.size() + 8;
-        ASSERT_EQ(static_cast<unsigned char>(blob[at]), q);
-        blob[at] = 0;
-        linalg::ByteReader rdr(blob);
-        const estimators::LeoFit got = estimators::loadFit(rdr, basis);
-        expectRejected(got, rdr.ok());
-    }
-
-    // A flag byte other than 0 or 1 would re-save to other bytes.
-    {
-        SCOPED_TRACE("converged byte 2");
-        linalg::ByteWriter wtr;
-        estimators::saveFit(wtr, good);
-        std::string blob = wtr.take();
-        // version, prediction, sigma2, iterations, then converged.
-        const std::size_t at = 4 + (8 + 8 * n) + 8 + 8;
-        ASSERT_EQ(blob[at], good.converged ? 1 : 0);
-        blob[at] = 2;
-        linalg::ByteReader rdr(blob);
-        const estimators::LeoFit got = estimators::loadFit(rdr, basis);
-        expectRejected(got, rdr.ok());
-    }
-
-    // Factor-less fits round-trip, value-initialized or not.
-    estimators::LeoFit bare;
-    bare.prediction = Vector(4, 2.0);
-    bare.sigma2 = 0.01;
-    bare.scale = 3.0;
-    for (const estimators::LeoFit &f : {estimators::LeoFit{}, bare}) {
-        const estimators::LeoFit back = roundTrip(f, nullptr, ok);
-        EXPECT_TRUE(ok);
-        ASSERT_NO_FATAL_FAILURE(
-            expectFitsExactlyEqual(f, back, "factor-less"));
-        EXPECT_THROW((void)back.predictiveVarianceAt(0), FatalError);
-    }
 }

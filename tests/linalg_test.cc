@@ -762,7 +762,7 @@ TEST(IntoKernels, FactorizeAppliesJitterScheduleLikeConstructor)
     Matrix bare;
     ASSERT_FALSE(naiveCholesky(bare, a, 0.0, 0.0));
     const Matrix reference = naiveFactor(a, 0.0, 1e-4);
-    ASSERT_FALSE(reference.empty());
+    ASSERT_NE(reference.rows(), 0u);
     linalg::Cholesky incremental;
     incremental.factorize(a, 0.0, 1e-4);
     expectBitwiseEqual(incremental.factor(), reference,
@@ -1163,9 +1163,6 @@ TEST(ByteCodec, GoldenBytesRoundTripBitwise)
 {
     const double nan_payload =
         std::bit_cast<double>(std::uint64_t{0x7ff8000000000123});
-    Matrix m(2, 3);
-    for (std::size_t i = 0; i < 6; ++i)
-        m.data()[i] = static_cast<double>(i) - 2.5;
     const std::vector<std::size_t> idx{7, (std::size_t{1} << 40) + 1};
 
     linalg::ByteWriter w;
@@ -1177,7 +1174,6 @@ TEST(ByteCodec, GoldenBytesRoundTripBitwise)
     w.f64(nan_payload);
     w.str("hi");
     w.vec(Vector{1.0, -2.5});
-    w.mat(m);
     w.indexVec(idx);
     w.vec(Vector{});
 
@@ -1191,9 +1187,6 @@ TEST(ByteCodec, GoldenBytesRoundTripBitwise)
     golden += le64(2) + "hi";
     golden += le64(2) + le64(0x3ff0000000000000ull) +
               le64(0xc004000000000000ull);
-    golden += le64(2) + le64(3);
-    for (std::size_t i = 0; i < 6; ++i)
-        golden += le64(std::bit_cast<std::uint64_t>(m.data()[i]));
     golden += le64(2) + le64(7) + le64((std::uint64_t{1} << 40) + 1);
     golden += le64(0);
     ASSERT_EQ(w.bytes(), golden);
@@ -1213,12 +1206,6 @@ TEST(ByteCodec, GoldenBytesRoundTripBitwise)
     ASSERT_EQ(v.size(), 2u);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(v[0]), 0x3ff0000000000000ull);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(v[1]), 0xc004000000000000ull);
-    const Matrix back = r.mat();
-    ASSERT_EQ(back.rows(), 2u);
-    ASSERT_EQ(back.cols(), 3u);
-    for (std::size_t i = 0; i < 6; ++i)
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.data()[i]),
-                  std::bit_cast<std::uint64_t>(m.data()[i]));
     EXPECT_EQ(r.indexVec(), idx);
     EXPECT_TRUE(r.vec().empty());
     EXPECT_TRUE(r.ok());
@@ -1230,44 +1217,6 @@ TEST(ByteCodec, GoldenBytesRoundTripBitwise)
  * allocation: a count of 2^61 elements would throw bad_alloc if the
  * reader sized a container from it. Every later read returns zero.
  */
-/**
- * A counting writer stores nothing and counts exactly what a real
- * writer appends for the same calls, so a counting pass can size a
- * save's buffer; reserve() then makes room without changing a byte.
- */
-TEST(ByteCodec, CounterCountsWhatTheWriterWrites)
-{
-    Matrix m(3, 2, 0.25);
-    const auto calls = [&](linalg::ByteWriter &w) {
-        w.u8(1);
-        w.u32(2);
-        w.u64(3);
-        w.f64(-0.0);
-        w.str("seven");
-        w.str("");
-        w.vec(Vector{1.0, 2.0, 3.0});
-        w.vec(Vector{});
-        w.mat(m);
-        w.mat(Matrix());
-        w.indexVec({4, 5});
-    };
-    linalg::ByteWriter real;
-    calls(real);
-    linalg::ByteWriter counter = linalg::ByteWriter::counter();
-    calls(counter);
-    EXPECT_EQ(counter.size(), real.bytes().size());
-    EXPECT_EQ(real.size(), real.bytes().size());
-    EXPECT_TRUE(counter.bytes().empty());
-    counter.reserve(1 << 20);
-    EXPECT_TRUE(counter.bytes().empty());
-
-    linalg::ByteWriter sized;
-    sized.reserve(counter.size());
-    calls(sized);
-    EXPECT_EQ(sized.bytes(), real.bytes());
-    EXPECT_EQ(sized.bytes().capacity(), sized.bytes().size());
-}
-
 TEST(ByteCodec, OversizedCountFailsWithoutAllocating)
 {
     const std::uint64_t huge = std::uint64_t{1} << 61;
@@ -1300,17 +1249,6 @@ TEST(ByteCodec, OversizedCountFailsWithoutAllocating)
         const std::string blob = le64(huge) + "abc";
         linalg::ByteReader r(blob);
         EXPECT_TRUE(r.str().empty());
-        expectFailed(r);
-    }
-    // rows * cols overflows 64 bits to a small product; the guard
-    // divides instead of multiplying.
-    for (const auto &[rows, cols] :
-         {std::pair{huge, std::uint64_t{1}},
-          std::pair{std::uint64_t{1} << 32, std::uint64_t{1} << 32},
-          std::pair{std::uint64_t{1}, std::uint64_t{2}}}) {
-        const std::string blob = le64(rows) + le64(cols) + payload;
-        linalg::ByteReader r(blob);
-        EXPECT_TRUE(r.mat().empty());
         expectFailed(r);
     }
     // Truncated fixed-width reads fail too.

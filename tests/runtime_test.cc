@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "linalg/serialize.hh"
 #include "obs/obs.hh"
 #include "runtime/controller.hh"
+#include "support/fit_compare.hh"
 #include "telemetry/profile_store.hh"
 #include "workloads/ground_truth.hh"
 #include "workloads/suite.hh"
@@ -461,12 +463,10 @@ TEST(Controller, SaveRestoreResumesScheduleBitwise)
 }
 
 /**
- * A standalone save is sized by a counting pass and written in one
- * allocation: the buffer ends exactly full, and the bytes are the
- * ones the same controller writes into a writer that already holds a
- * prefix (the service snapshot's path, which grows as it goes).
+ * A save into a writer that already holds a prefix (the service
+ * snapshot's path) appends exactly the bytes of a standalone save.
  */
-TEST(Controller, StandaloneSaveAllocatesOnce)
+TEST(Controller, PrefixedSaveWritesTheStandaloneBytes)
 {
     World w;
     estimators::LeoEstimator leo;
@@ -484,17 +484,11 @@ TEST(Controller, StandaloneSaveAllocatesOnce)
 
     linalg::ByteWriter alone;
     ctl.saveState(alone);
-    EXPECT_EQ(alone.bytes().capacity(), alone.bytes().size());
 
     linalg::ByteWriter prefixed;
     prefixed.u64(42);
     ctl.saveState(prefixed);
     EXPECT_EQ(prefixed.bytes().substr(8), alone.bytes());
-
-    linalg::ByteWriter counted = linalg::ByteWriter::counter();
-    ctl.saveState(counted);
-    EXPECT_EQ(counted.size(), alone.size());
-    EXPECT_TRUE(counted.bytes().empty());
 }
 
 /**
@@ -555,7 +549,14 @@ TEST(Controller, FitOutlivesItsControllerAndBases)
     const auto rebuilt = std::make_shared<const estimators::PriorBasis>(
         estimators::priorVectors(prior, estimators::Metric::Performance));
     ASSERT_NE(rebuilt, copy.prior);
-    ASSERT_EQ(rebuilt->fingerprint(), copy.prior->fingerprint());
+    const auto sameBits = [](const linalg::Matrix &a,
+                             const linalg::Matrix &b) {
+        return a.rows() == b.rows() && a.cols() == b.cols() &&
+               std::memcmp(a.data(), b.data(),
+                           a.rows() * a.cols() * sizeof(double)) == 0;
+    };
+    ASSERT_TRUE(sameBits(rebuilt->rows(), copy.prior->rows()));
+    ASSERT_TRUE(sameBits(rebuilt->coords(), copy.prior->coords()));
     const estimators::LeoFit refit = leo.fitMetric(rebuilt, idx, vals);
     EXPECT_EQ(refit.iterations, live_refit.iterations);
     for (std::size_t c = 0; c < w.space.size(); ++c)
@@ -636,6 +637,175 @@ TEST(Controller, RestoreRejectsOtherPrior)
 }
 
 /**
+ * A restored controller refits its saved observations, so a blob with
+ * one bit flipped in a saved observation value, or in a saved
+ * estimate, no longer matches the fit behind it: either restore fails
+ * closed into fresh Sampling state.
+ */
+TEST(Controller, RestoreRejectsAlteredObservationOrEstimate)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    const ControllerOptions o = w.options(30.0, 5);
+    EnergyController ctl(w.space, &leo, prior, o);
+    stats::Rng rng(31);
+    while (ctl.state() == EnergyController::State::Sampling) {
+        const std::size_t cfg = ctl.nextConfig(rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, w.monitor.measureRate(app, ra, rng),
+                               w.meter.read(app, ra, rng)});
+    }
+    ASSERT_NE(ctl.warmPerfFit(), nullptr);
+    linalg::ByteWriter wtr;
+    ctl.saveState(wtr);
+    const std::string blob = wtr.take();
+
+    // Version, space size and state, then the observed indices; the
+    // first performance observation follows its vector's u64 count.
+    // The estimates follow the observations, the probe plan and the
+    // probe cursor.
+    linalg::ByteReader walk(blob);
+    (void)walk.u32();
+    (void)walk.u64();
+    (void)walk.u8();
+    (void)walk.indexVec();
+    const std::size_t observation = walk.position() + 8;
+    (void)walk.vec();
+    (void)walk.vec();
+    (void)walk.indexVec();
+    (void)walk.u64();
+    const std::size_t estimate = walk.position() + 8;
+    ASSERT_TRUE(walk.ok());
+
+    EnergyController twin(w.space, &leo, prior, o);
+    for (const auto &[what, bit] :
+         {std::pair{"observation mantissa bit 40", 8 * observation + 40},
+          std::pair{"estimate lowest bit", 8 * estimate}}) {
+        SCOPED_TRACE(what);
+        linalg::ByteReader good(blob);
+        ASSERT_TRUE(twin.restoreState(good));
+        std::string bad = blob;
+        bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+        linalg::ByteReader rdr(bad);
+        EXPECT_FALSE(twin.restoreState(rdr));
+        EXPECT_EQ(twin.state(), EnergyController::State::Sampling);
+        EXPECT_FALSE(twin.hasEstimates());
+        EXPECT_EQ(twin.warmPerfFit(), nullptr);
+        EXPECT_TRUE(twin.observations().indices.empty());
+    }
+}
+
+/**
+ * A fit belongs to the observations it ran on: from a drift-triggered
+ * re-probe (policy Off) until the refit lands, the controller holds
+ * no fits.
+ */
+TEST(Controller, ResamplingDropsTheOldFits)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    auto prior = w.store.without("fluidanimate");
+    EnergyController ctl(w.space, &leo, prior, w.options(30.0, 5));
+    workloads::ApplicationModel app(
+        workloads::profileByName("fluidanimate"), w.machine);
+    auto step = [&](double speedup) {
+        const std::size_t cfg = ctl.nextConfig(w.rng);
+        const auto &ra = w.space.assignment(cfg);
+        ctl.recordMeasurement({cfg, speedup * app.heartbeatRate(ra),
+                               app.powerWatts(ra)});
+    };
+    while (ctl.state() == EnergyController::State::Sampling)
+        step(1.0);
+    for (int i = 0; i < 6; ++i)
+        step(1.0);
+    ASSERT_NE(ctl.warmPerfFit(), nullptr);
+    for (int i = 0;
+         i < 5 && ctl.state() == EnergyController::State::Controlling;
+         ++i)
+        step(1.6);
+    ASSERT_EQ(ctl.reestimations(), 1u);
+    while (ctl.state() == EnergyController::State::Sampling) {
+        EXPECT_EQ(ctl.warmPerfFit(), nullptr);
+        EXPECT_EQ(ctl.warmPowerFit(), nullptr);
+        step(1.6);
+    }
+    EXPECT_NE(ctl.warmPerfFit(), nullptr);
+    EXPECT_NE(ctl.warmPowerFit(), nullptr);
+}
+
+/**
+ * Restore re-derives the fits from the saved observations, so the
+ * restored fits are the saved controller's bit for bit: every model
+ * field and every configuration's predictive variance, with a
+ * full-rank basis (24 prior shapes and 8 probes span all 32 core-only
+ * configurations) and a low-rank one (on 256 configurations), under
+ * the policy Off and ColdRefit.
+ */
+TEST(Controller, RestoreRefitsTheSavedFitsBitwise)
+{
+    World w;
+    estimators::LeoEstimator leo;
+    workloads::ApplicationModel app(workloads::profileByName("kmeans"),
+                                    w.machine);
+    const ConfigSpace wide = ConfigSpace::reducedFactorial(w.machine, 2, 2);
+    stats::Rng collect(11);
+    const telemetry::ProfileStore wide_store =
+        telemetry::ProfileStore::collect(workloads::standardSuite(),
+                                         w.machine, wide, w.monitor,
+                                         w.meter, collect);
+    using Case =
+        std::pair<const ConfigSpace *, const telemetry::ProfileStore *>;
+    for (const auto &[space, store] :
+         {Case{&w.space, &w.store}, Case{&wide, &wide_store}}) {
+        const telemetry::ProfileStore prior = store->without("kmeans");
+        for (const auto policy : {runtime::ChangePointPolicy::Off,
+                                  runtime::ChangePointPolicy::ColdRefit}) {
+            SCOPED_TRACE("n = " + std::to_string(space->size()) +
+                         (policy == runtime::ChangePointPolicy::Off
+                              ? ", policy off"
+                              : ", policy coldrefit"));
+            ControllerOptions o = w.options(30.0, 8);
+            o.changePointPolicy = policy;
+            EnergyController ctl(*space, &leo, prior, o);
+            stats::Rng rng(31);
+            while (ctl.state() == EnergyController::State::Sampling) {
+                const std::size_t cfg = ctl.nextConfig(rng);
+                const auto &ra = space->assignment(cfg);
+                ctl.recordMeasurement(
+                    {cfg, w.monitor.measureRate(app, ra, rng),
+                     w.meter.read(app, ra, rng)});
+            }
+            ASSERT_NE(ctl.warmPerfFit(), nullptr);
+            EXPECT_EQ(ctl.warmPerfFit()->rank() == space->size(),
+                      space->size() == 32);
+            linalg::ByteWriter wtr;
+            ctl.saveState(wtr);
+            const std::string blob = wtr.take();
+
+            EnergyController twin(*space, &leo, prior, o);
+            linalg::ByteReader rdr(blob);
+            ASSERT_TRUE(twin.restoreState(rdr));
+            for (const auto &[saved, restored] :
+                 {std::pair{ctl.warmPerfFit(), twin.warmPerfFit()},
+                  std::pair{ctl.warmPowerFit(), twin.warmPowerFit()}}) {
+                ASSERT_NE(restored, nullptr);
+                ASSERT_NO_FATAL_FAILURE(
+                    support::expectFitsBitwise(*saved, *restored));
+                for (std::size_t c = 0; c < space->size(); ++c)
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                                  restored->predictiveVarianceAt(c)),
+                              std::bit_cast<std::uint64_t>(
+                                  saved->predictiveVarianceAt(c)))
+                        << "config " << c;
+            }
+        }
+    }
+}
+
+/**
  * A controller blob carrying both fits, cut at any offset, fails
  * closed into fresh Sampling state; the whole blob restores. Run with
  * the policy Off and with ColdRefit, whose blob ends in the two
@@ -695,10 +865,10 @@ TEST(Controller, RestoreFailsClosedAtEveryTruncation)
 /**
  * The blob opens with its format version. A blob of an earlier format
  * (v1 also carried two per-window refitter states, v2 the detectors'
- * run-length arrays) fails closed, with the change-point policy Off
- * and with ColdRefit, whose blob ends in the detectors: the
- * controller, though it held a restored run, drops to fresh Sampling
- * state with no estimates or fits left over.
+ * run-length arrays, v3 and v4 the fits) fails closed, with the
+ * change-point policy Off and with ColdRefit, whose blob ends in the
+ * detectors: the controller, though it held a restored run, drops to
+ * fresh Sampling state with no estimates or fits left over.
  */
 TEST(Controller, RestoreRejectsOlderFormatVersion)
 {
@@ -727,10 +897,10 @@ TEST(Controller, RestoreRejectsOlderFormatVersion)
         ctl.saveState(wtr);
         const std::string blob = wtr.take();
         // The version is the leading little-endian u32.
-        ASSERT_EQ(blob.substr(0, 4), std::string("\x04\0\0\0", 4));
+        ASSERT_EQ(blob.substr(0, 4), std::string("\x05\0\0\0", 4));
 
         EnergyController twin(w.space, &leo, prior, o);
-        for (const char version : {1, 2, 3}) {
+        for (const char version : {1, 2, 3, 4}) {
             linalg::ByteReader current(blob);
             ASSERT_TRUE(twin.restoreState(current));
             ASSERT_TRUE(twin.hasEstimates());

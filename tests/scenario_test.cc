@@ -1165,7 +1165,7 @@ TEST(ChangePoint, SerializationRoundTripsMidStream)
         EXPECT_EQ(a.observe(r), b.observe(r));
 
     // A short blob fails and leaves the detector empty.
-    const std::string cut = bw.bytes().substr(0, bw.size() - 1);
+    const std::string cut = bw.bytes().substr(0, bw.bytes().size() - 1);
     linalg::ByteReader short_r(cut);
     EXPECT_FALSE(b.restore(short_r));
     EXPECT_EQ(b.windowsObserved(), 0u);

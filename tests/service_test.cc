@@ -765,7 +765,7 @@ INSTANTIATE_TEST_SUITE_P(FaultSweep, ServiceSnapshotProperty,
 namespace
 {
 
-/** Byte offsets into a service snapshot (format v6). */
+/** Byte offsets into a service snapshot (format v7). */
 struct SnapshotLayout
 {
     /** The first prior table entry, [begin, end). */
@@ -874,10 +874,10 @@ TEST(Service, RestoreRejectsCorruptSnapshot)
         expectRejected(bad);
     }
     // So do the previous formats: v4, whose controllers carried the
-    // change-point detectors' run-length arrays, and v5, whose fits
-    // carried mu.
-    ASSERT_EQ(blob.substr(0, 4), std::string("\x06\0\0\0", 4));
-    for (const char version : {4, 5}) {
+    // change-point detectors' run-length arrays, v5, whose fits
+    // carried mu, and v6, whose controllers carried their fits.
+    ASSERT_EQ(blob.substr(0, 4), std::string("\x07\0\0\0", 4));
+    for (const char version : {4, 5, 6}) {
         SCOPED_TRACE("previous format version " +
                      std::to_string(static_cast<int>(version)));
         std::string bad = blob;

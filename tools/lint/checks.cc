@@ -654,10 +654,10 @@ checkSnapshotCompleteness(const std::vector<SourceUnit> &units,
         if (!writer && !reader)
             continue;
         // Subject: the method's class; for a free reader, the struct
-        // it returns (loadFit(ByteReader&, const PriorBasis*) builds
-        // a LeoFit, and only reads the basis); otherwise the first
-        // parameter, then the return type, that names an indexed
-        // struct (saveFit(ByteWriter&, const LeoFit&)).
+        // it returns (readRecord(ByteReader&) builds an
+        // ApplicationRecord); otherwise the first parameter, then the
+        // return type, that names an indexed struct
+        // (writeRecord(ByteWriter&, const ApplicationRecord&)).
         std::string subject = fn.className;
         if (subject.empty() && reader &&
             index.structsByName.count(fn.returnIdent))

@@ -9,12 +9,13 @@
 # shared field parsers (src/workloads/fields.hh); scenario_test also
 # cuts, bit-flips and line-swaps the shipped traces and a spec. The
 # preset's float-cast-overflow check fails the run if any of them
-# still reaches a double-to-integer cast. estimators_test,
-# runtime_test and service_test feed hostile snapshot bytes to the
-# restore paths: fit blobs with corrupt shapes and units, controller
-# and service blobs cut at every offset, and 2000 bit-flipped service
-# blobs. active_sampling_test feeds zero, negative, NaN and infinite
-# readings to the variance-guided sampler. linalg_test runs both builds
+# still reaches a double-to-integer cast. runtime_test and
+# service_test feed hostile snapshot bytes to the restore paths:
+# controller blobs with an altered observation or estimate, which the
+# restore's refit rejects, controller and service blobs cut at every
+# offset, and 2000 bit-flipped service blobs. active_sampling_test
+# feeds zero, negative, NaN and infinite readings to the
+# variance-guided sampler. linalg_test runs both builds
 # of the dense kernels (portable and, on an AVX2 host, AVX2) over every
 # tile tail, so an out-of-range tail load or store is a report.
 # obs_test registers thousands of instruments of each kind in one
